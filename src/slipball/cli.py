@@ -12,6 +12,7 @@ the built-in defaults.
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 
@@ -152,6 +153,8 @@ def _print_report_table(report):
 def cmd_verify(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     field, interior, boundary, fd = _build_pieces(cfg)
+    if not math.isfinite(cfg["nu"]):
+        raise ConfigError(f"nu must be finite, got {cfg['nu']}")
     report = verify.run_full_verification(
         field, interior, boundary, fd, nu=cfg["nu"], seed=cfg["seed"])
     _print_report_table(report)
@@ -256,6 +259,9 @@ def cmd_sweep(args) -> int:
     epsilons = cfg["epsilons"]
     if len(epsilons) < 4:
         print(f"error: need at least 4 epsilons, got {len(epsilons)}", file=sys.stderr)
+        return EXIT_USAGE
+    if not all(math.isfinite(e) for e in epsilons):
+        print(f"error: epsilons must be finite, got {epsilons}", file=sys.stderr)
         return EXIT_USAGE
     try:
         field = fam.family_by_label(cfg["family"])

@@ -14,9 +14,11 @@ tangential components of curl(v) on the unit sphere:
 with G = d_theta(sin g_theta) + g_phiphi / sin.  Profiles vanish identically
 near r = 0 and angular functions near both poles, so every evaluator
 short-circuits to exact zeros inside those margins and never touches 1/r or
-1/sin there.  Evaluators are ufunc-like: they accept and return float64
-arrays of a common shape and must supply analytic derivatives (h to second
-order, g to second order).
+1/sin there.  The profile and angular jets are computed only on the nodes
+inside the support (see _support_jets); the rest hold exact zeros.  Jet
+functions are ufunc-like: they accept and return float64 arrays of a common
+shape and must supply analytic derivatives (h to second order, g to second
+order).
 """
 import math
 from dataclasses import dataclass
@@ -47,9 +49,67 @@ def _maybe_scalar(values, scalar):
     return float(values[0])
 
 
+_PROFILE_JETS = 3  # h, h', h''
+_ANGULAR_JETS = 6  # g, g_t, g_p, g_tt, g_tp, g_pp
+
+
+def _support_jets(support, *calls):
+    """Jets computed on the support nodes only, zero-filled elsewhere.
+
+    `calls` holds (fn, n_out, args) triples whose args are arrays of the
+    shape of the boolean `support`.  Each fn runs at most once, on 1-D
+    arrays of the support nodes, and its n_out outputs are scattered into
+    zero-filled arrays of that shape.  With every node in the support fn
+    runs on the flattened arrays, with no gather or scatter; with none it
+    does not run.  Nodes where any argument is NaN join the returned mask
+    with NaN jets, so the masked assembly kernels give NaN there and not a
+    plausible zero.
+
+    Returns (mask, [jet tuple per call]).
+    """
+    shape = support.shape
+    nan_nodes = np.zeros(shape, dtype=bool)
+    for _, _, args in calls:
+        for a in args:
+            nan_nodes |= np.isnan(a)
+    has_nan = bool(nan_nodes.any())
+    if has_nan:
+        support = support & ~nan_nodes
+    n_in = np.count_nonzero(support)
+    if 0 < n_in == support.size:
+        return support, [tuple(v.reshape(shape) for v in fn(*(a.ravel() for a in args)))
+                         for fn, _, args in calls]
+    idx = np.flatnonzero(support)
+    jets = []
+    for fn, n_out, args in calls:
+        out = np.zeros((n_out, support.size))
+        if n_in:
+            for k, v in enumerate(fn(*(a.ravel()[idx] for a in args))):
+                out[k, idx] = v
+        if has_nan:
+            out[:, nan_nodes.ravel()] = np.nan
+        jets.append(tuple(o.reshape(shape) for o in out))
+    return (support | nan_nodes if has_nan else support), jets
+
+
+def _polar_jets(angular, theta, phi):
+    """(mask, g jet) on the open band pole_margin < theta < pi - pole_margin."""
+    d = angular.pole_margin
+    band = (theta > d) & (theta < math.pi - d)
+    mask, (g_jet,) = _support_jets(band, (angular.fn, _ANGULAR_JETS, (theta, phi)))
+    return mask, g_jet
+
+
 @dataclass(frozen=True)
 class RadialProfile:
-    """h(r) with derivatives; identically zero for r <= support_inner."""
+    """h(r) with derivatives; identically zero for r <= support_inner.
+
+    fn(r) returns (h, h', h'') as arrays of r's shape.  The field
+    evaluators call it only on a 1-D array of nodes inside the field's
+    support (r > support_inner, theta off the pole margins), and never on
+    an empty array.  Only check_admissibility probes r <= support_inner,
+    to confirm that fn vanishes there.
+    """
 
     fn: Callable
     support_inner: float
@@ -69,7 +129,12 @@ class AngularFunction:
     """g(theta, phi) with partials to second order, 2pi-periodic in phi.
 
     g and all stored partials vanish identically for theta within
-    pole_margin of 0 or pi.
+    pole_margin of 0 or pi.  fn(theta, phi) returns (g, g_t, g_p, g_tt,
+    g_tp, g_pp) as arrays of the inputs' shape.  The field evaluators call
+    it only on 1-D arrays of nodes inside the support (theta off the pole
+    margins, and r > support_inner where a radius is given), and never on
+    empty arrays.  Only check_admissibility probes the margins and the
+    period, to confirm that fn vanishes and repeats there.
     """
 
     fn: Callable
@@ -102,6 +167,8 @@ def perturbed_profile(eps: float, base: Optional[RadialProfile] = None) -> Radia
     For an admissible base this breaks the slip identity by exactly
     h_eps(1) + h_eps'(1) = (eps/2) h(1), linear in eps.
     """
+    if not math.isfinite(eps):
+        raise ValueError(f"perturbation size must be finite, got {eps!r}")
     base = base if base is not None else default_profile()
 
     def fn(r):
@@ -190,17 +257,19 @@ class CounterexampleField:
         return (theta > d) & (theta < math.pi - d) & (r > self.profile.support_inner)
 
     def _parts(self, r, theta, phi):
-        mask = self.support_mask(r, theta)
-        h, hp, hpp = self.profile.fn(r)
-        ang = self.angular.fn(theta, phi)
-        return mask, (h, hp, hpp), ang
+        mask, (h_jet, g_jet) = _support_jets(
+            self.support_mask(r, theta),
+            (self.profile.fn, _PROFILE_JETS, (r,)),
+            (self.angular.fn, _ANGULAR_JETS, (theta, phi)))
+        return mask, h_jet, g_jet
 
     def u_components(self, r, theta, phi):
-        """(u_r, u_theta, u_phi); u_r is identically zero."""
+        """(u_r, u_theta, u_phi); u_r is identically zero (NaN at NaN input)."""
         (r, theta, phi), scalar = _prepare(r, theta, phi)
         mask, (h, _, _), (g, g_t, g_p, *_rest) = self._parts(r, theta, phi)
         ut, up = kernels.u_assembly(h, g_t, g_p, np.sin(theta), mask)
-        return _maybe_scalar((np.zeros_like(ut), ut, up), scalar)
+        ur = np.where(np.isnan(ut), np.nan, 0.0)
+        return _maybe_scalar((ur, ut, up), scalar)
 
     def omega_components(self, r, theta, phi):
         (r, theta, phi), scalar = _prepare(r, theta, phi)
@@ -249,9 +318,7 @@ class CounterexampleField:
 
     def boundary_curl_theta(self, theta, phi):
         (theta, phi), scalar = _prepare(theta, phi)
-        d = self.angular.pole_margin
-        mask = (theta > d) & (theta < math.pi - d)
-        _, g_t, g_p, g_tt, _, g_pp = self.angular.fn(theta, phi)
+        mask, (_, g_t, g_p, g_tt, _, g_pp) = _polar_jets(self.angular, theta, phi)
         st, ct = np.sin(theta), np.cos(theta)
         gg = kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask)
         bt, _ = kernels.boundary_curl_assembly(
@@ -260,9 +327,7 @@ class CounterexampleField:
 
     def boundary_curl_phi(self, theta, phi):
         (theta, phi), scalar = _prepare(theta, phi)
-        d = self.angular.pole_margin
-        mask = (theta > d) & (theta < math.pi - d)
-        _, g_t, g_p, g_tt, _, g_pp = self.angular.fn(theta, phi)
+        mask, (_, g_t, g_p, g_tt, _, g_pp) = _polar_jets(self.angular, theta, phi)
         st, ct = np.sin(theta), np.cos(theta)
         gg = kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask)
         _, bp = kernels.boundary_curl_assembly(
@@ -274,9 +339,7 @@ def big_G(angular: AngularFunction, theta, phi):
     """G = cos g_theta + sin g_thetatheta + g_phiphi / sin (zero inside the
     pole margin by support)."""
     (theta, phi), scalar = _prepare(theta, phi)
-    d = angular.pole_margin
-    mask = (theta > d) & (theta < math.pi - d)
-    _, g_t, _, g_tt, _, g_pp = angular.fn(theta, phi)
+    mask, (_, g_t, _, g_tt, _, g_pp) = _polar_jets(angular, theta, phi)
     st, ct = np.sin(theta), np.cos(theta)
     return _maybe_scalar(kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask), scalar)
 
@@ -330,9 +393,7 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     theta = (np.arange(n_theta) + 0.5) * dtheta
     phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     th, ph = [np.ascontiguousarray(a) for a in np.meshgrid(theta, phi, indexing="ij")]
-    d = field.angular.pole_margin
-    mask = (th > d) & (th < math.pi - d)
-    _, g_t, g_p, g_tt, _, g_pp = field.angular.fn(th, ph)
+    mask, (_, g_t, g_p, g_tt, _, g_pp) = _polar_jets(field.angular, th, ph)
     st, ct = np.sin(th), np.cos(th)
     gg = kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask)
 

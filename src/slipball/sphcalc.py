@@ -41,19 +41,24 @@ class CartesianPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class SphPoint:
-    """Point in spherical coordinates; phi normalized to [0, 2pi) once, here."""
+    """Point in spherical coordinates; phi normalized to [0, 2pi) once, here.
+
+    Non-finite coordinates raise ValueError.
+    """
 
     r: float
     theta: float
     phi: float
 
     def __post_init__(self):
-        r, theta = float(self.r), float(self.theta)
+        r, theta, phi = float(self.r), float(self.theta), float(self.phi)
+        if not (math.isfinite(r) and math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"non-finite coordinate ({r}, {theta}, {phi})")
         if r < -_COORD_SLACK:
             raise ValueError(f"negative radius r={r}")
         if theta < -_COORD_SLACK or theta > math.pi + _COORD_SLACK:
             raise ValueError(f"colatitude out of range theta={theta}")
-        phi = float(self.phi) % TWO_PI
+        phi = phi % TWO_PI
         if phi == TWO_PI:  # guard against rounding in the modulo itself
             phi = 0.0
         object.__setattr__(self, "r", max(r, 0.0))

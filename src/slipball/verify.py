@@ -113,12 +113,17 @@ class CheckResult:
     details: dict = dataclass_field(default_factory=dict)
 
     def to_dict(self):
+        """JSON-ready dict; a non-finite norm_l2 is written as null and
+        flagged with "norm_l2_defined": false."""
         w = None if self.witness is None else {
             "r": self.witness.r, "theta": self.witness.theta, "phi": self.witness.phi}
-        return _jsonify({"name": self.name, "norm_sup": self.norm_sup,
-                         "norm_l2": self.norm_l2, "tolerance": self.tolerance,
-                         "direction": self.direction, "pass": bool(self.passed),
-                         "witness": w, "details": self.details})
+        d = {"name": self.name, "norm_sup": self.norm_sup, "norm_l2": self.norm_l2}
+        if not math.isfinite(self.norm_l2):
+            d["norm_l2"] = None
+            d["norm_l2_defined"] = False
+        d.update({"tolerance": self.tolerance, "direction": self.direction,
+                  "pass": bool(self.passed), "witness": w, "details": self.details})
+        return _jsonify(d)
 
 
 def _jsonify(obj):
@@ -504,7 +509,7 @@ class VerificationReport:
         return d
 
     def to_json(self, include_timestamp: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timestamp), indent=2) + "\n"
+        return json.dumps(self.to_dict(include_timestamp), indent=2, allow_nan=False) + "\n"
 
 
 def _skipped_check(name, reason):
@@ -525,7 +530,7 @@ def run_full_verification(field: fam.CounterexampleField,
         n_theta=128, n_phi=256, boundary_only=True)
     adm = field.admissibility
     checks = [check_divergence_free(field, interior_grid, cfg)]
-    checks.extend(check_slip_conditions(field, boundary_grid))
+    checks.extend(check_slip_conditions(field, boundary_grid, cfg))
 
     if not adm.slip_ok:
         reason = (f"slip condition violated: |h(1)+h'(1)| = "

@@ -50,6 +50,35 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, ["verify", "--family", "bogus"] + FAST_GRID)
         assert code == 1
 
+    def test_non_finite_viscosity_exits_one(self, capsys, tmp_path):
+        report = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, ["verify", "--nu", "nan", "--report", str(report)]
+                                 + FAST_GRID)
+        assert code == 1
+        assert "nu must be finite" in err and not report.exists()
+
+    @pytest.mark.parametrize("label", ["perturbed:nan", "perturbed:inf"])
+    def test_non_finite_perturbation_exits_one(self, capsys, label):
+        code, out, err = run_cli(capsys, ["verify", "--family", label] + FAST_GRID)
+        assert code == 1
+        assert "finite" in err and out == ""
+
+    def test_slip_spots_use_run_fd_config(self, capsys, monkeypatch):
+        from slipball import oracle
+        seen = []
+        original = oracle.fd_curl_spherical
+
+        def spy(field, p, cfg=oracle.FDConfig()):
+            seen.append(cfg)
+            return original(field, p, cfg)
+
+        monkeypatch.setattr(oracle, "fd_curl_spherical", spy)
+        code, _, _ = run_cli(capsys, ["verify", "--oracle-step", "1e-3", "--no-richardson"]
+                             + FAST_GRID)
+        assert code in (0, 2)  # the coarser oracle may fail a tolerance; the run completes
+        assert len(seen) == 5
+        assert all(c == oracle.FDConfig(step=1e-3, richardson=False) for c in seen)
+
     def test_byte_identical_reports(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -117,6 +146,14 @@ class TestEvalCommand:
         code, _, err = run_cli(capsys, ["eval", "--r", "2", "--theta", "1", "--phi", "0"])
         assert code == 1
         assert "unit ball" in err
+
+    @pytest.mark.parametrize("coord", ["--r", "--theta", "--phi"])
+    def test_nan_coordinate_exits_one(self, capsys, coord):
+        argv = {"--r": "0.8", "--theta": "1.0", "--phi": "1.0"}
+        argv[coord] = "nan"
+        code, out, err = run_cli(capsys, ["eval"] + [t for kv in argv.items() for t in kv])
+        assert code == 1
+        assert "non-finite" in err and out == ""
 
     def test_interior_values_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, ["eval", "--r", "0.9", "--theta", "1.5707963267948966",
@@ -196,6 +233,11 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, ["sweep", "--epsilons", "1e-2,1e-2,1e-2,1e-2"])
         assert code == 1
         assert "degenerate" in err.lower()
+
+    def test_non_finite_epsilon_exits_one(self, capsys):
+        code, _, err = run_cli(capsys, ["sweep", "--epsilons", "nan,1e-1,1e-2,1e-3"])
+        assert code == 1
+        assert "finite" in err
 
     def test_too_few_epsilons(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--epsilons", "1e-1,1e-2"])

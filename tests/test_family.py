@@ -341,6 +341,13 @@ class TestFamilyLabels:
         with pytest.raises(ValueError):
             fam.family_by_label("perturbed:xyz")
 
+    @pytest.mark.parametrize("eps", ["inf", "-inf", "nan"])
+    def test_non_finite_perturbation_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            fam.family_by_label(f"perturbed:{eps}")
+        with pytest.raises(ValueError, match="finite"):
+            fam.perturbed_profile(float(eps))
+
     def test_perturbed_residual_linear(self):
         for eps in (1e-1, 1e-3):
             f = fam.family_by_label(f"perturbed:{eps}")

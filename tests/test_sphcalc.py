@@ -56,6 +56,13 @@ class TestPointConversions:
         with pytest.raises(ValueError):
             SphPoint(0.5, 4.0, 0.0)
 
+    @pytest.mark.parametrize("coords", [(math.nan, 1.0, 0.0), (0.5, math.nan, 0.0),
+                                        (0.5, 1.0, math.nan), (math.inf, 1.0, 0.0),
+                                        (0.5, 1.0, -math.inf)])
+    def test_non_finite_coordinates_rejected(self, coords):
+        with pytest.raises(ValueError, match="non-finite"):
+            SphPoint(*coords)
+
 
 class TestBasis:
     def test_equator_phi0(self):

@@ -140,6 +140,22 @@ class TestPhiGateFallback:
         assert res_p.norm_sup >= 0.9
 
 
+    def test_fallback_report_is_strict_json(self, default_field, monkeypatch):
+        # the fallback has no surface L2 norm: it is written as null and flagged
+        monkeypatch.setattr(verify, "_gate_phi_closed_form", lambda *args: (False, 0, 0.0))
+        report = verify.run_full_verification(default_field, SMALL_INTERIOR, SMALL_BOUNDARY)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(report.to_json(), parse_constant=reject)
+        by_name = {c["name"]: c for c in doc["checks"]}
+        phi = by_name["persistency_failure_phi"]
+        assert phi["details"]["source"] == "oracle_fallback"
+        assert phi["norm_l2"] is None and phi["norm_l2_defined"] is False
+        assert all("norm_l2_defined" not in c for n, c in by_name.items() if n != phi["name"])
+
+
 class TestNeighborhoodRadius:
     # reference point on the plateau, where the closed form is -sin(2 phi)/sin^3(theta)
     EQUATOR = None  # set lazily to avoid import-order issues
