@@ -294,9 +294,10 @@ class CounterexampleField:
 
         Returns a dict with keys ut, dut_dr, dut_dtheta, dut_dphi, up,
         dup_dr, dup_dtheta, dup_dphi (u_r and its partials are zero and
-        omitted).  This is the analytic-jet path used by the grid checks.
+        omitted); the values are floats for a scalar point.  This is the
+        analytic-jet path used by the grid checks.
         """
-        (r, theta, phi), _ = _prepare(r, theta, phi)
+        (r, theta, phi), scalar = _prepare(r, theta, phi)
         mask, (h, hp, _), (g, g_t, g_p, g_tt, g_tp, g_pp) = self._parts(r, theta, phi)
         st, ct = np.sin(theta), np.cos(theta)
         ss = np.where(mask, st, 1.0)
@@ -305,7 +306,7 @@ class CounterexampleField:
         def sel(expr):
             return np.where(mask, expr, z)
 
-        return {
+        parts = {
             "ut": sel(-h * g_p / ss),
             "dut_dr": sel(-hp * g_p / ss),
             "dut_dtheta": sel(-h * (g_tp * ss - g_p * ct) / ss**2),
@@ -315,6 +316,7 @@ class CounterexampleField:
             "dup_dtheta": sel(h * g_tt),
             "dup_dphi": sel(h * g_tp),
         }
+        return {k: _maybe_scalar(v, scalar) for k, v in parts.items()}
 
     def boundary_curl_theta(self, theta, phi):
         (theta, phi), scalar = _prepare(theta, phi)
@@ -361,8 +363,7 @@ def v_field(field: CounterexampleField, p: SphPoint) -> SphVec:
 
 def u_jets(field: CounterexampleField, p: SphPoint):
     """First-order jets of (u_r, u_theta, u_phi) at p, for the operators."""
-    parts = field.u_raw_partials(p.r, p.theta, p.phi)
-    g = {k: float(v[0]) for k, v in parts.items()}
+    g = field.u_raw_partials(p.r, p.theta, p.phi)
     jet_r = ScalarJet(0.0)
     jet_t = ScalarJet(g["ut"], g["dut_dr"], g["dut_dtheta"], g["dut_dphi"])
     jet_p = ScalarJet(g["up"], g["dup_dr"], g["dup_dtheta"], g["dup_dphi"])

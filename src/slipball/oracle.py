@@ -8,12 +8,28 @@ Two derivative paths:
   rotated to Cartesian, differentiated axis by axis, and the result rotated
   back - nothing of the spherical operator formulas is reused.
 
-All operations consume point evaluators only, never analytic jets.  Central
-differences are second order; one Richardson level (enabled by default)
-combines D(step) and D(step/2) into (4 D(step/2) - D(step)) / 3.  At r = 1
-radial derivatives switch to the one-sided inward stencil with nodes
-(r, r-s, r-2s) and weights (3, -4, 1)/(2s); no evaluation outside the closed
-ball is ever requested.
+Both paths consume evaluators only, never analytic jets, and do their
+stencil arithmetic on node arrays: each stencil offset is one evaluator
+call over all nodes.  Spherical stencil nodes are validated and normalised
+as SphPoint does it for one point (phi reduced to [0, 2pi), theta clamped
+to [0, pi], r clamped at 0, out-of-range nodes rejected with ValueError).
+
+fd_partial, fd_curl_spherical and fd_boundary_radial_derivative each hold
+their stencil once and take two forms: a point form (SphPoint evaluator,
+one point, float or SphVec result; the evaluator is looped over the
+stencil nodes by _point_scalar / _point_components) and a grid form (array
+evaluator fn(r, theta, phi), node arrays, array result).  The *_grid
+functions are the grid forms under the naming of the Cartesian ones; they
+call into the three functions above, so the spherical oracle's work always
+runs under those names, which perfbench/tracer.py times.  cartesian_curl
+and cartesian_divergence are point adapters over the Cartesian grid
+functions.
+
+Central differences are second order; one Richardson level (enabled by
+default) combines D(step) and D(step/2) into (4 D(step/2) - D(step)) / 3.
+At r = 1 radial derivatives switch to the one-sided inward stencil with
+nodes (r, r-s, r-2s) and weights (3, -4, 1)/(2s); no evaluation outside the
+closed ball is ever requested.
 """
 import math
 from dataclasses import dataclass
@@ -22,10 +38,11 @@ import numpy as np
 
 from . import kernels
 from .errors import StencilOutOfDomain
-from .sphcalc import ScalarJet, SphPoint, SphVec
+from .sphcalc import _COORD_SLACK, TWO_PI, ScalarJet, SphPoint, SphVec
 
 R_CEILING = 1.05  # interior radial stencils may probe slightly past the sphere
 _BOUNDARY_EPS = 1e-12
+_AXES = {"r": 0, "theta": 1, "phi": 2}
 
 
 @dataclass(frozen=True)
@@ -44,43 +61,117 @@ def _richardson(d_at, step, enabled):
     return (4.0 * d_at(step / 2.0) - d_at(step)) / 3.0
 
 
-def fd_partial(f, p: SphPoint, coordinate: str, cfg: FDConfig = FDConfig()) -> float:
-    """Partial derivative of a scalar field f(SphPoint) at p.
+def _nodes(*coords):
+    """Node coordinates as contiguous float64 arrays of one shape, at least 1-D."""
+    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64) for c in coords))
+    return [np.ascontiguousarray(np.atleast_1d(a)) for a in arrays]
 
-    Central second-order stencil, one-sided inward at the r = 1 boundary.
+
+def _normalise(r, theta, phi):
+    """Nodes as SphPoint stores them: r >= 0, theta in [0, pi], phi in [0, 2pi).
+
+    Raises ValueError for a node SphPoint would reject: non-finite, r below
+    0 or theta outside [0, pi] by more than the coordinate slack.
     """
+    for name, c in (("r", r), ("theta", theta), ("phi", phi)):
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"non-finite coordinate {name}={c[~np.isfinite(c)].flat[0]}")
+    if np.any(r < -_COORD_SLACK):
+        raise ValueError(f"negative radius r={r[r < -_COORD_SLACK].flat[0]}")
+    bad = (theta < -_COORD_SLACK) | (theta > math.pi + _COORD_SLACK)
+    if np.any(bad):
+        raise ValueError(f"colatitude out of range theta={theta[bad].flat[0]}")
+    phi = np.mod(phi, TWO_PI)
+    phi[phi == TWO_PI] = 0.0  # guard against rounding in the modulo itself
+    return np.maximum(r, 0.0), np.clip(theta, 0.0, math.pi), phi
+
+
+def _grid(p):
+    """Normalised node arrays of p: a SphPoint or an (r, theta, phi) tuple."""
+    if isinstance(p, SphPoint):
+        p = (p.r, p.theta, p.phi)
+    return _normalise(*_nodes(*p))
+
+
+def _out_of_domain(ok, where, values, step):
+    if not np.all(ok):
+        raise StencilOutOfDomain(f"{where}={values[~ok].flat[0]} with step {step}")
+
+
+def _point_components(field):
+    def fn(r, theta, phi):
+        vr = np.empty_like(r)
+        vt = np.empty_like(r)
+        vp = np.empty_like(r)
+        for i in range(r.size):
+            v = field(SphPoint(r.flat[i], theta.flat[i], phi.flat[i]))
+            vr.flat[i], vt.flat[i], vp.flat[i] = v.vr, v.vtheta, v.vphi
+        return vr, vt, vp
+    return fn
+
+
+def _point_scalar(f):
+    def fn(r, theta, phi):
+        out = np.empty_like(r)
+        for i in range(r.size):
+            out.flat[i] = f(SphPoint(r.flat[i], theta.flat[i], phi.flat[i]))
+        return out
+    return fn
+
+
+def fd_partial(f, p, coordinate: str, cfg: FDConfig = FDConfig()):
+    """Partial derivative of a field at p.
+
+    Point form: p is a SphPoint and f(SphPoint) a float; returns a float.
+    Grid form (fd_partial_grid): p is an (r, theta, phi) tuple of node
+    arrays and f maps float64 arrays (r, theta, phi) to an array, or to a
+    tuple of arrays (a stack of fields, which gives the result the same
+    leading axis); returns the derivative at every node.
+
+    Central second-order stencil; radial derivatives at nodes with r = 1
+    take the one-sided inward stencil.  Raises StencilOutOfDomain when any
+    node's stencil would leave the domain.
+    """
+    if coordinate not in _AXES:
+        raise ValueError(f"unknown coordinate {coordinate!r}")
+    point = isinstance(p, SphPoint)
+    fn = _point_scalar(f) if point else f
+    axis = _AXES[coordinate]
+    base = _grid(p)
+    r, theta = base[0], base[1]
     s = cfg.step
+    edge = np.zeros(r.shape, dtype=bool)
     if coordinate == "r":
-        if abs(p.r - 1.0) <= _BOUNDARY_EPS:
-            def d_at(h):
-                return (3.0 * f(p)
-                        - 4.0 * f(SphPoint(p.r - h, p.theta, p.phi))
-                        + f(SphPoint(p.r - 2.0 * h, p.theta, p.phi))) / (2.0 * h)
-            return _richardson(d_at, s, cfg.richardson)
-        if not (p.r - 2.0 * s > 0.0 and p.r + 2.0 * s < R_CEILING):
-            raise StencilOutOfDomain(f"radial stencil at r={p.r} with step {s}")
+        edge = np.abs(r - 1.0) <= _BOUNDARY_EPS
+        inner = r[~edge]
+        _out_of_domain((inner - 2.0 * s > 0.0) & (inner + 2.0 * s < R_CEILING),
+                       "radial stencil at r", inner, s)
+    elif coordinate == "theta":
+        _out_of_domain((theta - 2.0 * s > 0.0) & (theta + 2.0 * s < math.pi),
+                       "polar stencil at theta", theta, s)
 
-        def d_at(h):
-            return (f(SphPoint(p.r + h, p.theta, p.phi))
-                    - f(SphPoint(p.r - h, p.theta, p.phi))) / (2.0 * h)
-        return _richardson(d_at, s, cfg.richardson)
+    def shifted(offset):
+        coords = list(base)
+        coords[axis] = coords[axis] + offset
+        return np.asarray(fn(*_normalise(*coords)), dtype=np.float64)
 
-    if coordinate == "theta":
-        if not (p.theta - 2.0 * s > 0.0 and p.theta + 2.0 * s < math.pi):
-            raise StencilOutOfDomain(f"polar stencil at theta={p.theta} with step {s}")
+    def d_at(h):
+        # `front` is the node itself where one-sided, else the + h node
+        front = shifted(np.where(edge, 0.0, h))
+        back = shifted(-h)
+        d = (front - back) / (2.0 * h)
+        if edge.any():
+            d = np.where(edge, (3.0 * front - 4.0 * back + shifted(-2.0 * h)) / (2.0 * h), d)
+        return d
 
-        def d_at(h):
-            return (f(SphPoint(p.r, p.theta + h, p.phi))
-                    - f(SphPoint(p.r, p.theta - h, p.phi))) / (2.0 * h)
-        return _richardson(d_at, s, cfg.richardson)
+    d = _richardson(d_at, s, cfg.richardson)
+    return float(d[0]) if point else d
 
-    if coordinate == "phi":
-        def d_at(h):
-            return (f(SphPoint(p.r, p.theta, p.phi + h))
-                    - f(SphPoint(p.r, p.theta, p.phi - h))) / (2.0 * h)
-        return _richardson(d_at, s, cfg.richardson)
 
-    raise ValueError(f"unknown coordinate {coordinate!r}")
+def fd_partial_grid(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
+    """Partial derivative of the array field fn(r, theta, phi) at every node
+    (the grid form of fd_partial)."""
+    return fd_partial(fn, (r, theta, phi), coordinate, cfg)
 
 
 def fd_scalar_jet(f, p: SphPoint, cfg: FDConfig = FDConfig()) -> ScalarJet:
@@ -93,23 +184,71 @@ def fd_scalar_jet(f, p: SphPoint, cfg: FDConfig = FDConfig()) -> ScalarJet:
     )
 
 
-def fd_curl_spherical(field, p: SphPoint, cfg: FDConfig = FDConfig()) -> SphVec:
+def fd_curl_spherical(field, p, cfg: FDConfig = FDConfig()):
     """Curl at p with every derivative replaced by a finite difference.
 
-    field: SphPoint -> SphVec.
+    Point form: p is a SphPoint and field(SphPoint) a SphVec; returns a
+    SphVec.  Grid form (fd_curl_spherical_grid): p is an (r, theta, phi)
+    tuple of node arrays and field maps float64 arrays (r, theta, phi) to
+    the component arrays (v_r, v_theta, v_phi); returns the curl's
+    component arrays.
     """
-    st = math.sin(p.theta)
-    d_upsin_dt = fd_partial(lambda q: field(q).vphi * math.sin(q.theta), p, "theta", cfg)
-    d_ut_dp = fd_partial(lambda q: field(q).vtheta, p, "phi", cfg)
-    d_ur_dp = fd_partial(lambda q: field(q).vr, p, "phi", cfg)
-    d_rup_dr = fd_partial(lambda q: q.r * field(q).vphi, p, "r", cfg)
-    d_rut_dr = fd_partial(lambda q: q.r * field(q).vtheta, p, "r", cfg)
-    d_ur_dt = fd_partial(lambda q: field(q).vr, p, "theta", cfg)
-    return SphVec(
-        (d_upsin_dt - d_ut_dp) / (p.r * st),
-        (d_ur_dp / st - d_rup_dr) / p.r,
-        (d_rut_dr - d_ur_dt) / p.r,
-    )
+    point = isinstance(p, SphPoint)
+    components_fn = _point_components(field) if point else field
+    nodes = _grid(p)
+
+    def theta_parts(r, t, p):
+        vr, _, vp = components_fn(r, t, p)
+        return vp * np.sin(t), vr
+
+    def phi_parts(r, t, p):
+        vr, vt, _ = components_fn(r, t, p)
+        return vt, vr
+
+    def r_parts(r, t, p):
+        _, vt, vp = components_fn(r, t, p)
+        return r * vp, r * vt
+
+    d_upsin_dt, d_ur_dt = fd_partial(theta_parts, nodes, "theta", cfg)
+    d_ut_dp, d_ur_dp = fd_partial(phi_parts, nodes, "phi", cfg)
+    d_rup_dr, d_rut_dr = fd_partial(r_parts, nodes, "r", cfg)
+    r, st = nodes[0], np.sin(nodes[1])
+    curl = ((d_upsin_dt - d_ut_dp) / (r * st),
+            (d_ur_dp / st - d_rup_dr) / r,
+            (d_rut_dr - d_ur_dt) / r)
+    return SphVec(*(float(c[0]) for c in curl)) if point else curl
+
+
+def fd_curl_spherical_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
+    """Curl at every node (the grid form of fd_curl_spherical).
+
+    components_fn maps float64 arrays (r, theta, phi) to the spherical
+    component arrays (v_r, v_theta, v_phi); returns the curl's components.
+    """
+    return fd_curl_spherical(components_fn, (r, theta, phi), cfg)
+
+
+def fd_boundary_radial_derivative(f, theta, phi, cfg: FDConfig = FDConfig()):
+    """(1/r) d_r(r f) at r = 1, by the one-sided inward stencil of fd_partial.
+
+    Point form: theta and phi are numbers and f(SphPoint) a float; returns
+    a float.  Grid form (fd_boundary_radial_derivative_grid): theta and phi
+    are node arrays and f maps float64 arrays (r, theta, phi) to an array;
+    returns the derivative at every node.
+    """
+    point = np.ndim(theta) == 0 and np.ndim(phi) == 0
+    fn = _point_scalar(f) if point else f
+    theta, phi = _nodes(theta, phi)
+    d = fd_partial(lambda r, t, p: r * np.asarray(fn(r, t, p)),
+                   (np.ones_like(theta), theta, phi), "r", cfg)
+    return float(d[0]) if point else d
+
+
+def fd_boundary_radial_derivative_grid(fn, theta, phi, cfg: FDConfig = FDConfig()):
+    """(1/r) d_r(r fn) at r = 1 and every (theta, phi) node (the grid form
+    of fd_boundary_radial_derivative)."""
+    theta, phi = _nodes(theta, phi)
+    return fd_boundary_radial_derivative(fn, theta, phi, cfg)
 
 
 def _check_cartesian_stencil(x, y, z, step):
@@ -132,9 +271,7 @@ def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConf
     components_fn maps float64 arrays (r, theta, phi) to spherical component
     arrays; everything here is vectorized over the nodes.
     """
-    r = np.ascontiguousarray(np.atleast_1d(np.asarray(r, dtype=np.float64)))
-    theta = np.ascontiguousarray(np.atleast_1d(np.asarray(theta, dtype=np.float64)))
-    phi = np.ascontiguousarray(np.atleast_1d(np.asarray(phi, dtype=np.float64)))
+    r, theta, phi = _nodes(r, theta, phi)
     x, y, z = kernels.sph_to_cart(r, theta, phi)
     _check_cartesian_stencil(x, y, z, cfg.step)
     base = [x, y, z]
@@ -168,9 +305,7 @@ def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDCo
 
 def cartesian_curl_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
     """Curl in the local spherical basis via the fully Cartesian path."""
-    r = np.ascontiguousarray(np.atleast_1d(np.asarray(r, dtype=np.float64)))
-    theta = np.ascontiguousarray(np.atleast_1d(np.asarray(theta, dtype=np.float64)))
-    phi = np.ascontiguousarray(np.atleast_1d(np.asarray(phi, dtype=np.float64)))
+    r, theta, phi = _nodes(r, theta, phi)
     jac = cartesian_jacobian_grid(components_fn, r, theta, phi, cfg)
     cx = jac[2][1] - jac[1][2]
     cy = jac[0][2] - jac[2][0]
@@ -178,38 +313,13 @@ def cartesian_curl_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()
     return kernels.vec_cart_to_sph(theta, phi, cx, cy, cz)
 
 
-def _point_components(field):
-    def fn(r, theta, phi):
-        vr = np.empty_like(r)
-        vt = np.empty_like(r)
-        vp = np.empty_like(r)
-        for i in range(r.size):
-            v = field(SphPoint(r.flat[i], theta.flat[i], phi.flat[i]))
-            vr.flat[i], vt.flat[i], vp.flat[i] = v.vr, v.vtheta, v.vphi
-        return vr, vt, vp
-    return fn
-
-
 def cartesian_curl(field, p: SphPoint, cfg: FDConfig = FDConfig()) -> SphVec:
     """Point version of cartesian_curl_grid for a SphPoint -> SphVec field."""
-    cr, ct, cp = cartesian_curl_grid(
-        _point_components(field), np.array([p.r]), np.array([p.theta]), np.array([p.phi]), cfg)
+    cr, ct, cp = cartesian_curl_grid(_point_components(field), p.r, p.theta, p.phi, cfg)
     return SphVec(float(cr[0]), float(ct[0]), float(cp[0]))
 
 
 def cartesian_divergence(field, p: SphPoint, cfg: FDConfig = FDConfig()) -> float:
-    div = cartesian_divergence_grid(
-        _point_components(field), np.array([p.r]), np.array([p.theta]), np.array([p.phi]), cfg)
+    div = cartesian_divergence_grid(_point_components(field), p.r, p.theta, p.phi, cfg)
     return float(div[0])
 
-
-def fd_boundary_radial_derivative(f, theta: float, phi: float,
-                                  cfg: FDConfig = FDConfig()) -> float:
-    """(1/r) d_r(r f) evaluated at r = 1 by the one-sided inward stencil."""
-    def rf(rr):
-        return rr * f(SphPoint(rr, theta, phi))
-
-    def d_at(h):
-        return (3.0 * rf(1.0) - 4.0 * rf(1.0 - h) + rf(1.0 - 2.0 * h)) / (2.0 * h)
-
-    return _richardson(d_at, cfg.step, cfg.richardson)

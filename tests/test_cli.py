@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from slipball import cli
@@ -66,18 +67,18 @@ class TestVerifyCommand:
     def test_slip_spots_use_run_fd_config(self, capsys, monkeypatch):
         from slipball import oracle
         seen = []
-        original = oracle.fd_curl_spherical
+        original = oracle.fd_curl_spherical_grid
 
-        def spy(field, p, cfg=oracle.FDConfig()):
-            seen.append(cfg)
-            return original(field, p, cfg)
+        def spy(components_fn, r, theta, phi, cfg=oracle.FDConfig()):
+            seen.append((np.size(r), cfg))
+            return original(components_fn, r, theta, phi, cfg)
 
-        monkeypatch.setattr(oracle, "fd_curl_spherical", spy)
+        monkeypatch.setattr(oracle, "fd_curl_spherical_grid", spy)
         code, _, _ = run_cli(capsys, ["verify", "--oracle-step", "1e-3", "--no-richardson"]
                              + FAST_GRID)
         assert code in (0, 2)  # the coarser oracle may fail a tolerance; the run completes
-        assert len(seen) == 5
-        assert all(c == oracle.FDConfig(step=1e-3, richardson=False) for c in seen)
+        # one batched call over the five spot nodes, with the run's FDConfig
+        assert seen == [(5, oracle.FDConfig(step=1e-3, richardson=False))]
 
     def test_byte_identical_reports(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

@@ -120,6 +120,16 @@ class TestUField:
         for p in random_boundary_points(rng, 200):
             assert fam.u_field(default_field, p).vr == 0.0
 
+    def test_raw_partials_scalar_point_gives_floats(self, default_field):
+        point = default_field.u_raw_partials(0.8, 1.2, 0.5)
+        batch = default_field.u_raw_partials(np.array([0.8]), np.array([1.2]),
+                                             np.array([0.5]))
+        assert point.keys() == batch.keys()
+        for k, v in point.items():
+            assert type(v) is float
+            assert batch[k].shape == (1,) and v == batch[k][0]
+        assert point["ut"] == default_field.u_components(0.8, 1.2, 0.5)[1]
+
 
 class TestOmegaField:
     def test_boundary_trace_vanishes(self, default_field, rng):

@@ -60,6 +60,16 @@ class TestFdPartial:
             FDConfig(step=1e-9)
 
 
+def smooth(r, t, p):
+    """e^r sin(theta) cos(phi); its r-partial is itself."""
+    return np.exp(r) * np.sin(t) * np.cos(p)
+
+
+SMOOTH_PARTIALS = {"r": smooth,
+                   "theta": lambda r, t, p: np.exp(r) * np.cos(t) * np.cos(p),
+                   "phi": lambda r, t, p: -np.exp(r) * np.sin(t) * np.sin(p)}
+
+
 class TestConvergenceOrder:
     def test_central_difference_is_second_order(self):
         # halving the step cuts the plain central-difference error ~4x
@@ -69,6 +79,21 @@ class TestConvergenceOrder:
         e1 = abs(oracle.fd_partial(f, p, "r", FDConfig(step=1e-3, richardson=False)) - exact)
         e2 = abs(oracle.fd_partial(f, p, "r", FDConfig(step=5e-4, richardson=False)) - exact)
         assert 3.5 <= e1 / e2 <= 4.5
+
+    @pytest.mark.parametrize("r, coordinate, richardson, ratio", [
+        # the plain central r stencil is test_central_difference_is_second_order
+        (0.7, "theta", False, 4.0), (0.7, "phi", False, 4.0),
+        (0.7, "r", True, 16.0), (0.7, "theta", True, 16.0), (0.7, "phi", True, 16.0),
+        # one-sided r = 1 stencil: Richardson cancels h^2 but not h^3
+        (1.0, "r", False, 4.0), (1.0, "r", True, 8.0),
+    ])
+    def test_error_ratio_on_halving_the_step(self, r, coordinate, richardson, ratio):
+        t, p = 1.1, 0.6
+        exact = SMOOTH_PARTIALS[coordinate](r, t, p)
+        e1, e2 = (abs(oracle.fd_partial_grid(smooth, r, t, p, coordinate,
+                                             FDConfig(step=s, richardson=richardson))[0]
+                      - exact) for s in (1e-2, 5e-3))
+        assert e1 / e2 == pytest.approx(ratio, rel=0.1)
 
 
 class TestSphericalCurl:

@@ -1,0 +1,344 @@
+"""Array spherical oracle: bit-identical to a per-node loop over the point stencils.
+
+The reference implementations below are the one-point stencil loops the
+grid functions replaced.  The grid versions do the same float arithmetic
+node by node, so every comparison is exact (np.array_equal), not a
+tolerance.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+
+from slipball import family as fam
+from slipball import kernels, oracle, verify
+from slipball.errors import StencilOutOfDomain
+from slipball.oracle import FDConfig
+from slipball.sphcalc import SphPoint, SphVec
+from slipball.verify import GridSpec
+
+PI = math.pi
+CONFIGS = [FDConfig(), FDConfig(step=1e-3, richardson=False), FDConfig(step=1e-2)]
+SMALL_BOUNDARY = GridSpec(n_theta=48, n_phi=96, boundary_only=True)
+
+# interior and r = 1 nodes in one call, phi on both sides of the wrap, and
+# nodes outside the support (r <= 0.25, theta inside the pole margin)
+R = np.array([1.0, 0.7, 1.0, 0.55, 0.9, 0.2, 1.0, 0.4, 1.0])
+THETA = np.array([1.1, 0.9, 2.0, 1.3, 0.3, 1.2, 2.9, 1.6, PI / 2])
+PHI = np.array([0.0, 2 * PI - 1e-6, 2 * PI - 1e-12, 0.0, 3.0, 5.5, 1e-5, 4.0, PI / 4])
+
+
+# -- reference: the one-point stencils --------------------------------------
+
+def _ref_richardson(d_at, step, enabled):
+    if not enabled:
+        return d_at(step)
+    return (4.0 * d_at(step / 2.0) - d_at(step)) / 3.0
+
+
+def ref_fd_partial(f, p, coordinate, cfg):
+    s = cfg.step
+    if coordinate == "r":
+        if abs(p.r - 1.0) <= 1e-12:
+            def d_at(h):
+                return (3.0 * f(p)
+                        - 4.0 * f(SphPoint(p.r - h, p.theta, p.phi))
+                        + f(SphPoint(p.r - 2.0 * h, p.theta, p.phi))) / (2.0 * h)
+            return _ref_richardson(d_at, s, cfg.richardson)
+
+        def d_at(h):
+            return (f(SphPoint(p.r + h, p.theta, p.phi))
+                    - f(SphPoint(p.r - h, p.theta, p.phi))) / (2.0 * h)
+        return _ref_richardson(d_at, s, cfg.richardson)
+    if coordinate == "theta":
+        def d_at(h):
+            return (f(SphPoint(p.r, p.theta + h, p.phi))
+                    - f(SphPoint(p.r, p.theta - h, p.phi))) / (2.0 * h)
+        return _ref_richardson(d_at, s, cfg.richardson)
+
+    def d_at(h):
+        return (f(SphPoint(p.r, p.theta, p.phi + h))
+                - f(SphPoint(p.r, p.theta, p.phi - h))) / (2.0 * h)
+    return _ref_richardson(d_at, s, cfg.richardson)
+
+
+def ref_fd_curl_spherical(field, p, cfg):
+    st = math.sin(p.theta)
+    d_upsin_dt = ref_fd_partial(lambda q: field(q).vphi * math.sin(q.theta), p, "theta", cfg)
+    d_ut_dp = ref_fd_partial(lambda q: field(q).vtheta, p, "phi", cfg)
+    d_ur_dp = ref_fd_partial(lambda q: field(q).vr, p, "phi", cfg)
+    d_rup_dr = ref_fd_partial(lambda q: q.r * field(q).vphi, p, "r", cfg)
+    d_rut_dr = ref_fd_partial(lambda q: q.r * field(q).vtheta, p, "r", cfg)
+    d_ur_dt = ref_fd_partial(lambda q: field(q).vr, p, "theta", cfg)
+    return SphVec((d_upsin_dt - d_ut_dp) / (p.r * st),
+                  (d_ur_dp / st - d_rup_dr) / p.r,
+                  (d_rut_dr - d_ur_dt) / p.r)
+
+
+def ref_fd_boundary_radial_derivative(f, theta, phi, cfg):
+    def rf(rr):
+        return rr * f(SphPoint(rr, theta, phi))
+
+    def d_at(h):
+        return (3.0 * rf(1.0) - 4.0 * rf(1.0 - h) + rf(1.0 - 2.0 * h)) / (2.0 * h)
+
+    return _ref_richardson(d_at, cfg.step, cfg.richardson)
+
+
+def v_theta_point(field):
+    return lambda q: field.v_components(q.r, q.theta, q.phi)[1]
+
+
+def v_theta_grid(field):
+    return lambda r, t, p: field.v_components(r, t, p)[1]
+
+
+def points():
+    return [SphPoint(*t) for t in zip(R, THETA, PHI)]
+
+
+# -- grid against the per-node loops ----------------------------------------
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+@pytest.mark.parametrize("coordinate", ["r", "theta", "phi"])
+def test_fd_partial_grid_matches_point_loop(default_field, coordinate, cfg):
+    got = oracle.fd_partial_grid(v_theta_grid(default_field), R, THETA, PHI, coordinate, cfg)
+    f = v_theta_point(default_field)
+    ref = np.array([ref_fd_partial(f, p, coordinate, cfg) for p in points()])
+    adapter = np.array([oracle.fd_partial(f, p, coordinate, cfg) for p in points()])
+    assert np.array_equal(got, ref)
+    assert np.array_equal(adapter, ref)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_fd_partial_grid_stacked_fields(default_field, cfg):
+    # a tuple-valued fn gives one derivative per field, from one call per offset
+    got = oracle.fd_partial_grid(default_field.u_components, R, THETA, PHI, "r", cfg)
+    assert got.shape == (3, R.size)
+    for k in range(3):
+        one = oracle.fd_partial_grid(lambda r, t, p: default_field.u_components(r, t, p)[k],
+                                     R, THETA, PHI, "r", cfg)
+        assert np.array_equal(got[k], one)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_fd_curl_spherical_grid_matches_point_loop(default_field, cfg):
+    got = oracle.fd_curl_spherical_grid(default_field.u_components, R, THETA, PHI, cfg)
+    u = lambda q: fam.u_field(default_field, q)
+    ref = [ref_fd_curl_spherical(u, p, cfg) for p in points()]
+    adapter = [oracle.fd_curl_spherical(u, p, cfg) for p in points()]
+    for k, name in enumerate(("vr", "vtheta", "vphi")):
+        assert np.array_equal(got[k], [getattr(c, name) for c in ref])
+        assert np.array_equal(got[k], [getattr(c, name) for c in adapter])
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_fd_boundary_radial_derivative_grid_matches_point_loop(default_field, cfg):
+    got = oracle.fd_boundary_radial_derivative_grid(v_theta_grid(default_field),
+                                                    THETA, PHI, cfg)
+    f = v_theta_point(default_field)
+    ref = [ref_fd_boundary_radial_derivative(f, t, p, cfg) for t, p in zip(THETA, PHI)]
+    adapter = [oracle.fd_boundary_radial_derivative(f, t, p, cfg) for t, p in zip(THETA, PHI)]
+    assert np.array_equal(got, ref)
+    assert np.array_equal(got, adapter)
+
+
+def test_one_call_per_stencil_offset(default_field):
+    calls = []
+
+    def fn(r, t, p):
+        calls.append(r.shape)
+        return default_field.u_components(r, t, p)
+
+    oracle.fd_curl_spherical_grid(fn, R, THETA, PHI, FDConfig())
+    # theta and phi: 2 offsets x 2 steps; r with edge nodes: 3 offsets x 2 steps
+    assert calls == [R.shape] * 14
+
+
+def test_phi_is_reduced_before_evaluation():
+    seen = []
+
+    def fn(r, t, p):
+        seen.append(p.copy())
+        return np.zeros_like(p)
+
+    oracle.fd_partial_grid(fn, [1.0, 0.5], [1.0, 1.0], [0.0, 2 * PI - 1e-5], "phi",
+                           FDConfig(step=1e-4, richardson=False))
+    assert all(np.all((p >= 0.0) & (p < 2 * PI)) for p in seen)
+    assert seen[1][0] == (0.0 - 1e-4) % (2 * PI)  # the -h node of phi = 0
+    assert seen[0][1] == (2 * PI - 1e-5 + 1e-4) % (2 * PI)
+
+
+# -- guards ------------------------------------------------------------------
+
+class TestGuards:
+    def test_one_bad_radial_node_raises(self):
+        f = lambda r, t, p: r
+        with pytest.raises(StencilOutOfDomain):
+            oracle.fd_partial_grid(f, [0.5, 1e-4, 1.0], [1.0] * 3, [0.0] * 3, "r",
+                                   FDConfig(step=1e-4))
+        with pytest.raises(StencilOutOfDomain):
+            oracle.fd_partial_grid(f, [0.5, 1.04], [1.0] * 2, [0.0] * 2, "r",
+                                   FDConfig(step=1e-2))
+
+    def test_one_bad_polar_node_raises(self):
+        f = lambda r, t, p: t
+        with pytest.raises(StencilOutOfDomain):
+            oracle.fd_partial_grid(f, [0.5, 0.5], [1.0, 1e-4], [0.0, 0.0], "theta",
+                                   FDConfig(step=1e-4))
+        with pytest.raises(StencilOutOfDomain):
+            oracle.fd_curl_spherical_grid(lambda r, t, p: (r, t, p), [0.5, 0.5],
+                                          [1.0, PI - 1e-4], [0.0, 0.0], FDConfig(step=1e-4))
+
+    def test_edge_nodes_skip_the_radial_guard(self):
+        # r = 1 takes the one-sided stencil, so r + 2s > R_CEILING is no error
+        d = oracle.fd_partial_grid(lambda r, t, p: r * r, [1.0], [1.0], [0.0], "r",
+                                   FDConfig(step=1e-2))
+        assert d[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_unknown_coordinate(self):
+        with pytest.raises(ValueError):
+            oracle.fd_partial_grid(lambda r, t, p: r, [0.5], [1.0], [0.0], "lambda")
+
+    @pytest.mark.parametrize("theta", [-1e-6, PI + 1e-6, 4.0, math.nan])
+    def test_out_of_range_node_raises(self, theta):
+        # caller nodes are checked as SphPoint checks them, not clamped
+        with pytest.raises(ValueError):
+            oracle.fd_boundary_radial_derivative(lambda q: q.r, theta, 0.3)
+        with pytest.raises(ValueError):
+            oracle.fd_boundary_radial_derivative_grid(lambda r, t, p: r, [1.0, theta],
+                                                      [0.3, 0.3])
+        with pytest.raises(ValueError):
+            oracle.fd_curl_spherical_grid(lambda r, t, p: (r, t, p), [0.5, 0.5],
+                                          [1.0, theta], [0.0, 0.0])
+
+    def test_negative_radius_raises(self):
+        with pytest.raises(ValueError):
+            oracle.fd_partial_grid(lambda r, t, p: r, [0.5, -1e-6], [1.0, 1.0], [0.0, 0.0],
+                                   "phi")
+
+    def test_slack_nodes_are_clamped_as_in_sphpoint(self, default_field):
+        # within the coordinate slack, a node is clamped, as SphPoint clamps it
+        f = v_theta_point(default_field)
+        got = oracle.fd_partial_grid(v_theta_grid(default_field), [0.5, 0.5],
+                                     [1.0, PI + 1e-13], [0.2, 0.2], "phi")
+        assert got[1] == oracle.fd_partial(f, SphPoint(0.5, PI + 1e-13, 0.2), "phi")
+        assert got[1] == oracle.fd_partial(f, SphPoint(0.5, PI, 0.2), "phi")
+
+    def test_no_evaluation_outside_the_ball(self):
+        seen = []
+
+        def fn(r, t, p):
+            seen.append(r.copy())
+            return r
+
+        oracle.fd_boundary_radial_derivative_grid(fn, [1.0, 2.0], [0.0, 3.0])
+        assert max(float(r.max()) for r in seen) == 1.0
+
+
+# -- verify call sites against the loops they replaced ----------------------
+
+def ref_neighborhood_radius(field, component, witness, floor_fraction,
+                            n_directions=16, n_rings=4, iterations=40):
+    fc = (field.boundary_curl_theta if component == "theta"
+          else field.boundary_curl_phi)
+    ref = abs(fc(witness.theta, witness.phi))
+    if ref == 0.0:
+        return 0.0
+    floor = floor_fraction * ref
+    st, ct = math.sin(witness.theta), math.cos(witness.theta)
+    sp, cp = math.sin(witness.phi), math.cos(witness.phi)
+    wvec = np.array([st * cp, st * sp, ct])
+    t1 = np.cross([0.0, 0.0, 1.0], wvec)
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(wvec, t1)
+    alpha = np.arange(n_directions) * (2.0 * math.pi / n_directions)
+    dirs = np.outer(np.cos(alpha), t1) + np.outer(np.sin(alpha), t2)
+
+    def ball_min(rho):
+        fracs = (np.arange(n_rings) + 1.0) / n_rings
+        vals = []
+        for f in fracs:
+            pts = math.cos(f * rho) * wvec[None, :] + math.sin(f * rho) * dirs
+            x, y, z = pts[:, 0].copy(), pts[:, 1].copy(), pts[:, 2].copy()
+            _, th, ph = kernels.cart_to_sph(x, y, z)
+            vals.append(np.abs(fc(th, ph)))
+        return float(np.min(np.concatenate(vals)))
+
+    def holds(rho):
+        m = ball_min(rho)
+        return m > 0.0 if floor_fraction == 0.0 else m >= floor
+
+    lo, hi = 0.0, math.pi / 2
+    if holds(hi):
+        return hi
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("floor_fraction", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("component", ["theta", "phi"])
+def test_neighborhood_radius_matches_ring_loop(default_field, component, floor_fraction):
+    adm = default_field.admissibility
+    witness = adm.witness_a1 if component == "theta" else adm.witness_a2
+    for kwargs in ({}, {"n_directions": 7, "n_rings": 3, "iterations": 12}):
+        got = verify.neighborhood_radius(default_field, component, witness,
+                                         floor_fraction, **kwargs)
+        want = ref_neighborhood_radius(default_field, component, witness,
+                                       floor_fraction, **kwargs)
+        assert got == want
+
+
+def test_oracle_fallback_matches_subgrid_loop(default_field, monkeypatch):
+    monkeypatch.setattr(verify, "_gate_phi_closed_form", lambda *args: (False, 0, 0.0))
+    cfg = FDConfig()
+    _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
+    assert res_p.details["source"] == "oracle_fallback"
+
+    mesh = SMALL_BOUNDARY.boundary_mesh()
+    sub_t, sub_p = mesh["axes"][0][::4], mesh["axes"][1][::4]
+    f = v_theta_point(default_field)
+    vals = np.empty(sub_t.size * sub_p.size)
+    k = 0
+    for t0 in sub_t:
+        for p0 in sub_p:
+            vals[k] = ref_fd_boundary_radial_derivative(f, t0, p0, cfg)
+            k += 1
+    i = int(np.argmax(np.abs(vals)))
+    it, ip = divmod(i, sub_p.size)
+    assert res_p.norm_sup == float(np.abs(vals[i]))
+    assert res_p.witness == SphPoint(1.0, sub_t[it], sub_p[ip])
+    assert res_p.details["oracle_at_witness"] == ref_fd_boundary_radial_derivative(
+        f, sub_t[it], sub_p[ip], cfg)
+
+
+def test_nan_gate_value_is_written_as_null(default_field, monkeypatch, tmp_path):
+    # one NaN oracle value fails the phi gate; the report still serialises
+    original = oracle.fd_boundary_radial_derivative_grid
+    gate_calls = []
+
+    def nan_at_first_gate_node(fn, theta, phi, cfg=FDConfig()):
+        vals = original(fn, theta, phi, cfg)
+        if np.size(theta) > 1 and not gate_calls:
+            gate_calls.append(np.size(theta))
+            vals[0] = math.nan
+        return vals
+
+    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative_grid", nan_at_first_gate_node)
+    _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, FDConfig())
+    assert gate_calls == [res_p.details["gate_points"]]
+    assert res_p.details["source"] == "oracle_fallback"
+    assert res_p.details["gate_max_rel_err"] is None
+    assert res_p.details["gate_max_rel_err_defined"] is False
+
+    def no_constants(name):
+        raise AssertionError(f"{name} in the report")
+
+    doc = json.loads(json.dumps(res_p.to_dict(), allow_nan=False), parse_constant=no_constants)
+    assert doc["details"]["gate_max_rel_err"] is None
