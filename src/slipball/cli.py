@@ -118,17 +118,23 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _build_pieces(cfg, boundary_spec_key="boundary_grid"):
+def _boundary_spec(section):
+    return verify.GridSpec(n_theta=section["n_theta"], n_phi=section["n_phi"],
+                           boundary_only=True)
+
+
+_PIECES = {"grid": lambda section: verify.GridSpec(**section),
+           "boundary_grid": _boundary_spec, "sample_grid": _boundary_spec,
+           "oracle": lambda section: FDConfig(**section)}
+
+
+def _build_pieces(cfg, *sections):
+    """The family, then one object per named config section, built in that
+    order; the first bad value raises ConfigError."""
     try:
-        field = fam.family_by_label(cfg["family"])
-        interior = verify.GridSpec(**cfg["grid"])
-        boundary = verify.GridSpec(
-            n_theta=cfg[boundary_spec_key]["n_theta"],
-            n_phi=cfg[boundary_spec_key]["n_phi"], boundary_only=True)
-        fd = FDConfig(**cfg["oracle"])
+        return [fam.family_by_label(cfg["family"])] + [_PIECES[k](cfg[k]) for k in sections]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return field, interior, boundary, fd
 
 
 def _fmt(x):
@@ -152,7 +158,7 @@ def _print_report_table(report):
 
 def cmd_verify(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    field, interior, boundary, fd = _build_pieces(cfg)
+    field, interior, boundary, fd = _build_pieces(cfg, "grid", "boundary_grid", "oracle")
     if not math.isfinite(cfg["nu"]):
         raise ConfigError(f"nu must be finite, got {cfg['nu']}")
     report = verify.run_full_verification(
@@ -236,14 +242,7 @@ def cmd_sample(args) -> int:
     if not out_path:
         print("error: --out is required for sample", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        field = fam.family_by_label(cfg["family"])
-        interior = verify.GridSpec(**cfg["grid"])
-        sample_boundary = verify.GridSpec(
-            n_theta=cfg["sample_grid"]["n_theta"],
-            n_phi=cfg["sample_grid"]["n_phi"], boundary_only=True)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    field, interior, sample_boundary = _build_pieces(cfg, "grid", "sample_grid")
     header, cols = _sample_rows(field, args.field, args.on == "surface",
                                 interior, sample_boundary)
     with open(out_path, "w", newline="") as fh:
@@ -263,13 +262,7 @@ def cmd_sweep(args) -> int:
     if not all(math.isfinite(e) for e in epsilons):
         print(f"error: epsilons must be finite, got {epsilons}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        field = fam.family_by_label(cfg["family"])
-        boundary = verify.GridSpec(
-            n_theta=cfg["boundary_grid"]["n_theta"],
-            n_phi=cfg["boundary_grid"]["n_phi"], boundary_only=True)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    field, boundary = _build_pieces(cfg, "boundary_grid")
     try:
         sweep = verify.scaling_sweep(field, epsilons, boundary)
     except DegenerateFit as exc:

@@ -15,10 +15,12 @@ with G = d_theta(sin g_theta) + g_phiphi / sin.  Profiles vanish identically
 near r = 0 and angular functions near both poles, so every evaluator
 short-circuits to exact zeros inside those margins and never touches 1/r or
 1/sin there.  The profile and angular jets are computed only on the nodes
-inside the support (see _support_jets); the rest hold exact zeros.  Jet
-functions are ufunc-like: they accept and return float64 arrays of a common
-shape and must supply analytic derivatives (h to second order, g to second
-order).
+inside the support (see _support_jets); the rest hold exact zeros.  Each
+evaluator then assembles its quantity with the numpy kernels, taking
+(sin, G) from _sin_and_G; both boundary traces come from one kernel call
+(_boundary_curl).  Jet functions are ufunc-like: they accept and return
+float64 arrays of a common shape and must supply analytic derivatives (h to
+second order, g to second order).
 """
 import math
 from dataclasses import dataclass
@@ -28,17 +30,10 @@ import numpy as np
 
 from . import kernels
 from .errors import NoWitness
-from .sphcalc import ScalarJet, SphPoint, SphVec
+from .sphcalc import ScalarJet, SphPoint, _node_arrays
 
 WITNESS_THRESHOLD = 1e-6
 _H1_ZERO_EPS = 1e-12
-
-
-def _prepare(*coords):
-    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64) for c in coords))
-    scalar = arrays[0].ndim == 0
-    out = [np.ascontiguousarray(np.atleast_1d(a)) for a in arrays]
-    return out, scalar
 
 
 def _maybe_scalar(values, scalar):
@@ -100,6 +95,13 @@ def _polar_jets(angular, theta, phi):
     return mask, g_jet
 
 
+def _sin_and_G(theta, mask, g_jet):
+    """(sin theta, G) from a g jet tuple; G is zero off the mask."""
+    _, g_t, _, g_tt, _, g_pp = g_jet
+    st = np.sin(theta)
+    return st, kernels.big_g_values(st, np.cos(theta), g_t, g_tt, g_pp, mask)
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """h(r) with derivatives; identically zero for r <= support_inner.
@@ -120,7 +122,7 @@ class RadialProfile:
             raise ValueError("support_inner must lie in (0, 1)")
 
     def jet(self, r):
-        (r,), scalar = _prepare(r)
+        (r,), scalar = _node_arrays(r)
         return _maybe_scalar(self.fn(r), scalar)
 
 
@@ -146,7 +148,7 @@ class AngularFunction:
             raise ValueError("pole_margin must lie in (0, pi/2)")
 
     def jet(self, theta, phi):
-        (theta, phi), scalar = _prepare(theta, phi)
+        (theta, phi), scalar = _node_arrays(theta, phi)
         return _maybe_scalar(self.fn(theta, phi), scalar)
 
 
@@ -265,26 +267,26 @@ class CounterexampleField:
 
     def u_components(self, r, theta, phi):
         """(u_r, u_theta, u_phi); u_r is identically zero (NaN at NaN input)."""
-        (r, theta, phi), scalar = _prepare(r, theta, phi)
+        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         mask, (h, _, _), (g, g_t, g_p, *_rest) = self._parts(r, theta, phi)
         ut, up = kernels.u_assembly(h, g_t, g_p, np.sin(theta), mask)
         ur = np.where(np.isnan(ut), np.nan, 0.0)
         return _maybe_scalar((ur, ut, up), scalar)
 
     def omega_components(self, r, theta, phi):
-        (r, theta, phi), scalar = _prepare(r, theta, phi)
-        mask, (h, hp, _), (g, g_t, g_p, g_tt, g_tp, g_pp) = self._parts(r, theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        gg = kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask)
+        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
+        mask, (h, hp, _), g_jet = self._parts(r, theta, phi)
+        st, gg = _sin_and_G(theta, mask, g_jet)
+        g_t, g_p = g_jet[1:3]
         return _maybe_scalar(kernels.omega_assembly(r, st, h, hp, g_t, g_p, gg, mask),
                              scalar)
 
     def v_components(self, r, theta, phi):
         """u x curl(u), from the closed forms of both factors."""
-        (r, theta, phi), scalar = _prepare(r, theta, phi)
-        mask, (h, hp, _), (g, g_t, g_p, g_tt, g_tp, g_pp) = self._parts(r, theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        gg = kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask)
+        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
+        mask, (h, hp, _), g_jet = self._parts(r, theta, phi)
+        st, gg = _sin_and_G(theta, mask, g_jet)
+        g_t, g_p = g_jet[1:3]
         ut, up = kernels.u_assembly(h, g_t, g_p, st, mask)
         wr, wt, wp = kernels.omega_assembly(r, st, h, hp, g_t, g_p, gg, mask)
         return _maybe_scalar(kernels.cross_tangential(ut, up, wr, wt, wp), scalar)
@@ -297,68 +299,50 @@ class CounterexampleField:
         omitted); the values are floats for a scalar point.  This is the
         analytic-jet path used by the grid checks.
         """
-        (r, theta, phi), scalar = _prepare(r, theta, phi)
-        mask, (h, hp, _), (g, g_t, g_p, g_tt, g_tp, g_pp) = self._parts(r, theta, phi)
+        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
+        mask, (h, hp, _), (_, g_t, g_p, g_tt, g_tp, g_pp) = self._parts(r, theta, phi)
         st, ct = np.sin(theta), np.cos(theta)
+        ut, up = kernels.u_assembly(h, g_t, g_p, st, mask)
         ss = np.where(mask, st, 1.0)
-        z = np.zeros_like(st)
 
         def sel(expr):
-            return np.where(mask, expr, z)
+            return np.where(mask, expr, 0.0)
 
         parts = {
-            "ut": sel(-h * g_p / ss),
+            "ut": ut,
             "dut_dr": sel(-hp * g_p / ss),
             "dut_dtheta": sel(-h * (g_tp * ss - g_p * ct) / ss**2),
             "dut_dphi": sel(-h * g_pp / ss),
-            "up": sel(h * g_t),
+            "up": up,
             "dup_dr": sel(hp * g_t),
             "dup_dtheta": sel(h * g_tt),
             "dup_dphi": sel(h * g_tp),
         }
         return {k: _maybe_scalar(v, scalar) for k, v in parts.items()}
 
+    def _boundary_curl(self, theta, phi):
+        """Both tangential components of curl(v) on the unit sphere."""
+        (theta, phi), scalar = _node_arrays(theta, phi)
+        mask, g_jet = _polar_jets(self.angular, theta, phi)
+        st, gg = _sin_and_G(theta, mask, g_jet)
+        return _maybe_scalar(kernels.boundary_curl_assembly(
+            st, self.h_boundary, self.hp_boundary, g_jet[1], g_jet[2], gg, mask), scalar)
+
     def boundary_curl_theta(self, theta, phi):
-        (theta, phi), scalar = _prepare(theta, phi)
-        mask, (_, g_t, g_p, g_tt, _, g_pp) = _polar_jets(self.angular, theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        gg = kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask)
-        bt, _ = kernels.boundary_curl_assembly(
-            st, self.h_boundary, self.hp_boundary, g_t, g_p, gg, mask)
-        return _maybe_scalar(bt, scalar)
+        return self._boundary_curl(theta, phi)[0]
 
     def boundary_curl_phi(self, theta, phi):
-        (theta, phi), scalar = _prepare(theta, phi)
-        mask, (_, g_t, g_p, g_tt, _, g_pp) = _polar_jets(self.angular, theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        gg = kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask)
-        _, bp = kernels.boundary_curl_assembly(
-            st, self.h_boundary, self.hp_boundary, g_t, g_p, gg, mask)
-        return _maybe_scalar(bp, scalar)
+        """Closed-form candidate for the phi component; gate it against the
+        radial-derivative oracle before trusting it in reports."""
+        return self._boundary_curl(theta, phi)[1]
 
 
 def big_G(angular: AngularFunction, theta, phi):
     """G = cos g_theta + sin g_thetatheta + g_phiphi / sin (zero inside the
     pole margin by support)."""
-    (theta, phi), scalar = _prepare(theta, phi)
-    mask, (_, g_t, _, g_tt, _, g_pp) = _polar_jets(angular, theta, phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    return _maybe_scalar(kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask), scalar)
-
-
-def u_field(field: CounterexampleField, p: SphPoint) -> SphVec:
-    ur, ut, up = field.u_components(p.r, p.theta, p.phi)
-    return SphVec(ur, ut, up)
-
-
-def omega_field(field: CounterexampleField, p: SphPoint) -> SphVec:
-    wr, wt, wp = field.omega_components(p.r, p.theta, p.phi)
-    return SphVec(wr, wt, wp)
-
-
-def v_field(field: CounterexampleField, p: SphPoint) -> SphVec:
-    vr, vt, vp = field.v_components(p.r, p.theta, p.phi)
-    return SphVec(vr, vt, vp)
+    (theta, phi), scalar = _node_arrays(theta, phi)
+    mask, g_jet = _polar_jets(angular, theta, phi)
+    return _maybe_scalar(_sin_and_G(theta, mask, g_jet)[1], scalar)
 
 
 def u_jets(field: CounterexampleField, p: SphPoint):
@@ -368,16 +352,6 @@ def u_jets(field: CounterexampleField, p: SphPoint):
     jet_t = ScalarJet(g["ut"], g["dut_dr"], g["dut_dtheta"], g["dut_dphi"])
     jet_p = ScalarJet(g["up"], g["dup_dr"], g["dup_dtheta"], g["dup_dphi"])
     return jet_r, jet_t, jet_p
-
-
-def boundary_curl_v_theta(field: CounterexampleField, theta, phi):
-    return field.boundary_curl_theta(theta, phi)
-
-
-def boundary_curl_v_phi(field: CounterexampleField, theta, phi):
-    """Closed-form candidate for the phi component; gate it against the
-    radial-derivative oracle before trusting it in reports."""
-    return field.boundary_curl_phi(theta, phi)
 
 
 def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
@@ -394,9 +368,9 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     theta = (np.arange(n_theta) + 0.5) * dtheta
     phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     th, ph = [np.ascontiguousarray(a) for a in np.meshgrid(theta, phi, indexing="ij")]
-    mask, (_, g_t, g_p, g_tt, _, g_pp) = _polar_jets(field.angular, th, ph)
-    st, ct = np.sin(th), np.cos(th)
-    gg = kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask)
+    mask, g_jet = _polar_jets(field.angular, th, ph)
+    _, gg = _sin_and_G(th, mask, g_jet)
+    g_t, g_p = g_jet[1:3]
 
     def best(product):
         flat = np.abs(product).ravel()

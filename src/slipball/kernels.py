@@ -1,11 +1,7 @@
 """Elementwise numeric kernels (the hot inner loops).
 
 Every kernel takes float64 ndarrays of identical shape and returns ndarrays;
-callers do the broadcasting.  The whole set is built twice: once as plain
-numpy and once compiled with numba (see _backend).  Which build backs the
-module-level names is decided at import time by the SLIPBALL_NUMBA flag;
-both builds stay importable through get_impls() so they can be benchmarked
-and cross-checked against each other.
+callers do the broadcasting.  The kernels are plain numpy functions.
 
 Smooth cutoff machinery: sigma(t) = exp(-1/t) for t > 0 (else 0) and the
 step s(t) = sigma(t) / (sigma(t) + sigma(1-t)), which is 0 for t <= 0 and
@@ -14,8 +10,6 @@ precision sigma underflows to exactly 0 for t <= ~1.34e-3, so gating the
 formula at t > 1e-3 changes nothing and avoids 0*inf at tiny t.
 """
 import numpy as np
-
-from . import _backend
 
 _SIGMA_FLOOR = 1e-3
 
@@ -30,265 +24,174 @@ _BUMP_C = 5 * np.pi / 8
 _BUMP_D = 3 * np.pi / 4
 
 
-def _build(jit):
-    @jit
-    def sigma_jet(t):
-        m = t > _SIGMA_FLOOR
-        ts = np.where(m, t, 1.0)
-        s = np.where(m, np.exp(-1.0 / ts), 0.0)
-        s1 = np.where(m, s / ts**2, 0.0)
-        s2 = np.where(m, s * (1.0 / ts**4 - 2.0 / ts**3), 0.0)
-        return s, s1, s2
-
-    @jit
-    def smooth_step_jet(t):
-        # s = a / (a + b) with a = sigma(t), b = sigma(1 - t)
-        a, a1, a2 = sigma_jet(t)
-        b, b1m, b2 = sigma_jet(1.0 - t)
-        b1 = -b1m
-        den = a + b
-        s = a / den
-        num1 = a1 * b - a * b1
-        s1 = num1 / den**2
-        num2 = a2 * b - a * b2
-        s2 = (num2 * den - 2.0 * num1 * (a1 + b1)) / den**3
-        return s, s1, s2
-
-    @jit
-    def bump_jet(x, a, b, c, d):
-        # product of a rising step on [a,b] and a falling step on [c,d]
-        wl = b - a
-        wr = d - c
-        u, u1, u2 = smooth_step_jet((x - a) / wl)
-        v, v1, v2 = smooth_step_jet((d - x) / wr)
-        u1, u2 = u1 / wl, u2 / wl**2
-        v1, v2 = -v1 / wr, v2 / wr**2
-        p = u * v
-        p1 = u1 * v + u * v1
-        p2 = u2 * v + 2.0 * u1 * v1 + u * v2
-        return p, p1, p2
-
-    @jit
-    def default_profile_jet(r):
-        c, c1, c2 = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH)
-        c1 = c1 / _CHI_WIDTH
-        c2 = c2 / _CHI_WIDTH**2
-        e = np.exp(1.0 - r)
-        h = c * e
-        hp = (c1 - c) * e
-        hpp = (c2 - 2.0 * c1 + c) * e
-        return h, hp, hpp
-
-    @jit
-    def h1zero_profile_jet(r):
-        # chi(r) * (1 - r)^2: vanishes to second order at r = 1
-        c, c1, c2 = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH)
-        c1 = c1 / _CHI_WIDTH
-        c2 = c2 / _CHI_WIDTH**2
-        q = 1.0 - r
-        h = c * q * q
-        hp = c1 * q * q - 2.0 * c * q
-        hpp = c2 * q * q - 4.0 * c1 * q + 2.0 * c
-        return h, hp, hpp
-
-    @jit
-    def perturbed_factor_jet(r, eps):
-        # multiplier (1 + eps*(r - 0.75)^2); shifts h(1)+h'(1) to eps/2 * h(1)
-        d = r - 0.75
-        q = 1.0 + eps * d * d
-        q1 = 2.0 * eps * d
-        q2 = np.full_like(r, 2.0 * eps)
-        return q, q1, q2
-
-    @jit
-    def default_angular_jet(theta, phi):
-        p, p1, p2 = bump_jet(theta, _BUMP_A, _BUMP_B, _BUMP_C, _BUMP_D)
-        sp = np.sin(phi)
-        cp = np.cos(phi)
-        g = p * sp
-        g_t = p1 * sp
-        g_p = p * cp
-        g_tt = p2 * sp
-        g_tp = p1 * cp
-        g_pp = -p * sp
-        return g, g_t, g_p, g_tt, g_tp, g_pp
-
-    @jit
-    def big_g_values(sin_t, cos_t, g_t, g_tt, g_pp, mask):
-        # cos(theta) g_t + sin(theta) g_tt + g_pp / sin(theta)
-        ss = np.where(mask, sin_t, 1.0)
-        val = cos_t * g_t + sin_t * g_tt + g_pp / ss
-        return np.where(mask, val, 0.0)
-
-    @jit
-    def u_assembly(h, g_t, g_p, sin_t, mask):
-        ss = np.where(mask, sin_t, 1.0)
-        ut = np.where(mask, -h * g_p / ss, 0.0)
-        up = np.where(mask, h * g_t, 0.0)
-        return ut, up
-
-    @jit
-    def omega_assembly(r, sin_t, h, hp, g_t, g_p, big_g, mask):
-        ss = np.where(mask, sin_t, 1.0)
-        rr = np.where(mask, r, 1.0)
-        drh = h + r * hp  # d/dr (r h)
-        wr = np.where(mask, h * big_g / (rr * ss), 0.0)
-        wt = np.where(mask, -drh * g_t / rr, 0.0)
-        wp = np.where(mask, -drh * g_p / (rr * ss), 0.0)
-        return wr, wt, wp
-
-    @jit
-    def cross_tangential(ut, up, wr, wt, wp):
-        # u x w for u with zero radial component
-        vr = ut * wp - up * wt
-        vt = up * wr
-        vp = -ut * wr
-        return vr, vt, vp
-
-    @jit
-    def boundary_curl_assembly(sin_t, h1, hp1, g_t, g_p, big_g, mask):
-        # tangential components of curl(u x w) on the unit sphere
-        ss = np.where(mask, sin_t, 1.0)
-        bt = np.where(mask, -2.0 * h1 * hp1 * g_p * big_g / ss**2, 0.0)
-        bp = np.where(mask, 2.0 * h1 * hp1 * g_t * big_g / ss, 0.0)
-        return bt, bp
-
-    @jit
-    def sph_to_cart(r, theta, phi):
-        st = np.sin(theta)
-        x = r * st * np.cos(phi)
-        y = r * st * np.sin(phi)
-        z = r * np.cos(theta)
-        return x, y, z
-
-    @jit
-    def cart_to_sph(x, y, z):
-        r = np.sqrt(x * x + y * y + z * z)
-        # atan2(hypot, z) stays well-conditioned at the poles, unlike acos(z/r)
-        theta = np.arctan2(np.sqrt(x * x + y * y), z)
-        phi = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-        return r, theta, phi
-
-    @jit
-    def vec_sph_to_cart(theta, phi, vr, vt, vp):
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
-        wx = vr * st * cp + vt * ct * cp - vp * sp
-        wy = vr * st * sp + vt * ct * sp + vp * cp
-        wz = vr * ct - vt * st
-        return wx, wy, wz
-
-    @jit
-    def vec_cart_to_sph(theta, phi, wx, wy, wz):
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
-        vr = wx * st * cp + wy * st * sp + wz * ct
-        vt = wx * ct * cp + wy * ct * sp - wz * st
-        vp = -wx * sp + wy * cp
-        return vr, vt, vp
-
-    @jit
-    def divergence_parts(r, sin_t, cos_t, ur, dur_dr, ut, dut_dt, dup_dp):
-        # (1/r^2) d_r(r^2 ur) + (1/(r sin)) d_t(ut sin) + (1/(r sin)) d_p up
-        return (dur_dr + 2.0 * ur / r
-                + (dut_dt + ut * cos_t / sin_t) / r
-                + dup_dp / (r * sin_t))
-
-    @jit
-    def curl_parts(r, sin_t, cos_t,
-                   dur_dt, dur_dp,
-                   ut, dut_dr, dut_dp,
-                   up, dup_dr, dup_dt):
-        cr = (dup_dt * sin_t + up * cos_t - dut_dp) / (r * sin_t)
-        ct_ = (dur_dp / sin_t - up - r * dup_dr) / r
-        cp = (ut + r * dut_dr - dur_dt) / r
-        return cr, ct_, cp
-
-    return {
-        "sigma_jet": sigma_jet,
-        "smooth_step_jet": smooth_step_jet,
-        "bump_jet": bump_jet,
-        "default_profile_jet": default_profile_jet,
-        "h1zero_profile_jet": h1zero_profile_jet,
-        "perturbed_factor_jet": perturbed_factor_jet,
-        "default_angular_jet": default_angular_jet,
-        "big_g_values": big_g_values,
-        "u_assembly": u_assembly,
-        "omega_assembly": omega_assembly,
-        "cross_tangential": cross_tangential,
-        "boundary_curl_assembly": boundary_curl_assembly,
-        "sph_to_cart": sph_to_cart,
-        "cart_to_sph": cart_to_sph,
-        "vec_sph_to_cart": vec_sph_to_cart,
-        "vec_cart_to_sph": vec_cart_to_sph,
-        "divergence_parts": divergence_parts,
-        "curl_parts": curl_parts,
-    }
+def sigma_jet(t):
+    m = t > _SIGMA_FLOOR
+    ts = np.where(m, t, 1.0)
+    s = np.where(m, np.exp(-1.0 / ts), 0.0)
+    s1 = np.where(m, s / ts**2, 0.0)
+    s2 = np.where(m, s * (1.0 / ts**4 - 2.0 / ts**3), 0.0)
+    return s, s1, s2
 
 
-_NUMPY_IMPLS = _build(lambda f: f)
-_NUMBA_IMPLS = None
+def smooth_step_jet(t):
+    # s = a / (a + b) with a = sigma(t), b = sigma(1 - t)
+    a, a1, a2 = sigma_jet(t)
+    b, b1m, b2 = sigma_jet(1.0 - t)
+    b1 = -b1m
+    den = a + b
+    s = a / den
+    num1 = a1 * b - a * b1
+    s1 = num1 / den**2
+    num2 = a2 * b - a * b2
+    s2 = (num2 * den - 2.0 * num1 * (a1 + b1)) / den**3
+    return s, s1, s2
 
 
-def _numba_impls():
-    global _NUMBA_IMPLS
-    if _NUMBA_IMPLS is None:
-        _NUMBA_IMPLS = _build(_backend.jit_compiler())
-    return _NUMBA_IMPLS
+def bump_jet(x, a, b, c, d):
+    # product of a rising step on [a,b] and a falling step on [c,d]
+    wl = b - a
+    wr = d - c
+    u, u1, u2 = smooth_step_jet((x - a) / wl)
+    v, v1, v2 = smooth_step_jet((d - x) / wr)
+    u1, u2 = u1 / wl, u2 / wl**2
+    v1, v2 = -v1 / wr, v2 / wr**2
+    p = u * v
+    p1 = u1 * v + u * v1
+    p2 = u2 * v + 2.0 * u1 * v1 + u * v2
+    return p, p1, p2
 
 
-def get_impls(backend):
-    """Kernel dict for an explicit backend ("numpy" or "numba")."""
-    if backend == "numpy":
-        return _NUMPY_IMPLS
-    if backend == "numba":
-        return _numba_impls()
-    raise ValueError(f"unknown backend {backend!r}")
+def default_profile_jet(r):
+    c, c1, c2 = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH)
+    c1 = c1 / _CHI_WIDTH
+    c2 = c2 / _CHI_WIDTH**2
+    e = np.exp(1.0 - r)
+    h = c * e
+    hp = (c1 - c) * e
+    hpp = (c2 - 2.0 * c1 + c) * e
+    return h, hp, hpp
 
 
-_ACTIVE = _numba_impls() if _backend.NUMBA_ENABLED else _NUMPY_IMPLS
-
-sigma_jet = _ACTIVE["sigma_jet"]
-smooth_step_jet = _ACTIVE["smooth_step_jet"]
-bump_jet = _ACTIVE["bump_jet"]
-default_profile_jet = _ACTIVE["default_profile_jet"]
-h1zero_profile_jet = _ACTIVE["h1zero_profile_jet"]
-perturbed_factor_jet = _ACTIVE["perturbed_factor_jet"]
-default_angular_jet = _ACTIVE["default_angular_jet"]
-big_g_values = _ACTIVE["big_g_values"]
-u_assembly = _ACTIVE["u_assembly"]
-omega_assembly = _ACTIVE["omega_assembly"]
-cross_tangential = _ACTIVE["cross_tangential"]
-boundary_curl_assembly = _ACTIVE["boundary_curl_assembly"]
-sph_to_cart = _ACTIVE["sph_to_cart"]
-cart_to_sph = _ACTIVE["cart_to_sph"]
-vec_sph_to_cart = _ACTIVE["vec_sph_to_cart"]
-vec_cart_to_sph = _ACTIVE["vec_cart_to_sph"]
-divergence_parts = _ACTIVE["divergence_parts"]
-curl_parts = _ACTIVE["curl_parts"]
-
-KERNEL_NAMES = tuple(sorted(_NUMPY_IMPLS))
+def h1zero_profile_jet(r):
+    # chi(r) * (1 - r)^2: vanishes to second order at r = 1
+    c, c1, c2 = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH)
+    c1 = c1 / _CHI_WIDTH
+    c2 = c2 / _CHI_WIDTH**2
+    q = 1.0 - r
+    h = c * q * q
+    hp = c1 * q * q - 2.0 * c * q
+    hpp = c2 * q * q - 4.0 * c1 * q + 2.0 * c
+    return h, hp, hpp
 
 
-def warmup(n=8):
-    """Trigger JIT compilation of the active kernel set on tiny arrays."""
-    r = np.linspace(0.1, 0.99, n)
-    theta = np.linspace(0.1, np.pi - 0.1, n)
-    phi = np.linspace(0.0, 6.0, n)
-    mask = theta > 0.0
-    h, hp, _ = default_profile_jet(r)
-    h1zero_profile_jet(r)
-    perturbed_factor_jet(r, 1e-3)
-    g, g_t, g_p, g_tt, g_tp, g_pp = default_angular_jet(theta, phi)
+def perturbed_factor_jet(r, eps):
+    # multiplier (1 + eps*(r - 0.75)^2); shifts h(1)+h'(1) to eps/2 * h(1)
+    d = r - 0.75
+    q = 1.0 + eps * d * d
+    q1 = 2.0 * eps * d
+    q2 = np.full_like(r, 2.0 * eps)
+    return q, q1, q2
+
+
+def default_angular_jet(theta, phi):
+    p, p1, p2 = bump_jet(theta, _BUMP_A, _BUMP_B, _BUMP_C, _BUMP_D)
+    sp = np.sin(phi)
+    cp = np.cos(phi)
+    g = p * sp
+    g_t = p1 * sp
+    g_p = p * cp
+    g_tt = p2 * sp
+    g_tp = p1 * cp
+    g_pp = -p * sp
+    return g, g_t, g_p, g_tt, g_tp, g_pp
+
+
+def big_g_values(sin_t, cos_t, g_t, g_tt, g_pp, mask):
+    # cos(theta) g_t + sin(theta) g_tt + g_pp / sin(theta)
+    ss = np.where(mask, sin_t, 1.0)
+    val = cos_t * g_t + sin_t * g_tt + g_pp / ss
+    return np.where(mask, val, 0.0)
+
+
+def u_assembly(h, g_t, g_p, sin_t, mask):
+    ss = np.where(mask, sin_t, 1.0)
+    ut = np.where(mask, -h * g_p / ss, 0.0)
+    up = np.where(mask, h * g_t, 0.0)
+    return ut, up
+
+
+def omega_assembly(r, sin_t, h, hp, g_t, g_p, big_g, mask):
+    ss = np.where(mask, sin_t, 1.0)
+    rr = np.where(mask, r, 1.0)
+    drh = h + r * hp  # d/dr (r h)
+    wr = np.where(mask, h * big_g / (rr * ss), 0.0)
+    wt = np.where(mask, -drh * g_t / rr, 0.0)
+    wp = np.where(mask, -drh * g_p / (rr * ss), 0.0)
+    return wr, wt, wp
+
+
+def cross_tangential(ut, up, wr, wt, wp):
+    # u x w for u with zero radial component
+    vr = ut * wp - up * wt
+    vt = up * wr
+    vp = -ut * wr
+    return vr, vt, vp
+
+
+def boundary_curl_assembly(sin_t, h1, hp1, g_t, g_p, big_g, mask):
+    # tangential components of curl(u x w) on the unit sphere
+    ss = np.where(mask, sin_t, 1.0)
+    bt = np.where(mask, -2.0 * h1 * hp1 * g_p * big_g / ss**2, 0.0)
+    bp = np.where(mask, 2.0 * h1 * hp1 * g_t * big_g / ss, 0.0)
+    return bt, bp
+
+
+def sph_to_cart(r, theta, phi):
+    st = np.sin(theta)
+    x = r * st * np.cos(phi)
+    y = r * st * np.sin(phi)
+    z = r * np.cos(theta)
+    return x, y, z
+
+
+def cart_to_sph(x, y, z):
+    r = np.sqrt(x * x + y * y + z * z)
+    # atan2(hypot, z) stays well-conditioned at the poles, unlike acos(z/r)
+    theta = np.arctan2(np.sqrt(x * x + y * y), z)
+    phi = np.mod(np.arctan2(y, x), 2.0 * np.pi)
+    return r, theta, phi
+
+
+def vec_sph_to_cart(theta, phi, vr, vt, vp):
     st, ct = np.sin(theta), np.cos(theta)
-    gg = big_g_values(st, ct, g_t, g_tt, g_pp, mask)
-    ut, up = u_assembly(h, g_t, g_p, st, mask)
-    wr, wt, wp = omega_assembly(r, st, h, hp, g_t, g_p, gg, mask)
-    cross_tangential(ut, up, wr, wt, wp)
-    boundary_curl_assembly(st, 1.0, -1.0, g_t, g_p, gg, mask)
-    x, y, z = sph_to_cart(r, theta, phi)
-    cart_to_sph(x, y, z)
-    wx, wy, wz = vec_sph_to_cart(theta, phi, ut, up, wr)
-    vec_cart_to_sph(theta, phi, wx, wy, wz)
-    divergence_parts(r, st, ct, ut, up, wr, wt, wp)
-    curl_parts(r, st, ct, ut, up, wr, wt, wp, ut, up, wr)
+    sp, cp = np.sin(phi), np.cos(phi)
+    wx = vr * st * cp + vt * ct * cp - vp * sp
+    wy = vr * st * sp + vt * ct * sp + vp * cp
+    wz = vr * ct - vt * st
+    return wx, wy, wz
+
+
+def vec_cart_to_sph(theta, phi, wx, wy, wz):
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    vr = wx * st * cp + wy * st * sp + wz * ct
+    vt = wx * ct * cp + wy * ct * sp - wz * st
+    vp = -wx * sp + wy * cp
+    return vr, vt, vp
+
+
+def divergence_parts(r, sin_t, cos_t, ur, dur_dr, ut, dut_dt, dup_dp):
+    # (1/r^2) d_r(r^2 ur) + (1/(r sin)) d_t(ut sin) + (1/(r sin)) d_p up
+    return (dur_dr + 2.0 * ur / r
+            + (dut_dt + ut * cos_t / sin_t) / r
+            + dup_dp / (r * sin_t))
+
+
+def curl_parts(r, sin_t, cos_t,
+               dur_dt, dur_dp,
+               ut, dut_dr, dut_dp,
+               up, dup_dr, dup_dt):
+    cr = (dup_dt * sin_t + up * cos_t - dut_dp) / (r * sin_t)
+    ct_ = (dur_dp / sin_t - up - r * dup_dr) / r
+    cp = (ut + r * dut_dr - dur_dt) / r
+    return cr, ct_, cp

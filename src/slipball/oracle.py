@@ -38,7 +38,7 @@ import numpy as np
 
 from . import kernels
 from .errors import StencilOutOfDomain
-from .sphcalc import _COORD_SLACK, TWO_PI, ScalarJet, SphPoint, SphVec
+from .sphcalc import _COORD_SLACK, TWO_PI, ScalarJet, SphPoint, SphVec, _node_arrays
 
 R_CEILING = 1.05  # interior radial stencils may probe slightly past the sphere
 _BOUNDARY_EPS = 1e-12
@@ -59,12 +59,6 @@ def _richardson(d_at, step, enabled):
     if not enabled:
         return d_at(step)
     return (4.0 * d_at(step / 2.0) - d_at(step)) / 3.0
-
-
-def _nodes(*coords):
-    """Node coordinates as contiguous float64 arrays of one shape, at least 1-D."""
-    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64) for c in coords))
-    return [np.ascontiguousarray(np.atleast_1d(a)) for a in arrays]
 
 
 def _normalise(r, theta, phi):
@@ -90,7 +84,7 @@ def _grid(p):
     """Normalised node arrays of p: a SphPoint or an (r, theta, phi) tuple."""
     if isinstance(p, SphPoint):
         p = (p.r, p.theta, p.phi)
-    return _normalise(*_nodes(*p))
+    return _normalise(*_node_arrays(*p)[0])
 
 
 def _out_of_domain(ok, where, values, step):
@@ -238,7 +232,7 @@ def fd_boundary_radial_derivative(f, theta, phi, cfg: FDConfig = FDConfig()):
     """
     point = np.ndim(theta) == 0 and np.ndim(phi) == 0
     fn = _point_scalar(f) if point else f
-    theta, phi = _nodes(theta, phi)
+    theta, phi = _node_arrays(theta, phi)[0]
     d = fd_partial(lambda r, t, p: r * np.asarray(fn(r, t, p)),
                    (np.ones_like(theta), theta, phi), "r", cfg)
     return float(d[0]) if point else d
@@ -247,7 +241,7 @@ def fd_boundary_radial_derivative(f, theta, phi, cfg: FDConfig = FDConfig()):
 def fd_boundary_radial_derivative_grid(fn, theta, phi, cfg: FDConfig = FDConfig()):
     """(1/r) d_r(r fn) at r = 1 and every (theta, phi) node (the grid form
     of fd_boundary_radial_derivative)."""
-    theta, phi = _nodes(theta, phi)
+    theta, phi = _node_arrays(theta, phi)[0]
     return fd_boundary_radial_derivative(fn, theta, phi, cfg)
 
 
@@ -271,7 +265,7 @@ def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConf
     components_fn maps float64 arrays (r, theta, phi) to spherical component
     arrays; everything here is vectorized over the nodes.
     """
-    r, theta, phi = _nodes(r, theta, phi)
+    r, theta, phi = _node_arrays(r, theta, phi)[0]
     x, y, z = kernels.sph_to_cart(r, theta, phi)
     _check_cartesian_stencil(x, y, z, cfg.step)
     base = [x, y, z]
@@ -305,7 +299,7 @@ def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDCo
 
 def cartesian_curl_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
     """Curl in the local spherical basis via the fully Cartesian path."""
-    r, theta, phi = _nodes(r, theta, phi)
+    r, theta, phi = _node_arrays(r, theta, phi)[0]
     jac = cartesian_jacobian_grid(components_fn, r, theta, phi, cfg)
     cx = jac[2][1] - jac[1][2]
     cy = jac[0][2] - jac[2][0]

@@ -15,6 +15,9 @@ in the operator formulas themselves,
            + (1/r) (d_r(r u_t) - d_t u_r) e_p
     grad f = f_r e_r + (1/r) f_t e_t + (1/(r sin)) f_p e_p.
 
+divergence and curl evaluate kernels.divergence_parts / curl_parts, the
+formulas the array checks use, on one point.
+
 Evaluation refuses points with r or sin(theta) below 1e-9 rather than
 silently zeroing the singular factors.
 """
@@ -24,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import CoordinateSingularity, PoleDegeneracy
 
 TWO_PI = 2.0 * math.pi
@@ -102,6 +106,13 @@ class ScalarJet:
     d_phiphi: float = 0.0
 
 
+def _node_arrays(*coords):
+    """Coordinates as contiguous float64 arrays of one broadcast shape, at
+    least 1-D, and whether every coordinate was a scalar."""
+    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64) for c in coords))
+    return [np.ascontiguousarray(np.atleast_1d(a)) for a in arrays], arrays[0].ndim == 0
+
+
 def to_cartesian_point(p: SphPoint) -> CartesianPoint:
     st = math.sin(p.theta)
     return CartesianPoint(
@@ -157,21 +168,18 @@ def divergence(p: SphPoint, jets) -> float:
     """Divergence from the jets of (u_r, u_theta, u_phi)."""
     _require_regular(p)
     jr, jt, jp = jets
-    st, ct = math.sin(p.theta), math.cos(p.theta)
-    return (jr.d_r + 2.0 * jr.value / p.r
-            + (jt.d_theta + jt.value * ct / st) / p.r
-            + jp.d_phi / (p.r * st))
+    return kernels.divergence_parts(p.r, math.sin(p.theta), math.cos(p.theta),
+                                    jr.value, jr.d_r, jt.value, jt.d_theta, jp.d_phi)
 
 
 def curl(p: SphPoint, jets) -> SphVec:
     """Curl from the jets of (u_r, u_theta, u_phi)."""
     _require_regular(p)
     jr, jt, jp = jets
-    st, ct = math.sin(p.theta), math.cos(p.theta)
-    cr = (jp.d_theta * st + jp.value * ct - jt.d_phi) / (p.r * st)
-    ctheta = (jr.d_phi / st - jp.value - p.r * jp.d_r) / p.r
-    cphi = (jt.value + p.r * jt.d_r - jr.d_theta) / p.r
-    return SphVec(cr, ctheta, cphi)
+    return SphVec(*kernels.curl_parts(p.r, math.sin(p.theta), math.cos(p.theta),
+                                      jr.d_theta, jr.d_phi,
+                                      jt.value, jt.d_r, jt.d_phi,
+                                      jp.value, jp.d_r, jp.d_theta))
 
 
 def gradient(p: SphPoint, jet: ScalarJet) -> SphVec:

@@ -95,6 +95,9 @@ class GridSpec:
                 "boundary_only": self.boundary_only}
 
 
+_DEFAULT_BOUNDARY_GRID = GridSpec(n_theta=128, n_phi=256, boundary_only=True)
+
+
 @dataclass
 class CheckResult:
     """One named residual or non-vanishing check.
@@ -137,21 +140,14 @@ def _jsonify(obj):
     return obj
 
 
-def _residual_result(name, values, weights, tolerance, witness_fn, details=None):
+def _grid_result(name, direction, values, weights, tolerance, witness_fn, details=None):
+    """CheckResult of the sup of |values|; direction "below" or "above"."""
     a = np.abs(values)
     i = int(np.argmax(a))
     sup = float(a[i])
     l2 = float(np.sqrt(np.sum(values * values * weights)))
-    return CheckResult(name, sup, l2, tolerance, "below", sup <= tolerance,
-                       witness_fn(i), details or {})
-
-
-def _nonvanishing_result(name, values, weights, threshold, witness_fn, details=None):
-    a = np.abs(values)
-    i = int(np.argmax(a))
-    sup = float(a[i])
-    l2 = float(np.sqrt(np.sum(values * values * weights)))
-    return CheckResult(name, sup, l2, threshold, "above", sup >= threshold,
+    passed = sup <= tolerance if direction == "below" else sup >= tolerance
+    return CheckResult(name, sup, l2, tolerance, direction, passed,
                        witness_fn(i), details or {})
 
 
@@ -161,20 +157,11 @@ def quadrature_sanity(grid: GridSpec) -> float:
     return float(np.sqrt(np.sum(mesh["weights"])))
 
 
-def _boundary_witness(mesh):
+def _mesh_witness(mesh):
+    """Map a flat mesh index to its node (r = 1 on a boundary mesh)."""
     def witness_fn(i):
-        it, ip = divmod(i, mesh["shape"][1])
-        return SphPoint(1.0, mesh["axes"][0][it], mesh["axes"][1][ip])
-    return witness_fn
-
-
-def _interior_witness(mesh):
-    n_t, n_p = mesh["shape"][1], mesh["shape"][2]
-
-    def witness_fn(i):
-        ir, rem = divmod(i, n_t * n_p)
-        it, ip = divmod(rem, n_p)
-        return SphPoint(mesh["axes"][0][ir], mesh["axes"][1][it], mesh["axes"][2][ip])
+        node = [ax[k] for ax, k in zip(mesh["axes"], np.unravel_index(i, mesh["shape"]))]
+        return SphPoint(*node) if len(node) == 3 else SphPoint(1.0, *node)
     return witness_fn
 
 
@@ -202,8 +189,8 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
     values = div_fd if use_fd else div_analytic
     details = {"sup_analytic": sup_analytic, "tolerance_analytic": TOL_CLOSED_FORM,
                "sup_oracle": sup_fd, "tolerance_oracle": TOL_FD}
-    res = _residual_result("divergence_free", values, mesh["weights"], TOL_FD,
-                           _interior_witness(mesh), details)
+    res = _grid_result("divergence_free", "below", values, mesh["weights"], TOL_FD,
+                       _mesh_witness(mesh), details)
     res.passed = sup_analytic <= TOL_CLOSED_FORM and sup_fd <= TOL_FD
     return res
 
@@ -222,9 +209,10 @@ def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
     ur, _, _ = field.u_components(ones, th, ph)
     _, wt, wp = field.omega_components(ones, th, ph)
     tangential = np.hypot(wt, wp)
-    wit = _boundary_witness(mesh)
-    res_u = _residual_result("slip_u_dot_n", ur, w, TOL_EXACT_TRACE, wit)
-    res_w = _residual_result("slip_omega_cross_n", tangential, w, TOL_EXACT_TRACE, wit)
+    wit = _mesh_witness(mesh)
+    res_u = _grid_result("slip_u_dot_n", "below", ur, w, TOL_EXACT_TRACE, wit)
+    res_w = _grid_result("slip_omega_cross_n", "below", tangential, w,
+                         TOL_EXACT_TRACE, wit)
 
     stride = max(1, th.size // max(oracle_spots, 1))
     spots = np.arange(0, th.size, stride)[:oracle_spots]
@@ -246,6 +234,16 @@ def _v_component(field, k):
 
 def _boundary_oracle_at(fn, theta, phi, cfg):
     return float(oracle.fd_boundary_radial_derivative_grid(fn, theta, phi, cfg)[0])
+
+
+def _witness_details(res, analytic, oracle_val):
+    """Closed-form and oracle values at the witness of res, and the verdict."""
+    return {
+        "analytic_at_witness": analytic,
+        "oracle_at_witness": oracle_val,
+        "rel_discrepancy": abs(analytic - oracle_val) / max(abs(analytic), 1e-300),
+        "verdict": "persistency violated" if res.passed else "no contradiction exhibited",
+    }
 
 
 def _gate_phi_closed_form(field, mesh, cfg, n_points):
@@ -279,27 +277,21 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
         raise NoWitness(f"family {field.label!r} exhibits no witness point")
     mesh = grid.boundary_mesh()
     th, ph, w = mesh["theta"], mesh["phi"], mesh["weights"]
-    wit = _boundary_witness(mesh)
+    wit = _mesh_witness(mesh)
     v_theta, v_phi = _v_component(field, 1), _v_component(field, 2)
 
     bt = field.boundary_curl_theta(th, ph)
-    res_t = _nonvanishing_result("persistency_failure_theta", bt, w,
-                                 NONVANISH_THRESHOLD, wit)
+    res_t = _grid_result("persistency_failure_theta", "above", bt, w,
+                         NONVANISH_THRESHOLD, wit)
     p = res_t.witness
-    analytic = field.boundary_curl_theta(p.theta, p.phi)
-    oracle_val = -_boundary_oracle_at(v_phi, p.theta, p.phi, cfg)
-    res_t.details = {
-        "analytic_at_witness": analytic,
-        "oracle_at_witness": oracle_val,
-        "rel_discrepancy": abs(analytic - oracle_val) / max(abs(analytic), 1e-300),
-        "verdict": "persistency violated" if res_t.passed else "no contradiction exhibited",
-    }
+    res_t.details = _witness_details(res_t, field.boundary_curl_theta(p.theta, p.phi),
+                                     -_boundary_oracle_at(v_phi, p.theta, p.phi, cfg))
 
     ok, n_gate, worst = _gate_phi_closed_form(field, mesh, cfg, gate_points)
     if ok:
         bp = field.boundary_curl_phi(th, ph)
-        res_p = _nonvanishing_result("persistency_failure_phi", bp, w,
-                                     NONVANISH_THRESHOLD, wit)
+        res_p = _grid_result("persistency_failure_phi", "above", bp, w,
+                             NONVANISH_THRESHOLD, wit)
         src = "closed_form"
     else:
         # closed form failed its gate: fall back to oracle values on a
@@ -317,17 +309,13 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
                             SphPoint(1.0, sub_t[it], sub_p[ip]))
         src = "oracle_fallback"
     q = res_p.witness
-    analytic_p = field.boundary_curl_phi(q.theta, q.phi)
-    oracle_p = _boundary_oracle_at(v_theta, q.theta, q.phi, cfg)
     res_p.details = {
         "closed_form_validated": ok,
         "gate_points": n_gate,
         "gate_max_rel_err": worst if math.isfinite(worst) else None,
         "source": src,
-        "analytic_at_witness": analytic_p,
-        "oracle_at_witness": oracle_p,
-        "rel_discrepancy": abs(analytic_p - oracle_p) / max(abs(analytic_p), 1e-300),
-        "verdict": "persistency violated" if res_p.passed else "no contradiction exhibited",
+        **_witness_details(res_p, field.boundary_curl_phi(q.theta, q.phi),
+                           _boundary_oracle_at(v_theta, q.theta, q.phi, cfg)),
     }
     if not math.isfinite(worst):  # a NaN oracle value fails the gate; JSON has no NaN
         res_p.details["gate_max_rel_err_defined"] = False
@@ -342,10 +330,13 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
     curl(v) component keeps at least floor_fraction of its witness value.
 
     Bisection on [0, pi/2], sampling rings of the geodesic ball; the answer
-    is resolution-limited by the sampling and iteration count.
+    is resolution-limited by the sampling and iteration count.  component
+    is "theta" or "phi"; anything else raises ValueError.
     """
-    fc = (field.boundary_curl_theta if component == "theta"
-          else field.boundary_curl_phi)
+    traces = {"theta": field.boundary_curl_theta, "phi": field.boundary_curl_phi}
+    if component not in traces:
+        raise ValueError(f"component must be 'theta' or 'phi', got {component!r}")
+    fc = traces[component]
     ref = abs(fc(witness.theta, witness.phi))
     if ref == 0.0:
         return 0.0
@@ -404,8 +395,8 @@ def check_navier_traction(field: fam.CounterexampleField, grid: GridSpec,
     t_theta = 0.5 * nu * wp - nu * curvature * ut
     t_phi = -0.5 * nu * wt - nu * curvature * up
     magnitude = np.hypot(t_theta, t_phi)
-    res = _nonvanishing_result("navier_traction", magnitude, w,
-                               NONVANISH_THRESHOLD, _boundary_witness(mesh))
+    res = _grid_result("navier_traction", "above", magnitude, w,
+                       NONVANISH_THRESHOLD, _mesh_witness(mesh))
     res.details = {"nu": nu, "curvature": curvature}
     return res
 
@@ -464,7 +455,7 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     the residual against eps should therefore be 1.  eps = 0 rows (and any
     underflowed residual) are excluded from the fit.
     """
-    grid = grid if grid is not None else GridSpec(n_theta=128, n_phi=256, boundary_only=True)
+    grid = grid if grid is not None else _DEFAULT_BOUNDARY_GRID
     mesh = grid.boundary_mesh()
     th, ph = mesh["theta"], mesh["phi"]
     ones = np.ones_like(th)
@@ -525,8 +516,7 @@ def run_full_verification(field: fam.CounterexampleField,
     identity short-circuits the persistency checks (their closed forms
     assume it) without aborting the rest."""
     interior_grid = interior_grid if interior_grid is not None else GridSpec()
-    boundary_grid = boundary_grid if boundary_grid is not None else GridSpec(
-        n_theta=128, n_phi=256, boundary_only=True)
+    boundary_grid = boundary_grid if boundary_grid is not None else _DEFAULT_BOUNDARY_GRID
     adm = field.admissibility
     checks = [check_divergence_free(field, interior_grid, cfg)]
     checks.extend(check_slip_conditions(field, boundary_grid, cfg))

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from slipball import family, kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # pull JIT compilation out of individual tests (no-op on the numpy backend)
-    kernels.warmup()
+from slipball import family
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,8 @@
 """Acceptance suite: the eight certification criteria at full grid sizes.
 
 Each test prints one PASS/FAIL line (run pytest -s to see them inline).
-Timing criteria run on warm kernels: JIT compilation happens in the
-session-scoped warmup fixture, not inside the timed sections, and every
-kernel is serial (single-threaded).
+Every kernel is plain numpy and serial (single-threaded), so the timed
+sections need no untimed first call.
 """
 import math
 import time
@@ -11,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from slipball import cli, family, oracle, sphcalc, verify
+from slipball import cli, oracle, sphcalc, verify
 from slipball.sphcalc import SphPoint, SphVec
 
 PI = math.pi
@@ -46,7 +45,7 @@ def test_criterion_2_slip_conditions(default_field):
 
 
 def test_criterion_3_persistency_failure_theta(default_field):
-    closed = family.boundary_curl_v_theta(default_field, PI / 2, PI / 4)
+    closed = default_field.boundary_curl_theta(PI / 2, PI / 4)
 
     def v_phi(q):
         return default_field.v_components(q.r, q.theta, q.phi)[2]

@@ -2,6 +2,7 @@
 
 The tracer looks each name up with vars(owner)[name], so a rename in
 slipball would make a traced benchmark run (--trace 1) fail with KeyError.
+The benchmark worker also records slipball.BACKEND in its environment block.
 """
 import importlib.util
 import inspect
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import slipball
 from slipball import family, kernels, oracle, verify
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -31,6 +33,10 @@ def test_traced_functions_exist(tracer, tuple_name, owner):
     assert names
     missing = [n for n in names if not callable(vars(owner).get(n))]
     assert missing == []
+
+
+def test_backend_is_the_numpy_kernel_set():
+    assert slipball.BACKEND == "numpy"
 
 
 def test_traced_evaluators_exist_with_their_signature(tracer):

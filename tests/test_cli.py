@@ -1,9 +1,6 @@
 """CLI contract: exit codes, JSON/CSV output, config precedence."""
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -261,22 +258,3 @@ class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, [])
         assert code == 1
-
-
-def test_numpy_fallback_env_flag():
-    # Forward the caller's environment so the child imports the same slipball
-    # (from a checkout via PYTHONPATH or from an install); only the flag changes.
-    import slipball
-    pkg_root = os.path.dirname(os.path.dirname(slipball.__file__))
-    env = dict(os.environ, SLIPBALL_NUMBA="0")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import slipball, slipball._backend as b; "
-         "print(slipball.BACKEND); print(b._requested())"],
-        capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    backend, requested = out.stdout.split()
-    assert backend == "numpy"
-    assert requested == "False"

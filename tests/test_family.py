@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from slipball import family as fam
 from slipball import kernels, oracle, sphcalc
 from slipball.errors import NoWitness
-from slipball.sphcalc import SphPoint
+from slipball.sphcalc import SphVec
 from tests_support import random_admissible_points, random_boundary_points
 
 PI = math.pi
@@ -107,18 +107,17 @@ class TestBigG:
 
 class TestUField:
     def test_inside_radial_support(self, default_field):
-        v = fam.u_field(default_field, SphPoint(0.1, PI / 2, 1.0))
-        assert (v.vr, v.vtheta, v.vphi) == (0.0, 0.0, 0.0)
+        assert default_field.u_components(0.1, PI / 2, 1.0) == (0.0, 0.0, 0.0)
 
     def test_boundary_value(self, default_field):
-        v = fam.u_field(default_field, SphPoint(1.0, PI / 2, 0.0))
-        assert v.vr == 0.0
-        assert v.vtheta == pytest.approx(-1.0, abs=1e-15)
-        assert v.vphi == 0.0
+        ur, ut, up = default_field.u_components(1.0, PI / 2, 0.0)
+        assert ur == 0.0
+        assert ut == pytest.approx(-1.0, abs=1e-15)
+        assert up == 0.0
 
     def test_tangential_on_boundary(self, default_field, rng):
         for p in random_boundary_points(rng, 200):
-            assert fam.u_field(default_field, p).vr == 0.0
+            assert default_field.u_components(p.r, p.theta, p.phi)[0] == 0.0
 
     def test_raw_partials_scalar_point_gives_floats(self, default_field):
         point = default_field.u_raw_partials(0.8, 1.2, 0.5)
@@ -135,16 +134,16 @@ class TestOmegaField:
     def test_boundary_trace_vanishes(self, default_field, rng):
         # d/dr(r h) at r=1 is h(1)+h'(1) = 0, so both tangential parts vanish
         for p in random_boundary_points(rng, 200):
-            w = fam.omega_field(default_field, p)
-            assert w.vtheta == 0.0 and w.vphi == 0.0
+            _, wt, wp = default_field.omega_components(p.r, p.theta, p.phi)
+            assert wt == 0.0 and wp == 0.0
 
     def test_radial_boundary_value(self, default_field):
-        w = fam.omega_field(default_field, SphPoint(1.0, PI / 2, PI / 4))
-        assert w.vr == pytest.approx(-SQRT2_HALF, abs=1e-14)
+        wr, _, _ = default_field.omega_components(1.0, PI / 2, PI / 4)
+        assert wr == pytest.approx(-SQRT2_HALF, abs=1e-14)
 
     def test_matches_curl_of_jets(self, default_field, rng):
         for p in random_admissible_points(rng, 100):
-            w = fam.omega_field(default_field, p)
+            w = SphVec(*default_field.omega_components(p.r, p.theta, p.phi))
             c = sphcalc.curl(p, fam.u_jets(default_field, p))
             assert abs(w.vr - c.vr) < 1e-10
             assert abs(w.vtheta - c.vtheta) < 1e-10
@@ -154,27 +153,28 @@ class TestOmegaField:
 class TestVField:
     def test_tangential_on_boundary(self, default_field, rng):
         for p in random_boundary_points(rng, 200):
-            assert fam.v_field(default_field, p).vr == 0.0
+            assert default_field.v_components(p.r, p.theta, p.phi)[0] == 0.0
 
     def test_boundary_products(self, default_field, rng):
         # on the boundary v_theta = u_phi w_r and v_phi = -u_theta w_r
         for p in random_boundary_points(rng, 50):
-            u = fam.u_field(default_field, p)
-            w = fam.omega_field(default_field, p)
-            v = fam.v_field(default_field, p)
-            assert v.vtheta == pytest.approx(u.vphi * w.vr, abs=1e-15)
-            assert v.vphi == pytest.approx(-u.vtheta * w.vr, abs=1e-15)
+            _, ut, up = default_field.u_components(p.r, p.theta, p.phi)
+            wr, _, _ = default_field.omega_components(p.r, p.theta, p.phi)
+            _, vt, vp = default_field.v_components(p.r, p.theta, p.phi)
+            assert vt == pytest.approx(up * wr, abs=1e-15)
+            assert vp == pytest.approx(-ut * wr, abs=1e-15)
 
     def test_boundary_value(self, default_field):
-        v = fam.v_field(default_field, SphPoint(1.0, PI / 2, PI / 4))
-        assert v.vtheta == 0.0
-        assert v.vphi == pytest.approx(-0.5, abs=1e-14)
+        _, vt, vp = default_field.v_components(1.0, PI / 2, PI / 4)
+        assert vt == 0.0
+        assert vp == pytest.approx(-0.5, abs=1e-14)
 
     def test_equals_cross_product(self, default_field, rng):
         for p in random_admissible_points(rng, 100):
-            v = fam.v_field(default_field, p)
-            c = sphcalc.cross(fam.u_field(default_field, p),
-                              fam.omega_field(default_field, p))
+            v = SphVec(*default_field.v_components(p.r, p.theta, p.phi))
+            c = sphcalc.cross(SphVec(*default_field.u_components(p.r, p.theta, p.phi)),
+                              SphVec(*default_field.omega_components(p.r, p.theta,
+                                                                    p.phi)))
             assert abs(v.vr - c.vr) < 1e-12
             assert abs(v.vtheta - c.vtheta) < 1e-12
             assert abs(v.vphi - c.vphi) < 1e-12
@@ -189,9 +189,8 @@ class TestInteriorConsistency:
     def test_div_of_curl_via_fd_jets(self, default_field, rng):
         # closed-form curl components, first partials by the FD oracle
         cfg = oracle.FDConfig()
-        comps = [lambda q: fam.omega_field(default_field, q).vr,
-                 lambda q: fam.omega_field(default_field, q).vtheta,
-                 lambda q: fam.omega_field(default_field, q).vphi]
+        comps = [lambda q, k=k: default_field.omega_components(q.r, q.theta, q.phi)[k]
+                 for k in range(3)]
         for p in random_admissible_points(rng, 100, r_lo=0.1, r_hi=0.9, th_margin=0.1):
             jets = tuple(oracle.fd_scalar_jet(f, p, cfg) for f in comps)
             assert abs(sphcalc.divergence(p, jets)) < 1e-8
@@ -199,11 +198,11 @@ class TestInteriorConsistency:
 
 class TestBoundaryCurl:
     def test_theta_closed_form_value(self, default_field):
-        assert fam.boundary_curl_v_theta(default_field, PI / 2, PI / 4) == pytest.approx(
+        assert default_field.boundary_curl_theta(PI / 2, PI / 4) == pytest.approx(
             -1.0, abs=1e-14)
 
     def test_theta_zero_line(self, default_field):
-        assert fam.boundary_curl_v_theta(default_field, PI / 2, 0.0) == 0.0
+        assert default_field.boundary_curl_theta(PI / 2, 0.0) == 0.0
 
     def test_theta_matches_radial_derivative_oracle(self, default_field, rng):
         # [curl v]_theta = -(1/r) d_r(r v_phi) on the boundary
@@ -211,7 +210,7 @@ class TestBoundaryCurl:
             return default_field.v_components(q.r, q.theta, q.phi)[2]
 
         for p in random_boundary_points(rng, 40, th_margin=0.3):
-            closed = fam.boundary_curl_v_theta(default_field, p.theta, p.phi)
+            closed = default_field.boundary_curl_theta(p.theta, p.phi)
             if abs(closed) <= 1e-3:
                 continue
             fd = -oracle.fd_boundary_radial_derivative(v_phi, p.theta, p.phi)
@@ -222,14 +221,14 @@ class TestBoundaryCurl:
             return default_field.v_components(q.r, q.theta, q.phi)[1]
 
         theta, phi = 5 * PI / 16, PI / 2
-        closed = fam.boundary_curl_v_phi(default_field, theta, phi)
+        closed = default_field.boundary_curl_phi(theta, phi)
         fd = oracle.fd_boundary_radial_derivative(v_theta, theta, phi)
         assert abs(closed) > 1e-2
         assert fd == pytest.approx(closed, rel=1e-5)
 
     def test_phi_zero_on_plateau(self, default_field):
         # psi' = 0 at the equator, so g_theta and the closed form vanish
-        closed = fam.boundary_curl_v_phi(default_field, PI / 2, 1.0)
+        closed = default_field.boundary_curl_phi(PI / 2, 1.0)
         assert closed == 0.0
 
         def v_theta(q):
@@ -240,8 +239,8 @@ class TestBoundaryCurl:
 
     def test_both_vanish_for_h1zero(self, h1zero_field, rng):
         for p in random_boundary_points(rng, 50):
-            assert fam.boundary_curl_v_theta(h1zero_field, p.theta, p.phi) == 0.0
-            assert fam.boundary_curl_v_phi(h1zero_field, p.theta, p.phi) == 0.0
+            assert h1zero_field.boundary_curl_theta(p.theta, p.phi) == 0.0
+            assert h1zero_field.boundary_curl_phi(p.theta, p.phi) == 0.0
 
 
 class TestScalingSymmetries:

@@ -1,10 +1,10 @@
-"""Kernel-level checks: cutoff machinery, profiles, backend parity."""
+"""Kernel-level checks: cutoff machinery, profiles, angular jets."""
 import math
 
 import numpy as np
 import pytest
 
-from slipball import _backend, kernels
+from slipball import kernels
 
 
 def fd1(fn, x, h=1e-6):
@@ -143,33 +143,3 @@ class TestAngular:
         assert np.abs(g_t - g_tf).max() < 1e-6
         assert np.abs(g_p - g_pf).max() < 1e-8
         assert np.abs(g_tp - g_tpf).max() < 1e-6
-
-
-@pytest.mark.skipif(not _backend.NUMBA_AVAILABLE, reason="numba not importable")
-class TestBackendParity:
-    """The numba build and the numpy fallback compute the same numbers."""
-
-    def test_scalar_kernels_agree(self, rng):
-        # agreement to a few ULPs; fused multiply-adds in the compiled build
-        # shift the last bits of the tiny tail values
-        a = kernels.get_impls("numpy")
-        b = kernels.get_impls("numba")
-        t = rng.uniform(-0.5, 1.5, 4096)
-        for x, y in zip(a["smooth_step_jet"](t), b["smooth_step_jet"](t)):
-            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
-        r = rng.uniform(0.0, 1.2, 4096)
-        for x, y in zip(a["default_profile_jet"](r), b["default_profile_jet"](r)):
-            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
-        th = rng.uniform(0.0, np.pi, 4096)
-        ph = rng.uniform(0.0, 2 * np.pi, 4096)
-        for x, y in zip(a["default_angular_jet"](th, ph), b["default_angular_jet"](th, ph)):
-            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-13)
-
-    def test_transform_kernels_agree(self, rng):
-        a = kernels.get_impls("numpy")
-        b = kernels.get_impls("numba")
-        r = rng.uniform(0.01, 1.0, 2048)
-        th = rng.uniform(0.01, np.pi - 0.01, 2048)
-        ph = rng.uniform(0.0, 2 * np.pi, 2048)
-        for x, y in zip(a["sph_to_cart"](r, th, ph), b["sph_to_cart"](r, th, ph)):
-            np.testing.assert_allclose(x, y, rtol=1e-14, atol=1e-16)

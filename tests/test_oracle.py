@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from slipball import family as fam
 from slipball import oracle, sphcalc
 from slipball.errors import StencilOutOfDomain
 from slipball.oracle import FDConfig
@@ -106,8 +105,9 @@ class TestSphericalCurl:
 
     def test_counterexample_matches_closed_form(self, default_field):
         p = SphPoint(0.9, PI / 2, PI / 4)
-        c = oracle.fd_curl_spherical(lambda q: fam.u_field(default_field, q), p)
-        w = fam.omega_field(default_field, p)
+        u = lambda q: SphVec(*default_field.u_components(q.r, q.theta, q.phi))
+        c = oracle.fd_curl_spherical(u, p)
+        w = SphVec(*default_field.omega_components(p.r, p.theta, p.phi))
         assert c.vr == pytest.approx(w.vr, rel=1e-5, abs=1e-8)
         assert c.vtheta == pytest.approx(w.vtheta, rel=1e-5, abs=1e-8)
         assert c.vphi == pytest.approx(w.vphi, rel=1e-5, abs=1e-8)
@@ -130,9 +130,10 @@ class TestCartesianCurl:
         assert c.vphi == pytest.approx(0.0, abs=1e-5)
 
     def test_default_family_matches_closed_form(self, default_field, rng):
+        u = lambda q: SphVec(*default_field.u_components(q.r, q.theta, q.phi))
         for p in random_admissible_points(rng, 50, r_hi=0.9, th_margin=0.15):
-            c = oracle.cartesian_curl(lambda q: fam.u_field(default_field, q), p)
-            w = fam.omega_field(default_field, p)
+            c = oracle.cartesian_curl(u, p)
+            w = SphVec(*default_field.omega_components(p.r, p.theta, p.phi))
             assert abs(c.vr - w.vr) < 1e-4
             assert abs(c.vtheta - w.vtheta) < 1e-4
             assert abs(c.vphi - w.vphi) < 1e-4
@@ -147,7 +148,7 @@ class TestCartesianCurl:
         assert c.norm() < 1e-8
 
     def test_two_curl_paths_agree(self, default_field, rng):
-        u = lambda q: fam.u_field(default_field, q)
+        u = lambda q: SphVec(*default_field.u_components(q.r, q.theta, q.phi))
         for p in random_admissible_points(rng, 50, r_hi=0.9, th_margin=0.15):
             a = oracle.fd_curl_spherical(u, p)
             b = oracle.cartesian_curl(u, p)
@@ -172,8 +173,9 @@ class TestCartesianDivergence:
         assert d == pytest.approx(3.0, abs=1e-7)
 
     def test_default_family(self, default_field, rng):
+        u = lambda q: SphVec(*default_field.u_components(q.r, q.theta, q.phi))
         for p in random_admissible_points(rng, 20, r_hi=0.9, th_margin=0.15):
-            d = oracle.cartesian_divergence(lambda q: fam.u_field(default_field, q), p)
+            d = oracle.cartesian_divergence(u, p)
             assert abs(d) < 1e-6
 
 
@@ -185,15 +187,16 @@ class TestRelativeAgreement:
         th = np.linspace(0.6, PI - 0.6, 6)
         ph = np.linspace(0.0, 2 * PI, 7, endpoint=False)
         R, T, P = (a.ravel() for a in np.meshgrid(r, th, ph, indexing="ij"))
+        u = lambda q: SphVec(*default_field.u_components(q.r, q.theta, q.phi))
         for p in (SphPoint(*t) for t in zip(R, T, P)):
-            w = fam.omega_field(default_field, p)
-            c = oracle.cartesian_curl(lambda q: fam.u_field(default_field, q), p)
+            w = SphVec(*default_field.omega_components(p.r, p.theta, p.phi))
+            c = oracle.cartesian_curl(u, p)
             for a, b in ((w.vr, c.vr), (w.vtheta, c.vtheta), (w.vphi, c.vphi)):
                 if abs(a) >= 1e-3:
                     assert abs(a - b) / abs(a) <= 1e-5
                 else:
                     assert abs(a - b) <= 1e-6
-            d = oracle.cartesian_divergence(lambda q: fam.u_field(default_field, q), p)
+            d = oracle.cartesian_divergence(u, p)
             assert abs(d) <= 1e-6
 
 

@@ -265,6 +265,29 @@ def gradient_component_jets(p, jet):
 
 
 class TestOperatorIdentities:
+    def test_point_operators_equal_array_kernels(self, rng):
+        # one formula per operator: the point operators and the array
+        # kernels the grid checks use give the same bits at every node
+        from slipball import kernels
+        n = 40
+        r = rng.uniform(0.05, 1.0, n)
+        th = rng.uniform(0.05, PI - 0.05, n)
+        ph = rng.uniform(0.0, 2 * PI, n)
+        vals = rng.normal(size=(3, 4, n))  # (component, value/d_r/d_theta/d_phi, node)
+        (ur, dur_dr, dur_dt, dur_dp), (ut, dut_dr, dut_dt, dut_dp), \
+            (up, dup_dr, dup_dt, dup_dp) = vals
+        # math.sin, as the point operators use it (np.sin may differ in the last bit)
+        st_ = np.array([math.sin(t) for t in th])
+        ct = np.array([math.cos(t) for t in th])
+        div = kernels.divergence_parts(r, st_, ct, ur, dur_dr, ut, dut_dt, dup_dp)
+        cr, ctheta, cphi = kernels.curl_parts(r, st_, ct, dur_dt, dur_dp,
+                                             ut, dut_dr, dut_dp, up, dup_dr, dup_dt)
+        for i in range(n):
+            p = SphPoint(r[i], th[i], ph[i])
+            jets = tuple(ScalarJet(*(float(x) for x in vals[k, :, i])) for k in range(3))
+            assert divergence(p, jets) == div[i]
+            assert curl(p, jets) == SphVec(cr[i], ctheta[i], cphi[i])
+
     @pytest.mark.parametrize("jet_fn", [jet_height, jet_r_squared, jet_x, jet_xy])
     def test_curl_of_gradient_vanishes(self, jet_fn, rng):
         from tests_support import random_admissible_points

@@ -188,6 +188,19 @@ class TestNeighborhoodRadius:
         rho = verify.neighborhood_radius(default_field, "theta", self.equator_point(), 0.0)
         assert 0.0 < rho <= PI / 4 + 0.02
 
+    @pytest.mark.parametrize("component", ["thta", "Theta", "r", ""])
+    def test_unknown_component_raises(self, default_field, component):
+        with pytest.raises(ValueError, match="component"):
+            verify.neighborhood_radius(default_field, component, self.equator_point(), 0.5)
+
+    def test_phi_component_uses_phi_trace(self, default_field):
+        # at the plateau peak the phi trace is 0 (g_theta = 0) and the theta
+        # trace is not, so only the phi component gives radius 0
+        p = self.equator_point()
+        assert default_field.boundary_curl_phi(p.theta, p.phi) == 0.0
+        assert verify.neighborhood_radius(default_field, "phi", p, 0.5) == 0.0
+        assert verify.neighborhood_radius(default_field, "theta", p, 0.5) > 0.0
+
 
 class TestNavierTraction:
     def test_curved_boundary_sees_slip_field(self, default_field):
