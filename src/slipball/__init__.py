@@ -7,7 +7,7 @@ from .family import (AdmissibilityReport, AngularFunction, CounterexampleField,
                      RadialProfile, big_G, check_admissibility, default_angular,
                      default_field, default_profile, family_by_label,
                      find_witnesses, h1zero_profile, perturbed_profile, u_jets)
-from .oracle import (FDConfig, cartesian_curl, cartesian_divergence,
+from .oracle import (FDConfig, cartesian_curl_grid, cartesian_divergence_grid,
                      fd_boundary_radial_derivative, fd_curl_spherical, fd_partial)
 from .sphcalc import (CartesianPoint, ScalarJet, SphPoint, SphVec, basis_at,
                       cross, curl, divergence, dot, from_cartesian_point,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NoWitness
-from .sphcalc import ScalarJet, SphPoint, _node_arrays
+from .sphcalc import ScalarJet, SphPoint, _node_arrays, sphere_midpoint_mesh
 
 WITNESS_THRESHOLD = 1e-6
 _H1_ZERO_EPS = 1e-12
@@ -332,8 +332,8 @@ class CounterexampleField:
         return self._boundary_curl(theta, phi)[0]
 
     def boundary_curl_phi(self, theta, phi):
-        """Closed-form candidate for the phi component; gate it against the
-        radial-derivative oracle before trusting it in reports."""
+        """Closed form of the phi component; verify gates it against the
+        radial-derivative oracle and fails its check if they disagree."""
         return self._boundary_curl(theta, phi)[1]
 
 
@@ -364,16 +364,13 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     """
     if n_theta < 16 or n_phi < 16:
         raise ValueError("witness grid must be at least 16x16")
-    dtheta = math.pi / n_theta
-    theta = (np.arange(n_theta) + 0.5) * dtheta
-    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    th, ph = [np.ascontiguousarray(a) for a in np.meshgrid(theta, phi, indexing="ij")]
+    (theta, phi), _, th, ph = sphere_midpoint_mesh(n_theta, n_phi)
     mask, g_jet = _polar_jets(field.angular, th, ph)
     _, gg = _sin_and_G(th, mask, g_jet)
     g_t, g_p = g_jet[1:3]
 
     def best(product):
-        flat = np.abs(product).ravel()
+        flat = np.abs(product)
         i = int(np.argmax(flat))
         if flat[i] <= WITNESS_THRESHOLD:
             return None

@@ -10,20 +10,15 @@ Two derivative paths:
 
 Both paths consume evaluators only, never analytic jets, and do their
 stencil arithmetic on node arrays: each stencil offset is one evaluator
-call over all nodes.  Spherical stencil nodes are validated and normalised
-as SphPoint does it for one point (phi reduced to [0, 2pi), theta clamped
-to [0, pi], r clamped at 0, out-of-range nodes rejected with ValueError).
+call over all nodes.  Nodes are validated and normalised as SphPoint does
+it for one point (phi reduced to [0, 2pi), theta clamped to [0, pi], r
+clamped at 0, out-of-range nodes rejected with ValueError).
 
-fd_partial, fd_curl_spherical and fd_boundary_radial_derivative each hold
-their stencil once and take two forms: a point form (SphPoint evaluator,
-one point, float or SphVec result; the evaluator is looped over the
-stencil nodes by _point_scalar / _point_components) and a grid form (array
-evaluator fn(r, theta, phi), node arrays, array result).  The *_grid
-functions are the grid forms under the naming of the Cartesian ones; they
-call into the three functions above, so the spherical oracle's work always
-runs under those names, which perfbench/tracer.py times.  cartesian_curl
-and cartesian_divergence are point adapters over the Cartesian grid
-functions.
+fd_partial, fd_curl_spherical and fd_boundary_radial_derivative hold the
+spherical stencils once each; the Cartesian path is cartesian_jacobian_grid,
+with cartesian_divergence_grid and cartesian_curl_grid on top of it.  Every
+oracle takes an array evaluator fn(r, theta, phi) and node arrays and
+returns arrays.
 
 Central differences are second order; one Richardson level (enabled by
 default) combines D(step) and D(step/2) into (4 D(step/2) - D(step)) / 3.
@@ -38,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import StencilOutOfDomain
-from .sphcalc import _COORD_SLACK, TWO_PI, ScalarJet, SphPoint, SphVec, _node_arrays
+from .sphcalc import _COORD_SLACK, TWO_PI, _node_arrays
 
 R_CEILING = 1.05  # interior radial stencils may probe slightly past the sphere
 _BOUNDARY_EPS = 1e-12
@@ -80,11 +75,9 @@ def _normalise(r, theta, phi):
     return np.maximum(r, 0.0), np.clip(theta, 0.0, math.pi), phi
 
 
-def _grid(p):
-    """Normalised node arrays of p: a SphPoint or an (r, theta, phi) tuple."""
-    if isinstance(p, SphPoint):
-        p = (p.r, p.theta, p.phi)
-    return _normalise(*_node_arrays(*p)[0])
+def _nodes(r, theta, phi):
+    """Normalised float64 node arrays of one broadcast shape."""
+    return _normalise(*_node_arrays(r, theta, phi)[0])
 
 
 def _out_of_domain(ok, where, values, step):
@@ -92,46 +85,19 @@ def _out_of_domain(ok, where, values, step):
         raise StencilOutOfDomain(f"{where}={values[~ok].flat[0]} with step {step}")
 
 
-def _point_components(field):
-    def fn(r, theta, phi):
-        vr = np.empty_like(r)
-        vt = np.empty_like(r)
-        vp = np.empty_like(r)
-        for i in range(r.size):
-            v = field(SphPoint(r.flat[i], theta.flat[i], phi.flat[i]))
-            vr.flat[i], vt.flat[i], vp.flat[i] = v.vr, v.vtheta, v.vphi
-        return vr, vt, vp
-    return fn
+def fd_partial(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
+    """Partial derivative of the array field fn(r, theta, phi) at every node.
 
-
-def _point_scalar(f):
-    def fn(r, theta, phi):
-        out = np.empty_like(r)
-        for i in range(r.size):
-            out.flat[i] = f(SphPoint(r.flat[i], theta.flat[i], phi.flat[i]))
-        return out
-    return fn
-
-
-def fd_partial(f, p, coordinate: str, cfg: FDConfig = FDConfig()):
-    """Partial derivative of a field at p.
-
-    Point form: p is a SphPoint and f(SphPoint) a float; returns a float.
-    Grid form (fd_partial_grid): p is an (r, theta, phi) tuple of node
-    arrays and f maps float64 arrays (r, theta, phi) to an array, or to a
-    tuple of arrays (a stack of fields, which gives the result the same
-    leading axis); returns the derivative at every node.
-
-    Central second-order stencil; radial derivatives at nodes with r = 1
-    take the one-sided inward stencil.  Raises StencilOutOfDomain when any
-    node's stencil would leave the domain.
+    fn maps float64 arrays (r, theta, phi) to an array, or to a tuple of
+    arrays (a stack of fields, which gives the result the same leading
+    axis).  Central second-order stencil; radial derivatives at nodes with
+    r = 1 take the one-sided inward stencil.  Raises StencilOutOfDomain when
+    any node's stencil would leave the domain.
     """
     if coordinate not in _AXES:
         raise ValueError(f"unknown coordinate {coordinate!r}")
-    point = isinstance(p, SphPoint)
-    fn = _point_scalar(f) if point else f
     axis = _AXES[coordinate]
-    base = _grid(p)
+    base = _nodes(r, theta, phi)
     r, theta = base[0], base[1]
     s = cfg.step
     edge = np.zeros(r.shape, dtype=bool)
@@ -158,38 +124,16 @@ def fd_partial(f, p, coordinate: str, cfg: FDConfig = FDConfig()):
             d = np.where(edge, (3.0 * front - 4.0 * back + shifted(-2.0 * h)) / (2.0 * h), d)
         return d
 
-    d = _richardson(d_at, s, cfg.richardson)
-    return float(d[0]) if point else d
+    return _richardson(d_at, s, cfg.richardson)
 
 
-def fd_partial_grid(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
-    """Partial derivative of the array field fn(r, theta, phi) at every node
-    (the grid form of fd_partial)."""
-    return fd_partial(fn, (r, theta, phi), coordinate, cfg)
+def fd_curl_spherical(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
+    """Curl at every node with every derivative replaced by a finite difference.
 
-
-def fd_scalar_jet(f, p: SphPoint, cfg: FDConfig = FDConfig()) -> ScalarJet:
-    """First-order jet of f at p by finite differences (second-order slots stay 0)."""
-    return ScalarJet(
-        value=f(p),
-        d_r=fd_partial(f, p, "r", cfg),
-        d_theta=fd_partial(f, p, "theta", cfg),
-        d_phi=fd_partial(f, p, "phi", cfg),
-    )
-
-
-def fd_curl_spherical(field, p, cfg: FDConfig = FDConfig()):
-    """Curl at p with every derivative replaced by a finite difference.
-
-    Point form: p is a SphPoint and field(SphPoint) a SphVec; returns a
-    SphVec.  Grid form (fd_curl_spherical_grid): p is an (r, theta, phi)
-    tuple of node arrays and field maps float64 arrays (r, theta, phi) to
-    the component arrays (v_r, v_theta, v_phi); returns the curl's
-    component arrays.
+    components_fn maps float64 arrays (r, theta, phi) to the spherical
+    component arrays (v_r, v_theta, v_phi); returns the curl's components.
     """
-    point = isinstance(p, SphPoint)
-    components_fn = _point_components(field) if point else field
-    nodes = _grid(p)
+    nodes = _nodes(r, theta, phi)
 
     def theta_parts(r, t, p):
         vr, _, vp = components_fn(r, t, p)
@@ -203,46 +147,22 @@ def fd_curl_spherical(field, p, cfg: FDConfig = FDConfig()):
         _, vt, vp = components_fn(r, t, p)
         return r * vp, r * vt
 
-    d_upsin_dt, d_ur_dt = fd_partial(theta_parts, nodes, "theta", cfg)
-    d_ut_dp, d_ur_dp = fd_partial(phi_parts, nodes, "phi", cfg)
-    d_rup_dr, d_rut_dr = fd_partial(r_parts, nodes, "r", cfg)
+    d_upsin_dt, d_ur_dt = fd_partial(theta_parts, *nodes, "theta", cfg)
+    d_ut_dp, d_ur_dp = fd_partial(phi_parts, *nodes, "phi", cfg)
+    d_rup_dr, d_rut_dr = fd_partial(r_parts, *nodes, "r", cfg)
     r, st = nodes[0], np.sin(nodes[1])
-    curl = ((d_upsin_dt - d_ut_dp) / (r * st),
+    return ((d_upsin_dt - d_ut_dp) / (r * st),
             (d_ur_dp / st - d_rup_dr) / r,
             (d_rut_dr - d_ur_dt) / r)
-    return SphVec(*(float(c[0]) for c in curl)) if point else curl
 
 
-def fd_curl_spherical_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
-    """Curl at every node (the grid form of fd_curl_spherical).
-
-    components_fn maps float64 arrays (r, theta, phi) to the spherical
-    component arrays (v_r, v_theta, v_phi); returns the curl's components.
-    """
-    return fd_curl_spherical(components_fn, (r, theta, phi), cfg)
-
-
-def fd_boundary_radial_derivative(f, theta, phi, cfg: FDConfig = FDConfig()):
-    """(1/r) d_r(r f) at r = 1, by the one-sided inward stencil of fd_partial.
-
-    Point form: theta and phi are numbers and f(SphPoint) a float; returns
-    a float.  Grid form (fd_boundary_radial_derivative_grid): theta and phi
-    are node arrays and f maps float64 arrays (r, theta, phi) to an array;
-    returns the derivative at every node.
-    """
-    point = np.ndim(theta) == 0 and np.ndim(phi) == 0
-    fn = _point_scalar(f) if point else f
+def fd_boundary_radial_derivative(fn, theta, phi, cfg: FDConfig = FDConfig()):
+    """(1/r) d_r(r fn) at r = 1 and every (theta, phi) node, by the one-sided
+    inward stencil of fd_partial; fn maps float64 arrays (r, theta, phi) to
+    an array."""
     theta, phi = _node_arrays(theta, phi)[0]
-    d = fd_partial(lambda r, t, p: r * np.asarray(fn(r, t, p)),
-                   (np.ones_like(theta), theta, phi), "r", cfg)
-    return float(d[0]) if point else d
-
-
-def fd_boundary_radial_derivative_grid(fn, theta, phi, cfg: FDConfig = FDConfig()):
-    """(1/r) d_r(r fn) at r = 1 and every (theta, phi) node (the grid form
-    of fd_boundary_radial_derivative)."""
-    theta, phi = _node_arrays(theta, phi)[0]
-    return fd_boundary_radial_derivative(fn, theta, phi, cfg)
+    return fd_partial(lambda r, t, p: r * np.asarray(fn(r, t, p)),
+                      np.ones_like(theta), theta, phi, "r", cfg)
 
 
 def _check_cartesian_stencil(x, y, z, step):
@@ -263,10 +183,10 @@ def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConf
     """3x3 Jacobian dW_i/dx_j of the Cartesian field at each grid node.
 
     components_fn maps float64 arrays (r, theta, phi) to spherical component
-    arrays; everything here is vectorized over the nodes.
+    arrays; everything here is vectorized over the nodes, which are checked
+    and normalised as the spherical oracles check them.
     """
-    r, theta, phi = _node_arrays(r, theta, phi)[0]
-    x, y, z = kernels.sph_to_cart(r, theta, phi)
+    x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
     _check_cartesian_stencil(x, y, z, cfg.step)
     base = [x, y, z]
 
@@ -299,21 +219,9 @@ def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDCo
 
 def cartesian_curl_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
     """Curl in the local spherical basis via the fully Cartesian path."""
-    r, theta, phi = _node_arrays(r, theta, phi)[0]
+    r, theta, phi = _nodes(r, theta, phi)
     jac = cartesian_jacobian_grid(components_fn, r, theta, phi, cfg)
     cx = jac[2][1] - jac[1][2]
     cy = jac[0][2] - jac[2][0]
     cz = jac[1][0] - jac[0][1]
     return kernels.vec_cart_to_sph(theta, phi, cx, cy, cz)
-
-
-def cartesian_curl(field, p: SphPoint, cfg: FDConfig = FDConfig()) -> SphVec:
-    """Point version of cartesian_curl_grid for a SphPoint -> SphVec field."""
-    cr, ct, cp = cartesian_curl_grid(_point_components(field), p.r, p.theta, p.phi, cfg)
-    return SphVec(float(cr[0]), float(ct[0]), float(cp[0]))
-
-
-def cartesian_divergence(field, p: SphPoint, cfg: FDConfig = FDConfig()) -> float:
-    div = cartesian_divergence_grid(_point_components(field), p.r, p.theta, p.phi, cfg)
-    return float(div[0])
-

@@ -113,6 +113,18 @@ def _node_arrays(*coords):
     return [np.ascontiguousarray(np.atleast_1d(a)) for a in arrays], arrays[0].ndim == 0
 
 
+def sphere_midpoint_mesh(n_theta, n_phi):
+    """Midpoint lattice of the unit sphere (theta at the n_theta cell centres
+    of [0, pi], phi uniform on [0, 2pi)): ((theta_axis, phi_axis), (dtheta,
+    dphi), theta, phi), the node arrays flattened theta-major."""
+    dth, dph = math.pi / n_theta, TWO_PI / n_phi
+    th_ax = (np.arange(n_theta) + 0.5) * dth
+    ph_ax = np.arange(n_phi) * dph
+    th, ph = [np.ascontiguousarray(a.ravel())
+              for a in np.meshgrid(th_ax, ph_ax, indexing="ij")]
+    return (th_ax, ph_ax), (dth, dph), th, ph
+
+
 def to_cartesian_point(p: SphPoint) -> CartesianPoint:
     st = math.sin(p.theta)
     return CartesianPoint(

@@ -22,7 +22,7 @@ import numpy as np
 from . import family as fam
 from . import kernels, oracle
 from .errors import DegenerateFit, NoWitness
-from .sphcalc import SphPoint
+from .sphcalc import SphPoint, sphere_midpoint_mesh
 
 TOL_CLOSED_FORM = 1e-10
 TOL_EXACT_TRACE = 1e-12
@@ -79,15 +79,10 @@ class GridSpec:
                 "axes": (r_ax, th_ax, ph_ax), "shape": (self.n_r, self.n_theta, self.n_phi)}
 
     def boundary_mesh(self):
-        dth = math.pi / self.n_theta
-        dph = 2.0 * math.pi / self.n_phi
-        th_ax = (np.arange(self.n_theta) + 0.5) * dth
-        ph_ax = np.arange(self.n_phi) * dph
-        th, ph = [np.ascontiguousarray(a.ravel())
-                  for a in np.meshgrid(th_ax, ph_ax, indexing="ij")]
+        axes, (dth, dph), th, ph = sphere_midpoint_mesh(self.n_theta, self.n_phi)
         weights = np.sin(th) * dth * dph
         return {"theta": th, "phi": ph, "weights": weights,
-                "axes": (th_ax, ph_ax), "shape": (self.n_theta, self.n_phi)}
+                "axes": axes, "shape": (self.n_theta, self.n_phi)}
 
     def to_dict(self):
         return {"n_r": self.n_r, "n_theta": self.n_theta, "n_phi": self.n_phi,
@@ -116,17 +111,12 @@ class CheckResult:
     details: dict = dataclass_field(default_factory=dict)
 
     def to_dict(self):
-        """JSON-ready dict; a non-finite norm_l2 is written as null and
-        flagged with "norm_l2_defined": false."""
         w = None if self.witness is None else {
             "r": self.witness.r, "theta": self.witness.theta, "phi": self.witness.phi}
-        d = {"name": self.name, "norm_sup": self.norm_sup, "norm_l2": self.norm_l2}
-        if not math.isfinite(self.norm_l2):
-            d["norm_l2"] = None
-            d["norm_l2_defined"] = False
-        d.update({"tolerance": self.tolerance, "direction": self.direction,
-                  "pass": bool(self.passed), "witness": w, "details": self.details})
-        return _jsonify(d)
+        return _jsonify({"name": self.name, "norm_sup": self.norm_sup,
+                         "norm_l2": self.norm_l2, "tolerance": self.tolerance,
+                         "direction": self.direction, "pass": bool(self.passed),
+                         "witness": w, "details": self.details})
 
 
 def _jsonify(obj):
@@ -216,7 +206,7 @@ def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
 
     stride = max(1, th.size // max(oracle_spots, 1))
     spots = np.arange(0, th.size, stride)[:oracle_spots]
-    _, ct, cp = oracle.fd_curl_spherical_grid(
+    _, ct, cp = oracle.fd_curl_spherical(
         field.u_components, np.ones(spots.size), th[spots], ph[spots], cfg)
     # math.hypot, not np.hypot: the two may differ in the last bit
     res_w.details["oracle_spot_sup"] = max(
@@ -233,7 +223,7 @@ def _v_component(field, k):
 
 
 def _boundary_oracle_at(fn, theta, phi, cfg):
-    return float(oracle.fd_boundary_radial_derivative_grid(fn, theta, phi, cfg)[0])
+    return float(oracle.fd_boundary_radial_derivative(fn, theta, phi, cfg)[0])
 
 
 def _witness_details(res, analytic, oracle_val):
@@ -246,18 +236,16 @@ def _witness_details(res, analytic, oracle_val):
     }
 
 
-def _gate_phi_closed_form(field, mesh, cfg, n_points):
-    """Compare the candidate phi closed form with the radial-derivative
-    oracle at up to n_points boundary nodes of magnitude >= 1e-2."""
+def _gate_phi_closed_form(v_theta, mesh, closed, cfg, n_points):
+    """Compare the phi closed form on the mesh with the radial-derivative
+    oracle of v_theta at up to n_points nodes of magnitude >= 1e-2."""
     th, ph = mesh["theta"], mesh["phi"]
-    closed = field.boundary_curl_phi(th, ph)
     idx = np.flatnonzero(np.abs(closed) >= PHI_GATE_MAGNITUDE)
     if idx.size == 0:
         return True, 0, 0.0
     stride = max(1, idx.size // n_points)
     take = idx[::stride][:n_points]
-    oracle_vals = oracle.fd_boundary_radial_derivative_grid(
-        _v_component(field, 1), th[take], ph[take], cfg)
+    oracle_vals = oracle.fd_boundary_radial_derivative(v_theta, th[take], ph[take], cfg)
     worst = float(np.max(np.abs(oracle_vals - closed[take]) / np.abs(closed[take])))
     return worst <= PHI_GATE_REL_TOL, int(take.size), worst
 
@@ -268,10 +256,12 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     """Non-vanishing of the tangential components of curl(u x w) on the sphere.
 
     The pass direction is inverted: the sup must exceed the threshold for
-    the boundary-condition persistency to be contradicted.  Each result
-    carries the closed-form and oracle values at its witness and their
-    relative discrepancy; the phi closed form is additionally gated against
-    the oracle before being trusted.
+    the boundary-condition persistency to be contradicted.  Both results
+    come from the closed forms, and each carries the closed-form and oracle
+    values at its witness and their relative discrepancy.  The phi closed
+    form is also gated against the radial-derivative oracle at gate_points
+    nodes; a failed gate fails the phi result, with the gate numbers in its
+    details.
     """
     if field.admissibility.witness_a1 is None and field.admissibility.witness_a2 is None:
         raise NoWitness(f"family {field.label!r} exhibits no witness point")
@@ -287,33 +277,17 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     res_t.details = _witness_details(res_t, field.boundary_curl_theta(p.theta, p.phi),
                                      -_boundary_oracle_at(v_phi, p.theta, p.phi, cfg))
 
-    ok, n_gate, worst = _gate_phi_closed_form(field, mesh, cfg, gate_points)
-    if ok:
-        bp = field.boundary_curl_phi(th, ph)
-        res_p = _grid_result("persistency_failure_phi", "above", bp, w,
-                             NONVANISH_THRESHOLD, wit)
-        src = "closed_form"
-    else:
-        # closed form failed its gate: fall back to oracle values on a
-        # subsampled grid and flag the formula
-        sub_t = mesh["axes"][0][::4]
-        sub_p = mesh["axes"][1][::4]
-        sub_tt, sub_pp = np.meshgrid(sub_t, sub_p, indexing="ij")
-        vals = oracle.fd_boundary_radial_derivative_grid(
-            v_theta, sub_tt.ravel(), sub_pp.ravel(), cfg)
-        i = int(np.argmax(np.abs(vals)))
-        it, ip = divmod(i, sub_p.size)
-        sup = float(np.abs(vals[i]))
-        res_p = CheckResult("persistency_failure_phi", sup, float("nan"),
-                            NONVANISH_THRESHOLD, "above", sup >= NONVANISH_THRESHOLD,
-                            SphPoint(1.0, sub_t[it], sub_p[ip]))
-        src = "oracle_fallback"
+    bp = field.boundary_curl_phi(th, ph)
+    ok, n_gate, worst = _gate_phi_closed_form(v_theta, mesh, bp, cfg, gate_points)
+    res_p = _grid_result("persistency_failure_phi", "above", bp, w,
+                         NONVANISH_THRESHOLD, wit)
+    res_p.passed = res_p.passed and ok
     q = res_p.witness
     res_p.details = {
         "closed_form_validated": ok,
         "gate_points": n_gate,
         "gate_max_rel_err": worst if math.isfinite(worst) else None,
-        "source": src,
+        "source": "closed_form",
         **_witness_details(res_p, field.boundary_curl_phi(q.theta, q.phi),
                            _boundary_oracle_at(v_theta, q.theta, q.phi, cfg)),
     }

@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from slipball import cli, oracle, sphcalc, verify
-from slipball.sphcalc import SphPoint, SphVec
+from slipball import cli, oracle, verify
 
 PI = math.pi
 
@@ -47,10 +46,10 @@ def test_criterion_2_slip_conditions(default_field):
 def test_criterion_3_persistency_failure_theta(default_field):
     closed = default_field.boundary_curl_theta(PI / 2, PI / 4)
 
-    def v_phi(q):
-        return default_field.v_components(q.r, q.theta, q.phi)[2]
+    def v_phi(r, t, p):
+        return default_field.v_components(r, t, p)[2]
 
-    fd = -oracle.fd_boundary_radial_derivative(v_phi, PI / 2, PI / 4)
+    fd = -oracle.fd_boundary_radial_derivative(v_phi, PI / 2, PI / 4)[0]
     res_t, _ = verify.check_persistency_failure(default_field, FULL_BOUNDARY)
     ok = (abs(closed - (-1.0)) <= 1e-6 and abs(closed - fd) <= 1e-4
           and res_t.norm_sup >= 0.9)
@@ -81,20 +80,27 @@ def test_criterion_5_sharpness_sweep(default_field):
 def test_criterion_6_oracle_equivalence(default_field, rng):
     res = verify.check_oracle_agreement(default_field, n_points=50)
 
-    def grad_field(p):
-        return SphVec(2 * p.r * math.cos(p.theta), -p.r * math.sin(p.theta), 0.0)
+    def grad_field(r, t, p):
+        return 2 * r * np.cos(t), -r * np.sin(t), np.zeros_like(r)
 
-    const = np.array([0.3, -1.2, 0.7])
+    wx, wy, wz = 0.3, -1.2, 0.7
 
-    def const_field(p):
-        return sphcalc.vec_from_cartesian(p, const)
+    def const_field(r, t, p):
+        # the constant Cartesian vector (wx, wy, wz) in the local basis
+        st, ct, sp, cp = np.sin(t), np.cos(t), np.sin(p), np.cos(p)
+        return (wx * st * cp + wy * st * sp + wz * ct,
+                wx * ct * cp + wy * ct * sp - wz * st,
+                -wx * sp + wy * cp)
 
-    worst_grad = worst_const = 0.0
-    for _ in range(10):
-        p = SphPoint(rng.uniform(0.2, 0.9), rng.uniform(0.3, PI - 0.3),
-                     rng.uniform(0, 2 * PI))
-        worst_grad = max(worst_grad, oracle.cartesian_curl(grad_field, p).norm())
-        worst_const = max(worst_const, oracle.cartesian_curl(const_field, p).norm())
+    def worst_curl(field, nodes):
+        curl = oracle.cartesian_curl_grid(field, *nodes)
+        return float(np.max(np.sqrt(sum(c**2 for c in curl))))
+
+    draws = [(rng.uniform(0.2, 0.9), rng.uniform(0.3, PI - 0.3), rng.uniform(0, 2 * PI))
+             for _ in range(10)]
+    nodes = [np.array(c) for c in zip(*draws)]
+    worst_grad = worst_curl(grad_field, nodes)
+    worst_const = worst_curl(const_field, nodes)
     ok = res.norm_sup <= 1e-4 and worst_grad <= 1e-8 and worst_const <= 1e-8
     report_line(6, ok,
                 f"curl disagreement {res.norm_sup:.3e} at 50 points (tol 1e-4); "

@@ -64,13 +64,13 @@ class TestVerifyCommand:
     def test_slip_spots_use_run_fd_config(self, capsys, monkeypatch):
         from slipball import oracle
         seen = []
-        original = oracle.fd_curl_spherical_grid
+        original = oracle.fd_curl_spherical
 
         def spy(components_fn, r, theta, phi, cfg=oracle.FDConfig()):
             seen.append((np.size(r), cfg))
             return original(components_fn, r, theta, phi, cfg)
 
-        monkeypatch.setattr(oracle, "fd_curl_spherical_grid", spy)
+        monkeypatch.setattr(oracle, "fd_curl_spherical", spy)
         code, _, _ = run_cli(capsys, ["verify", "--oracle-step", "1e-3", "--no-richardson"]
                              + FAST_GRID)
         assert code in (0, 2)  # the coarser oracle may fail a tolerance; the run completes

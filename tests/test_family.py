@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from slipball import family as fam
 from slipball import kernels, oracle, sphcalc
 from slipball.errors import NoWitness
-from slipball.sphcalc import SphVec
-from tests_support import random_admissible_points, random_boundary_points
+from slipball.sphcalc import SphPoint, SphVec
+from tests_support import (random_admissible_nodes, random_admissible_points,
+                           random_boundary_points)
 
 PI = math.pi
 SQRT2_HALF = math.sqrt(2) / 2
@@ -189,10 +190,13 @@ class TestInteriorConsistency:
     def test_div_of_curl_via_fd_jets(self, default_field, rng):
         # closed-form curl components, first partials by the FD oracle
         cfg = oracle.FDConfig()
-        comps = [lambda q, k=k: default_field.omega_components(q.r, q.theta, q.phi)[k]
-                 for k in range(3)]
-        for p in random_admissible_points(rng, 100, r_lo=0.1, r_hi=0.9, th_margin=0.1):
-            jets = tuple(oracle.fd_scalar_jet(f, p, cfg) for f in comps)
+        nodes = random_admissible_nodes(rng, 100, r_lo=0.1, r_hi=0.9, th_margin=0.1)
+        w = default_field.omega_components(*nodes)
+        d_r, d_t, d_p = (oracle.fd_partial(default_field.omega_components, *nodes, c, cfg)
+                         for c in ("r", "theta", "phi"))
+        for i, p in enumerate(SphPoint(*t) for t in zip(*nodes)):
+            jets = tuple(sphcalc.ScalarJet(w[k][i], d_r[k][i], d_t[k][i], d_p[k][i])
+                         for k in range(3))
             assert abs(sphcalc.divergence(p, jets)) < 1e-8
 
 
@@ -206,23 +210,23 @@ class TestBoundaryCurl:
 
     def test_theta_matches_radial_derivative_oracle(self, default_field, rng):
         # [curl v]_theta = -(1/r) d_r(r v_phi) on the boundary
-        def v_phi(q):
-            return default_field.v_components(q.r, q.theta, q.phi)[2]
+        def v_phi(r, t, p):
+            return default_field.v_components(r, t, p)[2]
 
         for p in random_boundary_points(rng, 40, th_margin=0.3):
             closed = default_field.boundary_curl_theta(p.theta, p.phi)
             if abs(closed) <= 1e-3:
                 continue
-            fd = -oracle.fd_boundary_radial_derivative(v_phi, p.theta, p.phi)
+            fd = -oracle.fd_boundary_radial_derivative(v_phi, p.theta, p.phi)[0]
             assert fd == pytest.approx(closed, rel=1e-5)
 
     def test_phi_matches_radial_derivative_oracle(self, default_field):
-        def v_theta(q):
-            return default_field.v_components(q.r, q.theta, q.phi)[1]
+        def v_theta(r, t, p):
+            return default_field.v_components(r, t, p)[1]
 
         theta, phi = 5 * PI / 16, PI / 2
         closed = default_field.boundary_curl_phi(theta, phi)
-        fd = oracle.fd_boundary_radial_derivative(v_theta, theta, phi)
+        fd = oracle.fd_boundary_radial_derivative(v_theta, theta, phi)[0]
         assert abs(closed) > 1e-2
         assert fd == pytest.approx(closed, rel=1e-5)
 
@@ -231,10 +235,10 @@ class TestBoundaryCurl:
         closed = default_field.boundary_curl_phi(PI / 2, 1.0)
         assert closed == 0.0
 
-        def v_theta(q):
-            return default_field.v_components(q.r, q.theta, q.phi)[1]
+        def v_theta(r, t, p):
+            return default_field.v_components(r, t, p)[1]
 
-        fd = oracle.fd_boundary_radial_derivative(v_theta, PI / 2, 1.0)
+        fd = oracle.fd_boundary_radial_derivative(v_theta, PI / 2, 1.0)[0]
         assert abs(fd) < 1e-8
 
     def test_both_vanish_for_h1zero(self, h1zero_field, rng):

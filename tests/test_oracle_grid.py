@@ -1,7 +1,7 @@
-"""Array spherical oracle: bit-identical to a per-node loop over the point stencils.
+"""Array spherical oracle: bit-identical to a per-node loop over one-point stencils.
 
-The reference implementations below are the one-point stencil loops the
-grid functions replaced.  The grid versions do the same float arithmetic
+The reference implementations below evaluate each stencil one point at a
+time, through SphPoint.  The array oracle does the same float arithmetic
 node by node, so every comparison is exact (np.array_equal), not a
 tolerance.
 """
@@ -102,45 +102,38 @@ def points():
 @pytest.mark.parametrize("cfg", CONFIGS)
 @pytest.mark.parametrize("coordinate", ["r", "theta", "phi"])
 def test_fd_partial_grid_matches_point_loop(default_field, coordinate, cfg):
-    got = oracle.fd_partial_grid(v_theta_grid(default_field), R, THETA, PHI, coordinate, cfg)
+    got = oracle.fd_partial(v_theta_grid(default_field), R, THETA, PHI, coordinate, cfg)
     f = v_theta_point(default_field)
     ref = np.array([ref_fd_partial(f, p, coordinate, cfg) for p in points()])
-    adapter = np.array([oracle.fd_partial(f, p, coordinate, cfg) for p in points()])
     assert np.array_equal(got, ref)
-    assert np.array_equal(adapter, ref)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
 def test_fd_partial_grid_stacked_fields(default_field, cfg):
     # a tuple-valued fn gives one derivative per field, from one call per offset
-    got = oracle.fd_partial_grid(default_field.u_components, R, THETA, PHI, "r", cfg)
+    got = oracle.fd_partial(default_field.u_components, R, THETA, PHI, "r", cfg)
     assert got.shape == (3, R.size)
     for k in range(3):
-        one = oracle.fd_partial_grid(lambda r, t, p: default_field.u_components(r, t, p)[k],
-                                     R, THETA, PHI, "r", cfg)
+        one = oracle.fd_partial(lambda r, t, p: default_field.u_components(r, t, p)[k],
+                                R, THETA, PHI, "r", cfg)
         assert np.array_equal(got[k], one)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
 def test_fd_curl_spherical_grid_matches_point_loop(default_field, cfg):
-    got = oracle.fd_curl_spherical_grid(default_field.u_components, R, THETA, PHI, cfg)
+    got = oracle.fd_curl_spherical(default_field.u_components, R, THETA, PHI, cfg)
     u = lambda q: SphVec(*default_field.u_components(q.r, q.theta, q.phi))
     ref = [ref_fd_curl_spherical(u, p, cfg) for p in points()]
-    adapter = [oracle.fd_curl_spherical(u, p, cfg) for p in points()]
     for k, name in enumerate(("vr", "vtheta", "vphi")):
         assert np.array_equal(got[k], [getattr(c, name) for c in ref])
-        assert np.array_equal(got[k], [getattr(c, name) for c in adapter])
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
 def test_fd_boundary_radial_derivative_grid_matches_point_loop(default_field, cfg):
-    got = oracle.fd_boundary_radial_derivative_grid(v_theta_grid(default_field),
-                                                    THETA, PHI, cfg)
+    got = oracle.fd_boundary_radial_derivative(v_theta_grid(default_field), THETA, PHI, cfg)
     f = v_theta_point(default_field)
     ref = [ref_fd_boundary_radial_derivative(f, t, p, cfg) for t, p in zip(THETA, PHI)]
-    adapter = [oracle.fd_boundary_radial_derivative(f, t, p, cfg) for t, p in zip(THETA, PHI)]
     assert np.array_equal(got, ref)
-    assert np.array_equal(got, adapter)
 
 
 def test_one_call_per_stencil_offset(default_field):
@@ -150,7 +143,7 @@ def test_one_call_per_stencil_offset(default_field):
         calls.append(r.shape)
         return default_field.u_components(r, t, p)
 
-    oracle.fd_curl_spherical_grid(fn, R, THETA, PHI, FDConfig())
+    oracle.fd_curl_spherical(fn, R, THETA, PHI, FDConfig())
     # theta and phi: 2 offsets x 2 steps; r with edge nodes: 3 offsets x 2 steps
     assert calls == [R.shape] * 14
 
@@ -162,8 +155,8 @@ def test_phi_is_reduced_before_evaluation():
         seen.append(p.copy())
         return np.zeros_like(p)
 
-    oracle.fd_partial_grid(fn, [1.0, 0.5], [1.0, 1.0], [0.0, 2 * PI - 1e-5], "phi",
-                           FDConfig(step=1e-4, richardson=False))
+    oracle.fd_partial(fn, [1.0, 0.5], [1.0, 1.0], [0.0, 2 * PI - 1e-5], "phi",
+                      FDConfig(step=1e-4, richardson=False))
     assert all(np.all((p >= 0.0) & (p < 2 * PI)) for p in seen)
     assert seen[1][0] == (0.0 - 1e-4) % (2 * PI)  # the -h node of phi = 0
     assert seen[0][1] == (2 * PI - 1e-5 + 1e-4) % (2 * PI)
@@ -175,55 +168,58 @@ class TestGuards:
     def test_one_bad_radial_node_raises(self):
         f = lambda r, t, p: r
         with pytest.raises(StencilOutOfDomain):
-            oracle.fd_partial_grid(f, [0.5, 1e-4, 1.0], [1.0] * 3, [0.0] * 3, "r",
-                                   FDConfig(step=1e-4))
+            oracle.fd_partial(f, [0.5, 1e-4, 1.0], [1.0] * 3, [0.0] * 3, "r",
+                              FDConfig(step=1e-4))
         with pytest.raises(StencilOutOfDomain):
-            oracle.fd_partial_grid(f, [0.5, 1.04], [1.0] * 2, [0.0] * 2, "r",
-                                   FDConfig(step=1e-2))
+            oracle.fd_partial(f, [0.5, 1.04], [1.0] * 2, [0.0] * 2, "r", FDConfig(step=1e-2))
 
     def test_one_bad_polar_node_raises(self):
         f = lambda r, t, p: t
         with pytest.raises(StencilOutOfDomain):
-            oracle.fd_partial_grid(f, [0.5, 0.5], [1.0, 1e-4], [0.0, 0.0], "theta",
-                                   FDConfig(step=1e-4))
+            oracle.fd_partial(f, [0.5, 0.5], [1.0, 1e-4], [0.0, 0.0], "theta",
+                              FDConfig(step=1e-4))
         with pytest.raises(StencilOutOfDomain):
-            oracle.fd_curl_spherical_grid(lambda r, t, p: (r, t, p), [0.5, 0.5],
-                                          [1.0, PI - 1e-4], [0.0, 0.0], FDConfig(step=1e-4))
+            oracle.fd_curl_spherical(lambda r, t, p: (r, t, p), [0.5, 0.5],
+                                     [1.0, PI - 1e-4], [0.0, 0.0], FDConfig(step=1e-4))
 
     def test_edge_nodes_skip_the_radial_guard(self):
         # r = 1 takes the one-sided stencil, so r + 2s > R_CEILING is no error
-        d = oracle.fd_partial_grid(lambda r, t, p: r * r, [1.0], [1.0], [0.0], "r",
-                                   FDConfig(step=1e-2))
+        d = oracle.fd_partial(lambda r, t, p: r * r, [1.0], [1.0], [0.0], "r",
+                              FDConfig(step=1e-2))
         assert d[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_unknown_coordinate(self):
         with pytest.raises(ValueError):
-            oracle.fd_partial_grid(lambda r, t, p: r, [0.5], [1.0], [0.0], "lambda")
+            oracle.fd_partial(lambda r, t, p: r, [0.5], [1.0], [0.0], "lambda")
 
     @pytest.mark.parametrize("theta", [-1e-6, PI + 1e-6, 4.0, math.nan])
     def test_out_of_range_node_raises(self, theta):
-        # caller nodes are checked as SphPoint checks them, not clamped
+        # caller nodes are checked as SphPoint checks them, not clamped or
+        # reflected, by the spherical and the Cartesian oracles alike
         with pytest.raises(ValueError):
-            oracle.fd_boundary_radial_derivative(lambda q: q.r, theta, 0.3)
+            oracle.fd_boundary_radial_derivative(lambda r, t, p: r, theta, 0.3)
         with pytest.raises(ValueError):
-            oracle.fd_boundary_radial_derivative_grid(lambda r, t, p: r, [1.0, theta],
-                                                      [0.3, 0.3])
-        with pytest.raises(ValueError):
-            oracle.fd_curl_spherical_grid(lambda r, t, p: (r, t, p), [0.5, 0.5],
-                                          [1.0, theta], [0.0, 0.0])
+            oracle.fd_boundary_radial_derivative(lambda r, t, p: r, [1.0, theta], [0.3, 0.3])
+        for fd in (oracle.fd_curl_spherical, oracle.cartesian_curl_grid,
+                   oracle.cartesian_divergence_grid, oracle.cartesian_jacobian_grid):
+            with pytest.raises(ValueError):
+                fd(lambda r, t, p: (r, t, p), [0.5, 0.5], [1.0, theta], [0.0, 0.0])
 
     def test_negative_radius_raises(self):
         with pytest.raises(ValueError):
-            oracle.fd_partial_grid(lambda r, t, p: r, [0.5, -1e-6], [1.0, 1.0], [0.0, 0.0],
-                                   "phi")
+            oracle.fd_partial(lambda r, t, p: r, [0.5, -1e-6], [1.0, 1.0], [0.0, 0.0], "phi")
+        with pytest.raises(ValueError):
+            oracle.cartesian_curl_grid(lambda r, t, p: (r, t, p), [0.5, -0.5], [1.0, 1.0],
+                                       [0.3, 0.3])
 
     def test_slack_nodes_are_clamped_as_in_sphpoint(self, default_field):
         # within the coordinate slack, a node is clamped, as SphPoint clamps it
         f = v_theta_point(default_field)
-        got = oracle.fd_partial_grid(v_theta_grid(default_field), [0.5, 0.5],
-                                     [1.0, PI + 1e-13], [0.2, 0.2], "phi")
-        assert got[1] == oracle.fd_partial(f, SphPoint(0.5, PI + 1e-13, 0.2), "phi")
-        assert got[1] == oracle.fd_partial(f, SphPoint(0.5, PI, 0.2), "phi")
+        got = oracle.fd_partial(v_theta_grid(default_field), [0.5, 0.5],
+                                [1.0, PI + 1e-13], [0.2, 0.2], "phi")
+        cfg = FDConfig()
+        assert got[1] == ref_fd_partial(f, SphPoint(0.5, PI + 1e-13, 0.2), "phi", cfg)
+        assert got[1] == ref_fd_partial(f, SphPoint(0.5, PI, 0.2), "phi", cfg)
 
     def test_no_evaluation_outside_the_ball(self):
         seen = []
@@ -232,7 +228,7 @@ class TestGuards:
             seen.append(r.copy())
             return r
 
-        oracle.fd_boundary_radial_derivative_grid(fn, [1.0, 2.0], [0.0, 3.0])
+        oracle.fd_boundary_radial_derivative(fn, [1.0, 2.0], [0.0, 3.0])
         assert max(float(r.max()) for r in seen) == 1.0
 
 
@@ -294,32 +290,34 @@ def test_neighborhood_radius_matches_ring_loop(default_field, component, floor_f
         assert got == want
 
 
-def test_oracle_fallback_matches_subgrid_loop(default_field, monkeypatch):
-    monkeypatch.setattr(verify, "_gate_phi_closed_form", lambda *args: (False, 0, 0.0))
+def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):
+    # a failed gate fails the phi result; its numbers stay those of the
+    # closed form on the full mesh, with no oracle subgrid in their place
     cfg = FDConfig()
-    _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
-    assert res_p.details["source"] == "oracle_fallback"
+    _, want = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
+    monkeypatch.setattr(verify, "_gate_phi_closed_form", lambda *args: (False, 0, 0.0))
+    calls = []
+    original = oracle.fd_boundary_radial_derivative
 
-    mesh = SMALL_BOUNDARY.boundary_mesh()
-    sub_t, sub_p = mesh["axes"][0][::4], mesh["axes"][1][::4]
-    f = v_theta_point(default_field)
-    vals = np.empty(sub_t.size * sub_p.size)
-    k = 0
-    for t0 in sub_t:
-        for p0 in sub_p:
-            vals[k] = ref_fd_boundary_radial_derivative(f, t0, p0, cfg)
-            k += 1
-    i = int(np.argmax(np.abs(vals)))
-    it, ip = divmod(i, sub_p.size)
-    assert res_p.norm_sup == float(np.abs(vals[i]))
-    assert res_p.witness == SphPoint(1.0, sub_t[it], sub_p[ip])
-    assert res_p.details["oracle_at_witness"] == ref_fd_boundary_radial_derivative(
-        f, sub_t[it], sub_p[ip], cfg)
+    def counting(fn, theta, phi, cfg=FDConfig()):
+        calls.append(np.size(theta))
+        return original(fn, theta, phi, cfg)
+
+    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", counting)
+    _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
+    assert want.passed and not res_p.passed
+    assert (res_p.norm_sup, res_p.norm_l2, res_p.witness) == (
+        want.norm_sup, want.norm_l2, want.witness)
+    assert res_p.details["source"] == "closed_form"
+    assert res_p.details["closed_form_validated"] is False
+    assert res_p.details["verdict"] == "no contradiction exhibited"
+    assert res_p.details["oracle_at_witness"] == want.details["oracle_at_witness"]
+    assert calls == [1, 1]  # the two witness values, nothing else
 
 
 def test_nan_gate_value_is_written_as_null(default_field, monkeypatch, tmp_path):
     # one NaN oracle value fails the phi gate; the report still serialises
-    original = oracle.fd_boundary_radial_derivative_grid
+    original = oracle.fd_boundary_radial_derivative
     gate_calls = []
 
     def nan_at_first_gate_node(fn, theta, phi, cfg=FDConfig()):
@@ -329,10 +327,11 @@ def test_nan_gate_value_is_written_as_null(default_field, monkeypatch, tmp_path)
             vals[0] = math.nan
         return vals
 
-    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative_grid", nan_at_first_gate_node)
+    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", nan_at_first_gate_node)
     _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, FDConfig())
     assert gate_calls == [res_p.details["gate_points"]]
-    assert res_p.details["source"] == "oracle_fallback"
+    assert res_p.details["source"] == "closed_form"
+    assert not res_p.passed and res_p.details["closed_form_validated"] is False
     assert res_p.details["gate_max_rel_err"] is None
     assert res_p.details["gate_max_rel_err_defined"] is False
 

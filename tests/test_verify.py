@@ -126,34 +126,47 @@ class TestPersistencyCheck:
             assert change <= tol
 
 
-class TestPhiGateFallback:
-    def test_bad_closed_form_triggers_oracle_fallback(self):
-        # a field whose phi closed form is deliberately off by 0.1% must be
-        # caught by the gate; the report then carries oracle values and a flag
-        f = fam.default_field()
-        true_method = type(f).boundary_curl_phi
-        f.boundary_curl_phi = lambda th, ph: 1.001 * true_method(f, th, ph)
-        _, res_p = verify.check_persistency_failure(f, SMALL_BOUNDARY)
-        assert not res_p.details["closed_form_validated"]
-        assert res_p.details["source"] == "oracle_fallback"
-        assert res_p.passed  # the field still contradicts persistency
-        assert res_p.norm_sup >= 0.9
+def off_by_a_tenth_percent(monkeypatch):
+    """Make every field's phi closed form 0.1% too large."""
+    true_method = fam.CounterexampleField.boundary_curl_phi
+    monkeypatch.setattr(fam.CounterexampleField, "boundary_curl_phi",
+                        lambda self, th, ph: 1.001 * true_method(self, th, ph))
 
 
-    def test_fallback_report_is_strict_json(self, default_field, monkeypatch):
-        # the fallback has no surface L2 norm: it is written as null and flagged
-        monkeypatch.setattr(verify, "_gate_phi_closed_form", lambda *args: (False, 0, 0.0))
-        report = verify.run_full_verification(default_field, SMALL_INTERIOR, SMALL_BOUNDARY)
+class TestPhiGateFailure:
+    def test_bad_closed_form_fails_phi_check(self, monkeypatch):
+        # a phi closed form deliberately off by 0.1% must be caught by the
+        # gate, and the phi check then fails on the closed-form values
+        off_by_a_tenth_percent(monkeypatch)
+        _, res_p = verify.check_persistency_failure(fam.default_field(), SMALL_BOUNDARY)
+        d = res_p.details
+        assert d["closed_form_validated"] is False
+        assert d["gate_max_rel_err"] == pytest.approx(1e-3, rel=1e-2)
+        assert d["source"] == "closed_form"
+        assert not res_p.passed
+        assert res_p.norm_sup >= 0.9  # the sup alone would still pass
+
+    def test_failed_gate_report_is_strict_json(self, monkeypatch, tmp_path, capsys):
+        from slipball import cli
+        off_by_a_tenth_percent(monkeypatch)
+        path = tmp_path / "report.json"
+        code = cli.main(["verify", "--no-timestamp", "--report", str(path),
+                         "--grid-nr", "12", "--grid-ntheta", "16", "--grid-nphi", "24",
+                         "--boundary-ntheta", "48", "--boundary-nphi", "96"])
+        capsys.readouterr()
+        assert code == 2
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
-        doc = json.loads(report.to_json(), parse_constant=reject)
+        doc = json.loads(path.read_text(), parse_constant=reject)
         by_name = {c["name"]: c for c in doc["checks"]}
         phi = by_name["persistency_failure_phi"]
-        assert phi["details"]["source"] == "oracle_fallback"
-        assert phi["norm_l2"] is None and phi["norm_l2_defined"] is False
-        assert all("norm_l2_defined" not in c for n, c in by_name.items() if n != phi["name"])
+        assert doc["overall_pass"] is False
+        assert phi["pass"] is False and phi["details"]["closed_form_validated"] is False
+        assert [n for n, c in by_name.items() if not c["pass"]] == [phi["name"]]
+        assert isinstance(phi["norm_l2"], float) and phi["norm_l2"] > 0.0
+        assert all("norm_l2_defined" not in c for c in doc["checks"])
 
 
 class TestNeighborhoodRadius:
