@@ -161,6 +161,10 @@ def cmd_verify(args) -> int:
     field, interior, boundary, fd = _build_pieces(cfg, "grid", "boundary_grid", "oracle")
     if not math.isfinite(cfg["nu"]):
         raise ConfigError(f"nu must be finite, got {cfg['nu']}")
+    try:
+        interior.require_margins_for(fd)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = verify.run_full_verification(
         field, interior, boundary, fd, nu=cfg["nu"], seed=cfg["seed"])
     _print_report_table(report)
@@ -193,10 +197,8 @@ def cmd_eval(args) -> int:
         "v": {"r": vr, "theta": vt, "phi": vp},
     }
     if abs(p.r - 1.0) <= 1e-12:
-        out["boundary"] = {
-            "curl_v_theta": field.boundary_curl_theta(p.theta, p.phi),
-            "curl_v_phi": field.boundary_curl_phi(p.theta, p.phi),
-        }
+        bt, bp = field.boundary_curl(p.theta, p.phi)
+        out["boundary"] = {"curl_v_theta": bt, "curl_v_phi": bp}
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
@@ -208,8 +210,7 @@ def _sample_rows(field, selector, on_surface, interior, sample_boundary):
     if selector == "curl_v_boundary":
         mesh = sample_boundary.boundary_mesh()
         th, ph = mesh["theta"], mesh["phi"]
-        bt = field.boundary_curl_theta(th, ph)
-        bp = field.boundary_curl_phi(th, ph)
+        bt, bp = field.boundary_curl(th, ph)
         header = "r,theta,phi,curl_v_theta,curl_v_phi"
         cols = (np.ones_like(th), th, ph, bt, bp)
         return header, cols

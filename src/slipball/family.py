@@ -17,10 +17,11 @@ short-circuits to exact zeros inside those margins and never touches 1/r or
 1/sin there.  The profile and angular jets are computed only on the nodes
 inside the support (see _support_jets); the rest hold exact zeros.  Each
 evaluator then assembles its quantity with the numpy kernels, taking
-(sin, G) from _sin_and_G; both boundary traces come from one kernel call
-(_boundary_curl).  Jet functions are ufunc-like: they accept and return
-float64 arrays of a common shape and must supply analytic derivatives (h to
-second order, g to second order).
+(sin, G) from _sin_and_G; omega goes through OmegaFactors, which the
+scaling sweep reuses across profiles, and both boundary traces come from
+one kernel call (boundary_curl).  Jet functions are ufunc-like: they accept
+and return float64 arrays of a common shape and must supply analytic
+derivatives (h to second order, g to second order).
 """
 import math
 from dataclasses import dataclass
@@ -100,6 +101,39 @@ def _sin_and_G(theta, mask, g_jet):
     _, g_t, _, g_tt, _, g_pp = g_jet
     st = np.sin(theta)
     return st, kernels.big_g_values(st, np.cos(theta), g_t, g_tt, g_pp, mask)
+
+
+class OmegaFactors:
+    """The angular factors of omega on fixed nodes: the support mask, sin
+    theta, G, g_theta and g_phi, computed once.
+
+    assemble(h, h') completes them with a profile jet on the same nodes, so
+    several profiles over one angular function share the angular work.
+    """
+
+    def __init__(self, r, theta, mask, g_jet):
+        self.r = r
+        self.mask = mask
+        self.sin, self.big_g = _sin_and_G(theta, mask, g_jet)
+        self.g_t, self.g_p = g_jet[1:3]
+
+    @classmethod
+    def on_sphere(cls, angular, theta, phi):
+        """Factors at r = 1, where the support is the polar band alone
+        (every profile's support_inner lies below 1)."""
+        (theta, phi), _ = _node_arrays(theta, phi)
+        mask, g_jet = _polar_jets(angular, theta, phi)
+        return cls(np.ones_like(theta), theta, mask, g_jet)
+
+    def profile_jet(self, profile):
+        """(h, h', h'') of profile on the masked nodes, zero elsewhere."""
+        _, (h_jet,) = _support_jets(self.mask, (profile.fn, _PROFILE_JETS, (self.r,)))
+        return h_jet
+
+    def assemble(self, h, hp):
+        """(omega_r, omega_theta, omega_phi) for the profile jet (h, h')."""
+        return kernels.omega_assembly(self.r, self.sin, h, hp, self.g_t, self.g_p,
+                                      self.big_g, self.mask)
 
 
 @dataclass(frozen=True)
@@ -254,9 +288,19 @@ class CounterexampleField:
         self.hp_boundary = hp1
         self.admissibility = check_admissibility(self)
 
-    def support_mask(self, r, theta):
+    def support_mask(self, r, theta, pad=0.0):
+        """Nodes within Euclidean distance pad of the support (pad = 0: in it).
+
+        A shift of length pad moves r by at most pad and theta by at most
+        arcsin(pad / r), so both margins widen by those; for r <= pad every
+        theta is kept.
+        """
         d = self.angular.pole_margin
-        return (theta > d) & (theta < math.pi - d) & (r > self.profile.support_inner)
+        if pad:
+            with np.errstate(divide="ignore"):
+                d = d - np.arcsin(np.minimum(1.0, np.divide(pad, r)))
+        return ((theta > d) & (theta < math.pi - d)
+                & (r > self.profile.support_inner - pad))
 
     def _parts(self, r, theta, phi):
         mask, (h_jet, g_jet) = _support_jets(
@@ -276,20 +320,15 @@ class CounterexampleField:
     def omega_components(self, r, theta, phi):
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         mask, (h, hp, _), g_jet = self._parts(r, theta, phi)
-        st, gg = _sin_and_G(theta, mask, g_jet)
-        g_t, g_p = g_jet[1:3]
-        return _maybe_scalar(kernels.omega_assembly(r, st, h, hp, g_t, g_p, gg, mask),
-                             scalar)
+        return _maybe_scalar(OmegaFactors(r, theta, mask, g_jet).assemble(h, hp), scalar)
 
     def v_components(self, r, theta, phi):
         """u x curl(u), from the closed forms of both factors."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         mask, (h, hp, _), g_jet = self._parts(r, theta, phi)
-        st, gg = _sin_and_G(theta, mask, g_jet)
-        g_t, g_p = g_jet[1:3]
-        ut, up = kernels.u_assembly(h, g_t, g_p, st, mask)
-        wr, wt, wp = kernels.omega_assembly(r, st, h, hp, g_t, g_p, gg, mask)
-        return _maybe_scalar(kernels.cross_tangential(ut, up, wr, wt, wp), scalar)
+        w = OmegaFactors(r, theta, mask, g_jet)
+        ut, up = kernels.u_assembly(h, w.g_t, w.g_p, w.sin, mask)
+        return _maybe_scalar(kernels.cross_tangential(ut, up, *w.assemble(h, hp)), scalar)
 
     def u_raw_partials(self, r, theta, phi):
         """Components of u and their raw-coordinate first partials.
@@ -320,7 +359,7 @@ class CounterexampleField:
         }
         return {k: _maybe_scalar(v, scalar) for k, v in parts.items()}
 
-    def _boundary_curl(self, theta, phi):
+    def boundary_curl(self, theta, phi):
         """Both tangential components of curl(v) on the unit sphere."""
         (theta, phi), scalar = _node_arrays(theta, phi)
         mask, g_jet = _polar_jets(self.angular, theta, phi)
@@ -329,12 +368,12 @@ class CounterexampleField:
             st, self.h_boundary, self.hp_boundary, g_jet[1], g_jet[2], gg, mask), scalar)
 
     def boundary_curl_theta(self, theta, phi):
-        return self._boundary_curl(theta, phi)[0]
+        return self.boundary_curl(theta, phi)[0]
 
     def boundary_curl_phi(self, theta, phi):
         """Closed form of the phi component; verify gates it against the
         radial-derivative oracle and fails its check if they disagree."""
-        return self._boundary_curl(theta, phi)[1]
+        return self.boundary_curl(theta, phi)[1]
 
 
 def big_G(angular: AngularFunction, theta, phi):

@@ -6,12 +6,21 @@ callers do the broadcasting.  The kernels are plain numpy functions.
 Smooth cutoff machinery: sigma(t) = exp(-1/t) for t > 0 (else 0) and the
 step s(t) = sigma(t) / (sigma(t) + sigma(1-t)), which is 0 for t <= 0 and
 1 for t >= 1 with all derivatives vanishing at the junctions.  In double
-precision sigma underflows to exactly 0 for t <= ~1.34e-3, so gating the
-formula at t > 1e-3 changes nothing and avoids 0*inf at tiny t.
+precision sigma underflows to exactly 0 for t <= ~1.34e-3, so sigma_jet
+gates its formula at t > 1e-3; that changes nothing and avoids 0*inf at
+tiny t.
+
+Plateau rule: where sigma(t) or sigma(1-t) is gated to 0, the step formula
+gives exactly 0 or 1 with zero derivatives, so smooth_step_jet returns
+those constants without calling sigma_jet.  The zeros keep the signs the
+formula gives: +0 on the lower plateau; s' = +0 and s'' = -0 on the upper
+one, where sigma''(t) < 0.  Only the ramp between, NaN, and t > 1e100
+(where t**3 overflows and s'' is +0) run the formula.
 """
 import numpy as np
 
 _SIGMA_FLOOR = 1e-3
+_HUGE_T = 1e100  # t**3 is finite below this, so sigma''(t) < 0 rounds to a negative
 
 # default radial profile: chi((r - 0.25)/0.25) * exp(1 - r)
 _CHI_LO = 0.25
@@ -33,7 +42,7 @@ def sigma_jet(t):
     return s, s1, s2
 
 
-def smooth_step_jet(t):
+def _ramp_jet(t):
     # s = a / (a + b) with a = sigma(t), b = sigma(1 - t)
     a, a1, a2 = sigma_jet(t)
     b, b1m, b2 = sigma_jet(1.0 - t)
@@ -44,6 +53,20 @@ def smooth_step_jet(t):
     s1 = num1 / den**2
     num2 = a2 * b - a * b2
     s2 = (num2 * den - 2.0 * num1 * (a1 + b1)) / den**3
+    return s, s1, s2
+
+
+def smooth_step_jet(t):
+    # the plateau rule of the module docstring
+    t = np.asarray(t)
+    up = t > _SIGMA_FLOOR
+    # both sigmas ungated (the ramp) or neither (NaN)
+    ramp = (up == (1.0 - t > _SIGMA_FLOOR)) | (t > _HUGE_T)
+    s = np.where(up, 1.0, 0.0)
+    s1 = np.zeros(t.shape)
+    s2 = np.where(up, -0.0, 0.0)
+    if ramp.any():
+        s[ramp], s1[ramp], s2[ramp] = _ramp_jet(t[ramp])
     return s, s1, s2
 
 

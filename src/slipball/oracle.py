@@ -20,6 +20,12 @@ with cartesian_divergence_grid and cartesian_curl_grid on top of it.  Every
 oracle takes an array evaluator fn(r, theta, phi) and node arrays and
 returns arrays.
 
+The Cartesian Jacobian and divergence take an optional boolean node mask,
+the stencil-reach mask: the caller's promise that the field vanishes on
+every stencil point of the nodes outside it.  Every node is still checked
+against the domain (cartesian_stencil_fits), but only masked nodes are
+evaluated; the others get an exact 0.
+
 Central differences are second order; one Richardson level (enabled by
 default) combines D(step) and D(step/2) into (4 D(step/2) - D(step)) / 3.
 At r = 1 radial derivatives switch to the one-sided inward stencil with
@@ -165,11 +171,23 @@ def fd_boundary_radial_derivative(fn, theta, phi, cfg: FDConfig = FDConfig()):
                       np.ones_like(theta), theta, phi, "r", cfg)
 
 
+def _cartesian_margins(x, y, z, step):
+    """Per node: (stencil inside the ball, stencil off the polar axis)."""
+    inside = np.sqrt(x * x + y * y + z * z) + step <= 1.0 + _BOUNDARY_EPS
+    return inside, np.sqrt(x * x + y * y) >= 2.0 * step
+
+
+def cartesian_stencil_fits(r, theta, phi, step):
+    """Nodes whose Cartesian stencil of the given step the oracle accepts."""
+    inside, off_axis = _cartesian_margins(*kernels.sph_to_cart(*_nodes(r, theta, phi)), step)
+    return inside & off_axis
+
+
 def _check_cartesian_stencil(x, y, z, step):
-    r = np.sqrt(x * x + y * y + z * z)
-    if np.any(r + step > 1.0 + _BOUNDARY_EPS):
+    inside, off_axis = _cartesian_margins(x, y, z, step)
+    if not np.all(inside):
         raise StencilOutOfDomain("Cartesian stencil leaves the unit ball")
-    if np.any(np.sqrt(x * x + y * y) < 2.0 * step):
+    if not np.all(off_axis):
         raise StencilOutOfDomain("Cartesian stencil too close to the polar axis")
 
 
@@ -179,17 +197,30 @@ def _cartesian_field(components_fn, x, y, z):
     return kernels.vec_sph_to_cart(theta, phi, vr, vt, vp)
 
 
-def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
+def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig(),
+                            mask=None):
     """3x3 Jacobian dW_i/dx_j of the Cartesian field at each grid node.
 
     components_fn maps float64 arrays (r, theta, phi) to spherical component
     arrays; everything here is vectorized over the nodes, which are checked
-    and normalised as the spherical oracles check them.
+    and normalised as the spherical oracles check them.  With a boolean
+    mask (broadcast to the nodes), every node is checked but only masked
+    nodes are evaluated; the Jacobian is exactly 0 at the others.
     """
     x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
     _check_cartesian_stencil(x, y, z, cfg.step)
-    base = [x, y, z]
+    if mask is None:
+        return _jacobian(components_fn, [x, y, z], cfg)
+    keep = np.broadcast_to(mask, x.shape)
+    jac = [[np.zeros(x.shape) for _ in range(3)] for _ in range(3)]
+    for row, kept in zip(jac, _jacobian(components_fn, [x[keep], y[keep], z[keep]], cfg)):
+        for out, values in zip(row, kept):
+            out[keep] = values
+    return jac
 
+
+def _jacobian(components_fn, base, cfg):
+    """Jacobian rows of the field at the Cartesian nodes base = [x, y, z]."""
     def column(j, h):
         plus = list(base)
         minus = list(base)
@@ -212,8 +243,9 @@ def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConf
     return jac
 
 
-def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
-    jac = cartesian_jacobian_grid(components_fn, r, theta, phi, cfg)
+def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig(),
+                              mask=None):
+    jac = cartesian_jacobian_grid(components_fn, r, theta, phi, cfg, mask)
     return jac[0][0] + jac[1][1] + jac[2][2]
 
 

@@ -62,16 +62,31 @@ class GridSpec:
             raise ValueError("margin_theta must lie in (0, pi/2)")
 
     def require_margins_for(self, cfg: oracle.FDConfig):
+        """Raise ValueError unless the FD oracles at cfg.step fit the interior
+        grid: both margins above twice the step, and the innermost node at
+        least twice the step from the polar axis, as the Cartesian stencil
+        needs (margin_r > 2 step already keeps r + step below 1)."""
         if self.margin_r <= 2.0 * cfg.step or self.margin_theta <= 2.0 * cfg.step:
             raise ValueError("grid margins must exceed twice the oracle step")
+        (r_ax, th_ax, _), _ = self._axes()
+        gap = r_ax[0] * min(math.sin(th_ax[0]), math.sin(th_ax[-1]))
+        if gap < 2.0 * cfg.step:
+            raise ValueError(
+                f"grid margins margin_r={self.margin_r:g}, margin_theta={self.margin_theta:g} "
+                f"leave the innermost interior node {gap:.4g} from the polar axis; the "
+                f"Cartesian oracle at step {cfg.step:g} needs at least {2.0 * cfg.step:g}")
 
-    def interior_mesh(self):
+    def _axes(self):
+        """(r, theta, phi) axes of the interior lattice and their spacings."""
         dr = (1.0 - 2.0 * self.margin_r) / self.n_r
         dth = (math.pi - 2.0 * self.margin_theta) / self.n_theta
         dph = 2.0 * math.pi / self.n_phi
-        r_ax = self.margin_r + (np.arange(self.n_r) + 0.5) * dr
-        th_ax = self.margin_theta + (np.arange(self.n_theta) + 0.5) * dth
-        ph_ax = np.arange(self.n_phi) * dph
+        return ((self.margin_r + (np.arange(self.n_r) + 0.5) * dr,
+                 self.margin_theta + (np.arange(self.n_theta) + 0.5) * dth,
+                 np.arange(self.n_phi) * dph), (dr, dth, dph))
+
+    def interior_mesh(self):
+        (r_ax, th_ax, ph_ax), (dr, dth, dph) = self._axes()
         r, th, ph = [np.ascontiguousarray(a.ravel())
                      for a in np.meshgrid(r_ax, th_ax, ph_ax, indexing="ij")]
         weights = r**2 * np.sin(th) * dr * dth * dph
@@ -171,7 +186,10 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
     div_analytic = kernels.divergence_parts(
         r, np.sin(th), np.cos(th), zeros, zeros,
         parts["ut"], parts["dut_dtheta"], parts["dup_dphi"])
-    div_fd = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg)
+    # the field vanishes off its support, so only nodes whose stencil
+    # (reach cfg.step) can touch it are evaluated; pad 2 * step is the slack
+    reach = field.support_mask(r, th, pad=2.0 * cfg.step)
+    div_fd = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg, reach)
 
     sup_analytic = float(np.max(np.abs(div_analytic)))
     sup_fd = float(np.max(np.abs(div_fd)))
@@ -270,14 +288,13 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     wit = _mesh_witness(mesh)
     v_theta, v_phi = _v_component(field, 1), _v_component(field, 2)
 
-    bt = field.boundary_curl_theta(th, ph)
+    bt, bp = field.boundary_curl(th, ph)
     res_t = _grid_result("persistency_failure_theta", "above", bt, w,
                          NONVANISH_THRESHOLD, wit)
     p = res_t.witness
     res_t.details = _witness_details(res_t, field.boundary_curl_theta(p.theta, p.phi),
                                      -_boundary_oracle_at(v_phi, p.theta, p.phi, cfg))
 
-    bp = field.boundary_curl_phi(th, ph)
     ok, n_gate, worst = _gate_phi_closed_form(v_theta, mesh, bp, cfg, gate_points)
     res_p = _grid_result("persistency_failure_phi", "above", bp, w,
                          NONVANISH_THRESHOLD, wit)
@@ -375,14 +392,29 @@ def check_navier_traction(field: fam.CounterexampleField, grid: GridSpec,
     return res
 
 
+def _agreement_nodes(n_points, seed, step):
+    """Seeded random interior nodes.  A node whose Cartesian stencil at step
+    the oracle would reject is redrawn from the same generator, so the
+    draws of every seed that fits stay as they are."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        return (rng.uniform(0.1, 0.95, n), rng.uniform(0.15, math.pi - 0.15, n),
+                rng.uniform(0.0, 2.0 * math.pi, n))
+
+    r, th, ph = draw(n_points)
+    bad = ~oracle.cartesian_stencil_fits(r, th, ph, step)
+    while bad.any():  # with step <= 1e-2 only a thin tube round the axis is rejected
+        r[bad], th[bad], ph[bad] = draw(int(np.count_nonzero(bad)))
+        bad = ~oracle.cartesian_stencil_fits(r, th, ph, step)
+    return r, th, ph
+
+
 def check_oracle_agreement(field: fam.CounterexampleField,
                            cfg: oracle.FDConfig = oracle.FDConfig(),
                            n_points: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
     """Analytic curl of u against the Cartesian FD path at random interior points."""
-    rng = np.random.default_rng(seed)
-    r = rng.uniform(0.1, 0.95, n_points)
-    th = rng.uniform(0.15, math.pi - 0.15, n_points)
-    ph = rng.uniform(0.0, 2.0 * math.pi, n_points)
+    r, th, ph = _agreement_nodes(n_points, seed, cfg.step)
 
     parts = field.u_raw_partials(r, th, ph)
     zeros = np.zeros_like(r)
@@ -427,18 +459,16 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     The perturbation multiplies the base profile by (1 + eps (r - 0.75)^2),
     which moves h(1) + h'(1) off zero by (eps/2) h(1); the log-log slope of
     the residual against eps should therefore be 1.  eps = 0 rows (and any
-    underflowed residual) are excluded from the fit.
+    underflowed residual) are excluded from the fit.  The angular factors of
+    omega are computed once; each eps evaluates only its profile's jet.
     """
     grid = grid if grid is not None else _DEFAULT_BOUNDARY_GRID
     mesh = grid.boundary_mesh()
-    th, ph = mesh["theta"], mesh["phi"]
-    ones = np.ones_like(th)
+    factors = fam.OmegaFactors.on_sphere(base_field.angular, mesh["theta"], mesh["phi"])
     rows = []
     for eps in epsilons:
-        f = fam.CounterexampleField(
-            fam.perturbed_profile(float(eps), base_field.profile),
-            base_field.angular, label=f"perturbed:{eps:g}")
-        _, wt, wp = f.omega_components(ones, th, ph)
+        h, hp, _ = factors.profile_jet(fam.perturbed_profile(float(eps), base_field.profile))
+        _, wt, wp = factors.assemble(h, hp)
         rows.append((float(eps), float(np.max(np.hypot(wt, wp)))))
     included = [(e, r) for e, r in rows if e > 0.0 and r > 1e-300]
     if len(included) < 2:

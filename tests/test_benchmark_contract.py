@@ -3,11 +3,15 @@
 The tracer looks each name up with vars(owner)[name], so a rename in
 slipball would make a traced benchmark run (--trace 1) fail with KeyError.
 The benchmark worker also records slipball.BACKEND in its environment block.
+The wrapped functions must also accept the calls the package makes through
+the wrappers, and the tracer's two-argument support_mask probe must keep
+returning the support itself.
 """
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slipball
@@ -68,3 +72,72 @@ def test_verify_runs_every_traced_oracle_function(tracer, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert [n for n, c in calls.items() if c == 0] == []
+
+
+def parent_support_mask(field, r, theta):
+    """support_mask as the tracer's two-argument call has always seen it."""
+    d = field.angular.pole_margin
+    return (theta > d) & (theta < np.pi - d) & (r > field.profile.support_inner)
+
+
+def test_tracer_support_mask_call_returns_the_support(tracer):
+    # tracer._count_evaluation calls field.support_mask(np.asarray(r), np.asarray(theta))
+    field = family.default_field()
+    rng = np.random.default_rng(3)
+    r = np.concatenate([rng.uniform(0.0, 1.0, 4000), [0.0, 0.25, 1.0, np.nan]])
+    theta = np.concatenate([rng.uniform(0.0, np.pi, 4000), [1.0, 1.0, np.pi / 4, 1.0]])
+    cases = [(r, theta), (1.0, theta), (0.5, 1.0), (np.nan, 1.0),
+             (r[:, None], theta[None, :8])]
+    for rr, tt in cases:
+        inspect.signature(field.support_mask).bind(np.asarray(rr), np.asarray(tt))
+        got = field.support_mask(np.asarray(rr), np.asarray(tt))
+        want = parent_support_mask(field, np.asarray(rr), np.asarray(tt))
+        assert np.array_equal(got, want)
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        field.u_components(r, theta, np.zeros_like(r))
+        field.boundary_curl_theta(theta, np.zeros_like(theta))
+    finally:
+        t.restore()
+    spans = [s for s in t.take() if s.evaluator]
+    assert [s.support_hits for s in spans] == [
+        int(np.count_nonzero(parent_support_mask(field, r, theta))),
+        int(np.count_nonzero(parent_support_mask(field, 1.0, theta)))]
+
+
+def test_traced_oracle_and_verify_names_bind_their_calls(tracer, capsys):
+    # run a coarse verify and a sweep under the installed tracer: every
+    # wrapped oracle and verify function is called through its wrapper, with
+    # the arguments the package passes, and the original binds them
+    from slipball import cli
+
+    bound = {}
+    originals = {(mod, n): vars(mod)[n]
+                 for mod, names in ((oracle, tracer.ORACLE_FUNCTIONS),
+                                    (verify, tracer.VERIFY_FUNCTIONS)) for n in names}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for (mod, name), original in originals.items():
+            traced = vars(mod)[name]
+
+            def recording(*args, _traced=traced, _original=original, _name=name, **kwargs):
+                inspect.signature(_original).bind(*args, **kwargs)
+                bound[_name] = bound.get(_name, 0) + 1
+                return _traced(*args, **kwargs)
+
+            setattr(mod, name, recording)
+        codes = [cli.main(["verify", "--no-timestamp", "--grid-nr", "8", "--grid-ntheta", "8",
+                           "--grid-nphi", "8", "--boundary-ntheta", "32",
+                           "--boundary-nphi", "64"]),
+                 cli.main(["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"])]
+    finally:
+        t.restore()  # puts back the originals, over the recording wrappers too
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert all(vars(mod)[n] is original for (mod, n), original in originals.items())
+    spans = {s.name for s in t.take()}
+    assert sorted(n for _, n in originals if n not in bound) == []
+    assert sorted(n for _, n in originals if n not in spans) == []

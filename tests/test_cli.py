@@ -77,6 +77,30 @@ class TestVerifyCommand:
         # one batched call over the five spot nodes, with the run's FDConfig
         assert seen == [(5, oracle.FDConfig(step=1e-3, richardson=False))]
 
+    def test_oracle_agreement_redraws_near_axis_nodes(self, capsys, tmp_path):
+        # seed 18 drew agreement nodes too close to the axis for step 1e-2
+        report = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, ["verify", "--oracle-step", "1e-2", "--seed", "18",
+                                          "--report", str(report)] + FAST_GRID)
+        assert code in (0, 2), err  # step 1e-2 may fail a tolerance; the run completes
+        assert "polar axis" not in err
+        by_name = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert by_name["oracle_agreement_curl"]["details"]["seed"] == 18
+
+    @pytest.mark.parametrize("step", ["3e-3", "1e-2"])
+    def test_cartesian_stencil_checked_before_the_run(self, capsys, tmp_path, step):
+        report = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, ["verify", "--oracle-step", step,
+                                          "--report", str(report)])
+        assert code == 1
+        assert "margin_r=0.05, margin_theta=0.05" in err and f"step {float(step):g}" in err
+        assert out == "" and not report.exists()
+
+    def test_margins_error_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--grid-margin-r", "1e-4"] + FAST_GRID)
+        assert code == 1
+        assert err == "error: grid margins must exceed twice the oracle step\n"
+
     def test_byte_identical_reports(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

@@ -51,6 +51,80 @@ class TestSmoothStep:
             assert np.all(np.isfinite(a))
 
 
+def full_formula_step_jet(t):
+    """smooth_step_jet as the formula gives it on every node, with no
+    plateau short-circuit (the reference for the plateau rule)."""
+    a, a1, a2 = kernels.sigma_jet(t)
+    b, b1m, b2 = kernels.sigma_jet(1.0 - t)
+    b1 = -b1m
+    den = a + b
+    num1 = a1 * b - a * b1
+    num2 = a2 * b - a * b2
+    return (a / den, num1 / den**2,
+            (num2 * den - 2.0 * num1 * (a1 + b1)) / den**3)
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+
+
+class TestPlateauRule:
+    """smooth_step_jet skips sigma_jet on the plateaus; values and signed
+    zeros must equal the full formula's."""
+
+    F = kernels._SIGMA_FLOOR
+
+    def test_random_t(self):
+        rng = np.random.default_rng(11)
+        t = np.concatenate([rng.uniform(-0.5, 1.5, 200_000),
+                            10.0 ** rng.uniform(-8, 300, 2000),
+                            -(10.0 ** rng.uniform(-8, 300, 2000))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(kernels.smooth_step_jet(t), full_formula_step_jet(t))
+
+    def test_junctions_and_non_finite(self):
+        edges = [0.0, self.F, 1.0 - self.F, 1.0, kernels._HUGE_T]
+        t = np.array(edges + [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+                     + [-0.0, 5.7e102, 1e200, np.inf, -np.inf, np.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(kernels.smooth_step_jet(t), full_formula_step_jet(t))
+            assert np.all(np.isnan(kernels.smooth_step_jet(np.array([np.nan]))))
+
+    def test_upper_plateau_second_derivative_is_negative_zero(self):
+        s, s1, s2 = kernels.smooth_step_jet(np.array([1.0, 2.0, -1.0]))
+        assert s.tolist() == [1.0, 1.0, 0.0]
+        assert np.signbit(s2).tolist() == [True, True, False]
+        assert not np.any(np.signbit(s1))
+
+    def test_bump_keeps_its_signed_zeros(self):
+        x = np.linspace(0.0, math.pi, 2001)
+        a, b, c, d = TestBump.A, TestBump.B, TestBump.C, TestBump.D
+        u = full_formula_step_jet((x - a) / (b - a))
+        v = full_formula_step_jet((d - x) / (d - c))
+        u1, u2 = u[1] / (b - a), u[2] / (b - a) ** 2
+        v1, v2 = -v[1] / (d - c), v[2] / (d - c) ** 2
+        want = (u[0] * v[0], u1 * v[0] + u[0] * v1, u2 * v[0] + 2.0 * u1 * v1 + u[0] * v2)
+        assert_same_bits(kernels.bump_jet(x, a, b, c, d), want)
+        assert np.signbit(want[2][(x > b) & (x < c)]).all()  # plateau p'' is -0.0
+
+    def test_plateaus_do_not_call_sigma_jet(self, monkeypatch):
+        seen = []
+        original = kernels.sigma_jet
+
+        def spy(t):
+            seen.append(t.copy())
+            return original(t)
+
+        monkeypatch.setattr(kernels, "sigma_jet", spy)
+        kernels.smooth_step_jet(np.array([-1.0, 0.0, 0.5, 1.0, 3.0]))
+        assert [a.tolist() for a in seen] == [[0.5], [0.5]]
+        seen.clear()
+        kernels.smooth_step_jet(np.array([-1.0, 2.0]))
+        assert seen == []
+
+
 class TestBump:
     A, B, C, D = np.pi / 4, 3 * np.pi / 8, 5 * np.pi / 8, 3 * np.pi / 4
 

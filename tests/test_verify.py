@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slipball import family as fam
-from slipball import kernels, verify
+from slipball import kernels, oracle, verify
 from slipball.errors import DegenerateFit
 from slipball.oracle import FDConfig
 from slipball.verify import GridSpec
@@ -33,6 +33,33 @@ class TestGridSpec:
         GridSpec(margin_r=1e-3).require_margins_for(FDConfig(step=1e-4))
         with pytest.raises(ValueError):
             GridSpec(margin_r=1e-4).require_margins_for(FDConfig(step=1e-4))
+
+    @pytest.mark.parametrize("step", [3e-3, 1e-2])
+    def test_cartesian_stencil_checked_up_front(self, step):
+        # the shipped grid passes the margin check at these steps, but its
+        # innermost node is only 5.2e-3 from the polar axis
+        with pytest.raises(ValueError, match=rf"margin_r=0.05, margin_theta=0.05 .* "
+                                             rf"step {step:g} needs at least {2 * step:g}"):
+            GridSpec().require_margins_for(FDConfig(step=step))
+        GridSpec(n_r=8, n_theta=8, n_phi=8).require_margins_for(FDConfig(step=step))
+
+    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(n_r=8, n_theta=8, n_phi=8),
+                                      GridSpec(n_r=20, n_theta=9, n_phi=10, margin_r=0.021,
+                                               margin_theta=0.021)])
+    def test_up_front_check_agrees_with_the_oracle(self, grid):
+        mesh = grid.interior_mesh()
+        nodes = mesh["r"], mesh["theta"], mesh["phi"]
+        for step in (1e-4, 1e-3, 2.5e-3, 2.6e-3, 2.61e-3, 2.62e-3, 3e-3, 5e-3, 1e-2):
+            cfg = FDConfig(step=step)
+            if min(grid.margin_r, grid.margin_theta) <= 2.0 * step:
+                continue
+            fits = bool(np.all(oracle.cartesian_stencil_fits(*nodes, step)))
+            try:
+                grid.require_margins_for(cfg)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == fits, step
 
     def test_interior_mesh_shape_and_bounds(self):
         mesh = GridSpec(n_r=8, n_theta=8, n_phi=8).interior_mesh()
@@ -127,10 +154,15 @@ class TestPersistencyCheck:
 
 
 def off_by_a_tenth_percent(monkeypatch):
-    """Make every field's phi closed form 0.1% too large."""
-    true_method = fam.CounterexampleField.boundary_curl_phi
-    monkeypatch.setattr(fam.CounterexampleField, "boundary_curl_phi",
-                        lambda self, th, ph: 1.001 * true_method(self, th, ph))
+    """Make every field's phi closed form 0.1% too large (both selectors and
+    the mesh-wide boundary_curl go through boundary_curl)."""
+    true_method = fam.CounterexampleField.boundary_curl
+
+    def scaled(self, th, ph):
+        bt, bp = true_method(self, th, ph)
+        return bt, 1.001 * bp
+
+    monkeypatch.setattr(fam.CounterexampleField, "boundary_curl", scaled)
 
 
 class TestPhiGateFailure:
@@ -247,6 +279,64 @@ class TestOracleAgreement:
         b = verify.check_oracle_agreement(default_field, seed=7)
         assert a.to_dict() == b.to_dict()
 
+    @staticmethod
+    def plain_draw(seed, n=50):
+        """The nodes as drawn before offending nodes were redrawn."""
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(0.1, 0.95, n), rng.uniform(0.15, PI - 0.15, n),
+                rng.uniform(0.0, 2.0 * PI, n))
+
+    @staticmethod
+    def nodes_used(monkeypatch, field, cfg, seed):
+        seen = []
+        original = oracle.cartesian_curl_grid
+
+        def spy(fn, r, th, ph, cfg):
+            seen.append((r.copy(), th.copy(), ph.copy()))
+            return original(fn, r, th, ph, cfg)
+
+        monkeypatch.setattr(oracle, "cartesian_curl_grid", spy)
+        res = verify.check_oracle_agreement(field, cfg, seed=seed)
+        monkeypatch.undo()
+        return res, seen[0]
+
+    def test_offending_nodes_are_redrawn(self, default_field, monkeypatch):
+        # seed 18 at step 1e-2 used to hit "Cartesian stencil too close to the polar axis"
+        cfg = FDConfig(step=1e-2)
+        plain = self.plain_draw(18)
+        bad = ~oracle.cartesian_stencil_fits(*plain, cfg.step)
+        assert bad.any()
+        res, used = self.nodes_used(monkeypatch, default_field, cfg, 18)
+        assert np.all(oracle.cartesian_stencil_fits(*used, cfg.step))
+        for a, b in zip(used, plain):
+            np.testing.assert_array_equal(a[~bad], b[~bad])
+            assert not np.any(a[bad] == b[bad])
+        assert res.details["n_points"] == 50 and math.isfinite(res.norm_sup)
+
+    @pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 0, 18, 99])
+    def test_default_step_report_unchanged(self, default_field, monkeypatch, seed):
+        res, used = self.nodes_used(monkeypatch, default_field, FDConfig(), seed)
+        for a, b in zip(used, self.plain_draw(seed)):
+            np.testing.assert_array_equal(a, b)
+        monkeypatch.setattr(verify, "_agreement_nodes",
+                            lambda n, seed, step: self.plain_draw(seed, n))
+        ref = verify.check_oracle_agreement(default_field, FDConfig(), seed=seed)
+        assert res.to_dict() == ref.to_dict()
+
+    def test_only_seeds_with_offending_nodes_change(self):
+        moved = 0
+        for seed in range(3000):
+            plain = self.plain_draw(seed)
+            drawn = verify._agreement_nodes(50, seed, 1e-2)
+            bad = ~oracle.cartesian_stencil_fits(*plain, 1e-2)
+            assert np.all(oracle.cartesian_stencil_fits(*drawn, 1e-2))
+            assert all(np.array_equal(a[~bad], b[~bad]) for a, b in zip(drawn, plain))
+            moved += bool(bad.any())
+            if seed % 10 == 0:  # no node can offend at the default step
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(verify._agreement_nodes(50, seed, 1e-4), plain))
+        assert moved == 100
+
 
 class TestScalingSweep:
     def test_default_epsilons_slope_one(self, default_field):
@@ -271,6 +361,35 @@ class TestScalingSweep:
     def test_equal_epsilons_degenerate(self, default_field):
         with pytest.raises(DegenerateFit):
             verify.scaling_sweep(default_field, [1e-2] * 4, SMALL_BOUNDARY)
+
+    @staticmethod
+    def per_eps_field_rows(base, epsilons, grid):
+        """The sweep rows with one CounterexampleField per eps."""
+        mesh = grid.boundary_mesh()
+        th, ph = mesh["theta"], mesh["phi"]
+        rows = []
+        for eps in epsilons:
+            f = fam.CounterexampleField(fam.perturbed_profile(float(eps), base.profile),
+                                        base.angular)
+            _, wt, wp = f.omega_components(np.ones_like(th), th, ph)
+            rows.append((float(eps), float(np.max(np.hypot(wt, wp)))))
+        return rows
+
+    @pytest.mark.parametrize("base", ["default", "perturbed:1e-3", "cosine"])
+    @pytest.mark.parametrize("grid", [SMALL_BOUNDARY, GridSpec(n_theta=33, n_phi=70,
+                                                               boundary_only=True)])
+    def test_rows_equal_per_eps_fields(self, base, grid):
+        field = (fam.CounterexampleField(fam.default_profile(), fam.cosine_angular())
+                 if base == "cosine" else fam.family_by_label(base))
+        epsilons = [0.0, 1e-6, 3.7e-3, 0.1, 2.5, -0.01]
+        sweep = verify.scaling_sweep(field, epsilons, grid)
+        assert sweep.rows == self.per_eps_field_rows(field, epsilons, grid)
+
+    def test_no_field_is_built_per_eps(self, default_field, monkeypatch):
+        built = []
+        monkeypatch.setattr(fam, "check_admissibility", lambda f: built.append(f))
+        verify.scaling_sweep(default_field, [1e-1, 1e-2, 1e-3, 1e-4], SMALL_BOUNDARY)
+        assert built == []
 
 
 class TestFullVerification:
