@@ -14,7 +14,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,11 +32,10 @@ SLOPE_BAND = (0.95, 1.05)
 
 _DEFAULTS = {
     "family": "default",
-    "grid": {"n_r": 32, "n_theta": 48, "n_phi": 96,
-             "margin_r": 0.05, "margin_theta": 0.05},
-    "boundary_grid": {"n_theta": 128, "n_phi": 256},
+    "grid": {k: v for k, v in asdict(verify.GridSpec()).items() if k != "boundary_only"},
+    "boundary_grid": {k: getattr(verify._DEFAULT_BOUNDARY_GRID, k) for k in ("n_theta", "n_phi")},
     "sample_grid": {"n_theta": 64, "n_phi": 128},
-    "oracle": {"step": 1e-4, "richardson": True},
+    "oracle": asdict(FDConfig()),
     "epsilons": [1e-1, 1e-2, 1e-3, 1e-4],
     "nu": 1.0,
     "seed": verify.DEFAULT_SEED,
@@ -56,6 +55,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The JSON values a config leaf accepts, by the type of its default.
+_LEAF_KINDS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
 def _merge_config(base, incoming, path=""):
     for key, value in incoming.items():
         if key not in base:
@@ -64,8 +78,11 @@ def _merge_config(base, incoming, path=""):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {path + key!r} must be an object")
             _merge_config(base[key], value, path + key + ".")
-        else:
-            base[key] = value
+            continue
+        kind, accepts = _LEAF_KINDS[type(base[key])]
+        if not accepts(value):
+            raise ConfigError(f"config key {path + key!r} must be {kind}, got {value!r}")
+        base[key] = value
 
 
 def load_config(path):
@@ -84,25 +101,24 @@ def load_config(path):
     return cfg
 
 
+# flags that set a key of a config section: (args attribute, (section, key))
+_SECTION_FLAGS = (
+    ("grid_nr", ("grid", "n_r")), ("grid_ntheta", ("grid", "n_theta")),
+    ("grid_nphi", ("grid", "n_phi")),
+    ("grid_margin_r", ("grid", "margin_r")),
+    ("grid_margin_theta", ("grid", "margin_theta")),
+    ("boundary_ntheta", ("boundary_grid", "n_theta")),
+    ("boundary_nphi", ("boundary_grid", "n_phi")),
+    ("oracle_step", ("oracle", "step")),
+)
+
+
 def _apply_overrides(cfg, args):
-    pairs = [
-        ("family", "family"), ("report", "report"), ("out", "out"),
-        ("nu", "nu"), ("seed", "seed"),
-    ]
-    for key, attr in pairs:
-        v = getattr(args, attr, None)
+    for key in ("family", "report", "out", "nu", "seed"):
+        v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
-    grid_pairs = [
-        ("grid_nr", ("grid", "n_r")), ("grid_ntheta", ("grid", "n_theta")),
-        ("grid_nphi", ("grid", "n_phi")),
-        ("grid_margin_r", ("grid", "margin_r")),
-        ("grid_margin_theta", ("grid", "margin_theta")),
-        ("boundary_ntheta", ("boundary_grid", "n_theta")),
-        ("boundary_nphi", ("boundary_grid", "n_phi")),
-        ("oracle_step", ("oracle", "step")),
-    ]
-    for attr, (sect, key) in grid_pairs:
+    for attr, (sect, key) in _SECTION_FLAGS:
         v = getattr(args, attr, None)
         if v is not None:
             cfg[sect][key] = v
@@ -207,24 +223,17 @@ _SAMPLE_FIELDS = ("u", "omega", "v", "curl_v_boundary")
 
 
 def _sample_rows(field, selector, on_surface, interior, sample_boundary):
-    if selector == "curl_v_boundary":
-        mesh = sample_boundary.boundary_mesh()
-        th, ph = mesh["theta"], mesh["phi"]
-        bt, bp = field.boundary_curl(th, ph)
-        header = "r,theta,phi,curl_v_theta,curl_v_phi"
-        cols = (np.ones_like(th), th, ph, bt, bp)
-        return header, cols
-    getter = {"u": field.u_components, "omega": field.omega_components,
-              "v": field.v_components}[selector]
     if on_surface:
         mesh = sample_boundary.boundary_mesh()
-        r = np.ones_like(mesh["theta"])
-        th, ph = mesh["theta"], mesh["phi"]
+        r, th, ph = np.ones_like(mesh["theta"]), mesh["theta"], mesh["phi"]
     else:
         mesh = interior.interior_mesh()
         r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
-    cr, ct, cp = getter(r, th, ph)
-    return "r,theta,phi,c_r,c_theta,c_phi", (r, th, ph, cr, ct, cp)
+    if selector == "curl_v_boundary":  # on the surface only
+        return "r,theta,phi,curl_v_theta,curl_v_phi", (r, th, ph, *field.boundary_curl(th, ph))
+    getter = {"u": field.u_components, "omega": field.omega_components,
+              "v": field.v_components}[selector]
+    return "r,theta,phi,c_r,c_theta,c_phi", (r, th, ph, *getter(r, th, ph))
 
 
 def cmd_sample(args) -> int:
@@ -238,6 +247,11 @@ def cmd_sample(args) -> int:
         return EXIT_USAGE
     if args.field == "curl_v_boundary" and args.on == "volume":
         print("error: curl_v_boundary is only defined on the surface", file=sys.stderr)
+        return EXIT_USAGE
+    if args.on == "surface" and any(getattr(args, attr) is not None
+                                    for attr, (sect, _) in _SECTION_FLAGS if sect == "grid"):
+        print("error: --grid-* flags set the volume grid (--on volume); the surface "
+              "grid is the config's sample_grid", file=sys.stderr)
         return EXIT_USAGE
     out_path = cfg["out"]
     if not out_path:

@@ -16,15 +16,15 @@ near r = 0 and angular functions near both poles, so every evaluator
 short-circuits to exact zeros inside those margins and never touches 1/r or
 1/sin there.  The profile and angular jets are computed only on the nodes
 inside the support (see _support_jets); the rest hold exact zeros.  Each
-evaluator then assembles its quantity with the numpy kernels, taking
-(sin, G) from _sin_and_G; omega goes through OmegaFactors, which the
-scaling sweep reuses across profiles, and both boundary traces come from
-one kernel call (boundary_curl).  Jet functions are ufunc-like: they accept
-and return float64 arrays of a common shape and must supply analytic
-derivatives (h to second order, g to second order).
+evaluator then assembles its quantity with the numpy kernels.  The angular
+factors (sin, G, g_theta, g_phi) come from OmegaFactors alone; on the
+sphere, OmegaFactors.on_sphere serves both boundary traces (boundary_curl),
+big_G, the witness scan and the scaling sweep.  Jet functions are
+ufunc-like: they accept and return float64 arrays of a common shape and
+must supply analytic derivatives (h to second order, g to second order).
 """
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,21 +88,6 @@ def _support_jets(support, *calls):
     return (support | nan_nodes if has_nan else support), jets
 
 
-def _polar_jets(angular, theta, phi):
-    """(mask, g jet) on the open band pole_margin < theta < pi - pole_margin."""
-    d = angular.pole_margin
-    band = (theta > d) & (theta < math.pi - d)
-    mask, (g_jet,) = _support_jets(band, (angular.fn, _ANGULAR_JETS, (theta, phi)))
-    return mask, g_jet
-
-
-def _sin_and_G(theta, mask, g_jet):
-    """(sin theta, G) from a g jet tuple; G is zero off the mask."""
-    _, g_t, _, g_tt, _, g_pp = g_jet
-    st = np.sin(theta)
-    return st, kernels.big_g_values(st, np.cos(theta), g_t, g_tt, g_pp, mask)
-
-
 class OmegaFactors:
     """The angular factors of omega on fixed nodes: the support mask, sin
     theta, G, g_theta and g_phi, computed once.
@@ -112,17 +97,20 @@ class OmegaFactors:
     """
 
     def __init__(self, r, theta, mask, g_jet):
+        _, self.g_t, self.g_p, g_tt, _, g_pp = g_jet
         self.r = r
         self.mask = mask
-        self.sin, self.big_g = _sin_and_G(theta, mask, g_jet)
-        self.g_t, self.g_p = g_jet[1:3]
+        self.sin = np.sin(theta)
+        self.big_g = kernels.big_g_values(self.sin, np.cos(theta), self.g_t, g_tt, g_pp, mask)
 
     @classmethod
     def on_sphere(cls, angular, theta, phi):
-        """Factors at r = 1, where the support is the polar band alone
-        (every profile's support_inner lies below 1)."""
-        (theta, phi), _ = _node_arrays(theta, phi)
-        mask, g_jet = _polar_jets(angular, theta, phi)
+        """Factors at r = 1 on the node arrays (theta, phi), where the support
+        is the open polar band pole_margin < theta < pi - pole_margin (every
+        profile's support_inner lies below 1)."""
+        d = angular.pole_margin
+        band = (theta > d) & (theta < math.pi - d)
+        mask, (g_jet,) = _support_jets(band, (angular.fn, _ANGULAR_JETS, (theta, phi)))
         return cls(np.ones_like(theta), theta, mask, g_jet)
 
     def profile_jet(self, profile):
@@ -256,19 +244,7 @@ class AdmissibilityReport:
         return self.slip_condition_residual <= 1e-10
 
     def to_dict(self) -> dict:
-        def pt(p):
-            return None if p is None else {"r": p.r, "theta": p.theta, "phi": p.phi}
-
-        return {
-            "slip_condition_residual": self.slip_condition_residual,
-            "h1_value": self.h1_value,
-            "h1_nonzero": self.h1_nonzero,
-            "pole_margin_ok": self.pole_margin_ok,
-            "support_ok": self.support_ok,
-            "periodicity_ok": self.periodicity_ok,
-            "witness_a1": pt(self.witness_a1),
-            "witness_a2": pt(self.witness_a2),
-        }
+        return asdict(self)
 
 
 class CounterexampleField:
@@ -362,10 +338,9 @@ class CounterexampleField:
     def boundary_curl(self, theta, phi):
         """Both tangential components of curl(v) on the unit sphere."""
         (theta, phi), scalar = _node_arrays(theta, phi)
-        mask, g_jet = _polar_jets(self.angular, theta, phi)
-        st, gg = _sin_and_G(theta, mask, g_jet)
+        w = OmegaFactors.on_sphere(self.angular, theta, phi)
         return _maybe_scalar(kernels.boundary_curl_assembly(
-            st, self.h_boundary, self.hp_boundary, g_jet[1], g_jet[2], gg, mask), scalar)
+            w.sin, self.h_boundary, self.hp_boundary, w.g_t, w.g_p, w.big_g, w.mask), scalar)
 
     def boundary_curl_theta(self, theta, phi):
         return self.boundary_curl(theta, phi)[0]
@@ -380,8 +355,7 @@ def big_G(angular: AngularFunction, theta, phi):
     """G = cos g_theta + sin g_thetatheta + g_phiphi / sin (zero inside the
     pole margin by support)."""
     (theta, phi), scalar = _node_arrays(theta, phi)
-    mask, g_jet = _polar_jets(angular, theta, phi)
-    return _maybe_scalar(_sin_and_G(theta, mask, g_jet)[1], scalar)
+    return _maybe_scalar(OmegaFactors.on_sphere(angular, theta, phi).big_g, scalar)
 
 
 def u_jets(field: CounterexampleField, p: SphPoint):
@@ -404,9 +378,7 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     if n_theta < 16 or n_phi < 16:
         raise ValueError("witness grid must be at least 16x16")
     (theta, phi), _, th, ph = sphere_midpoint_mesh(n_theta, n_phi)
-    mask, g_jet = _polar_jets(field.angular, th, ph)
-    _, gg = _sin_and_G(th, mask, g_jet)
-    g_t, g_p = g_jet[1:3]
+    w = OmegaFactors.on_sphere(field.angular, th, ph)
 
     def best(product):
         flat = np.abs(product)
@@ -416,8 +388,8 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
         it, ip = divmod(i, n_phi)
         return SphPoint(1.0, theta[it], phi[ip])
 
-    w1 = best(g_p * gg)
-    w2 = best(g_t * gg)
+    w1 = best(w.g_p * w.big_g)
+    w2 = best(w.g_t * w.big_g)
     if w1 is None and w2 is None:
         raise NoWitness(f"no witness above {WITNESS_THRESHOLD} on {n_theta}x{n_phi} grid")
     return w1, w2

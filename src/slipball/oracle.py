@@ -10,9 +10,10 @@ Two derivative paths:
 
 Both paths consume evaluators only, never analytic jets, and do their
 stencil arithmetic on node arrays: each stencil offset is one evaluator
-call over all nodes.  Nodes are validated and normalised as SphPoint does
-it for one point (phi reduced to [0, 2pi), theta clamped to [0, pi], r
-clamped at 0, out-of-range nodes rejected with ValueError).
+call over all nodes.  Nodes are validated and normalised by
+sphcalc._normalise, the one normaliser that SphPoint also uses (phi
+reduced to [0, 2pi), theta clamped to [0, pi], r clamped at 0,
+out-of-range nodes rejected with ValueError).
 
 fd_partial, fd_curl_spherical and fd_boundary_radial_derivative hold the
 spherical stencils once each; the Cartesian path is cartesian_jacobian_grid,
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .errors import StencilOutOfDomain
-from .sphcalc import _COORD_SLACK, TWO_PI, _node_arrays
+from .sphcalc import _node_arrays, _normalise
 
 R_CEILING = 1.05  # interior radial stencils may probe slightly past the sphere
 _BOUNDARY_EPS = 1e-12
@@ -60,25 +61,6 @@ def _richardson(d_at, step, enabled):
     if not enabled:
         return d_at(step)
     return (4.0 * d_at(step / 2.0) - d_at(step)) / 3.0
-
-
-def _normalise(r, theta, phi):
-    """Nodes as SphPoint stores them: r >= 0, theta in [0, pi], phi in [0, 2pi).
-
-    Raises ValueError for a node SphPoint would reject: non-finite, r below
-    0 or theta outside [0, pi] by more than the coordinate slack.
-    """
-    for name, c in (("r", r), ("theta", theta), ("phi", phi)):
-        if not np.all(np.isfinite(c)):
-            raise ValueError(f"non-finite coordinate {name}={c[~np.isfinite(c)].flat[0]}")
-    if np.any(r < -_COORD_SLACK):
-        raise ValueError(f"negative radius r={r[r < -_COORD_SLACK].flat[0]}")
-    bad = (theta < -_COORD_SLACK) | (theta > math.pi + _COORD_SLACK)
-    if np.any(bad):
-        raise ValueError(f"colatitude out of range theta={theta[bad].flat[0]}")
-    phi = np.mod(phi, TWO_PI)
-    phi[phi == TWO_PI] = 0.0  # guard against rounding in the modulo itself
-    return np.maximum(r, 0.0), np.clip(theta, 0.0, math.pi), phi
 
 
 def _nodes(r, theta, phi):
@@ -199,47 +181,30 @@ def _cartesian_field(components_fn, x, y, z):
 
 def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig(),
                             mask=None):
-    """3x3 Jacobian dW_i/dx_j of the Cartesian field at each grid node.
+    """Jacobian dW_i/dx_j of the Cartesian field at each grid node, as one
+    (3, 3, *shape) array, so jac[i][j] is the array of dW_i/dx_j.
 
     components_fn maps float64 arrays (r, theta, phi) to spherical component
     arrays; everything here is vectorized over the nodes, which are checked
     and normalised as the spherical oracles check them.  With a boolean
-    mask (broadcast to the nodes), every node is checked but only masked
-    nodes are evaluated; the Jacobian is exactly 0 at the others.
+    mask (broadcast to the nodes; None keeps all), every node is checked but
+    only masked nodes are evaluated; the Jacobian is exactly 0 at the others.
     """
     x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
     _check_cartesian_stencil(x, y, z, cfg.step)
-    if mask is None:
-        return _jacobian(components_fn, [x, y, z], cfg)
-    keep = np.broadcast_to(mask, x.shape)
-    jac = [[np.zeros(x.shape) for _ in range(3)] for _ in range(3)]
-    for row, kept in zip(jac, _jacobian(components_fn, [x[keep], y[keep], z[keep]], cfg)):
-        for out, values in zip(row, kept):
-            out[keep] = values
-    return jac
+    keep = np.broadcast_to(True if mask is None else mask, x.shape)
+    base = np.stack([x[keep], y[keep], z[keep]])
 
-
-def _jacobian(components_fn, base, cfg):
-    """Jacobian rows of the field at the Cartesian nodes base = [x, y, z]."""
     def column(j, h):
-        plus = list(base)
-        minus = list(base)
-        plus[j] = base[j] + h
-        minus[j] = base[j] - h
-        wp = _cartesian_field(components_fn, *plus)
-        wm = _cartesian_field(components_fn, *minus)
-        return [(wp[i] - wm[i]) / (2.0 * h) for i in range(3)]
+        def field_at(offset):
+            shifted = base.copy()
+            shifted[j] += offset
+            return np.array(_cartesian_field(components_fn, *shifted))
+        return (field_at(h) - field_at(-h)) / (2.0 * h)
 
-    jac = [[None] * 3 for _ in range(3)]
+    jac = np.zeros((3, 3) + x.shape)
     for j in range(3):
-        if cfg.richardson:
-            c1 = column(j, cfg.step)
-            c2 = column(j, cfg.step / 2.0)
-            col = [(4.0 * c2[i] - c1[i]) / 3.0 for i in range(3)]
-        else:
-            col = column(j, cfg.step)
-        for i in range(3):
-            jac[i][j] = col[i]
+        jac[:, j, keep] = _richardson(lambda h: column(j, h), cfg.step, cfg.richardson)
     return jac
 
 

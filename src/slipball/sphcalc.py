@@ -16,7 +16,9 @@ in the operator formulas themselves,
     grad f = f_r e_r + (1/r) f_t e_t + (1/(r sin)) f_p e_p.
 
 divergence and curl evaluate kernels.divergence_parts / curl_parts, the
-formulas the array checks use, on one point.
+formulas the array checks use, on one point; likewise the point and vector
+transforms (to/from_cartesian_point, vec_to/from_cartesian) are the
+kernels' array transforms evaluated at one point.
 
 Evaluation refuses points with r or sin(theta) below 1e-9 rather than
 silently zeroing the singular factors.
@@ -45,9 +47,10 @@ class CartesianPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class SphPoint:
-    """Point in spherical coordinates; phi normalized to [0, 2pi) once, here.
+    """Point in spherical coordinates, normalised once, here, by the
+    oracles' node normaliser (_normalise); the coordinates are floats.
 
-    Non-finite coordinates raise ValueError.
+    Non-finite or out-of-range coordinates raise ValueError.
     """
 
     r: float
@@ -55,19 +58,9 @@ class SphPoint:
     phi: float
 
     def __post_init__(self):
-        r, theta, phi = float(self.r), float(self.theta), float(self.phi)
-        if not (math.isfinite(r) and math.isfinite(theta) and math.isfinite(phi)):
-            raise ValueError(f"non-finite coordinate ({r}, {theta}, {phi})")
-        if r < -_COORD_SLACK:
-            raise ValueError(f"negative radius r={r}")
-        if theta < -_COORD_SLACK or theta > math.pi + _COORD_SLACK:
-            raise ValueError(f"colatitude out of range theta={theta}")
-        phi = phi % TWO_PI
-        if phi == TWO_PI:  # guard against rounding in the modulo itself
-            phi = 0.0
-        object.__setattr__(self, "r", max(r, 0.0))
-        object.__setattr__(self, "theta", min(max(theta, 0.0), math.pi))
-        object.__setattr__(self, "phi", phi)
+        coords = _normalise(*_node_arrays(self.r, self.theta, self.phi)[0])
+        for name, c in zip(("r", "theta", "phi"), coords):
+            object.__setattr__(self, name, c.item())
 
 
 @dataclass(frozen=True)
@@ -113,6 +106,28 @@ def _node_arrays(*coords):
     return [np.ascontiguousarray(np.atleast_1d(a)) for a in arrays], arrays[0].ndim == 0
 
 
+def _normalise(r, theta, phi):
+    """Node arrays as SphPoint stores a point: r >= 0, theta in [0, pi],
+    phi in [0, 2pi).  The one normaliser, for SphPoint and the oracles.
+
+    Raises ValueError for a non-finite node, r below 0 or theta outside
+    [0, pi] by more than the coordinate slack.
+    """
+    # array methods, not np.all/np.any/np.clip: less dispatch per SphPoint
+    for name, c in (("r", r), ("theta", theta), ("phi", phi)):
+        if not np.isfinite(c).all():
+            raise ValueError(f"non-finite coordinate {name}={c[~np.isfinite(c)].flat[0]}")
+    if (r < -_COORD_SLACK).any():
+        raise ValueError(f"negative radius r={r[r < -_COORD_SLACK].flat[0]}")
+    bad = (theta < -_COORD_SLACK) | (theta > math.pi + _COORD_SLACK)
+    if bad.any():
+        raise ValueError(f"colatitude out of range theta={theta[bad].flat[0]}")
+    phi = np.mod(phi, TWO_PI)
+    phi[phi == TWO_PI] = 0.0  # guard against rounding in the modulo itself
+    # where, not maximum: r = -0.0 keeps its sign, as max(r, 0.0) does
+    return np.where(r < 0.0, 0.0, r), theta.clip(0.0, math.pi), phi
+
+
 def sphere_midpoint_mesh(n_theta, n_phi):
     """Midpoint lattice of the unit sphere (theta at the n_theta cell centres
     of [0, pi], phi uniform on [0, 2pi)): ((theta_axis, phi_axis), (dtheta,
@@ -126,21 +141,11 @@ def sphere_midpoint_mesh(n_theta, n_phi):
 
 
 def to_cartesian_point(p: SphPoint) -> CartesianPoint:
-    st = math.sin(p.theta)
-    return CartesianPoint(
-        p.r * st * math.cos(p.phi),
-        p.r * st * math.sin(p.phi),
-        p.r * math.cos(p.theta),
-    )
+    return CartesianPoint(*(float(c) for c in kernels.sph_to_cart(p.r, p.theta, p.phi)))
 
 
 def from_cartesian_point(x, y, z) -> SphPoint:
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
-        return SphPoint(0.0, 0.0, 0.0)
-    # atan2(hypot, z) stays well-conditioned at the poles, unlike acos(z/r)
-    theta = math.atan2(math.hypot(x, y), z)
-    return SphPoint(r, theta, math.atan2(y, x))
+    return SphPoint(*kernels.cart_to_sph(x, y, z))
 
 
 def _require_off_axis(p: SphPoint):
@@ -160,14 +165,14 @@ def basis_at(p: SphPoint):
 
 
 def vec_to_cartesian(p: SphPoint, v: SphVec) -> np.ndarray:
-    e_r, e_t, e_p = basis_at(p)
-    return v.vr * e_r + v.vtheta * e_t + v.vphi * e_p
+    _require_off_axis(p)
+    return np.array(kernels.vec_sph_to_cart(p.theta, p.phi, v.vr, v.vtheta, v.vphi))
 
 
 def vec_from_cartesian(p: SphPoint, w) -> SphVec:
-    e_r, e_t, e_p = basis_at(p)
-    w = np.asarray(w, dtype=float)
-    return SphVec(float(w @ e_r), float(w @ e_t), float(w @ e_p))
+    _require_off_axis(p)
+    wx, wy, wz = np.asarray(w, dtype=float)
+    return SphVec(*(float(c) for c in kernels.vec_cart_to_sph(p.theta, p.phi, wx, wy, wz)))
 
 
 def _require_regular(p: SphPoint):

@@ -13,7 +13,7 @@ reductions resolve ties by lowest flat index.
 """
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import family as fam
 from . import kernels, oracle
 from .errors import DegenerateFit, NoWitness
-from .sphcalc import SphPoint, sphere_midpoint_mesh
+from .sphcalc import SphPoint, basis_at, sphere_midpoint_mesh
 
 TOL_CLOSED_FORM = 1e-10
 TOL_EXACT_TRACE = 1e-12
@@ -63,17 +63,18 @@ class GridSpec:
 
     def require_margins_for(self, cfg: oracle.FDConfig):
         """Raise ValueError unless the FD oracles at cfg.step fit the interior
-        grid: both margins above twice the step, and the innermost node at
-        least twice the step from the polar axis, as the Cartesian stencil
-        needs (margin_r > 2 step already keeps r + step below 1)."""
+        grid: both margins above twice the step, and the Cartesian stencil
+        accepted (oracle.cartesian_stencil_fits) at the innermost nodes, the
+        ones nearest the polar axis (margin_r > 2 step already keeps
+        r + step below 1)."""
         if self.margin_r <= 2.0 * cfg.step or self.margin_theta <= 2.0 * cfg.step:
             raise ValueError("grid margins must exceed twice the oracle step")
-        (r_ax, th_ax, _), _ = self._axes()
-        gap = r_ax[0] * min(math.sin(th_ax[0]), math.sin(th_ax[-1]))
-        if gap < 2.0 * cfg.step:
+        (r_ax, th_ax, ph_ax), _ = self._axes()
+        if not np.all(oracle.cartesian_stencil_fits(r_ax[0], th_ax[[0, -1], None], ph_ax,
+                                                     cfg.step)):
             raise ValueError(
                 f"grid margins margin_r={self.margin_r:g}, margin_theta={self.margin_theta:g} "
-                f"leave the innermost interior node {gap:.4g} from the polar axis; the "
+                f"leave the innermost interior nodes too close to the polar axis; the "
                 f"Cartesian oracle at step {cfg.step:g} needs at least {2.0 * cfg.step:g}")
 
     def _axes(self):
@@ -100,9 +101,7 @@ class GridSpec:
                 "axes": axes, "shape": (self.n_theta, self.n_phi)}
 
     def to_dict(self):
-        return {"n_r": self.n_r, "n_theta": self.n_theta, "n_phi": self.n_phi,
-                "margin_r": self.margin_r, "margin_theta": self.margin_theta,
-                "boundary_only": self.boundary_only}
+        return asdict(self)
 
 
 _DEFAULT_BOUNDARY_GRID = GridSpec(n_theta=128, n_phi=256, boundary_only=True)
@@ -126,8 +125,7 @@ class CheckResult:
     details: dict = dataclass_field(default_factory=dict)
 
     def to_dict(self):
-        w = None if self.witness is None else {
-            "r": self.witness.r, "theta": self.witness.theta, "phi": self.witness.phi}
+        w = None if self.witness is None else asdict(self.witness)
         return _jsonify({"name": self.name, "norm_sup": self.norm_sup,
                          "norm_l2": self.norm_l2, "tolerance": self.tolerance,
                          "direction": self.direction, "pass": bool(self.passed),
@@ -333,12 +331,9 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
         return 0.0
     floor = floor_fraction * ref
 
-    st, ct = math.sin(witness.theta), math.cos(witness.theta)
-    sp, cp = math.sin(witness.phi), math.cos(witness.phi)
-    wvec = np.array([st * cp, st * sp, ct])
-    t1 = np.cross([0.0, 0.0, 1.0], wvec)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(wvec, t1)
+    # a frame of the tangent plane at the witness: t1 = e_phi, t2 = -e_theta
+    wvec, e_t, t1 = basis_at(witness)
+    t2 = -e_t
     alpha = np.arange(n_directions) * (2.0 * math.pi / n_directions)
     dirs = np.outer(np.cos(alpha), t1) + np.outer(np.sin(alpha), t2)
 
@@ -506,11 +501,6 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timestamp), indent=2, allow_nan=False) + "\n"
 
 
-def _skipped_check(name, reason):
-    return CheckResult(name, 0.0, 0.0, NONVANISH_THRESHOLD, "above", False,
-                       None, {"skipped": True, "reason": reason})
-
-
 def run_full_verification(field: fam.CounterexampleField,
                           interior_grid: Optional[GridSpec] = None,
                           boundary_grid: Optional[GridSpec] = None,
@@ -525,11 +515,10 @@ def run_full_verification(field: fam.CounterexampleField,
     checks = [check_divergence_free(field, interior_grid, cfg)]
     checks.extend(check_slip_conditions(field, boundary_grid, cfg))
 
+    skipped = None
     if not adm.slip_ok:
-        reason = (f"slip condition violated: |h(1)+h'(1)| = "
-                  f"{adm.slip_condition_residual:.3e}")
-        checks.append(_skipped_check("persistency_failure_theta", reason))
-        checks.append(_skipped_check("persistency_failure_phi", reason))
+        skipped = (f"slip condition violated: |h(1)+h'(1)| = "
+                   f"{adm.slip_condition_residual:.3e}")
     else:
         try:
             res_t, res_p = check_persistency_failure(field, boundary_grid, cfg)
@@ -538,8 +527,11 @@ def run_full_verification(field: fam.CounterexampleField,
                     field, "theta", res_t.witness, 0.5)
             checks.extend([res_t, res_p])
         except NoWitness as exc:
-            checks.append(_skipped_check("persistency_failure_theta", str(exc)))
-            checks.append(_skipped_check("persistency_failure_phi", str(exc)))
+            skipped = str(exc)
+    if skipped is not None:
+        checks.extend(CheckResult(name, 0.0, 0.0, NONVANISH_THRESHOLD, "above", False, None,
+                                  {"skipped": True, "reason": skipped})
+                      for name in ("persistency_failure_theta", "persistency_failure_phi"))
 
     checks.append(check_oracle_agreement(field, cfg, seed=seed))
     checks.append(check_navier_traction(field, boundary_grid, nu=nu))

@@ -145,6 +145,40 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, ["verify", "--config", "/no/such/file.json"])
         assert code == 1
 
+    @pytest.mark.parametrize("data,key,kind", [
+        ({"oracle": {"richardson": "no"}}, "oracle.richardson", "a boolean"),
+        ({"oracle": {"step": "abc"}}, "oracle.step", "a number"),
+        ({"grid": {"n_r": "32"}}, "grid.n_r", "an integer"),
+        ({"grid": {"n_r": 8.5, "n_theta": 8, "n_phi": 8}}, "grid.n_r", "an integer"),
+        ({"nu": "x"}, "nu", "a number"),
+        ({"seed": 1.5}, "seed", "an integer"),
+        ({"family": 3}, "family", "a string"),
+        ({"epsilons": [1, 0.1, 0.01, "x"]}, "epsilons", "a list of numbers"),
+        ({"seed": True}, "seed", "an integer"),
+        ({"nu": False}, "nu", "a number"),
+        ({"report": 5}, "report", "a string or null"),
+    ])
+    def test_leaf_of_the_wrong_type_is_a_config_error(self, capsys, tmp_path, data, key, kind):
+        # each used to run with the value misread or end in a raw traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(capsys, ["verify", "--config", str(cfg),
+                                          "--report", str(report)] + FAST_GRID)
+        assert code == 1
+        assert err.startswith(f"error: config key {key!r} must be {kind}, got ")
+        assert out == "" and not report.exists()
+
+    def test_int_where_a_float_is_expected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nu": 2, "report": None, "oracle": {"richardson": True}}))
+        report = tmp_path / "r.json"
+        code, _, _ = run_cli(capsys, ["verify", "--config", str(cfg), "--no-timestamp",
+                                      "--report", str(report)] + FAST_GRID)
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert by_name["navier_traction"]["details"]["nu"] == 2
+
 
 class TestEvalCommand:
     def test_boundary_point(self, capsys):
@@ -221,6 +255,17 @@ class TestSampleCommand:
                                       "--grid-nphi", "8"])
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 1 + 8 * 8 * 8
+
+    @pytest.mark.parametrize("argv", [
+        ["--field", "u", "--on", "surface", "--grid-ntheta", "16", "--grid-nphi", "16"],
+        ["--field", "curl_v_boundary", "--grid-nr", "9"],
+    ])
+    def test_volume_grid_flags_rejected_on_the_surface(self, capsys, tmp_path, argv):
+        # these used to exit 0 and write the 64x128 sample_grid regardless
+        out_path = tmp_path / "s.csv"
+        code, _, err = run_cli(capsys, ["sample", *argv, "--out", str(out_path)])
+        assert code == 1
+        assert "sample_grid" in err and not out_path.exists()
 
     def test_unknown_selector(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["sample", "--field", "vorticity",

@@ -311,6 +311,17 @@ class TestAdmissibility:
         assert rep.slip_ok
         assert not rep.h1_nonzero
 
+    def test_report_dict_keys_and_order(self, default_field):
+        d = default_field.admissibility.to_dict()
+        assert list(d) == ["slip_condition_residual", "h1_value", "h1_nonzero",
+                           "pole_margin_ok", "support_ok", "periodicity_ok",
+                           "witness_a1", "witness_a2"]
+        for key in ("witness_a1", "witness_a2"):
+            assert list(d[key]) == ["r", "theta", "phi"]
+            assert all(type(v) is float for v in d[key].values())
+        none = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
+        assert none.admissibility.to_dict()["witness_a1"] is None
+
 
 class TestWitnesses:
     def test_default_witnesses(self, default_field):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from slipball import family as fam
 from slipball import kernels, oracle, verify
 from slipball.errors import StencilOutOfDomain
 from slipball.oracle import FDConfig
@@ -146,6 +147,64 @@ def test_one_call_per_stencil_offset(default_field):
     oracle.fd_curl_spherical(fn, R, THETA, PHI, FDConfig())
     # theta and phi: 2 offsets x 2 steps; r with edge nodes: 3 offsets x 2 steps
     assert calls == [R.shape] * 14
+
+
+def ref_cartesian_jacobian(components_fn, r, theta, phi, cfg, mask=None):
+    """The Jacobian as the oracle built it before it filled one array: a
+    3x3 list of lists, one unmasked path and one scatter path."""
+    x, y, z = kernels.sph_to_cart(*np.broadcast_arrays(r, theta, phi))
+
+    def rows(base):
+        def field_at(xx, yy, zz):
+            rr, tt, pp = kernels.cart_to_sph(xx, yy, zz)
+            return kernels.vec_sph_to_cart(tt, pp, *components_fn(rr, tt, pp))
+
+        def column(j, h):
+            plus, minus = list(base), list(base)
+            plus[j] = base[j] + h
+            minus[j] = base[j] - h
+            wp, wm = field_at(*plus), field_at(*minus)
+            return [(wp[i] - wm[i]) / (2.0 * h) for i in range(3)]
+
+        jac = [[None] * 3 for _ in range(3)]
+        for j in range(3):
+            if cfg.richardson:
+                c1, c2 = column(j, cfg.step), column(j, cfg.step / 2.0)
+                col = [(4.0 * c2[i] - c1[i]) / 3.0 for i in range(3)]
+            else:
+                col = column(j, cfg.step)
+            for i in range(3):
+                jac[i][j] = col[i]
+        return jac
+
+    if mask is None:
+        return rows([x, y, z])
+    keep = np.broadcast_to(mask, x.shape)
+    jac = [[np.zeros(x.shape) for _ in range(3)] for _ in range(3)]
+    for row, kept in zip(jac, rows([x[keep], y[keep], z[keep]])):
+        for out, values in zip(row, kept):
+            out[keep] = values
+    return jac
+
+
+@pytest.mark.parametrize("cfg", CONFIGS[:2])
+@pytest.mark.parametrize("mask", ["none", "all", "partial"])
+def test_cartesian_jacobian_matches_the_list_of_lists_code(default_field, cfg, mask):
+    rng = np.random.default_rng(7)
+    # a (6, 5) broadcast of radii against angles, half of it off the support
+    r = rng.uniform(0.1, 0.9, (6, 1))
+    theta, phi = rng.uniform(0.3, PI - 0.3, 5), rng.uniform(0.0, 2 * PI, 5)
+    node_mask = {"none": None, "all": np.ones((6, 5), dtype=bool),
+                 "partial": default_field.support_mask(r, theta, pad=2.0 * cfg.step)}[mask]
+    if mask == "partial":
+        assert 0 < np.count_nonzero(node_mask) < node_mask.size
+    got = oracle.cartesian_jacobian_grid(default_field.u_components, r, theta, phi, cfg,
+                                         node_mask)
+    want = ref_cartesian_jacobian(default_field.u_components, r, theta, phi, cfg, node_mask)
+    for i in range(3):
+        for j in range(3):
+            assert np.array_equal(got[i][j], want[i][j])
+            assert np.array_equal(np.signbit(got[i][j]), np.signbit(want[i][j]))
 
 
 def test_phi_is_reduced_before_evaluation():
@@ -287,6 +346,22 @@ def test_neighborhood_radius_matches_ring_loop(default_field, component, floor_f
                                          floor_fraction, **kwargs)
         want = ref_neighborhood_radius(default_field, component, witness,
                                        floor_fraction, **kwargs)
+        assert got == want
+
+
+@pytest.mark.parametrize("floor_fraction", [0.25, 0.5])
+@pytest.mark.parametrize("component", ["theta", "phi"])
+@pytest.mark.parametrize("angular", [fam.default_angular, fam.cosine_angular])
+def test_neighborhood_radius_frame_matches_the_cross_products(angular, component,
+                                                              floor_fraction):
+    # the tangent frame now comes from basis_at (t1 = e_phi, t2 = -e_theta);
+    # the reference builds it from cross products, as neighborhood_radius did
+    field = fam.CounterexampleField(fam.default_profile(), angular())
+    adm = field.admissibility
+    witness = adm.witness_a1 if component == "theta" else adm.witness_a2
+    for kwargs in ({}, {"n_directions": 7, "n_rings": 3, "iterations": 30}):
+        got = verify.neighborhood_radius(field, component, witness, floor_fraction, **kwargs)
+        want = ref_neighborhood_radius(field, component, witness, floor_fraction, **kwargs)
         assert got == want
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slipball import oracle
@@ -62,6 +62,57 @@ class TestPointConversions:
     def test_non_finite_coordinates_rejected(self, coords):
         with pytest.raises(ValueError, match="non-finite"):
             SphPoint(*coords)
+
+
+def ref_sphpoint_coords(r, theta, phi):
+    """The scalar normaliser SphPoint held before it shared the oracles' one."""
+    r, theta, phi = float(r), float(theta), float(phi)
+    if not (math.isfinite(r) and math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError("non-finite coordinate")
+    if r < -1e-12:
+        raise ValueError("negative radius")
+    if theta < -1e-12 or theta > PI + 1e-12:
+        raise ValueError("colatitude out of range")
+    phi = phi % (2.0 * PI)
+    if phi == 2.0 * PI:
+        phi = 0.0
+    return max(r, 0.0), min(max(theta, 0.0), PI), phi
+
+
+_TWO_PI_DOWN = math.nextafter(2 * PI, 0.0)
+_SLACK = 1e-12
+
+
+def _near(*values):
+    # exact edge values, values around them, and any float (NaN and inf too)
+    return st.one_of(st.sampled_from(values),
+                     st.floats(min_value=-2 * _SLACK, max_value=2 * _SLACK),
+                     st.floats())
+
+
+class TestSharedNormaliser:
+    @given(_near(0.0, -0.0, -_SLACK, -_SLACK / 2, math.nextafter(-_SLACK, -1.0), 0.5),
+           _near(0.0, -0.0, -_SLACK, PI, PI + _SLACK, math.nextafter(PI + _SLACK, 4.0),
+                 math.nextafter(-_SLACK, -1.0), 1.0),
+           _near(-0.0, -1e-300, -5e-324, _TWO_PI_DOWN, 2 * PI, -_TWO_PI_DOWN, -PI, 7.0,
+                 -7.5, 1e20))
+    @example(-0.0, -0.0, -0.0)
+    @example(0.5, PI + _SLACK, _TWO_PI_DOWN)
+    @example(0.5, -_SLACK, -1e-300)
+    @example(0.5, 1.0, math.nan)
+    @settings(max_examples=400, deadline=None)
+    def test_sphpoint_agrees_with_the_scalar_normaliser(self, r, theta, phi):
+        try:
+            want = ref_sphpoint_coords(r, theta, phi)
+        except ValueError:
+            with pytest.raises(ValueError):
+                SphPoint(r, theta, phi)
+            return
+        p = SphPoint(r, theta, phi)
+        got = (p.r, p.theta, p.phi)
+        assert all(type(c) is float for c in got)
+        # bit for bit, so signed zeros count
+        assert [c.hex() for c in got] == [c.hex() for c in want]
 
 
 class TestBasis:
