@@ -5,12 +5,14 @@ eval (field components at one point), sample (CSV grid export), and
 sweep (slip-residual scaling in the perturbation size).
 
 Exit codes: 0 success, 1 usage/config error, 2 check failure.  stdout
-carries data and reports only; diagnostics go to stderr.  Options given on
-the command line override values from the JSON config file, which overrides
-the built-in defaults.
+carries data and reports only; diagnostics go to stderr.  Flags (each declared
+once, in `_FLAGS`) override the JSON config file, which overrides the built-in
+defaults.  Commands raise `ConfigError` on bad input; `main` prints every
+`SlipballError` as one `error: ...` line and exits 1.
 """
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -43,16 +45,6 @@ _DEFAULTS = {
     "out": None,
     "timestamp": True,
 }
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; the contract reserves 2 for
-    failed checks, so remap usage errors to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _is_number(v):
@@ -101,54 +93,53 @@ def load_config(path):
     return cfg
 
 
-# flags that set a key of a config section: (args attribute, (section, key))
-_SECTION_FLAGS = (
-    ("grid_nr", ("grid", "n_r")), ("grid_ntheta", ("grid", "n_theta")),
-    ("grid_nphi", ("grid", "n_phi")),
-    ("grid_margin_r", ("grid", "margin_r")),
-    ("grid_margin_theta", ("grid", "margin_theta")),
-    ("boundary_ntheta", ("boundary_grid", "n_theta")),
-    ("boundary_nphi", ("boundary_grid", "n_phi")),
-    ("oracle_step", ("oracle", "step")),
-)
+# Each flag that sets one config key, by config section ("" holds the
+# top-level keys).  Its dest is the key's dotted path and its type that of the
+# key's default; a key whose default is True gets a --no-* switch.
+_FLAGS = {
+    "": {"--family": "family", "--report": "report", "--out": "out",
+         "--epsilons": "epsilons", "--no-timestamp": "timestamp", "--nu": "nu",
+         "--seed": "seed"},
+    "grid": {"--grid-nr": "n_r", "--grid-ntheta": "n_theta", "--grid-nphi": "n_phi",
+             "--grid-margin-r": "margin_r", "--grid-margin-theta": "margin_theta"},
+    "boundary_grid": {"--boundary-ntheta": "n_theta", "--boundary-nphi": "n_phi"},
+    "oracle": {"--oracle-step": "step", "--no-richardson": "richardson"},
+}
+_DESTS = {flag: f"{section}.{key}".lstrip(".")
+          for section, flags in _FLAGS.items() for flag, key in flags.items()}
+
+
+def _slot(cfg, dest):
+    """The dict holding the config key at dotted path `dest`, and that key."""
+    section, _, key = dest.rpartition(".")
+    return (cfg[section] if section else cfg), key
 
 
 def _apply_overrides(cfg, args):
-    for key in ("family", "report", "out", "nu", "seed"):
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
-    for attr, (sect, key) in _SECTION_FLAGS:
-        v = getattr(args, attr, None)
-        if v is not None:
-            cfg[sect][key] = v
-    if getattr(args, "no_richardson", False):
-        cfg["oracle"]["richardson"] = False
-    if getattr(args, "no_timestamp", False):
-        cfg["timestamp"] = False
-    if getattr(args, "epsilons", None) is not None:
+    """Write into cfg each config flag given; the namespace holds only those,
+    under their dotted config paths."""
+    given = vars(args)
+    for dest in given.keys() & _DESTS.values():
+        section, key = _slot(cfg, dest)
+        section[key] = given[dest]
+    if "epsilons" in given:
         try:
-            cfg["epsilons"] = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
+            cfg["epsilons"] = [float(tok) for tok in given["epsilons"].split(",") if tok.strip()]
         except ValueError:
-            raise ConfigError(f"cannot parse --epsilons {args.epsilons!r}") from None
+            raise ConfigError(f"cannot parse --epsilons {given['epsilons']!r}") from None
     return cfg
 
 
-def _boundary_spec(section):
-    return verify.GridSpec(n_theta=section["n_theta"], n_phi=section["n_phi"],
-                           boundary_only=True)
-
-
-_PIECES = {"grid": lambda section: verify.GridSpec(**section),
-           "boundary_grid": _boundary_spec, "sample_grid": _boundary_spec,
-           "oracle": lambda section: FDConfig(**section)}
+_surface_grid = functools.partial(verify.GridSpec, boundary_only=True)
+_PIECES = {"grid": verify.GridSpec, "boundary_grid": _surface_grid,
+           "sample_grid": _surface_grid, "oracle": FDConfig}
 
 
 def _build_pieces(cfg, *sections):
     """The family, then one object per named config section, built in that
     order; the first bad value raises ConfigError."""
     try:
-        return [fam.family_by_label(cfg["family"])] + [_PIECES[k](cfg[k]) for k in sections]
+        return [fam.family_by_label(cfg["family"])] + [_PIECES[k](**cfg[k]) for k in sections]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -172,11 +163,12 @@ def _print_report_table(report):
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
 
 
-def cmd_verify(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_verify(args, cfg) -> int:
     field, interior, boundary, fd = _build_pieces(cfg, "grid", "boundary_grid", "oracle")
     if not math.isfinite(cfg["nu"]):
         raise ConfigError(f"nu must be finite, got {cfg['nu']}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     try:
         interior.require_margins_for(fd)
     except ValueError as exc:
@@ -191,27 +183,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
 
 
-def cmd_eval(args) -> int:
-    cfg = _apply_overrides(load_config(None), args)
+def _evaluators(field):
+    return {"u": field.u_components, "omega": field.omega_components, "v": field.v_components}
+
+
+def cmd_eval(args, cfg) -> int:
     if args.r > 1.0 + 1e-12:
-        print(f"error: point r={args.r} outside the closed unit ball", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"point r={args.r} outside the closed unit ball")
+    [field] = _build_pieces(cfg)
     try:
-        field = fam.family_by_label(cfg["family"])
         p = SphPoint(args.r, args.theta, args.phi)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    ur, ut, up = field.u_components(p.r, p.theta, p.phi)
-    wr, wt, wp = field.omega_components(p.r, p.theta, p.phi)
-    vr, vt, vp = field.v_components(p.r, p.theta, p.phi)
-    out = {
-        "family": field.label,
-        "point": {"r": p.r, "theta": p.theta, "phi": p.phi},
-        "u": {"r": ur, "theta": ut, "phi": up},
-        "omega": {"r": wr, "theta": wt, "phi": wp},
-        "v": {"r": vr, "theta": vt, "phi": vp},
-    }
+        raise ConfigError(str(exc)) from exc
+    out = {"family": field.label, "point": asdict(p)}
+    for name, components in _evaluators(field).items():
+        out[name] = dict(zip(("r", "theta", "phi"), components(p.r, p.theta, p.phi)))
     if abs(p.r - 1.0) <= 1e-12:
         bt, bp = field.boundary_curl(p.theta, p.phi)
         out["boundary"] = {"curl_v_theta": bt, "curl_v_phi": bp}
@@ -231,32 +217,23 @@ def _sample_rows(field, selector, on_surface, interior, sample_boundary):
         r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
     if selector == "curl_v_boundary":  # on the surface only
         return "r,theta,phi,curl_v_theta,curl_v_phi", (r, th, ph, *field.boundary_curl(th, ph))
-    getter = {"u": field.u_components, "omega": field.omega_components,
-              "v": field.v_components}[selector]
-    return "r,theta,phi,c_r,c_theta,c_phi", (r, th, ph, *getter(r, th, ph))
+    return "r,theta,phi,c_r,c_theta,c_phi", (r, th, ph, *_evaluators(field)[selector](r, th, ph))
 
 
-def cmd_sample(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_sample(args, cfg) -> int:
     if args.field not in _SAMPLE_FIELDS:
-        print(f"error: unknown field selector {args.field!r} "
-              f"(choose from {', '.join(_SAMPLE_FIELDS)})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"unknown field selector {args.field!r} "
+                          f"(choose from {', '.join(_SAMPLE_FIELDS)})")
     if args.on not in ("surface", "volume"):
-        print(f"error: unknown region selector {args.on!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"unknown region selector {args.on!r}")
     if args.field == "curl_v_boundary" and args.on == "volume":
-        print("error: curl_v_boundary is only defined on the surface", file=sys.stderr)
-        return EXIT_USAGE
-    if args.on == "surface" and any(getattr(args, attr) is not None
-                                    for attr, (sect, _) in _SECTION_FLAGS if sect == "grid"):
-        print("error: --grid-* flags set the volume grid (--on volume); the surface "
-              "grid is the config's sample_grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("curl_v_boundary is only defined on the surface")
+    if args.on == "surface" and any(dest.startswith("grid.") for dest in vars(args)):
+        raise ConfigError("--grid-* flags set the volume grid (--on volume); the surface "
+                          "grid is the config's sample_grid")
     out_path = cfg["out"]
     if not out_path:
-        print("error: --out is required for sample", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--out is required for sample")
     field, interior, sample_boundary = _build_pieces(cfg, "grid", "sample_grid")
     header, cols = _sample_rows(field, args.field, args.on == "surface",
                                 interior, sample_boundary)
@@ -268,21 +245,17 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_sweep(args, cfg) -> int:
     epsilons = cfg["epsilons"]
     if len(epsilons) < 4:
-        print(f"error: need at least 4 epsilons, got {len(epsilons)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"need at least 4 epsilons, got {len(epsilons)}")
     if not all(math.isfinite(e) for e in epsilons):
-        print(f"error: epsilons must be finite, got {epsilons}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"epsilons must be finite, got {epsilons}")
     field, boundary = _build_pieces(cfg, "boundary_grid")
     try:
         sweep = verify.scaling_sweep(field, epsilons, boundary)
     except DegenerateFit as exc:
-        print(f"error: degenerate fit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"degenerate fit: {exc}") from exc
     print(f"{'eps':>14s} {'residual':>22s}  in_fit")
     included = set(sweep.included)
     for eps, res in sweep.rows:
@@ -296,38 +269,39 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="slipball",
-                     description="Certify slip-boundary velocity fields on the unit ball.")
+def _add_flags(p, *flags, help=None):
+    """Add config flags to subparser p; each is absent from the namespace
+    unless given."""
+    for flag in flags:
+        section, key = _slot(_DEFAULTS, _DESTS[flag])
+        default = section[key]
+        kind = ({"action": "store_false"} if default is True else
+                {"type": type(default) if _is_number(default) else None,
+                 "metavar": flag[2:].replace("-", "_").upper()})
+        p.add_argument(flag, dest=_DESTS[flag], default=argparse.SUPPRESS, help=help, **kind)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="slipball", description="Certify slip-boundary velocity fields on the unit ball.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--family", help="family label: default, h1zero, perturbed:<eps>")
+        _add_flags(p, "--family", help="family label: default, h1zero, perturbed:<eps>")
 
     pv = sub.add_parser("verify", help="run the full certification")
     add_common(pv)
-    pv.add_argument("--report", help="write the JSON report here")
-    pv.add_argument("--no-timestamp", action="store_true",
-                    help="omit the timestamp for byte-reproducible reports")
-    pv.add_argument("--grid-nr", type=int)
-    pv.add_argument("--grid-ntheta", type=int)
-    pv.add_argument("--grid-nphi", type=int)
-    pv.add_argument("--grid-margin-r", type=float)
-    pv.add_argument("--grid-margin-theta", type=float)
-    pv.add_argument("--boundary-ntheta", type=int)
-    pv.add_argument("--boundary-nphi", type=int)
-    pv.add_argument("--oracle-step", type=float)
-    pv.add_argument("--no-richardson", action="store_true")
-    pv.add_argument("--nu", type=float)
-    pv.add_argument("--seed", type=int)
+    _add_flags(pv, "--report", help="write the JSON report here")
+    _add_flags(pv, "--no-timestamp", help="omit the timestamp for byte-reproducible reports")
+    _add_flags(pv, *_FLAGS["grid"], *_FLAGS["boundary_grid"], *_FLAGS["oracle"],
+               "--nu", "--seed")
     pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("eval", help="evaluate the fields at one point")
-    pe.add_argument("--family")
-    pe.add_argument("--r", type=float, required=True)
-    pe.add_argument("--theta", type=float, required=True)
-    pe.add_argument("--phi", type=float, required=True)
+    _add_flags(pe, "--family")
+    for coordinate in ("--r", "--theta", "--phi"):
+        pe.add_argument(coordinate, type=float, required=True)
     pe.set_defaults(func=cmd_eval)
 
     ps = sub.add_parser("sample", help="export a field on a grid as CSV")
@@ -335,39 +309,32 @@ def build_parser() -> _Parser:
     ps.add_argument("--field", required=True,
                     help="u, omega, v, or curl_v_boundary")
     ps.add_argument("--on", default="surface", help="surface or volume")
-    ps.add_argument("--out", help="output CSV path")
-    ps.add_argument("--grid-nr", type=int)
-    ps.add_argument("--grid-ntheta", type=int)
-    ps.add_argument("--grid-nphi", type=int)
-    ps.add_argument("--grid-margin-r", type=float)
-    ps.add_argument("--grid-margin-theta", type=float)
+    _add_flags(ps, "--out", help="output CSV path")
+    _add_flags(ps, *_FLAGS["grid"])
     ps.set_defaults(func=cmd_sample)
 
     pw = sub.add_parser("sweep", help="slip-residual scaling in the perturbation size")
     add_common(pw)
-    pw.add_argument("--epsilons", help="comma-separated perturbation sizes")
-    pw.add_argument("--report", help="write sweep rows + slope as JSON here")
-    pw.add_argument("--boundary-ntheta", type=int)
-    pw.add_argument("--boundary-nphi", type=int)
+    _add_flags(pw, "--epsilons", help="comma-separated perturbation sizes")
+    _add_flags(pw, "--report", help="write sweep rows + slope as JSON here")
+    _add_flags(pw, *_FLAGS["boundary_grid"])
     pw.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        cfg = _apply_overrides(load_config(vars(args).get("config")), args)
+        return args.func(args, cfg)
     except SystemExit as exc:
-        # argparse raises SystemExit for --help (code 0) and usage errors
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # argparse exits 0 after --help and 2 on bad usage; 2 means a failed
+        # check here, so bad usage falls through to exit 1
+        if not exc.code:
+            return EXIT_OK
     except SlipballError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_USAGE
 
 
 def entry():

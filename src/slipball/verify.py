@@ -126,21 +126,9 @@ class CheckResult:
 
     def to_dict(self):
         w = None if self.witness is None else asdict(self.witness)
-        return _jsonify({"name": self.name, "norm_sup": self.norm_sup,
-                         "norm_l2": self.norm_l2, "tolerance": self.tolerance,
-                         "direction": self.direction, "pass": bool(self.passed),
-                         "witness": w, "details": self.details})
-
-
-def _jsonify(obj):
-    """Recursively convert numpy scalars so json.dumps accepts the report."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+        return {"name": self.name, "norm_sup": self.norm_sup, "norm_l2": self.norm_l2,
+                "tolerance": self.tolerance, "direction": self.direction,
+                "pass": bool(self.passed), "witness": w, "details": self.details}
 
 
 def _grid_result(name, direction, values, weights, tolerance, witness_fn, details=None):

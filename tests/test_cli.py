@@ -1,11 +1,17 @@
 """CLI contract: exit codes, JSON/CSV output, config precedence."""
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slipball import cli
+import slipball
+from slipball import cli, family, verify
 
 FAST_GRID = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
              "--boundary-ntheta", "32", "--boundary-nphi", "64"]
@@ -53,7 +59,43 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, ["verify", "--nu", "nan", "--report", str(report)]
                                  + FAST_GRID)
         assert code == 1
-        assert "nu must be finite" in err and not report.exists()
+        assert err == "error: nu must be finite, got nan\n"
+        assert out == "" and not report.exists()
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_negative_seed_exits_one_before_any_check(self, capsys, tmp_path, monkeypatch,
+                                                      form):
+        # used to run three checks, then end in numpy's raw ValueError traceback
+        monkeypatch.setattr(verify, "run_full_verification",
+                            lambda *a, **k: pytest.fail("a check ran"))
+        report = tmp_path / "out.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        seed = ["--seed", "-1"] if form == "flag" else ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, ["verify", *seed, "--report", str(report)] + FAST_GRID)
+        assert code == 1
+        assert err == "error: seed must be non-negative, got -1\n"
+        assert out == "" and not report.exists()
+
+    def test_every_flag_reaches_the_run(self, capsys, tmp_path):
+        report = tmp_path / "out.json"
+        code, _, _ = run_cli(capsys, [
+            "verify", "--family", "perturbed:1e-3", "--report", str(report), "--no-timestamp",
+            "--grid-nr", "8", "--grid-ntheta", "9", "--grid-nphi", "10",
+            "--grid-margin-r", "0.06", "--grid-margin-theta", "0.07",
+            "--boundary-ntheta", "32", "--boundary-nphi", "66",
+            "--oracle-step", "2e-4", "--no-richardson", "--nu", "2.5", "--seed", "99"])
+        assert code in (0, 2)  # the coarser oracle may fail a tolerance; the run completes
+        doc = json.loads(report.read_text())
+        assert doc["family"] == "perturbed:1e-3" and "timestamp" not in doc
+        assert doc["grid"] == {
+            "interior": {"n_r": 8, "n_theta": 9, "n_phi": 10, "margin_r": 0.06,
+                         "margin_theta": 0.07, "boundary_only": False},
+            "boundary": {"n_r": 32, "n_theta": 32, "n_phi": 66, "margin_r": 0.05,
+                         "margin_theta": 0.05, "boundary_only": True}}
+        assert doc["oracle"] == {"step": 2e-4, "richardson": False, "seed": 99}
+        by_name = {c["name"]: c for c in doc["checks"]}
+        assert by_name["navier_traction"]["details"]["nu"] == 2.5
 
     @pytest.mark.parametrize("label", ["perturbed:nan", "perturbed:inf"])
     def test_non_finite_perturbation_exits_one(self, capsys, label):
@@ -199,9 +241,9 @@ class TestEvalCommand:
         assert "boundary" not in doc
 
     def test_outside_ball(self, capsys):
-        code, _, err = run_cli(capsys, ["eval", "--r", "2", "--theta", "1", "--phi", "0"])
+        code, out, err = run_cli(capsys, ["eval", "--r", "2", "--theta", "1", "--phi", "0"])
         assert code == 1
-        assert "unit ball" in err
+        assert err == "error: point r=2.0 outside the closed unit ball\n" and out == ""
 
     @pytest.mark.parametrize("coord", ["--r", "--theta", "--phi"])
     def test_nan_coordinate_exits_one(self, capsys, coord):
@@ -209,7 +251,7 @@ class TestEvalCommand:
         argv[coord] = "nan"
         code, out, err = run_cli(capsys, ["eval"] + [t for kv in argv.items() for t in kv])
         assert code == 1
-        assert "non-finite" in err and out == ""
+        assert err == f"error: non-finite coordinate {coord[2:]}=nan\n" and out == ""
 
     def test_interior_values_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, ["eval", "--r", "0.9", "--theta", "1.5707963267948966",
@@ -256,6 +298,19 @@ class TestSampleCommand:
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 1 + 8 * 8 * 8
 
+    def test_volume_grid_flags_reach_the_mesh(self, capsys, tmp_path):
+        out_path = tmp_path / "v.csv"
+        code, _, _ = run_cli(capsys, ["sample", "--field", "u", "--on", "volume",
+                                      "--out", str(out_path), "--grid-nr", "8",
+                                      "--grid-ntheta", "9", "--grid-nphi", "10",
+                                      "--grid-margin-r", "0.1", "--grid-margin-theta", "0.2"])
+        assert code == 0
+        rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+        mesh = verify.GridSpec(n_r=8, n_theta=9, n_phi=10, margin_r=0.1,
+                               margin_theta=0.2).interior_mesh()
+        for column, axis in enumerate(("r", "theta", "phi")):
+            assert np.array_equal(rows[:, column], mesh[axis])
+
     @pytest.mark.parametrize("argv", [
         ["--field", "u", "--on", "surface", "--grid-ntheta", "16", "--grid-nphi", "16"],
         ["--field", "curl_v_boundary", "--grid-nr", "9"],
@@ -265,13 +320,16 @@ class TestSampleCommand:
         out_path = tmp_path / "s.csv"
         code, _, err = run_cli(capsys, ["sample", *argv, "--out", str(out_path)])
         assert code == 1
-        assert "sample_grid" in err and not out_path.exists()
+        assert err == ("error: --grid-* flags set the volume grid (--on volume); "
+                       "the surface grid is the config's sample_grid\n")
+        assert not out_path.exists()
 
     def test_unknown_selector(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["sample", "--field", "vorticity",
                                         "--out", str(tmp_path / "x.csv")])
         assert code == 1
-        assert "unknown field selector" in err
+        assert err == ("error: unknown field selector 'vorticity' "
+                       "(choose from u, omega, v, curl_v_boundary)\n")
 
     def test_values_round_trip_17_digits(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"
@@ -296,19 +354,30 @@ class TestSweepCommand:
         doc = json.loads(report.read_text())
         assert abs(doc["slope"] - 1.0) <= 0.05
 
+    def test_boundary_grid_flags_reach_the_sweep(self, capsys, tmp_path):
+        report = tmp_path / "sweep.json"
+        code, _, _ = run_cli(capsys, ["sweep", "--boundary-ntheta", "33",
+                                      "--boundary-nphi", "70", "--report", str(report)])
+        assert code == 0
+        grid = verify.GridSpec(n_theta=33, n_phi=70, boundary_only=True)
+        sweep = verify.scaling_sweep(family.default_field(), [1e-1, 1e-2, 1e-3, 1e-4], grid)
+        expected = {"family": "default", **sweep.to_dict()}
+        assert json.loads(report.read_text()) == json.loads(json.dumps(expected))
+
     def test_equal_epsilons(self, capsys):
-        code, _, err = run_cli(capsys, ["sweep", "--epsilons", "1e-2,1e-2,1e-2,1e-2"])
+        code, out, err = run_cli(capsys, ["sweep", "--epsilons", "1e-2,1e-2,1e-2,1e-2"])
         assert code == 1
-        assert "degenerate" in err.lower()
+        assert err == "error: degenerate fit: all eps values identical\n" and out == ""
 
     def test_non_finite_epsilon_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--epsilons", "nan,1e-1,1e-2,1e-3"])
         assert code == 1
-        assert "finite" in err
+        assert err == "error: epsilons must be finite, got [nan, 0.1, 0.01, 0.001]\n"
 
     def test_too_few_epsilons(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--epsilons", "1e-1,1e-2"])
         assert code == 1
+        assert err == "error: need at least 4 epsilons, got 2\n"
 
     def test_zero_eps_row_excluded(self, capsys):
         code, out, _ = run_cli(capsys, ["sweep", "--boundary-ntheta", "32",
@@ -327,3 +396,60 @@ class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, [])
         assert code == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sample", "--field", "u", "--on", "edge", "--out", "x.csv"],
+         "unknown region selector 'edge'"),
+        (["sample", "--field", "curl_v_boundary", "--on", "volume", "--out", "x.csv"],
+         "curl_v_boundary is only defined on the surface"),
+        (["sample", "--field", "u"], "--out is required for sample"),
+        (["sweep", "--epsilons", "1e-1,x,1e-3,1e-4"], "cannot parse --epsilons '1e-1,x,1e-3,1e-4'"),
+    ])
+    def test_command_error_is_one_line_and_exit_one(self, capsys, tmp_path, monkeypatch,
+                                                    argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err == f"error: {message}\n" and out == ""
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_options_and_metavars_per_subcommand(self):
+        grid = ["--grid-nr GRID_NR", "--grid-ntheta GRID_NTHETA", "--grid-nphi GRID_NPHI",
+                "--grid-margin-r GRID_MARGIN_R", "--grid-margin-theta GRID_MARGIN_THETA"]
+        boundary = ["--boundary-ntheta BOUNDARY_NTHETA", "--boundary-nphi BOUNDARY_NPHI"]
+        common = ["-h, --help", "--config CONFIG", "--family FAMILY"]
+        expected = {
+            "verify": [*common, "--report REPORT", "--no-timestamp", *grid, *boundary,
+                       "--oracle-step ORACLE_STEP", "--no-richardson", "--nu NU", "--seed SEED"],
+            "eval": ["-h, --help", "--family FAMILY", "--r R", "--theta THETA", "--phi PHI"],
+            "sample": [*common, "--field FIELD", "--on ON", "--out OUT", *grid],
+            "sweep": [*common, "--epsilons EPSILONS", "--report REPORT", *boundary],
+        }
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        got = {}
+        for name, parser in subcommands.items():
+            formatter = parser._get_formatter()
+            got[name] = [formatter._format_action_invocation(a) for a in parser._actions]
+        assert got == expected
+
+
+class TestShellEntry:
+    """`python -m slipball.cli` runs `entry()`, which exits with `main`'s code."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--family", "default"], 0),
+        (["--family", "h1zero"], 2),
+        (["--seed", "-1"], 1),
+    ], ids=["default", "h1zero", "negative-seed"])
+    def test_exit_code_of_the_process(self, tmp_path, argv, code):
+        src = str(Path(slipball.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "slipball.cli", "verify", "--no-timestamp",
+                               *argv, *FAST_GRID], capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 1:
+            assert proc.stderr == "error: seed must be non-negative, got -1\n"

@@ -438,3 +438,27 @@ class TestFullVerification:
                     "pass", "witness", "details"} <= set(check)
         assert doc["grid"]["interior"]["n_r"] == SMALL_INTERIOR.n_r
         assert doc["oracle"]["step"] == 1e-4
+
+    @pytest.mark.parametrize("label", ["default", "h1zero", "perturbed:1e-3"])
+    def test_report_leaves_are_plain_json_types(self, label):
+        # to_dict converts nothing, so a numpy scalar (np.float64 subclasses
+        # float) or a tuple in any check's numbers or details would reach it
+        report = verify.run_full_verification(
+            fam.family_by_label(label), GridSpec(n_r=8, n_theta=8, n_phi=8),
+            GridSpec(n_theta=32, n_phi=64, boundary_only=True))
+        doc = report.to_dict()
+        by_name = {c["name"]: c for c in doc["checks"]}
+        skipped = label == "perturbed:1e-3"
+        for name in ("persistency_failure_theta", "persistency_failure_phi"):
+            assert by_name[name]["details"].get("skipped", False) is skipped
+
+        def leaves(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [leaf for child in node for leaf in leaves(child)]
+            return [node]
+
+        bad = [leaf for leaf in leaves(doc)
+               if type(leaf) not in (str, int, float, bool, type(None))]
+        assert bad == []
