@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 usage/config error, 2 check failure.  stdout
 carries data and reports only; diagnostics go to stderr.  Flags (each declared
 once, in `_FLAGS`) override the JSON config file, which overrides the built-in
 defaults.  Commands raise `ConfigError` on bad input; `main` prints every
-`SlipballError` as one `error: ...` line and exits 1.
+`SlipballError` as one `error: ...` line and exits 1.  A sweep whose
+residuals vanish is a failed check: one `error:` line and exit 2.
 """
 import argparse
 import copy
@@ -254,8 +255,11 @@ def cmd_sweep(args, cfg) -> int:
     field, boundary = _build_pieces(cfg, "boundary_grid")
     try:
         sweep = verify.scaling_sweep(field, epsilons, boundary)
-    except DegenerateFit as exc:
-        raise ConfigError(f"degenerate fit: {exc}") from exc
+    except ValueError as exc:  # eps values that cannot be fitted
+        raise ConfigError(str(exc)) from exc
+    except DegenerateFit as exc:  # vanishing residuals: the scaling check fails
+        print(f"error: degenerate fit: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     print(f"{'eps':>14s} {'residual':>22s}  in_fit")
     included = set(sweep.included)
     for eps, res in sweep.rows:
@@ -263,7 +267,7 @@ def cmd_sweep(args, cfg) -> int:
     print(f"slope {sweep.slope:.6f} (target 1.00 +/- 0.05)")
     if cfg["report"]:
         with open(cfg["report"], "w") as fh:
-            json.dump({"family": field.label, **sweep.to_dict()}, fh, indent=2)
+            json.dump({"family": field.label, **sweep.to_dict()}, fh, indent=2, allow_nan=False)
             fh.write("\n")
     ok = SLOPE_BAND[0] <= sweep.slope <= SLOPE_BAND[1]
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -14,15 +14,17 @@ tangential components of curl(v) on the unit sphere:
 with G = d_theta(sin g_theta) + g_phiphi / sin.  Profiles vanish identically
 near r = 0 and angular functions near both poles, so every evaluator
 short-circuits to exact zeros inside those margins and never touches 1/r or
-1/sin there.  The profile and angular jets are computed only on the nodes
-inside the support (see _support_jets); the rest hold exact zeros.  Each
-evaluator then assembles its quantity with the numpy kernels.  The angular
-factors (sin, G, g_theta, g_phi) come from OmegaFactors alone; on the
-sphere, OmegaFactors.on_sphere serves both boundary traces (boundary_curl),
-big_G, the witness scan and the scaling sweep.  Jet functions are
-ufunc-like: they accept and return float64 arrays of a common shape and
-must supply analytic derivatives (h to second order, g to second order).
+1/sin there.  _on_support holds that rule: it gathers the in-support nodes
+once, the profile and angular jets and the assembly kernels (which take no
+mask) run on those 1-D arrays alone, and only the final outputs are
+scattered back.  The angular factors (sin, G, g_theta, g_phi) come from
+OmegaFactors alone; on the sphere, _on_band serves both boundary traces
+(boundary_curl), big_G and the witness scan, and OmegaFactors.on_sphere the
+scaling sweep.  Jet functions are ufunc-like: they accept and return
+float64 arrays of a common shape and must supply analytic derivatives (h to
+second order, g to second order).
 """
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -45,83 +47,76 @@ def _maybe_scalar(values, scalar):
     return float(values[0])
 
 
-_PROFILE_JETS = 3  # h, h', h''
-_ANGULAR_JETS = 6  # g, g_t, g_p, g_tt, g_tp, g_pp
+def _on_support(support, n_out, compute, *coords):
+    """compute(*coords) on the nodes of the boolean `support` only.
 
-
-def _support_jets(support, *calls):
-    """Jets computed on the support nodes only, zero-filled elsewhere.
-
-    `calls` holds (fn, n_out, args) triples whose args are arrays of the
-    shape of the boolean `support`.  Each fn runs at most once, on 1-D
-    arrays of the support nodes, and its n_out outputs are scattered into
-    zero-filled arrays of that shape.  With every node in the support fn
-    runs on the flattened arrays, with no gather or scatter; with none it
-    does not run.  Nodes where any argument is NaN join the returned mask
-    with NaN jets, so the masked assembly kernels give NaN there and not a
-    plausible zero.
-
-    Returns (mask, [jet tuple per call]).
+    coords are arrays of support's shape.  compute runs at most once, on
+    1-D arrays of the support nodes (never empty), and returns n_out 1-D
+    arrays on them.  Each is scattered back to support's shape, with exact
+    zeros off the support and NaN at nodes where any coordinate is NaN
+    (those leave the support).  With every node in the support, compute
+    runs on the flattened arrays and its outputs are only reshaped.
     """
     shape = support.shape
-    nan_nodes = np.zeros(shape, dtype=bool)
-    for _, _, args in calls:
-        for a in args:
-            nan_nodes |= np.isnan(a)
-    has_nan = bool(nan_nodes.any())
-    if has_nan:
-        support = support & ~nan_nodes
+    nan_nodes = np.any([np.isnan(c) for c in coords], axis=0)
+    support = support & ~nan_nodes
     n_in = np.count_nonzero(support)
     if 0 < n_in == support.size:
-        return support, [tuple(v.reshape(shape) for v in fn(*(a.ravel() for a in args)))
-                         for fn, _, args in calls]
-    idx = np.flatnonzero(support)
-    jets = []
-    for fn, n_out, args in calls:
-        out = np.zeros((n_out, support.size))
-        if n_in:
-            for k, v in enumerate(fn(*(a.ravel()[idx] for a in args))):
-                out[k, idx] = v
-        if has_nan:
-            out[:, nan_nodes.ravel()] = np.nan
-        jets.append(tuple(o.reshape(shape) for o in out))
-    return (support | nan_nodes if has_nan else support), jets
+        return tuple(v.reshape(shape) for v in compute(*(c.ravel() for c in coords)))
+    out = np.zeros((n_out, support.size))
+    if n_in:
+        idx = np.flatnonzero(support)
+        out[:, idx] = compute(*(c.ravel()[idx] for c in coords))
+    out[:, nan_nodes.ravel()] = np.nan
+    return tuple(o.reshape(shape) for o in out)
+
+
+def _polar_band(d, theta):
+    return (theta > d) & (theta < math.pi - d)
+
+
+def _on_band(angular, n_out, compute, theta, phi):
+    """compute(OmegaFactors at r = 1) on the nodes of (theta, phi) in the
+    open polar band pole_margin < theta < pi - pole_margin, the support of
+    every field on the unit sphere (every support_inner lies below 1),
+    scattered back by _on_support."""
+    def on_nodes(theta, phi):
+        return compute(OmegaFactors(np.ones_like(theta), theta, angular.fn(theta, phi)))
+    return _on_support(_polar_band(angular.pole_margin, theta), n_out, on_nodes, theta, phi)
 
 
 class OmegaFactors:
-    """The angular factors of omega on fixed nodes: the support mask, sin
-    theta, G, g_theta and g_phi, computed once.
+    """The angular factors of u and omega on 1-D arrays of in-support nodes
+    (r, theta), from the angular jet g_jet there: sin theta, g_theta, g_phi,
+    and G, computed when first asked for (u needs no G).
 
     assemble(h, h') completes them with a profile jet on the same nodes, so
     several profiles over one angular function share the angular work.
     """
 
-    def __init__(self, r, theta, mask, g_jet):
-        _, self.g_t, self.g_p, g_tt, _, g_pp = g_jet
-        self.r = r
-        self.mask = mask
+    def __init__(self, r, theta, g_jet):
+        self.r, self.theta, self.g_jet = r, theta, g_jet
+        _, self.g_t, self.g_p, *_ = g_jet
         self.sin = np.sin(theta)
-        self.big_g = kernels.big_g_values(self.sin, np.cos(theta), self.g_t, g_tt, g_pp, mask)
+
+    @functools.cached_property
+    def big_g(self):
+        _, g_t, _, g_tt, _, g_pp = self.g_jet
+        return kernels.big_g_values(self.sin, np.cos(self.theta), g_t, g_tt, g_pp)
 
     @classmethod
     def on_sphere(cls, angular, theta, phi):
-        """Factors at r = 1 on the node arrays (theta, phi), where the support
-        is the open polar band pole_margin < theta < pi - pole_margin (every
-        profile's support_inner lies below 1)."""
-        d = angular.pole_margin
-        band = (theta > d) & (theta < math.pi - d)
-        mask, (g_jet,) = _support_jets(band, (angular.fn, _ANGULAR_JETS, (theta, phi)))
-        return cls(np.ones_like(theta), theta, mask, g_jet)
-
-    def profile_jet(self, profile):
-        """(h, h', h'') of profile on the masked nodes, zero elsewhere."""
-        _, (h_jet,) = _support_jets(self.mask, (profile.fn, _PROFILE_JETS, (self.r,)))
-        return h_jet
+        """Factors at r = 1 on the polar band nodes (see _on_band) of the
+        finite node arrays (theta, phi), or None when the band holds none."""
+        band = _polar_band(angular.pole_margin, theta)
+        if not band.any():
+            return None
+        theta = theta[band]
+        return cls(np.ones_like(theta), theta, angular.fn(theta, phi[band]))
 
     def assemble(self, h, hp):
         """(omega_r, omega_theta, omega_phi) for the profile jet (h, h')."""
-        return kernels.omega_assembly(self.r, self.sin, h, hp, self.g_t, self.g_p,
-                                      self.big_g, self.mask)
+        return kernels.omega_assembly(self.r, self.sin, h, hp, self.g_t, self.g_p, self.big_g)
 
 
 @dataclass(frozen=True)
@@ -275,36 +270,34 @@ class CounterexampleField:
         if pad:
             with np.errstate(divide="ignore"):
                 d = d - np.arcsin(np.minimum(1.0, np.divide(pad, r)))
-        return ((theta > d) & (theta < math.pi - d)
-                & (r > self.profile.support_inner - pad))
+        return _polar_band(d, theta) & (r > self.profile.support_inner - pad)
 
-    def _parts(self, r, theta, phi):
-        mask, (h_jet, g_jet) = _support_jets(
-            self.support_mask(r, theta),
-            (self.profile.fn, _PROFILE_JETS, (r,)),
-            (self.angular.fn, _ANGULAR_JETS, (theta, phi)))
-        return mask, h_jet, g_jet
+    def _assemble(self, n_out, assemble, r, theta, phi):
+        """assemble(profile jet, OmegaFactors) on the support nodes of the
+        node arrays, scattered back by _on_support."""
+        def compute(r, theta, phi):
+            return assemble(self.profile.fn(r), OmegaFactors(r, theta, self.angular.fn(theta, phi)))
+        return _on_support(self.support_mask(r, theta), n_out, compute, r, theta, phi)
 
     def u_components(self, r, theta, phi):
         """(u_r, u_theta, u_phi); u_r is identically zero (NaN at NaN input)."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        mask, (h, _, _), (g, g_t, g_p, *_rest) = self._parts(r, theta, phi)
-        ut, up = kernels.u_assembly(h, g_t, g_p, np.sin(theta), mask)
+        ut, up = self._assemble(2, _u_parts, r, theta, phi)
         ur = np.where(np.isnan(ut), np.nan, 0.0)
         return _maybe_scalar((ur, ut, up), scalar)
 
     def omega_components(self, r, theta, phi):
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        mask, (h, hp, _), g_jet = self._parts(r, theta, phi)
-        return _maybe_scalar(OmegaFactors(r, theta, mask, g_jet).assemble(h, hp), scalar)
+        return _maybe_scalar(self._assemble(3, lambda h, w: w.assemble(*h[:2]), r, theta, phi),
+                             scalar)
 
     def v_components(self, r, theta, phi):
         """u x curl(u), from the closed forms of both factors."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        mask, (h, hp, _), g_jet = self._parts(r, theta, phi)
-        w = OmegaFactors(r, theta, mask, g_jet)
-        ut, up = kernels.u_assembly(h, w.g_t, w.g_p, w.sin, mask)
-        return _maybe_scalar(kernels.cross_tangential(ut, up, *w.assemble(h, hp)), scalar)
+        ut, up, *w = self._assemble(
+            5, lambda h, w: (*_u_parts(h, w), *w.assemble(*h[:2])), r, theta, phi)
+        # on the scattered arrays, so that v_phi = -(0 * 0) is -0 off the support
+        return _maybe_scalar(kernels.cross_tangential(ut, up, *w), scalar)
 
     def u_raw_partials(self, r, theta, phi):
         """Components of u and their raw-coordinate first partials.
@@ -315,32 +308,18 @@ class CounterexampleField:
         analytic-jet path used by the grid checks.
         """
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        mask, (h, hp, _), (_, g_t, g_p, g_tt, g_tp, g_pp) = self._parts(r, theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        ut, up = kernels.u_assembly(h, g_t, g_p, st, mask)
-        ss = np.where(mask, st, 1.0)
-
-        def sel(expr):
-            return np.where(mask, expr, 0.0)
-
-        parts = {
-            "ut": ut,
-            "dut_dr": sel(-hp * g_p / ss),
-            "dut_dtheta": sel(-h * (g_tp * ss - g_p * ct) / ss**2),
-            "dut_dphi": sel(-h * g_pp / ss),
-            "up": up,
-            "dup_dr": sel(hp * g_t),
-            "dup_dtheta": sel(h * g_tt),
-            "dup_dphi": sel(h * g_tp),
-        }
-        return {k: _maybe_scalar(v, scalar) for k, v in parts.items()}
+        keys = ("ut", "dut_dr", "dut_dtheta", "dut_dphi", "up", "dup_dr", "dup_dtheta", "dup_dphi")
+        parts = self._assemble(len(keys), _u_partials, r, theta, phi)
+        return {k: _maybe_scalar(v, scalar) for k, v in zip(keys, parts)}
 
     def boundary_curl(self, theta, phi):
         """Both tangential components of curl(v) on the unit sphere."""
         (theta, phi), scalar = _node_arrays(theta, phi)
-        w = OmegaFactors.on_sphere(self.angular, theta, phi)
-        return _maybe_scalar(kernels.boundary_curl_assembly(
-            w.sin, self.h_boundary, self.hp_boundary, w.g_t, w.g_p, w.big_g, w.mask), scalar)
+
+        def compute(w):
+            return kernels.boundary_curl_assembly(w.sin, self.h_boundary, self.hp_boundary,
+                                                  w.g_t, w.g_p, w.big_g)
+        return _maybe_scalar(_on_band(self.angular, 2, compute, theta, phi), scalar)
 
     def boundary_curl_theta(self, theta, phi):
         return self.boundary_curl(theta, phi)[0]
@@ -351,11 +330,25 @@ class CounterexampleField:
         return self.boundary_curl(theta, phi)[1]
 
 
+def _u_parts(h_jet, w):
+    return kernels.u_assembly(h_jet[0], w.g_t, w.g_p, w.sin)
+
+
+def _u_partials(h_jet, w):
+    h, hp, _ = h_jet
+    _, g_t, g_p, g_tt, g_tp, g_pp = w.g_jet
+    st, ct = w.sin, np.cos(w.theta)
+    ut, up = _u_parts(h_jet, w)
+    return (ut, -hp * g_p / st, -h * (g_tp * st - g_p * ct) / st**2, -h * g_pp / st,
+            up, hp * g_t, h * g_tt, h * g_tp)
+
+
 def big_G(angular: AngularFunction, theta, phi):
     """G = cos g_theta + sin g_thetatheta + g_phiphi / sin (zero inside the
     pole margin by support)."""
     (theta, phi), scalar = _node_arrays(theta, phi)
-    return _maybe_scalar(OmegaFactors.on_sphere(angular, theta, phi).big_g, scalar)
+    (big_g,) = _on_band(angular, 1, lambda w: (w.big_g,), theta, phi)
+    return _maybe_scalar(big_g, scalar)
 
 
 def u_jets(field: CounterexampleField, p: SphPoint):
@@ -378,7 +371,7 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     if n_theta < 16 or n_phi < 16:
         raise ValueError("witness grid must be at least 16x16")
     (theta, phi), _, th, ph = sphere_midpoint_mesh(n_theta, n_phi)
-    w = OmegaFactors.on_sphere(field.angular, th, ph)
+    products = _on_band(field.angular, 2, lambda w: (w.g_p * w.big_g, w.g_t * w.big_g), th, ph)
 
     def best(product):
         flat = np.abs(product)
@@ -388,8 +381,7 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
         it, ip = divmod(i, n_phi)
         return SphPoint(1.0, theta[it], phi[ip])
 
-    w1 = best(w.g_p * w.big_g)
-    w2 = best(w.g_t * w.big_g)
+    w1, w2 = (best(p) for p in products)
     if w1 is None and w2 is None:
         raise NoWitness(f"no witness above {WITNESS_THRESHOLD} on {n_theta}x{n_phi} grid")
     return w1, w2

@@ -1,7 +1,10 @@
 """Elementwise numeric kernels (the hot inner loops).
 
 Every kernel takes float64 ndarrays of identical shape and returns ndarrays;
-callers do the broadcasting.  The kernels are plain numpy functions.
+callers do the broadcasting.  The kernels are plain numpy functions.  The
+assembly kernels (big_g_values, u_assembly, omega_assembly,
+boundary_curl_assembly) take no support mask: the field evaluators call
+them only on 1-D arrays of in-support nodes, where r > 0 and sin(theta) > 0.
 
 Smooth cutoff machinery: sigma(t) = exp(-1/t) for t > 0 (else 0) and the
 step s(t) = sigma(t) / (sigma(t) + sigma(1-t)), which is 0 for t <= 0 and
@@ -129,28 +132,18 @@ def default_angular_jet(theta, phi):
     return g, g_t, g_p, g_tt, g_tp, g_pp
 
 
-def big_g_values(sin_t, cos_t, g_t, g_tt, g_pp, mask):
+def big_g_values(sin_t, cos_t, g_t, g_tt, g_pp):
     # cos(theta) g_t + sin(theta) g_tt + g_pp / sin(theta)
-    ss = np.where(mask, sin_t, 1.0)
-    val = cos_t * g_t + sin_t * g_tt + g_pp / ss
-    return np.where(mask, val, 0.0)
+    return cos_t * g_t + sin_t * g_tt + g_pp / sin_t
 
 
-def u_assembly(h, g_t, g_p, sin_t, mask):
-    ss = np.where(mask, sin_t, 1.0)
-    ut = np.where(mask, -h * g_p / ss, 0.0)
-    up = np.where(mask, h * g_t, 0.0)
-    return ut, up
+def u_assembly(h, g_t, g_p, sin_t):
+    return -h * g_p / sin_t, h * g_t
 
 
-def omega_assembly(r, sin_t, h, hp, g_t, g_p, big_g, mask):
-    ss = np.where(mask, sin_t, 1.0)
-    rr = np.where(mask, r, 1.0)
+def omega_assembly(r, sin_t, h, hp, g_t, g_p, big_g):
     drh = h + r * hp  # d/dr (r h)
-    wr = np.where(mask, h * big_g / (rr * ss), 0.0)
-    wt = np.where(mask, -drh * g_t / rr, 0.0)
-    wp = np.where(mask, -drh * g_p / (rr * ss), 0.0)
-    return wr, wt, wp
+    return h * big_g / (r * sin_t), -drh * g_t / r, -drh * g_p / (r * sin_t)
 
 
 def cross_tangential(ut, up, wr, wt, wp):
@@ -161,12 +154,9 @@ def cross_tangential(ut, up, wr, wt, wp):
     return vr, vt, vp
 
 
-def boundary_curl_assembly(sin_t, h1, hp1, g_t, g_p, big_g, mask):
+def boundary_curl_assembly(sin_t, h1, hp1, g_t, g_p, big_g):
     # tangential components of curl(u x w) on the unit sphere
-    ss = np.where(mask, sin_t, 1.0)
-    bt = np.where(mask, -2.0 * h1 * hp1 * g_p * big_g / ss**2, 0.0)
-    bp = np.where(mask, 2.0 * h1 * hp1 * g_t * big_g / ss, 0.0)
-    return bt, bp
+    return -2.0 * h1 * hp1 * g_p * big_g / sin_t**2, 2.0 * h1 * hp1 * g_t * big_g / sin_t
 
 
 def sph_to_cart(r, theta, phi):

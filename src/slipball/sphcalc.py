@@ -74,9 +74,6 @@ class SphVec:
     def norm(self) -> float:
         return math.sqrt(self.vr**2 + self.vtheta**2 + self.vphi**2)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vr, self.vtheta, self.vphi])
-
 
 @dataclass(frozen=True)
 class ScalarJet:

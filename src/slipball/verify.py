@@ -219,17 +219,6 @@ def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
     return res_u, res_w
 
 
-def _v_component(field, k):
-    """Array evaluator of the k-th spherical component of v = u x curl u."""
-    def fn(r, theta, phi):
-        return field.v_components(r, theta, phi)[k]
-    return fn
-
-
-def _boundary_oracle_at(fn, theta, phi, cfg):
-    return float(oracle.fd_boundary_radial_derivative(fn, theta, phi, cfg)[0])
-
-
 def _witness_details(res, analytic, oracle_val):
     """Closed-form and oracle values at the witness of res, and the verdict."""
     return {
@@ -238,20 +227,6 @@ def _witness_details(res, analytic, oracle_val):
         "rel_discrepancy": abs(analytic - oracle_val) / max(abs(analytic), 1e-300),
         "verdict": "persistency violated" if res.passed else "no contradiction exhibited",
     }
-
-
-def _gate_phi_closed_form(v_theta, mesh, closed, cfg, n_points):
-    """Compare the phi closed form on the mesh with the radial-derivative
-    oracle of v_theta at up to n_points nodes of magnitude >= 1e-2."""
-    th, ph = mesh["theta"], mesh["phi"]
-    idx = np.flatnonzero(np.abs(closed) >= PHI_GATE_MAGNITUDE)
-    if idx.size == 0:
-        return True, 0, 0.0
-    stride = max(1, idx.size // n_points)
-    take = idx[::stride][:n_points]
-    oracle_vals = oracle.fd_boundary_radial_derivative(v_theta, th[take], ph[take], cfg)
-    worst = float(np.max(np.abs(oracle_vals - closed[take]) / np.abs(closed[take])))
-    return worst <= PHI_GATE_REL_TOL, int(take.size), worst
 
 
 def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
@@ -263,36 +238,40 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     the boundary-condition persistency to be contradicted.  Both results
     come from the closed forms, and each carries the closed-form and oracle
     values at its witness and their relative discrepancy.  The phi closed
-    form is also gated against the radial-derivative oracle at gate_points
-    nodes; a failed gate fails the phi result, with the gate numbers in its
-    details.
+    form is also gated against the radial-derivative oracle of v_theta at
+    up to gate_points nodes where it is at least 1e-2 in magnitude; a
+    failed gate fails the phi result, with the gate numbers in its details.
+    One oracle call serves the gate and both witnesses.
     """
     if field.admissibility.witness_a1 is None and field.admissibility.witness_a2 is None:
         raise NoWitness(f"family {field.label!r} exhibits no witness point")
     mesh = grid.boundary_mesh()
     th, ph, w = mesh["theta"], mesh["phi"], mesh["weights"]
     wit = _mesh_witness(mesh)
-    v_theta, v_phi = _v_component(field, 1), _v_component(field, 2)
 
     bt, bp = field.boundary_curl(th, ph)
     res_t = _grid_result("persistency_failure_theta", "above", bt, w,
                          NONVANISH_THRESHOLD, wit)
-    p = res_t.witness
-    res_t.details = _witness_details(res_t, field.boundary_curl_theta(p.theta, p.phi),
-                                     -_boundary_oracle_at(v_phi, p.theta, p.phi, cfg))
-
-    ok, n_gate, worst = _gate_phi_closed_form(v_theta, mesh, bp, cfg, gate_points)
     res_p = _grid_result("persistency_failure_phi", "above", bp, w,
                          NONVANISH_THRESHOLD, wit)
+    big = np.flatnonzero(np.abs(bp) >= PHI_GATE_MAGNITUDE)
+    gate = big[::max(1, big.size // gate_points)][:gate_points]
+    i, j = int(np.argmax(np.abs(bt))), int(np.argmax(np.abs(bp)))  # the two witnesses
+    nodes = np.append(gate, [i, j])
+    # (1/r) d_r(r v_theta) and (1/r) d_r(r v_phi) at the gate nodes and the witnesses
+    d_vt, d_vp = oracle.fd_boundary_radial_derivative(
+        lambda r, t, p: field.v_components(r, t, p)[1:], th[nodes], ph[nodes], cfg)
+    worst = float(np.max(np.abs(d_vt[:-2] - bp[gate]) / np.abs(bp[gate]), initial=0.0))
+    ok = worst <= PHI_GATE_REL_TOL
+
+    res_t.details = _witness_details(res_t, float(bt[i]), -float(d_vp[-2]))
     res_p.passed = res_p.passed and ok
-    q = res_p.witness
     res_p.details = {
         "closed_form_validated": ok,
-        "gate_points": n_gate,
+        "gate_points": int(gate.size),
         "gate_max_rel_err": worst if math.isfinite(worst) else None,
         "source": "closed_form",
-        **_witness_details(res_p, field.boundary_curl_phi(q.theta, q.phi),
-                           _boundary_oracle_at(v_theta, q.theta, q.phi, cfg)),
+        **_witness_details(res_p, float(bp[j]), float(d_vt[-1])),
     }
     if not math.isfinite(worst):  # a NaN oracle value fails the gate; JSON has no NaN
         res_p.details["gate_max_rel_err_defined"] = False
@@ -443,23 +422,38 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     which moves h(1) + h'(1) off zero by (eps/2) h(1); the log-log slope of
     the residual against eps should therefore be 1.  eps = 0 rows (and any
     underflowed residual) are excluded from the fit.  The angular factors of
-    omega are computed once; each eps evaluates only its profile's jet.
+    omega are computed once, on the polar band nodes; each eps evaluates
+    only its profile's jet there.
+
+    Raises ValueError before any evaluation unless at least two eps are
+    positive and not all of those are equal, and ValueError naming the eps
+    of a non-finite residual; DegenerateFit when fewer than two rows of
+    distinct eps keep a nonzero residual (h(1) = 0, say).
     """
+    log_pos = np.log([float(e) for e in epsilons if e > 0.0])
+    if log_pos.size < 2:
+        raise ValueError("degenerate fit: need at least two positive eps values")
+    if np.ptp(log_pos) == 0.0:
+        raise ValueError("degenerate fit: all eps values identical")
     grid = grid if grid is not None else _DEFAULT_BOUNDARY_GRID
     mesh = grid.boundary_mesh()
     factors = fam.OmegaFactors.on_sphere(base_field.angular, mesh["theta"], mesh["phi"])
     rows = []
     for eps in epsilons:
-        h, hp, _ = factors.profile_jet(fam.perturbed_profile(float(eps), base_field.profile))
-        _, wt, wp = factors.assemble(h, hp)
-        rows.append((float(eps), float(np.max(np.hypot(wt, wp)))))
+        residual = 0.0
+        if factors is not None:
+            profile = fam.perturbed_profile(float(eps), base_field.profile)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                h, hp, _ = profile.fn(factors.r)
+                _, wt, wp = factors.assemble(h, hp)
+                residual = float(np.max(np.hypot(wt, wp)))
+        if not math.isfinite(residual):
+            raise ValueError(f"eps={float(eps)!r} gives a non-finite residual ({residual})")
+        rows.append((float(eps), residual))
     included = [(e, r) for e, r in rows if e > 0.0 and r > 1e-300]
-    if len(included) < 2:
+    log_e, log_r = np.log(np.reshape(included, (-1, 2))).T
+    if log_e.size < 2 or np.ptp(log_e) == 0.0:
         raise DegenerateFit("need at least two positive-eps rows with nonzero residual")
-    log_e = np.log([e for e, _ in included])
-    log_r = np.log([r for _, r in included])
-    if np.ptp(log_e) == 0.0:
-        raise DegenerateFit("all eps values identical")
     slope, intercept = np.polyfit(log_e, log_r, 1)
     return SweepResult(rows, included, float(slope), float(intercept))
 

@@ -379,6 +379,33 @@ class TestSweepCommand:
         assert code == 1
         assert err == "error: need at least 4 epsilons, got 2\n"
 
+    def test_too_few_positive_epsilons(self, capsys):
+        code, out, err = run_cli(capsys, ["sweep", "--epsilons", "0,0,-1e-2,1e-2"])
+        assert code == 1
+        assert err == "error: degenerate fit: need at least two positive eps values\n"
+        assert out == ""
+
+    def test_vanishing_residuals_fail_the_check(self, capsys, tmp_path):
+        # h1zero is a valid family whose slip residuals are all exactly 0, so
+        # the scaling check fails (exit 2), and no report is written
+        report = tmp_path / "sweep.json"
+        code, out, err = run_cli(capsys, ["sweep", "--family", "h1zero", "--boundary-ntheta",
+                                          "32", "--boundary-nphi", "64",
+                                          "--report", str(report)])
+        assert code == 2
+        assert err == ("error: degenerate fit: need at least two positive-eps rows "
+                       "with nonzero residual\n")
+        assert out == "" and not report.exists()
+
+    def test_non_finite_residual_exits_one(self, capsys, tmp_path):
+        report = tmp_path / "sweep.json"
+        code, out, err = run_cli(capsys, ["sweep", "--epsilons", "1e308,1e300,1e-2,1e-3",
+                                          "--boundary-ntheta", "32", "--boundary-nphi", "64",
+                                          "--report", str(report)])
+        assert code == 1
+        assert err == "error: eps=1e+308 gives a non-finite residual (inf)\n"
+        assert out == "" and not report.exists()
+
     def test_zero_eps_row_excluded(self, capsys):
         code, out, _ = run_cli(capsys, ["sweep", "--boundary-ntheta", "32",
                                         "--boundary-nphi", "64",

@@ -1,11 +1,13 @@
 """Support-compacted evaluation: bit-identical to full-array evaluation.
 
-The evaluators compute the profile and angular jets only on the nodes
-inside the field's support.  Each one is compared here against a reference
-that calls profile.fn / angular.fn on the full arrays and runs the same
-assembly kernels, with np.array_equal and equal sign bits, so signed zeros
-must match too.  Spy jet functions check the evaluator contract: a jet
-function sees only 1-D arrays of in-support nodes, never an empty array.
+The evaluators compute the profile and angular jets, and run the assembly
+kernels, only on the nodes inside the field's support.  Each one is
+compared here against a reference that calls profile.fn / angular.fn and
+the same assembly kernels on the full arrays and zeroes the result off the
+support, with np.array_equal and equal sign bits, so signed zeros must
+match too.  Spy jet functions and spy kernels check the evaluator contract:
+a jet function or an assembly kernel sees only 1-D arrays of in-support
+nodes, never an empty array.
 """
 import math
 
@@ -61,40 +63,44 @@ def _full(*coords):
 
 
 def reference(field, name, r, theta, phi):
-    """The evaluator `name` with both jets computed on every node."""
+    """The evaluator `name` with the jets and the assembly kernels run on
+    every node, then zeroed off the support."""
+    with np.errstate(all="ignore"):  # 1/sin and 1/r off the support
+        return _reference(field, name, r, theta, phi)
+
+
+def _reference(field, name, r, theta, phi):
     if name in POLAR:
         theta, phi = _full(theta, phi)
         d = field.angular.pole_margin
         mask = (theta > d) & (theta < PI - d)
-        _, g_t, g_p, g_tt, _, g_pp = field.angular.fn(theta, phi)
-        s, c = np.sin(theta), np.cos(theta)
-        gg = kernels.big_g_values(s, c, g_t, g_tt, g_pp, mask)
-        if name == "big_G":
-            return (gg,)
-        bt, bp = kernels.boundary_curl_assembly(
-            s, field.h_boundary, field.hp_boundary, g_t, g_p, gg, mask)
-        return (bt,) if name == "boundary_curl_theta" else (bp,)
-    r, theta, phi = _full(r, theta, phi)
-    mask = field.support_mask(r, theta)
-    h, hp, _ = field.profile.fn(r)
+    else:
+        r, theta, phi = _full(r, theta, phi)
+        mask = field.support_mask(r, theta)
+
+    def sel(*values):
+        return tuple(np.where(mask, v, 0.0) for v in values)
+
     _, g_t, g_p, g_tt, g_tp, g_pp = field.angular.fn(theta, phi)
     s, c = np.sin(theta), np.cos(theta)
-    ut, up = kernels.u_assembly(h, g_t, g_p, s, mask)
+    gg = kernels.big_g_values(s, c, g_t, g_tt, g_pp)
+    if name in POLAR:
+        if name == "big_G":
+            return sel(gg)
+        bt, bp = sel(*kernels.boundary_curl_assembly(
+            s, field.h_boundary, field.hp_boundary, g_t, g_p, gg))
+        return (bt,) if name == "boundary_curl_theta" else (bp,)
+    h, hp, _ = field.profile.fn(r)
+    ut, up = sel(*kernels.u_assembly(h, g_t, g_p, s))
     if name == "u_components":
         return (np.zeros_like(ut), ut, up)
-    gg = kernels.big_g_values(s, c, g_t, g_tt, g_pp, mask)
-    w = kernels.omega_assembly(r, s, h, hp, g_t, g_p, gg, mask)
+    w = sel(*kernels.omega_assembly(r, s, h, hp, g_t, g_p, gg))
     if name == "omega_components":
         return w
-    if name == "v_components":
+    if name == "v_components":  # on the masked u and omega: -0 off the support
         return kernels.cross_tangential(ut, up, *w)
-    ss = np.where(mask, s, 1.0)
-
-    def sel(expr):
-        return np.where(mask, expr, 0.0)
-
-    return (sel(-h * g_p / ss), sel(-hp * g_p / ss), sel(-h * (g_tp * ss - g_p * c) / ss**2),
-            sel(-h * g_pp / ss), sel(h * g_t), sel(hp * g_t), sel(h * g_tt), sel(h * g_tp))
+    return sel(-h * g_p / s, -hp * g_p / s, -h * (g_tp * s - g_p * c) / s**2,
+               -h * g_pp / s, h * g_t, hp * g_t, h * g_tt, h * g_tp)
 
 
 def evaluate(field, name, r, theta, phi):
@@ -191,6 +197,47 @@ def test_evaluator_matches_full_array_reference(family, name, data):
     _check_spy_log(calls, field)
     if kind == "outside" and name in RADIAL:
         assert calls == []
+
+
+# each assembly kernel: (position of its sin(theta) argument, of its r argument)
+ASSEMBLY = {"big_g_values": (0, None), "u_assembly": (3, None),
+            "omega_assembly": (1, 0), "boundary_curl_assembly": (0, None)}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("name", RADIAL + POLAR)
+def test_assembly_kernels_see_only_in_support_nodes(monkeypatch, family, name):
+    field = FAMILIES[family]
+    seen = []
+    for kernel in ASSEMBLY:
+        def spy(*args, _kernel=kernel, _fn=getattr(kernels, kernel)):
+            seen.append((_kernel, args))
+            return _fn(*args)
+        monkeypatch.setattr(kernels, kernel, spy)
+
+    si, d = field.profile.support_inner, field.angular.pole_margin
+    edges_r = [0.0, si, math.nextafter(si, 1.0), 1.0]
+    edges_t = [0.0, d, math.nextafter(d, PI), PI - d, PI]
+    rng = np.random.default_rng(11)
+    r = np.concatenate([rng.uniform(0.0, 1.0, 300), np.repeat(edges_r, len(edges_t))])
+    theta = np.concatenate([rng.uniform(0.0, PI, 300), np.tile(edges_t, len(edges_r))])
+    phi = rng.uniform(0.0, 2.0 * PI, r.size)
+    support = (field.support_mask(r, theta) if name in RADIAL
+               else (theta > d) & (theta < PI - d))
+    assert 0 < np.count_nonzero(support) < support.size
+    evaluate(field, name, r, theta, phi)
+    assert seen
+    for kernel, args in seen:
+        assert all(a.shape == (np.count_nonzero(support),)
+                   for a in args if isinstance(a, np.ndarray))
+        at_sin, at_r = ASSEMBLY[kernel]
+        assert np.array_equal(args[at_sin], np.sin(theta[support]))
+        if at_r is not None:
+            assert np.array_equal(args[at_r], r[support])
+
+    seen.clear()
+    evaluate(field, name, np.full(4, 0.1), np.array([0.0, 0.1, PI - 0.1, PI]), phi[:4])
+    assert seen == []
 
 
 def test_all_inside_fast_path_sees_every_node_flattened():

@@ -370,15 +370,28 @@ def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):
     # closed form on the full mesh, with no oracle subgrid in their place
     cfg = FDConfig()
     _, want = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
-    monkeypatch.setattr(verify, "_gate_phi_closed_form", lambda *args: (False, 0, 0.0))
     calls = []
     original = oracle.fd_boundary_radial_derivative
 
-    def counting(fn, theta, phi, cfg=FDConfig()):
+    def off_at_the_gate(fn, theta, phi, cfg=FDConfig()):
         calls.append(np.size(theta))
-        return original(fn, theta, phi, cfg)
+        vals = original(fn, theta, phi, cfg)
+        vals[0, :-2] *= 2.0  # the v_theta gate values; the two witnesses come last
+        return vals
 
-    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", counting)
+    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", off_at_the_gate)
+    sizes = []  # of every evaluator call
+
+    def sized(name):
+        method = vars(fam.CounterexampleField)[name]
+
+        def evaluator(self, *coords):
+            sizes.append(np.size(coords[-1]))
+            return method(self, *coords)
+        return evaluator
+
+    for name in ("v_components", "boundary_curl", "boundary_curl_theta", "boundary_curl_phi"):
+        monkeypatch.setattr(fam.CounterexampleField, name, sized(name))
     _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
     assert want.passed and not res_p.passed
     assert (res_p.norm_sup, res_p.norm_l2, res_p.witness) == (
@@ -387,24 +400,26 @@ def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):
     assert res_p.details["closed_form_validated"] is False
     assert res_p.details["verdict"] == "no contradiction exhibited"
     assert res_p.details["oracle_at_witness"] == want.details["oracle_at_witness"]
-    assert calls == [1, 1]  # the two witness values, nothing else
+    assert res_p.details["gate_points"] == want.details["gate_points"] == 50
+    # one oracle call: the gate nodes and the two witnesses; no scalar evaluation
+    assert calls == [want.details["gate_points"] + 2]
+    assert sizes and 1 not in sizes
 
 
 def test_nan_gate_value_is_written_as_null(default_field, monkeypatch, tmp_path):
     # one NaN oracle value fails the phi gate; the report still serialises
     original = oracle.fd_boundary_radial_derivative
-    gate_calls = []
+    calls = []
 
     def nan_at_first_gate_node(fn, theta, phi, cfg=FDConfig()):
+        calls.append(np.size(theta))
         vals = original(fn, theta, phi, cfg)
-        if np.size(theta) > 1 and not gate_calls:
-            gate_calls.append(np.size(theta))
-            vals[0] = math.nan
+        vals[0, 0] = math.nan
         return vals
 
     monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", nan_at_first_gate_node)
     _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, FDConfig())
-    assert gate_calls == [res_p.details["gate_points"]]
+    assert calls == [res_p.details["gate_points"] + 2]
     assert res_p.details["source"] == "closed_form"
     assert not res_p.passed and res_p.details["closed_form_validated"] is False
     assert res_p.details["gate_max_rel_err"] is None

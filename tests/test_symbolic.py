@@ -120,10 +120,9 @@ def nodes():
 def kernel_fields(n):
     st, ct = np.sin(n["theta"]), np.cos(n["theta"])
     _, g_t, g_p, g_tt, _, g_pp = n["jet"]
-    mask = np.ones_like(st, dtype=bool)
-    big_g = kernels.big_g_values(st, ct, g_t, g_tt, g_pp, mask)
-    ut, up = kernels.u_assembly(n["h"], g_t, g_p, st, mask)
-    w = kernels.omega_assembly(n["r"], st, n["h"], n["hp"], g_t, g_p, big_g, mask)
+    big_g = kernels.big_g_values(st, ct, g_t, g_tt, g_pp)
+    ut, up = kernels.u_assembly(n["h"], g_t, g_p, st)
+    w = kernels.omega_assembly(n["r"], st, n["h"], n["hp"], g_t, g_p, big_g)
     return (np.zeros_like(ut), ut, up), w, kernels.cross_tangential(ut, up, *w)
 
 
@@ -139,10 +138,9 @@ def test_boundary_curl_assembly_matches_symbolic_trace(nodes):
     curl_v = curl(V)
     st = np.sin(nodes["theta"])
     _, g_t, g_p, g_tt, _, g_pp = nodes["jet"]
-    mask = np.ones_like(st, dtype=bool)
     h1 = 0.8
-    big_g = kernels.big_g_values(st, np.cos(nodes["theta"]), g_t, g_tt, g_pp, mask)
-    got = kernels.boundary_curl_assembly(st, h1, -h1, g_t, g_p, big_g, mask)
+    big_g = kernels.big_g_values(st, np.cos(nodes["theta"]), g_t, g_tt, g_pp)
+    got = kernels.boundary_curl_assembly(st, h1, -h1, g_t, g_p, big_g)
     for k, value in zip((1, 2), got):
         expr = jet_symbols(sp.simplify(on_slip_sphere(curl_v[k])))
         want = sp.lambdify((th, H0, *G_JET), expr, "numpy")(nodes["theta"], h1, *nodes["jet"])

@@ -359,8 +359,26 @@ class TestScalingSweep:
         assert res[8e-3] / res[4e-3] == pytest.approx(2.0, rel=0.01)
 
     def test_equal_epsilons_degenerate(self, default_field):
-        with pytest.raises(DegenerateFit):
+        with pytest.raises(ValueError) as exc:
             verify.scaling_sweep(default_field, [1e-2] * 4, SMALL_BOUNDARY)
+        assert str(exc.value) == "degenerate fit: all eps values identical"
+
+    @pytest.mark.parametrize("epsilons, message", [
+        ([0.0, 1e-2, 1e-2, -1e-3], "all eps values identical"),
+        ([0.0, 0.0, -1e-2, 1e-2], "need at least two positive eps values"),
+    ])
+    def test_bad_eps_set_raises_before_evaluating(self, default_field, monkeypatch,
+                                                  epsilons, message):
+        monkeypatch.setattr(fam.OmegaFactors, "on_sphere", None)
+        with pytest.raises(ValueError) as exc:
+            verify.scaling_sweep(default_field, epsilons, SMALL_BOUNDARY)
+        assert str(exc.value) == f"degenerate fit: {message}"
+
+    def test_non_finite_residual_names_its_eps(self, default_field):
+        # the profile overflows at eps = 1e308; no numpy warning escapes
+        with pytest.raises(ValueError) as exc:
+            verify.scaling_sweep(default_field, [1e300, 1e308, 1e-2, 1e-3], SMALL_BOUNDARY)
+        assert str(exc.value) == "eps=1e+308 gives a non-finite residual (inf)"
 
     @staticmethod
     def per_eps_field_rows(base, epsilons, grid):
