@@ -283,21 +283,25 @@ class CounterexampleField:
         """(u_r, u_theta, u_phi); u_r is identically zero (NaN at NaN input)."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         ut, up = self._assemble(2, _u_parts, r, theta, phi)
-        ur = np.where(np.isnan(ut), np.nan, 0.0)
-        return _maybe_scalar((ur, ut, up), scalar)
+        return _maybe_scalar((u_radial(ut), ut, up), scalar)
 
     def omega_components(self, r, theta, phi):
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         return _maybe_scalar(self._assemble(3, lambda h, w: w.assemble(*h[:2]), r, theta, phi),
                              scalar)
 
+    def u_and_omega(self, r, theta, phi):
+        """(u_theta, u_phi, omega_r, omega_theta, omega_phi) in one pass, as
+        u_components and omega_components give them (u_r is u_radial(u_theta))."""
+        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
+        return _maybe_scalar(self._assemble(
+            5, lambda h, w: (*_u_parts(h, w), *w.assemble(*h[:2])), r, theta, phi), scalar)
+
     def v_components(self, r, theta, phi):
         """u x curl(u), from the closed forms of both factors."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        ut, up, *w = self._assemble(
-            5, lambda h, w: (*_u_parts(h, w), *w.assemble(*h[:2])), r, theta, phi)
         # on the scattered arrays, so that v_phi = -(0 * 0) is -0 off the support
-        return _maybe_scalar(kernels.cross_tangential(ut, up, *w), scalar)
+        return _maybe_scalar(kernels.cross_tangential(*self.u_and_omega(r, theta, phi)), scalar)
 
     def u_raw_partials(self, r, theta, phi):
         """Components of u and their raw-coordinate first partials.
@@ -328,6 +332,11 @@ class CounterexampleField:
         """Closed form of the phi component; verify gates it against the
         radial-derivative oracle and fails its check if they disagree."""
         return self.boundary_curl(theta, phi)[1]
+
+
+def u_radial(u_theta):
+    """u_r of the family's tangential field: 0, NaN where u_theta is NaN."""
+    return np.where(np.isnan(u_theta), np.nan, 0.0)
 
 
 def _u_parts(h_jet, w):

@@ -11,7 +11,7 @@ step s(t) = sigma(t) / (sigma(t) + sigma(1-t)), which is 0 for t <= 0 and
 1 for t >= 1 with all derivatives vanishing at the junctions.  In double
 precision sigma underflows to exactly 0 for t <= ~1.34e-3, so sigma_jet
 gates its formula at t > 1e-3; that changes nothing and avoids 0*inf at
-tiny t.
+tiny t; when every t > 1e-3 (the ramp nodes) it skips the gating passes.
 
 Plateau rule: where sigma(t) or sigma(1-t) is gated to 0, the step formula
 gives exactly 0 or 1 with zero derivatives, so smooth_step_jet returns
@@ -38,6 +38,9 @@ _BUMP_D = 3 * np.pi / 4
 
 def sigma_jet(t):
     m = t > _SIGMA_FLOOR
+    if np.all(m):
+        s = np.exp(-1.0 / t)
+        return s, s / t**2, s * (1.0 / t**4 - 2.0 / t**3)
     ts = np.where(m, t, 1.0)
     s = np.where(m, np.exp(-1.0 / ts), 0.0)
     s1 = np.where(m, s / ts**2, 0.0)
@@ -175,13 +178,18 @@ def cart_to_sph(x, y, z):
     return r, theta, phi
 
 
-def vec_sph_to_cart(theta, phi, vr, vt, vp):
+def vec_sph_to_cart_axis(axis, theta, phi, vr, vt, vp):
+    # Cartesian component `axis` (0, 1, 2: x, y, z) of (vr, vt, vp)
     st, ct = np.sin(theta), np.cos(theta)
+    if axis == 2:
+        return vr * ct - vt * st
     sp, cp = np.sin(phi), np.cos(phi)
-    wx = vr * st * cp + vt * ct * cp - vp * sp
-    wy = vr * st * sp + vt * ct * sp + vp * cp
-    wz = vr * ct - vt * st
-    return wx, wy, wz
+    return (vr * st * cp + vt * ct * cp - vp * sp if axis == 0
+            else vr * st * sp + vt * ct * sp + vp * cp)
+
+
+def vec_sph_to_cart(theta, phi, vr, vt, vp):
+    return tuple(vec_sph_to_cart_axis(j, theta, phi, vr, vt, vp) for j in range(3))
 
 
 def vec_cart_to_sph(theta, phi, wx, wy, wz):

@@ -16,10 +16,9 @@ reduced to [0, 2pi), theta clamped to [0, pi], r clamped at 0,
 out-of-range nodes rejected with ValueError).
 
 fd_partial, fd_curl_spherical and fd_boundary_radial_derivative hold the
-spherical stencils once each; the Cartesian path is cartesian_jacobian_grid,
-with cartesian_divergence_grid and cartesian_curl_grid on top of it.  Every
-oracle takes an array evaluator fn(r, theta, phi) and node arrays and
-returns arrays.
+spherical stencils once each; the Cartesian oracles share one stencil loop,
+and the divergence builds no Jacobian.  Every oracle takes an array
+evaluator fn(r, theta, phi) and node arrays and returns arrays.
 
 The Cartesian Jacobian and divergence take an optional boolean node mask,
 the stencil-reach mask: the caller's promise that the field vanishes on
@@ -173,10 +172,24 @@ def _check_cartesian_stencil(x, y, z, step):
         raise StencilOutOfDomain("Cartesian stencil too close to the polar axis")
 
 
-def _cartesian_field(components_fn, x, y, z):
-    r, theta, phi = kernels.cart_to_sph(x, y, z)
-    vr, vt, vp = components_fn(r, theta, phi)
-    return kernels.vec_sph_to_cart(theta, phi, vr, vt, vp)
+def _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask):
+    """(kept-node mask, [d/dx_j of convert(j, theta, phi, *components) for
+    j = 0, 1, 2] at the kept nodes), one components_fn call per offset."""
+    x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
+    _check_cartesian_stencil(x, y, z, cfg.step)
+    keep = np.broadcast_to(True if mask is None else mask, x.shape)
+    base = [x[keep], y[keep], z[keep]]
+
+    def column(j, h):
+        def field_at(offset):
+            shifted = base.copy()
+            shifted[j] = base[j] + offset
+            r, theta, phi = kernels.cart_to_sph(*shifted)
+            return np.asarray(convert(j, theta, phi, *components_fn(r, theta, phi)))
+        return (field_at(h) - field_at(-h)) / (2.0 * h)
+
+    return keep, [_richardson(lambda h: column(j, h), cfg.step, cfg.richardson)
+                  for j in range(3)]
 
 
 def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig(),
@@ -190,28 +203,23 @@ def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConf
     mask (broadcast to the nodes; None keeps all), every node is checked but
     only masked nodes are evaluated; the Jacobian is exactly 0 at the others.
     """
-    x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
-    _check_cartesian_stencil(x, y, z, cfg.step)
-    keep = np.broadcast_to(True if mask is None else mask, x.shape)
-    base = np.stack([x[keep], y[keep], z[keep]])
-
-    def column(j, h):
-        def field_at(offset):
-            shifted = base.copy()
-            shifted[j] += offset
-            return np.array(_cartesian_field(components_fn, *shifted))
-        return (field_at(h) - field_at(-h)) / (2.0 * h)
-
-    jac = np.zeros((3, 3) + x.shape)
-    for j in range(3):
-        jac[:, j, keep] = _richardson(lambda h: column(j, h), cfg.step, cfg.richardson)
+    keep, columns = _cartesian_columns(
+        components_fn, lambda j, *sph: kernels.vec_sph_to_cart(*sph), r, theta, phi, cfg, mask)
+    jac = np.zeros((3, 3) + keep.shape)
+    for j, col in enumerate(columns):
+        jac[:, j, keep] = col
     return jac
 
 
 def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig(),
                               mask=None):
-    jac = cartesian_jacobian_grid(components_fn, r, theta, phi, cfg, mask)
-    return jac[0][0] + jac[1][1] + jac[2][2]
+    """The trace of cartesian_jacobian_grid, bit for bit; the shifts along
+    x_j convert only W_j to Cartesian."""
+    keep, (dxx, dyy, dzz) = _cartesian_columns(
+        components_fn, kernels.vec_sph_to_cart_axis, r, theta, phi, cfg, mask)
+    div = np.zeros(keep.shape)
+    div[keep] = dxx + dyy + dzz
+    return div
 
 
 def cartesian_curl_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):

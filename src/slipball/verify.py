@@ -191,17 +191,19 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
 
 def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
                           cfg: oracle.FDConfig = oracle.FDConfig(),
-                          oracle_spots: int = 5):
+                          oracle_spots: int = 5, boundary_state=None):
     """(u . n, |omega x n|) residuals over the boundary grid, closed forms.
 
-    A handful of FD-curl spot evaluations ride along in the details of the
-    omega check so the closed-form trace has an oracle partner.
+    A handful of FD-curl spot evaluations (oracle_spots >= 0) ride along in
+    the details of the omega check so the closed-form trace has an oracle
+    partner.  boundary_state: field.u_and_omega(1, theta, phi) on the mesh.
     """
+    if oracle_spots < 0:
+        raise ValueError(f"oracle_spots must be at least 0, got {oracle_spots}")
     mesh = grid.boundary_mesh()
     th, ph, w = mesh["theta"], mesh["phi"], mesh["weights"]
-    ones = np.ones_like(th)
-    ur, _, _ = field.u_components(ones, th, ph)
-    _, wt, wp = field.omega_components(ones, th, ph)
+    ut, _, _, wt, wp = boundary_state or field.u_and_omega(1.0, th, ph)
+    ur = fam.u_radial(ut)
     tangential = np.hypot(wt, wp)
     wit = _mesh_witness(mesh)
     res_u = _grid_result("slip_u_dot_n", "below", ur, w, TOL_EXACT_TRACE, wit)
@@ -241,8 +243,10 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     form is also gated against the radial-derivative oracle of v_theta at
     up to gate_points nodes where it is at least 1e-2 in magnitude; a
     failed gate fails the phi result, with the gate numbers in its details.
-    One oracle call serves the gate and both witnesses.
+    One oracle call serves the gate and both witnesses (gate_points >= 1).
     """
+    if gate_points < 1:
+        raise ValueError(f"gate_points must be at least 1, got {gate_points}")
     if field.admissibility.witness_a1 is None and field.admissibility.witness_a2 is None:
         raise NoWitness(f"family {field.label!r} exhibits no witness point")
     mesh = grid.boundary_mesh()
@@ -287,11 +291,13 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
 
     Bisection on [0, pi/2], sampling rings of the geodesic ball; the answer
     is resolution-limited by the sampling and iteration count.  component
-    is "theta" or "phi"; anything else raises ValueError.
+    is "theta" or "phi" and 0 <= floor_fraction <= 1, else ValueError.
     """
     traces = {"theta": field.boundary_curl_theta, "phi": field.boundary_curl_phi}
     if component not in traces:
         raise ValueError(f"component must be 'theta' or 'phi', got {component!r}")
+    if not 0.0 <= floor_fraction <= 1.0:
+        raise ValueError(f"floor_fraction must lie in [0, 1], got {floor_fraction!r}")
     fc = traces[component]
     ref = abs(fc(witness.theta, witness.phi))
     if ref == 0.0:
@@ -330,25 +336,24 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
 
 
 def check_navier_traction(field: fam.CounterexampleField, grid: GridSpec,
-                          nu: float = 1.0, flat_boundary: bool = False) -> CheckResult:
+                          nu: float = 1.0, flat_boundary: bool = False,
+                          boundary_state=None) -> CheckResult:
     """sup of the tangential traction magnitude |t_tan| on the sphere.
 
     t . tau = (nu/2) (w x n) . tau - nu K u . tau with K = 1 on the unit
     sphere (center of curvature inside) and K = 0 under the flat-boundary
     override.  For slip-compatible families the first term vanishes, so a
     nonzero sup exhibits the gap between the vorticity-based slip condition
-    and the traction-based wall law on the curved boundary.
+    and the traction-based wall law on the curved boundary.  boundary_state
+    is as for check_slip_conditions.
     """
     mesh = grid.boundary_mesh()
-    th, ph, w = mesh["theta"], mesh["phi"], mesh["weights"]
-    ones = np.ones_like(th)
-    _, ut, up = field.u_components(ones, th, ph)
-    _, wt, wp = field.omega_components(ones, th, ph)
+    ut, up, _, wt, wp = boundary_state or field.u_and_omega(1.0, mesh["theta"], mesh["phi"])
     curvature = 0.0 if flat_boundary else 1.0
     t_theta = 0.5 * nu * wp - nu * curvature * ut
     t_phi = -0.5 * nu * wt - nu * curvature * up
     magnitude = np.hypot(t_theta, t_phi)
-    res = _grid_result("navier_traction", "above", magnitude, w,
+    res = _grid_result("navier_traction", "above", magnitude, mesh["weights"],
                        NONVANISH_THRESHOLD, _mesh_witness(mesh))
     res.details = {"nu": nu, "curvature": curvature}
     return res
@@ -490,12 +495,15 @@ def run_full_verification(field: fam.CounterexampleField,
                           nu: float = 1.0, seed: int = DEFAULT_SEED) -> VerificationReport:
     """All checks in fixed order; an admissibility failure in the slip
     identity short-circuits the persistency checks (their closed forms
-    assume it) without aborting the rest."""
+    assume it) without aborting the rest.  The slip and traction checks
+    share one field.u_and_omega call on the boundary mesh."""
     interior_grid = interior_grid if interior_grid is not None else GridSpec()
     boundary_grid = boundary_grid if boundary_grid is not None else _DEFAULT_BOUNDARY_GRID
     adm = field.admissibility
     checks = [check_divergence_free(field, interior_grid, cfg)]
-    checks.extend(check_slip_conditions(field, boundary_grid, cfg))
+    mesh = boundary_grid.boundary_mesh()
+    state = field.u_and_omega(1.0, mesh["theta"], mesh["phi"])
+    checks.extend(check_slip_conditions(field, boundary_grid, cfg, boundary_state=state))
 
     skipped = None
     if not adm.slip_ok:
@@ -516,7 +524,7 @@ def run_full_verification(field: fam.CounterexampleField,
                       for name in ("persistency_failure_theta", "persistency_failure_phi"))
 
     checks.append(check_oracle_agreement(field, cfg, seed=seed))
-    checks.append(check_navier_traction(field, boundary_grid, nu=nu))
+    checks.append(check_navier_traction(field, boundary_grid, nu=nu, boundary_state=state))
 
     by_name = {c.name: c for c in checks}
     overall = all(by_name[n].passed for n in (

@@ -20,7 +20,8 @@ from slipball import family as fam
 from slipball import kernels
 
 PI = math.pi
-RADIAL = ("u_components", "omega_components", "v_components", "u_raw_partials")
+RADIAL = ("u_components", "omega_components", "v_components", "u_and_omega",
+          "u_raw_partials")
 POLAR = ("boundary_curl_theta", "boundary_curl_phi", "big_G")
 
 
@@ -97,6 +98,8 @@ def _reference(field, name, r, theta, phi):
     w = sel(*kernels.omega_assembly(r, s, h, hp, g_t, g_p, gg))
     if name == "omega_components":
         return w
+    if name == "u_and_omega":
+        return (ut, up, *w)
     if name == "v_components":  # on the masked u and omega: -0 off the support
         return kernels.cross_tangential(ut, up, *w)
     return sel(-h * g_p / s, -hp * g_p / s, -h * (g_tp * s - g_p * c) / s**2,
@@ -291,6 +294,18 @@ class TestNaNCoordinates:
                 assert np.all(np.isnan(g[bad]))
                 assert np.array_equal(g[~bad], c)
         _check_spy_log(calls, spy)
+
+    def test_u_and_omega_is_u_components_and_omega_components(self, default_field):
+        r = np.array([0.8, 0.8, math.nan, 0.1, 0.6, 1.0])
+        theta = np.array([1.0, math.nan, 1.2, 1.0, 2.0, 0.3])
+        phi = np.array([1.0, 2.0, 3.0, math.nan, 4.0, 5.0])
+        ut, up, *w = default_field.u_and_omega(r, theta, phi)
+        ur, *u = default_field.u_components(r, theta, phi)
+        assert_bit_identical((fam.u_radial(ut), ut, up, *w),
+                             (ur, *u, *default_field.omega_components(r, theta, phi)), (6,))
+        scalar = default_field.u_and_omega(0.8, 1.0, 1.0)
+        assert all(isinstance(v, float) for v in scalar)
+        assert scalar == tuple(float(v[0]) for v in default_field.u_and_omega([0.8], 1.0, 1.0))
 
     def test_u_raw_partials_nan(self, default_field):
         parts = default_field.u_raw_partials(0.8, math.nan, 1.0)

@@ -70,6 +70,63 @@ def assert_same_bits(got, want):
         np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
 
 
+def gated_sigma_jet(t):
+    """sigma_jet with its gate applied at every node (the reference for the
+    ungated fast path)."""
+    m = t > kernels._SIGMA_FLOOR
+    ts = np.where(m, t, 1.0)
+    s = np.where(m, np.exp(-1.0 / ts), 0.0)
+    return s, np.where(m, s / ts**2, 0.0), np.where(m, s * (1.0 / ts**4 - 2.0 / ts**3), 0.0)
+
+
+class TestSigmaFastPath:
+    """With every t above the gate, sigma_jet skips the gating passes; its
+    bits must equal the gated formula's, and any other input is gated."""
+
+    F = kernels._SIGMA_FLOOR
+
+    def ramp_t(self):
+        rng = np.random.default_rng(12)
+        return np.concatenate([rng.uniform(self.F, 1.0 - self.F, 100_000),
+                               10.0 ** rng.uniform(-2.99, 300, 2000),
+                               [np.nextafter(self.F, 1.0), 1.0 - self.F, 0.5, 1e100]])
+
+    def test_ramp_input_matches_the_gated_formula(self, monkeypatch):
+        t = self.ramp_t()
+        with np.errstate(over="ignore"):
+            want = gated_sigma_jet(t)
+
+            def no_gating(*args):
+                raise AssertionError("the fast path gates nothing")
+
+            monkeypatch.setattr(np, "where", no_gating)
+            got = kernels.sigma_jet(t)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("extra", [np.nan, F, 0.0, -1.0, -np.inf])
+    def test_one_gated_node_takes_the_gated_path(self, extra):
+        t = np.append(self.ramp_t(), extra)
+        with np.errstate(over="ignore"):
+            got = kernels.sigma_jet(t)
+            assert_same_bits(got, gated_sigma_jet(t))
+        # the gate sends NaN to 0 as well (the fast path would give NaN)
+        assert all(a[-1] == 0.0 for a in got)
+
+    def test_smooth_step_ramp_nodes_take_the_fast_path(self, monkeypatch):
+        t = np.linspace(-0.5, 1.5, 2001)
+        want = kernels.smooth_step_jet(t)
+        seen = []
+        original = kernels.sigma_jet
+
+        def spy(t):
+            seen.append(bool(np.all(t > self.F)))
+            return original(t)
+
+        monkeypatch.setattr(kernels, "sigma_jet", spy)
+        assert_same_bits(kernels.smooth_step_jet(t), want)
+        assert seen == [True, True]
+
+
 class TestPlateauRule:
     """smooth_step_jet skips sigma_jet on the plateaus; values and signed
     zeros must equal the full formula's."""

@@ -205,6 +205,13 @@ def test_cartesian_jacobian_matches_the_list_of_lists_code(default_field, cfg, m
         for j in range(3):
             assert np.array_equal(got[i][j], want[i][j])
             assert np.array_equal(np.signbit(got[i][j]), np.signbit(want[i][j]))
+    # the divergence converts one component per axis and builds no Jacobian
+    div = oracle.cartesian_divergence_grid(default_field.u_components, r, theta, phi, cfg,
+                                           node_mask)
+    trace = want[0][0] + want[1][1] + want[2][2]
+    assert div.shape == trace.shape
+    assert np.array_equal(div, trace)
+    assert np.array_equal(np.signbit(div), np.signbit(trace))
 
 
 def test_phi_is_reduced_before_evaluation():

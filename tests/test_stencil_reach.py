@@ -138,3 +138,38 @@ def test_points_within_pad_of_the_support_are_in_the_padded_mask(
     q = kernels.cart_to_sph(x + length * sz * math.cos(az), y + length * sz * math.sin(az),
                             z + length * cz)
     assert field.support_mask(q[0], q[1], pad=pad)[0]
+
+
+@pytest.mark.parametrize("cfg_name, n_calls", [("1e-4-richardson", 12), ("1e-3-plain", 6)])
+def test_divergence_makes_one_call_per_offset_on_kept_nodes(cfg_name, n_calls):
+    field, cfg, mesh = FAMILIES["default"], CONFIGS[cfg_name], MESHES["coarse"]
+    r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
+    reach = field.support_mask(r, th, pad=2.0 * cfg.step)
+    x, y, z = (c[reach] for c in kernels.sph_to_cart(r, th, ph))
+    calls = []
+
+    def counted(r, theta, phi):
+        calls.append(kernels.sph_to_cart(r, theta, phi))
+        return field.u_components(r, theta, phi)
+
+    oracle.cartesian_divergence_grid(counted, r, th, ph, cfg, reach)
+    assert len(calls) == n_calls
+    # each call shifts every kept node, and only those, along one axis
+    for cx, cy, cz in calls:
+        assert cx.shape == x.shape
+        shift = np.array([np.max(np.abs(cx - x)), np.max(np.abs(cy - y)),
+                          np.max(np.abs(cz - z))])
+        assert np.count_nonzero(shift > 1e-12) == 1
+        assert shift.max() <= cfg.step * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("family_name", ["default", "perturbed:1e-3"])
+def test_shipped_grid_divergence_is_the_jacobian_trace(family_name):
+    field, cfg, mesh = FAMILIES[family_name], CONFIGS["1e-4-richardson"], MESHES["shipped"]
+    r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
+    reach = field.support_mask(r, th, pad=2.0 * cfg.step)
+    jac = oracle.cartesian_jacobian_grid(field.u_components, r, th, ph, cfg, reach)
+    trace = jac[0][0] + jac[1][1] + jac[2][2]
+    div = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg, reach)
+    assert np.array_equal(div, trace)
+    assert np.array_equal(np.signbit(div), np.signbit(trace))

@@ -121,6 +121,16 @@ class TestSlipChecks:
         res_u, res_w = verify.check_slip_conditions(f, SMALL_BOUNDARY)
         assert res_u.norm_sup == 0.0 and res_w.norm_sup == 0.0
 
+    @pytest.mark.parametrize("spots", [-1, -5])
+    def test_negative_oracle_spots_raise(self, default_field, spots):
+        with pytest.raises(ValueError, match="oracle_spots"):
+            verify.check_slip_conditions(default_field, SMALL_BOUNDARY, oracle_spots=spots)
+
+    def test_zero_oracle_spots_is_valid(self, default_field):
+        _, res_w = verify.check_slip_conditions(default_field, SMALL_BOUNDARY, oracle_spots=0)
+        assert res_w.details["oracle_spot_points"] == 0
+        assert res_w.details["oracle_spot_sup"] == 0.0
+
 
 class TestPersistencyCheck:
     def test_default_family_contradicts(self, default_field):
@@ -131,6 +141,17 @@ class TestPersistencyCheck:
         assert res_t.details["rel_discrepancy"] <= 1e-4
         assert res_p.details["closed_form_validated"]
         assert res_p.details["rel_discrepancy"] <= 1e-4
+
+    @pytest.mark.parametrize("gate_points", [0, -1, -50])
+    def test_gate_points_below_one_raise(self, default_field, gate_points):
+        with pytest.raises(ValueError, match="gate_points"):
+            verify.check_persistency_failure(default_field, SMALL_BOUNDARY,
+                                             gate_points=gate_points)
+
+    def test_one_gate_point(self, default_field):
+        _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY,
+                                                    gate_points=1)
+        assert res_p.details["gate_points"] == 1 and res_p.passed
 
     def test_h1zero_no_contradiction(self, h1zero_field):
         res_t, res_p = verify.check_persistency_failure(h1zero_field, SMALL_BOUNDARY)
@@ -237,6 +258,11 @@ class TestNeighborhoodRadius:
     def test_unknown_component_raises(self, default_field, component):
         with pytest.raises(ValueError, match="component"):
             verify.neighborhood_radius(default_field, component, self.equator_point(), 0.5)
+
+    @pytest.mark.parametrize("fraction", [math.nan, -0.5, -1e-300, 1.5, math.inf])
+    def test_floor_fraction_outside_unit_interval_raises(self, default_field, fraction):
+        with pytest.raises(ValueError, match="floor_fraction"):
+            verify.neighborhood_radius(default_field, "theta", self.equator_point(), fraction)
 
     def test_phi_component_uses_phi_trace(self, default_field):
         # at the plateau peak the phi trace is 0 (g_theta = 0) and the theta
@@ -420,6 +446,27 @@ class TestFullVerification:
         by_name = {c.name: c for c in default_report.checks}
         assert by_name["persistency_failure_theta"].norm_sup >= 0.9
         assert "neighborhood_radius_half_floor" in by_name["persistency_failure_theta"].details
+
+    @pytest.mark.parametrize("label", ["default", "perturbed:1e-3"])
+    def test_boundary_checks_share_one_u_omega_pass(self, label, monkeypatch):
+        field = fam.family_by_label(label)
+        mesh = SMALL_BOUNDARY.boundary_mesh()
+        standalone = [*verify.check_slip_conditions(field, SMALL_BOUNDARY),
+                      verify.check_navier_traction(field, SMALL_BOUNDARY, nu=0.7)]
+        sizes = {name: [] for name in ("u_components", "omega_components", "u_and_omega")}
+        for name, log in sizes.items():
+            def spy(self, r, theta, phi, _log=log, _fn=getattr(fam.CounterexampleField, name)):
+                _log.append(np.size(theta))
+                return _fn(self, r, theta, phi)
+            monkeypatch.setattr(fam.CounterexampleField, name, spy)
+        report = verify.run_full_verification(field, GridSpec(n_r=8, n_theta=8, n_phi=8),
+                                              SMALL_BOUNDARY, nu=0.7)
+        by_name = {c.name: c for c in report.checks}
+        for res in standalone:
+            assert by_name[res.name].to_dict() == res.to_dict()
+        n = mesh["theta"].size
+        assert sizes["u_and_omega"].count(n) == 1
+        assert n not in sizes["u_components"] + sizes["omega_components"]
 
     def test_h1zero_family_fails_persistency_only(self, h1zero_field):
         report = verify.run_full_verification(h1zero_field, SMALL_INTERIOR, SMALL_BOUNDARY)
