@@ -168,10 +168,12 @@ def cmd_verify(args, cfg) -> int:
     field, interior, boundary, fd = _build_pieces(cfg, "grid", "boundary_grid", "oracle")
     if not math.isfinite(cfg["nu"]):
         raise ConfigError(f"nu must be finite, got {cfg['nu']}")
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
+    for key in ("nu", "seed"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be non-negative, got {cfg[key]}")
     try:
         interior.require_margins_for(fd)
+        boundary.require_margins_for(fd)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = verify.run_full_verification(

@@ -9,10 +9,6 @@ class PoleDegeneracy(SlipballError):
     """Local basis requested too close to the polar axis (theta near 0 or pi)."""
 
 
-class CoordinateSingularity(SlipballError):
-    """Operator evaluation at a point where 1/r or 1/sin(theta) blows up."""
-
-
 class StencilOutOfDomain(SlipballError):
     """Finite-difference stencil would leave the admissible region."""
 

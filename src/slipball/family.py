@@ -18,11 +18,11 @@ short-circuits to exact zeros inside those margins and never touches 1/r or
 once, the profile and angular jets and the assembly kernels (which take no
 mask) run on those 1-D arrays alone, and only the final outputs are
 scattered back.  The angular factors (sin, G, g_theta, g_phi) come from
-OmegaFactors alone; on the sphere, _on_band serves both boundary traces
-(boundary_curl), big_G and the witness scan, and OmegaFactors.on_sphere the
-scaling sweep.  Jet functions are ufunc-like: they accept and return
-float64 arrays of a common shape and must supply analytic derivatives (h to
-second order, g to second order).
+OmegaFactors alone; on the sphere, _on_band serves the one boundary pass
+(boundary_state, boundary_curl), big_G and the witness scan, and
+OmegaFactors.on_sphere the scaling sweep.  Jet functions are ufunc-like:
+they accept and return float64 arrays of a common shape and must supply
+analytic derivatives (h to second order, g to second order).
 """
 import functools
 import math
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NoWitness
-from .sphcalc import ScalarJet, SphPoint, _node_arrays, sphere_midpoint_mesh
+from .sphcalc import SphPoint, _node_arrays, sphere_midpoint_mesh
 
 WITNESS_THRESHOLD = 1e-6
 _H1_ZERO_EPS = 1e-12
@@ -316,14 +316,24 @@ class CounterexampleField:
         parts = self._assemble(len(keys), _u_partials, r, theta, phi)
         return {k: _maybe_scalar(v, scalar) for k, v in zip(keys, parts)}
 
-    def boundary_curl(self, theta, phi):
-        """Both tangential components of curl(v) on the unit sphere."""
+    def _on_sphere(self, n_out, theta, phi):
+        """The last n_out (7 or 2) of boundary_state, from h(1) and h'(1)."""
         (theta, phi), scalar = _node_arrays(theta, phi)
+        h, hp = self.h_boundary, self.hp_boundary
 
         def compute(w):
-            return kernels.boundary_curl_assembly(w.sin, self.h_boundary, self.hp_boundary,
-                                                  w.g_t, w.g_p, w.big_g)
-        return _maybe_scalar(_on_band(self.angular, 2, compute, theta, phi), scalar)
+            traces = kernels.boundary_curl_assembly(w.sin, h, hp, w.g_t, w.g_p, w.big_g)
+            return (*_u_parts((h,), w), *w.assemble(h, hp), *traces) if n_out == 7 else traces
+        return _maybe_scalar(_on_band(self.angular, n_out, compute, theta, phi), scalar)
+
+    def boundary_state(self, theta, phi):
+        """(u_theta, u_phi, omega_r, omega_theta, omega_phi, curl_v_theta,
+        curl_v_phi) on the unit sphere: u_and_omega(1, ...), boundary_curl."""
+        return self._on_sphere(7, theta, phi)
+
+    def boundary_curl(self, theta, phi):
+        """Both tangential components of curl(v) on the unit sphere."""
+        return self._on_sphere(2, theta, phi)
 
     def boundary_curl_theta(self, theta, phi):
         return self.boundary_curl(theta, phi)[0]
@@ -358,15 +368,6 @@ def big_G(angular: AngularFunction, theta, phi):
     (theta, phi), scalar = _node_arrays(theta, phi)
     (big_g,) = _on_band(angular, 1, lambda w: (w.big_g,), theta, phi)
     return _maybe_scalar(big_g, scalar)
-
-
-def u_jets(field: CounterexampleField, p: SphPoint):
-    """First-order jets of (u_r, u_theta, u_phi) at p, for the operators."""
-    g = field.u_raw_partials(p.r, p.theta, p.phi)
-    jet_r = ScalarJet(0.0)
-    jet_t = ScalarJet(g["ut"], g["dut_dr"], g["dut_dtheta"], g["dut_dphi"])
-    jet_p = ScalarJet(g["up"], g["dup_dr"], g["dup_dtheta"], g["dup_dphi"])
-    return jet_r, jet_t, jet_p
 
 
 def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):

@@ -94,8 +94,7 @@ def fd_partial(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
         _out_of_domain((inner - 2.0 * s > 0.0) & (inner + 2.0 * s < R_CEILING),
                        "radial stencil at r", inner, s)
     elif coordinate == "theta":
-        _out_of_domain((theta - 2.0 * s > 0.0) & (theta + 2.0 * s < math.pi),
-                       "polar stencil at theta", theta, s)
+        _out_of_domain(polar_stencil_fits(theta, s), "polar stencil at theta", theta, s)
 
     def shifted(offset):
         coords = list(base)
@@ -112,6 +111,11 @@ def fd_partial(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
         return d
 
     return _richardson(d_at, s, cfg.richardson)
+
+
+def polar_stencil_fits(theta, step):
+    """Nodes whose polar stencil of the given step fd_partial accepts."""
+    return (theta - 2.0 * step > 0.0) & (theta + 2.0 * step < math.pi)
 
 
 def fd_curl_spherical(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):

@@ -2,10 +2,10 @@
 
 Each check evaluates a residual or a non-vanishing quantity over a grid and
 returns a CheckResult with sup and L2 norms, the binding tolerance, the pass
-direction, and the witness node of the sup.  Tolerances come in three
-regimes: 1e-12 for closed-form identities that are exact up to rounding,
-1e-6 for finite-difference-contaminated residuals, and a 1e-1 threshold
-that non-vanishing sups must exceed.
+direction, and the witness node of the sup.  Tolerances: TOL_EXACT_TRACE
+1e-12 (exact boundary traces), TOL_CLOSED_FORM 1e-10 (analytic divergence),
+TOL_FD 1e-6 (FD residuals), TOL_ORACLE_AGREEMENT 1e-4 (analytic against FD
+curl), and NONVANISH_THRESHOLD 1e-1, which non-vanishing sups must exceed.
 
 Everything is deterministic: grids are midpoint lattices, random sample
 points come from a seeded generator echoed into the report, and sup/argmax
@@ -62,11 +62,18 @@ class GridSpec:
             raise ValueError("margin_theta must lie in (0, pi/2)")
 
     def require_margins_for(self, cfg: oracle.FDConfig):
-        """Raise ValueError unless the FD oracles at cfg.step fit the interior
-        grid: both margins above twice the step, and the Cartesian stencil
-        accepted (oracle.cartesian_stencil_fits) at the innermost nodes, the
-        ones nearest the polar axis (margin_r > 2 step already keeps
-        r + step below 1)."""
+        """Raise ValueError unless the FD oracles at cfg.step fit the grid: on
+        a boundary grid, oracle.polar_stencil_fits at the first theta row (the
+        slip check's first FD-curl spot; its other default spots lie farther
+        from the poles); on an interior grid, both margins above twice the step and
+        oracle.cartesian_stencil_fits at the nodes nearest the polar axis."""
+        if self.boundary_only:
+            theta = self.boundary_mesh()["axes"][0][0]
+            if not oracle.polar_stencil_fits(theta, cfg.step):
+                raise ValueError(f"boundary grid n_theta={self.n_theta} (--boundary-ntheta) "
+                                 f"puts an FD-curl spot at theta={theta:g}; the oracle at step "
+                                 f"{cfg.step:g} needs theta > {2.0 * cfg.step:g}")
+            return
         if self.margin_r <= 2.0 * cfg.step or self.margin_theta <= 2.0 * cfg.step:
             raise ValueError("grid margins must exceed twice the oracle step")
         (r_ax, th_ax, ph_ax), _ = self._axes()
@@ -196,18 +203,17 @@ def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
 
     A handful of FD-curl spot evaluations (oracle_spots >= 0) ride along in
     the details of the omega check so the closed-form trace has an oracle
-    partner.  boundary_state: field.u_and_omega(1, theta, phi) on the mesh.
+    partner.  boundary_state: field.boundary_state(theta, phi) on the mesh,
+    evaluated here when not given.
     """
     if oracle_spots < 0:
         raise ValueError(f"oracle_spots must be at least 0, got {oracle_spots}")
     mesh = grid.boundary_mesh()
     th, ph, w = mesh["theta"], mesh["phi"], mesh["weights"]
-    ut, _, _, wt, wp = boundary_state or field.u_and_omega(1.0, th, ph)
-    ur = fam.u_radial(ut)
-    tangential = np.hypot(wt, wp)
+    ut, _, _, wt, wp, _, _ = boundary_state or field.boundary_state(th, ph)
     wit = _mesh_witness(mesh)
-    res_u = _grid_result("slip_u_dot_n", "below", ur, w, TOL_EXACT_TRACE, wit)
-    res_w = _grid_result("slip_omega_cross_n", "below", tangential, w,
+    res_u = _grid_result("slip_u_dot_n", "below", fam.u_radial(ut), w, TOL_EXACT_TRACE, wit)
+    res_w = _grid_result("slip_omega_cross_n", "below", np.hypot(wt, wp), w,
                          TOL_EXACT_TRACE, wit)
 
     stride = max(1, th.size // max(oracle_spots, 1))
@@ -233,7 +239,7 @@ def _witness_details(res, analytic, oracle_val):
 
 def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
                               cfg: oracle.FDConfig = oracle.FDConfig(),
-                              gate_points: int = 50):
+                              gate_points: int = 50, boundary_state=None):
     """Non-vanishing of the tangential components of curl(u x w) on the sphere.
 
     The pass direction is inverted: the sup must exceed the threshold for
@@ -244,6 +250,7 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     up to gate_points nodes where it is at least 1e-2 in magnitude; a
     failed gate fails the phi result, with the gate numbers in its details.
     One oracle call serves the gate and both witnesses (gate_points >= 1).
+    boundary_state is as for check_slip_conditions.
     """
     if gate_points < 1:
         raise ValueError(f"gate_points must be at least 1, got {gate_points}")
@@ -253,7 +260,7 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     th, ph, w = mesh["theta"], mesh["phi"], mesh["weights"]
     wit = _mesh_witness(mesh)
 
-    bt, bp = field.boundary_curl(th, ph)
+    bt, bp = (boundary_state or field.boundary_state(th, ph))[5:]
     res_t = _grid_result("persistency_failure_theta", "above", bt, w,
                          NONVANISH_THRESHOLD, wit)
     res_p = _grid_result("persistency_failure_phi", "above", bp, w,
@@ -348,7 +355,7 @@ def check_navier_traction(field: fam.CounterexampleField, grid: GridSpec,
     is as for check_slip_conditions.
     """
     mesh = grid.boundary_mesh()
-    ut, up, _, wt, wp = boundary_state or field.u_and_omega(1.0, mesh["theta"], mesh["phi"])
+    ut, up, _, wt, wp, _, _ = boundary_state or field.boundary_state(mesh["theta"], mesh["phi"])
     curvature = 0.0 if flat_boundary else 1.0
     t_theta = 0.5 * nu * wp - nu * curvature * ut
     t_phi = -0.5 * nu * wt - nu * curvature * up
@@ -495,14 +502,14 @@ def run_full_verification(field: fam.CounterexampleField,
                           nu: float = 1.0, seed: int = DEFAULT_SEED) -> VerificationReport:
     """All checks in fixed order; an admissibility failure in the slip
     identity short-circuits the persistency checks (their closed forms
-    assume it) without aborting the rest.  The slip and traction checks
-    share one field.u_and_omega call on the boundary mesh."""
+    assume it) without aborting the rest.  The three boundary checks share
+    one field.boundary_state call on the boundary mesh."""
     interior_grid = interior_grid if interior_grid is not None else GridSpec()
     boundary_grid = boundary_grid if boundary_grid is not None else _DEFAULT_BOUNDARY_GRID
     adm = field.admissibility
     checks = [check_divergence_free(field, interior_grid, cfg)]
     mesh = boundary_grid.boundary_mesh()
-    state = field.u_and_omega(1.0, mesh["theta"], mesh["phi"])
+    state = field.boundary_state(mesh["theta"], mesh["phi"])
     checks.extend(check_slip_conditions(field, boundary_grid, cfg, boundary_state=state))
 
     skipped = None
@@ -511,7 +518,7 @@ def run_full_verification(field: fam.CounterexampleField,
                    f"{adm.slip_condition_residual:.3e}")
     else:
         try:
-            res_t, res_p = check_persistency_failure(field, boundary_grid, cfg)
+            res_t, res_p = check_persistency_failure(field, boundary_grid, cfg, boundary_state=state)
             if res_t.passed:
                 res_t.details["neighborhood_radius_half_floor"] = neighborhood_radius(
                     field, "theta", res_t.witness, 0.5)

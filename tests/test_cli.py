@@ -77,6 +77,44 @@ class TestVerifyCommand:
         assert err == "error: seed must be non-negative, got -1\n"
         assert out == "" and not report.exists()
 
+    @pytest.mark.parametrize("form, shown", [("flag", "-1.0"), ("config", "-1")])
+    def test_negative_viscosity_exits_one_before_any_check(self, capsys, tmp_path,
+                                                           monkeypatch, form, shown):
+        # used to pass, with the traction magnitude of nu = 1
+        monkeypatch.setattr(verify, "run_full_verification",
+                            lambda *a, **k: pytest.fail("a check ran"))
+        report = tmp_path / "out.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nu": -1}))
+        nu = ["--nu", "-1"] if form == "flag" else ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, ["verify", *nu, "--report", str(report)] + FAST_GRID)
+        assert code == 1
+        assert err == f"error: nu must be non-negative, got {shown}\n"
+        assert out == "" and not report.exists()
+
+    def test_zero_viscosity_is_valid(self, capsys, tmp_path):
+        report = tmp_path / "out.json"
+        code, _, err = run_cli(capsys, ["verify", "--nu", "0", "--report", str(report)]
+                               + FAST_GRID)
+        assert code == 0, err
+        by_name = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert by_name["navier_traction"]["details"]["nu"] == 0.0
+
+    def test_boundary_stencil_checked_before_the_run(self, capsys, tmp_path, monkeypatch):
+        # the slip check's first FD-curl spot sits at theta = pi/256 on the
+        # shipped boundary grid, too near the pole for step 1e-2; this used to
+        # fail with StencilOutOfDomain after the divergence check had run
+        monkeypatch.setattr(verify, "run_full_verification",
+                            lambda *a, **k: pytest.fail("a check ran"))
+        report = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, ["verify", "--oracle-step", "1e-2", "--grid-nr", "8",
+                                          "--grid-ntheta", "8", "--grid-nphi", "8",
+                                          "--report", str(report)])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--boundary-ntheta" in err and "step 0.01" in err
+        assert out == "" and not report.exists()
+
     def test_every_flag_reaches_the_run(self, capsys, tmp_path):
         report = tmp_path / "out.json"
         code, _, _ = run_cli(capsys, [

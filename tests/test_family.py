@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slipball import family as fam
-from slipball import kernels, oracle, sphcalc
+from slipball import kernels, oracle
 from slipball.errors import NoWitness
-from slipball.sphcalc import SphPoint, SphVec
 from tests_support import (random_admissible_nodes, random_admissible_points,
                            random_boundary_points)
 
@@ -143,12 +142,17 @@ class TestOmegaField:
         assert wr == pytest.approx(-SQRT2_HALF, abs=1e-14)
 
     def test_matches_curl_of_jets(self, default_field, rng):
-        for p in random_admissible_points(rng, 100):
-            w = SphVec(*default_field.omega_components(p.r, p.theta, p.phi))
-            c = sphcalc.curl(p, fam.u_jets(default_field, p))
-            assert abs(w.vr - c.vr) < 1e-10
-            assert abs(w.vtheta - c.vtheta) < 1e-10
-            assert abs(w.vphi - c.vphi) < 1e-10
+        # kernels.curl_parts on the analytic first partials (u_r and its
+        # partials vanish)
+        r, th, ph = random_admissible_nodes(rng, 100)
+        g = default_field.u_raw_partials(r, th, ph)
+        zeros = np.zeros_like(r)
+        c = kernels.curl_parts(r, np.sin(th), np.cos(th), zeros, zeros,
+                               g["ut"], g["dut_dr"], g["dut_dphi"],
+                               g["up"], g["dup_dr"], g["dup_dtheta"])
+        w = default_field.omega_components(r, th, ph)
+        for k in range(3):
+            assert np.all(np.abs(w[k] - c[k]) < 1e-10)
 
 
 class TestVField:
@@ -171,21 +175,23 @@ class TestVField:
         assert vp == pytest.approx(-0.5, abs=1e-14)
 
     def test_equals_cross_product(self, default_field, rng):
-        for p in random_admissible_points(rng, 100):
-            v = SphVec(*default_field.v_components(p.r, p.theta, p.phi))
-            c = sphcalc.cross(SphVec(*default_field.u_components(p.r, p.theta, p.phi)),
-                              SphVec(*default_field.omega_components(p.r, p.theta,
-                                                                    p.phi)))
-            assert abs(v.vr - c.vr) < 1e-12
-            assert abs(v.vtheta - c.vtheta) < 1e-12
-            assert abs(v.vphi - c.vphi) < 1e-12
+        nodes = random_admissible_nodes(rng, 100)
+        v = default_field.v_components(*nodes)
+        ur, ut, up = default_field.u_components(*nodes)
+        assert np.all(ur == 0.0)  # cross_tangential takes a tangential first factor
+        c = kernels.cross_tangential(ut, up, *default_field.omega_components(*nodes))
+        for k in range(3):
+            assert np.all(np.abs(v[k] - c[k]) < 1e-12)
 
 
 class TestInteriorConsistency:
     def test_divergence_free(self, default_field, rng):
-        for p in random_admissible_points(rng, 100):
-            d = sphcalc.divergence(p, fam.u_jets(default_field, p))
-            assert abs(d) < 1e-10
+        r, th, ph = random_admissible_nodes(rng, 100)
+        g = default_field.u_raw_partials(r, th, ph)
+        zeros = np.zeros_like(r)
+        d = kernels.divergence_parts(r, np.sin(th), np.cos(th), zeros, zeros,
+                                     g["ut"], g["dut_dtheta"], g["dup_dphi"])
+        assert np.all(np.abs(d) < 1e-10)
 
     def test_div_of_curl_via_fd_jets(self, default_field, rng):
         # closed-form curl components, first partials by the FD oracle
@@ -194,10 +200,10 @@ class TestInteriorConsistency:
         w = default_field.omega_components(*nodes)
         d_r, d_t, d_p = (oracle.fd_partial(default_field.omega_components, *nodes, c, cfg)
                          for c in ("r", "theta", "phi"))
-        for i, p in enumerate(SphPoint(*t) for t in zip(*nodes)):
-            jets = tuple(sphcalc.ScalarJet(w[k][i], d_r[k][i], d_t[k][i], d_p[k][i])
-                         for k in range(3))
-            assert abs(sphcalc.divergence(p, jets)) < 1e-8
+        r, th, _ = nodes
+        div = kernels.divergence_parts(r, np.sin(th), np.cos(th), w[0], d_r[0],
+                                       w[1], d_t[1], d_p[2])
+        assert np.all(np.abs(div) < 1e-8)
 
 
 class TestBoundaryCurl:

@@ -15,7 +15,7 @@ from slipball import family as fam
 from slipball import kernels, oracle, verify
 from slipball.errors import StencilOutOfDomain
 from slipball.oracle import FDConfig
-from slipball.sphcalc import SphPoint, SphVec
+from slipball.sphcalc import SphPoint
 from slipball.verify import GridSpec
 
 PI = math.pi
@@ -64,16 +64,17 @@ def ref_fd_partial(f, p, coordinate, cfg):
 
 
 def ref_fd_curl_spherical(field, p, cfg):
+    """field(q) is the tuple (v_r, v_theta, v_phi) at the point q."""
     st = math.sin(p.theta)
-    d_upsin_dt = ref_fd_partial(lambda q: field(q).vphi * math.sin(q.theta), p, "theta", cfg)
-    d_ut_dp = ref_fd_partial(lambda q: field(q).vtheta, p, "phi", cfg)
-    d_ur_dp = ref_fd_partial(lambda q: field(q).vr, p, "phi", cfg)
-    d_rup_dr = ref_fd_partial(lambda q: q.r * field(q).vphi, p, "r", cfg)
-    d_rut_dr = ref_fd_partial(lambda q: q.r * field(q).vtheta, p, "r", cfg)
-    d_ur_dt = ref_fd_partial(lambda q: field(q).vr, p, "theta", cfg)
-    return SphVec((d_upsin_dt - d_ut_dp) / (p.r * st),
-                  (d_ur_dp / st - d_rup_dr) / p.r,
-                  (d_rut_dr - d_ur_dt) / p.r)
+    d_upsin_dt = ref_fd_partial(lambda q: field(q)[2] * math.sin(q.theta), p, "theta", cfg)
+    d_ut_dp = ref_fd_partial(lambda q: field(q)[1], p, "phi", cfg)
+    d_ur_dp = ref_fd_partial(lambda q: field(q)[0], p, "phi", cfg)
+    d_rup_dr = ref_fd_partial(lambda q: q.r * field(q)[2], p, "r", cfg)
+    d_rut_dr = ref_fd_partial(lambda q: q.r * field(q)[1], p, "r", cfg)
+    d_ur_dt = ref_fd_partial(lambda q: field(q)[0], p, "theta", cfg)
+    return ((d_upsin_dt - d_ut_dp) / (p.r * st),
+            (d_ur_dp / st - d_rup_dr) / p.r,
+            (d_rut_dr - d_ur_dt) / p.r)
 
 
 def ref_fd_boundary_radial_derivative(f, theta, phi, cfg):
@@ -123,10 +124,10 @@ def test_fd_partial_grid_stacked_fields(default_field, cfg):
 @pytest.mark.parametrize("cfg", CONFIGS)
 def test_fd_curl_spherical_grid_matches_point_loop(default_field, cfg):
     got = oracle.fd_curl_spherical(default_field.u_components, R, THETA, PHI, cfg)
-    u = lambda q: SphVec(*default_field.u_components(q.r, q.theta, q.phi))
+    u = lambda q: default_field.u_components(q.r, q.theta, q.phi)
     ref = [ref_fd_curl_spherical(u, p, cfg) for p in points()]
-    for k, name in enumerate(("vr", "vtheta", "vphi")):
-        assert np.array_equal(got[k], [getattr(c, name) for c in ref])
+    for k in range(3):
+        assert np.array_equal(got[k], [c[k] for c in ref])
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
@@ -397,7 +398,8 @@ def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):
             return method(self, *coords)
         return evaluator
 
-    for name in ("v_components", "boundary_curl", "boundary_curl_theta", "boundary_curl_phi"):
+    for name in ("v_components", "boundary_state", "boundary_curl", "boundary_curl_theta",
+                 "boundary_curl_phi"):
         monkeypatch.setattr(fam.CounterexampleField, name, sized(name))
     _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
     assert want.passed and not res_p.passed

@@ -7,7 +7,7 @@ import pytest
 
 from slipball import family as fam
 from slipball import kernels, oracle, verify
-from slipball.errors import DegenerateFit
+from slipball.errors import DegenerateFit, StencilOutOfDomain
 from slipball.oracle import FDConfig
 from slipball.verify import GridSpec
 
@@ -33,6 +33,33 @@ class TestGridSpec:
         GridSpec(margin_r=1e-3).require_margins_for(FDConfig(step=1e-4))
         with pytest.raises(ValueError):
             GridSpec(margin_r=1e-4).require_margins_for(FDConfig(step=1e-4))
+
+    def test_boundary_check_accepts_exactly_what_the_slip_spots_accept(self, default_field):
+        # the up-front check on a boundary grid passes iff the slip check's
+        # FD-curl spots stay inside the polar stencil domain at that step
+        cases = [(n, step) for n in (8, 16, 64, 78, 79, 80, 128, 200)
+                 for step in (1e-4, 1e-3, 3e-3, 5e-3, 1e-2)]
+        for n in (8, 79, 128):  # steps at the edge: theta_0 - 2 step just above, at, below 0
+            half = math.pi / n * 0.5 / 2.0
+            cases += [(n, s) for s in (math.nextafter(half, 0.0), half,
+                                       math.nextafter(half, 1.0)) if s <= 1e-2]
+        outcomes = set()
+        for n, step in cases:
+            grid = GridSpec(n_theta=n, n_phi=16, boundary_only=True)
+            cfg = FDConfig(step=step)
+            try:
+                grid.require_margins_for(cfg)
+                accepted = True
+            except ValueError:
+                accepted = False
+            try:
+                verify.check_slip_conditions(default_field, grid, cfg)
+                runs = True
+            except StencilOutOfDomain:
+                runs = False
+            assert accepted == runs, (n, step)
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("step", [3e-3, 1e-2])
     def test_cartesian_stencil_checked_up_front(self, step):
@@ -175,15 +202,15 @@ class TestPersistencyCheck:
 
 
 def off_by_a_tenth_percent(monkeypatch):
-    """Make every field's phi closed form 0.1% too large (both selectors and
-    the mesh-wide boundary_curl go through boundary_curl)."""
-    true_method = fam.CounterexampleField.boundary_curl
+    """Make every field's phi closed form 0.1% too large in the one sphere
+    pass, boundary_state, which the persistency check reads on the mesh."""
+    true_method = fam.CounterexampleField.boundary_state
 
     def scaled(self, th, ph):
-        bt, bp = true_method(self, th, ph)
-        return bt, 1.001 * bp
+        *rest, bp = true_method(self, th, ph)
+        return (*rest, 1.001 * bp)
 
-    monkeypatch.setattr(fam.CounterexampleField, "boundary_curl", scaled)
+    monkeypatch.setattr(fam.CounterexampleField, "boundary_state", scaled)
 
 
 class TestPhiGateFailure:
@@ -449,24 +476,37 @@ class TestFullVerification:
 
     @pytest.mark.parametrize("label", ["default", "perturbed:1e-3"])
     def test_boundary_checks_share_one_u_omega_pass(self, label, monkeypatch):
+        # the slip, persistency and traction checks read one boundary_state
+        # pass on the mesh, and each result is the one the check gives alone
         field = fam.family_by_label(label)
         mesh = SMALL_BOUNDARY.boundary_mesh()
         standalone = [*verify.check_slip_conditions(field, SMALL_BOUNDARY),
                       verify.check_navier_traction(field, SMALL_BOUNDARY, nu=0.7)]
-        sizes = {name: [] for name in ("u_components", "omega_components", "u_and_omega")}
+        skipped = not field.admissibility.slip_ok
+        if not skipped:
+            res_t, res_p = verify.check_persistency_failure(field, SMALL_BOUNDARY)
+            res_t.details["neighborhood_radius_half_floor"] = verify.neighborhood_radius(
+                field, "theta", res_t.witness, 0.5)
+            standalone += [res_t, res_p]
+        names = ("u_components", "omega_components", "u_and_omega", "boundary_state",
+                 "boundary_curl")
+        sizes = {name: [] for name in names}
         for name, log in sizes.items():
-            def spy(self, r, theta, phi, _log=log, _fn=getattr(fam.CounterexampleField, name)):
-                _log.append(np.size(theta))
-                return _fn(self, r, theta, phi)
+            def spy(self, *coords, _log=log, _fn=getattr(fam.CounterexampleField, name)):
+                _log.append(np.size(coords[-2]))  # theta
+                return _fn(self, *coords)
             monkeypatch.setattr(fam.CounterexampleField, name, spy)
         report = verify.run_full_verification(field, GridSpec(n_r=8, n_theta=8, n_phi=8),
                                               SMALL_BOUNDARY, nu=0.7)
         by_name = {c.name: c for c in report.checks}
         for res in standalone:
             assert by_name[res.name].to_dict() == res.to_dict()
+        for name in ("persistency_failure_theta", "persistency_failure_phi"):
+            assert by_name[name].details.get("skipped", False) is skipped
         n = mesh["theta"].size
-        assert sizes["u_and_omega"].count(n) == 1
-        assert n not in sizes["u_components"] + sizes["omega_components"]
+        assert sizes["boundary_state"].count(n) == 1
+        assert n not in (sizes["u_and_omega"] + sizes["boundary_curl"]
+                         + sizes["u_components"] + sizes["omega_components"])
 
     def test_h1zero_family_fails_persistency_only(self, h1zero_field):
         report = verify.run_full_verification(h1zero_field, SMALL_INTERIOR, SMALL_BOUNDARY)
