@@ -173,9 +173,12 @@ def cmd_verify(args, cfg) -> int:
             raise ConfigError(f"{key} must be non-negative, got {cfg[key]}")
     try:
         interior.require_margins_for(fd)
-        boundary.require_margins_for(fd)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        boundary.require_margins_for(fd)
+    except ValueError as exc:
+        raise ConfigError(f"--boundary-ntheta (boundary_grid.n_theta): {exc}") from exc
     report = verify.run_full_verification(
         field, interior, boundary, fd, nu=cfg["nu"], seed=cfg["seed"])
     _print_report_table(report)

@@ -316,24 +316,21 @@ class CounterexampleField:
         parts = self._assemble(len(keys), _u_partials, r, theta, phi)
         return {k: _maybe_scalar(v, scalar) for k, v in zip(keys, parts)}
 
-    def _on_sphere(self, n_out, theta, phi):
-        """The last n_out (7 or 2) of boundary_state, from h(1) and h'(1)."""
+    def boundary_state(self, theta, phi):
+        """(u_theta, u_phi, omega_r, omega_theta, omega_phi, curl_v_theta,
+        curl_v_phi) on the unit sphere in one pass from h(1) and h'(1): the
+        first five are u_and_omega(1, ...)."""
         (theta, phi), scalar = _node_arrays(theta, phi)
         h, hp = self.h_boundary, self.hp_boundary
 
         def compute(w):
-            traces = kernels.boundary_curl_assembly(w.sin, h, hp, w.g_t, w.g_p, w.big_g)
-            return (*_u_parts((h,), w), *w.assemble(h, hp), *traces) if n_out == 7 else traces
-        return _maybe_scalar(_on_band(self.angular, n_out, compute, theta, phi), scalar)
-
-    def boundary_state(self, theta, phi):
-        """(u_theta, u_phi, omega_r, omega_theta, omega_phi, curl_v_theta,
-        curl_v_phi) on the unit sphere: u_and_omega(1, ...), boundary_curl."""
-        return self._on_sphere(7, theta, phi)
+            return (*_u_parts((h,), w), *w.assemble(h, hp),
+                    *kernels.boundary_curl_assembly(w.sin, h, hp, w.g_t, w.g_p, w.big_g))
+        return _maybe_scalar(_on_band(self.angular, 7, compute, theta, phi), scalar)
 
     def boundary_curl(self, theta, phi):
         """Both tangential components of curl(v) on the unit sphere."""
-        return self._on_sphere(2, theta, phi)
+        return self.boundary_state(theta, phi)[5:]
 
     def boundary_curl_theta(self, theta, phi):
         return self.boundary_curl(theta, phi)[0]

@@ -70,9 +70,9 @@ class GridSpec:
         if self.boundary_only:
             theta = self.boundary_mesh()["axes"][0][0]
             if not oracle.polar_stencil_fits(theta, cfg.step):
-                raise ValueError(f"boundary grid n_theta={self.n_theta} (--boundary-ntheta) "
-                                 f"puts an FD-curl spot at theta={theta:g}; the oracle at step "
-                                 f"{cfg.step:g} needs theta > {2.0 * cfg.step:g}")
+                raise ValueError(f"boundary grid n_theta={self.n_theta} puts an FD-curl spot "
+                                 f"at theta={theta:g}; the oracle at step {cfg.step:g} needs "
+                                 f"theta > {2.0 * cfg.step:g}")
             return
         if self.margin_r <= 2.0 * cfg.step or self.margin_theta <= 2.0 * cfg.step:
             raise ValueError("grid margins must exceed twice the oracle step")

@@ -112,7 +112,8 @@ class TestVerifyCommand:
                                           "--report", str(report)])
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "--boundary-ntheta" in err and "step 0.01" in err
+        assert "--boundary-ntheta (boundary_grid.n_theta): boundary grid n_theta=128" in err
+        assert "step 0.01" in err
         assert out == "" and not report.exists()
 
     def test_every_flag_reaches_the_run(self, capsys, tmp_path):

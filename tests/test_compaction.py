@@ -22,7 +22,7 @@ from slipball import kernels
 PI = math.pi
 RADIAL = ("u_components", "omega_components", "v_components", "u_and_omega",
           "u_raw_partials")
-POLAR = ("boundary_curl_theta", "boundary_curl_phi", "big_G")
+POLAR = ("boundary_curl_theta", "boundary_curl_phi", "boundary_state", "big_G")
 
 
 def _family(name):
@@ -90,6 +90,8 @@ def _reference(field, name, r, theta, phi):
             return sel(gg)
         bt, bp = sel(*kernels.boundary_curl_assembly(
             s, field.h_boundary, field.hp_boundary, g_t, g_p, gg))
+        if name == "boundary_state":
+            return (*_reference(field, "u_and_omega", 1.0, theta, phi), bt, bp)
         return (bt,) if name == "boundary_curl_theta" else (bp,)
     h, hp, _ = field.profile.fn(r)
     ut, up = sel(*kernels.u_assembly(h, g_t, g_p, s))
@@ -235,8 +237,9 @@ def test_assembly_kernels_see_only_in_support_nodes(monkeypatch, family, name):
                    for a in args if isinstance(a, np.ndarray))
         at_sin, at_r = ASSEMBLY[kernel]
         assert np.array_equal(args[at_sin], np.sin(theta[support]))
-        if at_r is not None:
-            assert np.array_equal(args[at_r], r[support])
+        if at_r is not None:  # the polar evaluators sit on the unit sphere
+            want_r = r[support] if name in RADIAL else np.ones(np.count_nonzero(support))
+            assert np.array_equal(args[at_r], want_r)
 
     seen.clear()
     evaluate(field, name, np.full(4, 0.1), np.array([0.0, 0.1, PI - 0.1, PI]), phi[:4])
@@ -314,5 +317,21 @@ class TestNaNCoordinates:
     @pytest.mark.parametrize("name", POLAR)
     def test_polar_evaluators_nan(self, default_field, name):
         for theta, phi in [(math.nan, 1.0), (1.2, math.nan), (0.1, math.nan)]:
-            (out,) = evaluate(default_field, name, None, theta, phi)
-            assert math.isnan(out)
+            out = evaluate(default_field, name, None, theta, phi)
+            assert len(out) == (7 if name == "boundary_state" else 1)
+            assert all(isinstance(v, float) and math.isnan(v) for v in out)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_boundary_state_is_u_and_omega_and_boundary_curl(self, family):
+        field = FAMILIES[family]
+        d = field.angular.pole_margin
+        theta = np.array([1.0, math.nan, 1.2, 0.0, d, math.nextafter(d, PI), PI - d, PI, 2.0])
+        phi = np.array([1.0, 2.0, math.nan, 3.0, 4.0, 5.0, 6.0, -0.0, -7.0])
+        want = (*field.u_and_omega(1.0, theta, phi), *field.boundary_curl(theta, phi))
+        assert_bit_identical(field.boundary_state(theta, phi), want, theta.shape)
+        for th, ph in zip(theta, phi):
+            got = field.boundary_state(float(th), float(ph))
+            want = (*field.u_and_omega(1.0, float(th), float(ph)),
+                    *field.boundary_curl(float(th), float(ph)))
+            assert all(isinstance(v, float) for v in got)
+            assert_bit_identical(got, want, ())
