@@ -179,12 +179,16 @@ def cmd_verify(args, cfg) -> int:
         boundary.require_margins_for(fd)
     except ValueError as exc:
         raise ConfigError(f"--boundary-ntheta (boundary_grid.n_theta): {exc}") from exc
-    report = verify.run_full_verification(
-        field, interior, boundary, fd, nu=cfg["nu"], seed=cfg["seed"])
+    try:
+        report = verify.run_full_verification(
+            field, interior, boundary, fd, nu=cfg["nu"], seed=cfg["seed"])
+    except ValueError as exc:  # a non-finite result
+        raise ConfigError(str(exc)) from exc
     _print_report_table(report)
     if cfg["report"]:
+        text = report.to_json(include_timestamp=cfg["timestamp"])
         with open(cfg["report"], "w") as fh:
-            fh.write(report.to_json(include_timestamp=cfg["timestamp"]))
+            fh.write(text)
         print(f"report written to {cfg['report']}", file=sys.stderr)
     return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
 

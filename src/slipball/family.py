@@ -21,8 +21,12 @@ scattered back.  The angular factors (sin, G, g_theta, g_phi) come from
 OmegaFactors alone; on the sphere, _on_band serves the one boundary pass
 (boundary_state, boundary_curl), big_G and the witness scan, and
 OmegaFactors.on_sphere the scaling sweep.  Jet functions are ufunc-like:
-they accept and return float64 arrays of a common shape and must supply
-analytic derivatives (h to second order, g to second order).
+they accept float64 arrays of a common shape and an order k (0, 1 or 2),
+and return arrays of that shape: the jet through at least order k, from
+analytic derivatives.  Each evaluator asks for the orders it reads: u the
+profile value and the first angular partials, omega and the u partials the
+profile's first derivative and the angular jet through order 2.  Callers
+read jet entries by position, so a jet function may return more than asked.
 """
 import functools
 import math
@@ -81,14 +85,15 @@ def _on_band(angular, n_out, compute, theta, phi):
     every field on the unit sphere (every support_inner lies below 1),
     scattered back by _on_support."""
     def on_nodes(theta, phi):
-        return compute(OmegaFactors(np.ones_like(theta), theta, angular.fn(theta, phi)))
+        return compute(OmegaFactors(np.ones_like(theta), theta, angular.fn(theta, phi, 2)))
     return _on_support(_polar_band(angular.pole_margin, theta), n_out, on_nodes, theta, phi)
 
 
 class OmegaFactors:
     """The angular factors of u and omega on 1-D arrays of in-support nodes
     (r, theta), from the angular jet g_jet there: sin theta, g_theta, g_phi,
-    and G, computed when first asked for (u needs no G).
+    and G, computed when first asked for (u needs no G, so its g_jet may
+    stop at order 1).
 
     assemble(h, h') completes them with a profile jet on the same nodes, so
     several profiles over one angular function share the angular work.
@@ -96,13 +101,13 @@ class OmegaFactors:
 
     def __init__(self, r, theta, g_jet):
         self.r, self.theta, self.g_jet = r, theta, g_jet
-        _, self.g_t, self.g_p, *_ = g_jet
+        self.g_t, self.g_p = g_jet[1], g_jet[2]
         self.sin = np.sin(theta)
 
     @functools.cached_property
     def big_g(self):
-        _, g_t, _, g_tt, _, g_pp = self.g_jet
-        return kernels.big_g_values(self.sin, np.cos(self.theta), g_t, g_tt, g_pp)
+        g = self.g_jet
+        return kernels.big_g_values(self.sin, np.cos(self.theta), g[1], g[3], g[5])
 
     @classmethod
     def on_sphere(cls, angular, theta, phi):
@@ -112,7 +117,7 @@ class OmegaFactors:
         if not band.any():
             return None
         theta = theta[band]
-        return cls(np.ones_like(theta), theta, angular.fn(theta, phi[band]))
+        return cls(np.ones_like(theta), theta, angular.fn(theta, phi[band], 2))
 
     def assemble(self, h, hp):
         """(omega_r, omega_theta, omega_phi) for the profile jet (h, h')."""
@@ -123,11 +128,12 @@ class OmegaFactors:
 class RadialProfile:
     """h(r) with derivatives; identically zero for r <= support_inner.
 
-    fn(r) returns (h, h', h'') as arrays of r's shape.  The field
-    evaluators call it only on a 1-D array of nodes inside the field's
-    support (r > support_inner, theta off the pole margins), and never on
-    an empty array.  Only check_admissibility probes r <= support_inner,
-    to confirm that fn vanishes there.
+    fn(r, order) returns (h, h', h'') through at least `order` (h alone
+    at order 0) as arrays of r's shape.  The field evaluators call it only
+    on a 1-D array of nodes inside the field's support (r > support_inner,
+    theta off the pole margins), and never on an empty array.  Only
+    check_admissibility probes r <= support_inner, to confirm that fn
+    vanishes there.
     """
 
     fn: Callable
@@ -140,7 +146,7 @@ class RadialProfile:
 
     def jet(self, r):
         (r,), scalar = _node_arrays(r)
-        return _maybe_scalar(self.fn(r), scalar)
+        return _maybe_scalar(self.fn(r, 2), scalar)
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,9 @@ class AngularFunction:
     """g(theta, phi) with partials to second order, 2pi-periodic in phi.
 
     g and all stored partials vanish identically for theta within
-    pole_margin of 0 or pi.  fn(theta, phi) returns (g, g_t, g_p, g_tt,
-    g_tp, g_pp) as arrays of the inputs' shape.  The field evaluators call
+    pole_margin of 0 or pi.  fn(theta, phi, order) returns, as arrays of
+    the inputs' shape, at least (g,) at order 0, (g, g_t, g_p) at order 1,
+    and (g, g_t, g_p, g_tt, g_tp, g_pp) at order 2.  The field evaluators call
     it only on 1-D arrays of nodes inside the support (theta off the pole
     margins, and r > support_inner where a radius is given), and never on
     empty arrays.  Only check_admissibility probes the margins and the
@@ -166,7 +173,7 @@ class AngularFunction:
 
     def jet(self, theta, phi):
         (theta, phi), scalar = _node_arrays(theta, phi)
-        return _maybe_scalar(self.fn(theta, phi), scalar)
+        return _maybe_scalar(self.fn(theta, phi, 2), scalar)
 
 
 def default_profile() -> RadialProfile:
@@ -190,10 +197,16 @@ def perturbed_profile(eps: float, base: Optional[RadialProfile] = None) -> Radia
         raise ValueError(f"perturbation size must be finite, got {eps!r}")
     base = base if base is not None else default_profile()
 
-    def fn(r):
-        h, hp, hpp = base.fn(r)
-        q, q1, q2 = kernels.perturbed_factor_jet(r, float(eps))
-        return h * q, hp * q + h * q1, hpp * q + 2.0 * hp * q1 + h * q2
+    def fn(r, order):
+        h = base.fn(r, order)
+        q = kernels.perturbed_factor_jet(r, float(eps), order)
+        hq = h[0] * q[0]
+        if order < 1:
+            return (hq,)
+        hq1 = h[1] * q[0] + h[0] * q[1]
+        if order < 2:
+            return hq, hq1
+        return hq, hq1, h[2] * q[0] + 2.0 * h[1] * q[1] + h[0] * q[2]
 
     return RadialProfile(fn, base.support_inner, f"perturbed:{eps:g}")
 
@@ -207,16 +220,15 @@ def default_angular() -> AngularFunction:
 def cosine_angular() -> AngularFunction:
     """Same bump with azimuthal factor cos(phi) (regression family)."""
 
-    def fn(theta, phi):
-        return kernels.default_angular_jet(theta, phi + math.pi / 2)
+    def fn(theta, phi, order):
+        return kernels.default_angular_jet(theta, phi + math.pi / 2, order)
 
     return AngularFunction(fn, math.pi / 4, "cosine")
 
 
 def zero_angular() -> AngularFunction:
-    def fn(theta, phi):
-        z = np.zeros_like(theta)
-        return z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy()
+    def fn(theta, phi, order):
+        return tuple(np.zeros_like(theta) for _ in range((1, 3, 6)[order]))
 
     return AngularFunction(fn, math.pi / 4, "zero")
 
@@ -254,9 +266,7 @@ class CounterexampleField:
         self.profile = profile
         self.angular = angular
         self.label = label if label is not None else f"{profile.label}+{angular.label}"
-        h1, hp1, _ = profile.jet(1.0)
-        self.h_boundary = h1
-        self.hp_boundary = hp1
+        self.h_boundary, self.hp_boundary = profile.jet(1.0)[:2]
         self.admissibility = check_admissibility(self)
 
     def support_mask(self, r, theta, pad=0.0):
@@ -272,30 +282,35 @@ class CounterexampleField:
                 d = d - np.arcsin(np.minimum(1.0, np.divide(pad, r)))
         return _polar_band(d, theta) & (r > self.profile.support_inner - pad)
 
-    def _assemble(self, n_out, assemble, r, theta, phi):
+    def _assemble(self, n_out, assemble, orders, r, theta, phi):
         """assemble(profile jet, OmegaFactors) on the support nodes of the
-        node arrays, scattered back by _on_support."""
+        node arrays, scattered back by _on_support; orders are those of the
+        profile and the angular jet."""
+        h_order, g_order = orders
+
         def compute(r, theta, phi):
-            return assemble(self.profile.fn(r), OmegaFactors(r, theta, self.angular.fn(theta, phi)))
+            return assemble(self.profile.fn(r, h_order),
+                            OmegaFactors(r, theta, self.angular.fn(theta, phi, g_order)))
         return _on_support(self.support_mask(r, theta), n_out, compute, r, theta, phi)
 
     def u_components(self, r, theta, phi):
         """(u_r, u_theta, u_phi); u_r is identically zero (NaN at NaN input)."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        ut, up = self._assemble(2, _u_parts, r, theta, phi)
+        ut, up = self._assemble(2, _u_parts, (0, 1), r, theta, phi)
         return _maybe_scalar((u_radial(ut), ut, up), scalar)
 
     def omega_components(self, r, theta, phi):
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        return _maybe_scalar(self._assemble(3, lambda h, w: w.assemble(*h[:2]), r, theta, phi),
-                             scalar)
+        return _maybe_scalar(
+            self._assemble(3, lambda h, w: w.assemble(h[0], h[1]), (1, 2), r, theta, phi), scalar)
 
     def u_and_omega(self, r, theta, phi):
         """(u_theta, u_phi, omega_r, omega_theta, omega_phi) in one pass, as
         u_components and omega_components give them (u_r is u_radial(u_theta))."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         return _maybe_scalar(self._assemble(
-            5, lambda h, w: (*_u_parts(h, w), *w.assemble(*h[:2])), r, theta, phi), scalar)
+            5, lambda h, w: (*_u_parts(h, w), *w.assemble(h[0], h[1])), (1, 2), r, theta, phi),
+            scalar)
 
     def v_components(self, r, theta, phi):
         """u x curl(u), from the closed forms of both factors."""
@@ -313,7 +328,7 @@ class CounterexampleField:
         """
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         keys = ("ut", "dut_dr", "dut_dtheta", "dut_dphi", "up", "dup_dr", "dup_dtheta", "dup_dphi")
-        parts = self._assemble(len(keys), _u_partials, r, theta, phi)
+        parts = self._assemble(len(keys), _u_partials, (1, 2), r, theta, phi)
         return {k: _maybe_scalar(v, scalar) for k, v in zip(keys, parts)}
 
     def boundary_state(self, theta, phi):
@@ -351,8 +366,8 @@ def _u_parts(h_jet, w):
 
 
 def _u_partials(h_jet, w):
-    h, hp, _ = h_jet
-    _, g_t, g_p, g_tt, g_tp, g_pp = w.g_jet
+    h, hp = h_jet[0], h_jet[1]
+    _, g_t, g_p, g_tt, g_tp, g_pp = w.g_jet[:6]
     st, ct = w.sin, np.cos(w.theta)
     ut, up = _u_parts(h_jet, w)
     return (ut, -hp * g_p / st, -h * (g_tp * st - g_p * ct) / st**2, -h * g_pp / st,
@@ -398,18 +413,18 @@ def check_admissibility(field: CounterexampleField) -> AdmissibilityReport:
     h1, hp1 = field.h_boundary, field.hp_boundary
     si = field.profile.support_inner
     r_in = np.linspace(0.0, si, 5)
-    support_ok = all(np.all(a == 0.0) for a in field.profile.fn(r_in))
+    support_ok = all(np.all(a == 0.0) for a in field.profile.fn(r_in, 2))
 
     d = field.angular.pole_margin
     theta_in = np.concatenate([np.linspace(0.0, d, 4), np.linspace(math.pi - d, math.pi, 4)])
     phi_s = np.array([0.0, 0.7, math.pi, 5.1])
     th, ph = [np.ascontiguousarray(a.ravel()) for a in np.meshgrid(theta_in, phi_s, indexing="ij")]
-    pole_ok = all(np.all(a == 0.0) for a in field.angular.fn(th, ph))
+    pole_ok = all(np.all(a == 0.0) for a in field.angular.fn(th, ph, 2))
 
     th_p = np.repeat(np.linspace(0.0, math.pi, 7), 5)
     ph_p = np.tile(np.linspace(0.0, 2.0 * math.pi, 5), 7)
-    g0 = field.angular.fn(th_p, ph_p)[0]
-    g1 = field.angular.fn(th_p, ph_p + 2.0 * math.pi)[0]
+    g0 = field.angular.fn(th_p, ph_p, 2)[0]
+    g1 = field.angular.fn(th_p, ph_p + 2.0 * math.pi, 2)[0]
     periodicity_ok = bool(np.max(np.abs(g1 - g0), initial=0.0) <= 1e-12)
 
     try:

@@ -19,6 +19,12 @@ those constants without calling sigma_jet.  The zeros keep the signs the
 formula gives: +0 on the lower plateau; s' = +0 and s'' = -0 on the upper
 one, where sigma''(t) < 0.  Only the ramp between, NaN, and t > 1e100
 (where t**3 overflows and s'' is +0) run the formula.
+
+Orders: each jet kernel (sigma_jet through default_angular_jet) takes an
+order k, 0, 1 or 2 (the default), and computes and returns its jet through
+order k only: (value,), (value, first), or all three entries; the angular
+jet returns (g,), (g, g_t, g_p), or all six.  Each entry is the same
+expression as at order 2, so it has the same bits, signed zeros included.
 """
 import numpy as np
 
@@ -36,103 +42,125 @@ _BUMP_C = 5 * np.pi / 8
 _BUMP_D = 3 * np.pi / 4
 
 
-def sigma_jet(t):
+def sigma_jet(t, order=2):
     m = t > _SIGMA_FLOOR
     if np.all(m):
-        s = np.exp(-1.0 / t)
-        return s, s / t**2, s * (1.0 / t**4 - 2.0 / t**3)
-    ts = np.where(m, t, 1.0)
-    s = np.where(m, np.exp(-1.0 / ts), 0.0)
-    s1 = np.where(m, s / ts**2, 0.0)
-    s2 = np.where(m, s * (1.0 / ts**4 - 2.0 / ts**3), 0.0)
-    return s, s1, s2
+        ts, gate = t, (lambda v: v)
+    else:
+        ts, gate = np.where(m, t, 1.0), (lambda v: np.where(m, v, 0.0))
+    s = gate(np.exp(-1.0 / ts))
+    if order < 1:
+        return (s,)
+    s1 = gate(s / ts**2)
+    if order < 2:
+        return s, s1
+    return s, s1, gate(s * (1.0 / ts**4 - 2.0 / ts**3))
 
 
-def _ramp_jet(t):
+def _ramp_jet(t, order=2):
     # s = a / (a + b) with a = sigma(t), b = sigma(1 - t)
-    a, a1, a2 = sigma_jet(t)
-    b, b1m, b2 = sigma_jet(1.0 - t)
-    b1 = -b1m
-    den = a + b
-    s = a / den
-    num1 = a1 * b - a * b1
+    a = sigma_jet(t, order)
+    b = sigma_jet(1.0 - t, order)
+    den = a[0] + b[0]
+    s = a[0] / den
+    if order < 1:
+        return (s,)
+    b1 = -b[1]
+    num1 = a[1] * b[0] - a[0] * b1
     s1 = num1 / den**2
-    num2 = a2 * b - a * b2
-    s2 = (num2 * den - 2.0 * num1 * (a1 + b1)) / den**3
-    return s, s1, s2
+    if order < 2:
+        return s, s1
+    num2 = a[2] * b[0] - a[0] * b[2]
+    return s, s1, (num2 * den - 2.0 * num1 * (a[1] + b1)) / den**3
 
 
-def smooth_step_jet(t):
+def smooth_step_jet(t, order=2):
     # the plateau rule of the module docstring
     t = np.asarray(t)
     up = t > _SIGMA_FLOOR
     # both sigmas ungated (the ramp) or neither (NaN)
     ramp = (up == (1.0 - t > _SIGMA_FLOOR)) | (t > _HUGE_T)
-    s = np.where(up, 1.0, 0.0)
-    s1 = np.zeros(t.shape)
-    s2 = np.where(up, -0.0, 0.0)
+    jet = [np.where(up, 1.0, 0.0)]
+    if order >= 1:
+        jet.append(np.zeros(t.shape))
+    if order >= 2:
+        jet.append(np.where(up, -0.0, 0.0))
     if ramp.any():
-        s[ramp], s1[ramp], s2[ramp] = _ramp_jet(t[ramp])
-    return s, s1, s2
+        for a, v in zip(jet, _ramp_jet(t[ramp], order)):
+            a[ramp] = v
+    return tuple(jet)
 
 
-def bump_jet(x, a, b, c, d):
+def bump_jet(x, a, b, c, d, order=2):
     # product of a rising step on [a,b] and a falling step on [c,d]
     wl = b - a
     wr = d - c
-    u, u1, u2 = smooth_step_jet((x - a) / wl)
-    v, v1, v2 = smooth_step_jet((d - x) / wr)
-    u1, u2 = u1 / wl, u2 / wl**2
-    v1, v2 = -v1 / wr, v2 / wr**2
-    p = u * v
-    p1 = u1 * v + u * v1
-    p2 = u2 * v + 2.0 * u1 * v1 + u * v2
-    return p, p1, p2
+    u = smooth_step_jet((x - a) / wl, order)
+    v = smooth_step_jet((d - x) / wr, order)
+    p = u[0] * v[0]
+    if order < 1:
+        return (p,)
+    u1, v1 = u[1] / wl, -v[1] / wr
+    p1 = u1 * v[0] + u[0] * v1
+    if order < 2:
+        return p, p1
+    u2, v2 = u[2] / wl**2, v[2] / wr**2
+    return p, p1, u2 * v[0] + 2.0 * u1 * v1 + u[0] * v2
 
 
-def default_profile_jet(r):
-    c, c1, c2 = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH)
-    c1 = c1 / _CHI_WIDTH
-    c2 = c2 / _CHI_WIDTH**2
+def default_profile_jet(r, order=2):
+    c = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH, order)
     e = np.exp(1.0 - r)
-    h = c * e
-    hp = (c1 - c) * e
-    hpp = (c2 - 2.0 * c1 + c) * e
-    return h, hp, hpp
+    h = c[0] * e
+    if order < 1:
+        return (h,)
+    c1 = c[1] / _CHI_WIDTH
+    hp = (c1 - c[0]) * e
+    if order < 2:
+        return h, hp
+    c2 = c[2] / _CHI_WIDTH**2
+    return h, hp, (c2 - 2.0 * c1 + c[0]) * e
 
 
-def h1zero_profile_jet(r):
+def h1zero_profile_jet(r, order=2):
     # chi(r) * (1 - r)^2: vanishes to second order at r = 1
-    c, c1, c2 = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH)
-    c1 = c1 / _CHI_WIDTH
-    c2 = c2 / _CHI_WIDTH**2
+    c = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH, order)
     q = 1.0 - r
-    h = c * q * q
-    hp = c1 * q * q - 2.0 * c * q
-    hpp = c2 * q * q - 4.0 * c1 * q + 2.0 * c
-    return h, hp, hpp
+    h = c[0] * q * q
+    if order < 1:
+        return (h,)
+    c1 = c[1] / _CHI_WIDTH
+    hp = c1 * q * q - 2.0 * c[0] * q
+    if order < 2:
+        return h, hp
+    c2 = c[2] / _CHI_WIDTH**2
+    return h, hp, c2 * q * q - 4.0 * c1 * q + 2.0 * c[0]
 
 
-def perturbed_factor_jet(r, eps):
+def perturbed_factor_jet(r, eps, order=2):
     # multiplier (1 + eps*(r - 0.75)^2); shifts h(1)+h'(1) to eps/2 * h(1)
     d = r - 0.75
     q = 1.0 + eps * d * d
+    if order < 1:
+        return (q,)
     q1 = 2.0 * eps * d
-    q2 = np.full_like(r, 2.0 * eps)
-    return q, q1, q2
+    if order < 2:
+        return q, q1
+    return q, q1, np.full_like(r, 2.0 * eps)
 
 
-def default_angular_jet(theta, phi):
-    p, p1, p2 = bump_jet(theta, _BUMP_A, _BUMP_B, _BUMP_C, _BUMP_D)
+def default_angular_jet(theta, phi, order=2):
+    p = bump_jet(theta, _BUMP_A, _BUMP_B, _BUMP_C, _BUMP_D, order)
     sp = np.sin(phi)
+    g = p[0] * sp
+    if order < 1:
+        return (g,)
     cp = np.cos(phi)
-    g = p * sp
-    g_t = p1 * sp
-    g_p = p * cp
-    g_tt = p2 * sp
-    g_tp = p1 * cp
-    g_pp = -p * sp
-    return g, g_t, g_p, g_tt, g_tp, g_pp
+    g_t = p[1] * sp
+    g_p = p[0] * cp
+    if order < 2:
+        return g, g_t, g_p
+    return g, g_t, g_p, p[2] * sp, p[1] * cp, -p[0] * sp
 
 
 def big_g_values(sin_t, cos_t, g_t, g_tt, g_pp):

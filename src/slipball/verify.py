@@ -456,8 +456,8 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
         if factors is not None:
             profile = fam.perturbed_profile(float(eps), base_field.profile)
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                h, hp, _ = profile.fn(factors.r)
-                _, wt, wp = factors.assemble(h, hp)
+                h = profile.fn(factors.r, 1)
+                _, wt, wp = factors.assemble(h[0], h[1])
                 residual = float(np.max(np.hypot(wt, wp)))
         if not math.isfinite(residual):
             raise ValueError(f"eps={float(eps)!r} gives a non-finite residual ({residual})")
@@ -495,6 +495,18 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timestamp), indent=2, allow_nan=False) + "\n"
 
 
+def _non_finite(value, path=""):
+    """(path, value) of the first non-finite float in a report dict, or None."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            found = _non_finite(v, f"{path}.{key}" if path else key)
+            if found:
+                return found
+    elif isinstance(value, float) and not math.isfinite(value):
+        return path, value
+    return None
+
+
 def run_full_verification(field: fam.CounterexampleField,
                           interior_grid: Optional[GridSpec] = None,
                           boundary_grid: Optional[GridSpec] = None,
@@ -503,35 +515,46 @@ def run_full_verification(field: fam.CounterexampleField,
     """All checks in fixed order; an admissibility failure in the slip
     identity short-circuits the persistency checks (their closed forms
     assume it) without aborting the rest.  The three boundary checks share
-    one field.boundary_state call on the boundary mesh."""
+    one field.boundary_state call on the boundary mesh.
+
+    Raises ValueError naming the first check, in that order, whose result
+    holds a non-finite number (a family large enough to overflow), since
+    the report is strict JSON.
+    """
     interior_grid = interior_grid if interior_grid is not None else GridSpec()
     boundary_grid = boundary_grid if boundary_grid is not None else _DEFAULT_BOUNDARY_GRID
     adm = field.admissibility
-    checks = [check_divergence_free(field, interior_grid, cfg)]
-    mesh = boundary_grid.boundary_mesh()
-    state = field.boundary_state(mesh["theta"], mesh["phi"])
-    checks.extend(check_slip_conditions(field, boundary_grid, cfg, boundary_state=state))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        checks = [check_divergence_free(field, interior_grid, cfg)]
+        mesh = boundary_grid.boundary_mesh()
+        state = field.boundary_state(mesh["theta"], mesh["phi"])
+        checks.extend(check_slip_conditions(field, boundary_grid, cfg, boundary_state=state))
 
-    skipped = None
-    if not adm.slip_ok:
-        skipped = (f"slip condition violated: |h(1)+h'(1)| = "
-                   f"{adm.slip_condition_residual:.3e}")
-    else:
-        try:
-            res_t, res_p = check_persistency_failure(field, boundary_grid, cfg, boundary_state=state)
-            if res_t.passed:
-                res_t.details["neighborhood_radius_half_floor"] = neighborhood_radius(
-                    field, "theta", res_t.witness, 0.5)
-            checks.extend([res_t, res_p])
-        except NoWitness as exc:
-            skipped = str(exc)
-    if skipped is not None:
-        checks.extend(CheckResult(name, 0.0, 0.0, NONVANISH_THRESHOLD, "above", False, None,
-                                  {"skipped": True, "reason": skipped})
-                      for name in ("persistency_failure_theta", "persistency_failure_phi"))
+        skipped = None
+        if not adm.slip_ok:
+            skipped = (f"slip condition violated: |h(1)+h'(1)| = "
+                       f"{adm.slip_condition_residual:.3e}")
+        else:
+            try:
+                res_t, res_p = check_persistency_failure(field, boundary_grid, cfg,
+                                                         boundary_state=state)
+                if res_t.passed:
+                    res_t.details["neighborhood_radius_half_floor"] = neighborhood_radius(
+                        field, "theta", res_t.witness, 0.5)
+                checks.extend([res_t, res_p])
+            except NoWitness as exc:
+                skipped = str(exc)
+        if skipped is not None:
+            checks.extend(CheckResult(name, 0.0, 0.0, NONVANISH_THRESHOLD, "above", False, None,
+                                      {"skipped": True, "reason": skipped})
+                          for name in ("persistency_failure_theta", "persistency_failure_phi"))
 
-    checks.append(check_oracle_agreement(field, cfg, seed=seed))
-    checks.append(check_navier_traction(field, boundary_grid, nu=nu, boundary_state=state))
+        checks.append(check_oracle_agreement(field, cfg, seed=seed))
+        checks.append(check_navier_traction(field, boundary_grid, nu=nu, boundary_state=state))
+    for c in checks:
+        found = _non_finite(c.to_dict())
+        if found:
+            raise ValueError(f"check {c.name} gives a non-finite {found[0]} ({found[1]})")
 
     by_name = {c.name: c for c in checks}
     overall = all(by_name[n].passed for n in (

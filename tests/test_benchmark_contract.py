@@ -141,3 +141,37 @@ def test_traced_oracle_and_verify_names_bind_their_calls(tracer, capsys):
     spans = {s.name for s in t.take()}
     assert sorted(n for _, n in originals if n not in bound) == []
     assert sorted(n for _, n in originals if n not in spans) == []
+
+
+def test_traced_verify_records_the_jet_kernels_with_their_order(tracer, capsys):
+    # the fields a traced op builds capture the wrapped jet kernels, which
+    # must pass the order each evaluator asks for on to the originals
+    from slipball import cli
+
+    orders = {"default_profile_jet": [], "default_angular_jet": []}
+    originals = {name: vars(kernels)[name] for name in orders}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for name, log in orders.items():
+            traced, original = vars(kernels)[name], originals[name]
+
+            def recording(*args, _traced=traced, _original=original, _log=log, **kwargs):
+                bound = inspect.signature(_original).bind(*args, **kwargs)
+                bound.apply_defaults()
+                _log.append(bound.arguments["order"])
+                return _traced(*args, **kwargs)
+
+            setattr(kernels, name, recording)
+        code = cli.main(["verify", "--no-timestamp", "--grid-nr", "8", "--grid-ntheta", "8",
+                         "--grid-nphi", "8", "--boundary-ntheta", "32", "--boundary-nphi", "64"])
+    finally:
+        t.restore()
+    capsys.readouterr()
+    assert code == 0
+    spans = [s for s in t.take() if s.layer == "kernels"]
+    for name, log in orders.items():
+        assert sum(s.name == name for s in spans) == len(log) > 0
+    # u asks for the profile value and the first angular partials only
+    assert sorted(set(orders["default_profile_jet"])) == [0, 1, 2]
+    assert sorted(set(orders["default_angular_jet"])) == [1, 2]

@@ -142,6 +142,37 @@ class TestVerifyCommand:
         assert code == 1
         assert "finite" in err and out == ""
 
+    @pytest.mark.parametrize("label, grid, message", [
+        ("perturbed:1e200", FAST_GRID, "divergence_free gives a non-finite norm_l2 (inf)"),
+        ("perturbed:-1e200", FAST_GRID, "divergence_free gives a non-finite norm_l2 (inf)"),
+        ("perturbed:1e160", FAST_GRID, "slip_omega_cross_n gives a non-finite norm_l2 (inf)"),
+        ("perturbed:1e200", [], "divergence_free gives a non-finite norm_l2 (inf)"),
+    ])
+    def test_overflowing_family_exits_one_and_keeps_the_report(self, capsys, tmp_path,
+                                                               label, grid, message):
+        # the overflow warnings are errors under this suite, so none may escape
+        report = tmp_path / "out.json"
+        report.write_text("earlier report\n")
+        code, out, err = run_cli(capsys, ["verify", "--family", label,
+                                          "--report", str(report)] + grid)
+        assert code == 1
+        assert err == f"error: check {message}\n"
+        assert out == "" and report.read_text() == "earlier report\n"
+
+    def test_report_text_is_built_before_the_file_is_opened(self, capsys, tmp_path,
+                                                            monkeypatch):
+        report = tmp_path / "out.json"
+        report.write_text("earlier report\n")
+
+        def failing_to_json(self, include_timestamp=True):
+            raise ValueError("cannot serialise")
+
+        monkeypatch.setattr(verify.VerificationReport, "to_json", failing_to_json)
+        with pytest.raises(ValueError, match="cannot serialise"):
+            cli.main(["verify", "--report", str(report)] + FAST_GRID)
+        capsys.readouterr()
+        assert report.read_text() == "earlier report\n"
+
     def test_slip_spots_use_run_fd_config(self, capsys, monkeypatch):
         from slipball import oracle
         seen = []

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slipball import family as fam
-from slipball import kernels
+from slipball import kernels, verify
+from slipball.errors import DegenerateFit
 
 PI = math.pi
 RADIAL = ("u_components", "omega_components", "v_components", "u_and_omega",
@@ -38,13 +39,13 @@ def _spied(field):
     calls = []
     profile, angular = field.profile, field.angular
 
-    def radial_fn(r):
+    def radial_fn(r, order):
         calls.append(("radial", r))
-        return profile.fn(r)
+        return profile.fn(r, order)
 
-    def angular_fn(theta, phi):
+    def angular_fn(theta, phi, order):
         calls.append(("angular", theta, phi))
-        return angular.fn(theta, phi)
+        return angular.fn(theta, phi, order)
 
     spy = fam.CounterexampleField(
         fam.RadialProfile(radial_fn, profile.support_inner, profile.label),
@@ -53,9 +54,21 @@ def _spied(field):
     return spy, calls
 
 
+def _full_jet(field):
+    """Copy of field whose jet functions ignore the order asked for and
+    always return the whole jet (a custom fn may return more than asked)."""
+    profile, angular = field.profile, field.angular
+    return fam.CounterexampleField(
+        fam.RadialProfile(lambda r, order: profile.fn(r, 2), profile.support_inner,
+                          profile.label),
+        fam.AngularFunction(lambda theta, phi, order: angular.fn(theta, phi, 2),
+                            angular.pole_margin, angular.label), field.label)
+
+
 FAMILIES = {name: _family(name) for name in
             ("default", "h1zero", "perturbed:1e-3", "cosine_angular", "zero_angular")}
 SPIED = {name: _spied(f) for name, f in FAMILIES.items()}
+FULL_JET = {name: _full_jet(f) for name, f in FAMILIES.items()}
 
 
 def _full(*coords):
@@ -82,7 +95,7 @@ def _reference(field, name, r, theta, phi):
     def sel(*values):
         return tuple(np.where(mask, v, 0.0) for v in values)
 
-    _, g_t, g_p, g_tt, g_tp, g_pp = field.angular.fn(theta, phi)
+    _, g_t, g_p, g_tt, g_tp, g_pp = field.angular.fn(theta, phi, 2)
     s, c = np.sin(theta), np.cos(theta)
     gg = kernels.big_g_values(s, c, g_t, g_tt, g_pp)
     if name in POLAR:
@@ -93,7 +106,7 @@ def _reference(field, name, r, theta, phi):
         if name == "boundary_state":
             return (*_reference(field, "u_and_omega", 1.0, theta, phi), bt, bp)
         return (bt,) if name == "boundary_curl_theta" else (bp,)
-    h, hp, _ = field.profile.fn(r)
+    h, hp, _ = field.profile.fn(r, 2)
     ut, up = sel(*kernels.u_assembly(h, g_t, g_p, s))
     if name == "u_components":
         return (np.zeros_like(ut), ut, up)
@@ -335,3 +348,109 @@ class TestNaNCoordinates:
                     *field.boundary_curl(float(th), float(ph)))
             assert all(isinstance(v, float) for v in got)
             assert_bit_identical(got, want, ())
+
+
+def _edge_nodes(field, n=300, seed=11):
+    """Random nodes plus the support edges and a NaN in each coordinate."""
+    si, d = field.profile.support_inner, field.angular.pole_margin
+    edges_r = [0.0, si, math.nextafter(si, 1.0), 1.0]
+    edges_t = [0.0, d, math.nextafter(d, PI), PI - d, PI]
+    rng = np.random.default_rng(seed)
+    r = np.concatenate([rng.uniform(0.0, 1.0, n), np.repeat(edges_r, len(edges_t)),
+                        [math.nan, 0.8, 0.8]])
+    theta = np.concatenate([rng.uniform(0.0, PI, n), np.tile(edges_t, len(edges_r)),
+                            [1.0, math.nan, 1.0]])
+    phi = np.concatenate([rng.uniform(-7.0, 7.0, r.size - 1), [math.nan]])
+    return r, theta, phi
+
+
+class TestJetOrders:
+    """Each evaluator asks the jet functions for the orders it reads, and a
+    jet function that returns the whole jet at every order gives the same
+    bits."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("name", RADIAL + POLAR)
+    def test_full_jet_functions_give_the_same_bits(self, family, name):
+        field, full = FAMILIES[family], FULL_JET[family]
+        r, theta, phi = _edge_nodes(field)
+        assert_bit_identical(evaluate(full, name, r, theta, phi),
+                             evaluate(field, name, r, theta, phi), r.shape)
+        assert_bit_identical(evaluate(full, name, 0.8, 1.2, 0.4),
+                             evaluate(field, name, 0.8, 1.2, 0.4), ())
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_full_jet_functions_give_the_same_admissibility_and_sweep(self, family):
+        field, full = FAMILIES[family], FULL_JET[family]
+        assert full.admissibility == field.admissibility
+        assert (full.h_boundary, full.hp_boundary) == (field.h_boundary, field.hp_boundary)
+        grid = verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True)
+        eps = [1e-1, 1e-2, 0.0]
+        if family in ("h1zero", "zero_angular"):  # every residual is 0
+            with pytest.raises(DegenerateFit):
+                verify.scaling_sweep(full, eps, grid)
+        else:
+            want = verify.scaling_sweep(field, eps, grid).rows
+            assert verify.scaling_sweep(full, eps, grid).rows == want
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("jet", ["perturbed_profile", "cosine_angular", "zero_angular"])
+    def test_family_jet_functions_at_each_order(self, jet, order):
+        r, theta, phi = _edge_nodes(FAMILIES["default"])
+        if jet == "perturbed_profile":
+            fn = fam.perturbed_profile(0.3).fn
+            args, lengths = (r,), (1, 2, 3)
+        else:
+            fn = getattr(fam, jet)().fn
+            args, lengths = (theta, phi), (1, 3, 6)
+        with np.errstate(invalid="ignore"):  # NaN nodes give 0/0 in the cutoff step
+            full, got = fn(*args, 2), fn(*args, order)
+        assert len(full) == lengths[2] and len(got) == lengths[order]
+        assert_bit_identical(got, full[:len(got)], r.shape)
+
+    ASKED = {
+        "u_components": [("radial", 0), ("angular", 1)],
+        **{name: [("radial", 1), ("angular", 2)] for name in
+           ("omega_components", "v_components", "u_and_omega", "u_raw_partials")},
+        **{name: [("angular", 2)] for name in POLAR},
+    }
+
+    @staticmethod
+    def order_spy(field):
+        log = []
+        profile, angular = field.profile, field.angular
+
+        def radial_fn(r, order):
+            log.append(("radial", order))
+            return profile.fn(r, order)
+
+        def angular_fn(theta, phi, order):
+            log.append(("angular", order))
+            return angular.fn(theta, phi, order)
+
+        spy = fam.CounterexampleField(
+            fam.RadialProfile(radial_fn, profile.support_inner, profile.label),
+            fam.AngularFunction(angular_fn, angular.pole_margin, angular.label), field.label)
+        return spy, log
+
+    @pytest.mark.parametrize("name", RADIAL + POLAR)
+    def test_each_evaluator_asks_for_the_orders_it_reads(self, name):
+        spy, log = self.order_spy(FAMILIES["default"])
+        r, theta, phi = _edge_nodes(spy)
+        log.clear()
+        evaluate(spy, name, r, theta, phi)
+        assert log == self.ASKED[name]
+
+    def test_admissibility_witnesses_sweep_and_public_jets(self):
+        spy, log = self.order_spy(FAMILIES["default"])
+        assert log and all(order == 2 for _, order in log)  # construction
+        log.clear()
+        fam.find_witnesses(spy, 16, 32)
+        assert log == [("angular", 2)]
+        log.clear()
+        verify.scaling_sweep(spy, [1e-1, 1e-2, 1e-3],
+                             verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True))
+        assert log == [("angular", 2)] + [("radial", 1)] * 3
+        log.clear()
+        spy.profile.jet(0.7), spy.angular.jet(1.2, 0.3)
+        assert log == [("radial", 2), ("angular", 2)]

@@ -19,13 +19,13 @@ SQRT2_HALF = math.sqrt(2) / 2
 def scaled_profile(lam):
     base = fam.default_profile()
     return fam.RadialProfile(
-        lambda r: tuple(lam * a for a in base.fn(r)), base.support_inner,
+        lambda r, order: tuple(lam * a for a in base.fn(r, order)), base.support_inner,
         f"scaled:{lam:g}")
 
 
 def chi_only_profile():
     """h = chi(r) alone: h(1) = 1 but h'(1) = 0, violating the slip identity."""
-    def fn(r):
+    def fn(r, order):  # the full jet at every order
         c, c1, c2 = kernels.smooth_step_jet((r - 0.25) / 0.25)
         return c, c1 / 0.25, c2 / 0.0625
     return fam.RadialProfile(fn, 0.25, "chi")
@@ -281,7 +281,7 @@ class TestScalingSymmetries:
         shifted = fam.CounterexampleField(
             fam.default_profile(),
             fam.AngularFunction(
-                lambda th, ph: kernels.default_angular_jet(th, ph + c),
+                lambda th, ph, order: kernels.default_angular_jet(th, ph + c, order),
                 PI / 4, "shifted"))
         for p in random_admissible_points(rng, 40):
             got = shifted.u_components(p.r, p.theta, p.phi)

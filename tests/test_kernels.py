@@ -118,9 +118,9 @@ class TestSigmaFastPath:
         seen = []
         original = kernels.sigma_jet
 
-        def spy(t):
+        def spy(t, order=2):
             seen.append(bool(np.all(t > self.F)))
-            return original(t)
+            return original(t, order)
 
         monkeypatch.setattr(kernels, "sigma_jet", spy)
         assert_same_bits(kernels.smooth_step_jet(t), want)
@@ -170,9 +170,9 @@ class TestPlateauRule:
         seen = []
         original = kernels.sigma_jet
 
-        def spy(t):
+        def spy(t, order=2):
             seen.append(t.copy())
-            return original(t)
+            return original(t, order)
 
         monkeypatch.setattr(kernels, "sigma_jet", spy)
         kernels.smooth_step_jet(np.array([-1.0, 0.0, 0.5, 1.0, 3.0]))
@@ -274,3 +274,52 @@ class TestAngular:
         assert np.abs(g_t - g_tf).max() < 1e-6
         assert np.abs(g_p - g_pf).max() < 1e-8
         assert np.abs(g_tp - g_tpf).max() < 1e-6
+
+
+class TestJetOrders:
+    """A jet at order k holds the first k + 1 entries of the order-2 jet,
+    bit for bit and with the same sign bits (the angular jet: 1, 3 and 6
+    entries)."""
+
+    F = kernels._SIGMA_FLOOR
+    EDGES = [0.0, F, 1.0 - F, 1.0, kernels._HUGE_T]
+    T = np.array(EDGES + [np.nextafter(e, d) for e in EDGES for d in (-np.inf, np.inf)]
+                 + [-0.0, 0.5, 0.3, 0.9, -2.0, 3.0, 5.7e102, 1e200, np.inf, -np.inf, np.nan]
+                 + list(np.linspace(-0.5, 1.5, 401)))
+    X = np.concatenate([np.linspace(0.0, math.pi, 801), [np.nan],
+                        [TestBump.A, TestBump.B, TestBump.C, TestBump.D],
+                        [np.nextafter(e, d) for e in (TestBump.A, TestBump.B, TestBump.C,
+                                                      TestBump.D) for d in (0.0, 4.0)]])
+    R = np.concatenate([np.linspace(0.0, 1.2, 481), [np.nan, 0.25, 0.5, 0.25 + 0.25 * F,
+                                                     0.5 - 0.25 * F, 1.0]])
+    PHI = np.append(np.linspace(-1.0, 7.0, X.size - 1), np.nan)
+
+    JETS = {
+        "sigma_jet": lambda order: kernels.sigma_jet(TestJetOrders.T, order),
+        "sigma_jet_ramp": lambda order: kernels.sigma_jet(np.linspace(0.01, 1e3, 999), order),
+        "_ramp_jet": lambda order: kernels._ramp_jet(np.linspace(0.002, 0.998, 499), order),
+        "smooth_step_jet": lambda order: kernels.smooth_step_jet(TestJetOrders.T, order),
+        "bump_jet": lambda order: kernels.bump_jet(TestJetOrders.X, TestBump.A, TestBump.B,
+                                                   TestBump.C, TestBump.D, order),
+        "default_profile_jet": lambda order: kernels.default_profile_jet(TestJetOrders.R, order),
+        "h1zero_profile_jet": lambda order: kernels.h1zero_profile_jet(TestJetOrders.R, order),
+        "perturbed_factor_jet": lambda order: kernels.perturbed_factor_jet(
+            TestJetOrders.R, 0.37, order),
+        "default_angular_jet": lambda order: kernels.default_angular_jet(
+            TestJetOrders.X, TestJetOrders.PHI, order),
+    }
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(JETS))
+    def test_entries_equal_the_order_two_jet(self, name, order):
+        with np.errstate(over="ignore", invalid="ignore"):  # t > 1e100 and NaN nodes
+            full = self.JETS[name](2)
+            got = self.JETS[name](order)
+        assert len(full) == (6 if name == "default_angular_jet" else 3)
+        assert len(got) == ((1, 3, 6)[order] if name == "default_angular_jet" else order + 1)
+        assert_same_bits(got, full[:len(got)])
+
+    def test_the_default_order_is_two(self):
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN nodes give 0/0
+            assert_same_bits(kernels.smooth_step_jet(self.T), kernels.smooth_step_jet(self.T, 2))
+            assert len(kernels.default_angular_jet(self.X, self.X)) == 6

@@ -526,6 +526,20 @@ class TestFullVerification:
         assert not by_name["slip_omega_cross_n"].passed
         assert by_name["persistency_failure_theta"].details.get("skipped")
 
+    def test_non_finite_detail_is_named(self, default_field, monkeypatch):
+        original = verify.check_oracle_agreement
+
+        def with_nan(*args, **kwargs):
+            res = original(*args, **kwargs)
+            res.details["max_jets_vs_closed_form"] = math.nan
+            return res
+
+        monkeypatch.setattr(verify, "check_oracle_agreement", with_nan)
+        with pytest.raises(ValueError, match=r"^check oracle_agreement_curl gives a non-finite "
+                                             r"details\.max_jets_vs_closed_form \(nan\)$"):
+            verify.run_full_verification(default_field, GridSpec(n_r=8, n_theta=8, n_phi=8),
+                                         SMALL_BOUNDARY)
+
     def test_report_determinism(self, default_field):
         a = verify.run_full_verification(default_field, SMALL_INTERIOR, SMALL_BOUNDARY)
         b = verify.run_full_verification(default_field, SMALL_INTERIOR, SMALL_BOUNDARY)
