@@ -2,15 +2,14 @@
 can satisfy the full slip conditions while the tangential trace of
 curl(u x curl u) on the sphere is nonzero."""
 
-from .errors import (DegenerateFit, NoWitness, PoleDegeneracy, SlipballError,
-                     StencilOutOfDomain)
+from .errors import DegenerateFit, NoWitness, SlipballError, StencilOutOfDomain
 from .family import (AdmissibilityReport, AngularFunction, CounterexampleField,
                      RadialProfile, big_G, check_admissibility, default_angular,
                      default_field, default_profile, family_by_label,
                      find_witnesses, h1zero_profile, perturbed_profile)
 from .oracle import (FDConfig, cartesian_curl_grid, cartesian_divergence_grid,
                      fd_boundary_radial_derivative, fd_curl_spherical, fd_partial)
-from .sphcalc import SphPoint, basis_at
+from .sphcalc import SphPoint
 from .verify import (CheckResult, GridSpec, VerificationReport,
                      check_divergence_free, check_navier_traction,
                      check_oracle_agreement, check_persistency_failure,

@@ -206,12 +206,17 @@ def cmd_eval(args, cfg) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = {"family": field.label, "point": asdict(p)}
-    for name, components in _evaluators(field).items():
-        out[name] = dict(zip(("r", "theta", "phi"), components(p.r, p.theta, p.phi)))
-    if abs(p.r - 1.0) <= 1e-12:
-        bt, bp = field.boundary_curl(p.theta, p.phi)
-        out["boundary"] = {"curl_v_theta": bt, "curl_v_phi": bp}
-    print(json.dumps(out, indent=2))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for name, components in _evaluators(field).items():
+            out[name] = dict(zip(("r", "theta", "phi"), components(p.r, p.theta, p.phi)))
+        if abs(p.r - 1.0) <= 1e-12:
+            bt, bp = field.boundary_curl(p.theta, p.phi)
+            out["boundary"] = {"curl_v_theta": bt, "curl_v_phi": bp}
+    found = verify._non_finite(out)
+    if found:
+        raise ConfigError(f"family {field.label} gives a non-finite {found[0]} ({found[1]}) "
+                          f"at this point")
+    print(json.dumps(out, indent=2, allow_nan=False))
     return EXIT_OK
 
 

@@ -5,10 +5,6 @@ class SlipballError(Exception):
     """Base class for all slipball errors."""
 
 
-class PoleDegeneracy(SlipballError):
-    """Local basis requested too close to the polar axis (theta near 0 or pi)."""
-
-
 class StencilOutOfDomain(SlipballError):
     """Finite-difference stencil would leave the admissible region."""
 

@@ -392,7 +392,7 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     """
     if n_theta < 16 or n_phi < 16:
         raise ValueError("witness grid must be at least 16x16")
-    (theta, phi), _, th, ph = sphere_midpoint_mesh(n_theta, n_phi)
+    _, th, ph = sphere_midpoint_mesh(n_theta, n_phi)
     products = _on_band(field.angular, 2, lambda w: (w.g_p * w.big_g, w.g_t * w.big_g), th, ph)
 
     def best(product):
@@ -400,8 +400,7 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
         i = int(np.argmax(flat))
         if flat[i] <= WITNESS_THRESHOLD:
             return None
-        it, ip = divmod(i, n_phi)
-        return SphPoint(1.0, theta[it], phi[ip])
+        return SphPoint(1.0, th[i], ph[i])
 
     w1, w2 = (best(p) for p in products)
     if w1 is None and w2 is None:
@@ -459,5 +458,8 @@ def family_by_label(label: str) -> CounterexampleField:
             eps = float(label.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad perturbation size in family label {label!r}") from None
+        if not math.isfinite(2.0 * eps):  # the factor's second derivative, 2 eps
+            raise ValueError(f"perturbation size in family label {label!r} must be finite "
+                             f"and at most half the largest float")
         return CounterexampleField(perturbed_profile(eps), default_angular(), label=label)
     raise ValueError(f"unknown family label {label!r}")

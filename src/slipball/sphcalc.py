@@ -1,22 +1,18 @@
-"""Spherical points, the local orthonormal basis, and the sphere mesh.
+"""Spherical points and the sphere mesh.
 
 Points are (r, theta, phi) with theta the colatitude and phi the longitude,
 reduced to [0, 2pi) at construction by _normalise, the one node normaliser,
-which the oracles share.  basis_at gives the Cartesian unit vectors
-(e_r, e_theta, e_phi) at a point off the polar axis; on the unit sphere the
-outward normal is e_r.  The differential operators and the point and vector
-transforms are the array kernels in kernels.
+which the oracles share.  The differential operators and the point and
+vector transforms (the local basis (e_r, e_theta, e_phi) among them) are the
+array kernels in kernels.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleDegeneracy
-
 TWO_PI = 2.0 * math.pi
 
-POLE_EPS = 1e-9
 _COORD_SLACK = 1e-12
 
 
@@ -69,27 +65,12 @@ def _normalise(r, theta, phi):
 
 def sphere_midpoint_mesh(n_theta, n_phi):
     """Midpoint lattice of the unit sphere (theta at the n_theta cell centres
-    of [0, pi], phi uniform on [0, 2pi)): ((theta_axis, phi_axis), (dtheta,
-    dphi), theta, phi), the node arrays flattened theta-major."""
+    of [0, pi], phi uniform on [0, 2pi)): ((dtheta, dphi), theta, phi), the
+    node arrays flattened theta-major."""
     dth, dph = math.pi / n_theta, TWO_PI / n_phi
     th_ax = (np.arange(n_theta) + 0.5) * dth
     ph_ax = np.arange(n_phi) * dph
     th, ph = [np.ascontiguousarray(a.ravel())
               for a in np.meshgrid(th_ax, ph_ax, indexing="ij")]
-    return (th_ax, ph_ax), (dth, dph), th, ph
+    return (dth, dph), th, ph
 
-
-def _require_off_axis(p: SphPoint):
-    if p.theta < POLE_EPS or p.theta > math.pi - POLE_EPS:
-        raise PoleDegeneracy(f"basis degenerates at theta={p.theta}")
-
-
-def basis_at(p: SphPoint):
-    """Cartesian unit vectors (e_r, e_theta, e_phi) at p; requires theta off the poles."""
-    _require_off_axis(p)
-    st, ct = math.sin(p.theta), math.cos(p.theta)
-    sp, cp = math.sin(p.phi), math.cos(p.phi)
-    e_r = np.array([st * cp, st * sp, ct])
-    e_t = np.array([ct * cp, ct * sp, -st])
-    e_p = np.array([-sp, cp, 0.0])
-    return e_r, e_t, e_p

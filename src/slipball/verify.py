@@ -6,6 +6,10 @@ direction, and the witness node of the sup.  Tolerances: TOL_EXACT_TRACE
 1e-12 (exact boundary traces), TOL_CLOSED_FORM 1e-10 (analytic divergence),
 TOL_FD 1e-6 (FD residuals), TOL_ORACLE_AGREEMENT 1e-4 (analytic against FD
 curl), and NONVANISH_THRESHOLD 1e-1, which non-vanishing sups must exceed.
+Sample sizes: ORACLE_SPOTS 5 FD-curl spots (slip), GATE_POINTS 50 phi-gate
+nodes (persistency), AGREEMENT_POINTS 50 random nodes (oracle agreement), and
+RADIUS_BISECTIONS 40 bisection steps on RADIUS_RINGS 4 rings of
+RADIUS_DIRECTIONS 16 points (neighborhood_radius).
 
 Everything is deterministic: grids are midpoint lattices, random sample
 points come from a seeded generator echoed into the report, and sup/argmax
@@ -22,7 +26,7 @@ import numpy as np
 from . import family as fam
 from . import kernels, oracle
 from .errors import DegenerateFit, NoWitness
-from .sphcalc import SphPoint, basis_at, sphere_midpoint_mesh
+from .sphcalc import SphPoint, sphere_midpoint_mesh
 
 TOL_CLOSED_FORM = 1e-10
 TOL_EXACT_TRACE = 1e-12
@@ -32,6 +36,12 @@ NONVANISH_THRESHOLD = 1e-1
 PHI_GATE_REL_TOL = 1e-5
 PHI_GATE_MAGNITUDE = 1e-2
 DEFAULT_SEED = 1234
+ORACLE_SPOTS = 5
+GATE_POINTS = 50
+AGREEMENT_POINTS = 50
+RADIUS_DIRECTIONS = 16
+RADIUS_RINGS = 4
+RADIUS_BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ class GridSpec:
         from the poles); on an interior grid, both margins above twice the step and
         oracle.cartesian_stencil_fits at the nodes nearest the polar axis."""
         if self.boundary_only:
-            theta = self.boundary_mesh()["axes"][0][0]
+            theta = self.boundary_mesh()["theta"][0]
             if not oracle.polar_stencil_fits(theta, cfg.step):
                 raise ValueError(f"boundary grid n_theta={self.n_theta} puts an FD-curl spot "
                                  f"at theta={theta:g}; the oracle at step {cfg.step:g} needs "
@@ -98,14 +108,12 @@ class GridSpec:
         r, th, ph = [np.ascontiguousarray(a.ravel())
                      for a in np.meshgrid(r_ax, th_ax, ph_ax, indexing="ij")]
         weights = r**2 * np.sin(th) * dr * dth * dph
-        return {"r": r, "theta": th, "phi": ph, "weights": weights,
-                "axes": (r_ax, th_ax, ph_ax), "shape": (self.n_r, self.n_theta, self.n_phi)}
+        return {"r": r, "theta": th, "phi": ph, "weights": weights}
 
     def boundary_mesh(self):
-        axes, (dth, dph), th, ph = sphere_midpoint_mesh(self.n_theta, self.n_phi)
+        (dth, dph), th, ph = sphere_midpoint_mesh(self.n_theta, self.n_phi)
         weights = np.sin(th) * dth * dph
-        return {"theta": th, "phi": ph, "weights": weights,
-                "axes": axes, "shape": (self.n_theta, self.n_phi)}
+        return {"theta": th, "phi": ph, "weights": weights}
 
     def to_dict(self):
         return asdict(self)
@@ -149,17 +157,11 @@ def _grid_result(name, direction, values, weights, tolerance, witness_fn, detail
                        witness_fn(i), details or {})
 
 
-def quadrature_sanity(grid: GridSpec) -> float:
-    """Surface L2 norm of the constant 1 (should be sqrt(4 pi))."""
-    mesh = grid.boundary_mesh()
-    return float(np.sqrt(np.sum(mesh["weights"])))
-
-
 def _mesh_witness(mesh):
     """Map a flat mesh index to its node (r = 1 on a boundary mesh)."""
     def witness_fn(i):
-        node = [ax[k] for ax, k in zip(mesh["axes"], np.unravel_index(i, mesh["shape"]))]
-        return SphPoint(*node) if len(node) == 3 else SphPoint(1.0, *node)
+        r = mesh["r"][i] if "r" in mesh else 1.0
+        return SphPoint(r, mesh["theta"][i], mesh["phi"][i])
     return witness_fn
 
 
@@ -198,16 +200,14 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
 
 def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
                           cfg: oracle.FDConfig = oracle.FDConfig(),
-                          oracle_spots: int = 5, boundary_state=None):
+                          boundary_state=None):
     """(u . n, |omega x n|) residuals over the boundary grid, closed forms.
 
-    A handful of FD-curl spot evaluations (oracle_spots >= 0) ride along in
-    the details of the omega check so the closed-form trace has an oracle
-    partner.  boundary_state: field.boundary_state(theta, phi) on the mesh,
-    evaluated here when not given.
+    ORACLE_SPOTS FD-curl spot evaluations ride along in the details of the
+    omega check so the closed-form trace has an oracle partner.
+    boundary_state: field.boundary_state(theta, phi) on the mesh, evaluated
+    here when not given.
     """
-    if oracle_spots < 0:
-        raise ValueError(f"oracle_spots must be at least 0, got {oracle_spots}")
     mesh = grid.boundary_mesh()
     th, ph, w = mesh["theta"], mesh["phi"], mesh["weights"]
     ut, _, _, wt, wp, _, _ = boundary_state or field.boundary_state(th, ph)
@@ -216,14 +216,14 @@ def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
     res_w = _grid_result("slip_omega_cross_n", "below", np.hypot(wt, wp), w,
                          TOL_EXACT_TRACE, wit)
 
-    stride = max(1, th.size // max(oracle_spots, 1))
-    spots = np.arange(0, th.size, stride)[:oracle_spots]
+    # a boundary grid has at least 64 nodes, so the stride is at least 12
+    spots = np.arange(0, th.size, th.size // ORACLE_SPOTS)[:ORACLE_SPOTS]
     _, ct, cp = oracle.fd_curl_spherical(
         field.u_components, np.ones(spots.size), th[spots], ph[spots], cfg)
     # math.hypot, not np.hypot: the two may differ in the last bit
     res_w.details["oracle_spot_sup"] = max(
         [0.0] + [math.hypot(a, b) for a, b in zip(ct.tolist(), cp.tolist())])
-    res_w.details["oracle_spot_points"] = min(oracle_spots, th.size)
+    res_w.details["oracle_spot_points"] = ORACLE_SPOTS
     return res_u, res_w
 
 
@@ -239,7 +239,7 @@ def _witness_details(res, analytic, oracle_val):
 
 def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
                               cfg: oracle.FDConfig = oracle.FDConfig(),
-                              gate_points: int = 50, boundary_state=None):
+                              boundary_state=None):
     """Non-vanishing of the tangential components of curl(u x w) on the sphere.
 
     The pass direction is inverted: the sup must exceed the threshold for
@@ -247,13 +247,11 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     come from the closed forms, and each carries the closed-form and oracle
     values at its witness and their relative discrepancy.  The phi closed
     form is also gated against the radial-derivative oracle of v_theta at
-    up to gate_points nodes where it is at least 1e-2 in magnitude; a
+    up to GATE_POINTS nodes where it is at least 1e-2 in magnitude; a
     failed gate fails the phi result, with the gate numbers in its details.
-    One oracle call serves the gate and both witnesses (gate_points >= 1).
-    boundary_state is as for check_slip_conditions.
+    One oracle call serves the gate and both witnesses.  boundary_state is
+    as for check_slip_conditions.
     """
-    if gate_points < 1:
-        raise ValueError(f"gate_points must be at least 1, got {gate_points}")
     if field.admissibility.witness_a1 is None and field.admissibility.witness_a2 is None:
         raise NoWitness(f"family {field.label!r} exhibits no witness point")
     mesh = grid.boundary_mesh()
@@ -266,7 +264,7 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     res_p = _grid_result("persistency_failure_phi", "above", bp, w,
                          NONVANISH_THRESHOLD, wit)
     big = np.flatnonzero(np.abs(bp) >= PHI_GATE_MAGNITUDE)
-    gate = big[::max(1, big.size // gate_points)][:gate_points]
+    gate = big[::max(1, big.size // GATE_POINTS)][:GATE_POINTS]
     i, j = int(np.argmax(np.abs(bt))), int(np.argmax(np.abs(bp)))  # the two witnesses
     nodes = np.append(gate, [i, j])
     # (1/r) d_r(r v_theta) and (1/r) d_r(r v_phi) at the gate nodes and the witnesses
@@ -290,15 +288,15 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
 
 
 def neighborhood_radius(field: fam.CounterexampleField, component: str,
-                        witness: SphPoint, floor_fraction: float,
-                        n_directions: int = 16, n_rings: int = 4,
-                        iterations: int = 40) -> float:
+                        witness: SphPoint, floor_fraction: float) -> float:
     """Largest geodesic radius around the witness on which the chosen
     curl(v) component keeps at least floor_fraction of its witness value.
 
-    Bisection on [0, pi/2], sampling rings of the geodesic ball; the answer
-    is resolution-limited by the sampling and iteration count.  component
-    is "theta" or "phi" and 0 <= floor_fraction <= 1, else ValueError.
+    RADIUS_BISECTIONS bisection steps on [0, pi/2], each sampling
+    RADIUS_RINGS rings of RADIUS_DIRECTIONS points in the geodesic ball; the
+    answer is resolution-limited by the sampling and the step count.
+    component is "theta" or "phi" and 0 <= floor_fraction <= 1, else
+    ValueError.
     """
     traces = {"theta": field.boundary_curl_theta, "phi": field.boundary_curl_phi}
     if component not in traces:
@@ -311,16 +309,18 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
         return 0.0
     floor = floor_fraction * ref
 
-    # a frame of the tangent plane at the witness: t1 = e_phi, t2 = -e_theta
-    wvec, e_t, t1 = basis_at(witness)
+    # the Cartesian unit vectors (e_r, e_theta, e_phi) at the witness, and a
+    # frame of its tangent plane: t1 = e_phi, t2 = -e_theta
+    wvec, e_t, t1 = np.transpose(kernels.vec_sph_to_cart(witness.theta, witness.phi,
+                                                         *np.eye(3)))
     t2 = -e_t
-    alpha = np.arange(n_directions) * (2.0 * math.pi / n_directions)
+    alpha = np.arange(RADIUS_DIRECTIONS) * (2.0 * math.pi / RADIUS_DIRECTIONS)
     dirs = np.outer(np.cos(alpha), t1) + np.outer(np.sin(alpha), t2)
 
-    fracs = (np.arange(n_rings) + 1.0) / n_rings
+    fracs = (np.arange(RADIUS_RINGS) + 1.0) / RADIUS_RINGS
 
     def ball_min(rho):
-        # all n_rings x n_directions ring points in one evaluation
+        # all RADIUS_RINGS x RADIUS_DIRECTIONS ring points in one evaluation
         a = fracs[:, None, None] * rho
         pts = np.cos(a) * wvec + np.sin(a) * dirs
         _, th, ph = kernels.cart_to_sph(*(pts[..., k].ravel() for k in range(3)))
@@ -333,7 +333,7 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
     lo, hi = 0.0, math.pi / 2
     if holds(hi):
         return hi
-    for _ in range(iterations):
+    for _ in range(RADIUS_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if holds(mid):
             lo = mid
@@ -366,17 +366,17 @@ def check_navier_traction(field: fam.CounterexampleField, grid: GridSpec,
     return res
 
 
-def _agreement_nodes(n_points, seed, step):
-    """Seeded random interior nodes.  A node whose Cartesian stencil at step
-    the oracle would reject is redrawn from the same generator, so the
-    draws of every seed that fits stay as they are."""
+def _agreement_nodes(seed, step):
+    """AGREEMENT_POINTS seeded random interior nodes.  A node whose Cartesian
+    stencil at step the oracle would reject is redrawn from the same
+    generator, so the draws of every seed that fits stay as they are."""
     rng = np.random.default_rng(seed)
 
     def draw(n):
         return (rng.uniform(0.1, 0.95, n), rng.uniform(0.15, math.pi - 0.15, n),
                 rng.uniform(0.0, 2.0 * math.pi, n))
 
-    r, th, ph = draw(n_points)
+    r, th, ph = draw(AGREEMENT_POINTS)
     bad = ~oracle.cartesian_stencil_fits(r, th, ph, step)
     while bad.any():  # with step <= 1e-2 only a thin tube round the axis is rejected
         r[bad], th[bad], ph[bad] = draw(int(np.count_nonzero(bad)))
@@ -386,9 +386,10 @@ def _agreement_nodes(n_points, seed, step):
 
 def check_oracle_agreement(field: fam.CounterexampleField,
                            cfg: oracle.FDConfig = oracle.FDConfig(),
-                           n_points: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Analytic curl of u against the Cartesian FD path at random interior points."""
-    r, th, ph = _agreement_nodes(n_points, seed, cfg.step)
+                           seed: int = DEFAULT_SEED) -> CheckResult:
+    """Analytic curl of u against the Cartesian FD path at AGREEMENT_POINTS
+    random interior points."""
+    r, th, ph = _agreement_nodes(seed, cfg.step)
 
     parts = field.u_raw_partials(r, th, ph)
     zeros = np.zeros_like(r)
@@ -409,7 +410,7 @@ def check_oracle_agreement(field: fam.CounterexampleField,
     return CheckResult(
         "oracle_agreement_curl", sup, rms, TOL_ORACLE_AGREEMENT, "below",
         sup <= TOL_ORACLE_AGREEMENT, SphPoint(r[i], th[i], ph[i]),
-        {"n_points": n_points, "seed": seed, "l2_is_rms_over_samples": True,
+        {"n_points": AGREEMENT_POINTS, "seed": seed, "l2_is_rms_over_samples": True,
          "max_jets_vs_closed_form": closed_dev})
 
 

@@ -59,8 +59,7 @@ def test_criterion_3_persistency_failure_theta(default_field):
 
 
 def test_criterion_4_phi_component_gate(default_field):
-    _, res_p = verify.check_persistency_failure(default_field, FULL_BOUNDARY,
-                                                gate_points=50)
+    _, res_p = verify.check_persistency_failure(default_field, FULL_BOUNDARY)
     d = res_p.details
     ok = (d["closed_form_validated"] and d["gate_points"] == 50
           and d["gate_max_rel_err"] <= 1e-5)
@@ -78,7 +77,7 @@ def test_criterion_5_sharpness_sweep(default_field):
 
 
 def test_criterion_6_oracle_equivalence(default_field, rng):
-    res = verify.check_oracle_agreement(default_field, n_points=50)
+    res = verify.check_oracle_agreement(default_field)
 
     def grad_field(r, t, p):
         return 2 * r * np.cos(t), -r * np.sin(t), np.zeros_like(r)

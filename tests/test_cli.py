@@ -142,6 +142,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "finite" in err and out == ""
 
+    @pytest.mark.parametrize("argv", [["verify"] + FAST_GRID, ["sweep"]])
+    def test_overflowing_perturbation_exits_one(self, capsys, argv):
+        # rejected with the label, before any evaluation: no numpy warning
+        code, out, err = run_cli(capsys, argv + ["--family", "perturbed:1e308"])
+        assert code == 1 and out == ""
+        assert err == ("error: perturbation size in family label 'perturbed:1e308' must be "
+                       "finite and at most half the largest float\n")
+
     @pytest.mark.parametrize("label, grid, message", [
         ("perturbed:1e200", FAST_GRID, "divergence_free gives a non-finite norm_l2 (inf)"),
         ("perturbed:-1e200", FAST_GRID, "divergence_free gives a non-finite norm_l2 (inf)"),
@@ -322,6 +330,15 @@ class TestEvalCommand:
         code, out, err = run_cli(capsys, ["eval"] + [t for kv in argv.items() for t in kv])
         assert code == 1
         assert err == f"error: non-finite coordinate {coord[2:]}=nan\n" and out == ""
+
+    @pytest.mark.parametrize("r, value", [("1", "inf"), ("0.7", "-inf")])
+    def test_overflow_exits_one(self, capsys, r, value):
+        # v overflows; JSON has no infinity, so nothing is printed on stdout
+        code, out, err = run_cli(capsys, ["eval", "--family", "perturbed:1e200", "--r", r,
+                                          "--theta", "1", "--phi", "1"])
+        assert code == 1 and out == ""
+        assert err == (f"error: family perturbed:1e200 gives a non-finite v.r ({value}) "
+                       f"at this point\n")
 
     def test_interior_values_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, ["eval", "--r", "0.9", "--theta", "1.5707963267948966",

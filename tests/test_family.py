@@ -378,6 +378,17 @@ class TestFamilyLabels:
         with pytest.raises(ValueError, match="finite"):
             fam.perturbed_profile(float(eps))
 
+    @pytest.mark.parametrize("eps", ["1e308", "-1e308", "8.99e307"])
+    def test_overflowing_perturbation_rejected(self, eps):
+        # 2 eps, the factor's second derivative, overflows; rejected before
+        # any evaluation, so no numpy warning
+        with pytest.raises(ValueError, match=f"'perturbed:{eps}' must be finite"):
+            fam.family_by_label(f"perturbed:{eps}")
+
+    def test_largest_perturbation_builds(self):
+        f = fam.family_by_label("perturbed:8.98e307")
+        assert f.admissibility.support_ok
+
     def test_perturbed_residual_linear(self):
         for eps in (1e-1, 1e-3):
             f = fam.family_by_label(f"perturbed:{eps}")

@@ -349,12 +349,9 @@ def ref_neighborhood_radius(field, component, witness, floor_fraction,
 def test_neighborhood_radius_matches_ring_loop(default_field, component, floor_fraction):
     adm = default_field.admissibility
     witness = adm.witness_a1 if component == "theta" else adm.witness_a2
-    for kwargs in ({}, {"n_directions": 7, "n_rings": 3, "iterations": 12}):
-        got = verify.neighborhood_radius(default_field, component, witness,
-                                         floor_fraction, **kwargs)
-        want = ref_neighborhood_radius(default_field, component, witness,
-                                       floor_fraction, **kwargs)
-        assert got == want
+    got = verify.neighborhood_radius(default_field, component, witness, floor_fraction)
+    want = ref_neighborhood_radius(default_field, component, witness, floor_fraction)
+    assert got == want
 
 
 @pytest.mark.parametrize("floor_fraction", [0.25, 0.5])
@@ -362,15 +359,14 @@ def test_neighborhood_radius_matches_ring_loop(default_field, component, floor_f
 @pytest.mark.parametrize("angular", [fam.default_angular, fam.cosine_angular])
 def test_neighborhood_radius_frame_matches_the_cross_products(angular, component,
                                                               floor_fraction):
-    # the tangent frame now comes from basis_at (t1 = e_phi, t2 = -e_theta);
-    # the reference builds it from cross products, as neighborhood_radius did
+    # the tangent frame comes from the kernel rotation (t1 = e_phi,
+    # t2 = -e_theta); the reference builds it from cross products
     field = fam.CounterexampleField(fam.default_profile(), angular())
     adm = field.admissibility
     witness = adm.witness_a1 if component == "theta" else adm.witness_a2
-    for kwargs in ({}, {"n_directions": 7, "n_rings": 3, "iterations": 30}):
-        got = verify.neighborhood_radius(field, component, witness, floor_fraction, **kwargs)
-        want = ref_neighborhood_radius(field, component, witness, floor_fraction, **kwargs)
-        assert got == want
+    got = verify.neighborhood_radius(field, component, witness, floor_fraction)
+    want = ref_neighborhood_radius(field, component, witness, floor_fraction)
+    assert got == want
 
 
 def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):

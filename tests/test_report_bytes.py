@@ -1,9 +1,10 @@
-"""The bytes of `slipball verify --no-timestamp` reports, pinned by sha256.
+"""The bytes of every command's output, pinned by sha256: `slipball verify
+--no-timestamp` and `sweep` reports, `sample` CSVs and `eval` stdout.
 
-A change that must leave report bytes unchanged (signed zeros included) is
+A change that must leave output bytes unchanged (signed zeros included) is
 held to that here.  A change that moves digits on purpose updates these
-hashes and names the report fields that moved.  The values were measured
-with numpy 2.4.6.
+hashes and names the fields that moved.  The values were measured with
+numpy 2.4.6.
 """
 import hashlib
 
@@ -33,3 +34,34 @@ def test_report_bytes(label, grid, sha256, code, tmp_path, capsys):
     capsys.readouterr()
     assert got == code
     assert hashlib.sha256(report.read_bytes()).hexdigest() == sha256
+
+
+VOLUME = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8"]
+
+# (command line, the flag naming the output file or None for stdout, sha256)
+OUTPUTS = [
+    (["sweep"], "--report",
+     "31c19d9cd6693320bbc1a972952c0fbafb1832ceb51ace54d247e2afc40ad1db"),
+    (["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"], "--report",
+     "af67e230acd5f97c42cd2bf706922b43cd8ef60507fb326b23115fd361731b15"),
+    (["sample", "--field", "curl_v_boundary"], "--out",
+     "1bd60a515d7afcf0d31e9d032707499aad2a4ff0808dfc4c9119e316c0011d59"),
+    (["sample", "--field", "u", "--on", "volume", *VOLUME], "--out",
+     "cd7e63bbe4f91fa659a9a6785b6d5c28c3adae1ea2625710158bdb49c3d81c07"),
+    (["eval", "--r", "1", "--theta", "1", "--phi", "1"], None,
+     "44296625a79e0f6ce59b37468826b77652db6a7797535fac2d6698fc0f70b605"),
+    (["eval", "--r", "0.7", "--theta", "1", "--phi", "1"], None,
+     "2e876ea69e6d01deb38da75ff689877db455d74e854f177a8a02c511a81c9f1c"),
+]
+
+
+@pytest.mark.parametrize("argv, out_flag, sha256", OUTPUTS,
+                         ids=["sweep-default", "sweep-32x64", "sample-curl-v-boundary",
+                              "sample-u-volume", "eval-boundary", "eval-interior"])
+def test_output_bytes(argv, out_flag, sha256, tmp_path, capsys):
+    out = tmp_path / "out"
+    got = cli.main(argv + ([out_flag, str(out)] if out_flag else []))
+    stdout = capsys.readouterr().out
+    assert got == 0
+    data = out.read_bytes() if out_flag else stdout.encode()
+    assert hashlib.sha256(data).hexdigest() == sha256
