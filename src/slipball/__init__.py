@@ -4,7 +4,7 @@ curl(u x curl u) on the sphere is nonzero."""
 
 from .errors import DegenerateFit, NoWitness, SlipballError, StencilOutOfDomain
 from .family import (AdmissibilityReport, AngularFunction, CounterexampleField,
-                     RadialProfile, big_G, check_admissibility, default_angular,
+                     RadialProfile, check_admissibility, default_angular,
                      default_field, default_profile, family_by_label,
                      find_witnesses, h1zero_profile, perturbed_profile)
 from .oracle import (FDConfig, cartesian_curl_grid, cartesian_divergence_grid,

@@ -7,9 +7,10 @@ sweep (slip-residual scaling in the perturbation size).
 Exit codes: 0 success, 1 usage/config error, 2 check failure.  stdout
 carries data and reports only; diagnostics go to stderr.  Flags (each declared
 once, in `_FLAGS`) override the JSON config file, which overrides the built-in
-defaults.  Commands raise `ConfigError` on bad input; `main` prints every
-`SlipballError` as one `error: ...` line and exits 1.  A sweep whose
-residuals vanish is a failed check: one `error:` line and exit 2.
+defaults.  Commands raise `ConfigError` on bad input and on an output path
+that cannot be written; `main` prints every `SlipballError` as one
+`error: ...` line and exits 1.  A sweep whose residuals vanish is a failed
+check: one `error:` line and exit 2.
 """
 import argparse
 import copy
@@ -149,6 +150,15 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _write(path, text):
+    """Write the finished text to path; an unwritable path is a ConfigError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _print_report_table(report):
     print(f"family: {report.family_label}")
     adm = report.admissibility
@@ -186,9 +196,7 @@ def cmd_verify(args, cfg) -> int:
         raise ConfigError(str(exc)) from exc
     _print_report_table(report)
     if cfg["report"]:
-        text = report.to_json(include_timestamp=cfg["timestamp"])
-        with open(cfg["report"], "w") as fh:
-            fh.write(text)
+        _write(cfg["report"], report.to_json(include_timestamp=cfg["timestamp"]))
         print(f"report written to {cfg['report']}", file=sys.stderr)
     return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
 
@@ -210,7 +218,7 @@ def cmd_eval(args, cfg) -> int:
         for name, components in _evaluators(field).items():
             out[name] = dict(zip(("r", "theta", "phi"), components(p.r, p.theta, p.phi)))
         if abs(p.r - 1.0) <= 1e-12:
-            bt, bp = field.boundary_curl(p.theta, p.phi)
+            bt, bp = field.boundary_state(p.theta, p.phi)[5:]
             out["boundary"] = {"curl_v_theta": bt, "curl_v_phi": bp}
     found = verify._non_finite(out)
     if found:
@@ -231,7 +239,8 @@ def _sample_rows(field, selector, on_surface, interior, sample_boundary):
         mesh = interior.interior_mesh()
         r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
     if selector == "curl_v_boundary":  # on the surface only
-        return "r,theta,phi,curl_v_theta,curl_v_phi", (r, th, ph, *field.boundary_curl(th, ph))
+        curl_v = field.boundary_state(th, ph)[5:]
+        return "r,theta,phi,curl_v_theta,curl_v_phi", (r, th, ph, *curl_v)
     return "r,theta,phi,c_r,c_theta,c_phi", (r, th, ph, *_evaluators(field)[selector](r, th, ph))
 
 
@@ -252,10 +261,8 @@ def cmd_sample(args, cfg) -> int:
     field, interior, sample_boundary = _build_pieces(cfg, "grid", "sample_grid")
     header, cols = _sample_rows(field, args.field, args.on == "surface",
                                 interior, sample_boundary)
-    with open(out_path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [header] + [",".join(map(_fmt, row)) for row in zip(*cols)]
+    _write(out_path, "\n".join(lines) + "\n")
     print(f"{cols[0].size} rows written to {out_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -280,9 +287,8 @@ def cmd_sweep(args, cfg) -> int:
         print(f"{_fmt(eps):>14s} {_fmt(res):>22s}  {'yes' if (eps, res) in included else 'no'}")
     print(f"slope {sweep.slope:.6f} (target 1.00 +/- 0.05)")
     if cfg["report"]:
-        with open(cfg["report"], "w") as fh:
-            json.dump({"family": field.label, **sweep.to_dict()}, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write(cfg["report"], json.dumps({"family": field.label, **sweep.to_dict()},
+                                         indent=2, allow_nan=False) + "\n")
     ok = SLOPE_BAND[0] <= sweep.slope <= SLOPE_BAND[1]
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -14,13 +14,15 @@ tangential components of curl(v) on the unit sphere:
 with G = d_theta(sin g_theta) + g_phiphi / sin.  Profiles vanish identically
 near r = 0 and angular functions near both poles, so every evaluator
 short-circuits to exact zeros inside those margins and never touches 1/r or
-1/sin there.  _on_support holds that rule: it gathers the in-support nodes
-once, the profile and angular jets and the assembly kernels (which take no
-mask) run on those 1-D arrays alone, and only the final outputs are
-scattered back.  The angular factors (sin, G, g_theta, g_phi) come from
-OmegaFactors alone; on the sphere, _on_band serves the one boundary pass
-(boundary_state, boundary_curl), big_G and the witness scan, and
-OmegaFactors.on_sphere the scaling sweep.  Jet functions are ufunc-like:
+1/sin there.  support_mask is the one support rule and _on_support applies
+it: it gathers the in-support nodes once, the profile and angular jets and
+the assembly kernels (which take no mask) run on those 1-D arrays alone,
+and only the final outputs are scattered back.  The angular factors (sin,
+G, g_theta, g_phi) come from OmegaFactors alone.  The unit sphere is
+r = 1 of the same rule, support_mask(1.0, theta), and a profile enters it
+only as the two numbers h(1), h'(1): _on_boundary serves the boundary pass
+(boundary_state) and the witness scan, and the scaling sweep gathers the
+same nodes once for all its profiles.  Jet functions are ufunc-like:
 they accept float64 arrays of a common shape and an order k (0, 1 or 2),
 and return arrays of that shape: the jet through at least order k, from
 analytic derivatives.  Each evaluator asks for the orders it reads: u the
@@ -75,20 +77,6 @@ def _on_support(support, n_out, compute, *coords):
     return tuple(o.reshape(shape) for o in out)
 
 
-def _polar_band(d, theta):
-    return (theta > d) & (theta < math.pi - d)
-
-
-def _on_band(angular, n_out, compute, theta, phi):
-    """compute(OmegaFactors at r = 1) on the nodes of (theta, phi) in the
-    open polar band pole_margin < theta < pi - pole_margin, the support of
-    every field on the unit sphere (every support_inner lies below 1),
-    scattered back by _on_support."""
-    def on_nodes(theta, phi):
-        return compute(OmegaFactors(np.ones_like(theta), theta, angular.fn(theta, phi, 2)))
-    return _on_support(_polar_band(angular.pole_margin, theta), n_out, on_nodes, theta, phi)
-
-
 class OmegaFactors:
     """The angular factors of u and omega on 1-D arrays of in-support nodes
     (r, theta), from the angular jet g_jet there: sin theta, g_theta, g_phi,
@@ -108,16 +96,6 @@ class OmegaFactors:
     def big_g(self):
         g = self.g_jet
         return kernels.big_g_values(self.sin, np.cos(self.theta), g[1], g[3], g[5])
-
-    @classmethod
-    def on_sphere(cls, angular, theta, phi):
-        """Factors at r = 1 on the polar band nodes (see _on_band) of the
-        finite node arrays (theta, phi), or None when the band holds none."""
-        band = _polar_band(angular.pole_margin, theta)
-        if not band.any():
-            return None
-        theta = theta[band]
-        return cls(np.ones_like(theta), theta, angular.fn(theta, phi[band], 2))
 
     def assemble(self, h, hp):
         """(omega_r, omega_theta, omega_phi) for the profile jet (h, h')."""
@@ -280,7 +258,7 @@ class CounterexampleField:
         if pad:
             with np.errstate(divide="ignore"):
                 d = d - np.arcsin(np.minimum(1.0, np.divide(pad, r)))
-        return _polar_band(d, theta) & (r > self.profile.support_inner - pad)
+        return (theta > d) & (theta < math.pi - d) & (r > self.profile.support_inner - pad)
 
     def _assemble(self, n_out, assemble, orders, r, theta, phi):
         """assemble(profile jet, OmegaFactors) on the support nodes of the
@@ -293,6 +271,15 @@ class CounterexampleField:
                             OmegaFactors(r, theta, self.angular.fn(theta, phi, g_order)))
         return _on_support(self.support_mask(r, theta), n_out, compute, r, theta, phi)
 
+    def _on_boundary(self, n_out, compute, theta, phi):
+        """compute(OmegaFactors at r = 1) on the sphere's support nodes,
+        support_mask(1.0, theta), of the node arrays (theta, phi), scattered
+        back by _on_support."""
+        def on_nodes(theta, phi):
+            g_jet = self.angular.fn(theta, phi, 2)
+            return compute(OmegaFactors(np.ones_like(theta), theta, g_jet))
+        return _on_support(self.support_mask(1.0, theta), n_out, on_nodes, theta, phi)
+
     def u_components(self, r, theta, phi):
         """(u_r, u_theta, u_phi); u_r is identically zero (NaN at NaN input)."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
@@ -304,19 +291,13 @@ class CounterexampleField:
         return _maybe_scalar(
             self._assemble(3, lambda h, w: w.assemble(h[0], h[1]), (1, 2), r, theta, phi), scalar)
 
-    def u_and_omega(self, r, theta, phi):
-        """(u_theta, u_phi, omega_r, omega_theta, omega_phi) in one pass, as
-        u_components and omega_components give them (u_r is u_radial(u_theta))."""
-        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        return _maybe_scalar(self._assemble(
-            5, lambda h, w: (*_u_parts(h, w), *w.assemble(h[0], h[1])), (1, 2), r, theta, phi),
-            scalar)
-
     def v_components(self, r, theta, phi):
-        """u x curl(u), from the closed forms of both factors."""
+        """u x curl(u), from the closed forms of both factors (one pass)."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
+        u_w = self._assemble(5, lambda h, w: (*_u_parts(h, w), *w.assemble(h[0], h[1])),
+                             (1, 2), r, theta, phi)
         # on the scattered arrays, so that v_phi = -(0 * 0) is -0 off the support
-        return _maybe_scalar(kernels.cross_tangential(*self.u_and_omega(r, theta, phi)), scalar)
+        return _maybe_scalar(kernels.cross_tangential(*u_w), scalar)
 
     def u_raw_partials(self, r, theta, phi):
         """Components of u and their raw-coordinate first partials.
@@ -334,26 +315,22 @@ class CounterexampleField:
     def boundary_state(self, theta, phi):
         """(u_theta, u_phi, omega_r, omega_theta, omega_phi, curl_v_theta,
         curl_v_phi) on the unit sphere in one pass from h(1) and h'(1): the
-        first five are u_and_omega(1, ...)."""
+        first five are u_components(1, ...)[1:] and omega_components(1, ...)."""
         (theta, phi), scalar = _node_arrays(theta, phi)
         h, hp = self.h_boundary, self.hp_boundary
 
         def compute(w):
             return (*_u_parts((h,), w), *w.assemble(h, hp),
                     *kernels.boundary_curl_assembly(w.sin, h, hp, w.g_t, w.g_p, w.big_g))
-        return _maybe_scalar(_on_band(self.angular, 7, compute, theta, phi), scalar)
-
-    def boundary_curl(self, theta, phi):
-        """Both tangential components of curl(v) on the unit sphere."""
-        return self.boundary_state(theta, phi)[5:]
+        return _maybe_scalar(self._on_boundary(7, compute, theta, phi), scalar)
 
     def boundary_curl_theta(self, theta, phi):
-        return self.boundary_curl(theta, phi)[0]
+        return self.boundary_state(theta, phi)[5]
 
     def boundary_curl_phi(self, theta, phi):
         """Closed form of the phi component; verify gates it against the
         radial-derivative oracle and fails its check if they disagree."""
-        return self.boundary_curl(theta, phi)[1]
+        return self.boundary_state(theta, phi)[6]
 
 
 def u_radial(u_theta):
@@ -374,14 +351,6 @@ def _u_partials(h_jet, w):
             up, hp * g_t, h * g_tt, h * g_tp)
 
 
-def big_G(angular: AngularFunction, theta, phi):
-    """G = cos g_theta + sin g_thetatheta + g_phiphi / sin (zero inside the
-    pole margin by support)."""
-    (theta, phi), scalar = _node_arrays(theta, phi)
-    (big_g,) = _on_band(angular, 1, lambda w: (w.big_g,), theta, phi)
-    return _maybe_scalar(big_g, scalar)
-
-
 def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     """Scan the boundary grid for points certifying the non-vanishing
     conditions: maximize |g_phi * G| and |g_theta * G|.
@@ -393,7 +362,7 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     if n_theta < 16 or n_phi < 16:
         raise ValueError("witness grid must be at least 16x16")
     _, th, ph = sphere_midpoint_mesh(n_theta, n_phi)
-    products = _on_band(field.angular, 2, lambda w: (w.g_p * w.big_g, w.g_t * w.big_g), th, ph)
+    products = field._on_boundary(2, lambda w: (w.g_p * w.big_g, w.g_t * w.big_g), th, ph)
 
     def best(product):
         flat = np.abs(product)

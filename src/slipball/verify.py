@@ -248,7 +248,9 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     values at its witness and their relative discrepancy.  The phi closed
     form is also gated against the radial-derivative oracle of v_theta at
     up to GATE_POINTS nodes where it is at least 1e-2 in magnitude; a
-    failed gate fails the phi result, with the gate numbers in its details.
+    failed gate fails the phi result, with the gate numbers in its details
+    (a NaN oracle value fails it and leaves gate_max_rel_err NaN, which
+    run_full_verification reports as a non-finite result).
     One oracle call serves the gate and both witnesses.  boundary_state is
     as for check_slip_conditions.
     """
@@ -278,12 +280,10 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     res_p.details = {
         "closed_form_validated": ok,
         "gate_points": int(gate.size),
-        "gate_max_rel_err": worst if math.isfinite(worst) else None,
+        "gate_max_rel_err": worst,
         "source": "closed_form",
         **_witness_details(res_p, float(bp[j]), float(d_vt[-1])),
     }
-    if not math.isfinite(worst):  # a NaN oracle value fails the gate; JSON has no NaN
-        res_p.details["gate_max_rel_err_defined"] = False
     return res_t, res_p
 
 
@@ -435,8 +435,10 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     which moves h(1) + h'(1) off zero by (eps/2) h(1); the log-log slope of
     the residual against eps should therefore be 1.  eps = 0 rows (and any
     underflowed residual) are excluded from the fit.  The angular factors of
-    omega are computed once, on the polar band nodes; each eps evaluates
-    only its profile's jet there.
+    omega are computed once, on the sphere's support nodes
+    base_field.support_mask(1.0, theta); each eps completes them with its
+    profile's h(1) and h'(1), the two numbers through which a profile
+    enters the sphere.
 
     Raises ValueError before any evaluation unless at least two eps are
     positive and not all of those are equal, and ValueError naming the eps
@@ -450,15 +452,18 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
         raise ValueError("degenerate fit: all eps values identical")
     grid = grid if grid is not None else _DEFAULT_BOUNDARY_GRID
     mesh = grid.boundary_mesh()
-    factors = fam.OmegaFactors.on_sphere(base_field.angular, mesh["theta"], mesh["phi"])
+    support = base_field.support_mask(1.0, mesh["theta"])
+    factors = None
+    if support.any():
+        th, ph = mesh["theta"][support], mesh["phi"][support]
+        factors = fam.OmegaFactors(np.ones_like(th), th, base_field.angular.fn(th, ph, 2))
     rows = []
     for eps in epsilons:
         residual = 0.0
         if factors is not None:
             profile = fam.perturbed_profile(float(eps), base_field.profile)
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                h = profile.fn(factors.r, 1)
-                _, wt, wp = factors.assemble(h[0], h[1])
+                _, wt, wp = factors.assemble(*profile.jet(1.0)[:2])
                 residual = float(np.max(np.hypot(wt, wp)))
         if not math.isfinite(residual):
             raise ValueError(f"eps={float(eps)!r} gives a non-finite residual ({residual})")

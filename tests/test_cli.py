@@ -548,6 +548,27 @@ class TestUsageErrors:
         assert got == expected
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is one `error:` line and exit 1,
+    for each command that writes a file."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", *FAST_GRID], "--report"),
+        (["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"], "--report"),
+        (["sample", "--field", "u"], "--out"),
+    ], ids=["verify", "sweep", "sample"])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+    ])
+    def test_one_error_line_and_exit_one(self, capsys, tmp_path, argv, flag, target, reason):
+        path = tmp_path / "no-such-dir" / "out" if target == "missing" else tmp_path
+        code, _, err = run_cli(capsys, [*argv, flag, str(path)])
+        assert code == 1
+        assert err == f"error: cannot write {str(path)!r}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestShellEntry:
     """`python -m slipball.cli` runs `entry()`, which exits with `main`'s code."""
 

@@ -21,9 +21,8 @@ from slipball import kernels, verify
 from slipball.errors import DegenerateFit
 
 PI = math.pi
-RADIAL = ("u_components", "omega_components", "v_components", "u_and_omega",
-          "u_raw_partials")
-POLAR = ("boundary_curl_theta", "boundary_curl_phi", "boundary_state", "big_G")
+RADIAL = ("u_components", "omega_components", "v_components", "u_raw_partials")
+POLAR = ("boundary_curl_theta", "boundary_curl_phi", "boundary_state")
 
 
 def _family(name):
@@ -99,12 +98,11 @@ def _reference(field, name, r, theta, phi):
     s, c = np.sin(theta), np.cos(theta)
     gg = kernels.big_g_values(s, c, g_t, g_tt, g_pp)
     if name in POLAR:
-        if name == "big_G":
-            return sel(gg)
         bt, bp = sel(*kernels.boundary_curl_assembly(
             s, field.h_boundary, field.hp_boundary, g_t, g_p, gg))
         if name == "boundary_state":
-            return (*_reference(field, "u_and_omega", 1.0, theta, phi), bt, bp)
+            return (*_reference(field, "u_components", 1.0, theta, phi)[1:],
+                    *_reference(field, "omega_components", 1.0, theta, phi), bt, bp)
         return (bt,) if name == "boundary_curl_theta" else (bp,)
     h, hp, _ = field.profile.fn(r, 2)
     ut, up = sel(*kernels.u_assembly(h, g_t, g_p, s))
@@ -113,8 +111,6 @@ def _reference(field, name, r, theta, phi):
     w = sel(*kernels.omega_assembly(r, s, h, hp, g_t, g_p, gg))
     if name == "omega_components":
         return w
-    if name == "u_and_omega":
-        return (ut, up, *w)
     if name == "v_components":  # on the masked u and omega: -0 off the support
         return kernels.cross_tangential(ut, up, *w)
     return sel(-h * g_p / s, -hp * g_p / s, -h * (g_tp * s - g_p * c) / s**2,
@@ -122,9 +118,7 @@ def _reference(field, name, r, theta, phi):
 
 
 def evaluate(field, name, r, theta, phi):
-    if name == "big_G":
-        out = fam.big_G(field.angular, theta, phi)
-    elif name in POLAR:
+    if name in POLAR:
         out = getattr(field, name)(theta, phi)
     else:
         out = getattr(field, name)(r, theta, phi)
@@ -280,6 +274,21 @@ def test_no_jet_call_outside_support():
     assert calls == []
 
 
+def test_sweep_reads_each_profile_at_r_1_only():
+    # one angular jet on the sphere's support nodes; each perturbed profile
+    # enters through its jet at the one node r = 1
+    spy, calls = _spied(FAMILIES["default"])
+    grid = verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True)
+    epsilons = [1e-1, 1e-2, 0.0, 1e-3]
+    verify.scaling_sweep(spy, epsilons, grid)
+    mesh = grid.boundary_mesh()
+    support = spy.support_mask(1.0, mesh["theta"])
+    assert [c[0] for c in calls] == ["angular"] + ["radial"] * len(epsilons)
+    assert np.array_equal(calls[0][1], mesh["theta"][support])
+    assert np.array_equal(calls[0][2], mesh["phi"][support])
+    assert all(np.array_equal(c[1], [1.0]) for c in calls[1:])
+
+
 def test_empty_input_calls_no_jet():
     spy, calls = SPIED["default"]
     calls.clear()
@@ -312,16 +321,16 @@ class TestNaNCoordinates:
         _check_spy_log(calls, spy)
 
     def test_u_and_omega_is_u_components_and_omega_components(self, default_field):
+        # the u and omega that v_components crosses in its one pass
         r = np.array([0.8, 0.8, math.nan, 0.1, 0.6, 1.0])
         theta = np.array([1.0, math.nan, 1.2, 1.0, 2.0, 0.3])
         phi = np.array([1.0, 2.0, 3.0, math.nan, 4.0, 5.0])
-        ut, up, *w = default_field.u_and_omega(r, theta, phi)
-        ur, *u = default_field.u_components(r, theta, phi)
-        assert_bit_identical((fam.u_radial(ut), ut, up, *w),
-                             (ur, *u, *default_field.omega_components(r, theta, phi)), (6,))
-        scalar = default_field.u_and_omega(0.8, 1.0, 1.0)
+        _, *u = default_field.u_components(r, theta, phi)
+        want = kernels.cross_tangential(*u, *default_field.omega_components(r, theta, phi))
+        assert_bit_identical(default_field.v_components(r, theta, phi), want, (6,))
+        scalar = default_field.v_components(0.8, 1.0, 1.0)
         assert all(isinstance(v, float) for v in scalar)
-        assert scalar == tuple(float(v[0]) for v in default_field.u_and_omega([0.8], 1.0, 1.0))
+        assert scalar == tuple(float(v[0]) for v in default_field.v_components([0.8], 1.0, 1.0))
 
     def test_u_raw_partials_nan(self, default_field):
         parts = default_field.u_raw_partials(0.8, math.nan, 1.0)
@@ -340,14 +349,15 @@ class TestNaNCoordinates:
         d = field.angular.pole_margin
         theta = np.array([1.0, math.nan, 1.2, 0.0, d, math.nextafter(d, PI), PI - d, PI, 2.0])
         phi = np.array([1.0, 2.0, math.nan, 3.0, 4.0, 5.0, 6.0, -0.0, -7.0])
-        want = (*field.u_and_omega(1.0, theta, phi), *field.boundary_curl(theta, phi))
-        assert_bit_identical(field.boundary_state(theta, phi), want, theta.shape)
-        for th, ph in zip(theta, phi):
-            got = field.boundary_state(float(th), float(ph))
-            want = (*field.u_and_omega(1.0, float(th), float(ph)),
-                    *field.boundary_curl(float(th), float(ph)))
+
+        def want(th, ph):
+            return (*field.u_components(1.0, th, ph)[1:], *field.omega_components(1.0, th, ph),
+                    field.boundary_curl_theta(th, ph), field.boundary_curl_phi(th, ph))
+        assert_bit_identical(field.boundary_state(theta, phi), want(theta, phi), theta.shape)
+        for th, ph in zip(theta.tolist(), phi.tolist()):
+            got = field.boundary_state(th, ph)
             assert all(isinstance(v, float) for v in got)
-            assert_bit_identical(got, want, ())
+            assert_bit_identical(got, want(th, ph), ())
 
 
 def _edge_nodes(field, n=300, seed=11):
@@ -411,7 +421,7 @@ class TestJetOrders:
     ASKED = {
         "u_components": [("radial", 0), ("angular", 1)],
         **{name: [("radial", 1), ("angular", 2)] for name in
-           ("omega_components", "v_components", "u_and_omega", "u_raw_partials")},
+           ("omega_components", "v_components", "u_raw_partials")},
         **{name: [("angular", 2)] for name in POLAR},
     }
 
@@ -450,7 +460,7 @@ class TestJetOrders:
         log.clear()
         verify.scaling_sweep(spy, [1e-1, 1e-2, 1e-3],
                              verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True))
-        assert log == [("angular", 2)] + [("radial", 1)] * 3
+        assert log == [("angular", 2)] + [("radial", 2)] * 3  # profile.jet(1.0) per eps
         log.clear()
         spy.profile.jet(0.7), spy.angular.jet(1.2, 0.3)
         assert log == [("radial", 2), ("angular", 2)]

@@ -5,14 +5,13 @@ time, through SphPoint.  The array oracle does the same float arithmetic
 node by node, so every comparison is exact (np.array_equal), not a
 tolerance.
 """
-import json
 import math
 
 import numpy as np
 import pytest
 
 from slipball import family as fam
-from slipball import kernels, oracle, verify
+from slipball import cli, kernels, oracle, verify
 from slipball.errors import StencilOutOfDomain
 from slipball.oracle import FDConfig
 from slipball.sphcalc import SphPoint
@@ -394,8 +393,7 @@ def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):
             return method(self, *coords)
         return evaluator
 
-    for name in ("v_components", "boundary_state", "boundary_curl", "boundary_curl_theta",
-                 "boundary_curl_phi"):
+    for name in ("v_components", "boundary_state", "boundary_curl_theta", "boundary_curl_phi"):
         monkeypatch.setattr(fam.CounterexampleField, name, sized(name))
     _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
     assert want.passed and not res_p.passed
@@ -411,8 +409,9 @@ def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):
     assert sizes and 1 not in sizes
 
 
-def test_nan_gate_value_is_written_as_null(default_field, monkeypatch, tmp_path):
-    # one NaN oracle value fails the phi gate; the report still serialises
+def test_nan_gate_value_fails_phi_and_is_named(default_field, monkeypatch, capsys):
+    # one NaN oracle value fails the phi gate; a full run names the NaN
+    # rather than writing a report that hides it
     original = oracle.fd_boundary_radial_derivative
     calls = []
 
@@ -427,11 +426,15 @@ def test_nan_gate_value_is_written_as_null(default_field, monkeypatch, tmp_path)
     assert calls == [res_p.details["gate_points"] + 2]
     assert res_p.details["source"] == "closed_form"
     assert not res_p.passed and res_p.details["closed_form_validated"] is False
-    assert res_p.details["gate_max_rel_err"] is None
-    assert res_p.details["gate_max_rel_err_defined"] is False
+    assert math.isnan(res_p.details["gate_max_rel_err"])
+    assert "gate_max_rel_err_defined" not in res_p.details
 
-    def no_constants(name):
-        raise AssertionError(f"{name} in the report")
-
-    doc = json.loads(json.dumps(res_p.to_dict(), allow_nan=False), parse_constant=no_constants)
-    assert doc["details"]["gate_max_rel_err"] is None
+    message = "check persistency_failure_phi gives a non-finite details.gate_max_rel_err (nan)"
+    interior = verify.GridSpec(n_r=8, n_theta=8, n_phi=8)
+    with pytest.raises(ValueError) as exc:
+        verify.run_full_verification(default_field, interior, SMALL_BOUNDARY)
+    assert str(exc.value) == message
+    code = cli.main(["verify", "--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
+                     "--boundary-ntheta", "32", "--boundary-nphi", "64"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -403,7 +403,7 @@ class TestScalingSweep:
     ])
     def test_bad_eps_set_raises_before_evaluating(self, default_field, monkeypatch,
                                                   epsilons, message):
-        monkeypatch.setattr(fam.OmegaFactors, "on_sphere", None)
+        monkeypatch.setattr(fam.CounterexampleField, "support_mask", None)
         with pytest.raises(ValueError) as exc:
             verify.scaling_sweep(default_field, epsilons, SMALL_BOUNDARY)
         assert str(exc.value) == f"degenerate fit: {message}"
@@ -469,8 +469,7 @@ class TestFullVerification:
             res_t.details["neighborhood_radius_half_floor"] = verify.neighborhood_radius(
                 field, "theta", res_t.witness, 0.5)
             standalone += [res_t, res_p]
-        names = ("u_components", "omega_components", "u_and_omega", "boundary_state",
-                 "boundary_curl")
+        names = ("u_components", "omega_components", "boundary_state")
         sizes = {name: [] for name in names}
         for name, log in sizes.items():
             def spy(self, *coords, _log=log, _fn=getattr(fam.CounterexampleField, name)):
@@ -486,8 +485,7 @@ class TestFullVerification:
             assert by_name[name].details.get("skipped", False) is skipped
         n = mesh["theta"].size
         assert sizes["boundary_state"].count(n) == 1
-        assert n not in (sizes["u_and_omega"] + sizes["boundary_curl"]
-                         + sizes["u_components"] + sizes["omega_components"])
+        assert n not in sizes["u_components"] + sizes["omega_components"]
 
     def test_h1zero_family_fails_persistency_only(self, h1zero_field):
         report = verify.run_full_verification(h1zero_field, SMALL_INTERIOR, SMALL_BOUNDARY)
