@@ -291,13 +291,17 @@ class CounterexampleField:
         return _maybe_scalar(
             self._assemble(3, lambda h, w: w.assemble(h[0], h[1]), (1, 2), r, theta, phi), scalar)
 
+    def _u_and_omega(self, r, theta, phi):
+        """(u_theta, u_phi, omega_r, omega_theta, omega_phi) on the node
+        arrays in one pass: the u and omega that v_components crosses."""
+        return self._assemble(5, lambda h, w: (*_u_parts(h, w), *w.assemble(h[0], h[1])),
+                              (1, 2), r, theta, phi)
+
     def v_components(self, r, theta, phi):
         """u x curl(u), from the closed forms of both factors (one pass)."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        u_w = self._assemble(5, lambda h, w: (*_u_parts(h, w), *w.assemble(h[0], h[1])),
-                             (1, 2), r, theta, phi)
         # on the scattered arrays, so that v_phi = -(0 * 0) is -0 off the support
-        return _maybe_scalar(kernels.cross_tangential(*u_w), scalar)
+        return _maybe_scalar(kernels.cross_tangential(*self._u_and_omega(r, theta, phi)), scalar)
 
     def u_raw_partials(self, r, theta, phi):
         """Components of u and their raw-coordinate first partials.

@@ -19,10 +19,14 @@ from hypothesis import strategies as st
 from slipball import family as fam
 from slipball import kernels, verify
 from slipball.errors import DegenerateFit
+from slipball.sphcalc import _node_arrays
 
 PI = math.pi
-RADIAL = ("u_components", "omega_components", "v_components", "u_raw_partials")
-POLAR = ("boundary_curl_theta", "boundary_curl_phi", "boundary_state")
+# u_and_omega: the one pass v_components crosses; big_G: G through the
+# sphere gather and OmegaFactors.big_g
+RADIAL = ("u_components", "omega_components", "v_components", "u_and_omega",
+          "u_raw_partials")
+POLAR = ("boundary_curl_theta", "boundary_curl_phi", "boundary_state", "big_G")
 
 
 def _family(name):
@@ -98,6 +102,8 @@ def _reference(field, name, r, theta, phi):
     s, c = np.sin(theta), np.cos(theta)
     gg = kernels.big_g_values(s, c, g_t, g_tt, g_pp)
     if name in POLAR:
+        if name == "big_G":
+            return sel(gg)
         bt, bp = sel(*kernels.boundary_curl_assembly(
             s, field.h_boundary, field.hp_boundary, g_t, g_p, gg))
         if name == "boundary_state":
@@ -111,6 +117,8 @@ def _reference(field, name, r, theta, phi):
     w = sel(*kernels.omega_assembly(r, s, h, hp, g_t, g_p, gg))
     if name == "omega_components":
         return w
+    if name == "u_and_omega":
+        return (ut, up, *w)
     if name == "v_components":  # on the masked u and omega: -0 off the support
         return kernels.cross_tangential(ut, up, *w)
     return sel(-h * g_p / s, -hp * g_p / s, -h * (g_tp * s - g_p * c) / s**2,
@@ -118,7 +126,13 @@ def _reference(field, name, r, theta, phi):
 
 
 def evaluate(field, name, r, theta, phi):
-    if name in POLAR:
+    if name == "big_G":
+        (theta, phi), scalar = _node_arrays(theta, phi)
+        out = fam._maybe_scalar(field._on_boundary(1, lambda w: (w.big_g,), theta, phi), scalar)
+    elif name == "u_and_omega":
+        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
+        out = fam._maybe_scalar(field._u_and_omega(r, theta, phi), scalar)
+    elif name in POLAR:
         out = getattr(field, name)(theta, phi)
     else:
         out = getattr(field, name)(r, theta, phi)
@@ -421,7 +435,7 @@ class TestJetOrders:
     ASKED = {
         "u_components": [("radial", 0), ("angular", 1)],
         **{name: [("radial", 1), ("angular", 2)] for name in
-           ("omega_components", "v_components", "u_raw_partials")},
+           ("omega_components", "v_components", "u_and_omega", "u_raw_partials")},
         **{name: [("angular", 2)] for name in POLAR},
     }
 
