@@ -8,15 +8,19 @@ Exit codes: 0 success, 1 usage/config error, 2 check failure.  stdout
 carries data and reports only; diagnostics go to stderr.  Flags (each declared
 once, in `_FLAGS`) override the JSON config file, which overrides the built-in
 defaults.  Commands raise `ConfigError` on bad input and on an output path
-that cannot be written; `main` prints every `SlipballError` as one
-`error: ...` line and exits 1.  A sweep whose residuals vanish is a failed
-check: one `error:` line and exit 2.
+that cannot be written, which each checks before it computes anything;
+`main` prints every `SlipballError` as one `error: ...` line and exits 1.
+A sweep whose residuals vanish is a failed check: one `error:` line and
+exit 2.
 """
 import argparse
+import contextlib
 import copy
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -150,13 +154,47 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _write(path, text):
-    """Write the finished text to path; an unwritable path is a ConfigError."""
+def _unwritable(path, exc):
+    return ConfigError(f"cannot write {path!r}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Reserve the output file at path before any computation: yields
+    write(text), which puts the finished text at path.
+
+    A temporary file is created beside path up front, so a path that cannot
+    be written (or names a directory) is a ConfigError before the command
+    computes anything; write(text) fills it and os.replace-s it onto path,
+    so an existing file stays as it is until then.  The temporary file is
+    removed if write is not called.  A None or empty path yields None.
+    """
+    if not path:
+        yield None
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fh = open(tmp, "x", newline="")
     except OSError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+        raise _unwritable(path, exc) from exc
+
+    def write(text):
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
+
+    try:
+        yield write
+    finally:
+        fh.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def _print_report_table(report):
@@ -189,15 +227,16 @@ def cmd_verify(args, cfg) -> int:
         boundary.require_margins_for(fd)
     except ValueError as exc:
         raise ConfigError(f"--boundary-ntheta (boundary_grid.n_theta): {exc}") from exc
-    try:
-        report = verify.run_full_verification(
-            field, interior, boundary, fd, nu=cfg["nu"], seed=cfg["seed"])
-    except ValueError as exc:  # a non-finite result
-        raise ConfigError(str(exc)) from exc
-    _print_report_table(report)
-    if cfg["report"]:
-        _write(cfg["report"], report.to_json(include_timestamp=cfg["timestamp"]))
-        print(f"report written to {cfg['report']}", file=sys.stderr)
+    with _output(cfg["report"]) as write:
+        try:
+            report = verify.run_full_verification(
+                field, interior, boundary, fd, nu=cfg["nu"], seed=cfg["seed"])
+        except ValueError as exc:  # a non-finite result
+            raise ConfigError(str(exc)) from exc
+        _print_report_table(report)
+        if write:
+            write(report.to_json(include_timestamp=cfg["timestamp"]))
+            print(f"report written to {cfg['report']}", file=sys.stderr)
     return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
 
 
@@ -259,10 +298,11 @@ def cmd_sample(args, cfg) -> int:
     if not out_path:
         raise ConfigError("--out is required for sample")
     field, interior, sample_boundary = _build_pieces(cfg, "grid", "sample_grid")
-    header, cols = _sample_rows(field, args.field, args.on == "surface",
-                                interior, sample_boundary)
-    lines = [header] + [",".join(map(_fmt, row)) for row in zip(*cols)]
-    _write(out_path, "\n".join(lines) + "\n")
+    with _output(out_path) as write:
+        header, cols = _sample_rows(field, args.field, args.on == "surface",
+                                    interior, sample_boundary)
+        lines = [header] + [",".join(map(_fmt, row)) for row in zip(*cols)]
+        write("\n".join(lines) + "\n")
     print(f"{cols[0].size} rows written to {out_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -274,21 +314,23 @@ def cmd_sweep(args, cfg) -> int:
     if not all(math.isfinite(e) for e in epsilons):
         raise ConfigError(f"epsilons must be finite, got {epsilons}")
     field, boundary = _build_pieces(cfg, "boundary_grid")
-    try:
-        sweep = verify.scaling_sweep(field, epsilons, boundary)
-    except ValueError as exc:  # eps values that cannot be fitted
-        raise ConfigError(str(exc)) from exc
-    except DegenerateFit as exc:  # vanishing residuals: the scaling check fails
-        print(f"error: degenerate fit: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"{'eps':>14s} {'residual':>22s}  in_fit")
-    included = set(sweep.included)
-    for eps, res in sweep.rows:
-        print(f"{_fmt(eps):>14s} {_fmt(res):>22s}  {'yes' if (eps, res) in included else 'no'}")
-    print(f"slope {sweep.slope:.6f} (target 1.00 +/- 0.05)")
-    if cfg["report"]:
-        _write(cfg["report"], json.dumps({"family": field.label, **sweep.to_dict()},
-                                         indent=2, allow_nan=False) + "\n")
+    with _output(cfg["report"]) as write:
+        try:
+            sweep = verify.scaling_sweep(field, epsilons, boundary)
+        except ValueError as exc:  # eps values that cannot be fitted
+            raise ConfigError(str(exc)) from exc
+        except DegenerateFit as exc:  # vanishing residuals: the scaling check fails
+            print(f"error: degenerate fit: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        print(f"{'eps':>14s} {'residual':>22s}  in_fit")
+        included = set(sweep.included)
+        for eps, res in sweep.rows:
+            print(f"{_fmt(eps):>14s} {_fmt(res):>22s}  "
+                  f"{'yes' if (eps, res) in included else 'no'}")
+        print(f"slope {sweep.slope:.6f} (target 1.00 +/- 0.05)")
+        if write:
+            write(json.dumps({"family": field.label, **sweep.to_dict()},
+                             indent=2, allow_nan=False) + "\n")
     ok = SLOPE_BAND[0] <= sweep.slope <= SLOPE_BAND[1]
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

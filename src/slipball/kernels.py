@@ -20,6 +20,11 @@ formula gives: +0 on the lower plateau; s' = +0 and s'' = -0 on the upper
 one, where sigma''(t) < 0.  Only the ramp between, NaN, and t > 1e100
 (where t**3 overflows and s'' is +0) run the formula.
 
+Phi wrap: cart_to_sph maps atan2's phi in [-pi, pi] to [0, 2pi] by adding
+2pi to the negative values, then adding +0.0, which turns -0 into +0; that
+equals np.mod(phi, 2pi) bit for bit (a tiny negative phi gives exactly 2pi
+in both) without the fmod.
+
 Orders: each jet kernel (sigma_jet through default_angular_jet) takes an
 order k, 0, 1 or 2 (the default), and computes and returns its jet through
 order k only: (value,), (value, first), or all three entries; the angular
@@ -202,22 +207,31 @@ def cart_to_sph(x, y, z):
     r = np.sqrt(x * x + y * y + z * z)
     # atan2(hypot, z) stays well-conditioned at the poles, unlike acos(z/r)
     theta = np.arctan2(np.sqrt(x * x + y * y), z)
-    phi = np.mod(np.arctan2(y, x), 2.0 * np.pi)
+    # the phi wrap of the module docstring
+    phi = np.arctan2(y, x)
+    phi = np.where(phi < 0.0, phi + 2.0 * np.pi, phi) + 0.0
     return r, theta, phi
 
 
-def vec_sph_to_cart_axis(axis, theta, phi, vr, vt, vp):
-    # Cartesian component `axis` (0, 1, 2: x, y, z) of (vr, vt, vp)
-    st, ct = np.sin(theta), np.cos(theta)
+def vec_sph_to_cart_at(axis, x, y, z, vr, vt, vp):
+    # Cartesian component `axis` (0, 1, 2: x, y, z) of (vr, vt, vp) at the
+    # point (x, y, z), rotated by x/r, y/r, z/r, x/rho, y/rho and rho/r with
+    # rho = hypot(x, y) > 0: the point's own coordinates, with no trig
+    rho = np.sqrt(x * x + y * y)
+    r = np.sqrt(x * x + y * y + z * z)
     if axis == 2:
-        return vr * ct - vt * st
-    sp, cp = np.sin(phi), np.cos(phi)
-    return (vr * st * cp + vt * ct * cp - vp * sp if axis == 0
-            else vr * st * sp + vt * ct * sp + vp * cp)
+        return (vr * z - vt * rho) / r
+    vz = vt * (z / r)
+    return (vr * x / r + (vz * x - vp * y) / rho if axis == 0
+            else vr * y / r + (vz * y + vp * x) / rho)
 
 
 def vec_sph_to_cart(theta, phi, vr, vt, vp):
-    return tuple(vec_sph_to_cart_axis(j, theta, phi, vr, vt, vp) for j in range(3))
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    return (vr * st * cp + vt * ct * cp - vp * sp,
+            vr * st * sp + vt * ct * sp + vp * cp,
+            vr * ct - vt * st)
 
 
 def vec_cart_to_sph(theta, phi, wx, wy, wz):

@@ -6,7 +6,10 @@ Two derivative paths:
   the same curl formula the analytic side uses;
 * Cartesian: fields are sampled at Cartesian stencil points, components
   rotated to Cartesian, differentiated axis by axis, and the result rotated
-  back - nothing of the spherical operator formulas is reused.
+  back - nothing of the spherical operator formulas is reused.  Each
+  stencil point is rotated with its own x, y, z (kernels.vec_sph_to_cart_at,
+  no trig); every shifted point has rho = hypot(x, y) >= step, since
+  _check_cartesian_stencil requires rho >= 2 * step at its base node.
 
 Both paths consume evaluators only, never analytic jets, and do their
 stencil arithmetic on node arrays: each stencil offset is one evaluator
@@ -177,8 +180,9 @@ def _check_cartesian_stencil(x, y, z, step):
 
 
 def _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask):
-    """(kept-node mask, [d/dx_j of convert(j, theta, phi, *components) for
-    j = 0, 1, 2] at the kept nodes), one components_fn call per offset."""
+    """(kept-node mask, [d/dx_j of convert(j, x, y, z, *components) for
+    j = 0, 1, 2] at the kept nodes), one components_fn call per offset;
+    (x, y, z) is the shifted stencil point, where rho >= step."""
     x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
     _check_cartesian_stencil(x, y, z, cfg.step)
     keep = np.broadcast_to(True if mask is None else mask, x.shape)
@@ -189,7 +193,7 @@ def _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask):
             shifted = base.copy()
             shifted[j] = base[j] + offset
             r, theta, phi = kernels.cart_to_sph(*shifted)
-            return np.asarray(convert(j, theta, phi, *components_fn(r, theta, phi)))
+            return np.asarray(convert(j, *shifted, *components_fn(r, theta, phi)))
         return (field_at(h) - field_at(-h)) / (2.0 * h)
 
     return keep, [_richardson(lambda h: column(j, h), cfg.step, cfg.richardson)
@@ -207,8 +211,10 @@ def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConf
     mask (broadcast to the nodes; None keeps all), every node is checked but
     only masked nodes are evaluated; the Jacobian is exactly 0 at the others.
     """
-    keep, columns = _cartesian_columns(
-        components_fn, lambda j, *sph: kernels.vec_sph_to_cart(*sph), r, theta, phi, cfg, mask)
+    def convert(j, *point_and_components):
+        return [kernels.vec_sph_to_cart_at(i, *point_and_components) for i in range(3)]
+
+    keep, columns = _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask)
     jac = np.zeros((3, 3) + keep.shape)
     for j, col in enumerate(columns):
         jac[:, j, keep] = col
@@ -220,7 +226,7 @@ def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDCo
     """The trace of cartesian_jacobian_grid, bit for bit; the shifts along
     x_j convert only W_j to Cartesian."""
     keep, (dxx, dyy, dzz) = _cartesian_columns(
-        components_fn, kernels.vec_sph_to_cart_axis, r, theta, phi, cfg, mask)
+        components_fn, kernels.vec_sph_to_cart_at, r, theta, phi, cfg, mask)
     div = np.zeros(keep.shape)
     div[keep] = dxx + dyy + dzz
     return div

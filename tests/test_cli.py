@@ -568,6 +568,69 @@ class TestUnwritableOutput:
         assert err == f"error: cannot write {str(path)!r}: {reason}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", *FAST_GRID], "--report"),
+        (["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"], "--report"),
+        (["sample", "--field", "u"], "--out"),
+    ], ids=["verify", "sweep", "sample"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_nothing_is_computed_before_the_error(self, capsys, tmp_path, monkeypatch,
+                                                  argv, flag, target):
+        ran = []
+
+        def spy(name):
+            def fail(*args, **kwargs):
+                ran.append(name)
+                raise AssertionError(f"{name} ran before the output path was checked")
+            return fail
+
+        monkeypatch.setattr(verify, "run_full_verification", spy("run_full_verification"))
+        monkeypatch.setattr(verify, "scaling_sweep", spy("scaling_sweep"))
+        monkeypatch.setattr(cli, "_sample_rows", spy("_sample_rows"))
+        path = tmp_path / "no-such-dir" / "out" if target == "missing" else tmp_path
+        code, out, err = run_cli(capsys, [*argv, flag, str(path)])
+        assert (code, out, ran) == (1, "", [])
+        assert err.startswith(f"error: cannot write {str(path)!r}: ")
+
+    def test_existing_file_is_kept_when_nothing_is_written(self, capsys, tmp_path):
+        # h1zero's residuals vanish: the sweep fails its check and writes no report
+        report = tmp_path / "sweep.json"
+        report.write_text("earlier report\n")
+        code, _, err = run_cli(capsys, ["sweep", "--family", "h1zero", "--boundary-ntheta",
+                                        "32", "--boundary-nphi", "64", "--report", str(report)])
+        assert code == 2 and err.startswith("error: degenerate fit: ")
+        assert list(tmp_path.iterdir()) == [report]
+        assert report.read_text() == "earlier report\n"
+
+    def test_existing_file_is_kept_when_the_run_fails(self, capsys, tmp_path, monkeypatch):
+        report = tmp_path / "out.json"
+        report.write_text("earlier report\n")
+        seen = []
+
+        def failing_run(*args, **kwargs):
+            seen.extend(tmp_path.iterdir())
+            raise ValueError("check divergence_free gives a non-finite norm_sup")
+
+        monkeypatch.setattr(verify, "run_full_verification", failing_run)
+        code, _, err = run_cli(capsys, ["verify", "--report", str(report), *FAST_GRID])
+        assert code == 1 and err.startswith("error: check divergence_free")
+        # the temporary file sat beside the report while the run went on
+        assert len(seen) == 2 and report in seen
+        assert list(tmp_path.iterdir()) == [report]
+        assert report.read_text() == "earlier report\n"
+
+    def test_finished_file_replaces_the_old_one(self, capsys, tmp_path):
+        out = tmp_path / "u.csv"
+        out.write_text("earlier rows\n")
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        code, _, _ = run_cli(capsys, ["sample", "--field", "u", "--out", str(out)])
+        assert code == 0
+        assert out.read_text().startswith("r,theta,phi,c_r,c_theta,c_phi\n")
+        assert sorted(tmp_path.iterdir()) == [plain, out]
+        # the file gets the mode a plain open gives, not a private temp mode
+        assert out.stat().st_mode == plain.stat().st_mode
+
 
 class TestShellEntry:
     """`python -m slipball.cli` runs `entry()`, which exits with `main`'s code."""

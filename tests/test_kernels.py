@@ -323,3 +323,62 @@ class TestJetOrders:
         with np.errstate(over="ignore", invalid="ignore"):  # NaN nodes give 0/0
             assert_same_bits(kernels.smooth_step_jet(self.T), kernels.smooth_step_jet(self.T, 2))
             assert len(kernels.default_angular_jet(self.X, self.X)) == 6
+
+
+class TestTransforms:
+    """cart_to_sph wraps phi without fmod, and vec_sph_to_cart_at rotates
+    with the point's own coordinates instead of sin/cos of its angles."""
+
+    @staticmethod
+    def assert_phi_is_np_mod(x, y):
+        _, _, phi = kernels.cart_to_sph(x, y, np.zeros_like(x))
+        want = np.mod(np.arctan2(y, x), 2.0 * np.pi)
+        assert np.array_equal(phi.view(np.uint64), want.view(np.uint64))
+        assert np.all((phi >= 0.0) & (phi <= 2.0 * np.pi)) and not np.signbit(phi).any()
+
+    def test_phi_wrap_is_np_mod_on_random_points(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(2, 200_000))
+        self.assert_phi_is_np_mod(x, y)
+
+    def test_phi_wrap_is_np_mod_at_the_edges(self):
+        tiny = [5e-324, 1e-300, 1e-17]
+        # +-0 on both half-axes (phi = +-0 and +-pi), +-0 at the origin, a
+        # tiny negative y with positive x (phi + 2 pi rounds to 2 pi) and
+        # with negative x (phi next to -pi)
+        x = np.array([1.0, 1.0, -1.0, -1.0, 0.0, 0.0, -0.0, -0.0] + [1.0] * 3 + [-1.0] * 3)
+        y = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0] + [-t for t in tiny] * 2)
+        self.assert_phi_is_np_mod(x, y)
+        _, _, phi = kernels.cart_to_sph(x, y, np.zeros_like(x))
+        assert phi[8] == 2.0 * np.pi and phi[2] == phi[3] == np.pi
+
+    def test_phi_wrap_keeps_nan(self):
+        _, _, phi = kernels.cart_to_sph(np.array([np.nan, 1.0]), np.array([0.5, np.nan]),
+                                        np.zeros(2))
+        assert np.isnan(phi).all()
+
+    @staticmethod
+    def points(kind, rng, n=50_000):
+        if kind == "random":
+            p = rng.normal(size=(3, n))
+            return p * rng.uniform(1e-3, 1.0, n) ** (1 / 3) / np.linalg.norm(p, axis=0)
+        if kind == "next-to-axis":
+            # rho = step, the least the Cartesian oracle's shifted points reach
+            rho = rng.choice([1e-8, 1e-6, 1e-4, 1e-2], n)
+            a = rng.uniform(0.0, 2.0 * np.pi, n)
+            return np.array([rho * np.cos(a), rho * np.sin(a), rng.uniform(-0.99, 0.99, n)])
+        p = rng.normal(size=(3, n))  # near the sphere
+        return p * (1.0 - rng.uniform(0.0, 1e-4, n)) / np.linalg.norm(p, axis=0)
+
+    @pytest.mark.parametrize("kind", ["random", "next-to-axis", "near-sphere"])
+    def test_rotation_at_the_point_agrees_with_the_angles(self, kind):
+        rng = np.random.default_rng(12)
+        x, y, z = self.points(kind, rng)
+        v = rng.normal(size=(3, x.size))
+        _, theta, phi = kernels.cart_to_sph(x, y, z)
+        want = kernels.vec_sph_to_cart(theta, phi, *v)
+        # both are orthogonal rotations: they agree within 8 ulp of |v|
+        bound = 8.0 * np.finfo(float).eps * np.linalg.norm(v, axis=0)
+        for axis in range(3):
+            got = kernels.vec_sph_to_cart_at(axis, x, y, z, *v)
+            assert np.all(np.abs(got - want[axis]) <= bound)

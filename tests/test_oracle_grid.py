@@ -157,7 +157,8 @@ def ref_cartesian_jacobian(components_fn, r, theta, phi, cfg, mask=None):
     def rows(base):
         def field_at(xx, yy, zz):
             rr, tt, pp = kernels.cart_to_sph(xx, yy, zz)
-            return kernels.vec_sph_to_cart(tt, pp, *components_fn(rr, tt, pp))
+            return [kernels.vec_sph_to_cart_at(i, xx, yy, zz, *components_fn(rr, tt, pp))
+                    for i in range(3)]
 
         def column(j, h):
             plus, minus = list(base), list(base)

@@ -16,11 +16,11 @@ COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
           "--boundary-ntheta", "32", "--boundary-nphi", "64"]
 
 REPORTS = [
-    ("default", [], "2acfb84b927590d2b607ca13fe6d3f6739a90b73e733aed07612a19a57e6d055", 0),
-    ("default", COARSE, "5e7e02175de101fc85c9cfba08492faa353ae416f501b63b8d889f2b592d9997", 0),
-    ("h1zero", COARSE, "5993d9f738a90d4c25a9003cc34ee69f8fe91b0c163567cbf21e6a7db7463612", 2),
+    ("default", [], "5373e03e71a0584a9f8d18b80713c6059237f5a0263ed95fadb2dfe339ceb8d5", 0),
+    ("default", COARSE, "38081e9146dddc5957264ebd1cdcbeba5827236d2b3d89d160ac9b9de8be885c", 0),
+    ("h1zero", COARSE, "8bfafb70cecac512e6cf818c890ed49d74c58743b32529803dc5ca35f445b3d3", 2),
     ("perturbed:1e-3", COARSE,
-     "cc59c66942ed5606853e40c6d10d4ca75f6fd2f8d7ee750d5a9bcfa6abbd9748", 2),
+     "d4da3cadd42c704947dcb765f0f1c0b81c3377271940de2863d87614b00bac6c", 2),
 ]
 
 
