@@ -161,11 +161,12 @@ def _unwritable(path, exc):
 @contextlib.contextmanager
 def _output(path):
     """Reserve the output file at path before any computation: yields
-    write(text), which puts the finished text at path.
+    write(chunks), which puts the text chunks (any iterable of str, a
+    generator too), in order, at path.
 
     A temporary file is created beside path up front, so a path that cannot
     be written (or names a directory) is a ConfigError before the command
-    computes anything; write(text) fills it and os.replace-s it onto path,
+    computes anything; write(chunks) fills it and os.replace-s it onto path,
     so an existing file stays as it is until then.  The temporary file is
     removed if write is not called.  A None or empty path yields None.
     """
@@ -181,10 +182,10 @@ def _output(path):
     except OSError as exc:
         raise _unwritable(path, exc) from exc
 
-    def write(text):
+    def write(chunks):
         try:
             with fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except OSError as exc:
             raise _unwritable(path, exc) from exc
@@ -235,7 +236,7 @@ def cmd_verify(args, cfg) -> int:
             raise ConfigError(str(exc)) from exc
         _print_report_table(report)
         if write:
-            write(report.to_json(include_timestamp=cfg["timestamp"]))
+            write([report.to_json(include_timestamp=cfg["timestamp"])])
             print(f"report written to {cfg['report']}", file=sys.stderr)
     return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
 
@@ -283,6 +284,14 @@ def _sample_rows(field, selector, on_surface, interior, sample_boundary):
     return "r,theta,phi,c_r,c_theta,c_phi", (r, th, ph, *_evaluators(field)[selector](r, th, ph))
 
 
+def _csv_lines(header, cols):
+    """The CSV text line by line, each with its newline, so that no list of
+    rows or joined string is built."""
+    yield header + "\n"
+    for row in zip(*cols):
+        yield ",".join(map(_fmt, row)) + "\n"
+
+
 def cmd_sample(args, cfg) -> int:
     if args.field not in _SAMPLE_FIELDS:
         raise ConfigError(f"unknown field selector {args.field!r} "
@@ -301,8 +310,7 @@ def cmd_sample(args, cfg) -> int:
     with _output(out_path) as write:
         header, cols = _sample_rows(field, args.field, args.on == "surface",
                                     interior, sample_boundary)
-        lines = [header] + [",".join(map(_fmt, row)) for row in zip(*cols)]
-        write("\n".join(lines) + "\n")
+        write(_csv_lines(header, cols))
     print(f"{cols[0].size} rows written to {out_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -329,8 +337,8 @@ def cmd_sweep(args, cfg) -> int:
                   f"{'yes' if (eps, res) in included else 'no'}")
         print(f"slope {sweep.slope:.6f} (target 1.00 +/- 0.05)")
         if write:
-            write(json.dumps({"family": field.label, **sweep.to_dict()},
-                             indent=2, allow_nan=False) + "\n")
+            write([json.dumps({"family": field.label, **sweep.to_dict()},
+                              indent=2, allow_nan=False) + "\n"])
     ok = SLOPE_BAND[0] <= sweep.slope <= SLOPE_BAND[1]
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

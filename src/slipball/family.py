@@ -308,8 +308,10 @@ class CounterexampleField:
 
         Returns a dict with keys ut, dut_dr, dut_dtheta, dut_dphi, up,
         dup_dr, dup_dtheta, dup_dphi (u_r and its partials are zero and
-        omitted); the values are floats for a scalar point.  This is the
-        analytic-jet path used by the grid checks.
+        omitted); the values are floats for a scalar point.  No check in
+        verify calls it (omega and div u each have one path there: the
+        closed forms and the Cartesian oracles); the tests build the jets
+        divergence and curl from it, and perfbench/tracer.py wraps it.
         """
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         keys = ("ut", "dut_dr", "dut_dtheta", "dut_dphi", "up", "dup_dr", "dup_dtheta", "dup_dphi")
@@ -347,6 +349,7 @@ def _u_parts(h_jet, w):
 
 
 def _u_partials(h_jet, w):
+    # the raw partials of u_raw_partials, which alone calls this
     h, hp = h_jet[0], h_jet[1]
     _, g_t, g_p, g_tt, g_tp, g_pp = w.g_jet[:6]
     st, ct = w.sin, np.cos(w.theta)

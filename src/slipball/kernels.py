@@ -213,12 +213,12 @@ def cart_to_sph(x, y, z):
     return r, theta, phi
 
 
-def vec_sph_to_cart_at(axis, x, y, z, vr, vt, vp):
+def vec_sph_to_cart_at(axis, x, y, z, r, vr, vt, vp):
     # Cartesian component `axis` (0, 1, 2: x, y, z) of (vr, vt, vp) at the
     # point (x, y, z), rotated by x/r, y/r, z/r, x/rho, y/rho and rho/r with
-    # rho = hypot(x, y) > 0: the point's own coordinates, with no trig
+    # rho = hypot(x, y) > 0: the point's own coordinates, with no trig; r is
+    # the point's radius as cart_to_sph returns it
     rho = np.sqrt(x * x + y * y)
-    r = np.sqrt(x * x + y * y + z * z)
     if axis == 2:
         return (vr * z - vt * rho) / r
     vz = vt * (z / r)
@@ -243,6 +243,9 @@ def vec_cart_to_sph(theta, phi, wx, wy, wz):
     return vr, vt, vp
 
 
+# divergence_parts and curl_parts have no caller in the package: verify
+# reads the closed forms and the Cartesian oracles alone.  The tests build the
+# jets divergence and curl from them, and perfbench/tracer.py wraps both.
 def divergence_parts(r, sin_t, cos_t, ur, dur_dr, ut, dut_dt, dup_dp):
     # (1/r^2) d_r(r^2 ur) + (1/(r sin)) d_t(ut sin) + (1/(r sin)) d_p up
     return (dur_dr + 2.0 * ur / r

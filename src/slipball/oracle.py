@@ -3,12 +3,13 @@
 Two derivative paths:
 
 * spherical: central differences directly in (r, theta, phi), assembled with
-  the same curl formula the analytic side uses;
+  the spherical curl formula;
 * Cartesian: fields are sampled at Cartesian stencil points, components
   rotated to Cartesian, differentiated axis by axis, and the result rotated
   back - nothing of the spherical operator formulas is reused.  Each
-  stencil point is rotated with its own x, y, z (kernels.vec_sph_to_cart_at,
-  no trig); every shifted point has rho = hypot(x, y) >= step, since
+  stencil point is rotated with its own x, y, z and the r that
+  kernels.cart_to_sph gave it (kernels.vec_sph_to_cart_at, no trig); every
+  shifted point has rho = hypot(x, y) >= step, since
   _check_cartesian_stencil requires rho >= 2 * step at its base node.
 
 Both paths consume evaluators only, never analytic jets, and do their
@@ -180,9 +181,10 @@ def _check_cartesian_stencil(x, y, z, step):
 
 
 def _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask):
-    """(kept-node mask, [d/dx_j of convert(j, x, y, z, *components) for
+    """(kept-node mask, [d/dx_j of convert(j, x, y, z, r, *components) for
     j = 0, 1, 2] at the kept nodes), one components_fn call per offset;
-    (x, y, z) is the shifted stencil point, where rho >= step."""
+    (x, y, z) is the shifted stencil point, where rho >= step, and r its
+    radius from kernels.cart_to_sph."""
     x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
     _check_cartesian_stencil(x, y, z, cfg.step)
     keep = np.broadcast_to(True if mask is None else mask, x.shape)
@@ -193,7 +195,7 @@ def _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask):
             shifted = base.copy()
             shifted[j] = base[j] + offset
             r, theta, phi = kernels.cart_to_sph(*shifted)
-            return np.asarray(convert(j, *shifted, *components_fn(r, theta, phi)))
+            return np.asarray(convert(j, *shifted, r, *components_fn(r, theta, phi)))
         return (field_at(h) - field_at(-h)) / (2.0 * h)
 
     return keep, [_richardson(lambda h: column(j, h), cfg.step, cfg.richardson)

@@ -2,10 +2,12 @@
 
 Each check evaluates a residual or a non-vanishing quantity over a grid and
 returns a CheckResult with sup and L2 norms, the binding tolerance, the pass
-direction, and the witness node of the sup.  Tolerances: TOL_EXACT_TRACE
-1e-12 (exact boundary traces), TOL_CLOSED_FORM 1e-10 (analytic divergence),
-TOL_FD 1e-6 (FD residuals), TOL_ORACLE_AGREEMENT 1e-4 (analytic against FD
-curl), and NONVANISH_THRESHOLD 1e-1, which non-vanishing sups must exceed.
+direction, and the witness node of the sup.  Each quantity a check reads
+has one evaluation path: the closed forms of the field, or an oracle.
+Tolerances: TOL_EXACT_TRACE 1e-12 (exact boundary traces), TOL_FD 1e-6 (the
+Cartesian FD divergence), TOL_ORACLE_AGREEMENT 1e-4 (the closed-form omega
+against the Cartesian FD curl of u), and NONVANISH_THRESHOLD 1e-1, which
+non-vanishing sups must exceed.
 Sample sizes: ORACLE_SPOTS 5 FD-curl spots (slip), GATE_POINTS 50 phi-gate
 nodes (persistency), AGREEMENT_POINTS 50 random nodes (oracle agreement), and
 RADIUS_BISECTIONS 40 bisection steps on RADIUS_RINGS 4 rings of
@@ -28,7 +30,6 @@ from . import kernels, oracle
 from .errors import DegenerateFit, NoWitness
 from .sphcalc import SphPoint, sphere_midpoint_mesh
 
-TOL_CLOSED_FORM = 1e-10
 TOL_EXACT_TRACE = 1e-12
 TOL_FD = 1e-6
 TOL_ORACLE_AGREEMENT = 1e-4
@@ -167,38 +168,19 @@ def _mesh_witness(mesh):
 
 def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
                           cfg: oracle.FDConfig = oracle.FDConfig()) -> CheckResult:
-    """sup |div u| over the interior grid, analytic jets and Cartesian FD.
-
-    Reports the larger sup; passes only when the analytic path stays within
-    the rounding tolerance and the FD path within the FD tolerance.
-    """
+    """sup |div u| over the interior grid, by the Cartesian FD oracle, which
+    reuses no spherical formula (the closed forms are divergence-free by
+    construction, as tests/test_symbolic.py proves)."""
     grid.require_margins_for(cfg)
     mesh = grid.interior_mesh()
     r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
-
     # the field vanishes off its support, so only nodes whose stencil
-    # (reach cfg.step) can touch it are evaluated, by both paths; pad 2 * step
-    # is the slack, and the support itself lies inside it
+    # (reach cfg.step) can touch it are evaluated; pad 2 * step is the
+    # slack, and the support itself lies inside it
     reach = field.support_mask(r, th, pad=2.0 * cfg.step)
-    rk, tk = r[reach], th[reach]
-    parts = field.u_raw_partials(rk, tk, ph[reach])
-    zeros = np.zeros_like(rk)
-    div_analytic = np.zeros_like(r)
-    div_analytic[reach] = kernels.divergence_parts(
-        rk, np.sin(tk), np.cos(tk), zeros, zeros,
-        parts["ut"], parts["dut_dtheta"], parts["dup_dphi"])
-    div_fd = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg, reach)
-
-    sup_analytic = float(np.max(np.abs(div_analytic)))
-    sup_fd = float(np.max(np.abs(div_fd)))
-    use_fd = sup_fd >= sup_analytic
-    values = div_fd if use_fd else div_analytic
-    details = {"sup_analytic": sup_analytic, "tolerance_analytic": TOL_CLOSED_FORM,
-               "sup_oracle": sup_fd, "tolerance_oracle": TOL_FD}
-    res = _grid_result("divergence_free", "below", values, mesh["weights"], TOL_FD,
-                       _mesh_witness(mesh), details)
-    res.passed = sup_analytic <= TOL_CLOSED_FORM and sup_fd <= TOL_FD
-    return res
+    div = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg, reach)
+    return _grid_result("divergence_free", "below", div, mesh["weights"], TOL_FD,
+                        _mesh_witness(mesh))
 
 
 def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
@@ -390,31 +372,20 @@ def _agreement_nodes(seed, step):
 def check_oracle_agreement(field: fam.CounterexampleField,
                            cfg: oracle.FDConfig = oracle.FDConfig(),
                            seed: int = DEFAULT_SEED) -> CheckResult:
-    """Analytic curl of u against the Cartesian FD path at AGREEMENT_POINTS
-    random interior points."""
+    """The closed-form omega against the Cartesian FD curl of u at
+    AGREEMENT_POINTS random interior points: the gate of the omega that the
+    slip check and the boundary traces read."""
     r, th, ph = _agreement_nodes(seed, cfg.step)
-
-    parts = field.u_raw_partials(r, th, ph)
-    zeros = np.zeros_like(r)
-    cr, ct, cp = kernels.curl_parts(
-        r, np.sin(th), np.cos(th), zeros, zeros,
-        parts["ut"], parts["dut_dr"], parts["dut_dphi"],
-        parts["up"], parts["dup_dr"], parts["dup_dtheta"])
-    fr, ft, fp = oracle.cartesian_curl_grid(field.u_components, r, th, ph, cfg)
-    diff = np.max(np.vstack([np.abs(cr - fr), np.abs(ct - ft), np.abs(cp - fp)]), axis=0)
-
     wr, wt, wp = field.omega_components(r, th, ph)
-    closed_dev = float(max(np.max(np.abs(cr - wr)), np.max(np.abs(ct - wt)),
-                           np.max(np.abs(cp - wp))))
-
+    fr, ft, fp = oracle.cartesian_curl_grid(field.u_components, r, th, ph, cfg)
+    diff = np.max(np.vstack([np.abs(wr - fr), np.abs(wt - ft), np.abs(wp - fp)]), axis=0)
     i = int(np.argmax(diff))
     sup = float(diff[i])
     rms = float(np.sqrt(np.mean(diff**2)))
     return CheckResult(
         "oracle_agreement_curl", sup, rms, TOL_ORACLE_AGREEMENT, "below",
         sup <= TOL_ORACLE_AGREEMENT, SphPoint(r[i], th[i], ph[i]),
-        {"n_points": AGREEMENT_POINTS, "seed": seed, "l2_is_rms_over_samples": True,
-         "max_jets_vs_closed_form": closed_dev})
+        {"n_points": AGREEMENT_POINTS, "seed": seed, "l2_is_rms_over_samples": True})
 
 
 @dataclass

@@ -375,10 +375,10 @@ class TestTransforms:
         rng = np.random.default_rng(12)
         x, y, z = self.points(kind, rng)
         v = rng.normal(size=(3, x.size))
-        _, theta, phi = kernels.cart_to_sph(x, y, z)
+        r, theta, phi = kernels.cart_to_sph(x, y, z)
         want = kernels.vec_sph_to_cart(theta, phi, *v)
         # both are orthogonal rotations: they agree within 8 ulp of |v|
         bound = 8.0 * np.finfo(float).eps * np.linalg.norm(v, axis=0)
         for axis in range(3):
-            got = kernels.vec_sph_to_cart_at(axis, x, y, z, *v)
+            got = kernels.vec_sph_to_cart_at(axis, x, y, z, r, *v)
             assert np.all(np.abs(got - want[axis]) <= bound)

@@ -16,11 +16,11 @@ COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
           "--boundary-ntheta", "32", "--boundary-nphi", "64"]
 
 REPORTS = [
-    ("default", [], "5373e03e71a0584a9f8d18b80713c6059237f5a0263ed95fadb2dfe339ceb8d5", 0),
-    ("default", COARSE, "38081e9146dddc5957264ebd1cdcbeba5827236d2b3d89d160ac9b9de8be885c", 0),
-    ("h1zero", COARSE, "8bfafb70cecac512e6cf818c890ed49d74c58743b32529803dc5ca35f445b3d3", 2),
+    ("default", [], "5e483714c31ead3b9ce99945439bd8be2daf32c47234e78316b2fe0c4d88b434", 0),
+    ("default", COARSE, "9ae63321c5d97c69f257752b0b8b92af656d04414c1d1ebcbd5bc301fc305044", 0),
+    ("h1zero", COARSE, "3cc6ab03e53d67a61a40549cb21027ec7cc7ce01eebafd4cf03f818d79025a15", 2),
     ("perturbed:1e-3", COARSE,
-     "d4da3cadd42c704947dcb765f0f1c0b81c3377271940de2863d87614b00bac6c", 2),
+     "e8b909b81a6e9cc8d4b13bae05120977e31b997b7b116c12b740598ecb963b4b", 2),
 ]
 
 

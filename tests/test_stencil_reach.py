@@ -66,7 +66,7 @@ def test_check_divergence_free_passes_the_reach_mask(monkeypatch, grid, cfg):
     assert np.array_equal(mask, field.support_mask(r, th, pad=2.0 * cfg.step))
     full = original(field.u_components, r, th, ph, cfg)
     assert np.array_equal(np.abs(masked), np.abs(full))
-    assert res.details["sup_oracle"] == float(np.max(np.abs(full)))
+    assert res.norm_sup == float(np.max(np.abs(full)))
 
 
 def test_near_support_grid_has_nodes_the_stencil_only_just_reaches():
@@ -173,53 +173,3 @@ def test_shipped_grid_divergence_is_the_jacobian_trace(family_name):
     div = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg, reach)
     assert np.array_equal(div, trace)
     assert np.array_equal(np.signbit(div), np.signbit(trace))
-
-
-def full_grid_analytic_divergence(field, mesh):
-    """The analytic divergence on every interior node, as check_divergence_free
-    built it before it kept the reach nodes only."""
-    r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
-    parts = field.u_raw_partials(r, th, ph)
-    zeros = np.zeros_like(r)
-    return kernels.divergence_parts(r, np.sin(th), np.cos(th), zeros, zeros,
-                                    parts["ut"], parts["dut_dtheta"], parts["dup_dphi"])
-
-
-@pytest.mark.parametrize("grid_name", GRIDS)
-@pytest.mark.parametrize("family_name", FAMILIES)
-def test_sup_analytic_equals_the_full_grid(family_name, grid_name):
-    field, grid = FAMILIES[family_name], GRIDS[grid_name]
-    ref = full_grid_analytic_divergence(field, MESHES[grid_name])
-    res = verify.check_divergence_free(field, grid)
-    assert res.details["sup_analytic"] == float(np.max(np.abs(ref)))
-
-
-@pytest.mark.parametrize("grid_name", GRIDS)
-@pytest.mark.parametrize("family_name", FAMILIES)
-def test_chosen_analytic_array_equals_the_full_grid(monkeypatch, family_name, grid_name):
-    # an oracle that returns 0 everywhere makes the check report the analytic array
-    field, grid, mesh = FAMILIES[family_name], GRIDS[grid_name], MESHES[grid_name]
-    ref = full_grid_analytic_divergence(field, mesh)
-    reported, analytic_nodes = [], []
-    grid_result, divergence_parts = verify._grid_result, kernels.divergence_parts
-
-    def record(name, direction, values, *args):
-        reported.append(values)
-        return grid_result(name, direction, values, *args)
-
-    def counting(r, *args):
-        analytic_nodes.append(r.size)
-        return divergence_parts(r, *args)
-
-    monkeypatch.setattr(verify, "_grid_result", record)
-    monkeypatch.setattr(kernels, "divergence_parts", counting)
-    monkeypatch.setattr(oracle, "cartesian_divergence_grid",
-                        lambda fn, r, *args: np.zeros_like(r))
-    res = verify.check_divergence_free(field, grid)
-    (values,) = reported
-    assert np.array_equal(values, ref)
-    assert np.array_equal(np.signbit(values), np.signbit(ref))
-    assert res.norm_sup == res.details["sup_analytic"] == float(np.max(np.abs(ref)))
-    # the kernel ran on the reach nodes only
-    reach = field.support_mask(mesh["r"], mesh["theta"], pad=2.0 * oracle.FDConfig().step)
-    assert analytic_nodes == [np.count_nonzero(reach)] and 0 < analytic_nodes[0] < ref.size

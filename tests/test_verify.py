@@ -10,6 +10,7 @@ from slipball import kernels, oracle, verify
 from slipball.errors import DegenerateFit, StencilOutOfDomain
 from slipball.oracle import FDConfig
 from slipball.verify import GridSpec
+from tests_support import jets_curl, jets_divergence
 
 PI = math.pi
 
@@ -113,9 +114,12 @@ class TestDivergenceCheck:
     def test_default_family_passes(self, default_field):
         res = verify.check_divergence_free(default_field, SMALL_INTERIOR)
         assert res.passed
-        assert res.details["sup_analytic"] <= 1e-10
-        assert res.details["sup_oracle"] <= 1e-6
+        assert res.norm_sup <= 1e-6
         assert res.direction == "below"
+        # the identity in floating point, from the jets: a rounding residual
+        mesh = SMALL_INTERIOR.interior_mesh()
+        div = jets_divergence(default_field, mesh["r"], mesh["theta"], mesh["phi"])
+        assert np.max(np.abs(div)) <= 1e-10
 
     def test_zero_family(self):
         f = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
@@ -306,7 +310,11 @@ class TestOracleAgreement:
     def test_default_family(self, default_field):
         res = verify.check_oracle_agreement(default_field)
         assert res.passed and res.norm_sup <= 1e-4
-        assert res.details["max_jets_vs_closed_form"] <= 1e-10
+        # the curl from the jets agrees with the closed form to rounding
+        nodes = verify._agreement_nodes(verify.DEFAULT_SEED, FDConfig().step)
+        closed = default_field.omega_components(*nodes)
+        jets = jets_curl(default_field, *nodes)
+        assert max(float(np.max(np.abs(a - b))) for a, b in zip(jets, closed)) <= 1e-10
 
     def test_deterministic_given_seed(self, default_field):
         a = verify.check_oracle_agreement(default_field, seed=7)
@@ -370,6 +378,46 @@ class TestOracleAgreement:
                 assert all(np.array_equal(a, b) for a, b in
                            zip(verify._agreement_nodes(seed, 1e-4), plain))
         assert moved == 100
+
+
+class TestOnePathPerQuantity:
+    """verify evaluates omega and div u by one path each: the closed-form
+    omega, gated by the Cartesian FD curl, and the Cartesian FD divergence.
+    The jets path (u_raw_partials with the divergence and curl kernels)
+    is left to the tests."""
+
+    JETS = [(fam.CounterexampleField, "u_raw_partials"), (kernels, "divergence_parts"),
+            (kernels, "curl_parts")]
+
+    @pytest.mark.parametrize("label, exit_code", [("default", 0), ("h1zero", 2),
+                                                   ("perturbed:1e-3", 2)])
+    def test_verify_calls_no_jets_path(self, label, exit_code, monkeypatch, tmp_path, capsys):
+        from slipball import cli
+        calls = []
+        for owner, name in self.JETS:
+            def spy(*args, _name=name, _original=vars(owner)[name], **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        path = tmp_path / "report.json"
+        code = cli.main(["verify", "--no-timestamp", "--family", label, "--report", str(path),
+                         "--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
+                         "--boundary-ntheta", "32", "--boundary-nphi", "64"])
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert code == exit_code and calls == []
+        by_name = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+        assert by_name["divergence_free"]["details"] == {}
+
+        # the agreement sup is that of the closed form against the FD curl
+        field = fam.family_by_label(label)
+        nodes = verify._agreement_nodes(verify.DEFAULT_SEED, FDConfig().step)
+        closed = field.omega_components(*nodes)
+        fd = oracle.cartesian_curl_grid(field.u_components, *nodes, FDConfig())
+        want = max(float(np.max(np.abs(a - b))) for a, b in zip(closed, fd))
+        agreement = by_name["oracle_agreement_curl"]
+        assert agreement["norm_sup"] == want
+        assert set(agreement["details"]) == {"n_points", "seed", "l2_is_rms_over_samples"}
 
 
 class TestScalingSweep:
@@ -506,16 +554,16 @@ class TestFullVerification:
         assert by_name["persistency_failure_theta"].details.get("skipped")
 
     def test_non_finite_detail_is_named(self, default_field, monkeypatch):
-        original = verify.check_oracle_agreement
+        original = verify.check_slip_conditions
 
         def with_nan(*args, **kwargs):
-            res = original(*args, **kwargs)
-            res.details["max_jets_vs_closed_form"] = math.nan
-            return res
+            res_u, res_w = original(*args, **kwargs)
+            res_w.details["oracle_spot_sup"] = math.nan
+            return res_u, res_w
 
-        monkeypatch.setattr(verify, "check_oracle_agreement", with_nan)
-        with pytest.raises(ValueError, match=r"^check oracle_agreement_curl gives a non-finite "
-                                             r"details\.max_jets_vs_closed_form \(nan\)$"):
+        monkeypatch.setattr(verify, "check_slip_conditions", with_nan)
+        with pytest.raises(ValueError, match=r"^check slip_omega_cross_n gives a non-finite "
+                                             r"details\.oracle_spot_sup \(nan\)$"):
             verify.run_full_verification(default_field, GridSpec(n_r=8, n_theta=8, n_phi=8),
                                          SMALL_BOUNDARY)
 

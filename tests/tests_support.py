@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 import numpy as np
 
+from slipball import kernels
 from slipball.sphcalc import SphPoint
 
 
@@ -21,3 +22,22 @@ def random_boundary_points(rng, n, th_margin=1e-3):
     theta = rng.uniform(th_margin, np.pi - th_margin, n)
     phi = rng.uniform(0.0, 2 * np.pi, n)
     return [SphPoint(1.0, t, p) for t, p in zip(theta, phi)]
+
+
+def jets_divergence(field, r, theta, phi):
+    """div u on node arrays from the analytic jets (u_raw_partials and
+    kernels.divergence_parts); u_r and its partials vanish."""
+    parts = field.u_raw_partials(r, theta, phi)
+    zeros = np.zeros_like(r)
+    return kernels.divergence_parts(r, np.sin(theta), np.cos(theta), zeros, zeros,
+                                    parts["ut"], parts["dut_dtheta"], parts["dup_dphi"])
+
+
+def jets_curl(field, r, theta, phi):
+    """curl u on node arrays from the analytic jets (u_raw_partials and
+    kernels.curl_parts), a second path beside the closed-form omega."""
+    parts = field.u_raw_partials(r, theta, phi)
+    zeros = np.zeros_like(r)
+    return kernels.curl_parts(r, np.sin(theta), np.cos(theta), zeros, zeros,
+                              parts["ut"], parts["dut_dr"], parts["dut_dphi"],
+                              parts["up"], parts["dup_dr"], parts["dup_dtheta"])
