@@ -203,22 +203,24 @@ def sph_to_cart(r, theta, phi):
     return x, y, z
 
 
-def cart_to_sph(x, y, z):
+def cart_to_sph(x, y, z, rho=None):
+    # rho = sqrt(x^2 + y^2), computed here unless the caller holds it
+    if rho is None:
+        rho = np.sqrt(x * x + y * y)
     r = np.sqrt(x * x + y * y + z * z)
-    # atan2(hypot, z) stays well-conditioned at the poles, unlike acos(z/r)
-    theta = np.arctan2(np.sqrt(x * x + y * y), z)
+    # atan2(rho, z) stays well-conditioned at the poles, unlike acos(z/r)
+    theta = np.arctan2(rho, z)
     # the phi wrap of the module docstring
     phi = np.arctan2(y, x)
     phi = np.where(phi < 0.0, phi + 2.0 * np.pi, phi) + 0.0
     return r, theta, phi
 
 
-def vec_sph_to_cart_at(axis, x, y, z, r, vr, vt, vp):
+def vec_sph_to_cart_at(axis, x, y, z, r, rho, vr, vt, vp):
     # Cartesian component `axis` (0, 1, 2: x, y, z) of (vr, vt, vp) at the
-    # point (x, y, z), rotated by x/r, y/r, z/r, x/rho, y/rho and rho/r with
-    # rho = hypot(x, y) > 0: the point's own coordinates, with no trig; r is
-    # the point's radius as cart_to_sph returns it
-    rho = np.sqrt(x * x + y * y)
+    # point (x, y, z), rotated by x/r, y/r, z/r, x/rho, y/rho and rho/r: the
+    # point's own coordinates, with no trig; r and rho = sqrt(x^2 + y^2) > 0
+    # are the point's radii as cart_to_sph computes them
     if axis == 2:
         return (vr * z - vt * rho) / r
     vz = vt * (z / r)

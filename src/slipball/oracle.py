@@ -7,17 +7,23 @@ Two derivative paths:
 * Cartesian: fields are sampled at Cartesian stencil points, components
   rotated to Cartesian, differentiated axis by axis, and the result rotated
   back - nothing of the spherical operator formulas is reused.  Each
-  stencil point is rotated with its own x, y, z and the r that
-  kernels.cart_to_sph gave it (kernels.vec_sph_to_cart_at, no trig); every
-  shifted point has rho = hypot(x, y) >= step, since
+  stencil point is rotated with its own x, y, z and the r and
+  rho = sqrt(x^2 + y^2) that kernels.cart_to_sph used for it
+  (kernels.vec_sph_to_cart_at, no trig); rho is computed once per shifted
+  point, and every shifted point has rho >= step, since
   _check_cartesian_stencil requires rho >= 2 * step at its base node.
 
 Both paths consume evaluators only, never analytic jets, and do their
 stencil arithmetic on node arrays: each stencil offset is one evaluator
-call over all nodes.  Nodes are validated and normalised by
-sphcalc._normalise, the one normaliser that SphPoint also uses (phi
-reduced to [0, 2pi), theta clamped to [0, pi], r clamped at 0,
-out-of-range nodes rejected with ValueError).
+call over all nodes.  Node arrays need only broadcast together: flat nodes
+share one shape, and a lattice may pass its axes as (n_r, 1, 1),
+(1, n_theta, 1) and (1, 1, n_phi).  _nodes validates and normalises each
+array in its own shape with sphcalc._normalise, the one normaliser that
+SphPoint also uses (phi reduced to [0, 2pi), theta clamped to [0, pi], r
+clamped at 0, out-of-range nodes rejected with ValueError).  The Cartesian
+oracles transform the arrays as given and broadcast only the products that
+need every node, so lattice axes cost one sine and cosine per axis value;
+the spherical stencils broadcast the nodes first.
 
 fd_partial, fd_curl_spherical and fd_boundary_radial_derivative hold the
 spherical stencils once each; the Cartesian oracles share one stencil loop,
@@ -67,8 +73,13 @@ def _richardson(d_at, step, enabled):
 
 
 def _nodes(r, theta, phi):
-    """Normalised float64 node arrays of one broadcast shape."""
-    return _normalise(*_node_arrays(r, theta, phi)[0])
+    """Normalised float64 node arrays, at least 1-D, each in its own shape;
+    the shapes broadcast together.  Flat nodes share one shape; a lattice
+    passes its axes as (n_r, 1, 1), (1, n_theta, 1) and (1, 1, n_phi), so
+    each is normalised once per axis value, not once per node."""
+    arrays = [np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in (r, theta, phi)]
+    np.broadcast_shapes(*(a.shape for a in arrays))
+    return _normalise(*arrays)
 
 
 def _out_of_domain(ok, where, values, step):
@@ -88,7 +99,7 @@ def fd_partial(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
     if coordinate not in _AXES:
         raise ValueError(f"unknown coordinate {coordinate!r}")
     axis = _AXES[coordinate]
-    base = _nodes(r, theta, phi)
+    base = np.broadcast_arrays(*_nodes(r, theta, phi))
     r, theta = base[0], base[1]
     s = cfg.step
     edge = np.zeros(r.shape, dtype=bool)
@@ -180,22 +191,35 @@ def _check_cartesian_stencil(x, y, z, step):
         raise StencilOutOfDomain("Cartesian stencil too close to the polar axis")
 
 
-def _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask):
-    """(kept-node mask, [d/dx_j of convert(j, x, y, z, r, *components) for
-    j = 0, 1, 2] at the kept nodes), one components_fn call per offset;
-    (x, y, z) is the shifted stencil point, where rho >= step, and r its
-    radius from kernels.cart_to_sph."""
+def _kept_points(r, theta, phi, step, mask):
+    """(kept-node mask, [x, y, z] at the kept nodes) after every node is
+    checked; the nodes are transformed in their own shapes (the axes of a
+    lattice, say) and broadcast only by the arithmetic that needs every
+    node, and no full-size array outlives this call."""
     x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
-    _check_cartesian_stencil(x, y, z, cfg.step)
-    keep = np.broadcast_to(True if mask is None else mask, x.shape)
-    base = [x[keep], y[keep], z[keep]]
+    _check_cartesian_stencil(x, y, z, step)
+    shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
+    keep = np.broadcast_to(True if mask is None else mask, shape)
+    return keep, [np.broadcast_to(c, shape)[keep] for c in (x, y, z)]
+
+
+def _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask):
+    """(kept-node mask, [d/dx_j of convert(j, x, y, z, r, rho, *components)
+    for j = 0, 1, 2] at the kept nodes), one components_fn call per offset;
+    (x, y, z) is the shifted stencil point, rho = sqrt(x^2 + y^2) >= step
+    there, and (r, rho) are those kernels.cart_to_sph used for it."""
+    keep, base = _kept_points(r, theta, phi, cfg.step, mask)
+    # a shift along z keeps x and y, so rho is that of the base node
+    base_rho = np.sqrt(base[0] * base[0] + base[1] * base[1])
 
     def column(j, h):
         def field_at(offset):
             shifted = base.copy()
             shifted[j] = base[j] + offset
-            r, theta, phi = kernels.cart_to_sph(*shifted)
-            return np.asarray(convert(j, *shifted, r, *components_fn(r, theta, phi)))
+            x, y, _ = shifted
+            rho = base_rho if j == 2 else np.sqrt(x * x + y * y)
+            r, theta, phi = kernels.cart_to_sph(*shifted, rho)
+            return np.asarray(convert(j, *shifted, r, rho, *components_fn(r, theta, phi)))
         return (field_at(h) - field_at(-h)) / (2.0 * h)
 
     return keep, [_richardson(lambda h: column(j, h), cfg.step, cfg.richardson)

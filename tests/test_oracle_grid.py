@@ -156,8 +156,10 @@ def ref_cartesian_jacobian(components_fn, r, theta, phi, cfg, mask=None):
 
     def rows(base):
         def field_at(xx, yy, zz):
+            rho = np.sqrt(xx * xx + yy * yy)
             rr, tt, pp = kernels.cart_to_sph(xx, yy, zz)
-            return [kernels.vec_sph_to_cart_at(i, xx, yy, zz, rr, *components_fn(rr, tt, pp))
+            return [kernels.vec_sph_to_cart_at(i, xx, yy, zz, rr, rho,
+                                               *components_fn(rr, tt, pp))
                     for i in range(3)]
 
         def column(j, h):

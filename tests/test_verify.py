@@ -28,6 +28,34 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(n_theta=4)
 
+    def test_fractional_count_is_rejected(self):
+        # 8.5 radial nodes used to build 9 nodes spaced 0.9/8.5 apart
+        with pytest.raises(TypeError, match="n_r must be an integer"):
+            GridSpec(n_r=8.5)
+        with pytest.raises(TypeError, match="n_phi must be an integer"):
+            GridSpec(n_phi=np.float64(16.0))
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_bool_count_is_rejected(self, flag):
+        with pytest.raises(TypeError, match="n_theta must be an integer"):
+            GridSpec(n_theta=flag)
+
+    def test_numpy_counts_and_margins_are_stored_as_python_numbers(self, default_field):
+        grid = GridSpec(n_r=np.int64(8), n_theta=np.int32(8), n_phi=np.uint16(8),
+                        margin_r=np.float64(0.05), margin_theta=np.float32(0.25))
+        assert [type(getattr(grid, k)) for k in ("n_r", "n_theta", "n_phi")] == [int] * 3
+        assert type(grid.margin_r) is float and type(grid.margin_theta) is float
+        assert grid.margin_theta == float(np.float32(0.25))
+        # the report echoes the grid: numpy counts used to make to_json raise
+        report = verify.run_full_verification(
+            default_field, grid, GridSpec(n_theta=np.int64(32), n_phi=np.int64(64),
+                                          boundary_only=True))
+        assert json.loads(report.to_json())["grid"]["interior"]["n_r"] == 8
+
+    def test_non_number_margin_is_rejected(self):
+        with pytest.raises(TypeError, match="margin_r must be a number"):
+            GridSpec(margin_r="0.05")
+
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             GridSpec(margin_r=0.0)
@@ -276,6 +304,46 @@ class TestNeighborhoodRadius:
         with pytest.raises(ValueError, match="floor_fraction"):
             verify.neighborhood_radius(default_field, "theta", self.equator_point(), fraction)
 
+    # float.hex of the radius at the admissibility witnesses (witness_a1 for
+    # theta, witness_a2 for phi), measured with one bisection step per trace
+    # call; the level-batched bisection must keep every bit
+    PINS = [
+        ("default", "theta", 0.5, "0x1.07e6053e97930p-5"),
+        ("default", "phi", 0.5, "0x1.16eea528f7cf4p-5"),
+        ("default", "theta", 0.0, "0x1.391e3ec05bc22p-2"),
+        ("default", "theta", 0.9, "0x1.a6336e52e4ba3p-7"),
+        ("default", "phi", 1.0, "0x0.0p+0"),
+        ("perturbed:1e-3", "theta", 0.5, "0x1.07e6053e97930p-5"),
+        ("perturbed:1e-3", "phi", 0.5, "0x1.16eea528f7cf4p-5"),
+        ("perturbed:1e-3", "theta", 0.0, "0x1.391e3eb7d77e4p-2"),
+        ("perturbed:1e-3", "theta", 0.9, "0x1.a6336e52e4ba3p-7"),
+        ("perturbed:1e-3", "phi", 1.0, "0x0.0p+0"),
+    ]
+
+    @pytest.mark.parametrize("label, component, fraction, pin", PINS)
+    def test_radius_bits_are_pinned(self, label, component, fraction, pin):
+        field = fam.family_by_label(label)
+        adm = field.admissibility
+        witness = adm.witness_a1 if component == "theta" else adm.witness_a2
+        rho = verify.neighborhood_radius(field, component, witness, fraction)
+        assert type(rho) is float and rho.hex() == pin
+
+    # the same at the witnesses of the 32x64 persistency check
+    COARSE_PINS = [
+        ("theta", 0.0, "0x1.5ed137bec205cp-2"), ("theta", 0.5, "0x1.e0b369a34416ap-8"),
+        ("theta", 0.9, "0x1.5d5525afcdf47p-10"), ("phi", 0.0, "0x1.2b8bfaf6a2b32p-3"),
+        ("phi", 0.5, "0x1.83ab8bc19158bp-6"), ("phi", 0.9, "0x1.10741f67b8a78p-8"),
+    ]
+
+    @pytest.mark.parametrize("component, fraction, pin", COARSE_PINS)
+    def test_radius_bits_at_the_coarse_check_witnesses(self, default_field, component,
+                                                       fraction, pin):
+        res_t, res_p = verify.check_persistency_failure(
+            default_field, GridSpec(n_theta=32, n_phi=64, boundary_only=True))
+        witness = res_t.witness if component == "theta" else res_p.witness
+        rho = verify.neighborhood_radius(default_field, component, witness, fraction)
+        assert rho.hex() == pin
+
     def test_phi_component_uses_phi_trace(self, default_field):
         # at the plateau peak the phi trace is 0 (g_theta = 0) and the theta
         # trace is not, so only the phi component gives radius 0
@@ -418,6 +486,63 @@ class TestOnePathPerQuantity:
         agreement = by_name["oracle_agreement_curl"]
         assert agreement["norm_sup"] == want
         assert set(agreement["details"]) == {"n_points", "seed", "l2_is_rms_over_samples"}
+
+
+class TestPerAxisWork:
+    """verify transforms the interior lattice once per axis value, not once
+    per node, and evaluates the bisection steps of neighborhood_radius in
+    batches of RADIUS_BATCH_LEVELS levels."""
+
+    @pytest.mark.parametrize("grid", [
+        ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
+         "--boundary-ntheta", "32", "--boundary-nphi", "64"],
+        []], ids=["coarse", "shipped"])
+    def test_verify_does_per_axis_work_and_batched_bisection(self, grid, monkeypatch,
+                                                             tmp_path, capsys):
+        from slipball import cli
+        inside = []  # the name of the verify function running, if watched
+        sizes, trace_calls = [], []
+
+        def watch(name):
+            original = vars(verify)[name]
+
+            def spy(*args, **kwargs):
+                inside.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    inside.pop()
+            monkeypatch.setattr(verify, name, spy)
+
+        watch("check_divergence_free")
+        watch("neighborhood_radius")
+        sph_to_cart = kernels.sph_to_cart
+
+        def spy_transform(*args):
+            if inside == ["check_divergence_free"]:
+                sizes.append(max(np.size(a) for a in args))
+            return sph_to_cart(*args)
+        monkeypatch.setattr(kernels, "sph_to_cart", spy_transform)
+        for name in ("boundary_curl_theta", "boundary_curl_phi"):
+            def spy_trace(*args, _original=vars(fam.CounterexampleField)[name]):
+                if inside == ["neighborhood_radius"]:
+                    trace_calls.append(args[1:])
+                return _original(*args)
+            monkeypatch.setattr(fam.CounterexampleField, name, spy_trace)
+
+        code = cli.main(["verify", "--no-timestamp", "--report", str(tmp_path / "r.json"),
+                         *grid])
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert code == 0
+        spec = json.loads((tmp_path / "r.json").read_text())["grid"]["interior"]
+        assert sizes and max(sizes) <= max(spec["n_r"], spec["n_theta"], spec["n_phi"])
+        batches = math.ceil(verify.RADIUS_BISECTIONS / verify.RADIUS_BATCH_LEVELS)
+        assert 0 < len(trace_calls) <= 1 + batches
+        # a full batch holds the rings of 2^levels - 1 midpoints
+        ring = verify.RADIUS_RINGS * verify.RADIUS_DIRECTIONS
+        assert max(np.size(theta) for theta, _ in trace_calls) == (
+            ring * (2 ** verify.RADIUS_BATCH_LEVELS - 1))
 
 
 class TestScalingSweep:
