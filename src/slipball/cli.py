@@ -168,11 +168,14 @@ def _output(path):
     be written (or names a directory) is a ConfigError before the command
     computes anything; write(chunks) fills it and os.replace-s it onto path,
     so an existing file stays as it is until then.  The temporary file is
-    removed if write is not called.  A None or empty path yields None.
+    removed if write is not called.  A None path yields None; an empty path
+    cannot be written.
     """
-    if not path:
+    if path is None:
         yield None
         return
+    if not path:  # checked here: the temporary file would land in the working directory
+        raise _unwritable(path, FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT)))
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
@@ -271,13 +274,8 @@ def cmd_eval(args, cfg) -> int:
 _SAMPLE_FIELDS = ("u", "omega", "v", "curl_v_boundary")
 
 
-def _sample_rows(field, selector, on_surface, interior, sample_boundary):
-    if on_surface:
-        mesh = sample_boundary.boundary_mesh()
-        r, th, ph = np.ones_like(mesh["theta"]), mesh["theta"], mesh["phi"]
-    else:
-        mesh = interior.interior_mesh()
-        r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
+def _sample_rows(field, selector, grid):
+    r, th, ph = grid.lattice().nodes()
     if selector == "curl_v_boundary":  # on the surface only
         curl_v = field.boundary_state(th, ph)[5:]
         return "r,theta,phi,curl_v_theta,curl_v_phi", (r, th, ph, *curl_v)
@@ -308,8 +306,8 @@ def cmd_sample(args, cfg) -> int:
         raise ConfigError("--out is required for sample")
     field, interior, sample_boundary = _build_pieces(cfg, "grid", "sample_grid")
     with _output(out_path) as write:
-        header, cols = _sample_rows(field, args.field, args.on == "surface",
-                                    interior, sample_boundary)
+        header, cols = _sample_rows(field, args.field,
+                                    sample_boundary if args.on == "surface" else interior)
         write(_csv_lines(header, cols))
     print(f"{cols[0].size} rows written to {out_path}", file=sys.stderr)
     return EXIT_OK

@@ -37,9 +37,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels, sphcalc
 from .errors import NoWitness
-from .sphcalc import SphPoint, _node_arrays, sphere_midpoint_mesh
+from .sphcalc import SphPoint, _node_arrays
 
 WITNESS_THRESHOLD = 1e-6
 _H1_ZERO_EPS = 1e-12
@@ -368,15 +368,16 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     """
     if n_theta < 16 or n_phi < 16:
         raise ValueError("witness grid must be at least 16x16")
-    _, th, ph = sphere_midpoint_mesh(n_theta, n_phi)
-    products = field._on_boundary(2, lambda w: (w.g_p * w.big_g, w.g_t * w.big_g), th, ph)
+    sphere = sphcalc.midpoint_lattice(n_theta, n_phi)
+    products = field._on_boundary(2, lambda w: (w.g_p * w.big_g, w.g_t * w.big_g),
+                                  *sphere.nodes()[1:])
 
     def best(product):
         flat = np.abs(product)
         i = int(np.argmax(flat))
         if flat[i] <= WITNESS_THRESHOLD:
             return None
-        return SphPoint(1.0, th[i], ph[i])
+        return sphere.point(i)
 
     w1, w2 = (best(p) for p in products)
     if w1 is None and w2 is None:

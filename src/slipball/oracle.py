@@ -49,7 +49,7 @@ import numpy as np
 
 from . import kernels
 from .errors import StencilOutOfDomain
-from .sphcalc import _node_arrays, _normalise
+from .sphcalc import _normalise
 
 R_CEILING = 1.05  # interior radial stencils may probe slightly past the sphere
 _BOUNDARY_EPS = 1e-12
@@ -166,9 +166,7 @@ def fd_boundary_radial_derivative(fn, theta, phi, cfg: FDConfig = FDConfig()):
     """(1/r) d_r(r fn) at r = 1 and every (theta, phi) node, by the one-sided
     inward stencil of fd_partial; fn maps float64 arrays (r, theta, phi) to
     an array."""
-    theta, phi = _node_arrays(theta, phi)[0]
-    return fd_partial(lambda r, t, p: r * np.asarray(fn(r, t, p)),
-                      np.ones_like(theta), theta, phi, "r", cfg)
+    return fd_partial(lambda r, t, p: r * np.asarray(fn(r, t, p)), 1.0, theta, phi, "r", cfg)
 
 
 def _cartesian_margins(x, y, z, step):

@@ -1,13 +1,15 @@
-"""Spherical points and the sphere mesh.
+"""Spherical points and the midpoint lattice.
 
 Points are (r, theta, phi) with theta the colatitude and phi the longitude,
 reduced to [0, 2pi) at construction by _normalise, the one node normaliser,
-which the oracles share.  The differential operators and the point and
-vector transforms (the local basis (e_r, e_theta, e_phi) among them) are the
-array kernels in kernels.
+which the oracles share.  midpoint_lattice is the one grid rule: the ball's
+interior lattice, and the unit sphere as its r = 1 layer.  The differential
+operators and the point and vector transforms (the local basis (e_r,
+e_theta, e_phi) among them) are the array kernels in kernels.
 """
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +65,42 @@ def _normalise(r, theta, phi):
     return np.where(r < 0.0, 0.0, r), theta.clip(0.0, math.pi), phi
 
 
-def sphere_midpoint_mesh(n_theta, n_phi):
-    """Midpoint lattice of the unit sphere (theta at the n_theta cell centres
-    of [0, pi], phi uniform on [0, 2pi)): ((dtheta, dphi), theta, phi), the
-    node arrays flattened theta-major."""
-    dth, dph = math.pi / n_theta, TWO_PI / n_phi
-    th_ax = (np.arange(n_theta) + 0.5) * dth
-    ph_ax = np.arange(n_phi) * dph
-    th, ph = [np.ascontiguousarray(a.ravel())
-              for a in np.meshgrid(th_ax, ph_ax, indexing="ij")]
-    return (dth, dph), th, ph
+class Lattice(NamedTuple):
+    """A midpoint lattice: the (r, theta, phi) axes shaped to broadcast,
+    (n_r, 1, 1), (1, n_theta, 1) and (1, 1, n_phi), and the volume weights
+    r^2 sin(theta) dr dtheta dphi, (n_r, n_theta, 1).  Per-axis work is done
+    once per axis value; nodes are numbered row-major, r then theta."""
 
+    axes: tuple
+    weights: np.ndarray
+
+    @property
+    def shape(self):
+        return tuple(a.size for a in self.axes)
+
+    def nodes(self):
+        """The flat (r, theta, phi) node arrays.  An axis of one value (r on
+        the sphere) is a view with stride 0, so it takes no memory."""
+        return [np.broadcast_to(a, self.shape).reshape(-1) for a in self.axes]
+
+    def point(self, i):
+        """The node at flat index i: the one flat-index rule."""
+        return SphPoint(*(a.flat[k] for a, k in zip(self.axes, np.unravel_index(i, self.shape))))
+
+
+def _midpoints(n, span, margin):
+    """The n cell centres of [margin, span - margin] and their spacing."""
+    step = (span - 2.0 * margin) / n
+    return margin + (np.arange(n) + 0.5) * step, step
+
+
+def midpoint_lattice(n_theta, n_phi, margin_theta=0.0, n_r=None, margin_r=0.0):
+    """The midpoint Lattice of the ball: n_r radial cells in [margin_r,
+    1 - margin_r], n_theta polar cells in [margin_theta, pi - margin_theta],
+    phi uniform on [0, 2pi).  n_r None gives the unit sphere: the one layer
+    r = 1 with dr = 1 (its weights are sin(theta) dtheta dphi)."""
+    r, dr = (np.ones(1), 1.0) if n_r is None else _midpoints(n_r, 1.0, margin_r)
+    th, dth = _midpoints(n_theta, math.pi, margin_theta)
+    dph = TWO_PI / n_phi
+    r, th, ph = r[:, None, None], th[None, :, None], (np.arange(n_phi) * dph)[None, None, :]
+    return Lattice((r, th, ph), r**2 * np.sin(th) * dr * dth * dph)

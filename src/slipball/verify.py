@@ -19,10 +19,13 @@ keeps its bits.  In-process timings of the default witness put 4 levels
 first among 1 to 6 (3.2-3.4 ms at the minimum, 3 levels 0.1-0.3 ms behind,
 one level per call 6.4-10 ms).
 
-The divergence check works on the axes of the interior lattice
-(GridSpec._lattice): per-axis inputs (the transform to Cartesian, the
-reach mask, sin(theta) in the weights, the witness) are computed once per
-axis value, never once per node.
+Every grid is a sphcalc.midpoint_lattice (GridSpec.lattice): the interior
+lattice of the ball, or the sphere as its r = 1 layer; a check given a grid
+of the other kind raises ValueError.  Each check maps the flat index of its
+sup to the witness by the lattice's one rule (Lattice.point).  The
+divergence check works on the lattice axes: per-axis inputs (the transform
+to Cartesian, the reach mask, sin(theta) in the weights) are computed once
+per axis value, never once per node.
 
 Everything is deterministic: grids are midpoint lattices, random sample
 points come from a seeded generator echoed into the report, and sup/argmax
@@ -39,9 +42,9 @@ from typing import Optional
 import numpy as np
 
 from . import family as fam
-from . import kernels, oracle
+from . import kernels, oracle, sphcalc
 from .errors import DegenerateFit, NoWitness
-from .sphcalc import SphPoint, sphere_midpoint_mesh
+from .sphcalc import SphPoint
 
 TOL_EXACT_TRACE = 1e-12
 TOL_FD = 1e-6
@@ -61,13 +64,13 @@ RADIUS_BATCH_LEVELS = 4
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Midpoint evaluation lattice.
+    """Midpoint evaluation lattice (sphcalc.midpoint_lattice).
 
     Interior grids exclude margin_r from both r = 0 and r = 1 and
     margin_theta from both poles (the radial margin keeps Cartesian FD
-    stencils inside the ball).  Boundary grids ignore n_r and the margins:
-    theta midpoints cover all of [0, pi] so that surface quadrature sees the
-    whole sphere, and phi is uniform on [0, 2pi).
+    stencils inside the ball).  Boundary grids are the r = 1 layer and
+    ignore n_r and the margins: theta midpoints cover all of [0, pi] so that
+    surface quadrature sees the whole sphere, and phi is uniform on [0, 2pi).
     """
 
     n_r: int = 32
@@ -107,8 +110,9 @@ class GridSpec:
         slip check's first FD-curl spot; its other default spots lie farther
         from the poles); on an interior grid, both margins above twice the step and
         oracle.cartesian_stencil_fits at the nodes nearest the polar axis."""
+        (r, th, ph), _ = self.lattice()
         if self.boundary_only:
-            theta = self.boundary_mesh()["theta"][0]
+            theta = th.flat[0]
             if not oracle.polar_stencil_fits(theta, cfg.step):
                 raise ValueError(f"boundary grid n_theta={self.n_theta} puts an FD-curl spot "
                                  f"at theta={theta:g}; the oracle at step {cfg.step:g} needs "
@@ -116,43 +120,25 @@ class GridSpec:
             return
         if self.margin_r <= 2.0 * cfg.step or self.margin_theta <= 2.0 * cfg.step:
             raise ValueError("grid margins must exceed twice the oracle step")
-        (r_ax, th_ax, ph_ax), _ = self._axes()
-        if not np.all(oracle.cartesian_stencil_fits(r_ax[0], th_ax[[0, -1], None], ph_ax,
-                                                     cfg.step)):
+        if not np.all(oracle.cartesian_stencil_fits(r[:1], th[:, [0, -1]], ph, cfg.step)):
             raise ValueError(
                 f"grid margins margin_r={self.margin_r:g}, margin_theta={self.margin_theta:g} "
                 f"leave the innermost interior nodes too close to the polar axis; the "
                 f"Cartesian oracle at step {cfg.step:g} needs at least {2.0 * cfg.step:g}")
 
-    def _axes(self):
-        """(r, theta, phi) axes of the interior lattice and their spacings."""
-        dr = (1.0 - 2.0 * self.margin_r) / self.n_r
-        dth = (math.pi - 2.0 * self.margin_theta) / self.n_theta
-        dph = 2.0 * math.pi / self.n_phi
-        return ((self.margin_r + (np.arange(self.n_r) + 0.5) * dr,
-                 self.margin_theta + (np.arange(self.n_theta) + 0.5) * dth,
-                 np.arange(self.n_phi) * dph), (dr, dth, dph))
-
-    def _lattice(self):
-        """The interior axes shaped to broadcast, (n_r, 1, 1), (1, n_theta, 1)
-        and (1, 1, n_phi), and the volume weights r^2 sin(theta) dr dtheta
-        dphi, (n_r, n_theta, 1): per-axis work, done once per axis value."""
-        (r_ax, th_ax, ph_ax), (dr, dth, dph) = self._axes()
-        r, th, ph = r_ax[:, None, None], th_ax[None, :, None], ph_ax[None, None, :]
-        return (r, th, ph), r**2 * np.sin(th) * dr * dth * dph
-
-    def interior_mesh(self):
-        """The lattice as flat node arrays, r-major then theta."""
-        shape = (self.n_r, self.n_theta, self.n_phi)
-        axes, weights = self._lattice()
-        r, th, ph, weights = [np.broadcast_to(a, shape).ravel() for a in (*axes, weights)]
-        return {"r": r, "theta": th, "phi": ph, "weights": weights}
-
-    def boundary_mesh(self):
-        (dth, dph), th, ph = sphere_midpoint_mesh(self.n_theta, self.n_phi)
-        # th holds each theta row's value n_phi times: one sine per row
-        weights = np.repeat(np.sin(th[::self.n_phi]) * dth * dph, self.n_phi)
-        return {"theta": th, "phi": ph, "weights": weights}
+    def lattice(self, boundary_only: Optional[bool] = None) -> sphcalc.Lattice:
+        """The grid's midpoint lattice: the sphere (r = 1) for a boundary
+        grid, else the interior lattice within the margins.  boundary_only,
+        when given, is the kind the caller needs: a grid of the other kind
+        raises ValueError."""
+        if boundary_only is not None and boundary_only != self.boundary_only:
+            need = "a boundary grid (boundary_only=True)" if boundary_only else \
+                "an interior grid (boundary_only=False)"
+            raise ValueError(f"this check needs {need}, got boundary_only={self.boundary_only}")
+        if self.boundary_only:
+            return sphcalc.midpoint_lattice(self.n_theta, self.n_phi)
+        return sphcalc.midpoint_lattice(self.n_theta, self.n_phi, self.margin_theta,
+                                        self.n_r, self.margin_r)
 
     def to_dict(self):
         return asdict(self)
@@ -185,25 +171,16 @@ class CheckResult:
                 "pass": bool(self.passed), "witness": w, "details": self.details}
 
 
-def _grid_result(name, direction, values, weights, tolerance, witness_fn, details=None):
-    """CheckResult of the sup of |values|; direction "below" or "above".
-    weights broadcast to the shape of values, and witness_fn maps the flat
-    index of the sup to its node."""
+def _grid_result(name, direction, values, lattice, tolerance):
+    """CheckResult of the sup of |values| over the lattice's nodes (flat, or
+    in the lattice's shape); direction "below" or "above"."""
+    values = np.reshape(values, lattice.shape)
     a = np.abs(values).ravel()
     i = int(np.argmax(a))
     sup = float(a[i])
-    l2 = float(np.sqrt(np.sum(values * values * weights)))
+    l2 = float(np.sqrt(np.sum(values * values * lattice.weights)))
     passed = sup <= tolerance if direction == "below" else sup >= tolerance
-    return CheckResult(name, sup, l2, tolerance, direction, passed,
-                       witness_fn(i), details or {})
-
-
-def _mesh_witness(mesh):
-    """Map a flat mesh index to its node (r = 1 on a boundary mesh)."""
-    def witness_fn(i):
-        r = mesh["r"][i] if "r" in mesh else 1.0
-        return SphPoint(r, mesh["theta"][i], mesh["phi"][i])
-    return witness_fn
+    return CheckResult(name, sup, l2, tolerance, direction, passed, lattice.point(i))
 
 
 def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
@@ -211,18 +188,15 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
     """sup |div u| over the interior grid, by the Cartesian FD oracle, which
     reuses no spherical formula (the closed forms are divergence-free by
     construction, as tests/test_symbolic.py proves)."""
+    lattice = grid.lattice(boundary_only=False)
     grid.require_margins_for(cfg)
-    # the lattice axes, broadcast only where the oracle needs every node
-    axes, weights = grid._lattice()
+    # the lattice axes, broadcast only where the oracle needs every node;
     # the field vanishes off its support, so only nodes whose stencil
     # (reach cfg.step) can touch it are evaluated; pad 2 * step is the
     # slack, and the support itself lies inside it
-    reach = field.support_mask(*axes[:2], pad=2.0 * cfg.step)
-    div = oracle.cartesian_divergence_grid(field.u_components, *axes, cfg, reach)
-
-    def witness_fn(i):
-        return SphPoint(*(a.flat[k] for a, k in zip(axes, np.unravel_index(i, div.shape))))
-    return _grid_result("divergence_free", "below", div, weights, TOL_FD, witness_fn)
+    reach = field.support_mask(*lattice.axes[:2], pad=2.0 * cfg.step)
+    div = oracle.cartesian_divergence_grid(field.u_components, *lattice.axes, cfg, reach)
+    return _grid_result("divergence_free", "below", div, lattice, TOL_FD)
 
 
 def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
@@ -232,16 +206,15 @@ def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
 
     ORACLE_SPOTS FD-curl spot evaluations ride along in the details of the
     omega check so the closed-form trace has an oracle partner.
-    boundary_state: field.boundary_state(theta, phi) on the mesh, evaluated
+    boundary_state: field.boundary_state(theta, phi) at the grid nodes, evaluated
     here when not given.
     """
-    mesh = grid.boundary_mesh()
-    th, ph, w = mesh["theta"], mesh["phi"], mesh["weights"]
+    lattice = grid.lattice(boundary_only=True)
+    _, th, ph = lattice.nodes()
     ut, _, _, wt, wp, _, _ = boundary_state or field.boundary_state(th, ph)
-    wit = _mesh_witness(mesh)
-    res_u = _grid_result("slip_u_dot_n", "below", fam.u_radial(ut), w, TOL_EXACT_TRACE, wit)
-    res_w = _grid_result("slip_omega_cross_n", "below", np.hypot(wt, wp), w,
-                         TOL_EXACT_TRACE, wit)
+    res_u = _grid_result("slip_u_dot_n", "below", fam.u_radial(ut), lattice, TOL_EXACT_TRACE)
+    res_w = _grid_result("slip_omega_cross_n", "below", np.hypot(wt, wp), lattice,
+                         TOL_EXACT_TRACE)
 
     # a boundary grid has at least 64 nodes, so the stride is at least 12
     spots = np.arange(0, th.size, th.size // ORACLE_SPOTS)[:ORACLE_SPOTS]
@@ -283,15 +256,13 @@ def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
     """
     if field.admissibility.witness_a1 is None and field.admissibility.witness_a2 is None:
         raise NoWitness(f"family {field.label!r} exhibits no witness point")
-    mesh = grid.boundary_mesh()
-    th, ph, w = mesh["theta"], mesh["phi"], mesh["weights"]
-    wit = _mesh_witness(mesh)
-
+    lattice = grid.lattice(boundary_only=True)
+    _, th, ph = lattice.nodes()
     bt, bp = (boundary_state or field.boundary_state(th, ph))[5:]
-    res_t = _grid_result("persistency_failure_theta", "above", bt, w,
-                         NONVANISH_THRESHOLD, wit)
-    res_p = _grid_result("persistency_failure_phi", "above", bp, w,
-                         NONVANISH_THRESHOLD, wit)
+    res_t = _grid_result("persistency_failure_theta", "above", bt, lattice,
+                         NONVANISH_THRESHOLD)
+    res_p = _grid_result("persistency_failure_phi", "above", bp, lattice,
+                         NONVANISH_THRESHOLD)
     big = np.flatnonzero(np.abs(bp) >= PHI_GATE_MAGNITUDE)
     gate = big[::max(1, big.size // GATE_POINTS)][:GATE_POINTS]
     i, j = int(np.argmax(np.abs(bt))), int(np.argmax(np.abs(bp)))  # the two witnesses
@@ -400,14 +371,13 @@ def check_navier_traction(field: fam.CounterexampleField, grid: GridSpec,
     and the traction-based wall law on the curved boundary.  boundary_state
     is as for check_slip_conditions.
     """
-    mesh = grid.boundary_mesh()
-    ut, up, _, wt, wp, _, _ = boundary_state or field.boundary_state(mesh["theta"], mesh["phi"])
+    lattice = grid.lattice(boundary_only=True)
+    ut, up, _, wt, wp, _, _ = boundary_state or field.boundary_state(*lattice.nodes()[1:])
     curvature = 0.0 if flat_boundary else 1.0
     t_theta = 0.5 * nu * wp - nu * curvature * ut
     t_phi = -0.5 * nu * wt - nu * curvature * up
     magnitude = np.hypot(t_theta, t_phi)
-    res = _grid_result("navier_traction", "above", magnitude, mesh["weights"],
-                       NONVANISH_THRESHOLD, _mesh_witness(mesh))
+    res = _grid_result("navier_traction", "above", magnitude, lattice, NONVANISH_THRESHOLD)
     res.details = {"nu": nu, "curvature": curvature}
     return res
 
@@ -486,11 +456,11 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     if np.ptp(log_pos) == 0.0:
         raise ValueError("degenerate fit: all eps values identical")
     grid = grid if grid is not None else _DEFAULT_BOUNDARY_GRID
-    mesh = grid.boundary_mesh()
-    support = base_field.support_mask(1.0, mesh["theta"])
+    _, th, ph = grid.lattice(boundary_only=True).nodes()
+    support = base_field.support_mask(1.0, th)
     factors = None
     if support.any():
-        th, ph = mesh["theta"][support], mesh["phi"][support]
+        th, ph = th[support], ph[support]
         factors = fam.OmegaFactors(np.ones_like(th), th, base_field.angular.fn(th, ph, 2))
     rows = []
     for eps in epsilons:
@@ -556,7 +526,7 @@ def run_full_verification(field: fam.CounterexampleField,
     """All checks in fixed order; an admissibility failure in the slip
     identity short-circuits the persistency checks (their closed forms
     assume it) without aborting the rest.  The three boundary checks share
-    one field.boundary_state call on the boundary mesh.
+    one field.boundary_state call at the boundary grid nodes.
 
     Raises ValueError naming the first check, in that order, whose result
     holds a non-finite number (a family large enough to overflow), since
@@ -567,8 +537,7 @@ def run_full_verification(field: fam.CounterexampleField,
     adm = field.admissibility
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         checks = [check_divergence_free(field, interior_grid, cfg)]
-        mesh = boundary_grid.boundary_mesh()
-        state = field.boundary_state(mesh["theta"], mesh["phi"])
+        state = field.boundary_state(*boundary_grid.lattice(boundary_only=True).nodes()[1:])
         checks.extend(check_slip_conditions(field, boundary_grid, cfg, boundary_state=state))
 
         skipped = None

@@ -29,8 +29,7 @@ def test_criterion_1_divergence_free(default_field):
     res = verify.check_divergence_free(default_field, FULL_INTERIOR)
     elapsed = time.perf_counter() - t0
     sup_fd = res.norm_sup
-    mesh = FULL_INTERIOR.interior_mesh()
-    div = jets_divergence(default_field, mesh["r"], mesh["theta"], mesh["phi"])
+    div = jets_divergence(default_field, *FULL_INTERIOR.lattice().nodes())
     sup_jets = float(np.max(np.abs(div)))
     ok = sup_fd <= 1e-6 and sup_jets <= 1e-10 and elapsed <= 10.0
     report_line(1, ok,

@@ -393,10 +393,10 @@ class TestSampleCommand:
                                       "--grid-margin-r", "0.1", "--grid-margin-theta", "0.2"])
         assert code == 0
         rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
-        mesh = verify.GridSpec(n_r=8, n_theta=9, n_phi=10, margin_r=0.1,
-                               margin_theta=0.2).interior_mesh()
-        for column, axis in enumerate(("r", "theta", "phi")):
-            assert np.array_equal(rows[:, column], mesh[axis])
+        nodes = verify.GridSpec(n_r=8, n_theta=9, n_phi=10, margin_r=0.1,
+                                margin_theta=0.2).lattice().nodes()
+        for column, axis in enumerate(nodes):
+            assert np.array_equal(rows[:, column], axis)
 
     @pytest.mark.parametrize("argv", [
         ["--field", "u", "--on", "surface", "--grid-ntheta", "16", "--grid-nphi", "16"],
@@ -424,8 +424,9 @@ class TestSampleCommand:
         import numpy as np
         from slipball import family, verify
         f = family.default_field()
-        mesh = verify.GridSpec(n_theta=64, n_phi=128, boundary_only=True).boundary_mesh()
-        expected = f.boundary_curl_theta(mesh["theta"], mesh["phi"])
+        grid = verify.GridSpec(n_theta=64, n_phi=128, boundary_only=True)
+        _, theta, phi = grid.lattice().nodes()
+        expected = f.boundary_curl_theta(theta, phi)
         got = np.array([float(line.split(",")[3])
                         for line in out_path.read_text().splitlines()[1:]])
         assert np.array_equal(got, expected)
@@ -548,32 +549,45 @@ class TestUsageErrors:
         assert got == expected
 
 
+# the command lines that write a file, and the flag naming it
+WRITERS = {"verify": (["verify", *FAST_GRID], "--report"),
+           "sweep": (["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"], "--report"),
+           "sample": (["sample", "--field", "u"], "--out")}
+# each unwritable target and its reason; `sample --out ''` is the missing
+# --out error instead (TestSampleCommand)
+TARGETS = {"missing": "No such file or directory", "directory": "Is a directory",
+           "empty": "No such file or directory"}
+UNWRITABLE = [(target, command) for target in TARGETS for command in WRITERS
+              if (target, command) != ("empty", "sample")]
+
+
+def unwritable_path(tmp_path, target):
+    return {"missing": str(tmp_path / "no-such-dir" / "out"), "directory": str(tmp_path),
+            "empty": ""}[target]
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written is one `error:` line and exit 1,
-    for each command that writes a file."""
+    for each command that writes a file.  The tests run in an empty working
+    directory, which must stay empty: an empty path leaves no temporary file
+    there."""
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["verify", *FAST_GRID], "--report"),
-        (["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"], "--report"),
-        (["sample", "--field", "u"], "--out"),
-    ], ids=["verify", "sweep", "sample"])
-    @pytest.mark.parametrize("target, reason", [
-        ("missing", "No such file or directory"),
-        ("directory", "Is a directory"),
-    ])
-    def test_one_error_line_and_exit_one(self, capsys, tmp_path, argv, flag, target, reason):
-        path = tmp_path / "no-such-dir" / "out" if target == "missing" else tmp_path
-        code, _, err = run_cli(capsys, [*argv, flag, str(path)])
+    @pytest.mark.parametrize("argv, flag, target, reason", [
+        pytest.param(*WRITERS[command], target, TARGETS[target],
+                     id=f"{target}-{TARGETS[target]}-{command}")
+        for target, command in UNWRITABLE])
+    def test_one_error_line_and_exit_one(self, capsys, tmp_path, monkeypatch, argv, flag,
+                                         target, reason):
+        monkeypatch.chdir(tmp_path)
+        path = unwritable_path(tmp_path, target)
+        code, _, err = run_cli(capsys, [*argv, flag, path])
         assert code == 1
-        assert err == f"error: cannot write {str(path)!r}: {reason}\n"
+        assert err == f"error: cannot write {path!r}: {reason}\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["verify", *FAST_GRID], "--report"),
-        (["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"], "--report"),
-        (["sample", "--field", "u"], "--out"),
-    ], ids=["verify", "sweep", "sample"])
-    @pytest.mark.parametrize("target", ["missing", "directory"])
+    @pytest.mark.parametrize("argv, flag, target", [
+        pytest.param(*WRITERS[command], target, id=f"{target}-{command}")
+        for target, command in UNWRITABLE])
     def test_nothing_is_computed_before_the_error(self, capsys, tmp_path, monkeypatch,
                                                   argv, flag, target):
         ran = []
@@ -587,10 +601,23 @@ class TestUnwritableOutput:
         monkeypatch.setattr(verify, "run_full_verification", spy("run_full_verification"))
         monkeypatch.setattr(verify, "scaling_sweep", spy("scaling_sweep"))
         monkeypatch.setattr(cli, "_sample_rows", spy("_sample_rows"))
-        path = tmp_path / "no-such-dir" / "out" if target == "missing" else tmp_path
-        code, out, err = run_cli(capsys, [*argv, flag, str(path)])
+        monkeypatch.chdir(tmp_path)
+        path = unwritable_path(tmp_path, target)
+        code, out, err = run_cli(capsys, [*argv, flag, path])
         assert (code, out, ran) == (1, "", [])
-        assert err.startswith(f"error: cannot write {str(path)!r}: ")
+        assert err.startswith(f"error: cannot write {path!r}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_empty_report_in_the_config_is_an_error(self, capsys, tmp_path, monkeypatch,
+                                                    command):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"report": ""}))
+        code, out, err = run_cli(capsys, [*WRITERS[command][0], "--config", str(config)])
+        assert (code, out) == (1, "")
+        assert err == "error: cannot write '': No such file or directory\n"
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_existing_file_is_kept_when_nothing_is_written(self, capsys, tmp_path):
         # h1zero's residuals vanish: the sweep fails its check and writes no report

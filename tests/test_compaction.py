@@ -295,11 +295,11 @@ def test_sweep_reads_each_profile_at_r_1_only():
     grid = verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True)
     epsilons = [1e-1, 1e-2, 0.0, 1e-3]
     verify.scaling_sweep(spy, epsilons, grid)
-    mesh = grid.boundary_mesh()
-    support = spy.support_mask(1.0, mesh["theta"])
+    _, theta, phi = grid.lattice().nodes()
+    support = spy.support_mask(1.0, theta)
     assert [c[0] for c in calls] == ["angular"] + ["radial"] * len(epsilons)
-    assert np.array_equal(calls[0][1], mesh["theta"][support])
-    assert np.array_equal(calls[0][2], mesh["phi"][support])
+    assert np.array_equal(calls[0][1], theta[support])
+    assert np.array_equal(calls[0][2], phi[support])
     assert all(np.array_equal(c[1], [1.0]) for c in calls[1:])
 
 

@@ -1,10 +1,13 @@
-"""The interior lattice passed to the oracle as broadcastable axes.
+"""One midpoint lattice for every grid, and the oracle on its axes.
 
-check_divergence_free hands oracle.cartesian_divergence_grid the axes of
-GridSpec._lattice, shaped (n_r, 1, 1), (1, n_theta, 1) and (1, 1, n_phi),
-so every per-axis input (the transform to Cartesian, sin(theta) in the
-weights, the reach mask) is computed once per axis value.  Each result must
-equal the flat-mesh computation bit for bit, sign bits included.
+sphcalc.midpoint_lattice builds every grid: the interior lattice of the
+ball, and the sphere as its r = 1 layer.  check_divergence_free hands
+oracle.cartesian_divergence_grid its axes, shaped (n_r, 1, 1),
+(1, n_theta, 1) and (1, 1, n_phi), so every per-axis input (the transform
+to Cartesian, sin(theta) in the weights, the reach mask) is computed once
+per axis value.  The references below are the flat meshes written out
+node by node, as they were built before the one lattice rule; each result
+must equal them bit for bit, sign bits included.
 """
 import math
 
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 from slipball import family as fam
-from slipball import kernels, oracle, verify
+from slipball import kernels, oracle, sphcalc, verify
 from slipball.sphcalc import SphPoint
 
 FAMILIES = {name: (fam.CounterexampleField(fam.default_profile(), fam.cosine_angular())
@@ -28,13 +31,38 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def interior_axes(grid):
+    """The interior axes and spacings, each formula written out."""
+    dr = (1.0 - 2.0 * grid.margin_r) / grid.n_r
+    dth = (math.pi - 2.0 * grid.margin_theta) / grid.n_theta
+    dph = 2.0 * math.pi / grid.n_phi
+    return ((grid.margin_r + (np.arange(grid.n_r) + 0.5) * dr,
+             grid.margin_theta + (np.arange(grid.n_theta) + 0.5) * dth,
+             np.arange(grid.n_phi) * dph), (dr, dth, dph))
+
+
 def flat_mesh(grid):
     """The interior mesh as it was built node by node: meshgrid, then the
     weights r^2 sin(theta) dr dtheta dphi at every node."""
-    (r_ax, th_ax, ph_ax), (dr, dth, dph) = grid._axes()
+    (r_ax, th_ax, ph_ax), (dr, dth, dph) = interior_axes(grid)
     r, th, ph = [np.ascontiguousarray(a.ravel())
                  for a in np.meshgrid(r_ax, th_ax, ph_ax, indexing="ij")]
     return r, th, ph, r**2 * np.sin(th) * dr * dth * dph
+
+
+def sphere_mesh(n_theta, n_phi):
+    """The sphere mesh as it was built node by node: theta at the n_theta
+    cell centres of [0, pi], phi uniform on [0, 2pi), flattened
+    theta-major, and one weight sin(theta) dtheta dphi per theta row."""
+    dth, dph = math.pi / n_theta, 2.0 * math.pi / n_phi
+    th, ph = [np.ascontiguousarray(a.ravel()) for a in np.meshgrid(
+        (np.arange(n_theta) + 0.5) * dth, np.arange(n_phi) * dph, indexing="ij")]
+    return th, ph, np.repeat(np.sin(th[::n_phi]) * dth * dph, n_phi)
+
+
+def flat(lattice):
+    """The lattice's nodes and its weights, all flat."""
+    return (*lattice.nodes(), np.broadcast_to(lattice.weights, lattice.shape).ravel())
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["full", "reach"])
@@ -43,7 +71,7 @@ def flat_mesh(grid):
 def test_divergence_on_axes_equals_the_flat_mesh(family_name, grid_name, masked):
     field, grid = FAMILIES[family_name], GRIDS[grid_name]
     r, th, ph, _ = flat_mesh(grid)
-    axes, _ = grid._lattice()
+    axes = grid.lattice().axes
     flat_mask = axes_mask = None
     if masked:
         flat_mask = field.support_mask(r, th, pad=2.0 * CFG.step)
@@ -76,16 +104,60 @@ def test_divergence_check_equals_the_flat_mesh_result(family_name, grid_name):
     verify.GridSpec(n_r=8, n_theta=9, n_phi=10, margin_r=0.1, margin_theta=0.2)],
     ids=["shipped", "coarse", "uneven"])
 def test_interior_mesh_equals_the_flat_formula(grid):
-    mesh = grid.interior_mesh()
-    for key, want in zip(("r", "theta", "phi", "weights"), flat_mesh(grid)):
-        assert same_bits(mesh[key], want) and mesh[key].flags.c_contiguous
+    lattice = grid.lattice()
+    assert lattice.shape == (grid.n_r, grid.n_theta, grid.n_phi)
+    assert [a.shape for a in lattice.axes] == [
+        (grid.n_r, 1, 1), (1, grid.n_theta, 1), (1, 1, grid.n_phi)]
+    assert lattice.weights.shape == (grid.n_r, grid.n_theta, 1)
+    for got, want in zip(lattice.axes, interior_axes(grid)[0]):
+        assert same_bits(got.ravel(), want)
+    for got, want in zip(flat(lattice), flat_mesh(grid)):
+        assert same_bits(got, want) and got.flags.c_contiguous
+    r, th, ph, _ = flat_mesh(grid)
+    for i in [*range(0, r.size, 997), r.size - 1]:
+        assert lattice.point(i) == SphPoint(r[i], th[i], ph[i])
 
 
 @pytest.mark.parametrize("n_theta, n_phi", [(128, 256), (32, 64), (33, 70), (8, 8)])
 def test_boundary_weights_equal_the_flat_formula(n_theta, n_phi):
-    mesh = verify.GridSpec(n_theta=n_theta, n_phi=n_phi, boundary_only=True).boundary_mesh()
-    dth, dph = math.pi / n_theta, 2.0 * math.pi / n_phi
-    assert same_bits(mesh["weights"], np.sin(mesh["theta"]) * dth * dph)
+    grid = verify.GridSpec(n_theta=n_theta, n_phi=n_phi, boundary_only=True)
+    th, ph, weights = sphere_mesh(n_theta, n_phi)
+    for lattice in (grid.lattice(), sphcalc.midpoint_lattice(n_theta, n_phi)):
+        assert lattice.shape == (1, n_theta, n_phi)
+        r, *got = flat(lattice)
+        assert same_bits(r, np.ones(th.size)) and r.strides == (0,)  # no memory
+        for a, b in zip(got, (th, ph, weights)):
+            assert same_bits(a, b)
+        # every node of the small grids; a stride coprime to n_phi on the largest
+        for i in [*range(0, th.size, 1 if th.size <= 4096 else 61), th.size - 1]:
+            assert lattice.point(i) == SphPoint(1.0, th[i], ph[i])
+    # a boundary check's norms and witness, against the flat mesh
+    field = fam.default_field()
+    ut, up, _, wt, wp, _, _ = field.boundary_state(th, ph)
+    magnitude = np.hypot(0.5 * wp - ut, -0.5 * wt - up)
+    i = int(np.argmax(magnitude))
+    res = verify.check_navier_traction(field, grid)
+    assert res.norm_sup == float(magnitude[i])
+    assert res.norm_l2 == float(np.sqrt(np.sum(magnitude * magnitude * weights)))
+    assert res.witness == SphPoint(1.0, th[i], ph[i])
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(128, 256), (32, 64), (33, 70), (8, 8)])
+@pytest.mark.parametrize("family_name", ["default", "cosine_angular"])
+def test_witness_scan_equals_the_flat_mesh(family_name, n_theta, n_phi):
+    field = FAMILIES[family_name]
+    if min(n_theta, n_phi) < 16:
+        with pytest.raises(ValueError, match="at least 16x16"):
+            fam.find_witnesses(field, n_theta, n_phi)
+        return
+    th, ph, _ = sphere_mesh(n_theta, n_phi)
+    g = field.angular.fn(th, ph, 2)
+    big_g = kernels.big_g_values(np.sin(th), np.cos(th), g[1], g[3], g[5])
+    want = []
+    for product in (g[2] * big_g, g[1] * big_g):
+        i = int(np.argmax(np.abs(product)))
+        want.append(SphPoint(1.0, th[i], ph[i]))
+    assert list(fam.find_witnesses(field, n_theta, n_phi)) == want
 
 
 def test_transform_given_rho_equals_the_transform_alone():

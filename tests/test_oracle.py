@@ -216,3 +216,19 @@ class TestBoundaryRadialDerivative:
 
         d = oracle.fd_boundary_radial_derivative(v_phi, PI / 2, PI / 4)
         assert d[0] == pytest.approx(1.0, abs=1e-4)
+
+        # the same bits as fd_partial on the nodes normalised beforehand, as
+        # float64 arrays of one shape with r = 1 at each
+        def on_arrays(theta, phi):
+            theta, phi = (np.atleast_1d(np.asarray(a, dtype=np.float64))
+                          for a in np.broadcast_arrays(theta, phi))
+            return oracle.fd_partial(lambda r, t, p: r * v_phi(r, t, p),
+                                     np.ones_like(theta), theta, phi, "r")
+
+        rng = np.random.default_rng(11)
+        nodes = (rng.uniform(0.3, PI - 0.3, 200), rng.uniform(0.0, 2.0 * PI, 200))
+        for theta, phi in (nodes, (PI / 2, PI / 4)):
+            got = oracle.fd_boundary_radial_derivative(v_phi, theta, phi)
+            want = on_arrays(theta, phi)
+            assert got.shape == want.shape == np.shape(np.atleast_1d(theta))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

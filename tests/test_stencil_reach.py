@@ -25,7 +25,7 @@ GRIDS = {"shipped": verify.GridSpec(),
          "coarse": verify.GridSpec(n_r=8, n_theta=8, n_phi=8)}
 CONFIGS = {"1e-4-richardson": oracle.FDConfig(1e-4, True),
            "1e-3-plain": oracle.FDConfig(1e-3, False)}
-MESHES = {name: g.interior_mesh() for name, g in GRIDS.items()}
+MESHES = {name: g.lattice().nodes() for name, g in GRIDS.items()}
 
 
 @pytest.mark.parametrize("cfg_name", CONFIGS)
@@ -33,7 +33,7 @@ MESHES = {name: g.interior_mesh() for name, g in GRIDS.items()}
 @pytest.mark.parametrize("family_name", FAMILIES)
 def test_masked_divergence_equals_full_grid(family_name, grid_name, cfg_name):
     field, cfg, mesh = FAMILIES[family_name], CONFIGS[cfg_name], MESHES[grid_name]
-    r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
+    r, th, ph = mesh
     full = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg)
     reach = field.support_mask(r, th, pad=2.0 * cfg.step)
     masked = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg, reach)
@@ -70,7 +70,7 @@ def test_check_divergence_free_passes_the_reach_mask(monkeypatch, grid, cfg):
 
 
 def test_near_support_grid_has_nodes_the_stencil_only_just_reaches():
-    r_ax = np.unique(NEAR_SUPPORT.interior_mesh()["r"])
+    r_ax = np.unique(NEAR_SUPPORT.lattice().nodes()[0])
     assert 0.25 - 1e-2 < r_ax[1] < 0.25 - 3e-3
 
 
@@ -143,7 +143,7 @@ def test_points_within_pad_of_the_support_are_in_the_padded_mask(
 @pytest.mark.parametrize("cfg_name, n_calls", [("1e-4-richardson", 12), ("1e-3-plain", 6)])
 def test_divergence_makes_one_call_per_offset_on_kept_nodes(cfg_name, n_calls):
     field, cfg, mesh = FAMILIES["default"], CONFIGS[cfg_name], MESHES["coarse"]
-    r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
+    r, th, ph = mesh
     reach = field.support_mask(r, th, pad=2.0 * cfg.step)
     x, y, z = (c[reach] for c in kernels.sph_to_cart(r, th, ph))
     calls = []
@@ -166,7 +166,7 @@ def test_divergence_makes_one_call_per_offset_on_kept_nodes(cfg_name, n_calls):
 @pytest.mark.parametrize("family_name", ["default", "perturbed:1e-3"])
 def test_shipped_grid_divergence_is_the_jacobian_trace(family_name):
     field, cfg, mesh = FAMILIES[family_name], CONFIGS["1e-4-richardson"], MESHES["shipped"]
-    r, th, ph = mesh["r"], mesh["theta"], mesh["phi"]
+    r, th, ph = mesh
     reach = field.support_mask(r, th, pad=2.0 * cfg.step)
     jac = oracle.cartesian_jacobian_grid(field.u_components, r, th, ph, cfg, reach)
     trace = jac[0][0] + jac[1][1] + jac[2][2]

@@ -103,8 +103,7 @@ class TestGridSpec:
                                       GridSpec(n_r=20, n_theta=9, n_phi=10, margin_r=0.021,
                                                margin_theta=0.021)])
     def test_up_front_check_agrees_with_the_oracle(self, grid):
-        mesh = grid.interior_mesh()
-        nodes = mesh["r"], mesh["theta"], mesh["phi"]
+        nodes = grid.lattice().nodes()
         for step in (1e-4, 1e-3, 2.5e-3, 2.6e-3, 2.61e-3, 2.62e-3, 3e-3, 5e-3, 1e-2):
             cfg = FDConfig(step=step)
             if min(grid.margin_r, grid.margin_theta) <= 2.0 * step:
@@ -117,25 +116,52 @@ class TestGridSpec:
                 accepted = False
             assert accepted == fits, step
 
+    NEEDS_BOUNDARY = (r"^this check needs a boundary grid \(boundary_only=True\), "
+                      r"got boundary_only=False$")
+    NEEDS_INTERIOR = (r"^this check needs an interior grid \(boundary_only=False\), "
+                      r"got boundary_only=True$")
+
+    @pytest.mark.parametrize("check", ["check_slip_conditions", "check_persistency_failure",
+                                       "check_navier_traction", "scaling_sweep"])
+    def test_boundary_check_rejects_an_interior_grid(self, default_field, check):
+        # an interior grid's n_theta x n_phi is not read as a sphere
+        eps = ([1e-1, 1e-2],) if check == "scaling_sweep" else ()
+        with pytest.raises(ValueError, match=self.NEEDS_BOUNDARY):
+            getattr(verify, check)(default_field, *eps, SMALL_INTERIOR)
+
+    def test_divergence_check_rejects_a_boundary_grid(self, default_field):
+        # a boundary grid's n_r and margins are not read as an interior lattice
+        with pytest.raises(ValueError, match=self.NEEDS_INTERIOR):
+            verify.check_divergence_free(default_field, SMALL_BOUNDARY)
+
+    @pytest.mark.parametrize("interior, boundary, message", [
+        (SMALL_BOUNDARY, SMALL_BOUNDARY, NEEDS_INTERIOR),
+        (SMALL_INTERIOR, SMALL_INTERIOR, NEEDS_BOUNDARY)], ids=["interior", "boundary"])
+    def test_full_verification_rejects_a_grid_of_the_wrong_kind(self, default_field, interior,
+                                                                boundary, message):
+        with pytest.raises(ValueError, match=message):
+            verify.run_full_verification(default_field, interior, boundary)
+
     def test_interior_mesh_shape_and_bounds(self):
-        mesh = GridSpec(n_r=8, n_theta=8, n_phi=8).interior_mesh()
-        assert mesh["r"].size == 8 * 8 * 8
-        assert mesh["r"].min() > 0.05 and mesh["r"].max() < 0.95
-        assert mesh["theta"].min() > 0.05 and mesh["theta"].max() < PI - 0.05
+        r, theta, _ = GridSpec(n_r=8, n_theta=8, n_phi=8).lattice().nodes()
+        assert r.size == 8 * 8 * 8
+        assert r.min() > 0.05 and r.max() < 0.95
+        assert theta.min() > 0.05 and theta.max() < PI - 0.05
 
     def test_quadrature_sanity(self):
         # surface L2 norm of the constant 1
-        mesh = GridSpec(n_theta=128, n_phi=256, boundary_only=True).boundary_mesh()
-        l2 = math.sqrt(mesh["weights"].sum())
+        lattice = GridSpec(n_theta=128, n_phi=256, boundary_only=True).lattice()
+        l2 = math.sqrt(np.broadcast_to(lattice.weights, lattice.shape).sum())
         assert l2 == pytest.approx(math.sqrt(4 * PI), rel=1e-3)
 
     def test_volume_weights_sum(self):
-        mesh = GridSpec(n_r=32, n_theta=32, n_phi=32, margin_r=0.05,
-                        margin_theta=0.05).interior_mesh()
+        lattice = GridSpec(n_r=32, n_theta=32, n_phi=32, margin_r=0.05,
+                           margin_theta=0.05).lattice()
         # shell volume between the radial margins, minus the polar caps
         shell = 4 * PI / 3 * (0.95**3 - 0.05**3)
         cap_fraction = math.cos(0.05)
-        assert mesh["weights"].sum() == pytest.approx(shell * cap_fraction, rel=1e-2)
+        weights = np.broadcast_to(lattice.weights, lattice.shape)
+        assert weights.sum() == pytest.approx(shell * cap_fraction, rel=1e-2)
 
 
 class TestDivergenceCheck:
@@ -145,8 +171,7 @@ class TestDivergenceCheck:
         assert res.norm_sup <= 1e-6
         assert res.direction == "below"
         # the identity in floating point, from the jets: a rounding residual
-        mesh = SMALL_INTERIOR.interior_mesh()
-        div = jets_divergence(default_field, mesh["r"], mesh["theta"], mesh["phi"])
+        div = jets_divergence(default_field, *SMALL_INTERIOR.lattice().nodes())
         assert np.max(np.abs(div)) <= 1e-10
 
     def test_zero_family(self):
@@ -545,6 +570,74 @@ class TestPerAxisWork:
             ring * (2 ** verify.RADIUS_BATCH_LEVELS - 1))
 
 
+class TestOneLatticeRule:
+    """Every grid's nodes come from sphcalc.midpoint_lattice.  The spy marks
+    the theta axis of each lattice it builds, so a theta that reaches an
+    output (or, in the sweep, the field) carries the mark only if its node
+    came from the one rule."""
+
+    MARK = 1e-3
+    COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
+              "--boundary-ntheta", "32", "--boundary-nphi", "64"]
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "sample-surface", "sample-volume"])
+    def test_every_grid_is_built_by_the_one_lattice_rule(self, command, monkeypatch, tmp_path,
+                                                         capsys):
+        from slipball import cli, sphcalc
+        built = []
+        original = sphcalc.midpoint_lattice
+
+        def spy(*args, **kwargs):
+            (r, th, ph), weights = original(*args, **kwargs)
+            built.append(sphcalc.Lattice((r, th + self.MARK, ph), weights))
+            return built[-1]
+        monkeypatch.setattr(sphcalc, "midpoint_lattice", spy)
+        factor_thetas = []
+        init = fam.OmegaFactors.__init__
+
+        def spy_factors(obj, r, theta, g_jet):
+            factor_thetas.append(theta)
+            init(obj, r, theta, g_jet)
+        monkeypatch.setattr(fam.OmegaFactors, "__init__", spy_factors)
+
+        out = tmp_path / "out"
+        if command == "verify":
+            argv = ["verify", "--no-timestamp", "--report", str(out), *self.COARSE]
+        elif command == "sweep":
+            argv = ["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"]
+        else:
+            on = command.split("-")[1]
+            argv = ["sample", "--field", "u", "--on", on, "--out", str(out),
+                    *(self.COARSE[:6] if on == "volume" else [])]
+        code = cli.main(argv)
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert code == 0
+
+        def from_the_rule(theta):
+            marked = np.concatenate([lat.axes[1].ravel() for lat in built])
+            return np.size(theta) > 0 and np.all(np.isin(theta, marked))
+
+        shapes = {lat.shape for lat in built}
+        if command == "verify":
+            # the two grids each build it, and so does the witness scan
+            assert {(8, 8, 8), (1, 32, 64), (1, 128, 256)} <= shapes
+            report = json.loads(out.read_text())
+            witnesses = [c["witness"] for c in report["checks"]
+                         if c["name"] != "oracle_agreement_curl"]
+            witnesses += [report["admissibility"][k] for k in ("witness_a1", "witness_a2")]
+            assert len(witnesses) == 8
+            assert from_the_rule([w["theta"] for w in witnesses])
+        elif command == "sweep":
+            assert (1, 32, 64) in shapes
+            # the sweep's support nodes and the witness scan's
+            assert factor_thetas and all(map(from_the_rule, factor_thetas))
+        else:
+            assert ((1, 64, 128) if command == "sample-surface" else (8, 8, 8)) in shapes
+            rows = np.loadtxt(out, delimiter=",", skiprows=1)
+            assert from_the_rule(rows[:, 1])
+
+
 class TestScalingSweep:
     def test_default_epsilons_slope_one(self, default_field):
         sweep = verify.scaling_sweep(default_field, [1e-1, 1e-2, 1e-3, 1e-4],
@@ -590,8 +683,7 @@ class TestScalingSweep:
     @staticmethod
     def per_eps_field_rows(base, epsilons, grid):
         """The sweep rows with one CounterexampleField per eps."""
-        mesh = grid.boundary_mesh()
-        th, ph = mesh["theta"], mesh["phi"]
+        _, th, ph = grid.lattice().nodes()
         rows = []
         for eps in epsilons:
             f = fam.CounterexampleField(fam.perturbed_profile(float(eps), base.profile),
@@ -633,7 +725,7 @@ class TestFullVerification:
         # the slip, persistency and traction checks read one boundary_state
         # pass on the mesh, and each result is the one the check gives alone
         field = fam.family_by_label(label)
-        mesh = SMALL_BOUNDARY.boundary_mesh()
+        _, theta, _ = SMALL_BOUNDARY.lattice().nodes()
         standalone = [*verify.check_slip_conditions(field, SMALL_BOUNDARY),
                       verify.check_navier_traction(field, SMALL_BOUNDARY, nu=0.7)]
         skipped = not field.admissibility.slip_ok
@@ -656,7 +748,7 @@ class TestFullVerification:
             assert by_name[res.name].to_dict() == res.to_dict()
         for name in ("persistency_failure_theta", "persistency_failure_phi"):
             assert by_name[name].details.get("skipped", False) is skipped
-        n = mesh["theta"].size
+        n = theta.size
         assert sizes["boundary_state"].count(n) == 1
         assert n not in sizes["u_components"] + sizes["omega_components"]
 
