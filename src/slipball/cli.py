@@ -45,7 +45,6 @@ _DEFAULTS = {
     "sample_grid": {"n_theta": 64, "n_phi": 128},
     "oracle": asdict(FDConfig()),
     "epsilons": [1e-1, 1e-2, 1e-3, 1e-4],
-    "nu": 1.0,
     "seed": verify.DEFAULT_SEED,
     "report": None,
     "out": None,
@@ -104,8 +103,7 @@ def load_config(path):
 # key's default; a key whose default is True gets a --no-* switch.
 _FLAGS = {
     "": {"--family": "family", "--report": "report", "--out": "out",
-         "--epsilons": "epsilons", "--no-timestamp": "timestamp", "--nu": "nu",
-         "--seed": "seed"},
+         "--epsilons": "epsilons", "--no-timestamp": "timestamp", "--seed": "seed"},
     "grid": {"--grid-nr": "n_r", "--grid-ntheta": "n_theta", "--grid-nphi": "n_phi",
              "--grid-margin-r": "margin_r", "--grid-margin-theta": "margin_theta"},
     "boundary_grid": {"--boundary-ntheta": "n_theta", "--boundary-nphi": "n_phi"},
@@ -218,23 +216,16 @@ def _print_report_table(report):
 
 def cmd_verify(args, cfg) -> int:
     field, interior, boundary, fd = _build_pieces(cfg, "grid", "boundary_grid", "oracle")
-    if not math.isfinite(cfg["nu"]):
-        raise ConfigError(f"nu must be finite, got {cfg['nu']}")
-    for key in ("nu", "seed"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} must be non-negative, got {cfg[key]}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     try:
         interior.require_margins_for(fd)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        boundary.require_margins_for(fd)
-    except ValueError as exc:
-        raise ConfigError(f"--boundary-ntheta (boundary_grid.n_theta): {exc}") from exc
     with _output(cfg["report"]) as write:
         try:
-            report = verify.run_full_verification(
-                field, interior, boundary, fd, nu=cfg["nu"], seed=cfg["seed"])
+            report = verify.run_full_verification(field, interior, boundary, fd,
+                                                  seed=cfg["seed"])
         except ValueError as exc:  # a non-finite result
             raise ConfigError(str(exc)) from exc
         _print_report_table(report)
@@ -366,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(pv)
     _add_flags(pv, "--report", help="write the JSON report here")
     _add_flags(pv, "--no-timestamp", help="omit the timestamp for byte-reproducible reports")
-    _add_flags(pv, *_FLAGS["grid"], *_FLAGS["boundary_grid"], *_FLAGS["oracle"],
-               "--nu", "--seed")
+    _add_flags(pv, *_FLAGS["grid"], *_FLAGS["boundary_grid"], *_FLAGS["oracle"], "--seed")
     pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("eval", help="evaluate the fields at one point")

@@ -39,8 +39,9 @@ evaluated; the others get an exact 0.
 Central differences are second order; one Richardson level (enabled by
 default) combines D(step) and D(step/2) into (4 D(step/2) - D(step)) / 3.
 At r = 1 radial derivatives switch to the one-sided inward stencil with
-nodes (r, r-s, r-2s) and weights (3, -4, 1)/(2s); no evaluation outside the
-closed ball is ever requested.
+nodes (r, r-s, r-2s) and weights (3, -4, 1)/(2s), so the boundary oracles
+evaluate nothing outside the closed ball; the central radial stencil of an
+interior node may reach past the sphere, up to R_CEILING.
 """
 import math
 from dataclasses import dataclass
@@ -109,7 +110,8 @@ def fd_partial(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
         _out_of_domain((inner - 2.0 * s > 0.0) & (inner + 2.0 * s < R_CEILING),
                        "radial stencil at r", inner, s)
     elif coordinate == "theta":
-        _out_of_domain(polar_stencil_fits(theta, s), "polar stencil at theta", theta, s)
+        _out_of_domain((theta - 2.0 * s > 0.0) & (theta + 2.0 * s < math.pi),
+                       "polar stencil at theta", theta, s)
 
     def shifted(offset):
         coords = list(base)
@@ -126,11 +128,6 @@ def fd_partial(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
         return d
 
     return _richardson(d_at, s, cfg.richardson)
-
-
-def polar_stencil_fits(theta, step):
-    """Nodes whose polar stencil of the given step fd_partial accepts."""
-    return (theta - 2.0 * step > 0.0) & (theta + 2.0 * step < math.pi)
 
 
 def fd_curl_spherical(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):

@@ -6,12 +6,13 @@ direction, and the witness node of the sup.  Each quantity a check reads
 has one evaluation path: the closed forms of the field, or an oracle.
 Tolerances: TOL_EXACT_TRACE 1e-12 (exact boundary traces), TOL_FD 1e-6 (the
 Cartesian FD divergence), TOL_ORACLE_AGREEMENT 1e-4 (the closed-form omega
-against the Cartesian FD curl of u), and NONVANISH_THRESHOLD 1e-1, which
-non-vanishing sups must exceed.
-Sample sizes: ORACLE_SPOTS 5 FD-curl spots (slip), GATE_POINTS 50 phi-gate
-nodes (persistency), AGREEMENT_POINTS 50 random nodes (oracle agreement), and
-RADIUS_BISECTIONS 40 bisection steps on RADIUS_RINGS 4 rings of
-RADIUS_DIRECTIONS 16 points (neighborhood_radius).  The bisection steps are
+against the Cartesian FD curl of u), TRACE_GATE_REL_TOL 1e-5 (each closed-form
+trace of curl(u x w) against the radial-derivative oracle), and
+NONVANISH_THRESHOLD 1e-1, which non-vanishing sups must exceed.
+Sample sizes: ORACLE_SPOTS 5 FD-curl spots (slip), GATE_POINTS 50 gate nodes
+per trace (persistency), AGREEMENT_POINTS 50 random nodes (oracle
+agreement), and RADIUS_BISECTIONS 40 bisection steps on RADIUS_RINGS 4 rings
+of RADIUS_DIRECTIONS 16 points (neighborhood_radius).  The bisection steps are
 evaluated RADIUS_BATCH_LEVELS 4 levels at a time: one trace call takes the
 2^4 - 1 = 15 midpoints the next four steps may visit, so the 40 steps cost
 10 calls after the one for the witness and the radius pi/2, and the radius
@@ -20,12 +21,16 @@ first among 1 to 6 (3.2-3.4 ms at the minimum, 3 levels 0.1-0.3 ms behind,
 one level per call 6.4-10 ms).
 
 Every grid is a sphcalc.midpoint_lattice (GridSpec.lattice): the interior
-lattice of the ball, or the sphere as its r = 1 layer; a check given a grid
-of the other kind raises ValueError.  Each check maps the flat index of its
-sup to the witness by the lattice's one rule (Lattice.point).  The
-divergence check works on the lattice axes: per-axis inputs (the transform
-to Cartesian, the reach mask, sin(theta) in the weights) are computed once
-per axis value, never once per node.
+lattice of the ball, or the sphere as its r = 1 layer; a grid of the other
+kind raises ValueError.  The slip, persistency and traction checks read
+one boundary_pass of the sphere, and one rule (_spread) picks every boundary
+oracle node, all on the support, which the shipped families keep more than
+pi/4 from the poles (a custom family whose support reaches a pole makes the
+oracle raise StencilOutOfDomain).  Each check maps the flat index of its
+sup to the witness by the lattice's one rule (Lattice.point).
+The divergence check works on the lattice axes: per-axis inputs (the
+transform to Cartesian, the reach mask, sin(theta) in the weights) are
+computed once per axis value, never once per node.
 
 Everything is deterministic: grids are midpoint lattices, random sample
 points come from a seeded generator echoed into the report, and sup/argmax
@@ -35,6 +40,7 @@ import json
 import math
 import numbers
 import operator
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field as dataclass_field
 from datetime import datetime, timezone
 from typing import Optional
@@ -50,8 +56,8 @@ TOL_EXACT_TRACE = 1e-12
 TOL_FD = 1e-6
 TOL_ORACLE_AGREEMENT = 1e-4
 NONVANISH_THRESHOLD = 1e-1
-PHI_GATE_REL_TOL = 1e-5
-PHI_GATE_MAGNITUDE = 1e-2
+TRACE_GATE_REL_TOL = 1e-5
+TRACE_GATE_MAGNITUDE = 1e-2
 DEFAULT_SEED = 1234
 ORACLE_SPOTS = 5
 GATE_POINTS = 50
@@ -105,19 +111,11 @@ class GridSpec:
             raise ValueError("margin_theta must lie in (0, pi/2)")
 
     def require_margins_for(self, cfg: oracle.FDConfig):
-        """Raise ValueError unless the FD oracles at cfg.step fit the grid: on
-        a boundary grid, oracle.polar_stencil_fits at the first theta row (the
-        slip check's first FD-curl spot; its other default spots lie farther
-        from the poles); on an interior grid, both margins above twice the step and
-        oracle.cartesian_stencil_fits at the nodes nearest the polar axis."""
-        (r, th, ph), _ = self.lattice()
-        if self.boundary_only:
-            theta = th.flat[0]
-            if not oracle.polar_stencil_fits(theta, cfg.step):
-                raise ValueError(f"boundary grid n_theta={self.n_theta} puts an FD-curl spot "
-                                 f"at theta={theta:g}; the oracle at step {cfg.step:g} needs "
-                                 f"theta > {2.0 * cfg.step:g}")
-            return
+        """Raise ValueError unless the Cartesian FD oracle at cfg.step fits
+        this interior grid: both margins above twice the step and
+        oracle.cartesian_stencil_fits at the nodes nearest the polar axis.  A
+        boundary grid raises as lattice(boundary_only=False) does."""
+        (r, th, ph), _ = self.lattice(boundary_only=False)
         if self.margin_r <= 2.0 * cfg.step or self.margin_theta <= 2.0 * cfg.step:
             raise ValueError("grid margins must exceed twice the oracle step")
         if not np.all(oracle.cartesian_stencil_fits(r[:1], th[:, [0, -1]], ph, cfg.step)):
@@ -141,10 +139,32 @@ class GridSpec:
                                         self.n_r, self.margin_r)
 
     def to_dict(self):
-        return asdict(self)
+        """The report echo; the sphere reads only n_theta and n_phi."""
+        keys = ("n_theta", "n_phi", "boundary_only") if self.boundary_only else asdict(self)
+        return {k: getattr(self, k) for k in keys}
 
 
 _DEFAULT_BOUNDARY_GRID = GridSpec(n_theta=128, n_phi=256, boundary_only=True)
+
+
+# The one evaluation of the sphere: the boundary grid's lattice, its flat
+# theta and phi nodes, and the seven arrays of field.boundary_state there.
+BoundaryPass = namedtuple("BoundaryPass", "lattice theta phi u_theta u_phi omega_r "
+                                          "omega_theta omega_phi curl_v_theta curl_v_phi")
+
+
+def boundary_pass(field: fam.CounterexampleField, grid: GridSpec) -> BoundaryPass:
+    """field.boundary_state on the nodes of the boundary grid; an interior
+    grid raises ValueError."""
+    lattice = grid.lattice(boundary_only=True)
+    _, theta, phi = lattice.nodes()
+    return BoundaryPass(lattice, theta, phi, *field.boundary_state(theta, phi))
+
+
+def _spread(indices, k):
+    """At most k of the indices, evenly strided from the first: the rule
+    that picks every boundary oracle node."""
+    return indices[::max(1, indices.size // k)][:k]
 
 
 @dataclass
@@ -199,31 +219,27 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
     return _grid_result("divergence_free", "below", div, lattice, TOL_FD)
 
 
-def check_slip_conditions(field: fam.CounterexampleField, grid: GridSpec,
-                          cfg: oracle.FDConfig = oracle.FDConfig(),
-                          boundary_state=None):
-    """(u . n, |omega x n|) residuals over the boundary grid, closed forms.
+def check_slip_conditions(field: fam.CounterexampleField, sphere: BoundaryPass,
+                          cfg: oracle.FDConfig = oracle.FDConfig()):
+    """(u . n, |omega x n|) residuals over the boundary pass, closed forms.
 
-    ORACLE_SPOTS FD-curl spot evaluations ride along in the details of the
-    omega check so the closed-form trace has an oracle partner.
-    boundary_state: field.boundary_state(theta, phi) at the grid nodes, evaluated
-    here when not given.
+    FD-curl spot evaluations at ORACLE_SPOTS of the sphere's support nodes
+    ride along in the details of the omega check so the closed-form trace
+    has an oracle partner.
     """
-    lattice = grid.lattice(boundary_only=True)
-    _, th, ph = lattice.nodes()
-    ut, _, _, wt, wp, _, _ = boundary_state or field.boundary_state(th, ph)
-    res_u = _grid_result("slip_u_dot_n", "below", fam.u_radial(ut), lattice, TOL_EXACT_TRACE)
-    res_w = _grid_result("slip_omega_cross_n", "below", np.hypot(wt, wp), lattice,
+    lattice = sphere.lattice
+    res_u = _grid_result("slip_u_dot_n", "below", fam.u_radial(sphere.u_theta), lattice,
                          TOL_EXACT_TRACE)
+    res_w = _grid_result("slip_omega_cross_n", "below",
+                         np.hypot(sphere.omega_theta, sphere.omega_phi), lattice, TOL_EXACT_TRACE)
 
-    # a boundary grid has at least 64 nodes, so the stride is at least 12
-    spots = np.arange(0, th.size, th.size // ORACLE_SPOTS)[:ORACLE_SPOTS]
+    spots = _spread(np.flatnonzero(field.support_mask(1.0, sphere.theta)), ORACLE_SPOTS)
     _, ct, cp = oracle.fd_curl_spherical(
-        field.u_components, np.ones(spots.size), th[spots], ph[spots], cfg)
+        field.u_components, np.ones(spots.size), sphere.theta[spots], sphere.phi[spots], cfg)
     # math.hypot, not np.hypot: the two may differ in the last bit
     res_w.details["oracle_spot_sup"] = max(
         [0.0] + [math.hypot(a, b) for a, b in zip(ct.tolist(), cp.tolist())])
-    res_w.details["oracle_spot_points"] = ORACLE_SPOTS
+    res_w.details["oracle_spot_points"] = int(spots.size)
     return res_u, res_w
 
 
@@ -237,52 +253,49 @@ def _witness_details(res, analytic, oracle_val):
     }
 
 
-def check_persistency_failure(field: fam.CounterexampleField, grid: GridSpec,
-                              cfg: oracle.FDConfig = oracle.FDConfig(),
-                              boundary_state=None):
+def check_persistency_failure(field: fam.CounterexampleField, sphere: BoundaryPass,
+                              cfg: oracle.FDConfig = oracle.FDConfig()):
     """Non-vanishing of the tangential components of curl(u x w) on the sphere.
 
     The pass direction is inverted: the sup must exceed the threshold for
-    the boundary-condition persistency to be contradicted.  Both results
-    come from the closed forms, and each carries the closed-form and oracle
-    values at its witness and their relative discrepancy.  The phi closed
-    form is also gated against the radial-derivative oracle of v_theta at
-    up to GATE_POINTS nodes where it is at least 1e-2 in magnitude; a
-    failed gate fails the phi result, with the gate numbers in its details
-    (a NaN oracle value fails it and leaves gate_max_rel_err NaN, which
-    run_full_verification reports as a non-finite result).
-    One oracle call serves the gate and both witnesses.  boundary_state is
-    as for check_slip_conditions.
+    the boundary-condition persistency to be contradicted.  Each result is
+    the closed form of the boundary pass, gated against the
+    radial-derivative oracle at up to GATE_POINTS nodes where it is at least
+    TRACE_GATE_MAGNITUDE in size: a failed gate fails it (a NaN oracle value
+    too, leaving gate_max_rel_err NaN for run_full_verification to report).
+    Its details hold the gate numbers and the closed-form and oracle values
+    at its witness.  One oracle call serves both gates and both witnesses.
     """
     if field.admissibility.witness_a1 is None and field.admissibility.witness_a2 is None:
         raise NoWitness(f"family {field.label!r} exhibits no witness point")
-    lattice = grid.lattice(boundary_only=True)
-    _, th, ph = lattice.nodes()
-    bt, bp = (boundary_state or field.boundary_state(th, ph))[5:]
-    res_t = _grid_result("persistency_failure_theta", "above", bt, lattice,
-                         NONVANISH_THRESHOLD)
-    res_p = _grid_result("persistency_failure_phi", "above", bp, lattice,
-                         NONVANISH_THRESHOLD)
-    big = np.flatnonzero(np.abs(bp) >= PHI_GATE_MAGNITUDE)
-    gate = big[::max(1, big.size // GATE_POINTS)][:GATE_POINTS]
-    i, j = int(np.argmax(np.abs(bt))), int(np.argmax(np.abs(bp)))  # the two witnesses
-    nodes = np.append(gate, [i, j])
+    traces = (sphere.curl_v_theta, sphere.curl_v_phi)
+    results = [_grid_result(f"persistency_failure_{name}", "above", trace, sphere.lattice,
+                            NONVANISH_THRESHOLD)
+               for name, trace in zip(("theta", "phi"), traces)]
+    gates = [_spread(np.flatnonzero(np.abs(trace) >= TRACE_GATE_MAGNITUDE), GATE_POINTS)
+             for trace in traces]
+    witnesses = [int(np.argmax(np.abs(trace))) for trace in traces]
+    nodes = np.concatenate([*gates, witnesses])
     # (1/r) d_r(r v_theta) and (1/r) d_r(r v_phi) at the gate nodes and the witnesses
     d_vt, d_vp = oracle.fd_boundary_radial_derivative(
-        lambda r, t, p: field.v_components(r, t, p)[1:], th[nodes], ph[nodes], cfg)
-    worst = float(np.max(np.abs(d_vt[:-2] - bp[gate]) / np.abs(bp[gate]), initial=0.0))
-    ok = worst <= PHI_GATE_REL_TOL
-
-    res_t.details = _witness_details(res_t, float(bt[i]), -float(d_vp[-2]))
-    res_p.passed = res_p.passed and ok
-    res_p.details = {
-        "closed_form_validated": ok,
-        "gate_points": int(gate.size),
-        "gate_max_rel_err": worst,
-        "source": "closed_form",
-        **_witness_details(res_p, float(bp[j]), float(d_vt[-1])),
-    }
-    return res_t, res_p
+        lambda r, t, p: field.v_components(r, t, p)[1:], sphere.theta[nodes],
+        sphere.phi[nodes], cfg)
+    start = 0
+    # at r = 1 the theta trace is -(1/r) d_r(r v_phi), the phi trace (1/r) d_r(r v_theta)
+    for res, trace, ref, gate, i, at_witness in zip(results, traces, (-d_vp, d_vt), gates,
+                                                    witnesses, (-2, -1)):
+        at_gate, start = ref[start:start + gate.size], start + gate.size
+        worst = float(np.max(np.abs(at_gate - trace[gate]) / np.abs(trace[gate]), initial=0.0))
+        ok = worst <= TRACE_GATE_REL_TOL
+        res.passed = res.passed and ok
+        res.details = {
+            "closed_form_validated": ok,
+            "gate_points": int(gate.size),
+            "gate_max_rel_err": worst,
+            "source": "closed_form",
+            **_witness_details(res, float(trace[i]), float(ref[at_witness])),
+        }
+    return tuple(results)
 
 
 def neighborhood_radius(field: fam.CounterexampleField, component: str,
@@ -359,26 +372,22 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
     return lo
 
 
-def check_navier_traction(field: fam.CounterexampleField, grid: GridSpec,
-                          nu: float = 1.0, flat_boundary: bool = False,
-                          boundary_state=None) -> CheckResult:
+def check_navier_traction(sphere: BoundaryPass, flat_boundary: bool = False) -> CheckResult:
     """sup of the tangential traction magnitude |t_tan| on the sphere.
 
-    t . tau = (nu/2) (w x n) . tau - nu K u . tau with K = 1 on the unit
-    sphere (center of curvature inside) and K = 0 under the flat-boundary
-    override.  For slip-compatible families the first term vanishes, so a
-    nonzero sup exhibits the gap between the vorticity-based slip condition
-    and the traction-based wall law on the curved boundary.  boundary_state
-    is as for check_slip_conditions.
+    t . tau = (1/2) (w x n) . tau - K u . tau (unit viscosity) with K = 1 on
+    the unit sphere (center of curvature inside) and K = 0 under the
+    flat-boundary override.  For slip-compatible families the first term
+    vanishes, so a nonzero sup exhibits the gap between the vorticity-based
+    slip condition and the traction-based wall law on the curved boundary.
     """
-    lattice = grid.lattice(boundary_only=True)
-    ut, up, _, wt, wp, _, _ = boundary_state or field.boundary_state(*lattice.nodes()[1:])
     curvature = 0.0 if flat_boundary else 1.0
-    t_theta = 0.5 * nu * wp - nu * curvature * ut
-    t_phi = -0.5 * nu * wt - nu * curvature * up
+    t_theta = 0.5 * sphere.omega_phi - curvature * sphere.u_theta
+    t_phi = -0.5 * sphere.omega_theta - curvature * sphere.u_phi
     magnitude = np.hypot(t_theta, t_phi)
-    res = _grid_result("navier_traction", "above", magnitude, lattice, NONVANISH_THRESHOLD)
-    res.details = {"nu": nu, "curvature": curvature}
+    res = _grid_result("navier_traction", "above", magnitude, sphere.lattice,
+                       NONVANISH_THRESHOLD)
+    res.details = {"nu": 1.0, "curvature": curvature}
     return res
 
 
@@ -522,11 +531,11 @@ def run_full_verification(field: fam.CounterexampleField,
                           interior_grid: Optional[GridSpec] = None,
                           boundary_grid: Optional[GridSpec] = None,
                           cfg: oracle.FDConfig = oracle.FDConfig(),
-                          nu: float = 1.0, seed: int = DEFAULT_SEED) -> VerificationReport:
+                          seed: int = DEFAULT_SEED) -> VerificationReport:
     """All checks in fixed order; an admissibility failure in the slip
     identity short-circuits the persistency checks (their closed forms
-    assume it) without aborting the rest.  The three boundary checks share
-    one field.boundary_state call at the boundary grid nodes.
+    assume it) without aborting the rest.  The three boundary checks read
+    one boundary_pass of the boundary grid.
 
     Raises ValueError naming the first check, in that order, whose result
     holds a non-finite number (a family large enough to overflow), since
@@ -537,8 +546,8 @@ def run_full_verification(field: fam.CounterexampleField,
     adm = field.admissibility
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         checks = [check_divergence_free(field, interior_grid, cfg)]
-        state = field.boundary_state(*boundary_grid.lattice(boundary_only=True).nodes()[1:])
-        checks.extend(check_slip_conditions(field, boundary_grid, cfg, boundary_state=state))
+        sphere = boundary_pass(field, boundary_grid)
+        checks.extend(check_slip_conditions(field, sphere, cfg))
 
         skipped = None
         if not adm.slip_ok:
@@ -546,8 +555,7 @@ def run_full_verification(field: fam.CounterexampleField,
                        f"{adm.slip_condition_residual:.3e}")
         else:
             try:
-                res_t, res_p = check_persistency_failure(field, boundary_grid, cfg,
-                                                         boundary_state=state)
+                res_t, res_p = check_persistency_failure(field, sphere, cfg)
                 if res_t.passed:
                     res_t.details["neighborhood_radius_half_floor"] = neighborhood_radius(
                         field, "theta", res_t.witness, 0.5)
@@ -560,7 +568,7 @@ def run_full_verification(field: fam.CounterexampleField,
                           for name in ("persistency_failure_theta", "persistency_failure_phi"))
 
         checks.append(check_oracle_agreement(field, cfg, seed=seed))
-        checks.append(check_navier_traction(field, boundary_grid, nu=nu, boundary_state=state))
+        checks.append(check_navier_traction(sphere))
     for c in checks:
         found = _non_finite(c.to_dict())
         if found:

@@ -38,7 +38,8 @@ def test_criterion_1_divergence_free(default_field):
 
 
 def test_criterion_2_slip_conditions(default_field):
-    res_u, res_w = verify.check_slip_conditions(default_field, FULL_BOUNDARY)
+    res_u, res_w = verify.check_slip_conditions(
+        default_field, verify.boundary_pass(default_field, FULL_BOUNDARY))
     ok = res_u.norm_sup <= 1e-12 and res_w.norm_sup <= 1e-12
     report_line(2, ok,
                 f"sup|u.n| = {res_u.norm_sup:.3e}, sup|w x n| = {res_w.norm_sup:.3e} "
@@ -52,7 +53,8 @@ def test_criterion_3_persistency_failure_theta(default_field):
         return default_field.v_components(r, t, p)[2]
 
     fd = -oracle.fd_boundary_radial_derivative(v_phi, PI / 2, PI / 4)[0]
-    res_t, _ = verify.check_persistency_failure(default_field, FULL_BOUNDARY)
+    res_t, _ = verify.check_persistency_failure(
+        default_field, verify.boundary_pass(default_field, FULL_BOUNDARY))
     ok = (abs(closed - (-1.0)) <= 1e-6 and abs(closed - fd) <= 1e-4
           and res_t.norm_sup >= 0.9)
     report_line(3, ok,
@@ -61,7 +63,8 @@ def test_criterion_3_persistency_failure_theta(default_field):
 
 
 def test_criterion_4_phi_component_gate(default_field):
-    _, res_p = verify.check_persistency_failure(default_field, FULL_BOUNDARY)
+    _, res_p = verify.check_persistency_failure(
+        default_field, verify.boundary_pass(default_field, FULL_BOUNDARY))
     d = res_p.details
     ok = (d["closed_form_validated"] and d["gate_points"] == 50
           and d["gate_max_rel_err"] <= 1e-5)
@@ -110,9 +113,9 @@ def test_criterion_6_oracle_equivalence(default_field, rng):
 
 
 def test_criterion_7_navier_slip_discrepancy(default_field):
-    curved = verify.check_navier_traction(default_field, FULL_BOUNDARY, nu=1.0)
-    flat = verify.check_navier_traction(default_field, FULL_BOUNDARY, nu=1.0,
-                                        flat_boundary=True)
+    sphere = verify.boundary_pass(default_field, FULL_BOUNDARY)
+    curved = verify.check_navier_traction(sphere)
+    flat = verify.check_navier_traction(sphere, flat_boundary=True)
     ok = curved.norm_sup >= 0.9 and flat.norm_sup <= 1e-12
     report_line(7, ok,
                 f"traction sup = {curved.norm_sup:.3f} with curvature (>= 0.9), "

@@ -53,8 +53,8 @@ def test_traced_evaluators_exist_with_their_signature(tracer):
 
 
 def test_verify_runs_every_traced_oracle_function(tracer, monkeypatch, capsys):
-    # the traced benchmark asserts that a verify op calls each of these names
-    # (the spherical *_grid functions run their stencils under them)
+    # a traced verify op books per-layer metrics under each of these names,
+    # and nothing in perfbench checks that a verify op calls them: this test does
     from slipball import cli
 
     calls = {name: 0 for name in tracer.ORACLE_FUNCTIONS}

@@ -8,11 +8,13 @@ exempt.
 The closed-form omega is gated by the Cartesian FD curl of u
 (oracle_agreement_curl), so a wrong G or a wrong omega_theta or omega_phi
 fails that check even though the slip check and the boundary traces read the
-same closed form.  Outputs whose scaling no gated number sees are not rows:
-the theta trace of boundary_curl_assembly (its oracle value is reported at
-the witness only), v_r and v_phi of cross_tangential (v_phi feeds that
-witness value alone), the g_tp entry of the angular jet (read by the jets
-path only), g itself (a scaled g stays periodic) and h'' (read by none).
+same closed form.  Each trace of boundary_curl_assembly is gated against the
+radial derivative of r v (v_theta for the phi trace, v_phi for the theta
+trace), so a wrong trace or a wrong v_phi fails its persistency check.
+Outputs whose scaling no gated number sees are not rows: v_r of
+cross_tangential (the gates read only v_theta and v_phi), the g_tp entry of
+the angular jet (read by the jets path only), g itself (a scaled g stays
+periodic) and h'' (read by none).
 """
 import json
 
@@ -38,6 +40,8 @@ MUTANTS = {
     "g_p": ("default_angular_jet", 2, {"divergence_free", "oracle_agreement_curl"}),
     "g_tt": ("default_angular_jet", 3, {"oracle_agreement_curl"}),
     "g_pp": ("default_angular_jet", 5, {"oracle_agreement_curl"}),
+    "curl_v_theta": ("boundary_curl_assembly", 0, {"persistency_failure_theta"}),
+    "v_phi": ("cross_tangential", 2, {"persistency_failure_theta"}),
 }
 
 

@@ -375,14 +375,17 @@ def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):
     # a failed gate fails the phi result; its numbers stay those of the
     # closed form on the full mesh, with no oracle subgrid in their place
     cfg = FDConfig()
-    _, want = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
+    sphere = verify.boundary_pass(default_field, SMALL_BOUNDARY)
+    want_t, want = verify.check_persistency_failure(default_field, sphere, cfg)
     calls = []
     original = oracle.fd_boundary_radial_derivative
 
     def off_at_the_gate(fn, theta, phi, cfg=FDConfig()):
         calls.append(np.size(theta))
         vals = original(fn, theta, phi, cfg)
-        vals[0, :-2] *= 2.0  # the v_theta gate values; the two witnesses come last
+        # v_theta at the gate nodes, which gates the phi trace; the two
+        # witnesses come last
+        vals[0, :-2] *= 2.0
         return vals
 
     monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", off_at_the_gate)
@@ -398,7 +401,7 @@ def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):
 
     for name in ("v_components", "boundary_state", "boundary_curl_theta", "boundary_curl_phi"):
         monkeypatch.setattr(fam.CounterexampleField, name, sized(name))
-    _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, cfg)
+    _, res_p = verify.check_persistency_failure(default_field, sphere, cfg)
     assert want.passed and not res_p.passed
     assert (res_p.norm_sup, res_p.norm_l2, res_p.witness) == (
         want.norm_sup, want.norm_l2, want.witness)
@@ -407,8 +410,8 @@ def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):
     assert res_p.details["verdict"] == "no contradiction exhibited"
     assert res_p.details["oracle_at_witness"] == want.details["oracle_at_witness"]
     assert res_p.details["gate_points"] == want.details["gate_points"] == 50
-    # one oracle call: the gate nodes and the two witnesses; no scalar evaluation
-    assert calls == [want.details["gate_points"] + 2]
+    # one oracle call: both gates and the two witnesses; no scalar evaluation
+    assert calls == [want_t.details["gate_points"] + want.details["gate_points"] + 2]
     assert sizes and 1 not in sizes
 
 
@@ -418,15 +421,17 @@ def test_nan_gate_value_fails_phi_and_is_named(default_field, monkeypatch, capsy
     original = oracle.fd_boundary_radial_derivative
     calls = []
 
-    def nan_at_first_gate_node(fn, theta, phi, cfg=FDConfig()):
+    def nan_at_last_phi_gate_node(fn, theta, phi, cfg=FDConfig()):
         calls.append(np.size(theta))
         vals = original(fn, theta, phi, cfg)
-        vals[0, 0] = math.nan
+        vals[0, -3] = math.nan  # v_theta there; the two witnesses come last
         return vals
 
-    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", nan_at_first_gate_node)
-    _, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY, FDConfig())
-    assert calls == [res_p.details["gate_points"] + 2]
+    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", nan_at_last_phi_gate_node)
+    res_t, res_p = verify.check_persistency_failure(
+        default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY), FDConfig())
+    assert calls == [res_t.details["gate_points"] + res_p.details["gate_points"] + 2]
+    assert res_t.passed and res_t.details["gate_max_rel_err"] <= 1e-10
     assert res_p.details["source"] == "closed_form"
     assert not res_p.passed and res_p.details["closed_form_validated"] is False
     assert math.isnan(res_p.details["gate_max_rel_err"])

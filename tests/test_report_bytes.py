@@ -16,11 +16,11 @@ COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
           "--boundary-ntheta", "32", "--boundary-nphi", "64"]
 
 REPORTS = [
-    ("default", [], "5e483714c31ead3b9ce99945439bd8be2daf32c47234e78316b2fe0c4d88b434", 0),
-    ("default", COARSE, "9ae63321c5d97c69f257752b0b8b92af656d04414c1d1ebcbd5bc301fc305044", 0),
-    ("h1zero", COARSE, "3cc6ab03e53d67a61a40549cb21027ec7cc7ce01eebafd4cf03f818d79025a15", 2),
+    ("default", [], "74bc6d213f74cfc4b94105153c278a89550959aea8c9e08acc5b0ba40c9d5d09", 0),
+    ("default", COARSE, "360c6f1378e13a8704493783b5b6d66d0a701991a106676aac0382081f389ece", 0),
+    ("h1zero", COARSE, "86e683fca9381b0cc79d98875054f4377b7f1bd873ea2d4186afad5fce199c23", 2),
     ("perturbed:1e-3", COARSE,
-     "e8b909b81a6e9cc8d4b13bae05120977e31b997b7b116c12b740598ecb963b4b", 2),
+     "01a96d468ce384ccf686d02f45f7d78f440befb83de439092638709340091300", 2),
 ]
 
 

@@ -63,32 +63,37 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(margin_r=1e-4).require_margins_for(FDConfig(step=1e-4))
 
-    def test_boundary_check_accepts_exactly_what_the_slip_spots_accept(self, default_field):
-        # the up-front check on a boundary grid passes iff the slip check's
-        # FD-curl spots stay inside the polar stencil domain at that step
-        cases = [(n, step) for n in (8, 16, 64, 78, 79, 80, 128, 200)
-                 for step in (1e-4, 1e-3, 3e-3, 5e-3, 1e-2)]
-        for n in (8, 79, 128):  # steps at the edge: theta_0 - 2 step just above, at, below 0
-            half = math.pi / n * 0.5 / 2.0
-            cases += [(n, s) for s in (math.nextafter(half, 0.0), half,
-                                       math.nextafter(half, 1.0)) if s <= 1e-2]
-        outcomes = set()
-        for n, step in cases:
+    def test_every_boundary_grid_runs_the_slip_check_at_every_step(self, default_field):
+        # the FD-curl spots lie on the sphere's support, more than pi/4 from
+        # the poles, so no boundary grid needs a stencil check up front; the
+        # first spot used to be flat index 0, at theta = pi / (2 n_theta)
+        for n in (8, 16, 64, 79, 128, 200):
             grid = GridSpec(n_theta=n, n_phi=16, boundary_only=True)
-            cfg = FDConfig(step=step)
-            try:
-                grid.require_margins_for(cfg)
-                accepted = True
-            except ValueError:
-                accepted = False
-            try:
-                verify.check_slip_conditions(default_field, grid, cfg)
-                runs = True
-            except StencilOutOfDomain:
-                runs = False
-            assert accepted == runs, (n, step)
-            outcomes.add(accepted)
-        assert outcomes == {True, False}
+            sphere = verify.boundary_pass(default_field, grid)
+            support = default_field.support_mask(1.0, sphere.theta)
+            for step in (1e-8, 1e-4, 1e-3, 3e-3, 5e-3, 1e-2):
+                _, res_w = verify.check_slip_conditions(default_field, sphere,
+                                                        FDConfig(step=step))
+                assert res_w.details["oracle_spot_points"] == min(
+                    verify.ORACLE_SPOTS, int(np.count_nonzero(support))) > 0, (n, step)
+                assert math.isfinite(res_w.details["oracle_spot_sup"])
+            with pytest.raises(ValueError, match=self.NEEDS_INTERIOR):
+                grid.require_margins_for(FDConfig(step=1e-2))
+
+    def test_slip_spots_are_spread_over_the_support(self, default_field, monkeypatch):
+        sphere = verify.boundary_pass(default_field, SMALL_BOUNDARY)
+        support = np.flatnonzero(default_field.support_mask(1.0, sphere.theta))
+        seen = []
+        original = oracle.fd_curl_spherical
+
+        def spy(fn, r, theta, phi, cfg):
+            seen.append((theta, phi))
+            return original(fn, r, theta, phi, cfg)
+        monkeypatch.setattr(oracle, "fd_curl_spherical", spy)
+        verify.check_slip_conditions(default_field, sphere)
+        spots = support[::support.size // verify.ORACLE_SPOTS][:verify.ORACLE_SPOTS]
+        assert [t.tolist() for t in seen[0]] == [sphere.theta[spots].tolist(),
+                                                 sphere.phi[spots].tolist()]
 
     @pytest.mark.parametrize("step", [3e-3, 1e-2])
     def test_cartesian_stencil_checked_up_front(self, step):
@@ -124,10 +129,14 @@ class TestGridSpec:
     @pytest.mark.parametrize("check", ["check_slip_conditions", "check_persistency_failure",
                                        "check_navier_traction", "scaling_sweep"])
     def test_boundary_check_rejects_an_interior_grid(self, default_field, check):
-        # an interior grid's n_theta x n_phi is not read as a sphere
-        eps = ([1e-1, 1e-2],) if check == "scaling_sweep" else ()
+        # an interior grid's n_theta x n_phi is not read as a sphere: the
+        # sweep takes the grid, the other checks read it through boundary_pass
         with pytest.raises(ValueError, match=self.NEEDS_BOUNDARY):
-            getattr(verify, check)(default_field, *eps, SMALL_INTERIOR)
+            if check == "scaling_sweep":
+                verify.scaling_sweep(default_field, [1e-1, 1e-2], SMALL_INTERIOR)
+            else:
+                sphere = verify.boundary_pass(default_field, SMALL_INTERIOR)
+                pytest.fail(f"{check} was given {sphere}")
 
     def test_divergence_check_rejects_a_boundary_grid(self, default_field):
         # a boundary grid's n_r and margins are not read as an interior lattice
@@ -188,7 +197,8 @@ class TestDivergenceCheck:
 
 class TestSlipChecks:
     def test_default_family_exact(self, default_field):
-        res_u, res_w = verify.check_slip_conditions(default_field, SMALL_BOUNDARY)
+        res_u, res_w = verify.check_slip_conditions(
+            default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY))
         assert res_u.norm_sup == 0.0 and res_u.passed
         assert res_w.norm_sup == 0.0 and res_w.passed
         # FD-curl spot checks ride along as the oracle partner of the trace
@@ -196,30 +206,57 @@ class TestSlipChecks:
 
     def test_perturbed_scales_linearly(self):
         grid = SMALL_BOUNDARY
-        res_ref = verify.check_slip_conditions(fam.family_by_label("perturbed:1e-3"), grid)[1]
+        ref, f = fam.family_by_label("perturbed:1e-3"), fam.family_by_label("perturbed:1e-2")
+        res_ref = verify.check_slip_conditions(ref, verify.boundary_pass(ref, grid))[1]
         m = res_ref.norm_sup / 1e-3
-        res = verify.check_slip_conditions(fam.family_by_label("perturbed:1e-2"), grid)[1]
+        res = verify.check_slip_conditions(f, verify.boundary_pass(f, grid))[1]
         assert 0.3 * 1e-2 * m <= res.norm_sup <= 3 * 1e-2 * m
         assert not res.passed
 
     def test_zero_family(self):
         f = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
-        res_u, res_w = verify.check_slip_conditions(f, SMALL_BOUNDARY)
+        res_u, res_w = verify.check_slip_conditions(f, verify.boundary_pass(f, SMALL_BOUNDARY))
         assert res_u.norm_sup == 0.0 and res_w.norm_sup == 0.0
 
 
 class TestPersistencyCheck:
     def test_default_family_contradicts(self, default_field):
-        res_t, res_p = verify.check_persistency_failure(default_field, SMALL_BOUNDARY)
+        res_t, res_p = verify.check_persistency_failure(
+            default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY))
         assert res_t.passed and res_t.norm_sup >= 0.9
         assert res_p.passed
         assert res_t.details["verdict"] == "persistency violated"
         assert res_t.details["rel_discrepancy"] <= 1e-4
         assert res_p.details["closed_form_validated"]
         assert res_p.details["rel_discrepancy"] <= 1e-4
+        # both traces are gated, with the same details
+        assert list(res_t.details) == list(res_p.details)
+        for res in (res_t, res_p):
+            assert res.details["closed_form_validated"]
+            assert res.details["gate_points"] == verify.GATE_POINTS
+            assert res.details["gate_max_rel_err"] <= 1e-10
+
+    def test_bad_theta_closed_form_fails_theta_check(self, default_field, monkeypatch):
+        # a theta closed form 0.1% too large is caught by its gate, as the
+        # phi closed form is by its own; the oracle reads v, not the trace
+        true_method = fam.CounterexampleField.boundary_state
+
+        def scaled(self, th, ph):
+            *rest, bt, bp = true_method(self, th, ph)
+            return (*rest, 1.001 * bt, bp)
+
+        monkeypatch.setattr(fam.CounterexampleField, "boundary_state", scaled)
+        res_t, res_p = verify.check_persistency_failure(
+            default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY))
+        assert res_t.details["closed_form_validated"] is False
+        assert res_t.details["gate_max_rel_err"] == pytest.approx(1e-3, rel=1e-2)
+        assert not res_t.passed and res_t.norm_sup >= 0.9  # the sup alone would pass
+        assert res_t.details["verdict"] == "no contradiction exhibited"
+        assert res_p.passed and res_p.details["closed_form_validated"]
 
     def test_h1zero_no_contradiction(self, h1zero_field):
-        res_t, res_p = verify.check_persistency_failure(h1zero_field, SMALL_BOUNDARY)
+        res_t, res_p = verify.check_persistency_failure(
+            h1zero_field, verify.boundary_pass(h1zero_field, SMALL_BOUNDARY))
         assert res_t.norm_sup <= 1e-8 and res_p.norm_sup <= 1e-8
         assert not res_t.passed and not res_p.passed
         assert res_t.details["verdict"] == "no contradiction exhibited"
@@ -231,8 +268,9 @@ class TestPersistencyCheck:
         fine = GridSpec(n_theta=128, n_phi=256, boundary_only=True)
         sup = {}
         for label, grid in (("coarse", coarse), ("fine", fine)):
-            res_t, res_p = verify.check_persistency_failure(default_field, grid)
-            nav = verify.check_navier_traction(default_field, grid)
+            sphere = verify.boundary_pass(default_field, grid)
+            res_t, res_p = verify.check_persistency_failure(default_field, sphere)
+            nav = verify.check_navier_traction(sphere)
             sup[label] = (res_t.norm_sup, res_p.norm_sup, nav.norm_sup)
         for i, tol in ((0, 0.12), (1, 0.12), (2, 0.05)):
             change = abs(sup["fine"][i] - sup["coarse"][i]) / sup["fine"][i]
@@ -256,7 +294,9 @@ class TestPhiGateFailure:
         # a phi closed form deliberately off by 0.1% must be caught by the
         # gate, and the phi check then fails on the closed-form values
         off_by_a_tenth_percent(monkeypatch)
-        _, res_p = verify.check_persistency_failure(fam.default_field(), SMALL_BOUNDARY)
+        field = fam.default_field()
+        _, res_p = verify.check_persistency_failure(
+            field, verify.boundary_pass(field, SMALL_BOUNDARY))
         d = res_p.details
         assert d["closed_form_validated"] is False
         assert d["gate_max_rel_err"] == pytest.approx(1e-3, rel=1e-2)
@@ -305,7 +345,8 @@ class TestNeighborhoodRadius:
     def test_half_floor_radius_at_grid_witness(self, default_field):
         # the grid sup sits in the bump transition zone, where the closed
         # form varies faster; the half-floor ball is smaller but still open
-        res_t, _ = verify.check_persistency_failure(default_field, SMALL_BOUNDARY)
+        res_t, _ = verify.check_persistency_failure(
+            default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY))
         rho = verify.neighborhood_radius(default_field, "theta", res_t.witness, 0.5)
         assert rho >= 0.02
 
@@ -363,8 +404,9 @@ class TestNeighborhoodRadius:
     @pytest.mark.parametrize("component, fraction, pin", COARSE_PINS)
     def test_radius_bits_at_the_coarse_check_witnesses(self, default_field, component,
                                                        fraction, pin):
+        grid = GridSpec(n_theta=32, n_phi=64, boundary_only=True)
         res_t, res_p = verify.check_persistency_failure(
-            default_field, GridSpec(n_theta=32, n_phi=64, boundary_only=True))
+            default_field, verify.boundary_pass(default_field, grid))
         witness = res_t.witness if component == "theta" else res_p.witness
         rho = verify.neighborhood_radius(default_field, component, witness, fraction)
         assert rho.hex() == pin
@@ -380,23 +422,15 @@ class TestNeighborhoodRadius:
 
 class TestNavierTraction:
     def test_curved_boundary_sees_slip_field(self, default_field):
-        res = verify.check_navier_traction(default_field, SMALL_BOUNDARY, nu=1.0)
+        res = verify.check_navier_traction(verify.boundary_pass(default_field, SMALL_BOUNDARY))
         assert res.norm_sup >= 0.9
         assert res.passed
-
-    def test_viscosity_zero(self, default_field):
-        res = verify.check_navier_traction(default_field, SMALL_BOUNDARY, nu=0.0)
-        assert res.norm_sup == 0.0
+        assert res.details == {"nu": 1.0, "curvature": 1.0}
 
     def test_flat_boundary_override(self, default_field):
-        res = verify.check_navier_traction(default_field, SMALL_BOUNDARY,
-                                           nu=1.0, flat_boundary=True)
+        res = verify.check_navier_traction(verify.boundary_pass(default_field, SMALL_BOUNDARY),
+                                           flat_boundary=True)
         assert res.norm_sup <= 1e-12
-
-    def test_scales_with_viscosity(self, default_field):
-        r1 = verify.check_navier_traction(default_field, SMALL_BOUNDARY, nu=1.0)
-        r2 = verify.check_navier_traction(default_field, SMALL_BOUNDARY, nu=0.25)
-        assert r2.norm_sup == pytest.approx(0.25 * r1.norm_sup, rel=1e-12)
 
 
 class TestOracleAgreement:
@@ -726,11 +760,12 @@ class TestFullVerification:
         # pass on the mesh, and each result is the one the check gives alone
         field = fam.family_by_label(label)
         _, theta, _ = SMALL_BOUNDARY.lattice().nodes()
-        standalone = [*verify.check_slip_conditions(field, SMALL_BOUNDARY),
-                      verify.check_navier_traction(field, SMALL_BOUNDARY, nu=0.7)]
+        sphere = verify.boundary_pass(field, SMALL_BOUNDARY)
+        standalone = [*verify.check_slip_conditions(field, sphere),
+                      verify.check_navier_traction(sphere)]
         skipped = not field.admissibility.slip_ok
         if not skipped:
-            res_t, res_p = verify.check_persistency_failure(field, SMALL_BOUNDARY)
+            res_t, res_p = verify.check_persistency_failure(field, sphere)
             res_t.details["neighborhood_radius_half_floor"] = verify.neighborhood_radius(
                 field, "theta", res_t.witness, 0.5)
             standalone += [res_t, res_p]
@@ -742,7 +777,7 @@ class TestFullVerification:
                 return _fn(self, *coords)
             monkeypatch.setattr(fam.CounterexampleField, name, spy)
         report = verify.run_full_verification(field, GridSpec(n_r=8, n_theta=8, n_phi=8),
-                                              SMALL_BOUNDARY, nu=0.7)
+                                              SMALL_BOUNDARY)
         by_name = {c.name: c for c in report.checks}
         for res in standalone:
             assert by_name[res.name].to_dict() == res.to_dict()
@@ -751,6 +786,33 @@ class TestFullVerification:
         n = theta.size
         assert sizes["boundary_state"].count(n) == 1
         assert n not in sizes["u_components"] + sizes["omega_components"]
+
+    def test_verify_evaluates_the_sphere_once(self, monkeypatch, tmp_path, capsys):
+        # one coarse verify builds the boundary grid's lattice once and calls
+        # boundary_state once on its nodes; the boundary checks read that pass
+        from slipball import cli, sphcalc
+        shapes, sizes = [], []
+        lattice, state = sphcalc.midpoint_lattice, fam.CounterexampleField.boundary_state
+
+        def spy_lattice(*args, **kwargs):
+            built = lattice(*args, **kwargs)
+            shapes.append(built.shape)
+            return built
+
+        def spy_state(self, theta, phi):
+            sizes.append(np.size(theta))
+            return state(self, theta, phi)
+
+        monkeypatch.setattr(sphcalc, "midpoint_lattice", spy_lattice)
+        monkeypatch.setattr(fam.CounterexampleField, "boundary_state", spy_state)
+        code = cli.main(["verify", "--no-timestamp", "--report", str(tmp_path / "r.json"),
+                         "--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
+                         "--boundary-ntheta", "32", "--boundary-nphi", "64"])
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert code == 0
+        assert shapes.count((1, 32, 64)) == 1
+        assert sizes.count(32 * 64) == 1
 
     def test_h1zero_family_fails_persistency_only(self, h1zero_field):
         report = verify.run_full_verification(h1zero_field, SMALL_INTERIOR, SMALL_BOUNDARY)
