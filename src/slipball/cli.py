@@ -100,14 +100,14 @@ def load_config(path):
 
 # Each flag that sets one config key, by config section ("" holds the
 # top-level keys).  Its dest is the key's dotted path and its type that of the
-# key's default; a key whose default is True gets a --no-* switch.
+# key's default; a boolean key gets a switch that flips its default.
 _FLAGS = {
     "": {"--family": "family", "--report": "report", "--out": "out",
          "--epsilons": "epsilons", "--no-timestamp": "timestamp", "--seed": "seed"},
     "grid": {"--grid-nr": "n_r", "--grid-ntheta": "n_theta", "--grid-nphi": "n_phi",
              "--grid-margin-r": "margin_r", "--grid-margin-theta": "margin_theta"},
     "boundary_grid": {"--boundary-ntheta": "n_theta", "--boundary-nphi": "n_phi"},
-    "oracle": {"--oracle-step": "step", "--no-richardson": "richardson"},
+    "oracle": {"--oracle-step": "step", "--richardson": "richardson"},
 }
 _DESTS = {flag: f"{section}.{key}".lstrip(".")
           for section, flags in _FLAGS.items() for flag, key in flags.items()}
@@ -218,15 +218,11 @@ def cmd_verify(args, cfg) -> int:
     field, interior, boundary, fd = _build_pieces(cfg, "grid", "boundary_grid", "oracle")
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
-    try:
-        interior.require_margins_for(fd)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     with _output(cfg["report"]) as write:
         try:
             report = verify.run_full_verification(field, interior, boundary, fd,
                                                   seed=cfg["seed"])
-        except ValueError as exc:  # a non-finite result
+        except ValueError as exc:  # margins too narrow for the step, or a non-finite result
             raise ConfigError(str(exc)) from exc
         _print_report_table(report)
         if write:
@@ -338,7 +334,8 @@ def _add_flags(p, *flags, help=None):
     for flag in flags:
         section, key = _slot(_DEFAULTS, _DESTS[flag])
         default = section[key]
-        kind = ({"action": "store_false"} if default is True else
+        kind = ({"action": "store_false" if default else "store_true"}
+                if isinstance(default, bool) else
                 {"type": type(default) if _is_number(default) else None,
                  "metavar": flag[2:].replace("-", "_").upper()})
         p.add_argument(flag, dest=_DESTS[flag], default=argparse.SUPPRESS, help=help, **kind)

@@ -36,8 +36,11 @@ every stencil point of the nodes outside it.  Every node is still checked
 against the domain (cartesian_stencil_fits), but only masked nodes are
 evaluated; the others get an exact 0.
 
-Central differences are second order; one Richardson level (enabled by
-default) combines D(step) and D(step/2) into (4 D(step/2) - D(step)) / 3.
+Central differences are second order; the default is one difference at
+step 1e-6, where truncation and rounding balance (tests/test_fd_error.py
+pins its error).  Richardson is opt-in: one level combines D(step) and
+D(step/2) into (4 D(step/2) - D(step)) / 3 at twice the field evaluations,
+and steps above about 5e-6 need it.
 At r = 1 radial derivatives switch to the one-sided inward stencil with
 nodes (r, r-s, r-2s) and weights (3, -4, 1)/(2s), so the boundary oracles
 evaluate nothing outside the closed ball; the central radial stencil of an
@@ -59,8 +62,8 @@ _AXES = {"r": 0, "theta": 1, "phi": 2}
 
 @dataclass(frozen=True)
 class FDConfig:
-    step: float = 1e-4
-    richardson: bool = True
+    step: float = 1e-6
+    richardson: bool = False
 
     def __post_init__(self):
         if not 1e-8 <= self.step <= 1e-2:

@@ -119,7 +119,7 @@ class TestVerifyCommand:
             "--grid-nr", "8", "--grid-ntheta", "9", "--grid-nphi", "10",
             "--grid-margin-r", "0.06", "--grid-margin-theta", "0.07",
             "--boundary-ntheta", "32", "--boundary-nphi", "66",
-            "--oracle-step", "2e-4", "--no-richardson", "--seed", "99"])
+            "--oracle-step", "2e-4", "--richardson", "--seed", "99"])
         assert code in (0, 2)  # the coarser oracle may fail a tolerance; the run completes
         doc = json.loads(report.read_text())
         assert doc["family"] == "perturbed:1e-3" and "timestamp" not in doc
@@ -127,7 +127,7 @@ class TestVerifyCommand:
             "interior": {"n_r": 8, "n_theta": 9, "n_phi": 10, "margin_r": 0.06,
                          "margin_theta": 0.07, "boundary_only": False},
             "boundary": {"n_theta": 32, "n_phi": 66, "boundary_only": True}}
-        assert doc["oracle"] == {"step": 2e-4, "richardson": False, "seed": 99}
+        assert doc["oracle"] == {"step": 2e-4, "richardson": True, "seed": 99}
 
     @pytest.mark.parametrize("label", ["perturbed:nan", "perturbed:inf"])
     def test_non_finite_perturbation_exits_one(self, capsys, label):
@@ -184,11 +184,11 @@ class TestVerifyCommand:
             return original(components_fn, r, theta, phi, cfg)
 
         monkeypatch.setattr(oracle, "fd_curl_spherical", spy)
-        code, _, _ = run_cli(capsys, ["verify", "--oracle-step", "1e-3", "--no-richardson"]
+        code, _, _ = run_cli(capsys, ["verify", "--oracle-step", "1e-3", "--richardson"]
                              + FAST_GRID)
         assert code in (0, 2)  # the coarser oracle may fail a tolerance; the run completes
         # one batched call over the five spot nodes, with the run's FDConfig
-        assert seen == [(5, oracle.FDConfig(step=1e-3, richardson=False))]
+        assert seen == [(5, oracle.FDConfig(step=1e-3, richardson=True))]
 
     def test_oracle_agreement_redraws_near_axis_nodes(self, capsys, tmp_path):
         # seed 18 drew agreement nodes too close to the axis for step 1e-2
@@ -209,8 +209,24 @@ class TestVerifyCommand:
         assert "margin_r=0.05, margin_theta=0.05" in err and f"step {float(step):g}" in err
         assert out == "" and not report.exists()
 
+    def test_richardson_keeps_the_verdicts(self, capsys, tmp_path):
+        # the opt-in high-order oracle: Richardson at step 1e-4
+        docs = []
+        for flags in ([], ["--richardson", "--oracle-step", "1e-4"]):
+            report = tmp_path / "out.json"
+            code, _, _ = run_cli(capsys, ["verify", "--no-timestamp", "--report", str(report),
+                                          *flags] + FAST_GRID)
+            assert code == 0
+            docs.append(json.loads(report.read_text()))
+        default, richardson = docs
+        assert richardson["oracle"] == {"step": 1e-4, "richardson": True,
+                                        "seed": verify.DEFAULT_SEED}
+        assert [(c["name"], c["pass"]) for c in richardson["checks"]] == [
+            (c["name"], c["pass"]) for c in default["checks"]]
+
     def test_margins_error_is_a_config_error(self, capsys):
-        code, out, err = run_cli(capsys, ["verify", "--grid-margin-r", "1e-4"] + FAST_GRID)
+        # 1e-6 is half the margin the default step 1e-6 needs
+        code, out, err = run_cli(capsys, ["verify", "--grid-margin-r", "1e-6"] + FAST_GRID)
         assert code == 1
         assert err == "error: grid margins must exceed twice the oracle step\n"
 
@@ -526,7 +542,7 @@ class TestUsageErrors:
         common = ["-h, --help", "--config CONFIG", "--family FAMILY"]
         expected = {
             "verify": [*common, "--report REPORT", "--no-timestamp", *grid, *boundary,
-                       "--oracle-step ORACLE_STEP", "--no-richardson", "--seed SEED"],
+                       "--oracle-step ORACLE_STEP", "--richardson", "--seed SEED"],
             "eval": ["-h, --help", "--family FAMILY", "--r R", "--theta THETA", "--phi PHI"],
             "sample": [*common, "--field FIELD", "--on ON", "--out OUT", *grid],
             "sweep": [*common, "--epsilons EPSILONS", "--report REPORT", *boundary],

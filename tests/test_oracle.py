@@ -160,10 +160,11 @@ class TestCartesianCurl:
             assert np.all(np.abs(a[k] - b[k]) < 1e-4)
 
     def test_stencil_guards(self):
+        cfg = FDConfig(1e-4, True)  # the step these nodes are too close for
         with pytest.raises(StencilOutOfDomain):
-            oracle.cartesian_curl_grid(rigid_rotation, 0.99999, 1.0, 0.0)
+            oracle.cartesian_curl_grid(rigid_rotation, 0.99999, 1.0, 0.0, cfg)
         with pytest.raises(StencilOutOfDomain):
-            oracle.cartesian_curl_grid(rigid_rotation, 0.5, 1e-4, 0.0)
+            oracle.cartesian_curl_grid(rigid_rotation, 0.5, 1e-4, 0.0, cfg)
 
 
 class TestCartesianDivergence:

@@ -18,7 +18,7 @@ from slipball.sphcalc import SphPoint
 from slipball.verify import GridSpec
 
 PI = math.pi
-CONFIGS = [FDConfig(), FDConfig(step=1e-3, richardson=False), FDConfig(step=1e-2)]
+CONFIGS = [FDConfig(1e-4, True), FDConfig(1e-3, False), FDConfig(1e-2, True)]
 SMALL_BOUNDARY = GridSpec(n_theta=48, n_phi=96, boundary_only=True)
 
 # interior and r = 1 nodes in one call, phi on both sides of the wrap, and
@@ -145,8 +145,11 @@ def test_one_call_per_stencil_offset(default_field):
         return default_field.u_components(r, t, p)
 
     oracle.fd_curl_spherical(fn, R, THETA, PHI, FDConfig())
-    # theta and phi: 2 offsets x 2 steps; r with edge nodes: 3 offsets x 2 steps
-    assert calls == [R.shape] * 14
+    # theta and phi: 2 offsets; r with edge nodes: 3 offsets
+    assert calls == [R.shape] * 7
+    # Richardson evaluates each at 2 steps
+    oracle.fd_curl_spherical(fn, R, THETA, PHI, FDConfig(1e-4, True))
+    assert calls == [R.shape] * 21
 
 
 def ref_cartesian_jacobian(components_fn, r, theta, phi, cfg, mask=None):
@@ -428,8 +431,9 @@ def test_nan_gate_value_fails_phi_and_is_named(default_field, monkeypatch, capsy
         return vals
 
     monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", nan_at_last_phi_gate_node)
+    # the theta gate bound was measured with Richardson at step 1e-4
     res_t, res_p = verify.check_persistency_failure(
-        default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY), FDConfig())
+        default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY), FDConfig(1e-4, True))
     assert calls == [res_t.details["gate_points"] + res_p.details["gate_points"] + 2]
     assert res_t.passed and res_t.details["gate_max_rel_err"] <= 1e-10
     assert res_p.details["source"] == "closed_form"

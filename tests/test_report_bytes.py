@@ -16,11 +16,11 @@ COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
           "--boundary-ntheta", "32", "--boundary-nphi", "64"]
 
 REPORTS = [
-    ("default", [], "74bc6d213f74cfc4b94105153c278a89550959aea8c9e08acc5b0ba40c9d5d09", 0),
-    ("default", COARSE, "360c6f1378e13a8704493783b5b6d66d0a701991a106676aac0382081f389ece", 0),
-    ("h1zero", COARSE, "86e683fca9381b0cc79d98875054f4377b7f1bd873ea2d4186afad5fce199c23", 2),
+    ("default", [], "448a502ee1fb500123ed413066c06e0f38f5b97fe6e66d279dfbe3aec30560fe", 0),
+    ("default", COARSE, "f1222a7e3ed0a5c6a8a1a87415da59041ae9d86c3833de4715d4374a7658513d", 0),
+    ("h1zero", COARSE, "b9951fb5606c174899a367442c3cd6ce700425788ed311f005920778c741be6c", 2),
     ("perturbed:1e-3", COARSE,
-     "01a96d468ce384ccf686d02f45f7d78f440befb83de439092638709340091300", 2),
+     "49d53876753ebc688427a5bd67f4bc59a9b4479657fb1236637e4b13455e8b22", 2),
 ]
 
 

@@ -163,6 +163,25 @@ def test_divergence_makes_one_call_per_offset_on_kept_nodes(cfg_name, n_calls):
         assert shift.max() <= cfg.step * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("cfg, n_calls", [(oracle.FDConfig(), 6),
+                                          (oracle.FDConfig(richardson=True), 12)])
+def test_shipped_grid_divergence_call_count(cfg, n_calls):
+    # one u_components call per stencil offset on the kept nodes; Richardson
+    # doubles the offsets
+    field, lattice = FAMILIES["default"], GRIDS["shipped"].lattice()
+    reach = field.support_mask(*lattice.axes[:2], pad=2.0 * cfg.step)
+    sizes = []
+
+    def counted(r, theta, phi):
+        sizes.append(r.size)
+        return field.u_components(r, theta, phi)
+
+    oracle.cartesian_divergence_grid(counted, *lattice.axes, cfg, reach)
+    kept = np.count_nonzero(np.broadcast_to(reach, lattice.shape))
+    assert sizes == [kept] * n_calls
+    assert kept == 57_600
+
+
 @pytest.mark.parametrize("family_name", ["default", "perturbed:1e-3"])
 def test_shipped_grid_divergence_is_the_jacobian_trace(family_name):
     field, cfg, mesh = FAMILIES[family_name], CONFIGS["1e-4-richardson"], MESHES["shipped"]

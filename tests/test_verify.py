@@ -221,8 +221,10 @@ class TestSlipChecks:
 
 class TestPersistencyCheck:
     def test_default_family_contradicts(self, default_field):
+        # the gate errors below were measured with Richardson at step 1e-4
         res_t, res_p = verify.check_persistency_failure(
-            default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY))
+            default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY),
+            FDConfig(1e-4, True))
         assert res_t.passed and res_t.norm_sup >= 0.9
         assert res_p.passed
         assert res_t.details["verdict"] == "persistency violated"
@@ -235,6 +237,18 @@ class TestPersistencyCheck:
             assert res.details["closed_form_validated"]
             assert res.details["gate_points"] == verify.GATE_POINTS
             assert res.details["gate_max_rel_err"] <= 1e-10
+
+    @pytest.mark.parametrize("grid", [SMALL_BOUNDARY, verify._DEFAULT_BOUNDARY_GRID])
+    def test_h1zero_traces_are_not_validated_without_a_gate_node(self, h1zero_field, grid):
+        # both h1zero traces stay under TRACE_GATE_MAGNITUDE everywhere, so
+        # no closed-form value meets the oracle; the verdicts stand
+        for res in verify.check_persistency_failure(h1zero_field,
+                                                    verify.boundary_pass(h1zero_field, grid)):
+            assert not res.passed
+            assert res.details["verdict"] == "no contradiction exhibited"
+            assert res.details["gate_points"] == 0
+            assert res.details["closed_form_validated"] is False
+            assert "no oracle value was compared" in res.details["gate_note"]
 
     def test_bad_theta_closed_form_fails_theta_check(self, default_field, monkeypatch):
         # a theta closed form 0.1% too large is caught by its gate, as the
@@ -814,6 +828,26 @@ class TestFullVerification:
         assert shapes.count((1, 32, 64)) == 1
         assert sizes.count(32 * 64) == 1
 
+    def test_verify_builds_the_interior_lattice_once(self, monkeypatch, tmp_path, capsys):
+        # the divergence check checks the margins on the lattice it reads
+        from slipball import cli, sphcalc
+        shapes = []
+        lattice = sphcalc.midpoint_lattice
+
+        def spy_lattice(*args, **kwargs):
+            built = lattice(*args, **kwargs)
+            shapes.append(built.shape)
+            return built
+
+        monkeypatch.setattr(sphcalc, "midpoint_lattice", spy_lattice)
+        code = cli.main(["verify", "--no-timestamp", "--report", str(tmp_path / "r.json"),
+                         "--grid-nr", "8", "--grid-ntheta", "9", "--grid-nphi", "10",
+                         "--boundary-ntheta", "32", "--boundary-nphi", "64"])
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert code == 0
+        assert shapes.count((8, 9, 10)) == 1
+
     def test_h1zero_family_fails_persistency_only(self, h1zero_field):
         report = verify.run_full_verification(h1zero_field, SMALL_INTERIOR, SMALL_BOUNDARY)
         assert not report.overall_pass
@@ -862,7 +896,7 @@ class TestFullVerification:
             assert {"name", "norm_sup", "norm_l2", "tolerance", "direction",
                     "pass", "witness", "details"} <= set(check)
         assert doc["grid"]["interior"]["n_r"] == SMALL_INTERIOR.n_r
-        assert doc["oracle"]["step"] == 1e-4
+        assert doc["oracle"]["step"] == 1e-6 and doc["oracle"]["richardson"] is False
 
     @pytest.mark.parametrize("label", ["default", "h1zero", "perturbed:1e-3"])
     def test_report_leaves_are_plain_json_types(self, label):
