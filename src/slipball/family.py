@@ -235,9 +235,10 @@ class AdmissibilityReport:
 class CounterexampleField:
     """Immutable (profile, angular) pair with all field evaluators.
 
-    Boundary constants h(1), h'(1) are cached at construction and the
-    admissibility report is computed eagerly.  Evaluation methods accept
-    scalars or arrays (broadcast together) and are pure.
+    Boundary constants h(1), h'(1) are cached at construction; the
+    hypotheses on (h, g) are decided by check_admissibility, which only
+    verify calls.  Evaluation methods accept scalars or arrays (broadcast
+    together) and are pure.
     """
 
     def __init__(self, profile: RadialProfile, angular: AngularFunction, label=None):
@@ -245,7 +246,6 @@ class CounterexampleField:
         self.angular = angular
         self.label = label if label is not None else f"{profile.label}+{angular.label}"
         self.h_boundary, self.hp_boundary = profile.jet(1.0)[:2]
-        self.admissibility = check_admissibility(self)
 
     def support_mask(self, r, theta, pad=0.0):
         """Nodes within Euclidean distance pad of the support (pad = 0: in it).

@@ -11,7 +11,7 @@ Two derivative paths:
   rho = sqrt(x^2 + y^2) that kernels.cart_to_sph used for it
   (kernels.vec_sph_to_cart_at, no trig); rho is computed once per shifted
   point, and every shifted point has rho >= step, since
-  _check_cartesian_stencil requires rho >= 2 * step at its base node.
+  _kept_points requires rho >= 2 * step at its base node.
 
 Both paths consume evaluators only, never analytic jets, and do their
 stencil arithmetic on node arrays: each stencil offset is one evaluator
@@ -169,24 +169,19 @@ def fd_boundary_radial_derivative(fn, theta, phi, cfg: FDConfig = FDConfig()):
     return fd_partial(lambda r, t, p: r * np.asarray(fn(r, t, p)), 1.0, theta, phi, "r", cfg)
 
 
-def _cartesian_margins(x, y, z, step):
-    """Per node: (stencil inside the ball, stencil off the polar axis)."""
-    inside = np.sqrt(x * x + y * y + z * z) + step <= 1.0 + _BOUNDARY_EPS
-    return inside, np.sqrt(x * x + y * y) >= 2.0 * step
+def _cartesian_domain(x, y, z, step):
+    """The one stencil-domain rule, per node: (what, value, holds) for the
+    stencil staying inside the ball and off the polar axis."""
+    r, rho = np.sqrt(x * x + y * y + z * z), np.sqrt(x * x + y * y)
+    return (("leaves the unit ball at r", r, r + step <= 1.0 + _BOUNDARY_EPS),
+            ("too close to the polar axis (needs rho >= 2 * step) at rho", rho, rho >= 2.0 * step))
 
 
 def cartesian_stencil_fits(r, theta, phi, step):
     """Nodes whose Cartesian stencil of the given step the oracle accepts."""
-    inside, off_axis = _cartesian_margins(*kernels.sph_to_cart(*_nodes(r, theta, phi)), step)
+    (*_, inside), (*_, off_axis) = _cartesian_domain(
+        *kernels.sph_to_cart(*_nodes(r, theta, phi)), step)
     return inside & off_axis
-
-
-def _check_cartesian_stencil(x, y, z, step):
-    inside, off_axis = _cartesian_margins(x, y, z, step)
-    if not np.all(inside):
-        raise StencilOutOfDomain("Cartesian stencil leaves the unit ball")
-    if not np.all(off_axis):
-        raise StencilOutOfDomain("Cartesian stencil too close to the polar axis")
 
 
 def _kept_points(r, theta, phi, step, mask):
@@ -195,7 +190,8 @@ def _kept_points(r, theta, phi, step, mask):
     lattice, say) and broadcast only by the arithmetic that needs every
     node, and no full-size array outlives this call."""
     x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
-    _check_cartesian_stencil(x, y, z, step)
+    for what, value, holds in _cartesian_domain(x, y, z, step):
+        _out_of_domain(holds, f"Cartesian stencil {what}", value, step)
     shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
     keep = np.broadcast_to(True if mask is None else mask, shape)
     return keep, [np.broadcast_to(c, shape)[keep] for c in (x, y, z)]

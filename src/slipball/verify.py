@@ -6,8 +6,9 @@ direction, and the witness node of the sup.  Each quantity a check reads
 has one evaluation path: the closed forms of the field, or an oracle.
 Tolerances: TOL_EXACT_TRACE 1e-12 (exact boundary traces), TOL_FD 1e-6 (the
 Cartesian FD divergence), TOL_ORACLE_AGREEMENT 1e-4 (the closed-form omega
-against the Cartesian FD curl of u), TRACE_GATE_REL_TOL 1e-5 (each closed-form
-trace of curl(u x w) against the radial-derivative oracle), and
+against an FD curl of u, inside the ball and at the slip spots),
+TRACE_GATE_REL_TOL 1e-5 (each closed-form trace of curl(u x w) against the
+radial-derivative oracle, at its gate nodes and its witness), and
 NONVANISH_THRESHOLD 1e-1, which non-vanishing sups must exceed.  The
 default oracle (one central difference at step 1e-6) reads 3.3e-8 for the
 default family's divergence (30x under TOL_FD), 2e-7 for its agreement and
@@ -29,9 +30,11 @@ lattice of the ball, or the sphere as its r = 1 layer; a grid of the other
 kind raises ValueError.  The slip, persistency and traction checks read
 one boundary_pass of the sphere, and one rule (_spread) picks every boundary
 oracle node, all on the support, which the shipped families keep more than
-pi/4 from the poles (a custom family whose support reaches a pole makes the
-oracle raise StencilOutOfDomain).  Each check maps the flat index of its
-sup to the witness by the lattice's one rule (Lattice.point).
+pi/4 from the poles.  The oracle alone checks the stencil domain, at every
+node before it evaluates the field: a tight interior grid, or a custom
+family whose support reaches a pole, raises StencilOutOfDomain.  Each check
+maps the flat index of its sup to the witness by the lattice's one rule
+(Lattice.point).
 The divergence check works on the lattice axes: per-axis inputs (the
 transform to Cartesian, the reach mask, sin(theta) in the weights) are
 computed once per axis value, never once per node.
@@ -53,7 +56,7 @@ import numpy as np
 
 from . import family as fam
 from . import kernels, oracle, sphcalc
-from .errors import DegenerateFit, NoWitness
+from .errors import DegenerateFit
 from .sphcalc import SphPoint
 
 TOL_EXACT_TRACE = 1e-12
@@ -113,23 +116,6 @@ class GridSpec:
             raise ValueError("margin_r must lie in (0, 0.5)")
         if not 0.0 < self.margin_theta < math.pi / 2:
             raise ValueError("margin_theta must lie in (0, pi/2)")
-
-    def require_margins_for(self, cfg: oracle.FDConfig) -> sphcalc.Lattice:
-        """Raise ValueError unless the Cartesian FD oracle at cfg.step fits
-        this interior grid: both margins above twice the step and
-        oracle.cartesian_stencil_fits at the nodes nearest the polar axis.  A
-        boundary grid raises as lattice(boundary_only=False) does.  Returns
-        the interior lattice it checked."""
-        lattice = self.lattice(boundary_only=False)
-        r, th, ph = lattice.axes
-        if self.margin_r <= 2.0 * cfg.step or self.margin_theta <= 2.0 * cfg.step:
-            raise ValueError("grid margins must exceed twice the oracle step")
-        if not np.all(oracle.cartesian_stencil_fits(r[:1], th[:, [0, -1]], ph, cfg.step)):
-            raise ValueError(
-                f"grid margins margin_r={self.margin_r:g}, margin_theta={self.margin_theta:g} "
-                f"leave the innermost interior nodes too close to the polar axis; the "
-                f"Cartesian oracle at step {cfg.step:g} needs at least {2.0 * cfg.step:g}")
-        return lattice
 
     def lattice(self, boundary_only: Optional[bool] = None) -> sphcalc.Lattice:
         """The grid's midpoint lattice: the sphere (r = 1) for a boundary
@@ -215,7 +201,7 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
     """sup |div u| over the interior grid, by the Cartesian FD oracle, which
     reuses no spherical formula (the closed forms are divergence-free by
     construction, as tests/test_symbolic.py proves)."""
-    lattice = grid.require_margins_for(cfg)
+    lattice = grid.lattice(boundary_only=False)
     # the lattice axes, broadcast only where the oracle needs every node;
     # the field vanishes off its support, so only nodes whose stencil
     # (reach cfg.step) can touch it are evaluated; pad 2 * step is the
@@ -229,9 +215,9 @@ def check_slip_conditions(field: fam.CounterexampleField, sphere: BoundaryPass,
                           cfg: oracle.FDConfig = oracle.FDConfig()):
     """(u . n, |omega x n|) residuals over the boundary pass, closed forms.
 
-    FD-curl spot evaluations at ORACLE_SPOTS of the sphere's support nodes
-    ride along in the details of the omega check so the closed-form trace
-    has an oracle partner.
+    The omega check is gated by the FD curl of u at ORACLE_SPOTS of the
+    sphere's support nodes: their omega_theta and omega_phi must agree
+    within TOL_ORACLE_AGREEMENT (oracle_spot_max_abs_err).
     """
     lattice = sphere.lattice
     res_u = _grid_result("slip_u_dot_n", "below", fam.u_radial(sphere.u_theta), lattice,
@@ -242,21 +228,15 @@ def check_slip_conditions(field: fam.CounterexampleField, sphere: BoundaryPass,
     spots = _spread(np.flatnonzero(field.support_mask(1.0, sphere.theta)), ORACLE_SPOTS)
     _, ct, cp = oracle.fd_curl_spherical(
         field.u_components, np.ones(spots.size), sphere.theta[spots], sphere.phi[spots], cfg)
+    err = float(np.max(np.abs([ct - sphere.omega_theta[spots], cp - sphere.omega_phi[spots]]),
+                       initial=0.0))
+    res_w.passed = res_w.passed and err <= TOL_ORACLE_AGREEMENT
     # math.hypot, not np.hypot: the two may differ in the last bit
     res_w.details["oracle_spot_sup"] = max(
         [0.0] + [math.hypot(a, b) for a, b in zip(ct.tolist(), cp.tolist())])
     res_w.details["oracle_spot_points"] = int(spots.size)
+    res_w.details["oracle_spot_max_abs_err"] = err
     return res_u, res_w
-
-
-def _witness_details(res, analytic, oracle_val):
-    """Closed-form and oracle values at the witness of res, and the verdict."""
-    return {
-        "analytic_at_witness": analytic,
-        "oracle_at_witness": oracle_val,
-        "rel_discrepancy": abs(analytic - oracle_val) / max(abs(analytic), 1e-300),
-        "verdict": "persistency violated" if res.passed else "no contradiction exhibited",
-    }
 
 
 def check_persistency_failure(field: fam.CounterexampleField, sphere: BoundaryPass,
@@ -267,15 +247,13 @@ def check_persistency_failure(field: fam.CounterexampleField, sphere: BoundaryPa
     the boundary-condition persistency to be contradicted.  Each result is
     the closed form of the boundary pass, gated against the
     radial-derivative oracle at up to GATE_POINTS nodes where it is at least
-    TRACE_GATE_MAGNITUDE in size: a failed gate fails it (a NaN oracle value
-    too, leaving gate_max_rel_err NaN for run_full_verification to report).
-    Its details hold the gate numbers and the closed-form and oracle values
-    at its witness; a trace with no gate node (h1zero's) is not validated,
-    and gate_note says so.  One oracle call serves both gates and both
-    witnesses.
+    TRACE_GATE_MAGNITUDE in size, and at its witness if that large: a failed
+    gate fails it (a NaN oracle value too, for run_full_verification to
+    report).  Its details hold the gate numbers and the closed-form and
+    oracle values at its witness; a trace with no gate node (h1zero's) is
+    not validated, and gate_note says so.  One oracle call serves both gates
+    and both witnesses.  Admissibility is the caller's to decide.
     """
-    if field.admissibility.witness_a1 is None and field.admissibility.witness_a2 is None:
-        raise NoWitness(f"family {field.label!r} exhibits no witness point")
     traces = (sphere.curl_v_theta, sphere.curl_v_phi)
     results = [_grid_result(f"persistency_failure_{name}", "above", trace, sphere.lattice,
                             NONVANISH_THRESHOLD)
@@ -294,14 +272,20 @@ def check_persistency_failure(field: fam.CounterexampleField, sphere: BoundaryPa
                                                     witnesses, (-2, -1)):
         at_gate, start = ref[start:start + gate.size], start + gate.size
         worst = float(np.max(np.abs(at_gate - trace[gate]) / np.abs(trace[gate]), initial=0.0))
-        ok = worst <= TRACE_GATE_REL_TOL
+        analytic, oracle_val = float(trace[i]), float(ref[at_witness])
+        rel = abs(analytic - oracle_val) / max(abs(analytic), 1e-300)
+        ok = worst <= TRACE_GATE_REL_TOL and (abs(analytic) < TRACE_GATE_MAGNITUDE
+                                              or rel <= TRACE_GATE_REL_TOL)
         res.passed = res.passed and ok
         res.details = {
             "closed_form_validated": ok and gate.size > 0,
             "gate_points": int(gate.size),
             "gate_max_rel_err": worst,
             "source": "closed_form",
-            **_witness_details(res, float(trace[i]), float(ref[at_witness])),
+            "analytic_at_witness": analytic,
+            "oracle_at_witness": oracle_val,
+            "rel_discrepancy": rel,
+            "verdict": "persistency violated" if res.passed else "no contradiction exhibited",
         }
         if gate.size == 0:
             res.details["gate_note"] = (f"no node reaches |trace| >= {TRACE_GATE_MAGNITUDE:g}, "
@@ -543,10 +527,11 @@ def run_full_verification(field: fam.CounterexampleField,
                           boundary_grid: Optional[GridSpec] = None,
                           cfg: oracle.FDConfig = oracle.FDConfig(),
                           seed: int = DEFAULT_SEED) -> VerificationReport:
-    """All checks in fixed order; an admissibility failure in the slip
-    identity short-circuits the persistency checks (their closed forms
-    assume it) without aborting the rest.  The three boundary checks read
-    one boundary_pass of the boundary grid.
+    """All checks in fixed order.  fam.check_admissibility runs once, here:
+    a family that fails the slip identity (the closed forms of the
+    persistency checks assume it) or has no witness point skips both
+    persistency checks without aborting the rest.  The three boundary checks
+    read one boundary_pass of the boundary grid.
 
     Raises ValueError naming the first check, in that order, whose result
     holds a non-finite number (a family large enough to overflow), since
@@ -554,7 +539,7 @@ def run_full_verification(field: fam.CounterexampleField,
     """
     interior_grid = interior_grid if interior_grid is not None else GridSpec()
     boundary_grid = boundary_grid if boundary_grid is not None else _DEFAULT_BOUNDARY_GRID
-    adm = field.admissibility
+    adm = fam.check_admissibility(field)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         checks = [check_divergence_free(field, interior_grid, cfg)]
         sphere = boundary_pass(field, boundary_grid)
@@ -564,16 +549,15 @@ def run_full_verification(field: fam.CounterexampleField,
         if not adm.slip_ok:
             skipped = (f"slip condition violated: |h(1)+h'(1)| = "
                        f"{adm.slip_condition_residual:.3e}")
+        elif adm.witness_a1 is None and adm.witness_a2 is None:
+            skipped = f"family {field.label!r} exhibits no witness point"
+        if skipped is None:
+            res_t, res_p = check_persistency_failure(field, sphere, cfg)
+            if res_t.passed:
+                res_t.details["neighborhood_radius_half_floor"] = neighborhood_radius(
+                    field, "theta", res_t.witness, 0.5)
+            checks.extend([res_t, res_p])
         else:
-            try:
-                res_t, res_p = check_persistency_failure(field, sphere, cfg)
-                if res_t.passed:
-                    res_t.details["neighborhood_radius_half_floor"] = neighborhood_radius(
-                        field, "theta", res_t.witness, 0.5)
-                checks.extend([res_t, res_p])
-            except NoWitness as exc:
-                skipped = str(exc)
-        if skipped is not None:
             checks.extend(CheckResult(name, 0.0, 0.0, NONVANISH_THRESHOLD, "above", False, None,
                                       {"skipped": True, "reason": skipped})
                           for name in ("persistency_failure_theta", "persistency_failure_phi"))

@@ -3,6 +3,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,8 +206,10 @@ class TestVerifyCommand:
         report = tmp_path / "out.json"
         code, out, err = run_cli(capsys, ["verify", "--oracle-step", step,
                                           "--report", str(report)])
+        # the divergence oracle rejects the shipped grid's innermost nodes
+        # (5.2e-3 from the polar axis) before any output
         assert code == 1
-        assert "margin_r=0.05, margin_theta=0.05" in err and f"step {float(step):g}" in err
+        assert "polar axis" in err and f"with step {float(step):g}\n" in err
         assert out == "" and not report.exists()
 
     def test_richardson_keeps_the_verdicts(self, capsys, tmp_path):
@@ -225,10 +228,13 @@ class TestVerifyCommand:
             (c["name"], c["pass"]) for c in default["checks"]]
 
     def test_margins_error_is_a_config_error(self, capsys):
-        # 1e-6 is half the margin the default step 1e-6 needs
-        code, out, err = run_cli(capsys, ["verify", "--grid-margin-r", "1e-6"] + FAST_GRID)
-        assert code == 1
-        assert err == "error: grid margins must exceed twice the oracle step\n"
+        # the outermost of 100 radial nodes, r = 0.995, takes a stencil of
+        # step 1e-2 past the sphere: the oracle's rule, a usage error
+        code, out, err = run_cli(capsys, ["verify", *FAST_GRID, "--grid-nr", "100",
+                                          "--grid-margin-r", "1e-6", "--oracle-step", "1e-2"])
+        assert code == 1 and out == ""
+        assert re.fullmatch(r"error: Cartesian stencil leaves the unit ball at r=0\.99499\d* "
+                            r"with step 0\.01\n", err), err
 
     def test_byte_identical_reports(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -238,6 +244,49 @@ class TestVerifyCommand:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert "timestamp" not in json.loads(paths[0].read_text())
+
+
+class TestOneOwnerPerPrecondition:
+    """Admissibility is decided by verify alone, and the stencil domain by
+    the oracle alone."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["verify", *FAST_GRID], 1),
+        (["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"], 0),
+        (["eval", "--r", "1", "--theta", "1", "--phi", "1"], 0),
+        (["sample", "--field", "u"], 0),
+    ], ids=["verify", "sweep", "eval", "sample"])
+    def test_admissibility_is_checked_only_by_verify(self, capsys, tmp_path, monkeypatch,
+                                                     argv, calls):
+        seen = []
+        original = family.check_admissibility
+        monkeypatch.setattr(family, "check_admissibility",
+                            lambda field: seen.append(field.label) or original(field))
+        if argv[0] == "sample":
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert seen == ["default"] * calls
+
+    def test_a_grid_the_oracle_rejects_evaluates_no_u(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = family.CounterexampleField.u_components
+        monkeypatch.setattr(family.CounterexampleField, "u_components",
+                            lambda self, *c: calls.append(c) or original(self, *c))
+        report = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, ["verify", "--oracle-step", "1e-2", "--richardson",
+                                          "--report", str(report)])
+        assert code == 1 and out == "" and not report.exists()
+        assert err.startswith("error: Cartesian stencil too close to the polar axis")
+        assert err.endswith(" with step 0.01\n")
+        assert calls == []
+
+    def test_margins_under_twice_the_step_run(self, capsys):
+        # the deleted up-front rule refused margins of at most 2 * step;
+        # every stencil of this grid stays in the ball and off the axis
+        code, _, err = run_cli(capsys, ["verify", *FAST_GRID, "--grid-margin-r", "1.5e-6",
+                                        "--grid-margin-theta", "1.5e-6"])
+        assert code == 0, err
 
 
 class TestConfigFile:

@@ -406,7 +406,7 @@ class TestJetOrders:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_full_jet_functions_give_the_same_admissibility_and_sweep(self, family):
         field, full = FAMILIES[family], FULL_JET[family]
-        assert full.admissibility == field.admissibility
+        assert fam.check_admissibility(full) == fam.check_admissibility(field)
         assert (full.h_boundary, full.hp_boundary) == (field.h_boundary, field.hp_boundary)
         grid = verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True)
         eps = [1e-1, 1e-2, 0.0]

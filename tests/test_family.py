@@ -305,7 +305,7 @@ class TestScalingSymmetries:
 
 class TestAdmissibility:
     def test_default_family(self, default_field):
-        rep = default_field.admissibility
+        rep = fam.check_admissibility(default_field)
         assert rep.slip_condition_residual <= 1e-14
         assert rep.h1_value == 1.0 and rep.h1_nonzero
         assert rep.pole_margin_ok and rep.support_ok and rep.periodicity_ok
@@ -313,21 +313,21 @@ class TestAdmissibility:
 
     def test_chi_only_profile_fails_slip(self):
         f = fam.CounterexampleField(chi_only_profile(), fam.default_angular())
-        assert f.admissibility.slip_condition_residual == pytest.approx(1.0, abs=1e-14)
-        assert not f.admissibility.slip_ok
+        assert fam.check_admissibility(f).slip_condition_residual == pytest.approx(1.0, abs=1e-14)
+        assert not fam.check_admissibility(f).slip_ok
 
     def test_zero_angular_has_no_witness(self):
         f = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
-        assert f.admissibility.witness_a1 is None
-        assert f.admissibility.witness_a2 is None
+        assert fam.check_admissibility(f).witness_a1 is None
+        assert fam.check_admissibility(f).witness_a2 is None
 
     def test_h1zero_slips_but_h1_zero(self, h1zero_field):
-        rep = h1zero_field.admissibility
+        rep = fam.check_admissibility(h1zero_field)
         assert rep.slip_ok
         assert not rep.h1_nonzero
 
     def test_report_dict_keys_and_order(self, default_field):
-        d = default_field.admissibility.to_dict()
+        d = fam.check_admissibility(default_field).to_dict()
         assert list(d) == ["slip_condition_residual", "h1_value", "h1_nonzero",
                            "pole_margin_ok", "support_ok", "periodicity_ok",
                            "witness_a1", "witness_a2"]
@@ -335,7 +335,7 @@ class TestAdmissibility:
             assert list(d[key]) == ["r", "theta", "phi"]
             assert all(type(v) is float for v in d[key].values())
         none = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
-        assert none.admissibility.to_dict()["witness_a1"] is None
+        assert fam.check_admissibility(none).to_dict()["witness_a1"] is None
 
 
 class TestWitnesses:
@@ -372,7 +372,7 @@ class TestFamilyLabels:
         assert fam.family_by_label("default").label == "default"
         assert fam.family_by_label("h1zero").label == "h1zero"
         f = fam.family_by_label("perturbed:0.001")
-        assert f.admissibility.slip_condition_residual == pytest.approx(5e-4, rel=1e-10)
+        assert fam.check_admissibility(f).slip_condition_residual == pytest.approx(5e-4, rel=1e-10)
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
@@ -396,10 +396,10 @@ class TestFamilyLabels:
 
     def test_largest_perturbation_builds(self):
         f = fam.family_by_label("perturbed:8.98e307")
-        assert f.admissibility.support_ok
+        assert fam.check_admissibility(f).support_ok
 
     def test_perturbed_residual_linear(self):
         for eps in (1e-1, 1e-3):
             f = fam.family_by_label(f"perturbed:{eps}")
-            assert f.admissibility.slip_condition_residual == pytest.approx(
+            assert fam.check_admissibility(f).slip_condition_residual == pytest.approx(
                 eps / 2, rel=1e-12)

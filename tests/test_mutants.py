@@ -15,12 +15,22 @@ Outputs whose scaling no gated number sees are not rows: v_r of
 cross_tangential (the gates read only v_theta and v_phi), the g_tp entry of
 the angular jet (read by the jets path only), g itself (a scaled g stays
 periodic) and h'' (read by none).
+
+Two local mutants follow the rows, each on the coarse and the shipped
+grids.  One triples the theta trace within WINDOW rad of its witness, in
+boundary_state: the strided gate nodes miss that window, and the witness
+gate of persistency_failure_theta catches it.  The other zeroes
+omega_assembly's omega_theta and omega_phi at r = 1: the slip check then
+reads 0 for the perturbed families, whose slip residual is not 0, and its
+FD-curl spots catch it.
 """
 import json
 
+import numpy as np
 import pytest
 
-from slipball import cli, kernels
+from slipball import cli, kernels, verify
+from slipball import family as fam
 
 COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
           "--boundary-ntheta", "32", "--boundary-nphi", "64"]
@@ -55,15 +65,15 @@ def scaled(kernel, index):
     return mutant
 
 
-def failed_checks(tmp_path):
+def failed_checks(tmp_path, *flags):
     path = tmp_path / "report.json"
-    code = cli.main(["verify", "--no-timestamp", "--report", str(path), *COARSE])
+    code = cli.main(["verify", "--no-timestamp", "--report", str(path), *flags])
     doc = json.loads(path.read_text())
     return code, doc["overall_pass"], {c["name"] for c in doc["checks"] if not c["pass"]}
 
 
 def test_unmutated_coarse_verify_passes(tmp_path, capsys):
-    code, overall, _ = failed_checks(tmp_path)
+    code, overall, _ = failed_checks(tmp_path, *COARSE)
     capsys.readouterr()
     assert (code, overall) == (0, True)
 
@@ -74,7 +84,49 @@ def test_mutant_fails_verify(row, monkeypatch, tmp_path, capsys):
     # cli builds the field after the patch, so default_angular() and
     # default_profile() capture the mutant jets
     monkeypatch.setattr(kernels, name, scaled(vars(kernels)[name], index))
-    code, overall, failed = failed_checks(tmp_path)
+    code, overall, failed = failed_checks(tmp_path, *COARSE)
     capsys.readouterr()
     assert (code, overall) == (2, False)
     assert checks <= failed, failed
+
+
+WINDOW = 0.03
+GRIDS = {"coarse": (COARSE, verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True)),
+         "shipped": ([], verify.GridSpec(n_theta=128, n_phi=256, boundary_only=True))}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_witness_window_mutant_fails_the_theta_trace(grid, monkeypatch, tmp_path, capsys):
+    flags, boundary = GRIDS[grid]
+    sphere = verify.boundary_pass(fam.default_field(), boundary)
+    i = int(np.argmax(np.abs(sphere.curl_v_theta)))
+    t0, p0 = sphere.theta[i], sphere.phi[i]
+    original = fam.CounterexampleField.boundary_state
+
+    def mutant(self, theta, phi):
+        state = list(original(self, theta, phi))
+        cos_d = np.cos(theta) * np.cos(t0) + np.sin(theta) * np.sin(t0) * np.cos(phi - p0)
+        state[5] = np.where(np.arccos(np.clip(cos_d, -1.0, 1.0)) < WINDOW, 3.0 * state[5],
+                            state[5])
+        return tuple(state)
+    monkeypatch.setattr(fam.CounterexampleField, "boundary_state", mutant)
+    code, overall, failed = failed_checks(tmp_path, *flags)
+    capsys.readouterr()
+    assert (code, overall) == (2, False)
+    assert failed == {"persistency_failure_theta"}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("family", ["perturbed:1e-3", "perturbed:1e-1"])
+def test_sphere_omega_mutant_fails_the_slip_check(family, grid, monkeypatch, tmp_path, capsys):
+    original = kernels.omega_assembly
+
+    def mutant(r, *args):
+        w_r, w_t, w_p = original(r, *args)
+        on_sphere = r == 1.0
+        return w_r, np.where(on_sphere, 0.0, w_t), np.where(on_sphere, 0.0, w_p)
+    monkeypatch.setattr(kernels, "omega_assembly", mutant)
+    code, overall, failed = failed_checks(tmp_path, "--family", family, *GRIDS[grid][0])
+    capsys.readouterr()
+    assert (code, overall) == (2, False)
+    assert "slip_omega_cross_n" in failed

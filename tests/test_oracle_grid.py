@@ -352,7 +352,7 @@ def ref_neighborhood_radius(field, component, witness, floor_fraction,
 @pytest.mark.parametrize("floor_fraction", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("component", ["theta", "phi"])
 def test_neighborhood_radius_matches_ring_loop(default_field, component, floor_fraction):
-    adm = default_field.admissibility
+    adm = fam.check_admissibility(default_field)
     witness = adm.witness_a1 if component == "theta" else adm.witness_a2
     got = verify.neighborhood_radius(default_field, component, witness, floor_fraction)
     want = ref_neighborhood_radius(default_field, component, witness, floor_fraction)
@@ -367,7 +367,7 @@ def test_neighborhood_radius_frame_matches_the_cross_products(angular, component
     # the tangent frame comes from the kernel rotation (t1 = e_phi,
     # t2 = -e_theta); the reference builds it from cross products
     field = fam.CounterexampleField(fam.default_profile(), angular())
-    adm = field.admissibility
+    adm = fam.check_admissibility(field)
     witness = adm.witness_a1 if component == "theta" else adm.witness_a2
     got = verify.neighborhood_radius(field, component, witness, floor_fraction)
     want = ref_neighborhood_radius(field, component, witness, floor_fraction)

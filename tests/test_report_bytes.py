@@ -16,11 +16,11 @@ COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
           "--boundary-ntheta", "32", "--boundary-nphi", "64"]
 
 REPORTS = [
-    ("default", [], "448a502ee1fb500123ed413066c06e0f38f5b97fe6e66d279dfbe3aec30560fe", 0),
-    ("default", COARSE, "f1222a7e3ed0a5c6a8a1a87415da59041ae9d86c3833de4715d4374a7658513d", 0),
-    ("h1zero", COARSE, "b9951fb5606c174899a367442c3cd6ce700425788ed311f005920778c741be6c", 2),
+    ("default", [], "d7bf11ea8b29013ea548ca15f93d96767e4a92b4373ad90016daf37aa94fcf92", 0),
+    ("default", COARSE, "aaa7f83454506ba5d6dd9545e8fee62b91565e2784dadacb718570faf62d8cbc", 0),
+    ("h1zero", COARSE, "321afe7316445c4b9d1244056f338d7674d0124c3784a2570ca17dd30d240680", 2),
     ("perturbed:1e-3", COARSE,
-     "49d53876753ebc688427a5bd67f4bc59a9b4479657fb1236637e4b13455e8b22", 2),
+     "547598201c9cac06d6bf997047aced205a952e073764122bd3438cfcba50ecb8", 2),
 ]
 
 

@@ -56,12 +56,21 @@ class TestGridSpec:
         with pytest.raises(TypeError, match="margin_r must be a number"):
             GridSpec(margin_r="0.05")
 
-    def test_margin_validation(self):
+    def test_margin_validation(self, default_field):
         with pytest.raises(ValueError):
             GridSpec(margin_r=0.0)
-        GridSpec(margin_r=1e-3).require_margins_for(FDConfig(step=1e-4))
-        with pytest.raises(ValueError):
-            GridSpec(margin_r=1e-4).require_margins_for(FDConfig(step=1e-4))
+        # the oracle's rule alone: a margin under twice the step runs, as
+        # long as every stencil stays inside the ball
+        for margin in (1e-3, 1e-4):
+            verify.check_divergence_free(
+                default_field, GridSpec(n_r=8, n_theta=8, n_phi=8, margin_r=margin),
+                FDConfig(step=1e-4))
+        with pytest.raises(StencilOutOfDomain,
+                           match=r"^Cartesian stencil leaves the unit ball at r=0\.99499\d* "
+                                 r"with step 0\.01$"):
+            verify.check_divergence_free(
+                default_field, GridSpec(n_r=100, n_theta=8, n_phi=8, margin_r=1e-6),
+                FDConfig(step=1e-2))
 
     def test_every_boundary_grid_runs_the_slip_check_at_every_step(self, default_field):
         # the FD-curl spots lie on the sphere's support, more than pi/4 from
@@ -78,7 +87,7 @@ class TestGridSpec:
                     verify.ORACLE_SPOTS, int(np.count_nonzero(support))) > 0, (n, step)
                 assert math.isfinite(res_w.details["oracle_spot_sup"])
             with pytest.raises(ValueError, match=self.NEEDS_INTERIOR):
-                grid.require_margins_for(FDConfig(step=1e-2))
+                verify.check_divergence_free(default_field, grid, FDConfig(step=1e-2))
 
     def test_slip_spots_are_spread_over_the_support(self, default_field, monkeypatch):
         sphere = verify.boundary_pass(default_field, SMALL_BOUNDARY)
@@ -96,30 +105,21 @@ class TestGridSpec:
                                                  sphere.phi[spots].tolist()]
 
     @pytest.mark.parametrize("step", [3e-3, 1e-2])
-    def test_cartesian_stencil_checked_up_front(self, step):
-        # the shipped grid passes the margin check at these steps, but its
-        # innermost node is only 5.2e-3 from the polar axis
-        with pytest.raises(ValueError, match=rf"margin_r=0.05, margin_theta=0.05 .* "
-                                             rf"step {step:g} needs at least {2 * step:g}"):
-            GridSpec().require_margins_for(FDConfig(step=step))
-        GridSpec(n_r=8, n_theta=8, n_phi=8).require_margins_for(FDConfig(step=step))
-
-    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(n_r=8, n_theta=8, n_phi=8),
-                                      GridSpec(n_r=20, n_theta=9, n_phi=10, margin_r=0.021,
-                                               margin_theta=0.021)])
-    def test_up_front_check_agrees_with_the_oracle(self, grid):
-        nodes = grid.lattice().nodes()
-        for step in (1e-4, 1e-3, 2.5e-3, 2.6e-3, 2.61e-3, 2.62e-3, 3e-3, 5e-3, 1e-2):
-            cfg = FDConfig(step=step)
-            if min(grid.margin_r, grid.margin_theta) <= 2.0 * step:
-                continue
-            fits = bool(np.all(oracle.cartesian_stencil_fits(*nodes, step)))
-            try:
-                grid.require_margins_for(cfg)
-                accepted = True
-            except ValueError:
-                accepted = False
-            assert accepted == fits, step
+    def test_cartesian_stencil_checked_up_front(self, default_field, monkeypatch, step):
+        # the shipped grid's innermost node is only 5.2e-3 from the polar
+        # axis; the oracle checks every node before it evaluates u once
+        calls = []
+        original = fam.CounterexampleField.u_components
+        monkeypatch.setattr(fam.CounterexampleField, "u_components",
+                            lambda self, *c: calls.append(c) or original(self, *c))
+        with pytest.raises(StencilOutOfDomain,
+                           match=rf"^Cartesian stencil too close to the polar axis \(needs rho >= "
+                                 rf"2 \* step\) at rho=0\.00522\d* with step {step:g}$"):
+            verify.check_divergence_free(default_field, GridSpec(), FDConfig(step=step))
+        assert calls == []
+        verify.check_divergence_free(default_field, GridSpec(n_r=8, n_theta=8, n_phi=8),
+                                     FDConfig(step=step))
+        assert calls
 
     NEEDS_BOUNDARY = (r"^this check needs a boundary grid \(boundary_only=True\), "
                       r"got boundary_only=False$")
@@ -403,7 +403,7 @@ class TestNeighborhoodRadius:
     @pytest.mark.parametrize("label, component, fraction, pin", PINS)
     def test_radius_bits_are_pinned(self, label, component, fraction, pin):
         field = fam.family_by_label(label)
-        adm = field.admissibility
+        adm = fam.check_admissibility(field)
         witness = adm.witness_a1 if component == "theta" else adm.witness_a2
         rho = verify.neighborhood_radius(field, component, witness, fraction)
         assert type(rho) is float and rho.hex() == pin
@@ -768,6 +768,19 @@ class TestFullVerification:
         assert by_name["persistency_failure_theta"].norm_sup >= 0.9
         assert "neighborhood_radius_half_floor" in by_name["persistency_failure_theta"].details
 
+    def test_family_without_witness_skips_the_persistency_checks(self):
+        # the one admissibility report of the run decides both skips
+        field = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
+        report = verify.run_full_verification(field, GridSpec(n_r=8, n_theta=8, n_phi=8),
+                                              SMALL_BOUNDARY)
+        assert report.admissibility == fam.check_admissibility(field)
+        assert report.admissibility.slip_ok and not report.overall_pass
+        by_name = {c.name: c for c in report.checks}
+        for name in ("persistency_failure_theta", "persistency_failure_phi"):
+            assert not by_name[name].passed
+            assert by_name[name].details == {
+                "skipped": True, "reason": "family 'default+zero' exhibits no witness point"}
+
     @pytest.mark.parametrize("label", ["default", "perturbed:1e-3"])
     def test_boundary_checks_share_one_u_omega_pass(self, label, monkeypatch):
         # the slip, persistency and traction checks read one boundary_state
@@ -777,7 +790,7 @@ class TestFullVerification:
         sphere = verify.boundary_pass(field, SMALL_BOUNDARY)
         standalone = [*verify.check_slip_conditions(field, sphere),
                       verify.check_navier_traction(sphere)]
-        skipped = not field.admissibility.slip_ok
+        skipped = not fam.check_admissibility(field).slip_ok
         if not skipped:
             res_t, res_p = verify.check_persistency_failure(field, sphere)
             res_t.details["neighborhood_radius_half_floor"] = verify.neighborhood_radius(
