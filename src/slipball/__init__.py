@@ -2,7 +2,7 @@
 can satisfy the full slip conditions while the tangential trace of
 curl(u x curl u) on the sphere is nonzero."""
 
-from .errors import DegenerateFit, NoWitness, SlipballError, StencilOutOfDomain
+from .errors import ConfigError, DegenerateFit, SlipballError, StencilOutOfDomain
 from .family import (AdmissibilityReport, AngularFunction, CounterexampleField,
                      RadialProfile, check_admissibility, default_angular,
                      default_field, default_profile, family_by_label,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Bad input raises ConfigError
+in the code that reads it; the CLI's main prints every SlipballError."""
 
 
 class SlipballError(Exception):
@@ -9,13 +10,10 @@ class StencilOutOfDomain(SlipballError):
     """Finite-difference stencil would leave the admissible region."""
 
 
-class NoWitness(SlipballError):
-    """Witness-point scan found no boundary point above threshold."""
-
-
 class DegenerateFit(SlipballError):
     """Scaling sweep has too few usable points for a slope fit."""
 
 
-class ConfigError(SlipballError):
-    """Invalid run configuration (bad key, bad value, unreadable file)."""
+class ConfigError(SlipballError, ValueError):
+    """Bad input (a bad value, key or file, or a non-finite result); a
+    ValueError too, so callers that catch ValueError keep working."""

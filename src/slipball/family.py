@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels, sphcalc
-from .errors import NoWitness
+from .errors import ConfigError
 from .sphcalc import SphPoint, _node_arrays
 
 WITNESS_THRESHOLD = 1e-6
@@ -120,7 +120,7 @@ class RadialProfile:
 
     def __post_init__(self):
         if not 0.0 < self.support_inner < 1.0:
-            raise ValueError("support_inner must lie in (0, 1)")
+            raise ConfigError("support_inner must lie in (0, 1)")
 
     def jet(self, r):
         (r,), scalar = _node_arrays(r)
@@ -147,7 +147,7 @@ class AngularFunction:
 
     def __post_init__(self):
         if not 0.0 < self.pole_margin < math.pi / 2:
-            raise ValueError("pole_margin must lie in (0, pi/2)")
+            raise ConfigError("pole_margin must lie in (0, pi/2)")
 
     def jet(self, theta, phi):
         (theta, phi), scalar = _node_arrays(theta, phi)
@@ -171,8 +171,9 @@ def perturbed_profile(eps: float, base: Optional[RadialProfile] = None) -> Radia
     For an admissible base this breaks the slip identity by exactly
     h_eps(1) + h_eps'(1) = (eps/2) h(1), linear in eps.
     """
-    if not math.isfinite(eps):
-        raise ValueError(f"perturbation size must be finite, got {eps!r}")
+    if not math.isfinite(2.0 * eps):  # the factor's second derivative, 2 eps
+        raise ConfigError(f"perturbation size must be finite and at most half the largest "
+                          f"float, got {eps!r}")
     base = base if base is not None else default_profile()
 
     def fn(r, order):
@@ -362,12 +363,12 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     """Scan the boundary grid for points certifying the non-vanishing
     conditions: maximize |g_phi * G| and |g_theta * G|.
 
-    Either entry is None when its maximum stays below threshold; raises
-    NoWitness when both do.  Ties break to the lowest theta index, then the
-    lowest phi index (row-major argmax).
+    Either entry is None when its maximum stays below threshold, so a
+    family with no witness point gets (None, None).  Ties break to the
+    lowest theta index, then the lowest phi index (row-major argmax).
     """
     if n_theta < 16 or n_phi < 16:
-        raise ValueError("witness grid must be at least 16x16")
+        raise ConfigError("witness grid must be at least 16x16")
     sphere = sphcalc.midpoint_lattice(n_theta, n_phi)
     products = field._on_boundary(2, lambda w: (w.g_p * w.big_g, w.g_t * w.big_g),
                                   *sphere.nodes()[1:])
@@ -379,13 +380,12 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
             return None
         return sphere.point(i)
 
-    w1, w2 = (best(p) for p in products)
-    if w1 is None and w2 is None:
-        raise NoWitness(f"no witness above {WITNESS_THRESHOLD} on {n_theta}x{n_phi} grid")
-    return w1, w2
+    return tuple(best(p) for p in products)
 
 
 def check_admissibility(field: CounterexampleField) -> AdmissibilityReport:
+    """The hypotheses on (h, g), with the witnesses of find_witnesses on
+    its 128x256 sphere (None where the family has none)."""
     h1, hp1 = field.h_boundary, field.hp_boundary
     si = field.profile.support_inner
     r_in = np.linspace(0.0, si, 5)
@@ -403,11 +403,7 @@ def check_admissibility(field: CounterexampleField) -> AdmissibilityReport:
     g1 = field.angular.fn(th_p, ph_p + 2.0 * math.pi, 2)[0]
     periodicity_ok = bool(np.max(np.abs(g1 - g0), initial=0.0) <= 1e-12)
 
-    try:
-        w1, w2 = find_witnesses(field)
-    except NoWitness:
-        w1 = w2 = None
-
+    w1, w2 = find_witnesses(field)
     return AdmissibilityReport(
         slip_condition_residual=abs(h1 + hp1),
         h1_value=h1,
@@ -434,9 +430,6 @@ def family_by_label(label: str) -> CounterexampleField:
         try:
             eps = float(label.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad perturbation size in family label {label!r}") from None
-        if not math.isfinite(2.0 * eps):  # the factor's second derivative, 2 eps
-            raise ValueError(f"perturbation size in family label {label!r} must be finite "
-                             f"and at most half the largest float")
+            raise ConfigError(f"bad perturbation size in family label {label!r}") from None
         return CounterexampleField(perturbed_profile(eps), default_angular(), label=label)
-    raise ValueError(f"unknown family label {label!r}")
+    raise ConfigError(f"unknown family label {label!r}")

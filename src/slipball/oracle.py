@@ -20,7 +20,7 @@ share one shape, and a lattice may pass its axes as (n_r, 1, 1),
 (1, n_theta, 1) and (1, 1, n_phi).  _nodes validates and normalises each
 array in its own shape with sphcalc._normalise, the one normaliser that
 SphPoint also uses (phi reduced to [0, 2pi), theta clamped to [0, pi], r
-clamped at 0, out-of-range nodes rejected with ValueError).  The Cartesian
+clamped at 0, out-of-range nodes rejected with ConfigError).  The Cartesian
 oracles transform the arrays as given and broadcast only the products that
 need every node, so lattice axes cost one sine and cosine per axis value;
 the spherical stencils broadcast the nodes first.
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import StencilOutOfDomain
+from .errors import ConfigError, StencilOutOfDomain
 from .sphcalc import _normalise
 
 R_CEILING = 1.05  # interior radial stencils may probe slightly past the sphere
@@ -67,7 +67,7 @@ class FDConfig:
 
     def __post_init__(self):
         if not 1e-8 <= self.step <= 1e-2:
-            raise ValueError(f"step {self.step} outside [1e-8, 1e-2]")
+            raise ConfigError(f"step {self.step} outside [1e-8, 1e-2]")
 
 
 def _richardson(d_at, step, enabled):
@@ -101,7 +101,7 @@ def fd_partial(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
     any node's stencil would leave the domain.
     """
     if coordinate not in _AXES:
-        raise ValueError(f"unknown coordinate {coordinate!r}")
+        raise ConfigError(f"unknown coordinate {coordinate!r}")
     axis = _AXES[coordinate]
     base = np.broadcast_arrays(*_nodes(r, theta, phi))
     r, theta = base[0], base[1]

@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 TWO_PI = 2.0 * math.pi
 
 _COORD_SLACK = 1e-12
@@ -23,7 +25,7 @@ class SphPoint:
     """Point in spherical coordinates, normalised once, here, by the
     oracles' node normaliser (_normalise); the coordinates are floats.
 
-    Non-finite or out-of-range coordinates raise ValueError.
+    Non-finite or out-of-range coordinates raise ConfigError.
     """
 
     r: float
@@ -47,18 +49,18 @@ def _normalise(r, theta, phi):
     """Node arrays as SphPoint stores a point: r >= 0, theta in [0, pi],
     phi in [0, 2pi).  The one normaliser, for SphPoint and the oracles.
 
-    Raises ValueError for a non-finite node, r below 0 or theta outside
+    Raises ConfigError for a non-finite node, r below 0 or theta outside
     [0, pi] by more than the coordinate slack.
     """
     # array methods, not np.all/np.any/np.clip: less dispatch per SphPoint
     for name, c in (("r", r), ("theta", theta), ("phi", phi)):
         if not np.isfinite(c).all():
-            raise ValueError(f"non-finite coordinate {name}={c[~np.isfinite(c)].flat[0]}")
+            raise ConfigError(f"non-finite coordinate {name}={c[~np.isfinite(c)].flat[0]}")
     if (r < -_COORD_SLACK).any():
-        raise ValueError(f"negative radius r={r[r < -_COORD_SLACK].flat[0]}")
+        raise ConfigError(f"negative radius r={r[r < -_COORD_SLACK].flat[0]}")
     bad = (theta < -_COORD_SLACK) | (theta > math.pi + _COORD_SLACK)
     if bad.any():
-        raise ValueError(f"colatitude out of range theta={theta[bad].flat[0]}")
+        raise ConfigError(f"colatitude out of range theta={theta[bad].flat[0]}")
     phi = np.mod(phi, TWO_PI)
     phi[phi == TWO_PI] = 0.0  # guard against rounding in the modulo itself
     # where, not maximum: r = -0.0 keeps its sign, as max(r, 0.0) does

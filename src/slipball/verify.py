@@ -27,7 +27,7 @@ one level per call 6.4-10 ms).
 
 Every grid is a sphcalc.midpoint_lattice (GridSpec.lattice): the interior
 lattice of the ball, or the sphere as its r = 1 layer; a grid of the other
-kind raises ValueError.  The slip, persistency and traction checks read
+kind raises ConfigError.  The slip, persistency and traction checks read
 one boundary_pass of the sphere, and one rule (_spread) picks every boundary
 oracle node, all on the support, which the shipped families keep more than
 pi/4 from the poles.  The oracle alone checks the stencil domain, at every
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import family as fam
 from . import kernels, oracle, sphcalc
-from .errors import DegenerateFit
+from .errors import ConfigError, DegenerateFit
 from .sphcalc import SphPoint
 
 TOL_EXACT_TRACE = 1e-12
@@ -105,7 +105,7 @@ class GridSpec:
             if count is None or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if count < 8:
-                raise ValueError(f"{name} must be at least 8")
+                raise ConfigError(f"{name} must be at least 8")
             object.__setattr__(self, name, count)
         for name in ("margin_r", "margin_theta"):
             value = getattr(self, name)
@@ -113,19 +113,19 @@ class GridSpec:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if not 0.0 < self.margin_r < 0.5:
-            raise ValueError("margin_r must lie in (0, 0.5)")
+            raise ConfigError("margin_r must lie in (0, 0.5)")
         if not 0.0 < self.margin_theta < math.pi / 2:
-            raise ValueError("margin_theta must lie in (0, pi/2)")
+            raise ConfigError("margin_theta must lie in (0, pi/2)")
 
     def lattice(self, boundary_only: Optional[bool] = None) -> sphcalc.Lattice:
         """The grid's midpoint lattice: the sphere (r = 1) for a boundary
         grid, else the interior lattice within the margins.  boundary_only,
         when given, is the kind the caller needs: a grid of the other kind
-        raises ValueError."""
+        raises ConfigError."""
         if boundary_only is not None and boundary_only != self.boundary_only:
             need = "a boundary grid (boundary_only=True)" if boundary_only else \
                 "an interior grid (boundary_only=False)"
-            raise ValueError(f"this check needs {need}, got boundary_only={self.boundary_only}")
+            raise ConfigError(f"this check needs {need}, got boundary_only={self.boundary_only}")
         if self.boundary_only:
             return sphcalc.midpoint_lattice(self.n_theta, self.n_phi)
         return sphcalc.midpoint_lattice(self.n_theta, self.n_phi, self.margin_theta,
@@ -148,7 +148,7 @@ BoundaryPass = namedtuple("BoundaryPass", "lattice theta phi u_theta u_phi omega
 
 def boundary_pass(field: fam.CounterexampleField, grid: GridSpec) -> BoundaryPass:
     """field.boundary_state on the nodes of the boundary grid; an interior
-    grid raises ValueError."""
+    grid raises ConfigError."""
     lattice = grid.lattice(boundary_only=True)
     _, theta, phi = lattice.nodes()
     return BoundaryPass(lattice, theta, phi, *field.boundary_state(theta, phi))
@@ -306,13 +306,13 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
     RADIUS_BATCH_LEVELS levels of the bisection tree, and the bisection then
     walks its path through them, so the radius has the bits of one step at
     a time.  component is "theta" or "phi" and 0 <= floor_fraction <= 1,
-    else ValueError.
+    else ConfigError.
     """
     traces = {"theta": field.boundary_curl_theta, "phi": field.boundary_curl_phi}
     if component not in traces:
-        raise ValueError(f"component must be 'theta' or 'phi', got {component!r}")
+        raise ConfigError(f"component must be 'theta' or 'phi', got {component!r}")
     if not 0.0 <= floor_fraction <= 1.0:
-        raise ValueError(f"floor_fraction must lie in [0, 1], got {floor_fraction!r}")
+        raise ConfigError(f"floor_fraction must lie in [0, 1], got {floor_fraction!r}")
     fc = traces[component]
 
     # the Cartesian unit vectors (e_r, e_theta, e_phi) at the witness, and a
@@ -449,16 +449,17 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     profile's h(1) and h'(1), the two numbers through which a profile
     enters the sphere.
 
-    Raises ValueError before any evaluation unless at least two eps are
-    positive and not all of those are equal, and ValueError naming the eps
+    Raises ConfigError before any evaluation for an eps perturbed_profile
+    refuses, or unless two positive eps differ; ConfigError naming the eps
     of a non-finite residual; DegenerateFit when fewer than two rows of
     distinct eps keep a nonzero residual (h(1) = 0, say).
     """
+    profiles = [fam.perturbed_profile(float(eps), base_field.profile) for eps in epsilons]
     log_pos = np.log([float(e) for e in epsilons if e > 0.0])
     if log_pos.size < 2:
-        raise ValueError("degenerate fit: need at least two positive eps values")
+        raise ConfigError("degenerate fit: need at least two positive eps values")
     if np.ptp(log_pos) == 0.0:
-        raise ValueError("degenerate fit: all eps values identical")
+        raise ConfigError("degenerate fit: all eps values identical")
     grid = grid if grid is not None else _DEFAULT_BOUNDARY_GRID
     _, th, ph = grid.lattice(boundary_only=True).nodes()
     support = base_field.support_mask(1.0, th)
@@ -467,15 +468,14 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
         th, ph = th[support], ph[support]
         factors = fam.OmegaFactors(np.ones_like(th), th, base_field.angular.fn(th, ph, 2))
     rows = []
-    for eps in epsilons:
+    for eps, profile in zip(epsilons, profiles):
         residual = 0.0
         if factors is not None:
-            profile = fam.perturbed_profile(float(eps), base_field.profile)
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
                 _, wt, wp = factors.assemble(*profile.jet(1.0)[:2])
                 residual = float(np.max(np.hypot(wt, wp)))
         if not math.isfinite(residual):
-            raise ValueError(f"eps={float(eps)!r} gives a non-finite residual ({residual})")
+            raise ConfigError(f"eps={float(eps)!r} gives a non-finite residual ({residual})")
         rows.append((float(eps), residual))
     included = [(e, r) for e, r in rows if e > 0.0 and r > 1e-300]
     log_e, log_r = np.log(np.reshape(included, (-1, 2))).T
@@ -533,7 +533,7 @@ def run_full_verification(field: fam.CounterexampleField,
     persistency checks without aborting the rest.  The three boundary checks
     read one boundary_pass of the boundary grid.
 
-    Raises ValueError naming the first check, in that order, whose result
+    Raises ConfigError naming the first check, in that order, whose result
     holds a non-finite number (a family large enough to overflow), since
     the report is strict JSON.
     """
@@ -567,7 +567,7 @@ def run_full_verification(field: fam.CounterexampleField,
     for c in checks:
         found = _non_finite(c.to_dict())
         if found:
-            raise ValueError(f"check {c.name} gives a non-finite {found[0]} ({found[1]})")
+            raise ConfigError(f"check {c.name} gives a non-finite {found[0]} ({found[1]})")
 
     by_name = {c.name: c for c in checks}
     overall = all(by_name[n].passed for n in (

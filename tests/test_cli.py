@@ -138,11 +138,11 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv", [["verify"] + FAST_GRID, ["sweep"]])
     def test_overflowing_perturbation_exits_one(self, capsys, argv):
-        # rejected with the label, before any evaluation: no numpy warning
+        # perturbed_profile rejects it before any evaluation: no numpy warning
         code, out, err = run_cli(capsys, argv + ["--family", "perturbed:1e308"])
         assert code == 1 and out == ""
-        assert err == ("error: perturbation size in family label 'perturbed:1e308' must be "
-                       "finite and at most half the largest float\n")
+        assert err == ("error: perturbation size must be finite and at most half the "
+                       "largest float, got 1e+308\n")
 
     @pytest.mark.parametrize("label, grid, message", [
         ("perturbed:1e200", FAST_GRID, "divergence_free gives a non-finite norm_l2 (inf)"),
@@ -516,7 +516,8 @@ class TestSweepCommand:
     def test_non_finite_epsilon_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--epsilons", "nan,1e-1,1e-2,1e-3"])
         assert code == 1
-        assert err == "error: epsilons must be finite, got [nan, 0.1, 0.01, 0.001]\n"
+        assert err == ("error: perturbation size must be finite and at most half the "
+                       "largest float, got nan\n")
 
     def test_too_few_epsilons(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--epsilons", "1e-1,1e-2"])
@@ -543,11 +544,11 @@ class TestSweepCommand:
 
     def test_non_finite_residual_exits_one(self, capsys, tmp_path):
         report = tmp_path / "sweep.json"
-        code, out, err = run_cli(capsys, ["sweep", "--epsilons", "1e308,1e300,1e-2,1e-3",
+        code, out, err = run_cli(capsys, ["sweep", "--epsilons", "8.98e307,1e300,1e-2,1e-3",
                                           "--boundary-ntheta", "32", "--boundary-nphi", "64",
                                           "--report", str(report)])
         assert code == 1
-        assert err == "error: eps=1e+308 gives a non-finite residual (inf)\n"
+        assert err == "error: eps=8.98e+307 gives a non-finite residual (inf)\n"
         assert out == "" and not report.exists()
 
     def test_zero_eps_row_excluded(self, capsys):
@@ -692,7 +693,7 @@ class TestUnwritableOutput:
 
         def failing_run(*args, **kwargs):
             seen.extend(tmp_path.iterdir())
-            raise ValueError("check divergence_free gives a non-finite norm_sup")
+            raise slipball.ConfigError("check divergence_free gives a non-finite norm_sup")
 
         monkeypatch.setattr(verify, "run_full_verification", failing_run)
         code, _, err = run_cli(capsys, ["verify", "--report", str(report), *FAST_GRID])

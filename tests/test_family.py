@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slipball import family as fam
 from slipball import kernels, oracle
-from slipball.errors import NoWitness
+from slipball.errors import ConfigError
 from tests_support import (random_admissible_nodes, random_admissible_points,
                            random_boundary_points)
 
@@ -359,8 +359,7 @@ class TestWitnesses:
 
     def test_zero_angular_raises(self):
         f = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
-        with pytest.raises(NoWitness):
-            fam.find_witnesses(f)
+        assert fam.find_witnesses(f) == (None, None)
 
     def test_grid_minimum(self, default_field):
         with pytest.raises(ValueError):
@@ -389,10 +388,19 @@ class TestFamilyLabels:
 
     @pytest.mark.parametrize("eps", ["1e308", "-1e308", "8.99e307"])
     def test_overflowing_perturbation_rejected(self, eps):
-        # 2 eps, the factor's second derivative, overflows; rejected before
-        # any evaluation, so no numpy warning
-        with pytest.raises(ValueError, match=f"'perturbed:{eps}' must be finite"):
-            fam.family_by_label(f"perturbed:{eps}")
+        # 2 eps, the factor's second derivative, overflows; perturbed_profile
+        # rejects it before any evaluation, from a label or through the API
+        def never(r, order):
+            raise AssertionError("evaluated")
+
+        unread = fam.RadialProfile(never, 0.25, "unread")
+        message = "perturbation size must be finite and at most half the largest float, got "
+        for call in (lambda: fam.family_by_label(f"perturbed:{eps}"),
+                     lambda: fam.perturbed_profile(float(eps)),
+                     lambda: fam.perturbed_profile(float(eps), unread)):
+            with pytest.raises(ConfigError) as exc:
+                call()
+            assert str(exc.value) == message + repr(float(eps))
 
     def test_largest_perturbation_builds(self):
         f = fam.family_by_label("perturbed:8.98e307")

@@ -722,11 +722,18 @@ class TestScalingSweep:
             verify.scaling_sweep(default_field, epsilons, SMALL_BOUNDARY)
         assert str(exc.value) == f"degenerate fit: {message}"
 
-    def test_non_finite_residual_names_its_eps(self, default_field):
-        # the profile overflows at eps = 1e308; no numpy warning escapes
+    def test_non_finite_eps_raises_before_evaluating(self, default_field, monkeypatch):
+        monkeypatch.setattr(fam.CounterexampleField, "support_mask", None)
         with pytest.raises(ValueError) as exc:
-            verify.scaling_sweep(default_field, [1e300, 1e308, 1e-2, 1e-3], SMALL_BOUNDARY)
-        assert str(exc.value) == "eps=1e+308 gives a non-finite residual (inf)"
+            verify.scaling_sweep(default_field, [1e-1, math.nan, 1e-2, 1e-3], SMALL_BOUNDARY)
+        assert str(exc.value) == ("perturbation size must be finite and at most half the "
+                                  "largest float, got nan")
+
+    def test_non_finite_residual_names_its_eps(self, default_field):
+        # the profile overflows at eps = 8.98e307; no numpy warning escapes
+        with pytest.raises(ValueError) as exc:
+            verify.scaling_sweep(default_field, [1e300, 8.98e307, 1e-2, 1e-3], SMALL_BOUNDARY)
+        assert str(exc.value) == "eps=8.98e+307 gives a non-finite residual (inf)"
 
     @staticmethod
     def per_eps_field_rows(base, epsilons, grid):
