@@ -237,7 +237,7 @@ def cmd_eval(args, cfg) -> int:
         for name, components in _evaluators(field).items():
             out[name] = dict(zip(("r", "theta", "phi"), components(p.r, p.theta, p.phi)))
         if abs(p.r - 1.0) <= 1e-12:
-            bt, bp = field.boundary_state(p.theta, p.phi)[5:]
+            bt, bp = field.boundary_state(p.theta, p.phi)[5:7]
             out["boundary"] = {"curl_v_theta": bt, "curl_v_phi": bp}
     found = verify._non_finite(out)
     if found:
@@ -253,7 +253,7 @@ _SAMPLE_FIELDS = ("u", "omega", "v", "curl_v_boundary")
 def _sample_rows(field, selector, grid):
     r, th, ph = grid.lattice().nodes()
     if selector == "curl_v_boundary":  # on the surface only
-        curl_v = field.boundary_state(th, ph)[5:]
+        curl_v = field.boundary_state(th, ph)[5:7]
         return "r,theta,phi,curl_v_theta,curl_v_phi", (r, th, ph, *curl_v)
     return "r,theta,phi,c_r,c_theta,c_phi", (r, th, ph, *_evaluators(field)[selector](r, th, ph))
 

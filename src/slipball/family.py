@@ -20,15 +20,16 @@ the assembly kernels (which take no mask) run on those 1-D arrays alone,
 and only the final outputs are scattered back.  The angular factors (sin,
 G, g_theta, g_phi) come from OmegaFactors alone.  The unit sphere is
 r = 1 of the same rule, support_mask(1.0, theta), and a profile enters it
-only as the two numbers h(1), h'(1): _on_boundary serves the boundary pass
-(boundary_state) and the witness scan, and the scaling sweep gathers the
-same nodes once for all its profiles.  Jet functions are ufunc-like:
-they accept float64 arrays of a common shape and an order k (0, 1 or 2),
-and return arrays of that shape: the jet through at least order k, from
-analytic derivatives.  Each evaluator asks for the orders it reads: u the
-profile value and the first angular partials, omega and the u partials the
-profile's first derivative and the angular jet through order 2.  Callers
-read jet entries by position, so a jet function may return more than asked.
+only as the two numbers h(1), h'(1): boundary_state evaluates the sphere
+in one pass, the witness products g_phi G and g_theta G included, and the
+scaling sweep gathers the same nodes once for all its profiles.  Jet
+functions are ufunc-like: they accept float64 arrays of a common shape and
+an order k (0, 1 or 2), and return arrays of that shape: the jet through at
+least order k, from analytic derivatives.  Each evaluator asks for the
+orders it reads: u the profile value and the first angular partials, omega
+and the u partials the profile's first derivative and the angular jet
+through order 2.  Callers read jet entries by position, so a jet function
+may return more than asked.
 """
 import functools
 import math
@@ -272,15 +273,6 @@ class CounterexampleField:
                             OmegaFactors(r, theta, self.angular.fn(theta, phi, g_order)))
         return _on_support(self.support_mask(r, theta), n_out, compute, r, theta, phi)
 
-    def _on_boundary(self, n_out, compute, theta, phi):
-        """compute(OmegaFactors at r = 1) on the sphere's support nodes,
-        support_mask(1.0, theta), of the node arrays (theta, phi), scattered
-        back by _on_support."""
-        def on_nodes(theta, phi):
-            g_jet = self.angular.fn(theta, phi, 2)
-            return compute(OmegaFactors(np.ones_like(theta), theta, g_jet))
-        return _on_support(self.support_mask(1.0, theta), n_out, on_nodes, theta, phi)
-
     def u_components(self, r, theta, phi):
         """(u_r, u_theta, u_phi); u_r is identically zero (NaN at NaN input)."""
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
@@ -321,15 +313,19 @@ class CounterexampleField:
 
     def boundary_state(self, theta, phi):
         """(u_theta, u_phi, omega_r, omega_theta, omega_phi, curl_v_theta,
-        curl_v_phi) on the unit sphere in one pass from h(1) and h'(1): the
-        first five are u_components(1, ...)[1:] and omega_components(1, ...)."""
+        curl_v_phi, g_phi G, g_theta G) on the unit sphere in one pass from
+        h(1) and h'(1): the first five are u_components(1, ...)[1:] and
+        omega_components(1, ...), the last two the witness products."""
         (theta, phi), scalar = _node_arrays(theta, phi)
         h, hp = self.h_boundary, self.hp_boundary
 
-        def compute(w):
+        def compute(theta, phi):
+            w = OmegaFactors(np.ones_like(theta), theta, self.angular.fn(theta, phi, 2))
             return (*_u_parts((h,), w), *w.assemble(h, hp),
-                    *kernels.boundary_curl_assembly(w.sin, h, hp, w.g_t, w.g_p, w.big_g))
-        return _maybe_scalar(self._on_boundary(7, compute, theta, phi), scalar)
+                    *kernels.boundary_curl_assembly(w.sin, h, hp, w.g_t, w.g_p, w.big_g),
+                    w.g_p * w.big_g, w.g_t * w.big_g)
+        return _maybe_scalar(_on_support(self.support_mask(1.0, theta), 9, compute, theta, phi),
+                             scalar)
 
     def boundary_curl_theta(self, theta, phi):
         return self.boundary_state(theta, phi)[5]
@@ -359,33 +355,29 @@ def _u_partials(h_jet, w):
             up, hp * g_t, h * g_tt, h * g_tp)
 
 
+def witness_points(lattice, products):
+    """Per product on the lattice's nodes, the node of its largest |value|
+    (lowest flat index on ties), or None if that is <= WITNESS_THRESHOLD."""
+    flats = [np.abs(p).ravel() for p in products]
+    peaks = [int(np.argmax(flat)) for flat in flats]
+    return tuple(None if flat[i] <= WITNESS_THRESHOLD else lattice.point(i)
+                 for flat, i in zip(flats, peaks))
+
+
 def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
-    """Scan the boundary grid for points certifying the non-vanishing
-    conditions: maximize |g_phi * G| and |g_theta * G|.
-
-    Either entry is None when its maximum stays below threshold, so a
-    family with no witness point gets (None, None).  Ties break to the
-    lowest theta index, then the lowest phi index (row-major argmax).
-    """
-    if n_theta < 16 or n_phi < 16:
-        raise ConfigError("witness grid must be at least 16x16")
+    """The witness_points of g_phi G and g_theta G on the n_theta x n_phi
+    sphere (GridSpec's size rule); verify reads its own boundary pass."""
+    sphcalc.require_cells("n_theta", n_theta)
+    sphcalc.require_cells("n_phi", n_phi)
     sphere = sphcalc.midpoint_lattice(n_theta, n_phi)
-    products = field._on_boundary(2, lambda w: (w.g_p * w.big_g, w.g_t * w.big_g),
-                                  *sphere.nodes()[1:])
-
-    def best(product):
-        flat = np.abs(product)
-        i = int(np.argmax(flat))
-        if flat[i] <= WITNESS_THRESHOLD:
-            return None
-        return sphere.point(i)
-
-    return tuple(best(p) for p in products)
+    with np.errstate(over="ignore", invalid="ignore"):  # only the h-free products are read
+        state = field.boundary_state(*sphere.nodes()[1:])
+    return witness_points(sphere, state[7:])
 
 
-def check_admissibility(field: CounterexampleField) -> AdmissibilityReport:
-    """The hypotheses on (h, g), with the witnesses of find_witnesses on
-    its 128x256 sphere (None where the family has none)."""
+def check_admissibility(field: CounterexampleField, witnesses) -> AdmissibilityReport:
+    """The hypotheses on (h, g), with the given witnesses (the
+    witness_points of g_phi G and g_theta G); it scans no sphere."""
     h1, hp1 = field.h_boundary, field.hp_boundary
     si = field.profile.support_inner
     r_in = np.linspace(0.0, si, 5)
@@ -403,7 +395,7 @@ def check_admissibility(field: CounterexampleField) -> AdmissibilityReport:
     g1 = field.angular.fn(th_p, ph_p + 2.0 * math.pi, 2)[0]
     periodicity_ok = bool(np.max(np.abs(g1 - g0), initial=0.0) <= 1e-12)
 
-    w1, w2 = find_witnesses(field)
+    w1, w2 = witnesses
     return AdmissibilityReport(
         slip_condition_residual=abs(h1 + hp1),
         h1_value=h1,

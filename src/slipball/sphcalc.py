@@ -3,9 +3,10 @@
 Points are (r, theta, phi) with theta the colatitude and phi the longitude,
 reduced to [0, 2pi) at construction by _normalise, the one node normaliser,
 which the oracles share.  midpoint_lattice is the one grid rule: the ball's
-interior lattice, and the unit sphere as its r = 1 layer.  The differential
-operators and the point and vector transforms (the local basis (e_r,
-e_theta, e_phi) among them) are the array kernels in kernels.
+interior lattice, and the unit sphere as its r = 1 layer; require_cells is
+the one rule for its cell counts.  The differential operators and the point
+and vector transforms (the local basis (e_r, e_theta, e_phi) among them)
+are the array kernels in kernels.
 """
 import math
 from dataclasses import dataclass
@@ -88,6 +89,12 @@ class Lattice(NamedTuple):
     def point(self, i):
         """The node at flat index i: the one flat-index rule."""
         return SphPoint(*(a.flat[k] for a, k in zip(self.axes, np.unravel_index(i, self.shape))))
+
+
+def require_cells(name, count):
+    """The one size rule of a grid axis: fewer than 8 cells raise ConfigError."""
+    if count < 8:
+        raise ConfigError(f"{name} must be at least 8")
 
 
 def _midpoints(n, span, margin):

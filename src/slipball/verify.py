@@ -27,14 +27,14 @@ one level per call 6.4-10 ms).
 
 Every grid is a sphcalc.midpoint_lattice (GridSpec.lattice): the interior
 lattice of the ball, or the sphere as its r = 1 layer; a grid of the other
-kind raises ConfigError.  The slip, persistency and traction checks read
-one boundary_pass of the sphere, and one rule (_spread) picks every boundary
-oracle node, all on the support, which the shipped families keep more than
-pi/4 from the poles.  The oracle alone checks the stencil domain, at every
-node before it evaluates the field: a tight interior grid, or a custom
-family whose support reaches a pole, raises StencilOutOfDomain.  Each check
-maps the flat index of its sup to the witness by the lattice's one rule
-(Lattice.point).
+kind raises ConfigError.  One boundary_pass evaluates the sphere per run:
+the slip, persistency and traction checks and the admissibility witnesses
+read it, and one rule (_spread) picks every boundary oracle node, all on the
+support, which the shipped families keep more than pi/4 from the poles.
+The oracle alone checks the stencil domain, at every node before it
+evaluates the field: a tight interior grid, or a custom family whose support
+reaches a pole, raises StencilOutOfDomain.  Each check maps the flat index
+of its sup to the witness by the lattice's one rule (Lattice.point).
 The divergence check works on the lattice axes: per-axis inputs (the
 transform to Cartesian, the reach mask, sin(theta) in the weights) are
 computed once per axis value, never once per node.
@@ -104,8 +104,7 @@ class GridSpec:
                 count = None
             if count is None or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-            if count < 8:
-                raise ConfigError(f"{name} must be at least 8")
+            sphcalc.require_cells(name, count)
             object.__setattr__(self, name, count)
         for name in ("margin_r", "margin_theta"):
             value = getattr(self, name)
@@ -141,9 +140,10 @@ _DEFAULT_BOUNDARY_GRID = GridSpec(n_theta=128, n_phi=256, boundary_only=True)
 
 
 # The one evaluation of the sphere: the boundary grid's lattice, its flat
-# theta and phi nodes, and the seven arrays of field.boundary_state there.
+# theta and phi nodes, and the nine arrays of field.boundary_state there.
 BoundaryPass = namedtuple("BoundaryPass", "lattice theta phi u_theta u_phi omega_r "
-                                          "omega_theta omega_phi curl_v_theta curl_v_phi")
+                                          "omega_theta omega_phi curl_v_theta curl_v_phi "
+                                          "g_phi_G g_theta_G")
 
 
 def boundary_pass(field: fam.CounterexampleField, grid: GridSpec) -> BoundaryPass:
@@ -527,11 +527,11 @@ def run_full_verification(field: fam.CounterexampleField,
                           boundary_grid: Optional[GridSpec] = None,
                           cfg: oracle.FDConfig = oracle.FDConfig(),
                           seed: int = DEFAULT_SEED) -> VerificationReport:
-    """All checks in fixed order.  fam.check_admissibility runs once, here:
-    a family that fails the slip identity (the closed forms of the
-    persistency checks assume it) or has no witness point skips both
-    persistency checks without aborting the rest.  The three boundary checks
-    read one boundary_pass of the boundary grid.
+    """All checks in fixed order.  The three boundary checks and the one
+    fam.check_admissibility (its witnesses those of the pass) read one
+    boundary_pass of the boundary grid: a family that fails the slip
+    identity (the closed forms of the persistency checks assume it) or has
+    no witness point skips both persistency checks without aborting the rest.
 
     Raises ConfigError naming the first check, in that order, whose result
     holds a non-finite number (a family large enough to overflow), since
@@ -539,10 +539,10 @@ def run_full_verification(field: fam.CounterexampleField,
     """
     interior_grid = interior_grid if interior_grid is not None else GridSpec()
     boundary_grid = boundary_grid if boundary_grid is not None else _DEFAULT_BOUNDARY_GRID
-    adm = fam.check_admissibility(field)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         checks = [check_divergence_free(field, interior_grid, cfg)]
         sphere = boundary_pass(field, boundary_grid)
+        adm = fam.check_admissibility(field, fam.witness_points(sphere.lattice, sphere[-2:]))
         checks.extend(check_slip_conditions(field, sphere, cfg))
 
         skipped = None

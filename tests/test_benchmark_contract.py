@@ -52,6 +52,26 @@ def test_traced_evaluators_exist_with_their_signature(tracer):
                           else ["self", "theta", "phi"])
 
 
+def test_find_witnesses_keeps_its_grid_parameters_with_defaults(tracer):
+    # the tracer's count_witness_grid binds n_theta and n_phi by name and
+    # applies their defaults; verify no longer calls find_witnesses, so no
+    # traced verify op would show a rename or a dropped default
+    params = inspect.signature(family.find_witnesses).parameters
+    for name in ("n_theta", "n_phi"):
+        assert params[name].default is not inspect.Parameter.empty
+    t = tracer.Tracer()
+    t.install()
+    try:
+        field = family.default_field()
+        family.find_witnesses(field)
+        family.find_witnesses(field, n_theta=8, n_phi=16)
+    finally:
+        t.restore()
+    spans = [s for s in t.take() if s.name == "find_witnesses"]
+    assert [s.nodes for s in spans] == [
+        params["n_theta"].default * params["n_phi"].default, 8 * 16]
+
+
 def test_verify_runs_every_traced_oracle_function(tracer, monkeypatch, capsys):
     # a traced verify op books per-layer metrics under each of these names,
     # and nothing in perfbench checks that a verify op calls them: this test does

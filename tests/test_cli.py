@@ -261,7 +261,8 @@ class TestOneOwnerPerPrecondition:
         seen = []
         original = family.check_admissibility
         monkeypatch.setattr(family, "check_admissibility",
-                            lambda field: seen.append(field.label) or original(field))
+                            lambda field, witnesses: seen.append(field.label)
+                            or original(field, witnesses))
         if argv[0] == "sample":
             argv = argv + ["--out", str(tmp_path / "out.csv")]
         code, _, err = run_cli(capsys, argv)

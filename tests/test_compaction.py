@@ -22,8 +22,8 @@ from slipball.errors import DegenerateFit
 from slipball.sphcalc import _node_arrays
 
 PI = math.pi
-# u_and_omega: the one pass v_components crosses; big_G: G through the
-# sphere gather and OmegaFactors.big_g
+# u_and_omega: the one pass v_components crosses; big_G: G through the two
+# witness products of boundary_state, g_phi G and g_theta G
 RADIAL = ("u_components", "omega_components", "v_components", "u_and_omega",
           "u_raw_partials")
 POLAR = ("boundary_curl_theta", "boundary_curl_phi", "boundary_state", "big_G")
@@ -102,13 +102,15 @@ def _reference(field, name, r, theta, phi):
     s, c = np.sin(theta), np.cos(theta)
     gg = kernels.big_g_values(s, c, g_t, g_tt, g_pp)
     if name in POLAR:
+        products = sel(g_p * gg, g_t * gg)
         if name == "big_G":
-            return sel(gg)
+            return products
         bt, bp = sel(*kernels.boundary_curl_assembly(
             s, field.h_boundary, field.hp_boundary, g_t, g_p, gg))
         if name == "boundary_state":
             return (*_reference(field, "u_components", 1.0, theta, phi)[1:],
-                    *_reference(field, "omega_components", 1.0, theta, phi), bt, bp)
+                    *_reference(field, "omega_components", 1.0, theta, phi), bt, bp,
+                    *products)
         return (bt,) if name == "boundary_curl_theta" else (bp,)
     h, hp, _ = field.profile.fn(r, 2)
     ut, up = sel(*kernels.u_assembly(h, g_t, g_p, s))
@@ -127,8 +129,7 @@ def _reference(field, name, r, theta, phi):
 
 def evaluate(field, name, r, theta, phi):
     if name == "big_G":
-        (theta, phi), scalar = _node_arrays(theta, phi)
-        out = fam._maybe_scalar(field._on_boundary(1, lambda w: (w.big_g,), theta, phi), scalar)
+        out = field.boundary_state(theta, phi)[7:]
     elif name == "u_and_omega":
         (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         out = fam._maybe_scalar(field._u_and_omega(r, theta, phi), scalar)
@@ -354,7 +355,7 @@ class TestNaNCoordinates:
     def test_polar_evaluators_nan(self, default_field, name):
         for theta, phi in [(math.nan, 1.0), (1.2, math.nan), (0.1, math.nan)]:
             out = evaluate(default_field, name, None, theta, phi)
-            assert len(out) == (7 if name == "boundary_state" else 1)
+            assert len(out) == {"boundary_state": 9, "big_G": 2}.get(name, 1)
             assert all(isinstance(v, float) and math.isnan(v) for v in out)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -365,8 +366,11 @@ class TestNaNCoordinates:
         phi = np.array([1.0, 2.0, math.nan, 3.0, 4.0, 5.0, 6.0, -0.0, -7.0])
 
         def want(th, ph):
+            # the witness products against the full-array reference, NaN at NaN nodes
+            nan = np.isnan(th) | np.isnan(ph)
+            products = (np.where(nan, np.nan, p) for p in reference(field, "big_G", None, th, ph))
             return (*field.u_components(1.0, th, ph)[1:], *field.omega_components(1.0, th, ph),
-                    field.boundary_curl_theta(th, ph), field.boundary_curl_phi(th, ph))
+                    field.boundary_curl_theta(th, ph), field.boundary_curl_phi(th, ph), *products)
         assert_bit_identical(field.boundary_state(theta, phi), want(theta, phi), theta.shape)
         for th, ph in zip(theta.tolist(), phi.tolist()):
             got = field.boundary_state(th, ph)
@@ -406,7 +410,9 @@ class TestJetOrders:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_full_jet_functions_give_the_same_admissibility_and_sweep(self, family):
         field, full = FAMILIES[family], FULL_JET[family]
-        assert fam.check_admissibility(full) == fam.check_admissibility(field)
+        assert fam.find_witnesses(full) == fam.find_witnesses(field)
+        assert (fam.check_admissibility(full, fam.find_witnesses(full))
+                == fam.check_admissibility(field, fam.find_witnesses(field)))
         assert (full.h_boundary, full.hp_boundary) == (field.h_boundary, field.hp_boundary)
         grid = verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True)
         eps = [1e-1, 1e-2, 0.0]

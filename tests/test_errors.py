@@ -23,8 +23,8 @@ BAD_INPUT = {
                         "support_inner must lie in (0, 1)"),
     "partial coordinate": (lambda: oracle.fd_partial(lambda r, t, p: r, 0.5, 1.0, 1.0, "q"),
                            "unknown coordinate 'q'"),
-    "witness grid": (lambda: family.find_witnesses(family.default_field(), 8, 8),
-                     "witness grid must be at least 16x16"),
+    "witness grid": (lambda: family.find_witnesses(family.default_field(), 7, 7),
+                     "n_theta must be at least 8"),
     "lattice kind": (lambda: GridSpec().lattice(boundary_only=True),
                      "this check needs a boundary grid (boundary_only=True), "
                      "got boundary_only=False"),

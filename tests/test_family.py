@@ -305,7 +305,7 @@ class TestScalingSymmetries:
 
 class TestAdmissibility:
     def test_default_family(self, default_field):
-        rep = fam.check_admissibility(default_field)
+        rep = fam.check_admissibility(default_field, fam.find_witnesses(default_field))
         assert rep.slip_condition_residual <= 1e-14
         assert rep.h1_value == 1.0 and rep.h1_nonzero
         assert rep.pole_margin_ok and rep.support_ok and rep.periodicity_ok
@@ -313,21 +313,21 @@ class TestAdmissibility:
 
     def test_chi_only_profile_fails_slip(self):
         f = fam.CounterexampleField(chi_only_profile(), fam.default_angular())
-        assert fam.check_admissibility(f).slip_condition_residual == pytest.approx(1.0, abs=1e-14)
-        assert not fam.check_admissibility(f).slip_ok
+        assert fam.check_admissibility(f, fam.find_witnesses(f)).slip_condition_residual == pytest.approx(1.0, abs=1e-14)
+        assert not fam.check_admissibility(f, fam.find_witnesses(f)).slip_ok
 
     def test_zero_angular_has_no_witness(self):
         f = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
-        assert fam.check_admissibility(f).witness_a1 is None
-        assert fam.check_admissibility(f).witness_a2 is None
+        assert fam.check_admissibility(f, fam.find_witnesses(f)).witness_a1 is None
+        assert fam.check_admissibility(f, fam.find_witnesses(f)).witness_a2 is None
 
     def test_h1zero_slips_but_h1_zero(self, h1zero_field):
-        rep = fam.check_admissibility(h1zero_field)
+        rep = fam.check_admissibility(h1zero_field, fam.find_witnesses(h1zero_field))
         assert rep.slip_ok
         assert not rep.h1_nonzero
 
     def test_report_dict_keys_and_order(self, default_field):
-        d = fam.check_admissibility(default_field).to_dict()
+        d = fam.check_admissibility(default_field, fam.find_witnesses(default_field)).to_dict()
         assert list(d) == ["slip_condition_residual", "h1_value", "h1_nonzero",
                            "pole_margin_ok", "support_ok", "periodicity_ok",
                            "witness_a1", "witness_a2"]
@@ -335,7 +335,7 @@ class TestAdmissibility:
             assert list(d[key]) == ["r", "theta", "phi"]
             assert all(type(v) is float for v in d[key].values())
         none = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
-        assert fam.check_admissibility(none).to_dict()["witness_a1"] is None
+        assert fam.check_admissibility(none, fam.find_witnesses(none)).to_dict()["witness_a1"] is None
 
 
 class TestWitnesses:
@@ -362,8 +362,13 @@ class TestWitnesses:
         assert fam.find_witnesses(f) == (None, None)
 
     def test_grid_minimum(self, default_field):
-        with pytest.raises(ValueError):
-            fam.find_witnesses(default_field, n_theta=8, n_phi=8)
+        # GridSpec's size rule: 8 cells per axis, so every boundary grid
+        # that verify accepts can be scanned again
+        with pytest.raises(ConfigError, match="n_theta must be at least 8"):
+            fam.find_witnesses(default_field, n_theta=7, n_phi=8)
+        with pytest.raises(ConfigError, match="n_phi must be at least 8"):
+            fam.find_witnesses(default_field, n_theta=8, n_phi=7)
+        assert fam.find_witnesses(default_field, n_theta=8, n_phi=8)[1] is not None
 
 
 class TestFamilyLabels:
@@ -371,7 +376,7 @@ class TestFamilyLabels:
         assert fam.family_by_label("default").label == "default"
         assert fam.family_by_label("h1zero").label == "h1zero"
         f = fam.family_by_label("perturbed:0.001")
-        assert fam.check_admissibility(f).slip_condition_residual == pytest.approx(5e-4, rel=1e-10)
+        assert fam.check_admissibility(f, fam.find_witnesses(f)).slip_condition_residual == pytest.approx(5e-4, rel=1e-10)
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
@@ -404,10 +409,10 @@ class TestFamilyLabels:
 
     def test_largest_perturbation_builds(self):
         f = fam.family_by_label("perturbed:8.98e307")
-        assert fam.check_admissibility(f).support_ok
+        assert fam.check_admissibility(f, fam.find_witnesses(f)).support_ok
 
     def test_perturbed_residual_linear(self):
         for eps in (1e-1, 1e-3):
             f = fam.family_by_label(f"perturbed:{eps}")
-            assert fam.check_admissibility(f).slip_condition_residual == pytest.approx(
+            assert fam.check_admissibility(f, fam.find_witnesses(f)).slip_condition_residual == pytest.approx(
                 eps / 2, rel=1e-12)

@@ -352,8 +352,7 @@ def ref_neighborhood_radius(field, component, witness, floor_fraction,
 @pytest.mark.parametrize("floor_fraction", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("component", ["theta", "phi"])
 def test_neighborhood_radius_matches_ring_loop(default_field, component, floor_fraction):
-    adm = fam.check_admissibility(default_field)
-    witness = adm.witness_a1 if component == "theta" else adm.witness_a2
+    witness = fam.find_witnesses(default_field)[0 if component == "theta" else 1]
     got = verify.neighborhood_radius(default_field, component, witness, floor_fraction)
     want = ref_neighborhood_radius(default_field, component, witness, floor_fraction)
     assert got == want
@@ -367,8 +366,7 @@ def test_neighborhood_radius_frame_matches_the_cross_products(angular, component
     # the tangent frame comes from the kernel rotation (t1 = e_phi,
     # t2 = -e_theta); the reference builds it from cross products
     field = fam.CounterexampleField(fam.default_profile(), angular())
-    adm = fam.check_admissibility(field)
-    witness = adm.witness_a1 if component == "theta" else adm.witness_a2
+    witness = fam.find_witnesses(field)[0 if component == "theta" else 1]
     got = verify.neighborhood_radius(field, component, witness, floor_fraction)
     want = ref_neighborhood_radius(field, component, witness, floor_fraction)
     assert got == want

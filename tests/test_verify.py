@@ -1,6 +1,7 @@
 """Verification checks, quadrature, sweeps, and report assembly."""
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -256,8 +257,9 @@ class TestPersistencyCheck:
         true_method = fam.CounterexampleField.boundary_state
 
         def scaled(self, th, ph):
-            *rest, bt, bp = true_method(self, th, ph)
-            return (*rest, 1.001 * bt, bp)
+            state = list(true_method(self, th, ph))
+            state[5] = 1.001 * state[5]  # curl_v_theta
+            return tuple(state)
 
         monkeypatch.setattr(fam.CounterexampleField, "boundary_state", scaled)
         res_t, res_p = verify.check_persistency_failure(
@@ -297,8 +299,9 @@ def off_by_a_tenth_percent(monkeypatch):
     true_method = fam.CounterexampleField.boundary_state
 
     def scaled(self, th, ph):
-        *rest, bp = true_method(self, th, ph)
-        return (*rest, 1.001 * bp)
+        state = list(true_method(self, th, ph))
+        state[6] = 1.001 * state[6]  # curl_v_phi
+        return tuple(state)
 
     monkeypatch.setattr(fam.CounterexampleField, "boundary_state", scaled)
 
@@ -403,8 +406,7 @@ class TestNeighborhoodRadius:
     @pytest.mark.parametrize("label, component, fraction, pin", PINS)
     def test_radius_bits_are_pinned(self, label, component, fraction, pin):
         field = fam.family_by_label(label)
-        adm = fam.check_admissibility(field)
-        witness = adm.witness_a1 if component == "theta" else adm.witness_a2
+        witness = fam.find_witnesses(field)[0 if component == "theta" else 1]
         rho = verify.neighborhood_radius(field, component, witness, fraction)
         assert type(rho) is float and rho.hex() == pin
 
@@ -668,8 +670,9 @@ class TestOneLatticeRule:
 
         shapes = {lat.shape for lat in built}
         if command == "verify":
-            # the two grids each build it, and so does the witness scan
-            assert {(8, 8, 8), (1, 32, 64), (1, 128, 256)} <= shapes
+            # the two grids each build it; the witnesses come from the
+            # boundary pass, so no hidden 128x256 witness sphere is built
+            assert {(8, 8, 8), (1, 32, 64)} == shapes
             report = json.loads(out.read_text())
             witnesses = [c["witness"] for c in report["checks"]
                          if c["name"] != "oracle_agreement_curl"]
@@ -759,7 +762,7 @@ class TestScalingSweep:
 
     def test_no_field_is_built_per_eps(self, default_field, monkeypatch):
         built = []
-        monkeypatch.setattr(fam, "check_admissibility", lambda f: built.append(f))
+        monkeypatch.setattr(fam, "check_admissibility", lambda f, w: built.append(f))
         verify.scaling_sweep(default_field, [1e-1, 1e-2, 1e-3, 1e-4], SMALL_BOUNDARY)
         assert built == []
 
@@ -780,7 +783,9 @@ class TestFullVerification:
         field = fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
         report = verify.run_full_verification(field, GridSpec(n_r=8, n_theta=8, n_phi=8),
                                               SMALL_BOUNDARY)
-        assert report.admissibility == fam.check_admissibility(field)
+        witnesses = fam.find_witnesses(field, SMALL_BOUNDARY.n_theta, SMALL_BOUNDARY.n_phi)
+        assert witnesses == (None, None)
+        assert report.admissibility == fam.check_admissibility(field, witnesses)
         assert report.admissibility.slip_ok and not report.overall_pass
         by_name = {c.name: c for c in report.checks}
         for name in ("persistency_failure_theta", "persistency_failure_phi"):
@@ -797,7 +802,7 @@ class TestFullVerification:
         sphere = verify.boundary_pass(field, SMALL_BOUNDARY)
         standalone = [*verify.check_slip_conditions(field, sphere),
                       verify.check_navier_traction(sphere)]
-        skipped = not fam.check_admissibility(field).slip_ok
+        skipped = not fam.check_admissibility(field, fam.find_witnesses(field)).slip_ok
         if not skipped:
             res_t, res_p = verify.check_persistency_failure(field, sphere)
             res_t.details["neighborhood_radius_half_floor"] = verify.neighborhood_radius(
@@ -847,6 +852,57 @@ class TestFullVerification:
         assert code == 0
         assert shapes.count((1, 32, 64)) == 1
         assert sizes.count(32 * 64) == 1
+
+    def test_admissibility_witnesses_come_from_the_boundary_pass(self, monkeypatch, tmp_path,
+                                                                  capsys):
+        # a coarse verify scans no second sphere: no find_witnesses call, no
+        # 128x256 lattice, and one angular jet on the sphere's support nodes,
+        # the largest angular jet of the run
+        from slipball import cli, sphcalc
+        scans, shapes, jets = [], [], []
+        scan, lattice, jet = (fam.find_witnesses, sphcalc.midpoint_lattice,
+                              kernels.default_angular_jet)
+
+        def spy_lattice(*args, **kwargs):
+            built = lattice(*args, **kwargs)
+            shapes.append(built.shape)
+            return built
+
+        def spy_jet(theta, phi, order):
+            jets.append((theta, phi))
+            return jet(theta, phi, order)
+
+        monkeypatch.setattr(fam, "find_witnesses", lambda *a: scans.append(a) or scan(*a))
+        monkeypatch.setattr(sphcalc, "midpoint_lattice", spy_lattice)
+        # default_angular() reads the kernel when cli builds the family
+        monkeypatch.setattr(kernels, "default_angular_jet", spy_jet)
+        code = cli.main(["verify", "--no-timestamp", "--report", str(tmp_path / "r.json"),
+                         *TestOneLatticeRule.COARSE])
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert code == 0
+        assert scans == []
+        assert (1, 128, 256) not in shapes
+        _, th, ph = GridSpec(n_theta=32, n_phi=64, boundary_only=True).lattice().nodes()
+        support = fam.default_field().support_mask(1.0, th)
+        on_sphere = [i for i, (t, p) in enumerate(jets)
+                     if np.array_equal(t, th[support]) and np.array_equal(p, ph[support])]
+        assert len(on_sphere) == 1
+        assert max(np.size(t) for t, _ in jets) == np.count_nonzero(support)
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(32, 64), (128, 256)])
+    @pytest.mark.parametrize("family", ["default", "h1zero", "cosine", "zero"])
+    def test_report_witnesses_are_those_of_the_run_boundary_grid(self, family, n_theta, n_phi):
+        angular = {"cosine": fam.cosine_angular, "zero": fam.zero_angular}
+        field = (fam.CounterexampleField(fam.default_profile(), angular[family]())
+                 if family in angular else fam.family_by_label(family))
+        report = verify.run_full_verification(
+            field, GridSpec(n_r=8, n_theta=8, n_phi=8),
+            GridSpec(n_theta=n_theta, n_phi=n_phi, boundary_only=True)).to_dict()
+        want = fam.find_witnesses(field, n_theta, n_phi)
+        assert (want == (None, None)) is (family == "zero")
+        got = [report["admissibility"][k] for k in ("witness_a1", "witness_a2")]
+        assert got == [None if w is None else asdict(w) for w in want]
 
     def test_verify_builds_the_interior_lattice_once(self, monkeypatch, tmp_path, capsys):
         # the divergence check checks the margins on the lattice it reads
