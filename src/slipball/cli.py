@@ -237,13 +237,13 @@ def cmd_eval(args, cfg) -> int:
         for name, components in _evaluators(field).items():
             out[name] = dict(zip(("r", "theta", "phi"), components(p.r, p.theta, p.phi)))
         if abs(p.r - 1.0) <= 1e-12:
-            bt, bp = field.boundary_state(p.theta, p.phi)[5:7]
-            out["boundary"] = {"curl_v_theta": bt, "curl_v_phi": bp}
+            state = field.boundary_state(p.theta, p.phi)
+            out["boundary"] = {k: getattr(state, k) for k in ("curl_v_theta", "curl_v_phi")}
     found = verify._non_finite(out)
     if found:
         raise ConfigError(f"family {field.label} gives a non-finite {found[0]} ({found[1]}) "
                           f"at this point")
-    print(json.dumps(out, indent=2, allow_nan=False))
+    print(verify.json_text(out), end="")
     return EXIT_OK
 
 
@@ -253,8 +253,9 @@ _SAMPLE_FIELDS = ("u", "omega", "v", "curl_v_boundary")
 def _sample_rows(field, selector, grid):
     r, th, ph = grid.lattice().nodes()
     if selector == "curl_v_boundary":  # on the surface only
-        curl_v = field.boundary_state(th, ph)[5:7]
-        return "r,theta,phi,curl_v_theta,curl_v_phi", (r, th, ph, *curl_v)
+        state = field.boundary_state(th, ph)
+        return "r,theta,phi,curl_v_theta,curl_v_phi", (r, th, ph, state.curl_v_theta,
+                                                         state.curl_v_phi)
     return "r,theta,phi,c_r,c_theta,c_phi", (r, th, ph, *_evaluators(field)[selector](r, th, ph))
 
 
@@ -307,8 +308,7 @@ def cmd_sweep(args, cfg) -> int:
                   f"{'yes' if (eps, res) in included else 'no'}")
         print(f"slope {sweep.slope:.6f} (target 1.00 +/- 0.05)")
         if write:
-            write([json.dumps({"family": field.label, **sweep.to_dict()},
-                              indent=2, allow_nan=False) + "\n"])
+            write([verify.json_text({"family": field.label, **sweep.to_dict()})])
     ok = SLOPE_BAND[0] <= sweep.slope <= SLOPE_BAND[1]
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

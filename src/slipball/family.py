@@ -33,6 +33,7 @@ may return more than asked.
 """
 import functools
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -44,6 +45,11 @@ from .sphcalc import SphPoint, _node_arrays
 
 WITNESS_THRESHOLD = 1e-6
 _H1_ZERO_EPS = 1e-12
+
+
+# The nine outputs of CounterexampleField.boundary_state, which every reader reads by name.
+SphereState = namedtuple("SphereState", "u_theta u_phi omega_r omega_theta omega_phi "
+                                        "curl_v_theta curl_v_phi g_phi_G g_theta_G")
 
 
 def _maybe_scalar(values, scalar):
@@ -312,10 +318,10 @@ class CounterexampleField:
         return {k: _maybe_scalar(v, scalar) for k, v in zip(keys, parts)}
 
     def boundary_state(self, theta, phi):
-        """(u_theta, u_phi, omega_r, omega_theta, omega_phi, curl_v_theta,
-        curl_v_phi, g_phi G, g_theta G) on the unit sphere in one pass from
-        h(1) and h'(1): the first five are u_components(1, ...)[1:] and
-        omega_components(1, ...), the last two the witness products."""
+        """The SphereState on the unit sphere in one pass from h(1) and
+        h'(1): u_theta, u_phi as in u_components(1, ...), omega as
+        omega_components(1, ...), the two traces of curl(u x w), and the
+        witness products g_phi G and g_theta G."""
         (theta, phi), scalar = _node_arrays(theta, phi)
         h, hp = self.h_boundary, self.hp_boundary
 
@@ -324,16 +330,18 @@ class CounterexampleField:
             return (*_u_parts((h,), w), *w.assemble(h, hp),
                     *kernels.boundary_curl_assembly(w.sin, h, hp, w.g_t, w.g_p, w.big_g),
                     w.g_p * w.big_g, w.g_t * w.big_g)
-        return _maybe_scalar(_on_support(self.support_mask(1.0, theta), 9, compute, theta, phi),
-                             scalar)
+        support = self.support_mask(1.0, theta)
+        return SphereState(*_maybe_scalar(_on_support(support, 9, compute, theta, phi), scalar))
 
     def boundary_curl_theta(self, theta, phi):
-        return self.boundary_state(theta, phi)[5]
+        """The closed-form theta trace of curl(u x w): boundary_state's curl_v_theta."""
+        return self.boundary_state(theta, phi).curl_v_theta
 
     def boundary_curl_phi(self, theta, phi):
-        """Closed form of the phi component; verify gates it against the
-        radial-derivative oracle and fails its check if they disagree."""
-        return self.boundary_state(theta, phi)[6]
+        """The closed-form phi trace: boundary_state's curl_v_phi.  verify gates
+        the traces it reads off its boundary pass; neighborhood_radius and the
+        benchmark tracer call these two methods."""
+        return self.boundary_state(theta, phi).curl_v_phi
 
 
 def u_radial(u_theta):
@@ -355,10 +363,11 @@ def _u_partials(h_jet, w):
             up, hp * g_t, h * g_tt, h * g_tp)
 
 
-def witness_points(lattice, products):
-    """Per product on the lattice's nodes, the node of its largest |value|
-    (lowest flat index on ties), or None if that is <= WITNESS_THRESHOLD."""
-    flats = [np.abs(p).ravel() for p in products]
+def witness_points(lattice, state):
+    """For g_phi_G and g_theta_G of the state (a SphereState or a BoundaryPass)
+    on the lattice's nodes, the node of each one's largest |value| (lowest
+    flat index on ties), or None if that is <= WITNESS_THRESHOLD."""
+    flats = [np.abs(p).ravel() for p in (state.g_phi_G, state.g_theta_G)]
     peaks = [int(np.argmax(flat)) for flat in flats]
     return tuple(None if flat[i] <= WITNESS_THRESHOLD else lattice.point(i)
                  for flat, i in zip(flats, peaks))
@@ -372,7 +381,7 @@ def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     sphere = sphcalc.midpoint_lattice(n_theta, n_phi)
     with np.errstate(over="ignore", invalid="ignore"):  # only the h-free products are read
         state = field.boundary_state(*sphere.nodes()[1:])
-    return witness_points(sphere, state[7:])
+    return witness_points(sphere, state)
 
 
 def check_admissibility(field: CounterexampleField, witnesses) -> AdmissibilityReport:

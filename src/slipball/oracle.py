@@ -53,7 +53,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, StencilOutOfDomain
-from .sphcalc import _normalise
+from .sphcalc import _normalise, store_field
 
 R_CEILING = 1.05  # interior radial stencils may probe slightly past the sphere
 _BOUNDARY_EPS = 1e-12
@@ -66,8 +66,10 @@ class FDConfig:
     richardson: bool = False
 
     def __post_init__(self):
-        if not 1e-8 <= self.step <= 1e-2:
-            raise ConfigError(f"step {self.step} outside [1e-8, 1e-2]")
+        given = self.step  # the message names the value as given
+        if not 1e-8 <= store_field(self, "step", float) <= 1e-2:
+            raise ConfigError(f"step {given} outside [1e-8, 1e-2]")
+        store_field(self, "richardson", bool)
 
 
 def _richardson(d_at, step, enabled):

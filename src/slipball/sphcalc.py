@@ -4,11 +4,13 @@ Points are (r, theta, phi) with theta the colatitude and phi the longitude,
 reduced to [0, 2pi) at construction by _normalise, the one node normaliser,
 which the oracles share.  midpoint_lattice is the one grid rule: the ball's
 interior lattice, and the unit sphere as its r = 1 layer; require_cells is
-the one rule for its cell counts.  The differential operators and the point
+the one rule for its cell counts, and store_field the one type rule of
+GridSpec's and FDConfig's fields.  The differential operators and the point
 and vector transforms (the local basis (e_r, e_theta, e_phi) among them)
 are the array kernels in kernels.
 """
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,6 +97,20 @@ def require_cells(name, count):
     """The one size rule of a grid axis: fewer than 8 cells raise ConfigError."""
     if count < 8:
         raise ConfigError(f"{name} must be at least 8")
+
+
+def store_field(obj, name, kind):
+    """Store the field `name` of the frozen dataclass obj as kind (int,
+    float or bool), so that a report echoes plain JSON, and return it.  A
+    numpy integer or float counts (numpy registers them with numbers), a
+    bool is only a bool, and anything else raises TypeError."""
+    value = getattr(obj, name)
+    accepted, noun = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+                      bool: (bool, "a boolean")}[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise TypeError(f"{name} must be {noun}, got {value!r}")
+    object.__setattr__(obj, name, kind(value))
+    return getattr(obj, name)
 
 
 def _midpoints(n, span, margin):

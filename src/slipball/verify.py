@@ -45,8 +45,6 @@ reductions resolve ties by lowest flat index.
 """
 import json
 import math
-import numbers
-import operator
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field as dataclass_field
 from datetime import datetime, timezone
@@ -97,20 +95,10 @@ class GridSpec:
         # counts are stored as int and margins as float, so the report echo
         # is plain JSON and the lattice shape is exact
         for name in ("n_r", "n_theta", "n_phi"):
-            value = getattr(self, name)
-            try:  # operator.index takes numpy integers, not floats or numpy bools
-                count = int(operator.index(value))
-            except TypeError:
-                count = None
-            if count is None or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            sphcalc.require_cells(name, count)
-            object.__setattr__(self, name, count)
+            sphcalc.require_cells(name, sphcalc.store_field(self, name, int))
         for name in ("margin_r", "margin_theta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            sphcalc.store_field(self, name, float)
+        sphcalc.store_field(self, "boundary_only", bool)
         if not 0.0 < self.margin_r < 0.5:
             raise ConfigError("margin_r must lie in (0, 0.5)")
         if not 0.0 < self.margin_theta < math.pi / 2:
@@ -140,10 +128,8 @@ _DEFAULT_BOUNDARY_GRID = GridSpec(n_theta=128, n_phi=256, boundary_only=True)
 
 
 # The one evaluation of the sphere: the boundary grid's lattice, its flat
-# theta and phi nodes, and the nine arrays of field.boundary_state there.
-BoundaryPass = namedtuple("BoundaryPass", "lattice theta phi u_theta u_phi omega_r "
-                                          "omega_theta omega_phi curl_v_theta curl_v_phi "
-                                          "g_phi_G g_theta_G")
+# theta and phi nodes, and the fam.SphereState of field.boundary_state there.
+BoundaryPass = namedtuple("BoundaryPass", ("lattice", "theta", "phi") + fam.SphereState._fields)
 
 
 def boundary_pass(field: fam.CounterexampleField, grid: GridSpec) -> BoundaryPass:
@@ -437,7 +423,7 @@ class SweepResult:
 
 
 def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
-                  grid: Optional[GridSpec] = None) -> SweepResult:
+                  grid: GridSpec = _DEFAULT_BOUNDARY_GRID) -> SweepResult:
     """sup |omega x n| as a function of the profile perturbation size.
 
     The perturbation multiplies the base profile by (1 + eps (r - 0.75)^2),
@@ -460,7 +446,6 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
         raise ConfigError("degenerate fit: need at least two positive eps values")
     if np.ptp(log_pos) == 0.0:
         raise ConfigError("degenerate fit: all eps values identical")
-    grid = grid if grid is not None else _DEFAULT_BOUNDARY_GRID
     _, th, ph = grid.lattice(boundary_only=True).nodes()
     support = base_field.support_mask(1.0, th)
     factors = None
@@ -507,7 +492,13 @@ class VerificationReport:
         return d
 
     def to_json(self, include_timestamp: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timestamp), indent=2, allow_nan=False) + "\n"
+        return json_text(self.to_dict(include_timestamp))
+
+
+def json_text(value) -> str:
+    """value as strict JSON (NaN raises ValueError), indented by 2, with a final
+    newline: the one writer of the reports and of eval's output."""
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
 
 
 def _non_finite(value, path=""):
@@ -523,8 +514,8 @@ def _non_finite(value, path=""):
 
 
 def run_full_verification(field: fam.CounterexampleField,
-                          interior_grid: Optional[GridSpec] = None,
-                          boundary_grid: Optional[GridSpec] = None,
+                          interior_grid: GridSpec = GridSpec(),
+                          boundary_grid: GridSpec = _DEFAULT_BOUNDARY_GRID,
                           cfg: oracle.FDConfig = oracle.FDConfig(),
                           seed: int = DEFAULT_SEED) -> VerificationReport:
     """All checks in fixed order.  The three boundary checks and the one
@@ -537,12 +528,10 @@ def run_full_verification(field: fam.CounterexampleField,
     holds a non-finite number (a family large enough to overflow), since
     the report is strict JSON.
     """
-    interior_grid = interior_grid if interior_grid is not None else GridSpec()
-    boundary_grid = boundary_grid if boundary_grid is not None else _DEFAULT_BOUNDARY_GRID
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         checks = [check_divergence_free(field, interior_grid, cfg)]
         sphere = boundary_pass(field, boundary_grid)
-        adm = fam.check_admissibility(field, fam.witness_points(sphere.lattice, sphere[-2:]))
+        adm = fam.check_admissibility(field, fam.witness_points(sphere.lattice, sphere))
         checks.extend(check_slip_conditions(field, sphere, cfg))
 
         skipped = None

@@ -215,6 +215,30 @@ class TestInteriorConsistency:
         assert np.all(np.abs(div) < 1e-8)
 
 
+class TestSphereState:
+    NAMES = ("u_theta", "u_phi", "omega_r", "omega_theta", "omega_phi", "curl_v_theta",
+             "curl_v_phi", "g_phi_G", "g_theta_G")
+
+    def test_field_names_in_order(self):
+        assert fam.SphereState._fields == self.NAMES
+
+    def test_array_input(self, default_field):
+        theta, phi = np.array([0.3, 1.2, 1.9]), np.array([0.1, 2.0, 4.0])
+        state = default_field.boundary_state(theta, phi)
+        assert type(state) is fam.SphereState
+        assert all(isinstance(v, np.ndarray) and v.shape == (3,) for v in state)
+        assert np.array_equal(state.curl_v_theta, default_field.boundary_curl_theta(theta, phi))
+        assert np.array_equal(state.curl_v_phi, default_field.boundary_curl_phi(theta, phi))
+
+    def test_scalar_input(self, default_field):
+        state = default_field.boundary_state(1.2, 2.0)
+        assert type(state) is fam.SphereState
+        assert all(type(v) is float for v in state)
+        want = default_field.boundary_state(np.array([1.2]), np.array([2.0]))
+        assert state == tuple(float(v[0]) for v in want)
+        assert state.curl_v_theta == default_field.boundary_curl_theta(1.2, 2.0)
+
+
 class TestBoundaryCurl:
     def test_theta_closed_form_value(self, default_field):
         assert default_field.boundary_curl_theta(PI / 2, PI / 4) == pytest.approx(

@@ -104,11 +104,11 @@ def test_witness_window_mutant_fails_the_theta_trace(grid, monkeypatch, tmp_path
     original = fam.CounterexampleField.boundary_state
 
     def mutant(self, theta, phi):
-        state = list(original(self, theta, phi))
+        state = original(self, theta, phi)
         cos_d = np.cos(theta) * np.cos(t0) + np.sin(theta) * np.sin(t0) * np.cos(phi - p0)
-        state[5] = np.where(np.arccos(np.clip(cos_d, -1.0, 1.0)) < WINDOW, 3.0 * state[5],
-                            state[5])
-        return tuple(state)
+        trace = state.curl_v_theta
+        near = np.arccos(np.clip(cos_d, -1.0, 1.0)) < WINDOW
+        return state._replace(curl_v_theta=np.where(near, 3.0 * trace, trace))
     monkeypatch.setattr(fam.CounterexampleField, "boundary_state", mutant)
     code, overall, failed = failed_checks(tmp_path, *flags)
     capsys.readouterr()

@@ -61,6 +61,22 @@ class TestFdPartial:
         with pytest.raises(ValueError):
             FDConfig(step=1e-9)
 
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.bool_(True)])
+    def test_non_bool_richardson_is_rejected(self, value):
+        # "no" used to switch Richardson on and be echoed into the report
+        with pytest.raises(TypeError, match="richardson must be a boolean"):
+            FDConfig(richardson=value)
+
+    @pytest.mark.parametrize("value", [True, "1e-6", None])
+    def test_non_number_step_is_rejected(self, value):
+        with pytest.raises(TypeError, match="step must be a number"):
+            FDConfig(step=value)
+
+    def test_numpy_step_is_stored_as_a_python_float(self):
+        cfg = FDConfig(step=np.float32(1e-6), richardson=True)
+        assert type(cfg.step) is float and cfg.step == float(np.float32(1e-6))
+        assert cfg.richardson is True
+
 
 def smooth(r, t, p):
     """e^r sin(theta) cos(phi); its r-partial is itself."""

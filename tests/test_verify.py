@@ -47,11 +47,20 @@ class TestGridSpec:
         assert [type(getattr(grid, k)) for k in ("n_r", "n_theta", "n_phi")] == [int] * 3
         assert type(grid.margin_r) is float and type(grid.margin_theta) is float
         assert grid.margin_theta == float(np.float32(0.25))
-        # the report echoes the grid: numpy counts used to make to_json raise
+        # the report echoes the grid and the oracle: numpy counts, and a
+        # float32 step, used to run every check and then make to_json raise
         report = verify.run_full_verification(
             default_field, grid, GridSpec(n_theta=np.int64(32), n_phi=np.int64(64),
-                                          boundary_only=True))
-        assert json.loads(report.to_json())["grid"]["interior"]["n_r"] == 8
+                                          boundary_only=True), FDConfig(step=np.float32(1e-6)))
+        doc = json.loads(report.to_json())
+        assert doc["grid"]["interior"]["n_r"] == 8
+        assert doc["oracle"]["step"] == float(np.float32(1e-6))
+
+    @pytest.mark.parametrize("flag", ["no", 1, np.bool_(True)])
+    def test_non_bool_boundary_only_is_rejected(self, flag):
+        # "no" used to select the sphere and be echoed into the report
+        with pytest.raises(TypeError, match="boundary_only must be a boolean"):
+            GridSpec(boundary_only=flag)
 
     def test_non_number_margin_is_rejected(self):
         with pytest.raises(TypeError, match="margin_r must be a number"):
@@ -257,9 +266,8 @@ class TestPersistencyCheck:
         true_method = fam.CounterexampleField.boundary_state
 
         def scaled(self, th, ph):
-            state = list(true_method(self, th, ph))
-            state[5] = 1.001 * state[5]  # curl_v_theta
-            return tuple(state)
+            state = true_method(self, th, ph)
+            return state._replace(curl_v_theta=1.001 * state.curl_v_theta)
 
         monkeypatch.setattr(fam.CounterexampleField, "boundary_state", scaled)
         res_t, res_p = verify.check_persistency_failure(
@@ -299,9 +307,8 @@ def off_by_a_tenth_percent(monkeypatch):
     true_method = fam.CounterexampleField.boundary_state
 
     def scaled(self, th, ph):
-        state = list(true_method(self, th, ph))
-        state[6] = 1.001 * state[6]  # curl_v_phi
-        return tuple(state)
+        state = true_method(self, th, ph)
+        return state._replace(curl_v_phi=1.001 * state.curl_v_phi)
 
     monkeypatch.setattr(fam.CounterexampleField, "boundary_state", scaled)
 
@@ -792,6 +799,15 @@ class TestFullVerification:
             assert not by_name[name].passed
             assert by_name[name].details == {
                 "skipped": True, "reason": "family 'default+zero' exhibits no witness point"}
+
+    def test_boundary_pass_fields_are_the_sphere_state(self, default_field):
+        # the pass declares no field of its own beyond the lattice and nodes
+        assert verify.BoundaryPass._fields[:3] == ("lattice", "theta", "phi")
+        assert verify.BoundaryPass._fields[3:] == fam.SphereState._fields
+        sphere = verify.boundary_pass(default_field, SMALL_BOUNDARY)
+        state = default_field.boundary_state(sphere.theta, sphere.phi)
+        for name in fam.SphereState._fields:
+            assert np.array_equal(getattr(sphere, name), getattr(state, name), equal_nan=True)
 
     @pytest.mark.parametrize("label", ["default", "perturbed:1e-3"])
     def test_boundary_checks_share_one_u_omega_pass(self, label, monkeypatch):
