@@ -10,20 +10,23 @@ Two derivative paths:
   stencil point is rotated with its own x, y, z and the r and
   rho = sqrt(x^2 + y^2) that kernels.cart_to_sph used for it
   (kernels.vec_sph_to_cart_at, no trig); rho is computed once per shifted
-  point, and every shifted point has rho >= step, since
-  _kept_points requires rho >= 2 * step at its base node.
+  point, and every shifted point has rho >= step, since _kept_points
+  requires rho >= 2 * step at its base node.
 
 Both paths consume evaluators only, never analytic jets, and do their
-stencil arithmetic on node arrays: each stencil offset is one evaluator
-call over all nodes.  Node arrays need only broadcast together: flat nodes
-share one shape, and a lattice may pass its axes as (n_r, 1, 1),
-(1, n_theta, 1) and (1, 1, n_phi).  _nodes validates and normalises each
-array in its own shape with sphcalc._normalise, the one normaliser that
-SphPoint also uses (phi reduced to [0, 2pi), theta clamped to [0, pi], r
-clamped at 0, out-of-range nodes rejected with ConfigError).  The Cartesian
-oracles transform the arrays as given and broadcast only the products that
-need every node, so lattice axes cost one sine and cosine per axis value;
-the spherical stencils broadcast the nodes first.
+stencil arithmetic on node arrays: a spherical stencil offset is one
+evaluator call over all nodes, a Cartesian one a call per block of _BLOCK
+kept nodes (the domain check runs in slabs of about _BLOCK nodes), which
+changes no bit, as the work is elementwise.  Node arrays need only
+broadcast together: flat nodes share one shape, and a lattice may pass its
+axes as (n_r, 1, 1), (1, n_theta, 1) and (1, 1, n_phi).  _nodes validates
+and normalises each array in its own shape with sphcalc._normalise, the
+one normaliser that SphPoint also uses (phi reduced to [0, 2pi), theta
+clamped to [0, pi], r clamped at 0, out-of-range nodes rejected with
+ConfigError).  The Cartesian oracles transform the arrays as given and
+broadcast only the products that need every node, so lattice axes cost one
+sine and cosine per axis value; the spherical stencils broadcast the nodes
+first.
 
 fd_partial, fd_curl_spherical and fd_boundary_radial_derivative hold the
 spherical stencils once each; the Cartesian oracles share one stencil loop,
@@ -58,6 +61,10 @@ from .sphcalc import _normalise, store_field
 R_CEILING = 1.05  # interior radial stencils may probe slightly past the sphere
 _BOUNDARY_EPS = 1e-12
 _AXES = {"r": 0, "theta": 1, "phi": 2}
+# kept nodes per Cartesian stencil call: the allocator reuses the temporaries
+# instead of faulting in fresh pages; on the shipped grid's 57,600 kept nodes
+# blocks of 4,096 and 8,192 were slower, and 32,768 saved no memory
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -187,39 +194,48 @@ def cartesian_stencil_fits(r, theta, phi, step):
 
 
 def _kept_points(r, theta, phi, step, mask):
-    """(kept-node mask, [x, y, z] at the kept nodes) after every node is
-    checked; the nodes are transformed in their own shapes (the axes of a
-    lattice, say) and broadcast only by the arithmetic that needs every
-    node, and no full-size array outlives this call."""
+    """(kept-node mask, (3, n_kept) array of x, y, z at the kept nodes) after
+    every node is checked, in slabs of about _BLOCK nodes along the leading
+    axis of the nodes, which keep their own shapes (a lattice's axes, say);
+    a failing slab reruns the all-node check, whose message names the node."""
     x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
-    for what, value, holds in _cartesian_domain(x, y, z, step):
-        _out_of_domain(holds, f"Cartesian stencil {what}", value, step)
     shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
     keep = np.broadcast_to(True if mask is None else mask, shape)
-    return keep, [np.broadcast_to(c, shape)[keep] for c in (x, y, z)]
+    if keep.dtype != bool:
+        raise ConfigError(f"node mask must be boolean, not {keep.dtype}")
+    kept, n = np.empty((3, np.count_nonzero(keep))), 0
+    rows = max(1, _BLOCK // max(1, math.prod(shape[1:])))
+    for lo in range(0, shape[0], rows):
+        slab = [np.broadcast_to(c, shape)[lo:lo + rows] for c in (x, y, z)]
+        if not all(holds.all() for *_, holds in _cartesian_domain(*slab, step)):
+            for what, value, holds in _cartesian_domain(x, y, z, step):
+                _out_of_domain(holds, f"Cartesian stencil {what}", value, step)
+        k = keep[lo:lo + rows]
+        kept[:, n:n + np.count_nonzero(k)] = [c[k] for c in slab]
+        n += np.count_nonzero(k)
+    return keep, kept
 
 
-def _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask):
-    """(kept-node mask, [d/dx_j of convert(j, x, y, z, r, rho, *components)
-    for j = 0, 1, 2] at the kept nodes), one components_fn call per offset;
-    (x, y, z) is the shifted stencil point, rho = sqrt(x^2 + y^2) >= step
-    there, and (r, rho) are those kernels.cart_to_sph used for it."""
-    keep, base = _kept_points(r, theta, phi, cfg.step, mask)
-    # a shift along z keeps x and y, so rho is that of the base node
-    base_rho = np.sqrt(base[0] * base[0] + base[1] * base[1])
-
-    def column(j, h):
+def _cartesian_columns(components_fn, convert, base, cfg):
+    """Yields (block, j, d/dx_j of convert(j, x, y, z, r, rho, *components))
+    per slice `block` of at most _BLOCK columns of base and j = 0, 1, 2, one
+    components_fn call per offset; (x, y, z) is the shifted stencil point,
+    rho = sqrt(x^2 + y^2) >= step there, and (r, rho) are those
+    kernels.cart_to_sph used for it."""
+    def column(points, j, h):
         def field_at(offset):
-            shifted = base.copy()
-            shifted[j] = base[j] + offset
+            shifted = list(points)
+            shifted[j] = points[j] + offset
             x, y, _ = shifted
-            rho = base_rho if j == 2 else np.sqrt(x * x + y * y)
+            rho = np.sqrt(x * x + y * y)
             r, theta, phi = kernels.cart_to_sph(*shifted, rho)
             return np.asarray(convert(j, *shifted, r, rho, *components_fn(r, theta, phi)))
         return (field_at(h) - field_at(-h)) / (2.0 * h)
 
-    return keep, [_richardson(lambda h: column(j, h), cfg.step, cfg.richardson)
-                  for j in range(3)]
+    for block in (slice(lo, lo + _BLOCK) for lo in range(0, base.shape[1], _BLOCK)):
+        for j in range(3):
+            yield block, j, _richardson(lambda h: column(base[:, block], j, h),
+                                        cfg.step, cfg.richardson)
 
 
 def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig(),
@@ -236,21 +252,25 @@ def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConf
     def convert(j, *point_and_components):
         return [kernels.vec_sph_to_cart_at(i, *point_and_components) for i in range(3)]
 
-    keep, columns = _cartesian_columns(components_fn, convert, r, theta, phi, cfg, mask)
+    keep, base = _kept_points(r, theta, phi, cfg.step, mask)
+    kept = np.empty((3, 3, base.shape[1]))
+    for block, j, column in _cartesian_columns(components_fn, convert, base, cfg):
+        kept[:, j, block] = column
     jac = np.zeros((3, 3) + keep.shape)
-    for j, col in enumerate(columns):
-        jac[:, j, keep] = col
+    jac[:, :, keep] = kept
     return jac
 
 
 def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig(),
                               mask=None):
-    """The trace of cartesian_jacobian_grid, bit for bit; the shifts along
-    x_j convert only W_j to Cartesian."""
-    keep, (dxx, dyy, dzz) = _cartesian_columns(
-        components_fn, kernels.vec_sph_to_cart_at, r, theta, phi, cfg, mask)
+    """The trace of cartesian_jacobian_grid, bit for bit (dxx + dyy + dzz in
+    one array); the shifts along x_j convert only W_j to Cartesian."""
+    keep, base = _kept_points(r, theta, phi, cfg.step, mask)
+    kept = np.empty(base.shape[1])
+    for block, j, col in _cartesian_columns(components_fn, kernels.vec_sph_to_cart_at, base, cfg):
+        kept[block] = kept[block] + col if j else col
     div = np.zeros(keep.shape)
-    div[keep] = dxx + dyy + dzz
+    div[keep] = kept
     return div
 
 

@@ -1,0 +1,117 @@
+"""The Cartesian oracles in blocks of kept nodes.
+
+cartesian_divergence_grid and cartesian_jacobian_grid evaluate the kept
+nodes in consecutive blocks of at most oracle._BLOCK, and check and gather
+the nodes in slabs of about _BLOCK along the leading axis.  All of that work
+is elementwise, so every value, sign bits included, must equal a one-block
+run (_BLOCK above the node count), and every node is still checked, with
+the message of an all-node check, before the first field evaluation.
+"""
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from slipball import family as fam
+from slipball import oracle, verify
+from slipball.errors import StencilOutOfDomain
+
+PI = math.pi
+FAMILIES = {name: fam.family_by_label(name) for name in ("default", "perturbed:1e-3")}
+CONFIGS = {"plain": oracle.FDConfig(), "richardson": oracle.FDConfig(1e-4, True)}
+SHIPPED = verify.GridSpec().lattice()
+COARSE = verify.GridSpec(n_r=8, n_theta=8, n_phi=8).lattice()
+ONE_BLOCK = 10 ** 9
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def both_oracles(monkeypatch, block, fn, nodes, cfg, mask):
+    """(divergence, Jacobian) with _BLOCK set to block."""
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    return (oracle.cartesian_divergence_grid(fn, *nodes, cfg, mask),
+            oracle.cartesian_jacobian_grid(fn, *nodes, cfg, mask))
+
+
+@pytest.mark.parametrize("cfg_name", CONFIGS)
+@pytest.mark.parametrize("family_name", FAMILIES)
+@pytest.mark.parametrize("mesh", ["axes", "flat"])
+def test_shipped_grid_blocks_equal_one_block(monkeypatch, mesh, family_name, cfg_name):
+    field, cfg = FAMILIES[family_name], CONFIGS[cfg_name]
+    nodes = SHIPPED.axes if mesh == "axes" else SHIPPED.nodes()
+    reach = field.support_mask(*nodes[:2], pad=2.0 * cfg.step)
+    assert np.count_nonzero(np.broadcast_arrays(reach, *nodes)[0]) > 3 * oracle._BLOCK
+    blocked = both_oracles(monkeypatch, oracle._BLOCK, field.u_components, nodes, cfg, reach)
+    whole = both_oracles(monkeypatch, ONE_BLOCK, field.u_components, nodes, cfg, reach)
+    for got, want in zip(blocked, whole):
+        assert same_bits(got, want)
+    assert np.any(blocked[0] != 0.0)
+
+
+@pytest.mark.parametrize("cfg_name", CONFIGS)
+@pytest.mark.parametrize("mesh", ["axes", "flat"])
+@pytest.mark.parametrize("n_kept", [0, 1, 64, 65])
+def test_kept_counts_at_the_block_edges(monkeypatch, n_kept, mesh, cfg_name):
+    # _BLOCK = 64 is one radial layer of the coarse lattice
+    field, cfg = FAMILIES["default"], CONFIGS[cfg_name]
+    nodes = COARSE.axes if mesh == "axes" else COARSE.nodes()
+    mask = np.zeros(COARSE.shape, dtype=bool)
+    mask.flat[np.random.default_rng(n_kept).choice(mask.size, n_kept, replace=False)] = True
+    if mesh == "flat":
+        mask = mask.ravel()
+    sizes = []
+
+    def counted(r, theta, phi):
+        sizes.append(r.size)
+        return field.u_components(r, theta, phi)
+
+    blocked = both_oracles(monkeypatch, 64, counted, nodes, cfg, mask)
+    assert all(0 < n <= 64 for n in sizes)
+    n_offsets = 12 if cfg.richardson else 6
+    assert sum(sizes) == 2 * n_offsets * n_kept  # the divergence, then the Jacobian
+    whole = both_oracles(monkeypatch, ONE_BLOCK, field.u_components, nodes, cfg, mask)
+    for got, want in zip(blocked, whole):
+        assert same_bits(got, want)
+        assert np.all(got[..., ~mask] == 0.0)
+
+
+@pytest.mark.parametrize("block", [4, ONE_BLOCK])
+def test_every_slab_is_checked_before_the_message_is_chosen(monkeypatch, block):
+    # with _BLOCK = 4, one radial layer per slab: the first slab breaks only
+    # the axis rule and the last only the ball rule; as over all nodes at
+    # once, the ball rule is reported first
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    calls = []
+    r = np.array([0.1, 0.5, 0.9995]).reshape(3, 1, 1)
+    th = np.array([0.01, PI / 2]).reshape(1, 2, 1)
+    ph = np.array([0.2, 1.0]).reshape(1, 1, 2)
+    cfg = oracle.FDConfig(1e-3, False)
+    for fd in (oracle.cartesian_divergence_grid, oracle.cartesian_jacobian_grid):
+        with pytest.raises(StencilOutOfDomain) as exc:
+            fd(lambda *a: calls.append(a), r, th, ph, cfg)
+        assert str(exc.value) == ("Cartesian stencil leaves the unit ball at r=0.9995 "
+                                  "with step 0.001")
+        with pytest.raises(StencilOutOfDomain) as exc:
+            fd(lambda *a: calls.append(a), r[:2], th, ph, cfg)
+        assert str(exc.value) == ("Cartesian stencil too close to the polar axis "
+                                  "(needs rho >= 2 * step) at rho=0.0009999833334166665 "
+                                  "with step 0.001")
+    assert calls == []
+
+
+def test_divergence_check_memory_peak():
+    # the full-size arrays of the check are its output and the lattice's;
+    # the stencil temporaries are block-sized
+    field, grid = fam.default_field(), verify.GridSpec()
+    verify.check_divergence_free(field, grid)
+    tracemalloc.start()
+    try:
+        verify.check_divergence_free(field, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5e6

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from slipball import family as fam
 from slipball import kernels, oracle, verify
-from slipball.errors import StencilOutOfDomain
+from slipball.errors import ConfigError, StencilOutOfDomain
 
 PI = math.pi
 FAMILIES = {name: (fam.CounterexampleField(fam.default_profile(), fam.cosine_angular())
@@ -163,11 +163,11 @@ def test_divergence_makes_one_call_per_offset_on_kept_nodes(cfg_name, n_calls):
         assert shift.max() <= cfg.step * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("cfg, n_calls", [(oracle.FDConfig(), 6),
-                                          (oracle.FDConfig(richardson=True), 12)])
+@pytest.mark.parametrize("cfg, n_calls", [(oracle.FDConfig(), 24),
+                                          (oracle.FDConfig(richardson=True), 48)])
 def test_shipped_grid_divergence_call_count(cfg, n_calls):
-    # one u_components call per stencil offset on the kept nodes; Richardson
-    # doubles the offsets
+    # one u_components call per stencil offset and block of at most
+    # oracle._BLOCK kept nodes; Richardson doubles the offsets
     field, lattice = FAMILIES["default"], GRIDS["shipped"].lattice()
     reach = field.support_mask(*lattice.axes[:2], pad=2.0 * cfg.step)
     sizes = []
@@ -178,8 +178,42 @@ def test_shipped_grid_divergence_call_count(cfg, n_calls):
 
     oracle.cartesian_divergence_grid(counted, *lattice.axes, cfg, reach)
     kept = np.count_nonzero(np.broadcast_to(reach, lattice.shape))
-    assert sizes == [kept] * n_calls
     assert kept == 57_600
+    assert len(sizes) == n_calls
+    # block by block, each block's size once per offset
+    per_offset = np.reshape(sizes, (-1, n_calls // 4))
+    assert np.all(per_offset == per_offset[:, :1])
+    assert per_offset[:, 0].tolist() == [16_384, 16_384, 16_384, 8_448]
+    assert max(sizes) <= oracle._BLOCK and sum(per_offset[:, 0]) == kept
+
+
+@pytest.mark.parametrize("mask", [np.array([0, 0]), np.array([1, 1]), np.array([0.0, 1.0])],
+                         ids=["int-zeros", "int-ones", "float"])
+@pytest.mark.parametrize("fd", [oracle.cartesian_divergence_grid,
+                                oracle.cartesian_jacobian_grid])
+def test_a_mask_that_is_not_boolean_is_refused(fd, mask):
+    # an integer mask would index the nodes instead of selecting them
+    field = FAMILIES["default"]
+    calls = []
+
+    def counted(r, theta, phi):
+        calls.append(r.size)
+        return field.u_components(r, theta, phi)
+
+    with pytest.raises(ConfigError) as exc:
+        fd(counted, np.array([0.6, 0.7]), np.array([PI / 2, 1.2]), np.array([1.0, 2.0]),
+           oracle.FDConfig(), mask)
+    assert str(exc.value) == f"node mask must be boolean, not {mask.dtype}"
+    assert calls == []
+
+
+def test_a_boolean_list_mask_is_a_mask():
+    field = FAMILIES["default"]
+    nodes = np.array([0.6, 0.7]), np.array([PI / 2, 1.2]), np.array([1.0, 2.0])
+    full = oracle.cartesian_divergence_grid(field.u_components, *nodes)
+    masked = oracle.cartesian_divergence_grid(field.u_components, *nodes, oracle.FDConfig(),
+                                              [False, True])
+    assert masked.tolist() == [0.0, full[1]]
 
 
 @pytest.mark.parametrize("family_name", ["default", "perturbed:1e-3"])
