@@ -184,15 +184,8 @@ def perturbed_profile(eps: float, base: Optional[RadialProfile] = None) -> Radia
     base = base if base is not None else default_profile()
 
     def fn(r, order):
-        h = base.fn(r, order)
-        q = kernels.perturbed_factor_jet(r, float(eps), order)
-        hq = h[0] * q[0]
-        if order < 1:
-            return (hq,)
-        hq1 = h[1] * q[0] + h[0] * q[1]
-        if order < 2:
-            return hq, hq1
-        return hq, hq1, h[2] * q[0] + 2.0 * h[1] * q[1] + h[0] * q[2]
+        return kernels.product_jet(base.fn(r, order),
+                                   kernels.perturbed_factor_jet(r, float(eps), order), order)
 
     return RadialProfile(fn, base.support_inner, f"perturbed:{eps:g}")
 
@@ -334,13 +327,13 @@ class CounterexampleField:
         return SphereState(*_maybe_scalar(_on_support(support, 9, compute, theta, phi), scalar))
 
     def boundary_curl_theta(self, theta, phi):
-        """The closed-form theta trace of curl(u x w): boundary_state's curl_v_theta."""
+        """The closed-form theta trace of curl(u x w): boundary_state's
+        curl_v_theta, which verify.neighborhood_radius samples."""
         return self.boundary_state(theta, phi).curl_v_theta
 
     def boundary_curl_phi(self, theta, phi):
-        """The closed-form phi trace: boundary_state's curl_v_phi.  verify gates
-        the traces it reads off its boundary pass; neighborhood_radius and the
-        benchmark tracer call these two methods."""
+        """The closed-form phi trace: boundary_state's curl_v_phi.  No package
+        code calls it; the benchmark tracer and the tests do."""
         return self.boundary_state(theta, phi).curl_v_phi
 
 

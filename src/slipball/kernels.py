@@ -96,50 +96,53 @@ def smooth_step_jet(t, order=2):
     return tuple(jet)
 
 
-def bump_jet(x, a, b, c, d, order=2):
-    # product of a rising step on [a,b] and a falling step on [c,d]
-    wl = b - a
-    wr = d - c
-    u = smooth_step_jet((x - a) / wl, order)
-    v = smooth_step_jet((d - x) / wr, order)
-    p = u[0] * v[0]
+def _scaled_step_jet(x, lo, width, order=2):
+    # the jet in x of smooth_step_jet((x - lo) / width), by the chain rule
+    s = smooth_step_jet((x - lo) / width, order)
+    return s[:1] + tuple(s[k] / width**k for k in range(1, order + 1))
+
+
+def product_jet(a, b, order=2):
+    # the jet of the product of two jets, by the Leibniz rule
+    p = a[0] * b[0]
     if order < 1:
         return (p,)
-    u1, v1 = u[1] / wl, -v[1] / wr
-    p1 = u1 * v[0] + u[0] * v1
+    p1 = a[1] * b[0] + a[0] * b[1]
     if order < 2:
         return p, p1
-    u2, v2 = u[2] / wl**2, v[2] / wr**2
-    return p, p1, u2 * v[0] + 2.0 * u1 * v1 + u[0] * v2
+    return p, p1, a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2]
+
+
+def bump_jet(x, a, b, c, d, order=2):
+    # a rising step on [a,b] times a falling one on [c,d], whose argument
+    # (x - d) / (c - d) is (d - x) / (d - c) bit for bit
+    return product_jet(_scaled_step_jet(x, a, b - a, order),
+                       _scaled_step_jet(x, d, c - d, order), order)
 
 
 def default_profile_jet(r, order=2):
-    c = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH, order)
+    c = _scaled_step_jet(r, _CHI_LO, _CHI_WIDTH, order)
     e = np.exp(1.0 - r)
     h = c[0] * e
     if order < 1:
         return (h,)
-    c1 = c[1] / _CHI_WIDTH
-    hp = (c1 - c[0]) * e
+    hp = (c[1] - c[0]) * e
     if order < 2:
         return h, hp
-    c2 = c[2] / _CHI_WIDTH**2
-    return h, hp, (c2 - 2.0 * c1 + c[0]) * e
+    return h, hp, (c[2] - 2.0 * c[1] + c[0]) * e
 
 
 def h1zero_profile_jet(r, order=2):
     # chi(r) * (1 - r)^2: vanishes to second order at r = 1
-    c = smooth_step_jet((r - _CHI_LO) / _CHI_WIDTH, order)
+    c = _scaled_step_jet(r, _CHI_LO, _CHI_WIDTH, order)
     q = 1.0 - r
     h = c[0] * q * q
     if order < 1:
         return (h,)
-    c1 = c[1] / _CHI_WIDTH
-    hp = c1 * q * q - 2.0 * c[0] * q
+    hp = c[1] * q * q - 2.0 * c[0] * q
     if order < 2:
         return h, hp
-    c2 = c[2] / _CHI_WIDTH**2
-    return h, hp, c2 * q * q - 4.0 * c1 * q + 2.0 * c[0]
+    return h, hp, c[2] * q * q - 4.0 * c[1] * q + 2.0 * c[0]
 
 
 def perturbed_factor_jet(r, eps, order=2):

@@ -17,13 +17,12 @@ fails TOL_FD and needs Richardson (tests/test_fd_error.py).
 Sample sizes: ORACLE_SPOTS 5 FD-curl spots (slip), GATE_POINTS 50 gate nodes
 per trace (persistency), AGREEMENT_POINTS 50 random nodes (oracle
 agreement), and RADIUS_BISECTIONS 40 bisection steps on RADIUS_RINGS 4 rings
-of RADIUS_DIRECTIONS 16 points (neighborhood_radius).  The bisection steps are
-evaluated RADIUS_BATCH_LEVELS 4 levels at a time: one trace call takes the
-2^4 - 1 = 15 midpoints the next four steps may visit, so the 40 steps cost
-10 calls after the one for the witness and the radius pi/2, and the radius
-keeps its bits.  In-process timings of the default witness put 4 levels
-first among 1 to 6 (3.2-3.4 ms at the minimum, 3 levels 0.1-0.3 ms behind,
-one level per call 6.4-10 ms).
+of RADIUS_DIRECTIONS 16 points (neighborhood_radius, the ungated half-floor
+ball of the theta trace), RADIUS_BATCH_LEVELS 4 levels per trace call: one
+call takes the 15 midpoints the next four steps may visit, so the 40 steps
+cost 10 calls after the one for the witness and the radius pi/2, and the
+radius keeps its bits; 4 levels timed fastest of 1 to 6 in process (3.2-3.4
+ms on the default witness, one level per call 6.4-10 ms).
 
 Every grid is a sphcalc.midpoint_lattice (GridSpec.lattice): the interior
 lattice of the ball, or the sphere as its r = 1 layer; a grid of the other
@@ -45,6 +44,7 @@ reductions resolve ties by lowest flat index.
 """
 import json
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field as dataclass_field
 from datetime import datetime, timezone
@@ -279,10 +279,10 @@ def check_persistency_failure(field: fam.CounterexampleField, sphere: BoundaryPa
     return tuple(results)
 
 
-def neighborhood_radius(field: fam.CounterexampleField, component: str,
-                        witness: SphPoint, floor_fraction: float) -> float:
-    """Largest geodesic radius around the witness on which the chosen
-    curl(v) component keeps at least floor_fraction of its witness value.
+def neighborhood_radius(field: fam.CounterexampleField, witness: SphPoint) -> float:
+    """Largest geodesic radius around the witness on which the closed-form
+    theta trace of curl(u x w) keeps at least half its witness value: the
+    half-floor ball that run_full_verification reports.
 
     RADIUS_BISECTIONS bisection steps on [0, pi/2], each sampling
     RADIUS_RINGS rings of RADIUS_DIRECTIONS points in the geodesic ball; the
@@ -291,34 +291,25 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
     evaluates all 2^RADIUS_BATCH_LEVELS - 1 midpoints of the next
     RADIUS_BATCH_LEVELS levels of the bisection tree, and the bisection then
     walks its path through them, so the radius has the bits of one step at
-    a time.  component is "theta" or "phi" and 0 <= floor_fraction <= 1,
-    else ConfigError.
+    a time.  A witness where the trace vanishes has radius 0.
     """
-    traces = {"theta": field.boundary_curl_theta, "phi": field.boundary_curl_phi}
-    if component not in traces:
-        raise ConfigError(f"component must be 'theta' or 'phi', got {component!r}")
-    if not 0.0 <= floor_fraction <= 1.0:
-        raise ConfigError(f"floor_fraction must lie in [0, 1], got {floor_fraction!r}")
-    fc = traces[component]
-
     # the Cartesian unit vectors (e_r, e_theta, e_phi) at the witness, and a
     # frame of its tangent plane: t1 = e_phi, t2 = -e_theta
     wvec, e_t, t1 = np.transpose(kernels.vec_sph_to_cart(witness.theta, witness.phi,
                                                          *np.eye(3)))
-    t2 = -e_t
     alpha = np.arange(RADIUS_DIRECTIONS) * (2.0 * math.pi / RADIUS_DIRECTIONS)
-    dirs = np.outer(np.cos(alpha), t1) + np.outer(np.sin(alpha), t2)
+    dirs = np.outer(np.cos(alpha), t1) - np.outer(np.sin(alpha), e_t)
 
     fracs = (np.arange(RADIUS_RINGS) + 1.0) / RADIUS_RINGS
 
     def ball_mins(rhos, theta=(), phi=()):
-        # |fc| at the extra nodes (theta, phi), then the minimum of |fc| over
-        # the RADIUS_RINGS x RADIUS_DIRECTIONS ring points of each radius in
+        # |trace| at the extra nodes (theta, phi), then its minimum over the
+        # RADIUS_RINGS x RADIUS_DIRECTIONS ring points of each radius in
         # rhos, all from one trace call
         a = fracs[:, None, None] * np.array(rhos)[:, None, None, None]
         pts = np.cos(a) * wvec + np.sin(a) * dirs
         _, th, ph = kernels.cart_to_sph(*(pts[..., k].ravel() for k in range(3)))
-        values = np.abs(fc(np.append(theta, th), np.append(phi, ph)))
+        values = np.abs(field.boundary_curl_theta(np.append(theta, th), np.append(phi, ph)))
         mins = np.min(values[len(theta):].reshape(len(rhos), -1), axis=1)
         return values[:len(theta)].tolist(), mins.tolist()
 
@@ -326,12 +317,8 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
     (ref,), (hi_min,) = ball_mins([hi], [witness.theta], [witness.phi])
     if ref == 0.0:
         return 0.0
-    floor = floor_fraction * ref
-
-    def holds(m):
-        return m > 0.0 if floor_fraction == 0.0 else m >= floor
-
-    if holds(hi_min):
+    floor = 0.5 * ref
+    if hi_min >= floor:
         return hi
     for done in range(0, RADIUS_BISECTIONS, RADIUS_BATCH_LEVELS):
         levels = min(RADIUS_BATCH_LEVELS, RADIUS_BISECTIONS - done)
@@ -346,29 +333,25 @@ def neighborhood_radius(field: fam.CounterexampleField, component: str,
         _, mins = ball_mins(mids)
         i = 0
         for _ in range(levels):
-            if holds(mins[i]):
+            if mins[i] >= floor:
                 lo, i = mids[i], 2 * i + 2
             else:
                 hi, i = mids[i], 2 * i + 1
     return lo
 
 
-def check_navier_traction(sphere: BoundaryPass, flat_boundary: bool = False) -> CheckResult:
-    """sup of the tangential traction magnitude |t_tan| on the sphere.
-
-    t . tau = (1/2) (w x n) . tau - K u . tau (unit viscosity) with K = 1 on
-    the unit sphere (center of curvature inside) and K = 0 under the
-    flat-boundary override.  For slip-compatible families the first term
-    vanishes, so a nonzero sup exhibits the gap between the vorticity-based
-    slip condition and the traction-based wall law on the curved boundary.
-    """
-    curvature = 0.0 if flat_boundary else 1.0
-    t_theta = 0.5 * sphere.omega_phi - curvature * sphere.u_theta
-    t_phi = -0.5 * sphere.omega_theta - curvature * sphere.u_phi
-    magnitude = np.hypot(t_theta, t_phi)
-    res = _grid_result("navier_traction", "above", magnitude, sphere.lattice,
-                       NONVANISH_THRESHOLD)
-    res.details = {"nu": 1.0, "curvature": curvature}
+def check_navier_traction(sphere: BoundaryPass) -> CheckResult:
+    """Closed-form sup of the tangential traction |t_tan| on the sphere; it
+    gates no verdict.  t . tau = (1/2) (w x n) . tau - K u . tau (unit
+    viscosity) with K = 1 on the unit sphere (center of curvature inside);
+    at K = 0 (a flat wall) it is half the slip_omega_cross_n residual.  For
+    slip-compatible families the first term vanishes, so a nonzero sup
+    exhibits the gap between the vorticity-based slip condition and the
+    traction-based wall law on the curved boundary."""
+    magnitude = np.hypot(0.5 * sphere.omega_phi - sphere.u_theta,  # t_theta
+                         -0.5 * sphere.omega_theta - sphere.u_phi)  # t_phi
+    res = _grid_result("navier_traction", "above", magnitude, sphere.lattice, NONVANISH_THRESHOLD)
+    res.details = {"nu": 1.0, "curvature": 1.0}
     return res
 
 
@@ -390,12 +373,22 @@ def _agreement_nodes(seed, step):
     return r, th, ph
 
 
+def _seed(seed) -> int:
+    """seed as int if a non-negative integer (not a bool), else ConfigError."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return int(seed)
+
+
 def check_oracle_agreement(field: fam.CounterexampleField,
                            cfg: oracle.FDConfig = oracle.FDConfig(),
                            seed: int = DEFAULT_SEED) -> CheckResult:
     """The closed-form omega against the Cartesian FD curl of u at
     AGREEMENT_POINTS random interior points: the gate of the omega that the
-    slip check and the boundary traces read."""
+    slip check and the boundary traces read; seed as _seed reads it."""
+    seed = _seed(seed)
     r, th, ph = _agreement_nodes(seed, cfg.step)
     wr, wt, wp = field.omega_components(r, th, ph)
     fr, ft, fp = oracle.cartesian_curl_grid(field.u_components, r, th, ph, cfg)
@@ -528,6 +521,7 @@ def run_full_verification(field: fam.CounterexampleField,
     holds a non-finite number (a family large enough to overflow), since
     the report is strict JSON.
     """
+    seed = _seed(seed)  # a bad seed stops the run before any check evaluates the field
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         checks = [check_divergence_free(field, interior_grid, cfg)]
         sphere = boundary_pass(field, boundary_grid)
@@ -544,7 +538,7 @@ def run_full_verification(field: fam.CounterexampleField,
             res_t, res_p = check_persistency_failure(field, sphere, cfg)
             if res_t.passed:
                 res_t.details["neighborhood_radius_half_floor"] = neighborhood_radius(
-                    field, "theta", res_t.witness, 0.5)
+                    field, res_t.witness)
             checks.extend([res_t, res_p])
         else:
             checks.extend(CheckResult(name, 0.0, 0.0, NONVANISH_THRESHOLD, "above", False, None,

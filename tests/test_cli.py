@@ -67,9 +67,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_negative_seed_exits_one_before_any_check(self, capsys, tmp_path, monkeypatch,
                                                       form):
-        # used to run three checks, then end in numpy's raw ValueError traceback
-        monkeypatch.setattr(verify, "run_full_verification",
-                            lambda *a, **k: pytest.fail("a check ran"))
+        # used to run three checks, then end in numpy's raw ValueError traceback;
+        # run_full_verification refuses the seed before any check runs
+        for name in ("check_divergence_free", "boundary_pass"):
+            monkeypatch.setattr(verify, name, lambda *a, **k: pytest.fail("a check ran"))
         report = tmp_path / "out.json"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": -1}))

@@ -16,9 +16,6 @@ BAD_INPUT = {
     "point": (lambda: sphcalc.SphPoint(-1, 0, 0), "negative radius r=-1.0"),
     "sweep eps set": (lambda: verify.scaling_sweep(family.default_field(), [1e-2] * 4, COARSE[1]),
                       "degenerate fit: all eps values identical"),
-    "radius component": (lambda: verify.neighborhood_radius(
-        family.default_field(), "x", sphcalc.SphPoint(1, 1, 1), 0.5),
-        "component must be 'theta' or 'phi', got 'x'"),
     "profile support": (lambda: family.RadialProfile(lambda r, k: (r,), 2.0, "x"),
                         "support_inner must lie in (0, 1)"),
     "partial coordinate": (lambda: oracle.fd_partial(lambda r, t, p: r, 0.5, 1.0, 1.0, "q"),

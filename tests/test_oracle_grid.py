@@ -306,14 +306,12 @@ class TestGuards:
 
 # -- verify call sites against the loops they replaced ----------------------
 
-def ref_neighborhood_radius(field, component, witness, floor_fraction,
-                            n_directions=16, n_rings=4, iterations=40):
-    fc = (field.boundary_curl_theta if component == "theta"
-          else field.boundary_curl_phi)
+def ref_neighborhood_radius(field, witness, n_directions=16, n_rings=4, iterations=40):
+    fc = field.boundary_curl_theta
     ref = abs(fc(witness.theta, witness.phi))
     if ref == 0.0:
         return 0.0
-    floor = floor_fraction * ref
+    floor = 0.5 * ref
     st, ct = math.sin(witness.theta), math.cos(witness.theta)
     sp, cp = math.sin(witness.phi), math.cos(witness.phi)
     wvec = np.array([st * cp, st * sp, ct])
@@ -334,8 +332,7 @@ def ref_neighborhood_radius(field, component, witness, floor_fraction,
         return float(np.min(np.concatenate(vals)))
 
     def holds(rho):
-        m = ball_min(rho)
-        return m > 0.0 if floor_fraction == 0.0 else m >= floor
+        return ball_min(rho) >= floor
 
     lo, hi = 0.0, math.pi / 2
     if holds(hi):
@@ -349,27 +346,29 @@ def ref_neighborhood_radius(field, component, witness, floor_fraction,
     return lo
 
 
-@pytest.mark.parametrize("floor_fraction", [0.0, 0.5, 0.9])
-@pytest.mark.parametrize("component", ["theta", "phi"])
-def test_neighborhood_radius_matches_ring_loop(default_field, component, floor_fraction):
-    witness = fam.find_witnesses(default_field)[0 if component == "theta" else 1]
-    got = verify.neighborhood_radius(default_field, component, witness, floor_fraction)
-    want = ref_neighborhood_radius(default_field, component, witness, floor_fraction)
-    assert got == want
+# the equator plateau point, where the theta trace peaks; the two
+# admissibility witnesses; and a point on the bump's rising ramp
+RADIUS_WITNESSES = {
+    "plateau": lambda field: SphPoint(1.0, PI / 2, PI / 4),
+    "grid-theta": lambda field: fam.find_witnesses(field)[0],
+    "grid-phi": lambda field: fam.find_witnesses(field)[1],
+    "ramp": lambda field: SphPoint(1.0, 5 * PI / 16, PI / 4),
+}
 
 
-@pytest.mark.parametrize("floor_fraction", [0.25, 0.5])
-@pytest.mark.parametrize("component", ["theta", "phi"])
+@pytest.mark.parametrize("directions", [16, 7])
+@pytest.mark.parametrize("where", RADIUS_WITNESSES)
 @pytest.mark.parametrize("angular", [fam.default_angular, fam.cosine_angular])
-def test_neighborhood_radius_frame_matches_the_cross_products(angular, component,
-                                                              floor_fraction):
-    # the tangent frame comes from the kernel rotation (t1 = e_phi,
-    # t2 = -e_theta); the reference builds it from cross products
+def test_neighborhood_radius_matches_ring_loop(angular, where, directions, monkeypatch):
+    # the batched bisection against one ring loop per step, bit for bit; the
+    # tangent frame comes from the kernel rotation (t1 = e_phi,
+    # t2 = -e_theta), the reference builds it from cross products
     field = fam.CounterexampleField(fam.default_profile(), angular())
-    witness = fam.find_witnesses(field)[0 if component == "theta" else 1]
-    got = verify.neighborhood_radius(field, component, witness, floor_fraction)
-    want = ref_neighborhood_radius(field, component, witness, floor_fraction)
-    assert got == want
+    witness = RADIUS_WITNESSES[where](field)
+    monkeypatch.setattr(verify, "RADIUS_DIRECTIONS", directions)
+    got = verify.neighborhood_radius(field, witness)
+    want = ref_neighborhood_radius(field, witness, n_directions=directions)
+    assert got.hex() == want.hex()
 
 
 def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):

@@ -1,6 +1,7 @@
 """Verification checks, quadrature, sweeps, and report assembly."""
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from slipball import family as fam
 from slipball import kernels, oracle, verify
-from slipball.errors import DegenerateFit, StencilOutOfDomain
+from slipball.errors import ConfigError, DegenerateFit, StencilOutOfDomain
 from slipball.oracle import FDConfig
 from slipball.verify import GridSpec
 from tests_support import jets_curl, jets_divergence
@@ -361,7 +362,7 @@ class TestNeighborhoodRadius:
         return SphPoint(1.0, PI / 2, PI / 4)
 
     def test_half_floor_radius_at_plateau_peak(self, default_field):
-        rho = verify.neighborhood_radius(default_field, "theta", self.equator_point(), 0.5)
+        rho = verify.neighborhood_radius(default_field, self.equator_point())
         assert rho >= 0.05
         # |sin 2 phi| >= 1/2 pins the phi direction at pi/6
         assert rho == pytest.approx(PI / 6, abs=0.02)
@@ -371,76 +372,30 @@ class TestNeighborhoodRadius:
         # form varies faster; the half-floor ball is smaller but still open
         res_t, _ = verify.check_persistency_failure(
             default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY))
-        rho = verify.neighborhood_radius(default_field, "theta", res_t.witness, 0.5)
+        rho = verify.neighborhood_radius(default_field, res_t.witness)
         assert rho >= 0.02
 
-    def test_full_floor_radius_is_resolution_zero(self, default_field):
-        rho = verify.neighborhood_radius(default_field, "theta", self.equator_point(), 1.0)
-        assert rho <= 0.01
-
-    def test_zero_floor_bounded_by_zero_set(self, default_field):
-        # the closed form vanishes on the meridians phi = k pi/2, a geodesic
-        # distance pi/4 away from the plateau peak
-        rho = verify.neighborhood_radius(default_field, "theta", self.equator_point(), 0.0)
-        assert 0.0 < rho <= PI / 4 + 0.02
-
-    @pytest.mark.parametrize("component", ["thta", "Theta", "r", ""])
-    def test_unknown_component_raises(self, default_field, component):
-        with pytest.raises(ValueError, match="component"):
-            verify.neighborhood_radius(default_field, component, self.equator_point(), 0.5)
-
-    @pytest.mark.parametrize("fraction", [math.nan, -0.5, -1e-300, 1.5, math.inf])
-    def test_floor_fraction_outside_unit_interval_raises(self, default_field, fraction):
-        with pytest.raises(ValueError, match="floor_fraction"):
-            verify.neighborhood_radius(default_field, "theta", self.equator_point(), fraction)
-
-    # float.hex of the radius at the admissibility witnesses (witness_a1 for
-    # theta, witness_a2 for phi), measured with one bisection step per trace
-    # call; the level-batched bisection must keep every bit
+    # float.hex of the radius at the theta admissibility witness (witness_a1),
+    # measured with one bisection step per trace call; the level-batched
+    # bisection must keep every bit
     PINS = [
-        ("default", "theta", 0.5, "0x1.07e6053e97930p-5"),
-        ("default", "phi", 0.5, "0x1.16eea528f7cf4p-5"),
-        ("default", "theta", 0.0, "0x1.391e3ec05bc22p-2"),
-        ("default", "theta", 0.9, "0x1.a6336e52e4ba3p-7"),
-        ("default", "phi", 1.0, "0x0.0p+0"),
-        ("perturbed:1e-3", "theta", 0.5, "0x1.07e6053e97930p-5"),
-        ("perturbed:1e-3", "phi", 0.5, "0x1.16eea528f7cf4p-5"),
-        ("perturbed:1e-3", "theta", 0.0, "0x1.391e3eb7d77e4p-2"),
-        ("perturbed:1e-3", "theta", 0.9, "0x1.a6336e52e4ba3p-7"),
-        ("perturbed:1e-3", "phi", 1.0, "0x0.0p+0"),
+        ("default", "0x1.07e6053e97930p-5"),
+        ("perturbed:1e-3", "0x1.07e6053e97930p-5"),
     ]
 
-    @pytest.mark.parametrize("label, component, fraction, pin", PINS)
-    def test_radius_bits_are_pinned(self, label, component, fraction, pin):
+    @pytest.mark.parametrize("label, pin", PINS)
+    def test_radius_bits_are_pinned(self, label, pin):
         field = fam.family_by_label(label)
-        witness = fam.find_witnesses(field)[0 if component == "theta" else 1]
-        rho = verify.neighborhood_radius(field, component, witness, fraction)
+        rho = verify.neighborhood_radius(field, fam.find_witnesses(field)[0])
         assert type(rho) is float and rho.hex() == pin
 
-    # the same at the witnesses of the 32x64 persistency check
-    COARSE_PINS = [
-        ("theta", 0.0, "0x1.5ed137bec205cp-2"), ("theta", 0.5, "0x1.e0b369a34416ap-8"),
-        ("theta", 0.9, "0x1.5d5525afcdf47p-10"), ("phi", 0.0, "0x1.2b8bfaf6a2b32p-3"),
-        ("phi", 0.5, "0x1.83ab8bc19158bp-6"), ("phi", 0.9, "0x1.10741f67b8a78p-8"),
-    ]
-
-    @pytest.mark.parametrize("component, fraction, pin", COARSE_PINS)
-    def test_radius_bits_at_the_coarse_check_witnesses(self, default_field, component,
-                                                       fraction, pin):
+    def test_radius_bits_at_the_coarse_check_witness(self, default_field):
+        # the same at the theta witness of the 32x64 persistency check
         grid = GridSpec(n_theta=32, n_phi=64, boundary_only=True)
-        res_t, res_p = verify.check_persistency_failure(
+        res_t, _ = verify.check_persistency_failure(
             default_field, verify.boundary_pass(default_field, grid))
-        witness = res_t.witness if component == "theta" else res_p.witness
-        rho = verify.neighborhood_radius(default_field, component, witness, fraction)
-        assert rho.hex() == pin
-
-    def test_phi_component_uses_phi_trace(self, default_field):
-        # at the plateau peak the phi trace is 0 (g_theta = 0) and the theta
-        # trace is not, so only the phi component gives radius 0
-        p = self.equator_point()
-        assert default_field.boundary_curl_phi(p.theta, p.phi) == 0.0
-        assert verify.neighborhood_radius(default_field, "phi", p, 0.5) == 0.0
-        assert verify.neighborhood_radius(default_field, "theta", p, 0.5) > 0.0
+        assert verify.neighborhood_radius(default_field, res_t.witness).hex() == \
+            "0x1.e0b369a34416ap-8"
 
 
 class TestNavierTraction:
@@ -449,11 +404,6 @@ class TestNavierTraction:
         assert res.norm_sup >= 0.9
         assert res.passed
         assert res.details == {"nu": 1.0, "curvature": 1.0}
-
-    def test_flat_boundary_override(self, default_field):
-        res = verify.check_navier_traction(verify.boundary_pass(default_field, SMALL_BOUNDARY),
-                                           flat_boundary=True)
-        assert res.norm_sup <= 1e-12
 
 
 class TestOracleAgreement:
@@ -568,6 +518,38 @@ class TestOnePathPerQuantity:
         agreement = by_name["oracle_agreement_curl"]
         assert agreement["norm_sup"] == want
         assert set(agreement["details"]) == {"n_points", "seed", "l2_is_rms_over_samples"}
+
+
+class TestSeed:
+    """One seed rule, which check_oracle_agreement and run_full_verification
+    apply before they evaluate the field."""
+
+    BAD = [(-1, "seed must be non-negative, got -1"),  # used to end in numpy's ValueError
+           (1.5, "seed must be an integer, got 1.5"),  # used to end in a TypeError
+           (True, "seed must be an integer, got True")]  # used to run with seed 1
+
+    @pytest.mark.parametrize("seed, message", BAD)
+    def test_bad_seed_is_refused_by_the_agreement_check(self, default_field, seed, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            verify.check_oracle_agreement(default_field, seed=seed)
+
+    @pytest.mark.parametrize("seed, message", BAD)
+    def test_bad_seed_stops_the_run_before_any_other_check(self, default_field, monkeypatch,
+                                                           seed, message):
+        for name in ("check_divergence_free", "boundary_pass"):
+            monkeypatch.setattr(verify, name, lambda *a, **k: pytest.fail("a check ran"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            verify.run_full_verification(default_field, SMALL_INTERIOR, SMALL_BOUNDARY,
+                                         seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_int(self, default_field):
+        # np.int64(5) used to make to_json raise TypeError after every check ran
+        grids = (GridSpec(n_r=8, n_theta=8, n_phi=8), SMALL_BOUNDARY)
+        got = verify.run_full_verification(default_field, *grids, seed=np.int64(5))
+        want = verify.run_full_verification(default_field, *grids, seed=5)
+        assert type(got.oracle_echo["seed"]) is int
+        assert type(got.checks[-2].details["seed"]) is int
+        assert got.to_json(False) == want.to_json(False)
 
 
 class TestPerAxisWork:
@@ -822,7 +804,7 @@ class TestFullVerification:
         if not skipped:
             res_t, res_p = verify.check_persistency_failure(field, sphere)
             res_t.details["neighborhood_radius_half_floor"] = verify.neighborhood_radius(
-                field, "theta", res_t.witness, 0.5)
+                field, res_t.witness)
             standalone += [res_t, res_p]
         names = ("u_components", "omega_components", "boundary_state")
         sizes = {name: [] for name in names}
