@@ -276,6 +276,44 @@ class TestAngular:
         assert np.abs(g_tp - g_tpf).max() < 1e-6
 
 
+class TestJetRules:
+    """The chain rule of a scaled step and the Leibniz rule, which the
+    profile and bump jets share."""
+
+    X = np.concatenate([np.linspace(-0.5, 3.5, 801), [TestBump.A, TestBump.B, TestBump.C,
+                                                     TestBump.D, -0.0]])
+
+    @pytest.mark.parametrize("lo, width", [(0.25, 0.25), (TestBump.A, TestBump.B - TestBump.A),
+                                           (TestBump.D, TestBump.C - TestBump.D)])
+    def test_scaled_step_is_the_chain_rule(self, lo, width):
+        s = kernels.smooth_step_jet((self.X - lo) / width)
+        # the value entry passes through undivided
+        assert_same_bits(kernels._scaled_step_jet(self.X, lo, width),
+                         (s[0], s[1] / width, s[2] / width**2))
+        x = np.linspace(lo + 0.1 * width, lo + 0.9 * width, 41)
+        step = lambda y: kernels._scaled_step_jet(y, lo, width)  # noqa: E731
+        _, s1, s2 = step(x)
+        assert np.abs(s1 - fd1(step, x)).max() < 1e-6 * max(1.0, abs(width) ** -1)
+        assert np.abs(s2 - fd2(step, x)).max() < 1e-3 * max(1.0, width ** -2)
+
+    def test_falling_argument_is_the_reflected_one(self):
+        # bump_jet's falling side reads (x - d) / (c - d) for (d - x) / (d - c):
+        # the same value everywhere, and the sign of zero differs only at x = d
+        c, d = TestBump.C, TestBump.D
+        got, want = (self.X - d) / (c - d), (d - self.X) / (d - c)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got) != np.signbit(want), self.X == d)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_product_is_the_leibniz_rule(self, order):
+        # x^2 times x^3 on small integers: every entry of the jet of x^5 is exact
+        x = np.arange(-4.0, 5.0)
+        got = kernels.product_jet((x**2, 2.0 * x, np.full_like(x, 2.0)),
+                                  (x**3, 3.0 * x**2, 6.0 * x), order)
+        assert len(got) == order + 1
+        assert_same_bits(got, (x**5, 5.0 * x**4, 20.0 * x**3)[:order + 1])
+
+
 class TestJetOrders:
     """A jet at order k holds the first k + 1 entries of the order-2 jet,
     bit for bit and with the same sign bits (the angular jet: 1, 3 and 6
@@ -301,6 +339,11 @@ class TestJetOrders:
         "smooth_step_jet": lambda order: kernels.smooth_step_jet(TestJetOrders.T, order),
         "bump_jet": lambda order: kernels.bump_jet(TestJetOrders.X, TestBump.A, TestBump.B,
                                                    TestBump.C, TestBump.D, order),
+        "_scaled_step_jet": lambda order: kernels._scaled_step_jet(
+            TestJetOrders.X, TestBump.D, TestBump.C - TestBump.D, order),
+        "product_jet": lambda order: kernels.product_jet(
+            kernels.smooth_step_jet(TestJetOrders.T),
+            kernels.perturbed_factor_jet(TestJetOrders.T, 0.37), order),
         "default_profile_jet": lambda order: kernels.default_profile_jet(TestJetOrders.R, order),
         "h1zero_profile_jet": lambda order: kernels.h1zero_profile_jet(TestJetOrders.R, order),
         "perturbed_factor_jet": lambda order: kernels.perturbed_factor_jet(

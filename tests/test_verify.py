@@ -381,6 +381,7 @@ class TestNeighborhoodRadius:
     PINS = [
         ("default", "0x1.07e6053e97930p-5"),
         ("perturbed:1e-3", "0x1.07e6053e97930p-5"),
+        ("h1zero", "0x0.0p+0"),  # h(1) = 0: the trace vanishes at the witness
     ]
 
     @pytest.mark.parametrize("label, pin", PINS)
@@ -388,6 +389,36 @@ class TestNeighborhoodRadius:
         field = fam.family_by_label(label)
         rho = verify.neighborhood_radius(field, fam.find_witnesses(field)[0])
         assert type(rho) is float and rho.hex() == pin
+
+    # the same at fixed points of the default field: the plateau peak, a
+    # point on the bump's rising ramp, and the meridian phi = 0
+    POINT_PINS = [
+        ((PI / 2, PI / 4), "0x1.0c152382d62a2p-1"),
+        ((5 * PI / 16, PI / 4), "0x1.48063378c456ep-8"),
+        ((PI / 2, 0.0), "0x0.0p+0"),
+    ]
+
+    @pytest.mark.parametrize("angles, pin", POINT_PINS)
+    def test_radius_bits_at_fixed_points(self, default_field, angles, pin):
+        from slipball.sphcalc import SphPoint
+        rho = verify.neighborhood_radius(default_field, SphPoint(1.0, *angles))
+        assert type(rho) is float and rho.hex() == pin
+
+    def test_vanishing_trace_gives_radius_zero_with_one_trace_call(self, default_field,
+                                                                   monkeypatch):
+        # the closed form -sin(2 phi)/sin^3(theta) is 0 on the meridian phi = 0,
+        # so no ball keeps half of it and the bisection never runs
+        calls = []
+
+        def spy(*args, _original=fam.CounterexampleField.boundary_curl_theta):
+            calls.append(np.size(args[1]))
+            return _original(*args)
+
+        monkeypatch.setattr(fam.CounterexampleField, "boundary_curl_theta", spy)
+        from slipball.sphcalc import SphPoint
+        assert verify.neighborhood_radius(default_field, SphPoint(1.0, PI / 2, 0.0)) == 0.0
+        # the witness and the rings of the radius pi/2 share the one call
+        assert calls == [1 + verify.RADIUS_RINGS * verify.RADIUS_DIRECTIONS]
 
     def test_radius_bits_at_the_coarse_check_witness(self, default_field):
         # the same at the theta witness of the 32x64 persistency check
@@ -526,7 +557,11 @@ class TestSeed:
 
     BAD = [(-1, "seed must be non-negative, got -1"),  # used to end in numpy's ValueError
            (1.5, "seed must be an integer, got 1.5"),  # used to end in a TypeError
-           (True, "seed must be an integer, got True")]  # used to run with seed 1
+           (True, "seed must be an integer, got True"),  # used to run with seed 1
+           (np.True_, "seed must be an integer, got np.True_"),  # used to end in a TypeError
+           (np.int64(-1), "seed must be non-negative, got -1"),  # numpy's ValueError
+           (None, "seed must be an integer, got None"),  # used to draw fresh entropy
+           ("5", "seed must be an integer, got '5'")]  # used to end in a TypeError
 
     @pytest.mark.parametrize("seed, message", BAD)
     def test_bad_seed_is_refused_by_the_agreement_check(self, default_field, seed, message):
@@ -550,6 +585,14 @@ class TestSeed:
         assert type(got.oracle_echo["seed"]) is int
         assert type(got.checks[-2].details["seed"]) is int
         assert got.to_json(False) == want.to_json(False)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint8(5), np.int32(5)])
+    def test_numpy_integer_seed_is_stored_as_int_by_the_agreement_check(self, default_field,
+                                                                        seed):
+        got = verify.check_oracle_agreement(default_field, seed=seed)
+        assert type(got.details["seed"]) is int
+        want = verify.check_oracle_agreement(default_field, seed=5)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 class TestPerAxisWork:
