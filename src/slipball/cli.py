@@ -127,7 +127,7 @@ def _apply_overrides(cfg, args):
         section[key] = given[dest]
     if "epsilons" in given:
         try:
-            cfg["epsilons"] = [float(tok) for tok in given["epsilons"].split(",") if tok.strip()]
+            cfg["epsilons"] = [float(tok) for tok in given["epsilons"].split(",")]
         except ValueError:
             raise ConfigError(f"cannot parse --epsilons {given['epsilons']!r}") from None
     return cfg

@@ -22,7 +22,7 @@ G, g_theta, g_phi) come from OmegaFactors alone.  The unit sphere is
 r = 1 of the same rule, support_mask(1.0, theta), and a profile enters it
 only as the two numbers h(1), h'(1): boundary_state evaluates the sphere
 in one pass, the witness products g_phi G and g_theta G included, and the
-scaling sweep gathers the same nodes once for all its profiles.  Jet
+scaling sweep reads g_theta, g_phi there once, for all its profiles.  Jet
 functions are ufunc-like: they accept float64 arrays of a common shape and
 an order k (0, 1 or 2), and return arrays of that shape: the jet through at
 least order k, from analytic derivatives.  Each evaluator asks for the
@@ -87,11 +87,10 @@ def _on_support(support, n_out, compute, *coords):
 class OmegaFactors:
     """The angular factors of u and omega on 1-D arrays of in-support nodes
     (r, theta), from the angular jet g_jet there: sin theta, g_theta, g_phi,
-    and G, computed when first asked for (u needs no G, so its g_jet may
-    stop at order 1).
+    and G, computed when first asked for (u and the scaling sweep need no G,
+    so their g_jet may stop at order 1).
 
-    assemble(h, h') completes them with a profile jet on the same nodes, so
-    several profiles over one angular function share the angular work.
+    assemble(h, h') completes them with a profile jet on the same nodes.
     """
 
     def __init__(self, r, theta, g_jet):

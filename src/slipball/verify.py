@@ -422,11 +422,11 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     The perturbation multiplies the base profile by (1 + eps (r - 0.75)^2),
     which moves h(1) + h'(1) off zero by (eps/2) h(1); the log-log slope of
     the residual against eps should therefore be 1.  eps = 0 rows (and any
-    underflowed residual) are excluded from the fit.  The angular factors of
-    omega are computed once, on the sphere's support nodes
-    base_field.support_mask(1.0, theta); each eps completes them with its
-    profile's h(1) and h'(1), the two numbers through which a profile
-    enters the sphere.
+    underflowed residual) are excluded from the fit.  At r = 1, |omega x n| =
+    |h(1) + h'(1)| hypot(g_theta, g_phi / sin theta) (tests/test_symbolic.py):
+    the rows share one sup of the hypot on the support nodes support_mask(1.0,
+    theta), from an order-1 angular jet, and each eps costs h(1), h'(1) and a
+    product, rounded once (a row may be an ulp off the per-node omega's sup).
 
     Raises ConfigError before any evaluation for an eps perturbed_profile
     refuses, or unless two positive eps differ; ConfigError naming the eps
@@ -441,17 +441,18 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
         raise ConfigError("degenerate fit: all eps values identical")
     _, th, ph = grid.lattice(boundary_only=True).nodes()
     support = base_field.support_mask(1.0, th)
-    factors = None
+    peak = None  # no support node: every row is 0
     if support.any():
         th, ph = th[support], ph[support]
-        factors = fam.OmegaFactors(np.ones_like(th), th, base_field.angular.fn(th, ph, 2))
+        w = fam.OmegaFactors(1.0, th, base_field.angular.fn(th, ph, 1))
+        peak = float(np.max(np.hypot(w.g_t, w.g_p / w.sin)))
     rows = []
     for eps, profile in zip(epsilons, profiles):
         residual = 0.0
-        if factors is not None:
+        if peak is not None:
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                _, wt, wp = factors.assemble(*profile.jet(1.0)[:2])
-                residual = float(np.max(np.hypot(wt, wp)))
+                h, hp = profile.jet(1.0)[:2]
+            residual = abs(h + hp) * peak
         if not math.isfinite(residual):
             raise ConfigError(f"eps={float(eps)!r} gives a non-finite residual ({residual})")
         rows.append((float(eps), residual))

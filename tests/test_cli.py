@@ -578,6 +578,15 @@ class TestUsageErrors:
          "curl_v_boundary is only defined on the surface"),
         (["sample", "--field", "u"], "--out is required for sample"),
         (["sweep", "--epsilons", "1e-1,x,1e-3,1e-4"], "cannot parse --epsilons '1e-1,x,1e-3,1e-4'"),
+        # an empty or blank token is refused, not dropped: these used to run
+        # a 4-eps sweep and to report 3 epsilons
+        (["sweep", "--epsilons", "1e-1,,1e-2,1e-3,1e-4"],
+         "cannot parse --epsilons '1e-1,,1e-2,1e-3,1e-4'"),
+        (["sweep", "--epsilons", "1e-1,,1e-3,1e-4"], "cannot parse --epsilons '1e-1,,1e-3,1e-4'"),
+        (["sweep", "--epsilons", "1e-1,1e-2,1e-3,1e-4,"],
+         "cannot parse --epsilons '1e-1,1e-2,1e-3,1e-4,'"),
+        (["sweep", "--epsilons", "1e-1, ,1e-2,1e-3,1e-4"],
+         "cannot parse --epsilons '1e-1, ,1e-2,1e-3,1e-4'"),
     ])
     def test_command_error_is_one_line_and_exit_one(self, capsys, tmp_path, monkeypatch,
                                                     argv, message):

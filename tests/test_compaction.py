@@ -480,7 +480,8 @@ class TestJetOrders:
         log.clear()
         verify.scaling_sweep(spy, [1e-1, 1e-2, 1e-3],
                              verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True))
-        assert log == [("angular", 2)] + [("radial", 2)] * 3  # profile.jet(1.0) per eps
+        # one angular jet at order 1 (no G), then profile.jet(1.0) per eps
+        assert log == [("angular", 1)] + [("radial", 2)] * 3
         log.clear()
         spy.profile.jet(0.7), spy.angular.jet(1.2, 0.3)
         assert log == [("radial", 2), ("angular", 2)]

@@ -5,6 +5,9 @@ g, not only for the shipped ones:
 
 * div u = 0 everywhere;
 * omega x n = 0 at r = 1 once h'(1) = -h(1) (the slip condition);
+* at r = 1, with no slip assumption, |omega x n|^2 =
+  (h(1) + h'(1))^2 (g_theta^2 + g_phi^2 / sin^2), so the scaling sweep's
+  residual is |h(1) + h'(1)| times one sup over the sphere;
 * at r = 1, under the slip condition, the tangential components of
   curl(u x omega) are the closed forms of the family module docstring,
   [curl v]_theta = -(2 / sin^2) h(1) h'(1) g_phi G and
@@ -54,10 +57,15 @@ def cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def on_slip_sphere(expr):
-    """expr at r = 1 with h(1), h'(1), h''(1) as symbols and h'(1) = -h(1)."""
+def on_sphere(expr):
+    """expr at r = 1 with h(1), h'(1), h''(1) as the symbols H0, H1, H2."""
     expr = expr.xreplace({sp.diff(h, r, 2): H2, sp.diff(h, r): H1}).xreplace({h: H0})
-    return expr.subs(r, 1).subs(H1, -H0)
+    return expr.subs(r, 1)
+
+
+def on_slip_sphere(expr):
+    """on_sphere(expr) with h'(1) = -h(1)."""
+    return on_sphere(expr).subs(H1, -H0)
 
 
 def jet_symbols(expr):
@@ -80,6 +88,12 @@ def test_u_is_divergence_free():
 def test_omega_cross_n_vanishes_on_the_slip_sphere():
     omega_x_n = cross(OMEGA, (1, 0, 0))
     assert [sp.simplify(on_slip_sphere(c)) for c in omega_x_n] == [0, 0, 0]
+
+
+def test_omega_cross_n_factors_through_the_slip_residual():
+    _, w_theta, w_phi = (on_sphere(c) for c in OMEGA)
+    angular = sp.diff(g, th) ** 2 + sp.diff(g, ph) ** 2 / SIN**2
+    assert sp.simplify(w_theta**2 + w_phi**2 - (H0 + H1) ** 2 * angular) == 0
 
 
 def test_boundary_curl_closed_forms():

@@ -2,10 +2,12 @@
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slipball import family as fam
 from slipball import kernels, oracle, verify
@@ -18,6 +20,14 @@ PI = math.pi
 
 SMALL_INTERIOR = GridSpec(n_r=12, n_theta=16, n_phi=24)
 SMALL_BOUNDARY = GridSpec(n_theta=48, n_phi=96, boundary_only=True)
+
+
+def assert_rows_within_ulps(got, want, ulps):
+    """Sweep rows with the same eps, each residual within ulps units in the
+    last place of the wanted one."""
+    assert [e for e, _ in got] == [e for e, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert abs(a - b) <= ulps * np.spacing(b), (a, b)
 
 
 @pytest.fixture(scope="module")
@@ -771,6 +781,12 @@ class TestScalingSweep:
         assert str(exc.value) == "eps=8.98e+307 gives a non-finite residual (inf)"
 
     @staticmethod
+    def base_field(name):
+        if name == "cosine":
+            return fam.CounterexampleField(fam.default_profile(), fam.cosine_angular())
+        return fam.family_by_label(name)
+
+    @staticmethod
     def per_eps_field_rows(base, epsilons, grid):
         """The sweep rows with one CounterexampleField per eps."""
         _, th, ph = grid.lattice().nodes()
@@ -786,11 +802,62 @@ class TestScalingSweep:
     @pytest.mark.parametrize("grid", [SMALL_BOUNDARY, GridSpec(n_theta=33, n_phi=70,
                                                                boundary_only=True)])
     def test_rows_equal_per_eps_fields(self, base, grid):
-        field = (fam.CounterexampleField(fam.default_profile(), fam.cosine_angular())
-                 if base == "cosine" else fam.family_by_label(base))
+        field = self.base_field(base)
         epsilons = [0.0, 1e-6, 3.7e-3, 0.1, 2.5, -0.01]
         sweep = verify.scaling_sweep(field, epsilons, grid)
-        assert sweep.rows == self.per_eps_field_rows(field, epsilons, grid)
+        want = self.per_eps_field_rows(field, epsilons, grid)
+        if grid == SMALL_BOUNDARY:
+            assert sweep.rows == want
+        else:
+            # the sweep's |h + h'| * max hypot(g_t, g_p / sin) rounds the
+            # product once, where the per-node -(h + h') g_t and
+            # -(h + h') g_p / sin each round before the hypot: on 33x70,
+            # 3 rows of the default base and 2 of perturbed:1e-3 differ
+            # from the per-node sup by 1 ulp
+            assert_rows_within_ulps(sweep.rows, want, 2)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(n_theta=st.integers(8, 64), n_phi=st.integers(8, 128),
+           base=st.sampled_from(["default", "perturbed:1e-3", "cosine"]),
+           positive=st.lists(st.floats(1e-6, 10.0), min_size=2, max_size=4, unique=True),
+           others=st.lists(st.just(0.0) | st.floats(-10.0, -1e-6), max_size=3))
+    def test_rows_within_two_ulps_of_per_eps_fields(self, n_theta, n_phi, base, positive,
+                                                     others):
+        field = self.base_field(base)
+        grid = GridSpec(n_theta=n_theta, n_phi=n_phi, boundary_only=True)
+        epsilons = positive + others
+        sweep = verify.scaling_sweep(field, epsilons, grid)
+        assert_rows_within_ulps(sweep.rows, self.per_eps_field_rows(field, epsilons, grid), 2)
+
+    @pytest.mark.parametrize("n_eps", [4, 40])
+    def test_work_per_eps_is_two_scalars(self, default_field, monkeypatch, n_eps):
+        # one angular jet at order 1 per sweep, whatever the number of eps;
+        # each eps reads its profile at the one node r = 1, and no run
+        # assembles omega or computes G on the nodes
+        def per_node_work(*args):
+            raise AssertionError("the sweep assembled omega on the nodes")
+
+        monkeypatch.setattr(kernels, "omega_assembly", per_node_work)
+        monkeypatch.setattr(kernels, "big_g_values", per_node_work)
+        monkeypatch.setattr(fam.OmegaFactors, "big_g", property(per_node_work))
+        angular_orders, radial_sizes = [], []
+
+        def angular_fn(theta, phi, order):
+            angular_orders.append(order)
+            return default_field.angular.fn(theta, phi, order)
+
+        def radial_fn(r, order):
+            radial_sizes.append(np.size(r))
+            return default_field.profile.fn(r, order)
+
+        field = fam.CounterexampleField(replace(default_field.profile, fn=radial_fn),
+                                        replace(default_field.angular, fn=angular_fn))
+        radial_sizes.clear()  # the field's own h(1), h'(1)
+        epsilons = list(np.geomspace(1e-1, 1e-4, n_eps))
+        sweep = verify.scaling_sweep(field, epsilons, SMALL_BOUNDARY)
+        assert angular_orders == [1]
+        assert radial_sizes == [1] * n_eps
+        assert len(sweep.rows) == n_eps
 
     def test_no_field_is_built_per_eps(self, default_field, monkeypatch):
         built = []
