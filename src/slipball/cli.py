@@ -249,12 +249,13 @@ _SAMPLE_FIELDS = ("u", "omega", "v", "curl_v_boundary")
 
 
 def _sample_rows(field, selector, grid):
-    r, th, ph = grid.lattice().nodes()
+    lattice = grid.lattice()  # evaluated on its axes, once per axis value, then raveled
     if selector == "curl_v_boundary":  # on the surface only
-        state = field.boundary_state(th, ph)
-        return "r,theta,phi,curl_v_theta,curl_v_phi", (r, th, ph, state.curl_v_theta,
-                                                         state.curl_v_phi)
-    return "r,theta,phi,c_r,c_theta,c_phi", (r, th, ph, *_evaluators(field)[selector](r, th, ph))
+        state = field.boundary_state(*lattice.axes[1:])
+        header, values = "curl_v_theta,curl_v_phi", (state.curl_v_theta, state.curl_v_phi)
+    else:
+        header, values = "c_r,c_theta,c_phi", _evaluators(field)[selector](*lattice.axes)
+    return "r,theta,phi," + header, (*lattice.nodes(), *(v.ravel() for v in values))
 
 
 def _csv_lines(header, cols):

@@ -15,21 +15,21 @@ with G = d_theta(sin g_theta) + g_phiphi / sin.  Profiles vanish identically
 near r = 0 and angular functions near both poles, so every evaluator
 short-circuits to exact zeros inside those margins and never touches 1/r or
 1/sin there.  support_mask is the one support rule and _on_support applies
-it: it gathers the in-support nodes once, the profile and angular jets and
-the assembly kernels (which take no mask) run on those 1-D arrays alone,
-and only the final outputs are scattered back.  The angular factors (sin,
-G, g_theta, g_phi) come from OmegaFactors alone.  The unit sphere is
-r = 1 of the same rule, support_mask(1.0, theta), and a profile enters it
-only as the two numbers h(1), h'(1): boundary_state evaluates the sphere
-in one pass, the witness products g_phi G and g_theta G included, and the
-scaling sweep reads g_theta, g_phi there once, for all its profiles.  Jet
-functions are ufunc-like: they accept float64 arrays of a common shape and
-an order k (0, 1 or 2), and return arrays of that shape: the jet through at
-least order k, from analytic derivatives.  Each evaluator asks for the
-orders it reads: u the profile value and the first angular partials, omega
-and the u partials the profile's first derivative and the angular jet
-through order 2.  Callers read jet entries by position, so a jet function
-may return more than asked.
+it: it gathers the in-support nodes once (a lattice axis cut to its
+in-support values), the profile and angular jets and the assembly kernels
+(which take no mask) run on those alone, and only the final outputs are
+scattered back.  The angular factors (sin, G, g_theta, g_phi) come from
+OmegaFactors alone.  The unit sphere is r = 1 of the same rule,
+support_mask(1.0, theta), and a profile enters it only as the two numbers
+h(1), h'(1): boundary_state evaluates the sphere in one pass, the witness
+products g_phi G and g_theta G included, and the scaling sweep reads
+g_theta, g_phi there once, for all its profiles.  Jet functions are
+ufunc-like: they accept float64 arrays that broadcast and an order k (0, 1
+or 2), and return arrays of the broadcast shape: the jet through at least
+order k, from analytic derivatives.  Each evaluator asks for the orders it
+reads: u the profile value and the first angular partials, omega and the u
+partials the profile's first derivative and the angular jet through order 2.
+Callers read jet entries by position, so a jet may return more than asked.
 """
 import functools
 import math
@@ -63,32 +63,45 @@ def _maybe_scalar(values, scalar):
 def _on_support(support, n_out, compute, *coords):
     """compute(*coords) on the nodes of the boolean `support` only.
 
-    coords are arrays of support's shape.  compute runs at most once, on
-    1-D arrays of the support nodes (never empty), and returns n_out 1-D
-    arrays on them.  Each is scattered back to support's shape, with exact
-    zeros off the support and NaN at nodes where any coordinate is NaN
-    (those leave the support).  With every node in the support, compute
-    runs on the flattened arrays and its outputs are only reshaped.
+    coords are _node_arrays, support their support_mask (a theta term and an
+    r term).  compute runs at most once, never on empty arrays: on 1-D arrays
+    of the in-support nodes of flat nodes (coords of one shape), or on a
+    lattice's axes each cut to its in-support values, whose product is the
+    support.  Its n_out outputs are scattered back with exact zeros off the
+    support and NaN where any coordinate is NaN (all flat nodes in: reshaped).
     """
-    shape = support.shape
-    nan_nodes = np.any([np.isnan(c) for c in coords], axis=0)
-    support = support & ~nan_nodes
-    n_in = np.count_nonzero(support)
-    if 0 < n_in == support.size:
-        return tuple(v.reshape(shape) for v in compute(*(c.ravel() for c in coords)))
-    out = np.zeros((n_out, support.size))
-    if n_in:
-        idx = np.flatnonzero(support)
-        out[:, idx] = compute(*(c.ravel()[idx] for c in coords))
-    out[:, nan_nodes.ravel()] = np.nan
+    flat = all(c.shape == support.shape for c in coords)
+    shape = support.shape if flat else np.broadcast_shapes(*(c.shape for c in coords))
+    if flat:
+        support, coords = support.ravel(), [c.ravel() for c in coords]
+    cells, nan = support.shape if flat else shape, [np.isnan(c) for c in coords]
+    keeps = [np.ones(n, dtype=bool) for n in cells]
+    for term in (support, *(~bad for bad in nan)):  # each a product over the axes
+        for k, keep in enumerate(keeps):
+            keep &= term if flat else term.any(axis=tuple(j for j in range(len(cells)) if j != k))
+    if flat and 0 < np.count_nonzero(keeps[0]) == keeps[0].size:
+        return tuple(v.reshape(shape) for v in compute(*coords))
+    idx = [np.flatnonzero(keep) for keep in keeps]
+    out = np.zeros((n_out,) + cells)
+    if all(i.size for i in idx):
+        cut = [c[tuple(i if n > 1 else slice(None) for i, n in zip(idx, c.shape))] for c in coords]
+        # one block of slices where each axis keeps one run of values, as sorted axes do
+        at = (tuple(slice(i[0], i[-1] + 1) for i in idx)
+              if all(i[-1] - i[0] == i.size - 1 for i in idx)
+              else np.ix_(*idx) if len(idx) > 1 else idx[0])
+        for o, v in zip(out, compute(*cut)):
+            o[at] = v
+    for bad in nan:
+        if bad.any():
+            out[:, np.broadcast_to(bad, cells)] = np.nan
     return tuple(o.reshape(shape) for o in out)
 
 
 class OmegaFactors:
-    """The angular factors of u and omega on 1-D arrays of in-support nodes
-    (r, theta), from the angular jet g_jet there: sin theta, g_theta, g_phi,
-    and G, computed when first asked for (u and the scaling sweep need no G,
-    so their g_jet may stop at order 1).
+    """The angular factors of u and omega on in-support nodes (r, theta)
+    from _on_support, from the angular jet g_jet there: sin theta, g_theta,
+    g_phi, and G, computed when first asked for (u and the scaling sweep
+    need no G, so their g_jet may stop at order 1).
 
     assemble(h, h') completes them with a profile jet on the same nodes.
     """
@@ -114,8 +127,9 @@ class RadialProfile:
 
     fn(r, order) returns (h, h', h'') through at least `order` (h alone
     at order 0) as arrays of r's shape.  The field evaluators call it only
-    on a 1-D array of nodes inside the field's support (r > support_inner,
-    theta off the pole margins), and never on an empty array.  Only
+    on nodes inside the field's support (r > support_inner, theta off the
+    pole margins), never empty: a 1-D array of flat nodes, or a lattice's r
+    values above support_inner, (k, 1, 1), once per r value.  Only
     check_admissibility probes r <= support_inner, to confirm that fn
     vanishes there.
     """
@@ -139,12 +153,13 @@ class AngularFunction:
 
     g and all stored partials vanish identically for theta within
     pole_margin of 0 or pi.  fn(theta, phi, order) returns, as arrays of
-    the inputs' shape, at least (g,) at order 0, (g, g_t, g_p) at order 1,
-    and (g, g_t, g_p, g_tt, g_tp, g_pp) at order 2.  The field evaluators call
-    it only on 1-D arrays of nodes inside the support (theta off the pole
-    margins, and r > support_inner where a radius is given), and never on
-    empty arrays.  Only check_admissibility probes the margins and the
-    period, to confirm that fn vanishes and repeats there.
+    the inputs' broadcast shape, at least (g,) at order 0, (g, g_t, g_p) at
+    order 1, and (g, g_t, g_p, g_tt, g_tp, g_pp) at order 2.  The field
+    evaluators call it only on nodes inside the support (theta off the pole
+    margins, and r > support_inner where a radius is given), never empty:
+    1-D arrays of flat nodes, or a lattice's in-band theta rows, (1, k, 1),
+    beside its phi row, (1, 1, n_phi).  Only check_admissibility probes the
+    margins and the period, to confirm that fn vanishes and repeats there.
     """
 
     fn: Callable
@@ -206,7 +221,7 @@ def cosine_angular() -> AngularFunction:
 
 def zero_angular() -> AngularFunction:
     def fn(theta, phi, order):
-        return tuple(np.zeros_like(theta) for _ in range((1, 3, 6)[order]))
+        return tuple(np.zeros(np.broadcast(theta, phi).shape) for _ in range((1, 3, 6)[order]))
 
     return AngularFunction(fn, math.pi / 4, "zero")
 
@@ -368,11 +383,9 @@ def witness_points(lattice, state):
 def find_witnesses(field: CounterexampleField, n_theta=128, n_phi=256):
     """The witness_points of g_phi G and g_theta G on the n_theta x n_phi
     sphere (GridSpec's size rule); verify reads its own boundary pass."""
-    sphcalc.require_cells("n_theta", n_theta)
-    sphcalc.require_cells("n_phi", n_phi)
     sphere = sphcalc.midpoint_lattice(n_theta, n_phi)
     with np.errstate(over="ignore", invalid="ignore"):  # only the h-free products are read
-        state = field.boundary_state(*sphere.nodes()[1:])
+        state = field.boundary_state(*sphere.axes[1:])
     return witness_points(sphere, state)
 
 

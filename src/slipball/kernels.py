@@ -1,10 +1,10 @@
 """Elementwise numeric kernels (the hot inner loops).
 
-Every kernel takes float64 ndarrays of identical shape and returns ndarrays;
-callers do the broadcasting.  The kernels are plain numpy functions.  The
-assembly kernels (big_g_values, u_assembly, omega_assembly,
-boundary_curl_assembly) take no support mask: the field evaluators call
-them only on 1-D arrays of in-support nodes, where r > 0 and sin(theta) > 0.
+Every kernel takes float64 ndarrays that broadcast together and returns
+ndarrays.  The kernels are plain numpy functions.  The assembly kernels
+(big_g_values, u_assembly, omega_assembly, boundary_curl_assembly) take no
+support mask: the field evaluators call them only on in-support nodes (1-D
+arrays, or a lattice's cut axes), where r > 0 and sin(theta) > 0.
 
 Smooth cutoff machinery: sigma(t) = exp(-1/t) for t > 0 (else 0) and the
 step s(t) = sigma(t) / (sigma(t) + sigma(1-t)), which is 0 for t <= 0 and

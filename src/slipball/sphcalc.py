@@ -42,9 +42,16 @@ class SphPoint:
 
 
 def _node_arrays(*coords):
-    """Coordinates as contiguous float64 arrays of one broadcast shape, at
-    least 1-D, and whether every coordinate was a scalar."""
-    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64) for c in coords))
+    """Coordinates as contiguous float64 arrays of one ndim, at least 1-D,
+    and whether all were scalars: each keeps its shape if each varies along
+    one axis of its own (a lattice's axes), else all broadcast (flat nodes)."""
+    arrays = [np.asarray(c, dtype=np.float64) for c in coords]
+    if any(a.shape != arrays[0].shape for a in arrays):
+        ndim = max(a.ndim for a in arrays)
+        arrays = [a.reshape((1,) * (ndim - a.ndim) + a.shape) for a in arrays]
+        varying = [k for a in arrays for k, n in enumerate(a.shape) if n > 1]
+        if not len(set(varying)) == len(varying) == sum(a.size > 1 for a in arrays):
+            arrays = np.broadcast_arrays(*arrays)
     return [np.ascontiguousarray(np.atleast_1d(a)) for a in arrays], arrays[0].ndim == 0
 
 
@@ -94,27 +101,30 @@ class Lattice(NamedTuple):
 
 
 def require_cells(name, count):
-    """The one size rule of a grid axis: fewer than 8 cells raise ConfigError."""
-    if count < 8:
+    """The one size rule of a grid axis: a count that is not an integer
+    raises store_field's TypeError, and fewer than 8 cells ConfigError."""
+    if _of_kind(name, count, int) < 8:
         raise ConfigError(f"{name} must be at least 8")
 
 
-def store_field(obj, name, kind):
-    """Store the field `name` of the frozen dataclass obj as kind (int,
-    float or bool), so that a report echoes plain JSON, and return it.  A
-    numpy integer or float counts (numpy registers them with numbers), a
-    bool is only a bool, and anything else raises TypeError."""
-    value = getattr(obj, name)
+def _of_kind(name, value, kind):
+    """value as kind (int, float or bool), else TypeError: numpy numbers count, bools only as bool."""
     accepted, noun = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
                       bool: (bool, "a boolean")}[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise TypeError(f"{name} must be {noun}, got {value!r}")
-    object.__setattr__(obj, name, kind(value))
+    return kind(value)
+
+
+def store_field(obj, name, kind):
+    """Store obj's frozen field `name` as _of_kind reads it (plain JSON in reports); return it."""
+    object.__setattr__(obj, name, _of_kind(name, getattr(obj, name), kind))
     return getattr(obj, name)
 
 
-def _midpoints(n, span, margin):
-    """The n cell centres of [margin, span - margin] and their spacing."""
+def _midpoints(name, n, span, margin):
+    """The n cell centres of [margin, span - margin] and their spacing; n follows require_cells."""
+    require_cells(name, n)
     step = (span - 2.0 * margin) / n
     return margin + (np.arange(n) + 0.5) * step, step
 
@@ -124,8 +134,9 @@ def midpoint_lattice(n_theta, n_phi, margin_theta=0.0, n_r=None, margin_r=0.0):
     1 - margin_r], n_theta polar cells in [margin_theta, pi - margin_theta],
     phi uniform on [0, 2pi).  n_r None gives the unit sphere: the one layer
     r = 1 with dr = 1 (its weights are sin(theta) dtheta dphi)."""
-    r, dr = (np.ones(1), 1.0) if n_r is None else _midpoints(n_r, 1.0, margin_r)
-    th, dth = _midpoints(n_theta, math.pi, margin_theta)
+    r, dr = (np.ones(1), 1.0) if n_r is None else _midpoints("n_r", n_r, 1.0, margin_r)
+    th, dth = _midpoints("n_theta", n_theta, math.pi, margin_theta)
+    require_cells("n_phi", n_phi)
     dph = TWO_PI / n_phi
     r, th, ph = r[:, None, None], th[None, :, None], (np.arange(n_phi) * dph)[None, None, :]
     return Lattice((r, th, ph), r**2 * np.sin(th) * dr * dth * dph)

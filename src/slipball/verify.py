@@ -136,8 +136,8 @@ def boundary_pass(field: fam.CounterexampleField, grid: GridSpec) -> BoundaryPas
     """field.boundary_state on the nodes of the boundary grid; an interior
     grid raises ConfigError."""
     lattice = grid.lattice(boundary_only=True)
-    _, theta, phi = lattice.nodes()
-    return BoundaryPass(lattice, theta, phi, *field.boundary_state(theta, phi))
+    state = field.boundary_state(*lattice.axes[1:])  # once per theta row and phi value
+    return BoundaryPass(lattice, *lattice.nodes()[1:], *(a.ravel() for a in state))
 
 
 def _spread(indices, k):
@@ -425,8 +425,8 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     underflowed residual) are excluded from the fit.  At r = 1, |omega x n| =
     |h(1) + h'(1)| hypot(g_theta, g_phi / sin theta) (tests/test_symbolic.py):
     the rows share one sup of the hypot on the support nodes support_mask(1.0,
-    theta), from an order-1 angular jet, and each eps costs h(1), h'(1) and a
-    product, rounded once (a row may be an ulp off the per-node omega's sup).
+    theta), from an order-1 angular jet on the axes; each eps costs h(1), h'(1)
+    at order 1 and a product, rounded once (a row may be an ulp off the sup).
 
     Raises ConfigError before any evaluation for an eps perturbed_profile
     refuses, or unless two positive eps differ; ConfigError naming the eps
@@ -439,19 +439,19 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
         raise ConfigError("degenerate fit: need at least two positive eps values")
     if np.ptp(log_pos) == 0.0:
         raise ConfigError("degenerate fit: all eps values identical")
-    _, th, ph = grid.lattice(boundary_only=True).nodes()
+    _, th, ph = grid.lattice(boundary_only=True).axes
+
+    def hypot(theta, phi):
+        w = fam.OmegaFactors(1.0, theta, base_field.angular.fn(theta, phi, 1))
+        return (np.hypot(w.g_t, w.g_p / w.sin),)
     support = base_field.support_mask(1.0, th)
-    peak = None  # no support node: every row is 0
-    if support.any():
-        th, ph = th[support], ph[support]
-        w = fam.OmegaFactors(1.0, th, base_field.angular.fn(th, ph, 1))
-        peak = float(np.max(np.hypot(w.g_t, w.g_p / w.sin)))
+    peak = float(np.max(fam._on_support(support, 1, hypot, th, ph)[0])) if support.any() else None
     rows = []
     for eps, profile in zip(epsilons, profiles):
-        residual = 0.0
+        residual = 0.0  # no support node: every row is 0
         if peak is not None:
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                h, hp = profile.jet(1.0)[:2]
+                h, hp = (float(v[0]) for v in profile.fn(np.ones(1), 1)[:2])
             residual = abs(h + hp) * peak
         if not math.isfinite(residual):
             raise ConfigError(f"eps={float(eps)!r} gives a non-finite residual ({residual})")

@@ -5,9 +5,11 @@ kernels, only on the nodes inside the field's support.  Each one is
 compared here against a reference that calls profile.fn / angular.fn and
 the same assembly kernels on the full arrays and zeroes the result off the
 support, with np.array_equal and equal sign bits, so signed zeros must
-match too.  Spy jet functions and spy kernels check the evaluator contract:
-a jet function or an assembly kernel sees only 1-D arrays of in-support
-nodes, never an empty array.
+match too.  Spy jet functions and spy kernels check the evaluator contract
+on flat input (coordinates that share an axis): a jet function or an
+assembly kernel still sees only 1-D arrays of in-support nodes, never an
+empty array.  Lattice axes, which each vary along an axis of their own, are
+cut to their in-support values instead (tests/test_axis_rule.py).
 """
 import math
 
@@ -290,17 +292,18 @@ def test_no_jet_call_outside_support():
 
 
 def test_sweep_reads_each_profile_at_r_1_only():
-    # one angular jet on the sphere's support nodes; each perturbed profile
-    # enters through its jet at the one node r = 1
+    # one angular jet on the sphere's support nodes (its in-band theta rows
+    # and its phi row); each perturbed profile enters through its jet at the
+    # one node r = 1
     spy, calls = _spied(FAMILIES["default"])
     grid = verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True)
     epsilons = [1e-1, 1e-2, 0.0, 1e-3]
     verify.scaling_sweep(spy, epsilons, grid)
-    _, theta, phi = grid.lattice().nodes()
+    _, theta, phi = grid.lattice().axes
     support = spy.support_mask(1.0, theta)
     assert [c[0] for c in calls] == ["angular"] + ["radial"] * len(epsilons)
-    assert np.array_equal(calls[0][1], theta[support])
-    assert np.array_equal(calls[0][2], phi[support])
+    assert np.array_equal(calls[0][1], theta[support][None, :, None])
+    assert np.array_equal(calls[0][2], phi)
     assert all(np.array_equal(c[1], [1.0]) for c in calls[1:])
 
 
@@ -480,8 +483,8 @@ class TestJetOrders:
         log.clear()
         verify.scaling_sweep(spy, [1e-1, 1e-2, 1e-3],
                              verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True))
-        # one angular jet at order 1 (no G), then profile.jet(1.0) per eps
-        assert log == [("angular", 1)] + [("radial", 2)] * 3
+        # one angular jet at order 1 (no G), then h(1), h'(1) at order 1 per eps
+        assert log == [("angular", 1)] + [("radial", 1)] * 3
         log.clear()
         spy.profile.jet(0.7), spy.angular.jet(1.2, 0.3)
         assert log == [("radial", 2), ("angular", 2)]

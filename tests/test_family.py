@@ -1,5 +1,6 @@
 """Field family: closed forms, boundary traces, admissibility, witnesses."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -393,6 +394,24 @@ class TestWitnesses:
         with pytest.raises(ConfigError, match="n_phi must be at least 8"):
             fam.find_witnesses(default_field, n_theta=8, n_phi=7)
         assert fam.find_witnesses(default_field, n_theta=8, n_phi=8)[1] is not None
+
+    @pytest.mark.parametrize("n_theta, n_phi, bad", [
+        (16.5, 32, "n_theta must be an integer, got 16.5"),
+        (16.0, 32, "n_theta must be an integer, got 16.0"),
+        (True, 32, "n_theta must be an integer, got True"),
+        (16, 32.0, "n_phi must be an integer, got 32.0"),
+        (16, np.float64(32.0), "n_phi must be an integer, got np.float64(32.0)"),
+        (16, np.True_, "n_phi must be an integer, got np.True_")])
+    def test_fractional_or_bool_count_is_refused(self, default_field, n_theta, n_phi, bad):
+        # GridSpec's type rule: a 16.5-row scan used to read a 17-row sphere
+        # at spacing pi/16.5 and return theta = 1.0472, not 2.0617
+        with pytest.raises(TypeError, match=re.escape(bad)):
+            fam.find_witnesses(default_field, n_theta, n_phi)
+
+    def test_numpy_integer_counts_scan_the_same_sphere(self, default_field):
+        want = fam.find_witnesses(default_field, 16, 32)
+        assert want[0].theta == pytest.approx(2.0617, abs=1e-4)
+        assert fam.find_witnesses(default_field, np.int64(16), np.uint16(32)) == want
 
 
 class TestFamilyLabels:

@@ -16,6 +16,7 @@ import pytest
 
 from slipball import family as fam
 from slipball import kernels, oracle, sphcalc, verify
+from slipball.errors import ConfigError
 from slipball.sphcalc import SphPoint
 
 FAMILIES = {name: (fam.CounterexampleField(fam.default_profile(), fam.cosine_angular())
@@ -118,6 +119,27 @@ def test_interior_mesh_equals_the_flat_formula(grid):
         assert lattice.point(i) == SphPoint(r[i], th[i], ph[i])
 
 
+@pytest.mark.parametrize("counts, bad", [
+    ((8.5, 16), "n_theta must be an integer, got 8.5"),
+    ((8, 16.0), "n_phi must be an integer, got 16.0"),
+    ((8, True), "n_phi must be an integer, got True"),
+    ((8, 16, 0.1, 8.0), "n_r must be an integer, got 8.0"),
+    ((8, 16, 0.1, False), "n_r must be an integer, got False")])
+def test_fractional_or_bool_count_is_refused(counts, bad):
+    # GridSpec's type rule, also for a lattice built directly: 8.5 rows used
+    # to build 9 at spacing pi/8.5
+    with pytest.raises(TypeError, match=bad):
+        sphcalc.midpoint_lattice(*counts)
+
+
+def test_count_minimum_holds_for_a_lattice_built_directly():
+    with pytest.raises(ConfigError, match="n_phi must be at least 8"):
+        sphcalc.midpoint_lattice(8, 7)
+    with pytest.raises(ConfigError, match="n_r must be at least 8"):
+        sphcalc.midpoint_lattice(8, 8, 0.1, 7)
+    assert sphcalc.midpoint_lattice(np.int64(8), np.uint8(9), 0.1, np.int32(8)).shape == (8, 8, 9)
+
+
 @pytest.mark.parametrize("n_theta, n_phi", [(128, 256), (32, 64), (33, 70), (8, 8)])
 def test_boundary_weights_equal_the_flat_formula(n_theta, n_phi):
     grid = verify.GridSpec(n_theta=n_theta, n_phi=n_phi, boundary_only=True)
@@ -143,17 +165,22 @@ def test_boundary_weights_equal_the_flat_formula(n_theta, n_phi):
 
 
 @pytest.mark.parametrize("n_theta, n_phi", [(128, 256), (32, 64), (33, 70), (8, 8)])
-@pytest.mark.parametrize("family_name", ["default", "cosine_angular"])
+@pytest.mark.parametrize("family_name", [*FAMILIES, "zero_angular"])
 def test_witness_scan_equals_the_flat_mesh(family_name, n_theta, n_phi):
-    field = FAMILIES[family_name]
+    # find_witnesses evaluates the sphere on its axes; the reference runs the
+    # jets on every node of the flat mesh
+    field = (fam.CounterexampleField(fam.default_profile(), fam.zero_angular())
+             if family_name == "zero_angular" else FAMILIES[family_name])
     th, ph, _ = sphere_mesh(n_theta, n_phi)
     g = field.angular.fn(th, ph, 2)
     big_g = kernels.big_g_values(np.sin(th), np.cos(th), g[1], g[3], g[5])
     want = []
     for product in (g[2] * big_g, g[1] * big_g):
         i = int(np.argmax(np.abs(product)))
-        want.append(SphPoint(1.0, th[i], ph[i]))
+        want.append(None if abs(product[i]) <= fam.WITNESS_THRESHOLD
+                    else SphPoint(1.0, th[i], ph[i]))
     assert list(fam.find_witnesses(field, n_theta, n_phi)) == want
+    assert (want == [None, None]) == (family_name == "zero_angular")
 
 
 def test_transform_given_rho_equals_the_transform_alone():

@@ -920,7 +920,7 @@ class TestFullVerification:
         sizes = {name: [] for name in names}
         for name, log in sizes.items():
             def spy(self, *coords, _log=log, _fn=getattr(fam.CounterexampleField, name)):
-                _log.append(np.size(coords[-2]))  # theta
+                _log.append(math.prod(np.broadcast_shapes(*map(np.shape, coords))))  # nodes
                 return _fn(self, *coords)
             monkeypatch.setattr(fam.CounterexampleField, name, spy)
         report = verify.run_full_verification(field, GridSpec(n_r=8, n_theta=8, n_phi=8),
@@ -936,7 +936,8 @@ class TestFullVerification:
 
     def test_verify_evaluates_the_sphere_once(self, monkeypatch, tmp_path, capsys):
         # one coarse verify builds the boundary grid's lattice once and calls
-        # boundary_state once on its nodes; the boundary checks read that pass
+        # boundary_state once on its nodes (its axes); the boundary checks
+        # read that pass
         from slipball import cli, sphcalc
         shapes, sizes = [], []
         lattice, state = sphcalc.midpoint_lattice, fam.CounterexampleField.boundary_state
@@ -947,7 +948,7 @@ class TestFullVerification:
             return built
 
         def spy_state(self, theta, phi):
-            sizes.append(np.size(theta))
+            sizes.append(math.prod(np.broadcast_shapes(np.shape(theta), np.shape(phi))))
             return state(self, theta, phi)
 
         monkeypatch.setattr(sphcalc, "midpoint_lattice", spy_lattice)
@@ -964,8 +965,9 @@ class TestFullVerification:
     def test_admissibility_witnesses_come_from_the_boundary_pass(self, monkeypatch, tmp_path,
                                                                   capsys):
         # a coarse verify scans no second sphere: no find_witnesses call, no
-        # 128x256 lattice, and one angular jet on the sphere's support nodes,
-        # the largest angular jet of the run
+        # 128x256 lattice, and one angular jet on the sphere's support nodes
+        # (its in-band theta rows and its phi row), the largest angular jet of
+        # the run by node count
         from slipball import cli, sphcalc
         scans, shapes, jets = [], [], []
         scan, lattice, jet = (fam.find_witnesses, sphcalc.midpoint_lattice,
@@ -991,12 +993,13 @@ class TestFullVerification:
         assert code == 0
         assert scans == []
         assert (1, 128, 256) not in shapes
-        _, th, ph = GridSpec(n_theta=32, n_phi=64, boundary_only=True).lattice().nodes()
+        _, th, ph = GridSpec(n_theta=32, n_phi=64, boundary_only=True).lattice().axes
         support = fam.default_field().support_mask(1.0, th)
         on_sphere = [i for i, (t, p) in enumerate(jets)
-                     if np.array_equal(t, th[support]) and np.array_equal(p, ph[support])]
+                     if np.array_equal(t, th[support][None, :, None]) and np.array_equal(p, ph)]
         assert len(on_sphere) == 1
-        assert max(np.size(t) for t, _ in jets) == np.count_nonzero(support)
+        assert (max(math.prod(np.broadcast_shapes(np.shape(t), np.shape(p))) for t, p in jets)
+                == np.count_nonzero(support) * ph.size)
 
     @pytest.mark.parametrize("n_theta, n_phi", [(32, 64), (128, 256)])
     @pytest.mark.parametrize("family", ["default", "h1zero", "cosine", "zero"])
