@@ -368,9 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: it reads no argv, and parse_args keeps no state in it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         cfg = _apply_overrides(load_config(vars(args).get("config")), args)
         return args.func(args, cfg)
     except SystemExit as exc:

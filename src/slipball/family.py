@@ -186,22 +186,26 @@ def h1zero_profile() -> RadialProfile:
     return RadialProfile(kernels.h1zero_profile_jet, 0.25, "h1zero")
 
 
-def perturbed_profile(eps: float, base: Optional[RadialProfile] = None) -> RadialProfile:
+def perturbed_profile(eps, base: Optional[RadialProfile] = None) -> RadialProfile:
     """base profile times (1 + eps (r - 0.75)^2).
 
     For an admissible base this breaks the slip identity by exactly
-    h_eps(1) + h_eps'(1) = (eps/2) h(1), linear in eps.
+    h_eps(1) + h_eps'(1) = (eps/2) h(1), linear in eps.  A 1-D eps array
+    broadcasts against r: fn(np.ones(1), 1) is h, h' at r = 1 for every eps.
     """
-    if not math.isfinite(2.0 * eps):  # the factor's second derivative, 2 eps
+    refused = [e for e in np.ravel(eps).tolist() if not math.isfinite(2.0 * e)]
+    if refused:  # the factor's second derivative, 2 eps, overflows
         raise ConfigError(f"perturbation size must be finite and at most half the largest "
-                          f"float, got {eps!r}")
+                          f"float, got {refused[0]!r}")
     base = base if base is not None else default_profile()
+    label = "perturbed" if np.ndim(eps) else f"perturbed:{eps:g}"
+    eps = np.array(eps, dtype=float) if np.ndim(eps) else float(eps)
 
     def fn(r, order):
         return kernels.product_jet(base.fn(r, order),
-                                   kernels.perturbed_factor_jet(r, float(eps), order), order)
+                                   kernels.perturbed_factor_jet(r, eps, order), order)
 
-    return RadialProfile(fn, base.support_inner, f"perturbed:{eps:g}")
+    return RadialProfile(fn, base.support_inner, label)
 
 
 def default_angular() -> AngularFunction:

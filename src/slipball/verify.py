@@ -425,16 +425,18 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     underflowed residual) are excluded from the fit.  At r = 1, |omega x n| =
     |h(1) + h'(1)| hypot(g_theta, g_phi / sin theta) (tests/test_symbolic.py):
     the rows share one sup of the hypot on the support nodes support_mask(1.0,
-    theta), from an order-1 angular jet on the axes; each eps costs h(1), h'(1)
-    at order 1 and a product, rounded once (a row may be an ulp off the sup).
+    theta), from an order-1 angular jet on the axes; every eps is read in one
+    order-1 jet call of the eps-vector profile at r = 1, then one product per
+    row, rounded once (a row may be an ulp off the sup).
 
     Raises ConfigError before any evaluation for an eps perturbed_profile
     refuses, or unless two positive eps differ; ConfigError naming the eps
     of a non-finite residual; DegenerateFit when fewer than two rows of
     distinct eps keep a nonzero residual (h(1) = 0, say).
     """
-    profiles = [fam.perturbed_profile(float(eps), base_field.profile) for eps in epsilons]
-    log_pos = np.log([float(e) for e in epsilons if e > 0.0])
+    epsilons = [float(eps) for eps in epsilons]
+    profile = fam.perturbed_profile(np.array(epsilons), base_field.profile)
+    log_pos = np.log([e for e in epsilons if e > 0.0])
     if log_pos.size < 2:
         raise ConfigError("degenerate fit: need at least two positive eps values")
     if np.ptp(log_pos) == 0.0:
@@ -445,17 +447,16 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
         w = fam.OmegaFactors(1.0, theta, base_field.angular.fn(theta, phi, 1))
         return (np.hypot(w.g_t, w.g_p / w.sin),)
     support = base_field.support_mask(1.0, th)
-    peak = float(np.max(fam._on_support(support, 1, hypot, th, ph)[0])) if support.any() else None
-    rows = []
-    for eps, profile in zip(epsilons, profiles):
-        residual = 0.0  # no support node: every row is 0
-        if peak is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                h, hp = (float(v[0]) for v in profile.fn(np.ones(1), 1)[:2])
-            residual = abs(h + hp) * peak
+    residuals = np.zeros(len(epsilons))  # no support node: every row is 0
+    if support.any():
+        peak = float(np.max(fam._on_support(support, 1, hypot, th, ph)[0]))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            h, hp = profile.fn(np.ones(1), 1)[:2]
+            residuals = np.abs(h + hp) * peak
+    rows = list(zip(epsilons, residuals.tolist()))
+    for eps, residual in rows:
         if not math.isfinite(residual):
-            raise ConfigError(f"eps={float(eps)!r} gives a non-finite residual ({residual})")
-        rows.append((float(eps), residual))
+            raise ConfigError(f"eps={eps!r} gives a non-finite residual ({residual})")
     included = [(e, r) for e, r in rows if e > 0.0 and r > 1e-300]
     log_e, log_r = np.log(np.reshape(included, (-1, 2))).T
     if log_e.size < 2 or np.ptp(log_e) == 0.0:

@@ -18,7 +18,7 @@ import pytest
 
 from slipball import cli, verify
 from slipball import family as fam
-from slipball.errors import DegenerateFit
+from slipball.errors import ConfigError, DegenerateFit
 from slipball.sphcalc import _node_arrays
 from slipball.verify import GridSpec
 
@@ -102,6 +102,74 @@ def test_sweep_rows_equal_the_flat_gather(family, grid):
         assert [e for e, _ in rows] == epsilons
         for (_, got), (_, res) in zip(rows, want):
             assert_same_bits(got, res)
+
+
+def per_eps_loop_rows(field, epsilons, grid):
+    """The sweep rows as a loop over eps makes them: a perturbed profile per
+    eps, its h(1), h'(1) read as Python floats, times the sup of the flat
+    support nodes; ConfigError at the first non-finite residual."""
+    profiles = [fam.perturbed_profile(float(eps), field.profile) for eps in epsilons]
+    _, theta, phi = grid.lattice().nodes()
+    support = field.support_mask(1.0, theta)
+    theta, phi = theta[support], phi[support]
+    g = field.angular.fn(theta, phi, 1)
+    peak = float(np.max(np.hypot(g[1], g[2] / np.sin(theta))))
+    rows = []
+    for eps, profile in zip(epsilons, profiles):
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, hp = (float(v[0]) for v in profile.fn(np.ones(1), 1)[:2])
+        residual = abs(h + hp) * peak
+        if not math.isfinite(residual):
+            raise ConfigError(f"eps={float(eps)!r} gives a non-finite residual ({residual})")
+        rows.append((float(eps), residual))
+    return rows
+
+
+def seeded_epsilons(seed, overflow):
+    """Twelve eps: positive ones spread over ten decades, 0, negatives, the
+    subnormal 1e-320 and a duplicate, shuffled; with overflow, 8.98e307 at
+    a position other than the first and -8.98e307 after it (the residuals
+    of both overflow)."""
+    rng = np.random.default_rng(seed)
+    eps = [*(10.0 ** rng.uniform(-9.0, 1.0, 6)), 0.0, -(10.0 ** rng.uniform(-6.0, 0.0)),
+           -2.5, 1e-320]
+    eps += [eps[int(rng.integers(6))], 0.0]
+    eps = [float(e) for e in rng.permutation(eps)]
+    if overflow:
+        at = int(rng.integers(1, len(eps)))
+        eps.insert(at, 8.98e307)
+        eps.insert(int(rng.integers(at + 1, len(eps) + 1)), -8.98e307)
+    return eps
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("grid", SPHERES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sweep_rows_equal_the_per_eps_loop(family, grid, seed, overflow):
+    # every eps row of the one array pass has the bits of a loop over eps,
+    # and an overflowing row names the eps that the loop names
+    field, epsilons = FAMILIES[family], seeded_epsilons(seed, overflow)
+    vanishes = family in ("h1zero", "zero")  # h(1) = 0 or g = 0: every row is 0
+    try:
+        want = per_eps_loop_rows(field, epsilons, SPHERES[grid])
+    except ConfigError as exc:
+        assert overflow and not vanishes
+        with pytest.raises(ConfigError) as got:
+            verify.scaling_sweep(field, epsilons, SPHERES[grid])
+        assert str(got.value) == str(exc) == (
+            "eps=8.98e+307 gives a non-finite residual (inf)")
+        return
+    assert vanishes or not overflow
+    if vanishes:
+        assert all(res == 0.0 for _, res in want)
+        with pytest.raises(DegenerateFit):
+            verify.scaling_sweep(field, epsilons, SPHERES[grid])
+        return
+    rows = verify.scaling_sweep(field, epsilons, SPHERES[grid]).rows
+    assert [e for e, _ in rows] == epsilons
+    assert_same_bits([e for e, _ in rows], epsilons)
+    assert_same_bits([res for _, res in rows], [res for _, res in want])
 
 
 def _spied(field):

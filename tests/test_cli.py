@@ -617,6 +617,55 @@ class TestUsageErrors:
         assert got == expected
 
 
+class TestSharedParser:
+    def test_calls_read_as_through_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        # cli.main parses with the one parser built when slipball.cli is
+        # imported: over all four subcommands, each call gives the exit code,
+        # stdout and written file of the same call through a fresh parser
+        report, csv = tmp_path / "report.json", tmp_path / "u.csv"
+        calls = [["--help"], ["sweep", "--help"], ["sweep", "--bogus"],
+                 ["verify", "--richardson", "--no-timestamp", "--report", str(report),
+                  *FAST_GRID],
+                 ["verify", "--report", str(report), *FAST_GRID],
+                 ["eval", "--r", "0.8", "--theta", "1.2", "--phi", "0.3"],
+                 ["sample", "--field", "u", "--out", str(csv)]]
+
+        def run(argv):
+            code, out, _ = run_cli(capsys, argv)
+            written = None
+            if report.exists():  # the report without its timestamp, and whether it had one
+                doc = json.loads(report.read_text())
+                written = (doc.pop("timestamp", None) is not None, doc)
+                report.unlink()
+            elif csv.exists():
+                written = csv.read_bytes()
+                csv.unlink()
+            return code, out, written
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spied_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spied_init)
+        shared = [run(argv) for argv in calls]
+        assert built == []  # no cli.main call builds a parser
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(run(argv))
+        assert built and shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0, 0, 0]
+        assert "usage: slipball sweep" in shared[1][1]
+        # the flags of the first verify call do not reach the second
+        (_, richardson, (stamped, doc)), (_, plain, (plain_stamped, plain_doc)) = shared[3:5]
+        assert richardson != plain and doc["oracle"]["richardson"]
+        assert not stamped and plain_stamped and not plain_doc["oracle"]["richardson"]
+        assert shared[6][2].count(b"\n") == 1 + 64 * 128
+
+
 # the command lines that write a file, and the flag naming it
 WRITERS = {"verify": (["verify", *FAST_GRID], "--report"),
            "sweep": (["sweep", "--boundary-ntheta", "32", "--boundary-nphi", "64"], "--report"),

@@ -291,20 +291,31 @@ def test_no_jet_call_outside_support():
     assert calls == []
 
 
-def test_sweep_reads_each_profile_at_r_1_only():
+def test_sweep_reads_each_profile_at_r_1_only(monkeypatch):
     # one angular jet on the sphere's support nodes (its in-band theta rows
-    # and its phi row); each perturbed profile enters through its jet at the
-    # one node r = 1
+    # and its phi row); the perturbed profiles enter through one jet at the
+    # one node r = 1, its factor taken once over the whole eps vector
     spy, calls = _spied(FAMILIES["default"])
+    factor = kernels.perturbed_factor_jet
+    factors = []
+
+    def spied_factor(r, eps, order):
+        factors.append((r, eps, order))
+        return factor(r, eps, order)
+
+    monkeypatch.setattr(kernels, "perturbed_factor_jet", spied_factor)
     grid = verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True)
     epsilons = [1e-1, 1e-2, 0.0, 1e-3]
     verify.scaling_sweep(spy, epsilons, grid)
     _, theta, phi = grid.lattice().axes
     support = spy.support_mask(1.0, theta)
-    assert [c[0] for c in calls] == ["angular"] + ["radial"] * len(epsilons)
+    assert [c[0] for c in calls] == ["angular", "radial"]
     assert np.array_equal(calls[0][1], theta[support][None, :, None])
     assert np.array_equal(calls[0][2], phi)
-    assert all(np.array_equal(c[1], [1.0]) for c in calls[1:])
+    assert np.array_equal(calls[1][1], [1.0])
+    [(r, eps, order)] = factors
+    assert np.array_equal(r, [1.0]) and order == 1
+    assert np.array_equal(eps, epsilons)
 
 
 def test_empty_input_calls_no_jet():
@@ -483,8 +494,9 @@ class TestJetOrders:
         log.clear()
         verify.scaling_sweep(spy, [1e-1, 1e-2, 1e-3],
                              verify.GridSpec(n_theta=32, n_phi=64, boundary_only=True))
-        # one angular jet at order 1 (no G), then h(1), h'(1) at order 1 per eps
-        assert log == [("angular", 1)] + [("radial", 1)] * 3
+        # one angular jet at order 1 (no G), then h(1), h'(1) at order 1 for
+        # the whole eps vector
+        assert log == [("angular", 1), ("radial", 1)]
         log.clear()
         spy.profile.jet(0.7), spy.angular.jet(1.2, 0.3)
         assert log == [("radial", 2), ("angular", 2)]

@@ -832,8 +832,9 @@ class TestScalingSweep:
     @pytest.mark.parametrize("n_eps", [4, 40])
     def test_work_per_eps_is_two_scalars(self, default_field, monkeypatch, n_eps):
         # one angular jet at order 1 per sweep, whatever the number of eps;
-        # each eps reads its profile at the one node r = 1, and no run
-        # assembles omega or computes G on the nodes
+        # every eps reads the profile in one jet at the one node r = 1, as two
+        # scalars of an eps-long jet, and no run assembles omega or computes G
+        # on the nodes
         def per_node_work(*args):
             raise AssertionError("the sweep assembled omega on the nodes")
 
@@ -850,13 +851,22 @@ class TestScalingSweep:
             radial_sizes.append(np.size(r))
             return default_field.profile.fn(r, order)
 
+        factor = kernels.perturbed_factor_jet
+        factor_sizes = []
+
+        def factor_fn(r, eps, order):
+            factor_sizes.append((np.size(r), np.size(eps), order))
+            return factor(r, eps, order)
+
+        monkeypatch.setattr(kernels, "perturbed_factor_jet", factor_fn)
         field = fam.CounterexampleField(replace(default_field.profile, fn=radial_fn),
                                         replace(default_field.angular, fn=angular_fn))
         radial_sizes.clear()  # the field's own h(1), h'(1)
         epsilons = list(np.geomspace(1e-1, 1e-4, n_eps))
         sweep = verify.scaling_sweep(field, epsilons, SMALL_BOUNDARY)
         assert angular_orders == [1]
-        assert radial_sizes == [1] * n_eps
+        assert radial_sizes == [1]
+        assert factor_sizes == [(1, n_eps, 1)]
         assert len(sweep.rows) == n_eps
 
     def test_no_field_is_built_per_eps(self, default_field, monkeypatch):
