@@ -194,7 +194,7 @@ def perturbed_profile(eps, base: Optional[RadialProfile] = None) -> RadialProfil
     broadcasts against r: fn(np.ones(1), 1) is h, h' at r = 1 for every eps.
     """
     refused = [e for e in np.ravel(eps).tolist() if not math.isfinite(2.0 * e)]
-    if refused:  # the factor's second derivative, 2 eps, overflows
+    if refused:  # 2 eps, the factor's second derivative, must be finite
         raise ConfigError(f"perturbation size must be finite and at most half the largest "
                           f"float, got {refused[0]!r}")
     base = base if base is not None else default_profile()
