@@ -55,14 +55,15 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# The JSON values a config leaf accepts, by the type of its default.
+# The JSON values a config leaf accepts, by the type of its default, and the
+# numbers in an accepted value that the package reads as floats (None: none).
 _LEAF_KINDS = {
-    bool: ("a boolean", lambda v: isinstance(v, bool)),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", _is_number),
-    str: ("a string", lambda v: isinstance(v, str)),
-    type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
-    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    bool: ("a boolean", lambda v: isinstance(v, bool), None),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), None),
+    float: ("a number", _is_number, lambda v: [v]),
+    str: ("a string", lambda v: isinstance(v, str), None),
+    type(None): ("a string or null", lambda v: v is None or isinstance(v, str), None),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)), list),
 }
 
 
@@ -75,9 +76,15 @@ def _merge_config(base, incoming, path=""):
                 raise ConfigError(f"config key {path + key!r} must be an object")
             _merge_config(base[key], value, path + key + ".")
             continue
-        kind, accepts = _LEAF_KINDS[type(base[key])]
+        kind, accepts, floats = _LEAF_KINDS[type(base[key])]
         if not accepts(value):
             raise ConfigError(f"config key {path + key!r} must be {kind}, got {value!r}")
+        try:  # once, here: a JSON integer may be too large for a float
+            for number in floats(value) if floats else ():
+                float(number)
+        except OverflowError:
+            raise ConfigError(f"config key {path + key!r} holds an integer too large "
+                              f"for a float") from None
         base[key] = value
 
 
@@ -91,6 +98,9 @@ def load_config(path):
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path!r} line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # json's int() refuses more than sys.get_int_max_str_digits()
+            raise ConfigError(f"config {path!r} holds an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path!r} must hold a JSON object")
         _merge_config(cfg, data)

@@ -154,7 +154,7 @@ def perturbed_factor_jet(r, eps, order=2):
     q1 = 2.0 * eps * d
     if order < 2:
         return q, q1
-    return q, q1, np.full_like(r, 2.0 * eps)
+    return q, q1, np.full(q.shape, 2.0 * eps)  # an eps array broadcasts against r
 
 
 def default_angular_jet(theta, phi, order=2):

@@ -4,10 +4,11 @@ Points are (r, theta, phi) with theta the colatitude and phi the longitude,
 reduced to [0, 2pi) at construction by _normalise, the one node normaliser,
 which the oracles share.  midpoint_lattice is the one grid rule: the ball's
 interior lattice, and the unit sphere as its r = 1 layer; require_cells is
-the one rule for its cell counts, and store_field the one type rule of
-GridSpec's and FDConfig's fields.  The differential operators and the point
-and vector transforms (the local basis (e_r, e_theta, e_phi) among them)
-are the array kernels in kernels.
+the one rule for its cell counts, require_nodes caps their product at
+MAX_NODES before anything is allocated, and store_field is the one type
+rule of GridSpec's and FDConfig's fields.  The differential operators and
+the point and vector transforms (the local basis (e_r, e_theta, e_phi)
+among them) are the array kernels in kernels.
 """
 import math
 import numbers
@@ -19,6 +20,8 @@ import numpy as np
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
+# nodes of the largest lattice: one float64 array of them is 1 GiB
+MAX_NODES = 2 ** 27
 
 _COORD_SLACK = 1e-12
 
@@ -107,6 +110,17 @@ def require_cells(name, count):
         raise ConfigError(f"{name} must be at least 8")
 
 
+def require_nodes(counts):
+    """The one size rule of a lattice, given its counts by name: each
+    follows require_cells, and more than MAX_NODES nodes in all raises
+    ConfigError naming the counts, before anything is allocated."""
+    for name, count in counts.items():
+        require_cells(name, count)
+    if math.prod(counts.values()) > MAX_NODES:
+        shape = " x ".join(f"{name}={count}" for name, count in counts.items())
+        raise ConfigError(f"a lattice of {shape} has more than {MAX_NODES} nodes")
+
+
 def _of_kind(name, value, kind):
     """value as kind (int, float or bool), else TypeError: numpy numbers count, bools only as bool."""
     accepted, noun = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
@@ -122,9 +136,8 @@ def store_field(obj, name, kind):
     return getattr(obj, name)
 
 
-def _midpoints(name, n, span, margin):
-    """The n cell centres of [margin, span - margin] and their spacing; n follows require_cells."""
-    require_cells(name, n)
+def _midpoints(n, span, margin):
+    """The n cell centres of [margin, span - margin] and their spacing."""
     step = (span - 2.0 * margin) / n
     return margin + (np.arange(n) + 0.5) * step, step
 
@@ -133,10 +146,12 @@ def midpoint_lattice(n_theta, n_phi, margin_theta=0.0, n_r=None, margin_r=0.0):
     """The midpoint Lattice of the ball: n_r radial cells in [margin_r,
     1 - margin_r], n_theta polar cells in [margin_theta, pi - margin_theta],
     phi uniform on [0, 2pi).  n_r None gives the unit sphere: the one layer
-    r = 1 with dr = 1 (its weights are sin(theta) dtheta dphi)."""
-    r, dr = (np.ones(1), 1.0) if n_r is None else _midpoints("n_r", n_r, 1.0, margin_r)
-    th, dth = _midpoints("n_theta", n_theta, math.pi, margin_theta)
-    require_cells("n_phi", n_phi)
+    r = 1 with dr = 1 (its weights are sin(theta) dtheta dphi).  The counts
+    follow require_nodes."""
+    counts = {"n_theta": n_theta, "n_phi": n_phi}
+    require_nodes(counts if n_r is None else {"n_r": n_r, **counts})
+    r, dr = (np.ones(1), 1.0) if n_r is None else _midpoints(n_r, 1.0, margin_r)
+    th, dth = _midpoints(n_theta, math.pi, margin_theta)
     dph = TWO_PI / n_phi
     r, th, ph = r[:, None, None], th[None, :, None], (np.arange(n_phi) * dph)[None, None, :]
     return Lattice((r, th, ph), r**2 * np.sin(th) * dr * dth * dph)

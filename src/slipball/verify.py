@@ -4,20 +4,25 @@ Each check evaluates a residual or a non-vanishing quantity over a grid and
 returns a CheckResult with sup and L2 norms, the binding tolerance, the pass
 direction, and the witness node of the sup.  Each quantity a check reads
 has one evaluation path: the closed forms of the field, or an oracle.
-Tolerances: TOL_EXACT_TRACE 1e-12 (exact boundary traces), TOL_FD 1e-6 (the
-Cartesian FD divergence), TOL_ORACLE_AGREEMENT 1e-4 (the closed-form omega
-against an FD curl of u, inside the ball and at the slip spots),
-TRACE_GATE_REL_TOL 1e-5 (each closed-form trace of curl(u x w) against the
-radial-derivative oracle, at its gate nodes and its witness), and
-NONVANISH_THRESHOLD 1e-1, which non-vanishing sups must exceed.  The
-default oracle (one central difference at step 1e-6) reads 3.3e-8 for the
-default family's divergence (30x under TOL_FD), 2e-7 for its agreement and
-5e-10 for its trace gates; above a step of about 5e-6 a plain difference
-fails TOL_FD and needs Richardson (tests/test_fd_error.py).
+Tolerances: TOL_EXACT_TRACE 1e-12 (exact boundary traces),
+TOL_POTENTIAL_REL 1e-7 (u against x x grad(h g), relative to the largest
+|u|), TOL_FD 1e-6 (the Cartesian FD divergence that gates it),
+TOL_ORACLE_AGREEMENT 1e-4 (the closed-form omega against an FD curl of u,
+inside the ball and at the slip spots), TRACE_GATE_REL_TOL 1e-5 (each
+closed-form trace of curl(u x w) against the radial-derivative oracle, at
+its gate nodes and its witness), and NONVANISH_THRESHOLD 1e-1, which
+non-vanishing sups must exceed.  The default oracle (one central
+difference at step 1e-6) reads 1.5e-10 for the divergence check of the
+default, h1zero and perturbed:1e-3 families (680x under
+TOL_POTENTIAL_REL), 6.3e-9 for the default family's Cartesian divergence
+at the seed's 50 nodes (160x under TOL_FD), 2e-7 for its agreement and
+5e-10 for its trace gates; a plain difference at step 1e-4 fails both
+divergence tolerances and needs Richardson (tests/test_fd_error.py).
 Sample sizes: ORACLE_SPOTS 5 FD-curl spots (slip), GATE_POINTS 50 gate nodes
 per trace (persistency), AGREEMENT_POINTS 50 random nodes (oracle
-agreement), and RADIUS_BISECTIONS 40 bisection steps on RADIUS_RINGS 4 rings
-of RADIUS_DIRECTIONS 16 points (neighborhood_radius, the ungated half-floor
+agreement, and the Cartesian gate of the divergence check), and
+RADIUS_BISECTIONS 40 bisection steps on RADIUS_RINGS 4 rings of
+RADIUS_DIRECTIONS 16 points (neighborhood_radius, the ungated half-floor
 ball of the theta trace), RADIUS_BATCH_LEVELS 4 levels per trace call: one
 call takes the 15 midpoints the next four steps may visit, so the 40 steps
 cost 10 calls after the one for the witness and the radius pi/2, and the
@@ -31,12 +36,14 @@ the slip, persistency and traction checks and the admissibility witnesses
 read it, and one rule (_spread) picks every boundary oracle node, all on the
 support, which the shipped families keep more than pi/4 from the poles.
 The oracle alone checks the stencil domain, at every node before it
-evaluates the field: a tight interior grid, or a custom family whose support
-reaches a pole, raises StencilOutOfDomain.  Each check maps the flat index
-of its sup to the witness by the lattice's one rule (Lattice.point).
-The divergence check works on the lattice axes: per-axis inputs (the
-transform to Cartesian, the reach mask, sin(theta) in the weights) are
-computed once per axis value, never once per node.
+evaluates the field: an interior grid with a theta row within 2 * step of
+a pole, or a custom family whose support reaches a pole, raises
+StencilOutOfDomain.  Each check maps the flat index of its sup to the
+witness by the lattice's one rule (Lattice.point).
+The divergence check works on the lattice axes: h once per r value, g and
+its differences once per (theta, phi) node of the plane, sin(theta) once
+per row, and u in r-slabs of the axes; it transforms to Cartesian only the
+50 nodes of its gate.
 
 Everything is deterministic: grids are midpoint lattices, random sample
 points come from a seeded generator echoed into the report, and sup/argmax
@@ -59,6 +66,7 @@ from .sphcalc import SphPoint
 
 TOL_EXACT_TRACE = 1e-12
 TOL_FD = 1e-6
+TOL_POTENTIAL_REL = 1e-7
 TOL_ORACLE_AGREEMENT = 1e-4
 NONVANISH_THRESHOLD = 1e-1
 TRACE_GATE_REL_TOL = 1e-5
@@ -78,10 +86,12 @@ class GridSpec:
     """Midpoint evaluation lattice (sphcalc.midpoint_lattice).
 
     Interior grids exclude margin_r from both r = 0 and r = 1 and
-    margin_theta from both poles (the radial margin keeps Cartesian FD
-    stencils inside the ball).  Boundary grids are the r = 1 layer and
-    ignore n_r and the margins: theta midpoints cover all of [0, pi] so that
-    surface quadrature sees the whole sphere, and phi is uniform on [0, 2pi).
+    margin_theta from both poles (the polar margin keeps the divergence
+    check's theta stencils off the poles).  Boundary grids are the r = 1
+    layer and ignore n_r and the margins: theta midpoints cover all of
+    [0, pi] so that surface quadrature sees the whole sphere, and phi is
+    uniform on [0, 2pi).  The counts follow sphcalc.require_nodes, so a grid
+    of more than sphcalc.MAX_NODES nodes is refused when it is built.
     """
 
     n_r: int = 32
@@ -103,6 +113,9 @@ class GridSpec:
             raise ConfigError("margin_r must lie in (0, 0.5)")
         if not 0.0 < self.margin_theta < math.pi / 2:
             raise ConfigError("margin_theta must lie in (0, pi/2)")
+        # the counts of the lattice this grid builds
+        sphcalc.require_nodes({k: getattr(self, k) for k in (
+            ("n_theta", "n_phi") if self.boundary_only else ("n_r", "n_theta", "n_phi"))})
 
     def lattice(self, boundary_only: Optional[bool] = None) -> sphcalc.Lattice:
         """The grid's midpoint lattice: the sphere (r = 1) for a boundary
@@ -183,18 +196,62 @@ def _grid_result(name, direction, values, lattice, tolerance):
 
 
 def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
-                          cfg: oracle.FDConfig = oracle.FDConfig()) -> CheckResult:
-    """sup |div u| over the interior grid, by the Cartesian FD oracle, which
-    reuses no spherical formula (the closed forms are divergence-free by
-    construction, as tests/test_symbolic.py proves)."""
+                          cfg: oracle.FDConfig = oracle.FDConfig(),
+                          seed: int = DEFAULT_SEED) -> CheckResult:
+    """div u = 0 through the toroidal potential psi = h(r) g(theta, phi).
+
+    u = x x grad(psi) has divergence grad(psi) . curl(x) - x . curl(grad psi)
+    = 0 for every C^2 psi (tests/test_symbolic.py proves both), so the check
+    confirms that the closed-form u is x x grad(psi): at every node of the
+    interior grid it compares u_components with (0, -h D_phi g / sin theta,
+    h D_theta g), where D is oracle.fd_partial of g at order 0 along the
+    lattice's own theta and phi axes (one call each, on the theta x phi
+    plane, with g exactly 0 off the band of the support) and h is read once
+    on the r axis.  norm_sup is the largest component of |u - u_FD| over the
+    largest component of |u| (absolute when u vanishes on the lattice),
+    below TOL_POTENTIAL_REL; u is evaluated in r-slabs of about
+    oracle._BLOCK nodes.  One independent gate rides along: the Cartesian
+    FD divergence at the AGREEMENT_POINTS nodes of the seed (as _seed reads
+    it), which reuses no spherical formula, must stay within TOL_FD."""
+    seed = _seed(seed)
     lattice = grid.lattice(boundary_only=False)
-    # the lattice axes, broadcast only where the oracle needs every node;
-    # the field vanishes off its support, so only nodes whose stencil
-    # (reach cfg.step) can touch it are evaluated; pad 2 * step is the
-    # slack, and the support itself lies inside it
-    reach = field.support_mask(*lattice.axes[:2], pad=2.0 * cfg.step)
-    div = oracle.cartesian_divergence_grid(field.u_components, *lattice.axes, cfg, reach)
-    return _grid_result("divergence_free", "below", div, lattice, TOL_FD)
+    r, theta, phi = lattice.axes
+
+    def g(_, t, p):
+        return fam._on_support(field.support_mask(1.0, t), 1,
+                               lambda t, p: field.angular.fn(t, p, 0), t, p)[0]
+    g_t, g_p = (oracle.fd_partial(g, 1.0, theta, phi, axis, cfg) for axis in ("theta", "phi"))
+    # the equator lies in every band, so this is the radial term of the support
+    (h,) = fam._on_support(field.support_mask(r, math.pi / 2), 1,
+                           lambda r: field.profile.fn(r, 0), r)
+    sin = np.sin(theta)
+
+    def compare(slab):
+        # (largest component of |u - u_FD|, largest |u|) on the slab's nodes
+        u = field.u_components(r[slab], theta, phi)
+        u_fd = (0.0, -h[slab] * g_p / sin, h[slab] * g_t)
+        return np.max([np.abs(a - b) for a, b in zip(u, u_fd)], axis=0), np.max(np.abs(u))
+
+    diff, peaks = np.empty(lattice.shape), []
+    rows = max(1, oracle._BLOCK // (theta.size * phi.size))
+    for lo in range(0, r.size, rows):
+        diff[lo:lo + rows], peak = compare(slice(lo, lo + rows))
+        peaks.append(peak)
+    scale = float(np.max(peaks))
+    if scale > 0.0:
+        diff /= scale  # in place: no second lattice-sized array
+    res = _grid_result("divergence_free", "below", diff, lattice, TOL_POTENTIAL_REL)
+    div = oracle.cartesian_divergence_grid(field.u_components, *_agreement_nodes(seed, cfg.step),
+                                           cfg)
+    cartesian = float(np.max(np.abs(div)))
+    res.passed = res.passed and cartesian <= TOL_FD
+    res.details = {"compared": "u against x cross grad(h g), on the lattice axes",
+                   "u_sup": scale,
+                   "cartesian_divergence_sup": cartesian,
+                   "cartesian_points": AGREEMENT_POINTS,
+                   "cartesian_tolerance": TOL_FD,
+                   "seed": seed}
+    return res
 
 
 def check_slip_conditions(field: fam.CounterexampleField, sphere: BoundaryPass,
@@ -525,7 +582,7 @@ def run_full_verification(field: fam.CounterexampleField,
     """
     seed = _seed(seed)  # a bad seed stops the run before any check evaluates the field
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        checks = [check_divergence_free(field, interior_grid, cfg)]
+        checks = [check_divergence_free(field, interior_grid, cfg, seed)]
         sphere = boundary_pass(field, boundary_grid)
         adm = fam.check_admissibility(field, fam.witness_points(sphere.lattice, sphere))
         checks.extend(check_slip_conditions(field, sphere, cfg))

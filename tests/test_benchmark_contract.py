@@ -192,6 +192,7 @@ def test_traced_verify_records_the_jet_kernels_with_their_order(tracer, capsys):
     spans = [s for s in t.take() if s.layer == "kernels"]
     for name, log in orders.items():
         assert sum(s.name == name for s in spans) == len(log) > 0
-    # u asks for the profile value and the first angular partials only
+    # u asks for the profile value and the first angular partials only;
+    # the divergence check reads g at order 0 on the theta x phi plane
     assert sorted(set(orders["default_profile_jet"])) == [0, 1, 2]
-    assert sorted(set(orders["default_angular_jet"])) == [1, 2]
+    assert sorted(set(orders["default_angular_jet"])) == [0, 1, 2]

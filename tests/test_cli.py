@@ -16,6 +16,8 @@ from slipball import cli, family, verify
 
 FAST_GRID = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
              "--boundary-ntheta", "32", "--boundary-nphi", "64"]
+# 100 polar rows from 1e-6 of the poles: the first lies 0.0157 from the pole
+TIGHT_POLE = ["--grid-ntheta", "100", "--grid-margin-theta", "1e-6"]
 
 
 def run_cli(capsys, argv):
@@ -145,11 +147,13 @@ class TestVerifyCommand:
         assert err == ("error: perturbation size must be finite and at most half the "
                        "largest float, got 1e+308\n")
 
+    # the divergence check is relative to the largest |u|, so these families
+    # pass it, and the slip check's squares overflow first
     @pytest.mark.parametrize("label, grid, message", [
-        ("perturbed:1e200", FAST_GRID, "divergence_free gives a non-finite norm_l2 (inf)"),
-        ("perturbed:-1e200", FAST_GRID, "divergence_free gives a non-finite norm_l2 (inf)"),
+        ("perturbed:1e200", FAST_GRID, "slip_omega_cross_n gives a non-finite norm_l2 (inf)"),
+        ("perturbed:-1e200", FAST_GRID, "slip_omega_cross_n gives a non-finite norm_l2 (inf)"),
         ("perturbed:1e160", FAST_GRID, "slip_omega_cross_n gives a non-finite norm_l2 (inf)"),
-        ("perturbed:1e200", [], "divergence_free gives a non-finite norm_l2 (inf)"),
+        ("perturbed:1e200", [], "slip_omega_cross_n gives a non-finite norm_l2 (inf)"),
     ])
     def test_overflowing_family_exits_one_and_keeps_the_report(self, capsys, tmp_path,
                                                                label, grid, message):
@@ -203,15 +207,18 @@ class TestVerifyCommand:
         assert by_name["oracle_agreement_curl"]["details"]["seed"] == 18
 
     @pytest.mark.parametrize("step", ["3e-3", "1e-2"])
-    def test_cartesian_stencil_checked_before_the_run(self, capsys, tmp_path, step):
+    def test_shipped_grid_runs_at_a_coarse_step(self, capsys, tmp_path, step):
+        # the divergence check used to run the Cartesian oracle on the
+        # lattice, which rejected the shipped grid's innermost nodes (5.2e-3
+        # from the polar axis); its differences now run along the theta and
+        # phi axes, and its Cartesian gate on seeded nodes that fit
         report = tmp_path / "out.json"
         code, out, err = run_cli(capsys, ["verify", "--oracle-step", step,
                                           "--report", str(report)])
-        # the divergence oracle rejects the shipped grid's innermost nodes
-        # (5.2e-3 from the polar axis) before any output
-        assert code == 1
-        assert "polar axis" in err and f"with step {float(step):g}\n" in err
-        assert out == "" and not report.exists()
+        assert code in (0, 2), err  # the coarse step may fail a tolerance; the run completes
+        doc = json.loads(report.read_text())
+        assert doc["oracle"]["step"] == float(step)
+        assert len(doc["checks"]) == 7 and "polar" not in err
 
     def test_richardson_keeps_the_verdicts(self, capsys, tmp_path):
         # the opt-in high-order oracle: Richardson at step 1e-4
@@ -228,14 +235,29 @@ class TestVerifyCommand:
         assert [(c["name"], c["pass"]) for c in richardson["checks"]] == [
             (c["name"], c["pass"]) for c in default["checks"]]
 
+    @pytest.mark.parametrize("flags", [["--grid-nr", "1" + "0" * 30],
+                                       ["--boundary-ntheta", "100000", "--boundary-nphi", "100000"]],
+                             ids=["interior", "boundary"])
+    def test_grid_of_too_many_nodes_exits_one_before_any_check(self, capsys, tmp_path,
+                                                               monkeypatch, flags):
+        # a count of 10^30 used to end in numpy's "Maximum allowed size
+        # exceeded" traceback; GridSpec refuses it before the run starts
+        monkeypatch.setattr(verify, "run_full_verification",
+                            lambda *a, **k: pytest.fail("a check ran"))
+        report = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, ["verify", *flags, "--report", str(report)])
+        assert code == 1 and out == "" and not report.exists()
+        assert re.fullmatch(r"error: a lattice of n_\S+ x n_\S+ (x n_phi=\d+ )?has more than "
+                            r"134217728 nodes\n", err), err
+
     def test_margins_error_is_a_config_error(self, capsys):
-        # the outermost of 100 radial nodes, r = 0.995, takes a stencil of
-        # step 1e-2 past the sphere: the oracle's rule, a usage error
-        code, out, err = run_cli(capsys, ["verify", *FAST_GRID, "--grid-nr", "100",
-                                          "--grid-margin-r", "1e-6", "--oracle-step", "1e-2"])
+        # the first of 100 polar rows, theta = 0.0157, takes a polar stencil
+        # of step 1e-2 past the pole: the oracle's rule, a usage error
+        code, out, err = run_cli(capsys, ["verify", *FAST_GRID, *TIGHT_POLE,
+                                          "--oracle-step", "1e-2"])
         assert code == 1 and out == ""
-        assert re.fullmatch(r"error: Cartesian stencil leaves the unit ball at r=0\.99499\d* "
-                            r"with step 0\.01\n", err), err
+        assert re.fullmatch(r"error: polar stencil at theta=0\.0157\d* with step 0\.01\n",
+                            err), err
 
     def test_byte_identical_reports(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -276,10 +298,10 @@ class TestOneOwnerPerPrecondition:
         monkeypatch.setattr(family.CounterexampleField, "u_components",
                             lambda self, *c: calls.append(c) or original(self, *c))
         report = tmp_path / "out.json"
-        code, out, err = run_cli(capsys, ["verify", "--oracle-step", "1e-2", "--richardson",
-                                          "--report", str(report)])
+        code, out, err = run_cli(capsys, ["verify", *TIGHT_POLE, "--oracle-step", "1e-2",
+                                          "--richardson", "--report", str(report)])
         assert code == 1 and out == "" and not report.exists()
-        assert err.startswith("error: Cartesian stencil too close to the polar axis")
+        assert err.startswith("error: polar stencil at theta=0.0157")
         assert err.endswith(" with step 0.01\n")
         assert calls == []
 
@@ -348,6 +370,29 @@ class TestConfigFile:
         assert code == 1
         assert err.startswith(f"error: config key {key!r} must be {kind}, got ")
         assert out == "" and not report.exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("sweep", '{"epsilons": [1%s, 0.1, 0.01, 0.001]}', "epsilons"),
+        ("verify", '{"grid": {"margin_r": 1%s}}', "grid.margin_r"),
+    ])
+    def test_integer_too_large_for_a_float_is_a_config_error(self, capsys, tmp_path, command,
+                                                             text, key):
+        # used to end in an OverflowError traceback where the package read it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text % ("0" * 400))
+        code, out, err = run_cli(capsys, [command, "--config", str(cfg)] + (
+            FAST_GRID if command == "verify" else []))
+        assert code == 1 and out == ""
+        assert err == f"error: config key {key!r} holds an integer too large for a float\n"
+
+    def test_integer_of_too_many_digits_is_a_config_error(self, capsys, tmp_path):
+        # json's int() refuses it with a plain ValueError, which used to escape
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1%s}' % ("0" * sys.get_int_max_str_digits()))
+        code, out, err = run_cli(capsys, ["verify", "--config", str(cfg)] + FAST_GRID)
+        assert code == 1 and out == ""
+        assert err == (f"error: config {str(cfg)!r} holds an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
 
     def test_int_where_a_float_is_expected(self, capsys, tmp_path):
         # an int passes the type check of a float key; its value is checked next

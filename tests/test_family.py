@@ -450,6 +450,20 @@ class TestFamilyLabels:
                 call()
             assert str(exc.value) == message + repr(float(eps))
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("r", [np.ones(1), np.array([[0.3], [0.8], [1.0]])],
+                             ids=["sphere", "column"])
+    def test_eps_vector_jet_equals_a_loop_over_eps(self, order, r):
+        # order 2 used to raise "could not broadcast" for an eps vector
+        eps = np.array([1e-3, 1e-2, -0.5])
+        got = fam.perturbed_profile(eps).fn(r, order)
+        for k, entry in enumerate(got):
+            assert entry.shape == np.broadcast_shapes(r.shape, eps.shape)
+            want = np.stack([np.broadcast_to(fam.perturbed_profile(e).fn(r, order)[k], r.shape)
+                             for e in eps.tolist()], axis=-1)
+            assert np.array_equal(entry.reshape(want.shape[:-1] + (-1,)), want)
+            assert np.array_equal(np.signbit(entry).reshape(want.shape), np.signbit(want))
+
     def test_largest_perturbation_builds(self):
         f = fam.family_by_label("perturbed:8.98e307")
         assert fam.check_admissibility(f, fam.find_witnesses(f)).support_ok

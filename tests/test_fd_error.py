@@ -5,7 +5,7 @@ step 1e-6, no Richardson.
 grows as step^2, and by rounding, which grows as 1e-16 / step.  Measured
 with numpy 2.4.6, plain central differences, the default family:
 
-    step    divergence_free sup      worst oracle_agreement_curl
+    step    Cartesian |div u| sup    worst oracle_agreement_curl
             (shipped interior grid)  (seeds 0-299, 50 nodes each)
     1e-5    1.169e-6                 2.138e-5
     5e-6    2.928e-7                 5.345e-6
@@ -21,12 +21,24 @@ bottoms out a little lower, at 5e-7, but the default is still about 470x
 under TOL_ORACLE_AGREEMENT.  The pins allow 25%, because the small-step
 values are rounding noise and move with the platform's libm.
 
+The Cartesian divergence is that of the oracle on the shipped lattice's
+axes with the stencil-reach mask, the reference this curve is measured
+on; the divergence check runs the same oracle as its gate, at
+AGREEMENT_POINTS seeded nodes.
+
 (b) The detection floor.  The test adds a known divergence
 delta * b(r) e_r to u, with b a smooth bump supported in (0.3, 0.9).
 div(b e_r) = b' + 2 b / r in closed form, so delta sets the true sup of
-|div| on the grid.  The default oracle must fail the check at twice
-TOL_FD and pass it at half TOL_FD, so halving the oracle's work still
-leaves it able to tell the two apart at TOL_FD.
+|div| on the grid.  The default oracle must read more than TOL_FD at twice
+TOL_FD and less at half TOL_FD, so halving the oracle's work still leaves
+it able to tell the two apart at TOL_FD.
+
+(c) The divergence check itself.  Its sup, |u - u_FD| over the largest
+|u|, reads 1.48e-10 for default, h1zero and perturbed:1e-3 on the shipped
+grid, about 680x under TOL_POTENTIAL_REL, and its Cartesian gate 6.3e-9 at
+the seed's 50 nodes, 160x under TOL_FD.  The same radial field, scaled to
+twice and to half TOL_POTENTIAL_REL relative to the largest |u|, must
+read above and below it, since the check compares u_r with 0.
 """
 import numpy as np
 import pytest
@@ -54,10 +66,18 @@ def worst_agreement(cfg):
     return max(float(np.max(np.abs(a - b))) for a, b in zip(closed, fd))
 
 
+def lattice_divergence_sup(field, cfg, grid=SHIPPED):
+    """sup |div u| of the Cartesian oracle on the grid's lattice axes, with
+    the stencil-reach mask of the field's support."""
+    axes = grid.lattice().axes
+    reach = field.support_mask(*axes[:2], pad=2.0 * cfg.step)
+    return float(np.max(np.abs(
+        oracle.cartesian_divergence_grid(field.u_components, *axes, cfg, reach))))
+
+
 @pytest.fixture(scope="module")
 def curve():
-    return {step: (verify.check_divergence_free(DEFAULT, SHIPPED,
-                                                oracle.FDConfig(step, False)).norm_sup,
+    return {step: (lattice_divergence_sup(DEFAULT, oracle.FDConfig(step, False)),
                    worst_agreement(oracle.FDConfig(step, False)))
             for step in CURVE}
 
@@ -78,8 +98,8 @@ def test_default_step_is_the_bottom_of_the_divergence_curve(curve):
 
 def test_plain_difference_fails_above_5e_6(curve):
     assert curve[1e-5][0] > verify.TOL_FD
-    assert not verify.check_divergence_free(DEFAULT, SHIPPED, oracle.FDConfig(1e-4, False)).passed
-    assert verify.check_divergence_free(DEFAULT, SHIPPED, oracle.FDConfig(1e-4, True)).passed
+    assert lattice_divergence_sup(DEFAULT, oracle.FDConfig(1e-4, False)) > verify.TOL_FD
+    assert lattice_divergence_sup(DEFAULT, oracle.FDConfig(1e-4, True)) <= verify.TOL_FD
 
 
 def bump(r):
@@ -92,15 +112,16 @@ def bump(r):
     return b, b * (-2.0 * s / (q * q)) / 0.3
 
 
-class WithRadialSource:
-    """The default family plus delta * b(r) e_r, which the check sees
-    through u_components and support_mask alone."""
+class WithRadialSource(fam.CounterexampleField):
+    """The default family plus delta * b(r) e_r in u_components; support_mask
+    keeps every node, so the oracle evaluates the source everywhere."""
 
     def __init__(self, delta):
+        super().__init__(DEFAULT.profile, DEFAULT.angular, label="radial-source")
         self.delta = delta
 
     def u_components(self, r, theta, phi):
-        u_r, u_theta, u_phi = DEFAULT.u_components(r, theta, phi)
+        u_r, u_theta, u_phi = super().u_components(r, theta, phi)
         return u_r + self.delta * bump(r)[0], u_theta, u_phi
 
     def support_mask(self, r, theta, pad=0.0):
@@ -113,6 +134,32 @@ def test_divergence_of_size_tol_fd_is_detected(ratio, passes):
     b, db = bump(r)
     # sup |div| of delta * b e_r on the grid, in closed form
     delta = ratio * verify.TOL_FD / np.max(np.abs(db + 2.0 * b / r))
+    sup = lattice_divergence_sup(WithRadialSource(delta), oracle.FDConfig())
+    assert (sup <= verify.TOL_FD) is passes
+    assert sup == pytest.approx(ratio * verify.TOL_FD, abs=0.05 * verify.TOL_FD)
+
+
+@pytest.mark.parametrize("label", ["default", "h1zero", "perturbed:1e-3"])
+@pytest.mark.parametrize("grid", [SHIPPED, verify.GridSpec(n_r=8, n_theta=8, n_phi=8)],
+                         ids=["shipped", "coarse"])
+def test_divergence_check_reads_its_floor(label, grid):
+    res = verify.check_divergence_free(fam.family_by_label(label), grid)
+    assert res.passed
+    assert res.norm_sup == pytest.approx(1.45e-10, rel=0.25)
+    assert res.norm_sup <= verify.TOL_POTENTIAL_REL / 500.0
+    assert res.details["cartesian_divergence_sup"] <= verify.TOL_FD / 100.0
+
+
+@pytest.mark.parametrize("ratio, passes", [(2.0, False), (0.5, True)])
+def test_radial_field_of_size_tol_potential_is_detected(ratio, passes):
+    u_sup = verify.check_divergence_free(DEFAULT, SHIPPED).details["u_sup"]
+    r = SHIPPED.lattice().axes[0].ravel()
+    # a source whose largest |u_r| on the grid is ratio * TOL_POTENTIAL_REL * u_sup;
+    # too small to move the largest |u|, which lies where u_r is 0
+    delta = ratio * verify.TOL_POTENTIAL_REL * u_sup / np.max(bump(r)[0])
     res = verify.check_divergence_free(WithRadialSource(delta), SHIPPED)
-    assert res.passed is passes
-    assert res.norm_sup == pytest.approx(ratio * verify.TOL_FD, abs=0.05 * verify.TOL_FD)
+    assert res.details["u_sup"] == u_sup
+    assert res.norm_sup == pytest.approx(ratio * verify.TOL_POTENTIAL_REL, rel=1e-6)
+    assert (res.norm_sup <= res.tolerance) is passes
+    # the Cartesian gate reads this steep source on its own, above TOL_FD
+    assert not res.passed

@@ -1,13 +1,14 @@
 """One midpoint lattice for every grid, and the oracle on its axes.
 
 sphcalc.midpoint_lattice builds every grid: the interior lattice of the
-ball, and the sphere as its r = 1 layer.  check_divergence_free hands
-oracle.cartesian_divergence_grid its axes, shaped (n_r, 1, 1),
+ball, and the sphere as its r = 1 layer.  Its axes are shaped (n_r, 1, 1),
 (1, n_theta, 1) and (1, 1, n_phi), so every per-axis input (the transform
-to Cartesian, sin(theta) in the weights, the reach mask) is computed once
-per axis value.  The references below are the flat meshes written out
-node by node, as they were built before the one lattice rule; each result
-must equal them bit for bit, sign bits included.
+to Cartesian in oracle.cartesian_divergence_grid, sin(theta) in the
+weights, the reach mask, and in check_divergence_free h on the r axis and
+g on the theta x phi plane) is computed once per axis value.  The
+references below are the flat meshes written out node by node, as they
+were built before the one lattice rule; each result must equal them bit
+for bit, sign bits included.
 """
 import math
 
@@ -89,14 +90,28 @@ def test_divergence_on_axes_equals_the_flat_mesh(family_name, grid_name, masked)
 @pytest.mark.parametrize("grid_name", GRIDS)
 @pytest.mark.parametrize("family_name", ["default", "cosine_angular"])
 def test_divergence_check_equals_the_flat_mesh_result(family_name, grid_name):
+    # the comparison of u with (0, -h D_phi g / sin, h D_theta g), written
+    # out on the flat mesh: every input evaluated at every node
     field, grid = FAMILIES[family_name], GRIDS[grid_name]
     r, th, ph, weights = flat_mesh(grid)
-    div = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, CFG,
-                                           field.support_mask(r, th, pad=2.0 * CFG.step))
-    i = int(np.argmax(np.abs(div)))
+
+    def g(_, t, p):
+        out = np.zeros(t.shape)
+        band = field.support_mask(1.0, t)
+        out[band] = field.angular.fn(t[band], p[band], 0)[0]
+        return out
+    g_t, g_p = (oracle.fd_partial(g, 1.0, th, ph, axis, CFG) for axis in ("theta", "phi"))
+    h = np.zeros(r.shape)
+    inside = r > field.profile.support_inner
+    h[inside] = field.profile.fn(r[inside], 0)[0]
+    u = field.u_components(r, th, ph)
+    diff = np.max([np.abs(u[0]), np.abs(u[1] - -h * g_p / np.sin(th)),
+                   np.abs(u[2] - h * g_t)], axis=0)
+    rel = diff / np.max(np.abs(u))
+    i = int(np.argmax(rel))
     res = verify.check_divergence_free(field, grid, CFG)
-    assert res.norm_sup == float(np.abs(div[i]))
-    assert res.norm_l2 == float(np.sqrt(np.sum(div * div * weights)))
+    assert res.norm_sup == float(rel[i]) > 0.0
+    assert res.norm_l2 == float(np.sqrt(np.sum(rel * rel * weights)))
     assert res.witness == SphPoint(r[i], th[i], ph[i])
 
 
@@ -138,6 +153,30 @@ def test_count_minimum_holds_for_a_lattice_built_directly():
     with pytest.raises(ConfigError, match="n_r must be at least 8"):
         sphcalc.midpoint_lattice(8, 8, 0.1, 7)
     assert sphcalc.midpoint_lattice(np.int64(8), np.uint8(9), 0.1, np.int32(8)).shape == (8, 8, 9)
+
+
+@pytest.mark.parametrize("counts, shape", [
+    ((2 ** 14, 2 ** 13 + 1), "n_theta=16384 x n_phi=8193"),
+    ((8, 2 ** 24 + 1, 0.0, 8), "n_r=8 x n_theta=8 x n_phi=16777217"),
+    ((48, 96, 0.05, 10 ** 30), "n_r=1000000000000000000000000000000 x n_theta=48 x n_phi=96")])
+def test_a_lattice_of_too_many_nodes_allocates_nothing(monkeypatch, counts, shape):
+    # a count of 10^30 used to end in numpy's "Maximum allowed size
+    # exceeded" traceback; the cap is checked before any array is built
+    def refused(*args, **kwargs):
+        raise AssertionError("allocated")
+    for name in ("arange", "ones", "empty", "zeros"):
+        monkeypatch.setattr(np, name, refused)
+    with pytest.raises(ConfigError) as exc:
+        sphcalc.midpoint_lattice(*counts)
+    assert str(exc.value) == f"a lattice of {shape} has more than 134217728 nodes"
+    assert sphcalc.MAX_NODES == 2 ** 27
+
+
+def test_the_largest_lattice_is_allowed():
+    # refused only above the cap: the counts are checked, not built, here
+    sphcalc.require_nodes({"n_r": 2 ** 9, "n_theta": 2 ** 9, "n_phi": 2 ** 9})
+    with pytest.raises(ConfigError, match="more than 134217728 nodes"):
+        sphcalc.require_nodes({"n_r": 2 ** 9, "n_theta": 2 ** 9, "n_phi": 2 ** 9 + 1})
 
 
 @pytest.mark.parametrize("n_theta, n_phi", [(128, 256), (32, 64), (33, 70), (8, 8)])

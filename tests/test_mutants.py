@@ -11,10 +11,12 @@ fails that check even though the slip check and the boundary traces read the
 same closed form.  Each trace of boundary_curl_assembly is gated against the
 radial derivative of r v (v_theta for the phi trace, v_phi for the theta
 trace), so a wrong trace or a wrong v_phi fails its persistency check.
-Outputs whose scaling no gated number sees are not rows: v_r of
-cross_tangential (the gates read only v_theta and v_phi), the g_tp entry of
-the angular jet (read by the jets path only), g itself (a scaled g stays
-periodic) and h'' (read by none).
+The divergence check compares u with x x grad(h g), from differences of g
+itself, so a scaled g (which stays periodic) fails it, and so does a
+wrong u or a wrong first angular partial.  Outputs whose scaling no gated
+number sees are not rows: v_r of cross_tangential (the gates read only
+v_theta and v_phi), the g_tp entry of the angular jet (read by the jets
+path only) and h'' (read by none).
 
 Two local mutants follow the rows, each on the coarse and the shipped
 grids.  One triples the theta trace within WINDOW rad of its witness, in
@@ -46,6 +48,7 @@ MUTANTS = {
                                 "oracle_agreement_curl"}),
     "h": ("default_profile_jet", 0, {"slip_omega_cross_n", "oracle_agreement_curl"}),
     "h_r": ("default_profile_jet", 1, {"slip_omega_cross_n", "oracle_agreement_curl"}),
+    "g": ("default_angular_jet", 0, {"divergence_free"}),
     "g_t": ("default_angular_jet", 1, {"divergence_free", "oracle_agreement_curl"}),
     "g_p": ("default_angular_jet", 2, {"divergence_free", "oracle_agreement_curl"}),
     "g_tt": ("default_angular_jet", 3, {"oracle_agreement_curl"}),

@@ -1,11 +1,13 @@
 """The Cartesian oracles in blocks of kept nodes.
 
 cartesian_divergence_grid and cartesian_jacobian_grid evaluate the kept
-nodes in consecutive blocks of at most oracle._BLOCK, and check and gather
-the nodes in slabs of about _BLOCK along the leading axis.  All of that work
-is elementwise, so every value, sign bits included, must equal a one-block
-run (_BLOCK above the node count), and every node is still checked, with
-the message of an all-node check, before the first field evaluation.
+nodes in consecutive blocks, each in one call that takes every stencil
+point of the block (at most oracle._BLOCK points), and check and gather the
+nodes in slabs of about _BLOCK along the leading axis.  All of that work is
+elementwise, so every value, sign bits included, must equal a one-block run
+(_BLOCK above the node count) and a run with one call per stencil offset,
+and every node is still checked, with the message of an all-node check,
+before the first field evaluation.
 """
 import math
 import tracemalloc
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from slipball import family as fam
-from slipball import oracle, verify
+from slipball import kernels, oracle, verify
 from slipball.errors import StencilOutOfDomain
 
 PI = math.pi
@@ -101,6 +103,52 @@ def test_every_slab_is_checked_before_the_message_is_chosen(monkeypatch, block):
                                   "(needs rho >= 2 * step) at rho=0.0009999833334166665 "
                                   "with step 0.001")
     assert calls == []
+
+
+def per_offset_columns(components_fn, convert, base, cfg):
+    """The stencil loop with one components_fn call per offset and block of
+    _BLOCK kept nodes, as the oracle ran it before it took a block's every
+    stencil point in one call."""
+    def column(points, j, h):
+        def field_at(offset):
+            shifted = list(points)
+            shifted[j] = points[j] + offset
+            x, y, _ = shifted
+            rho = np.sqrt(x * x + y * y)
+            r, theta, phi = kernels.cart_to_sph(*shifted, rho)
+            return np.asarray(convert(j, *shifted, r, rho, *components_fn(r, theta, phi)))
+        return (field_at(h) - field_at(-h)) / (2.0 * h)
+
+    for block in (slice(lo, lo + oracle._BLOCK) for lo in range(0, base.shape[1], oracle._BLOCK)):
+        for j in range(3):
+            yield block, j, oracle._richardson(lambda h: column(base[:, block], j, h),
+                                               cfg.step, cfg.richardson)
+
+
+def three_oracles(fn, nodes, cfg, mask):
+    """(divergence, Jacobian, curl); the curl takes no mask."""
+    return (oracle.cartesian_divergence_grid(fn, *nodes, cfg, mask),
+            oracle.cartesian_jacobian_grid(fn, *nodes, cfg, mask),
+            np.array(oracle.cartesian_curl_grid(fn, *nodes, cfg)))
+
+
+@pytest.mark.parametrize("cfg_name", CONFIGS)
+@pytest.mark.parametrize("family_name", FAMILIES)
+@pytest.mark.parametrize("where", ["seeded", "masked-lattice"])
+def test_one_call_per_block_equals_one_call_per_offset(monkeypatch, where, family_name,
+                                                       cfg_name):
+    field, cfg = FAMILIES[family_name], CONFIGS[cfg_name]
+    if where == "seeded":
+        nodes, mask = verify._agreement_nodes(verify.DEFAULT_SEED, cfg.step), None
+    else:
+        nodes = COARSE.axes
+        mask = field.support_mask(*nodes[:2], pad=2.0 * cfg.step)
+    got = three_oracles(field.u_components, nodes, cfg, mask)
+    monkeypatch.setattr(oracle, "_cartesian_columns", per_offset_columns)
+    want = three_oracles(field.u_components, nodes, cfg, mask)
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+        assert np.any(a != 0.0)
 
 
 def test_divergence_check_memory_peak():

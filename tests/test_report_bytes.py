@@ -16,13 +16,15 @@ COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
           "--boundary-ntheta", "32", "--boundary-nphi", "64"]
 
 # The admissibility witnesses are those of the run's boundary grid (32x64 in
-# the coarse reports).
+# the coarse reports).  Only the divergence_free entry moved when that check
+# came to compare u with x x grad(h g): its norms, tolerance, witness and
+# details.
 REPORTS = [
-    ("default", [], "d7bf11ea8b29013ea548ca15f93d96767e4a92b4373ad90016daf37aa94fcf92", 0),
-    ("default", COARSE, "118ceefa2888982cd4d0848bd06c495a7657a1a2e733b7403bedb524dbb404bd", 0),
-    ("h1zero", COARSE, "d47a5e2c9c501cf3da6e6f5b9aeafd5c6d49b55deda644160f0835cadd934674", 2),
+    ("default", [], "9b44dd1807d7d0094c487ae78beb6d27039e270961bb70d75faaad602de0e9e6", 0),
+    ("default", COARSE, "7fe7781f68b61c31beb0856cc459bec7b22c4cc4f0d162f663333710090d1b5e", 0),
+    ("h1zero", COARSE, "db518ce32f8726e1d2bf02b4b816e85f9ed058c1488ceace8deb0a16f0fbb16f", 2),
     ("perturbed:1e-3", COARSE,
-     "dee426c4a59f3ac550dda7c432e7f2c5a65e94b1b0993c59d3309d40f11499e7", 2),
+     "ba8be864f6b2bf36375320a5c98b6c8ef876a89e104478289180f6ddea3d6398", 2),
 ]
 
 

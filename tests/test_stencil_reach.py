@@ -1,10 +1,11 @@
 """The stencil-reach mask of the Cartesian divergence oracle.
 
-check_divergence_free evaluates the Cartesian oracle only at nodes within
+With the reach mask, the Cartesian oracle evaluates only nodes within
 2 * step of the field's support (CounterexampleField.support_mask with a
 pad) and gives the other nodes an exact 0.  The full-grid oracle call, kept
 here as the reference, must give the same |div| bit for bit, and every node
-must still be checked against the domain.
+must still be checked against the domain.  One components_fn call takes
+every stencil point of a block of kept nodes.
 """
 import math
 
@@ -50,23 +51,14 @@ NEAR_SUPPORT = verify.GridSpec(n_r=8, n_theta=8, n_phi=8, margin_r=0.092)
     (GRIDS["coarse"], oracle.FDConfig()),
     (NEAR_SUPPORT, oracle.FDConfig(1e-2, False)),
     (NEAR_SUPPORT, oracle.FDConfig(1e-2, True))])
-def test_check_divergence_free_passes_the_reach_mask(monkeypatch, grid, cfg):
+def test_reach_mask_on_the_lattice_axes_equals_the_full_grid(grid, cfg):
     field = FAMILIES["default"]
-    seen = []
-    original = oracle.cartesian_divergence_grid
-
-    def spy(*args):
-        seen.append((args, original(*args)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(oracle, "cartesian_divergence_grid", spy)
-    res = verify.check_divergence_free(field, grid, cfg)
-    ((fn, r, th, ph, used_cfg, mask), masked), = seen
-    assert used_cfg == cfg
-    assert np.array_equal(mask, field.support_mask(r, th, pad=2.0 * cfg.step))
-    full = original(field.u_components, r, th, ph, cfg)
+    r, th, ph = grid.lattice().axes
+    mask = field.support_mask(r, th, pad=2.0 * cfg.step)
+    masked = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg, mask)
+    full = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg)
     assert np.array_equal(np.abs(masked), np.abs(full))
-    assert res.norm_sup == float(np.max(np.abs(full)))
+    assert float(np.max(np.abs(masked))) == float(np.max(np.abs(full))) > 0.0
 
 
 def test_near_support_grid_has_nodes_the_stencil_only_just_reaches():
@@ -88,7 +80,7 @@ def test_masked_jacobian_evaluates_only_kept_nodes():
     reach = field.support_mask(r, th, pad=2e-4)
     assert reach.tolist() == [False, True, False]
     jac = oracle.cartesian_jacobian_grid(counted, r, th, ph, oracle.FDConfig(), reach)
-    assert set(sizes) == {1}
+    assert sizes == [6]  # the 6 stencil points of the one kept node, in one call
     assert all(np.all(entry[~reach] == 0.0) for row in jac for entry in row)
 
 
@@ -140,8 +132,8 @@ def test_points_within_pad_of_the_support_are_in_the_padded_mask(
     assert field.support_mask(q[0], q[1], pad=pad)[0]
 
 
-@pytest.mark.parametrize("cfg_name, n_calls", [("1e-4-richardson", 12), ("1e-3-plain", 6)])
-def test_divergence_makes_one_call_per_offset_on_kept_nodes(cfg_name, n_calls):
+@pytest.mark.parametrize("cfg_name, n_offsets", [("1e-4-richardson", 12), ("1e-3-plain", 6)])
+def test_divergence_makes_one_call_holding_every_offset_of_the_kept_nodes(cfg_name, n_offsets):
     field, cfg, mesh = FAMILIES["default"], CONFIGS[cfg_name], MESHES["coarse"]
     r, th, ph = mesh
     reach = field.support_mask(r, th, pad=2.0 * cfg.step)
@@ -153,21 +145,24 @@ def test_divergence_makes_one_call_per_offset_on_kept_nodes(cfg_name, n_calls):
         return field.u_components(r, theta, phi)
 
     oracle.cartesian_divergence_grid(counted, r, th, ph, cfg, reach)
-    assert len(calls) == n_calls
-    # each call shifts every kept node, and only those, along one axis
-    for cx, cy, cz in calls:
-        assert cx.shape == x.shape
+    (points,), n = calls, x.size
+    assert points[0].shape == (n_offsets * n,)
+    # each segment of the call shifts every kept node, and only those, along
+    # one axis: +x, -x, +y, -y, +z, -z at step, then at step / 2
+    for k in range(n_offsets):
+        cx, cy, cz = (c[k * n:(k + 1) * n] for c in points)
         shift = np.array([np.max(np.abs(cx - x)), np.max(np.abs(cy - y)),
                           np.max(np.abs(cz - z))])
-        assert np.count_nonzero(shift > 1e-12) == 1
-        assert shift.max() <= cfg.step * (1.0 + 1e-9)
+        assert np.flatnonzero(shift > 1e-12).tolist() == [k % 6 // 2]
+        assert shift.max() == pytest.approx(cfg.step / 2 ** (k // 6), rel=1e-6)
 
 
-@pytest.mark.parametrize("cfg, n_calls", [(oracle.FDConfig(), 24),
-                                          (oracle.FDConfig(richardson=True), 48)])
+@pytest.mark.parametrize("cfg, n_calls", [(oracle.FDConfig(), 22),
+                                          (oracle.FDConfig(richardson=True), 43)])
 def test_shipped_grid_divergence_call_count(cfg, n_calls):
-    # one u_components call per stencil offset and block of at most
-    # oracle._BLOCK kept nodes; Richardson doubles the offsets
+    # one u_components call per block, holding every stencil point of it:
+    # blocks of _BLOCK // 6 kept nodes, or _BLOCK // 12 with Richardson,
+    # whose doubled offsets take twice the points
     field, lattice = FAMILIES["default"], GRIDS["shipped"].lattice()
     reach = field.support_mask(*lattice.axes[:2], pad=2.0 * cfg.step)
     sizes = []
@@ -179,12 +174,10 @@ def test_shipped_grid_divergence_call_count(cfg, n_calls):
     oracle.cartesian_divergence_grid(counted, *lattice.axes, cfg, reach)
     kept = np.count_nonzero(np.broadcast_to(reach, lattice.shape))
     assert kept == 57_600
-    assert len(sizes) == n_calls
-    # block by block, each block's size once per offset
-    per_offset = np.reshape(sizes, (-1, n_calls // 4))
-    assert np.all(per_offset == per_offset[:, :1])
-    assert per_offset[:, 0].tolist() == [16_384, 16_384, 16_384, 8_448]
-    assert max(sizes) <= oracle._BLOCK and sum(per_offset[:, 0]) == kept
+    n_offsets = 12 if cfg.richardson else 6
+    width = oracle._BLOCK // n_offsets
+    assert sizes == [n_offsets * width] * (n_calls - 1) + [n_offsets * 270]
+    assert max(sizes) <= oracle._BLOCK and sum(sizes) == n_offsets * kept
 
 
 @pytest.mark.parametrize("mask", [np.array([0, 0]), np.array([1, 1]), np.array([0.0, 1.0])],

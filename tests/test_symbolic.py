@@ -4,6 +4,9 @@ The identities below hold for every radial profile h and angular function
 g, not only for the shipped ones:
 
 * div u = 0 everywhere;
+* u = x x grad(psi) with the potential psi = h g, and div(x x grad psi) = 0
+  for a generic psi(r, theta, phi): the identity the divergence check
+  certifies through;
 * omega x n = 0 at r = 1 once h'(1) = -h(1) (the slip condition);
 * at r = 1, with no slip assumption, |omega x n|^2 =
   (h(1) + h'(1))^2 (g_theta^2 + g_phi^2 / sin^2), so the scaling sweep's
@@ -83,6 +86,24 @@ BIG_G = sp.diff(SIN * sp.diff(g, th), th) + sp.diff(g, ph, 2) / SIN
 
 def test_u_is_divergence_free():
     assert sp.simplify(div(U)) == 0
+
+
+def grad(f):
+    return (sp.diff(f, r), sp.diff(f, th) / r, sp.diff(f, ph) / (r * SIN))
+
+
+def x_cross_grad(f):
+    """x x grad(f) in the local spherical basis, with x = r e_r."""
+    return cross((r, sp.Integer(0), sp.Integer(0)), grad(f))
+
+
+def test_u_is_x_cross_the_gradient_of_the_potential():
+    assert [sp.simplify(a - b) for a, b in zip(U, x_cross_grad(h * g))] == [0, 0, 0]
+
+
+def test_x_cross_a_gradient_is_divergence_free():
+    psi = sp.Function("psi")(r, th, ph)
+    assert sp.simplify(div(x_cross_grad(psi))) == 0
 
 
 def test_omega_cross_n_vanishes_on_the_slip_sphere():

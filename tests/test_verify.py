@@ -30,6 +30,14 @@ def assert_rows_within_ulps(got, want, ulps):
         assert abs(a - b) <= ulps * np.spacing(b), (a, b)
 
 
+def lattice_divergence(field, grid, cfg):
+    """The Cartesian FD divergence on the grid's lattice axes, with the
+    stencil-reach mask of the field's support."""
+    axes = grid.lattice().axes
+    reach = field.support_mask(*axes[:2], pad=2.0 * cfg.step)
+    return oracle.cartesian_divergence_grid(field.u_components, *axes, cfg, reach)
+
+
 @pytest.fixture(scope="module")
 def default_report(default_field):
     return verify.run_full_verification(default_field, SMALL_INTERIOR, SMALL_BOUNDARY)
@@ -83,15 +91,17 @@ class TestGridSpec:
         # the oracle's rule alone: a margin under twice the step runs, as
         # long as every stencil stays inside the ball
         for margin in (1e-3, 1e-4):
-            verify.check_divergence_free(
-                default_field, GridSpec(n_r=8, n_theta=8, n_phi=8, margin_r=margin),
-                FDConfig(step=1e-4))
+            lattice_divergence(default_field, GridSpec(n_r=8, n_theta=8, n_phi=8,
+                                                       margin_r=margin), FDConfig(step=1e-4))
         with pytest.raises(StencilOutOfDomain,
                            match=r"^Cartesian stencil leaves the unit ball at r=0\.99499\d* "
                                  r"with step 0\.01$"):
-            verify.check_divergence_free(
-                default_field, GridSpec(n_r=100, n_theta=8, n_phi=8, margin_r=1e-6),
-                FDConfig(step=1e-2))
+            lattice_divergence(default_field, GridSpec(n_r=100, n_theta=8, n_phi=8,
+                                                       margin_r=1e-6), FDConfig(step=1e-2))
+        # the divergence check differences no radius, so that grid runs
+        verify.check_divergence_free(
+            default_field, GridSpec(n_r=100, n_theta=8, n_phi=8, margin_r=1e-6),
+            FDConfig(step=1e-2))
 
     def test_every_boundary_grid_runs_the_slip_check_at_every_step(self, default_field):
         # the FD-curl spots lie on the sphere's support, more than pi/4 from
@@ -136,11 +146,15 @@ class TestGridSpec:
         with pytest.raises(StencilOutOfDomain,
                            match=rf"^Cartesian stencil too close to the polar axis \(needs rho >= "
                                  rf"2 \* step\) at rho=0\.00522\d* with step {step:g}$"):
-            verify.check_divergence_free(default_field, GridSpec(), FDConfig(step=step))
+            lattice_divergence(default_field, GridSpec(), FDConfig(step=step))
         assert calls == []
-        verify.check_divergence_free(default_field, GridSpec(n_r=8, n_theta=8, n_phi=8),
-                                     FDConfig(step=step))
+        lattice_divergence(default_field, GridSpec(n_r=8, n_theta=8, n_phi=8),
+                           FDConfig(step=step))
         assert calls
+        # the divergence check differences along the lattice's own axes:
+        # the shipped grid runs at this step
+        assert verify.check_divergence_free(default_field, GridSpec(),
+                                            FDConfig(step=step)).norm_sup < 1e-2
 
     NEEDS_BOUNDARY = (r"^this check needs a boundary grid \(boundary_only=True\), "
                       r"got boundary_only=False$")
@@ -270,6 +284,20 @@ class TestPersistencyCheck:
             assert res.details["gate_points"] == 0
             assert res.details["closed_form_validated"] is False
             assert "no oracle value was compared" in res.details["gate_note"]
+
+    def test_a_one_node_gate_validates_the_closed_form(self, default_field):
+        # the theta trace kept at its witness alone: one node reaches
+        # TRACE_GATE_MAGNITUDE, so the gate is that node, and it agrees
+        sphere = verify.boundary_pass(default_field, SMALL_BOUNDARY)
+        i = int(np.argmax(np.abs(sphere.curl_v_theta)))
+        one = np.zeros_like(sphere.curl_v_theta)
+        one[i] = sphere.curl_v_theta[i]
+        res_t, _ = verify.check_persistency_failure(default_field,
+                                                    sphere._replace(curl_v_theta=one))
+        assert res_t.details["gate_points"] == 1
+        assert res_t.details["gate_max_rel_err"] <= 1e-10
+        assert res_t.passed and res_t.details["closed_form_validated"] is True
+        assert "gate_note" not in res_t.details
 
     def test_bad_theta_closed_form_fails_theta_check(self, default_field, monkeypatch):
         # a theta closed form 0.1% too large is caught by its gate, as the
@@ -523,9 +551,9 @@ class TestOracleAgreement:
 
 class TestOnePathPerQuantity:
     """verify evaluates omega and div u by one path each: the closed-form
-    omega, gated by the Cartesian FD curl, and the Cartesian FD divergence.
-    The jets path (u_raw_partials with the divergence and curl kernels)
-    is left to the tests."""
+    omega, gated by the Cartesian FD curl, and u against x x grad(h g),
+    gated by the Cartesian FD divergence.  The jets path (u_raw_partials
+    with the divergence and curl kernels) is left to the tests."""
 
     JETS = [(fam.CounterexampleField, "u_raw_partials"), (kernels, "divergence_parts"),
             (kernels, "curl_parts")]
@@ -548,7 +576,9 @@ class TestOnePathPerQuantity:
         monkeypatch.undo()
         assert code == exit_code and calls == []
         by_name = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
-        assert by_name["divergence_free"]["details"] == {}
+        assert set(by_name["divergence_free"]["details"]) == {
+            "compared", "u_sup", "cartesian_divergence_sup", "cartesian_points",
+            "cartesian_tolerance", "seed"}
 
         # the agreement sup is that of the closed form against the FD curl
         field = fam.family_by_label(label)
@@ -606,8 +636,9 @@ class TestSeed:
 
 
 class TestPerAxisWork:
-    """verify transforms the interior lattice once per axis value, not once
-    per node, and evaluates the bisection steps of neighborhood_radius in
+    """verify evaluates u on the interior lattice's axes, never on a node
+    mesh, transforms to Cartesian only the nodes of the divergence check's
+    gate, and evaluates the bisection steps of neighborhood_radius in
     batches of RADIUS_BATCH_LEVELS levels."""
 
     @pytest.mark.parametrize("grid", [
@@ -618,7 +649,7 @@ class TestPerAxisWork:
                                                              tmp_path, capsys):
         from slipball import cli
         inside = []  # the name of the verify function running, if watched
-        sizes, trace_calls = [], []
+        sizes, u_shapes, trace_calls = [], [], []
 
         def watch(name):
             original = vars(verify)[name]
@@ -640,6 +671,13 @@ class TestPerAxisWork:
                 sizes.append(max(np.size(a) for a in args))
             return sph_to_cart(*args)
         monkeypatch.setattr(kernels, "sph_to_cart", spy_transform)
+        u_components = fam.CounterexampleField.u_components
+
+        def spy_u(self, *args):
+            if inside == ["check_divergence_free"]:
+                u_shapes.append([np.shape(a) for a in args])
+            return u_components(self, *args)
+        monkeypatch.setattr(fam.CounterexampleField, "u_components", spy_u)
         for name in ("boundary_curl_theta", "boundary_curl_phi"):
             def spy_trace(*args, _original=vars(fam.CounterexampleField)[name]):
                 if inside == ["neighborhood_radius"]:
@@ -653,7 +691,14 @@ class TestPerAxisWork:
         monkeypatch.undo()
         assert code == 0
         spec = json.loads((tmp_path / "r.json").read_text())["grid"]["interior"]
-        assert sizes and max(sizes) <= max(spec["n_r"], spec["n_theta"], spec["n_phi"])
+        assert sizes and set(sizes) == {verify.AGREEMENT_POINTS}
+        # u on r-slabs of the lattice axes, and on the gate's stencil points
+        n_theta, n_phi = spec["n_theta"], spec["n_phi"]
+        on_axes = [s for s in u_shapes if len(s[0]) == 3]
+        assert sum(s[0][0] for s in on_axes) == spec["n_r"]
+        assert all(s[0][1:] == (1, 1) and s[1:] == [(1, n_theta, 1), (1, 1, n_phi)]
+                   for s in on_axes)
+        assert all(len(s[0]) == 1 for s in u_shapes if s not in on_axes)
         batches = math.ceil(verify.RADIUS_BISECTIONS / verify.RADIUS_BATCH_LEVELS)
         assert 0 < len(trace_calls) <= 1 + batches
         # a full batch holds the rings of 2^levels - 1 midpoints
