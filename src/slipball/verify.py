@@ -212,7 +212,9 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
     below TOL_POTENTIAL_REL; u is evaluated in r-slabs of about
     oracle._BLOCK nodes.  One independent gate rides along: the Cartesian
     FD divergence at the AGREEMENT_POINTS nodes of the seed (as _seed reads
-    it), which reuses no spherical formula, must stay within TOL_FD."""
+    it), which reuses no spherical formula, must stay within TOL_FD.  No
+    Cartesian stencil touches the lattice, so the shipped grid runs at
+    every step FDConfig accepts."""
     seed = _seed(seed)
     lattice = grid.lattice(boundary_only=False)
     r, theta, phi = lattice.axes
