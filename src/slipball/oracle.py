@@ -14,30 +14,43 @@ Two derivative paths:
   requires rho >= 2 * step at its base node.
 
 Both paths consume evaluators only, never analytic jets, and do their
-stencil arithmetic on node arrays: a spherical stencil offset is one
-evaluator call over all nodes; the Cartesian path makes one call per block
-of kept nodes, which takes every stencil point of the block (6 per node,
-12 with Richardson, at most _BLOCK in all), and checks the domain in slabs
-of about _BLOCK nodes.  Neither changes a bit, as the work is elementwise:
-on 50 seeded nodes the divergence went from 0.97 to 0.31 ms (in-process
-minima, 2-core VM, numpy 2.4.6) when a block's six calls became one.
-Node arrays need only broadcast together: flat nodes share one shape, and a lattice may pass its
-axes as (n_r, 1, 1), (1, n_theta, 1) and (1, 1, n_phi).  _nodes validates
-and normalises each array in its own shape with sphcalc._normalise, the
-one normaliser that SphPoint also uses (phi reduced to [0, 2pi), theta
-clamped to [0, pi], r clamped at 0, out-of-range nodes rejected with
-ConfigError).  The Cartesian oracles transform the arrays as given and
-broadcast only the products that need every node, so lattice axes cost one
-sine and cosine per axis value; the spherical stencils broadcast the nodes
-first.
+stencil arithmetic on node arrays in as few evaluator calls as the
+stencil allows.  A spherical stencil is one call that takes every shifted
+node set (+-h, the one-sided -2h at r = 1, both Richardson levels), and
+fd_curl_spherical makes one call for the stencils of all three
+coordinates (7 node sets, 14 with Richardson); the Cartesian path makes
+one call per block of kept nodes, which takes every stencil point of the
+block (6 per node, 12 with Richardson, at most _BLOCK in all), and checks
+the domain in slabs of about _BLOCK nodes.  None of it changes a bit, as
+the work is elementwise and every evaluator is pointwise.  In-process
+minima (2-core VM, numpy 2.4.6): the Cartesian divergence at 50 seeded
+nodes went from 0.97 to 0.31 ms when a block's six calls became one, and
+the slip check from 1.5 to 0.9 ms and the persistency check from 1.0 to
+0.6 ms when the curl's 7 calls and the trace gates' 3 became one each.
+Node arrays need only broadcast together: flat nodes share one shape, and
+a lattice may pass its axes as (n_r, 1, 1), (1, n_theta, 1) and
+(1, 1, n_phi).  _nodes validates and normalises each array in its own
+shape with sphcalc._normalise, the one normaliser that SphPoint also uses
+(phi reduced to [0, 2pi), theta clamped to [0, pi], r clamped at 0,
+out-of-range nodes rejected with ConfigError).  The Cartesian oracles
+transform the arrays as given and broadcast only the products that need
+every node, so lattice axes cost one sine and cosine per axis value.  A
+spherical stencil concatenates the shifted coordinate's copies along the
+axis where it varies most and tiles the other coordinates only where they
+vary along it, so flat nodes are concatenated along their axis and a
+lattice's other axes keep their shapes: the divergence check's two calls
+of g take (1, 2 n_theta, 1) and (1, 1, 2 n_phi) axes, not a plane per
+offset.  fd_curl_spherical broadcasts its nodes first, so that its three
+stencils share one axis.
 
-fd_partial, fd_curl_spherical and fd_boundary_radial_derivative hold the
-spherical stencils once each; the Cartesian oracles share one stencil loop,
-and the divergence builds no Jacobian.  Every oracle takes an array
-evaluator fn(r, theta, phi) and node arrays and returns arrays.  In verify,
-fd_partial differences g along the interior lattice's theta and phi axes
-for the divergence check, which compares u with x x grad(h g); the
-Cartesian divergence gates that check at 50 seeded nodes, and the
+_stencil holds the spherical stencil once (its domain rule, shifted node
+sets and difference weights), and fd_partial, fd_curl_spherical and
+fd_boundary_radial_derivative read it; the Cartesian oracles share one
+stencil loop, and the divergence builds no Jacobian.  Every oracle takes
+an array evaluator fn(r, theta, phi) and node arrays and returns arrays.
+In verify, fd_partial differences g along the interior lattice's theta and
+phi axes for the divergence check, which compares u with x x grad(h g);
+the Cartesian divergence gates that check at 50 seeded nodes, and the
 Cartesian curl is the oracle-agreement check.
 
 The Cartesian Jacobian and divergence take an optional boolean node mask,
@@ -107,71 +120,109 @@ def _out_of_domain(ok, where, values, step):
         raise StencilOutOfDomain(f"{where}={values[~ok].flat[0]} with step {step}")
 
 
+def _stencil(nodes, coordinate, cfg):
+    """The spherical stencil along `coordinate` at the node arrays (as _nodes
+    returns them): (points, combine).  points are the normalised node arrays
+    of every shifted node set at once: the shifted coordinate's copies are
+    concatenated along the axis where it varies most (the axis of flat
+    nodes; a lattice's other axes keep their own shapes), and the other
+    coordinates are tiled only where they vary along that axis.
+    combine(values) takes the field at the points, one array of their
+    broadcast shape (a stack of fields on a leading axis), and returns the
+    derivative at the nodes.  Raises StencilOutOfDomain, before anything is
+    evaluated, when a node's stencil would leave the domain."""
+    k = _AXES[coordinate]
+    ndim = max(c.ndim for c in nodes)
+    nodes = [c.reshape((1,) * (ndim - c.ndim) + c.shape) for c in nodes]
+    c, s = nodes[k], cfg.step
+    edge = np.zeros(c.shape, dtype=bool)
+    if coordinate == "r":
+        edge = np.abs(c - 1.0) <= _BOUNDARY_EPS
+        inner = c[~edge]
+        _out_of_domain((inner - 2.0 * s > 0.0) & (inner + 2.0 * s < R_CEILING),
+                       "radial stencil at r", inner, s)
+    elif coordinate == "theta":
+        _out_of_domain((c - 2.0 * s > 0.0) & (c + 2.0 * s < math.pi),
+                       "polar stencil at theta", c, s)
+    one_sided = bool(edge.any())
+    levels = (s, s / 2.0) if cfg.richardson else (s,)
+    # per level: the node itself where one-sided, else the + h node; the
+    # - h node; and, if any node is one-sided, the - 2h node
+    offsets = [o for h in levels
+               for o in (np.where(edge, 0.0, h), -h) + ((-2.0 * h,) if one_sided else ())]
+    axis = int(np.argmax(c.shape))
+    along = list(c.shape)
+    along[axis] = np.broadcast_shapes(*(a.shape for a in nodes))[axis]
+    points = [np.concatenate([np.broadcast_to(c + o, along) for o in offsets], axis) if j == k
+              else np.concatenate([a] * len(offsets), axis) if a.shape[axis] > 1 else a
+              for j, a in enumerate(nodes)]
+
+    def combine(values):
+        pieces = np.split(values, len(offsets), axis - ndim)
+        per_level = len(offsets) // len(levels)
+        at_step = {h: pieces[i * per_level:(i + 1) * per_level] for i, h in enumerate(levels)}
+
+        def d_at(h):
+            # `front` is the node itself where one-sided, else the + h node
+            front, back, *far = at_step[h]
+            d = (front - back) / (2.0 * h)
+            if one_sided:
+                d = np.where(edge, (3.0 * front - 4.0 * back + far[0]) / (2.0 * h), d)
+            return d
+        return _richardson(d_at, s, cfg.richardson)
+    return _normalise(*points), combine
+
+
+def _evaluate(fn, points):
+    """fn at the points as one float64 array of their broadcast shape, with
+    a leading axis for a stack of fields (a tuple, or an array of more
+    dimensions)."""
+    shape = np.broadcast_shapes(*(p.shape for p in points))
+    values = fn(*points)
+    if isinstance(values, (tuple, list)):
+        values = np.stack(np.broadcast_arrays(*values))
+    values = np.asarray(values, dtype=np.float64)
+    return np.broadcast_to(values, values.shape[:max(0, values.ndim - len(shape))] + shape)
+
+
 def fd_partial(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
     """Partial derivative of the array field fn(r, theta, phi) at every node.
 
     fn maps float64 arrays (r, theta, phi) to an array, or to a tuple of
     arrays (a stack of fields, which gives the result the same leading
-    axis).  Central second-order stencil; radial derivatives at nodes with
-    r = 1 take the one-sided inward stencil.  Raises StencilOutOfDomain when
-    any node's stencil would leave the domain.
+    axis), and must be pointwise: one call takes every shifted node set of
+    the stencil (both Richardson levels included).  Central second-order
+    stencil; radial derivatives at nodes with r = 1 take the one-sided
+    inward stencil.  Raises StencilOutOfDomain when any node's stencil would
+    leave the domain.
     """
     if coordinate not in _AXES:
         raise ConfigError(f"unknown coordinate {coordinate!r}")
-    axis = _AXES[coordinate]
-    base = np.broadcast_arrays(*_nodes(r, theta, phi))
-    r, theta = base[0], base[1]
-    s = cfg.step
-    edge = np.zeros(r.shape, dtype=bool)
-    if coordinate == "r":
-        edge = np.abs(r - 1.0) <= _BOUNDARY_EPS
-        inner = r[~edge]
-        _out_of_domain((inner - 2.0 * s > 0.0) & (inner + 2.0 * s < R_CEILING),
-                       "radial stencil at r", inner, s)
-    elif coordinate == "theta":
-        _out_of_domain((theta - 2.0 * s > 0.0) & (theta + 2.0 * s < math.pi),
-                       "polar stencil at theta", theta, s)
-
-    def shifted(offset):
-        coords = list(base)
-        coords[axis] = coords[axis] + offset
-        return np.asarray(fn(*_normalise(*coords)), dtype=np.float64)
-
-    def d_at(h):
-        # `front` is the node itself where one-sided, else the + h node
-        front = shifted(np.where(edge, 0.0, h))
-        back = shifted(-h)
-        d = (front - back) / (2.0 * h)
-        if edge.any():
-            d = np.where(edge, (3.0 * front - 4.0 * back + shifted(-2.0 * h)) / (2.0 * h), d)
-        return d
-
-    return _richardson(d_at, s, cfg.richardson)
+    points, combine = _stencil(_nodes(r, theta, phi), coordinate, cfg)
+    return combine(_evaluate(fn, points))
 
 
 def fd_curl_spherical(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
     """Curl at every node with every derivative replaced by a finite difference.
 
     components_fn maps float64 arrays (r, theta, phi) to the spherical
-    component arrays (v_r, v_theta, v_phi); returns the curl's components.
+    component arrays (v_r, v_theta, v_phi), pointwise; one call takes the
+    stencils of all three coordinates (7 shifted node sets, 14 with
+    Richardson), after the theta and then the r stencil are checked against
+    the domain.  Returns the curl's components.
     """
     nodes = _nodes(r, theta, phi)
-
-    def theta_parts(r, t, p):
-        vr, _, vp = components_fn(r, t, p)
-        return vp * np.sin(t), vr
-
-    def phi_parts(r, t, p):
-        vr, vt, _ = components_fn(r, t, p)
-        return vt, vr
-
-    def r_parts(r, t, p):
-        _, vt, vp = components_fn(r, t, p)
-        return r * vp, r * vt
-
-    d_upsin_dt, d_ur_dt = fd_partial(theta_parts, *nodes, "theta", cfg)
-    d_ut_dp, d_ur_dp = fd_partial(phi_parts, *nodes, "phi", cfg)
-    d_rup_dr, d_rut_dr = fd_partial(r_parts, *nodes, "r", cfg)
+    # on nodes of one shape every stencil concatenates along the same axis
+    shape = np.broadcast_shapes(*(c.shape for c in nodes))
+    axis = int(np.argmax(shape)) - len(shape)
+    (at_t, by_t), (at_p, by_p), (at_r, by_r) = (
+        _stencil(np.broadcast_arrays(*nodes), c, cfg) for c in ("theta", "phi", "r"))
+    points = [np.broadcast_arrays(*at) for at in (at_t, at_p, at_r)]
+    fields = _evaluate(components_fn, [np.concatenate(c, axis) for c in zip(*points)])
+    v_t, v_p, v_r = np.split(fields, np.cumsum([at[0].shape[axis] for at in points[:2]]), axis)
+    d_upsin_dt, d_ur_dt = by_t(np.stack([v_t[2] * np.sin(at_t[1]), v_t[0]]))
+    d_ut_dp, d_ur_dp = by_p(np.stack([v_p[1], v_p[0]]))
+    d_rup_dr, d_rut_dr = by_r(np.stack([at_r[0] * v_r[2], at_r[0] * v_r[1]]))
     r, st = nodes[0], np.sin(nodes[1])
     return ((d_upsin_dt - d_ut_dp) / (r * st),
             (d_ur_dp / st - d_rup_dr) / r,
@@ -180,8 +231,8 @@ def fd_curl_spherical(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
 
 def fd_boundary_radial_derivative(fn, theta, phi, cfg: FDConfig = FDConfig()):
     """(1/r) d_r(r fn) at r = 1 and every (theta, phi) node, by the one-sided
-    inward stencil of fd_partial; fn maps float64 arrays (r, theta, phi) to
-    an array."""
+    inward stencil of fd_partial (one fn call); fn maps float64 arrays
+    (r, theta, phi) to an array, pointwise."""
     return fd_partial(lambda r, t, p: r * np.asarray(fn(r, t, p)), 1.0, theta, phi, "r", cfg)
 
 

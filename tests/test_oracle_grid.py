@@ -137,7 +137,7 @@ def test_fd_boundary_radial_derivative_grid_matches_point_loop(default_field, cf
     assert np.array_equal(got, ref)
 
 
-def test_one_call_per_stencil_offset(default_field):
+def test_one_call_takes_every_stencil_offset(default_field):
     calls = []
 
     def fn(r, t, p):
@@ -145,11 +145,14 @@ def test_one_call_per_stencil_offset(default_field):
         return default_field.u_components(r, t, p)
 
     oracle.fd_curl_spherical(fn, R, THETA, PHI, FDConfig())
-    # theta and phi: 2 offsets; r with edge nodes: 3 offsets
-    assert calls == [R.shape] * 7
-    # Richardson evaluates each at 2 steps
+    # theta and phi: 2 offsets; r with edge nodes: 3 offsets; all in one call
+    assert calls == [(7 * R.size,)]
+    # Richardson evaluates each at 2 steps, in the same one call
     oracle.fd_curl_spherical(fn, R, THETA, PHI, FDConfig(1e-4, True))
-    assert calls == [R.shape] * 21
+    assert calls == [(7 * R.size,), (14 * R.size,)]
+    # a partial alone: one call holding its offsets
+    oracle.fd_partial(fn, R, THETA, PHI, "r", FDConfig(1e-4, True))
+    assert calls[2:] == [(6 * R.size,)]
 
 
 def ref_cartesian_jacobian(components_fn, r, theta, phi, cfg, mask=None):
@@ -229,8 +232,10 @@ def test_phi_is_reduced_before_evaluation():
 
     oracle.fd_partial(fn, [1.0, 0.5], [1.0, 1.0], [0.0, 2 * PI - 1e-5], "phi",
                       FDConfig(step=1e-4, richardson=False))
-    assert all(np.all((p >= 0.0) & (p < 2 * PI)) for p in seen)
-    assert seen[1][0] == (0.0 - 1e-4) % (2 * PI)  # the -h node of phi = 0
+    # one call: the + h nodes, then the - h nodes
+    assert len(seen) == 1 and seen[0].shape == (4,)
+    assert np.all((seen[0] >= 0.0) & (seen[0] < 2 * PI))
+    assert seen[0][2] == (0.0 - 1e-4) % (2 * PI)  # the -h node of phi = 0
     assert seen[0][1] == (2 * PI - 1e-5 + 1e-4) % (2 * PI)
 
 
