@@ -259,13 +259,22 @@ _SAMPLE_FIELDS = ("u", "omega", "v", "curl_v_boundary")
 
 
 def _sample_rows(field, selector, grid):
+    """The CSV header and columns of the field on the grid; ConfigError
+    naming the first column that holds a non-finite value."""
     lattice = grid.lattice()  # evaluated on its axes, once per axis value, then raveled
-    if selector == "curl_v_boundary":  # on the surface only
-        state = field.boundary_state(*lattice.axes[1:])
-        header, values = "curl_v_theta,curl_v_phi", (state.curl_v_theta, state.curl_v_phi)
-    else:
-        header, values = "c_r,c_theta,c_phi", _evaluators(field)[selector](*lattice.axes)
-    return "r,theta,phi," + header, (*lattice.nodes(), *(v.ravel() for v in values))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        if selector == "curl_v_boundary":  # on the surface only
+            state = field.boundary_state(*lattice.axes[1:])
+            header, values = "curl_v_theta,curl_v_phi", (state.curl_v_theta, state.curl_v_phi)
+        else:
+            header, values = "c_r,c_theta,c_phi", _evaluators(field)[selector](*lattice.axes)
+    values = [v.ravel() for v in values]
+    for name, v in zip(header.split(","), values):
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise ConfigError(f"family {field.label} gives a non-finite {selector} column "
+                              f"{name} ({float(v[bad][0])}) on this grid")
+    return "r,theta,phi," + header, (*lattice.nodes(), *values)
 
 
 def _csv_lines(header, cols):

@@ -16,14 +16,18 @@ near r = 0 and angular functions near both poles, so every evaluator
 short-circuits to exact zeros inside those margins and never touches 1/r or
 1/sin there.  support_mask is the one support rule and _on_support applies
 it: it gathers the in-support nodes once (a lattice axis cut to its
-in-support values), the profile and angular jets and the assembly kernels
-(which take no mask) run on those alone, and only the final outputs are
-scattered back.  The angular factors (sin, G, g_theta, g_phi) come from
-OmegaFactors alone.  The unit sphere is r = 1 of the same rule,
-support_mask(1.0, theta), and a profile enters it only as the two numbers
-h(1), h'(1): boundary_state evaluates the sphere in one pass, the witness
-products g_phi G and g_theta G included, and the scaling sweep reads
-g_theta, g_phi there once, for all its profiles.  Jet functions are
+in-support values, the support's projection on that axis), the profile and
+angular jets and the assembly kernels (which take no mask) run on those
+alone, and only the final outputs are scattered back; a NaN pass runs only
+for a coordinate that holds a NaN.  The angular factors (sin, G, g_theta,
+g_phi) come from OmegaFactors alone.  The unit sphere is r = 1 of the same
+rule, support_mask(1.0, theta), and a profile enters it only as the two
+numbers h(1), h'(1).  Its closed forms have one path, _on_sphere:
+boundary_state evaluates the sphere in one pass, the witness products
+g_phi G and g_theta G included, and boundary_curl_theta (the radius's
+samples) and boundary_curl_phi assemble their trace alone, with the same
+kernel.  The scaling sweep reads g_theta, g_phi there once, for all its
+profiles.  Jet functions are
 ufunc-like: they accept float64 arrays that broadcast and an order k (0, 1
 or 2), and return arrays of the broadcast shape: the jet through at least
 order k, from analytic derivatives.  Each evaluator asks for the orders it
@@ -63,38 +67,54 @@ def _maybe_scalar(values, scalar):
 def _on_support(support, n_out, compute, *coords):
     """compute(*coords) on the nodes of the boolean `support` only.
 
-    coords are _node_arrays, support their support_mask (a theta term and an
-    r term).  compute runs at most once, never on empty arrays: on 1-D arrays
-    of the in-support nodes of flat nodes (coords of one shape), or on a
-    lattice's axes each cut to its in-support values, whose product is the
-    support.  Its n_out outputs are scattered back with exact zeros off the
-    support and NaN where any coordinate is NaN (all flat nodes in: reshaped).
+    coords are _node_arrays, support their support_mask: flat nodes (coords
+    of the support's shape), taken as one axis, or a lattice's axes, each
+    varying along an axis of its own, whose support is a product of per-axis
+    terms (a theta term and an r term).  So the keep of each axis is the
+    support's projection on it: one `any` per axis along which the support
+    varies.  Each coordinate takes one isnan and one any; one that holds a
+    NaN narrows only its own axis (every axis if it has one value), and with
+    no NaN no NaN pass runs.  compute runs at most once, never on empty
+    arrays: on the coords cut to the kept values of each axis (a run of
+    them as a slice), so 1-D arrays of the in-support flat nodes, or a
+    lattice's axes whose product is the support.  Its n_out outputs are
+    scattered back with exact zeros off the support and NaN where any
+    coordinate is NaN (all flat nodes in: reshaped).
     """
     flat = all(c.shape == support.shape for c in coords)
     shape = support.shape if flat else np.broadcast_shapes(*(c.shape for c in coords))
     if flat:
         support, coords = support.ravel(), [c.ravel() for c in coords]
-    cells, nan = support.shape if flat else shape, [np.isnan(c) for c in coords]
-    keeps = [np.ones(n, dtype=bool) for n in cells]
-    for term in (support, *(~bad for bad in nan)):  # each a product over the axes
-        for k, keep in enumerate(keeps):
-            keep &= term if flat else term.any(axis=tuple(j for j in range(len(cells)) if j != k))
-    if flat and 0 < np.count_nonzero(keeps[0]) == keeps[0].size:
+    nan = [bad for bad in map(np.isnan, coords) if bad.any()]
+    if flat and not nan and 0 < np.count_nonzero(support) == support.size:
         return tuple(v.reshape(shape) for v in compute(*coords))
-    idx = [np.flatnonzero(keep) for keep in keeps]
+    cells = support.shape if flat else shape
+    # the kept values of each axis as a mask, None for every value
+    keeps = [None if n == 1 else support if flat
+             else support.any(axis=tuple(j for j in range(len(cells)) if j != k))
+             for k, n in enumerate(support.shape)]
+    live = 0 not in cells and (support.size != 1 or bool(support.flat[0]))
+    for bad in nan:
+        k = next((k for k, n in enumerate(bad.shape) if n > 1), None)
+        if k is None:
+            live = False
+        else:
+            keeps[k] = ~bad.ravel() if keeps[k] is None else keeps[k] & ~bad.ravel()
+    idx = [None if keep is None else np.flatnonzero(keep) for keep in keeps]
     out = np.zeros((n_out,) + cells)
-    if all(i.size for i in idx):
-        cut = [c[tuple(i if n > 1 else slice(None) for i, n in zip(idx, c.shape))] for c in coords]
-        # one block of slices where each axis keeps one run of values, as sorted axes do
-        at = (tuple(slice(i[0], i[-1] + 1) for i in idx)
-              if all(i[-1] - i[0] == i.size - 1 for i in idx)
-              else np.ix_(*idx) if len(idx) > 1 else idx[0])
+    if live and all(i is None or i.size for i in idx):
+        runs = [i is None or i[-1] - i[0] == i.size - 1 for i in idx]
+        cuts = [slice(None) if i is None else slice(i[0], i[-1] + 1) if run else i
+                for i, run in zip(idx, runs)]
+        cut = [c[tuple(s if n > 1 else slice(None) for s, n in zip(cuts, c.shape))]
+               for c in coords]
+        at = tuple(cuts) if all(runs) else np.ix_(
+            *(np.arange(n) if i is None else i for i, n in zip(idx, cells)))
         for o, v in zip(out, compute(*cut)):
             o[at] = v
     for bad in nan:
-        if bad.any():
-            out[:, np.broadcast_to(bad, cells)] = np.nan
-    return tuple(o.reshape(shape) for o in out)
+        out[:, np.broadcast_to(bad, cells)] = np.nan
+    return tuple(out.reshape((n_out,) + shape))
 
 
 class OmegaFactors:
@@ -328,31 +348,39 @@ class CounterexampleField:
         parts = self._assemble(len(keys), _u_partials, (1, 2), r, theta, phi)
         return {k: _maybe_scalar(v, scalar) for k, v in zip(keys, parts)}
 
-    def boundary_state(self, theta, phi):
-        """The SphereState on the unit sphere in one pass from h(1) and
-        h'(1): u_theta, u_phi as in u_components(1, ...), omega as
-        omega_components(1, ...), the two traces of curl(u x w), and the
-        witness products g_phi G and g_theta G."""
+    def _on_sphere(self, n_out, parts, theta, phi):
+        """parts(OmegaFactors, h(1), h'(1)), its n_out outputs, on the
+        support nodes of the unit sphere, scattered back by _on_support: the
+        one path of the sphere's closed forms."""
         (theta, phi), scalar = _node_arrays(theta, phi)
         h, hp = self.h_boundary, self.hp_boundary
 
         def compute(theta, phi):
             w = OmegaFactors(np.ones_like(theta), theta, self.angular.fn(theta, phi, 2))
-            return (*_u_parts((h,), w), *w.assemble(h, hp),
-                    *kernels.boundary_curl_assembly(w.sin, h, hp, w.g_t, w.g_p, w.big_g),
+            return parts(w, h, hp)
+        return _maybe_scalar(
+            _on_support(self.support_mask(1.0, theta), n_out, compute, theta, phi), scalar)
+
+    def boundary_state(self, theta, phi):
+        """The SphereState on the unit sphere in one pass from h(1) and
+        h'(1): u_theta, u_phi as in u_components(1, ...), omega as
+        omega_components(1, ...), the two traces of curl(u x w), and the
+        witness products g_phi G and g_theta G."""
+        def parts(w, h, hp):
+            return (*_u_parts((h,), w), *w.assemble(h, hp), *_traces(w, h, hp),
                     w.g_p * w.big_g, w.g_t * w.big_g)
-        support = self.support_mask(1.0, theta)
-        return SphereState(*_maybe_scalar(_on_support(support, 9, compute, theta, phi), scalar))
+        return SphereState(*self._on_sphere(9, parts, theta, phi))
 
     def boundary_curl_theta(self, theta, phi):
-        """The closed-form theta trace of curl(u x w): boundary_state's
-        curl_v_theta, which verify.neighborhood_radius samples."""
-        return self.boundary_state(theta, phi).curl_v_theta
+        """The closed-form theta trace of curl(u x w), boundary_state's
+        curl_v_theta by the same path with no other output: what
+        verify.neighborhood_radius samples."""
+        return self._on_sphere(1, lambda w, h, hp: _traces(w, h, hp)[:1], theta, phi)[0]
 
     def boundary_curl_phi(self, theta, phi):
-        """The closed-form phi trace: boundary_state's curl_v_phi.  No package
-        code calls it; the benchmark tracer and the tests do."""
-        return self.boundary_state(theta, phi).curl_v_phi
+        """The closed-form phi trace, boundary_state's curl_v_phi by the same
+        path.  No package code calls it; the benchmark tracer and the tests do."""
+        return self._on_sphere(1, lambda w, h, hp: _traces(w, h, hp)[1:], theta, phi)[0]
 
 
 def u_radial(u_theta):
@@ -362,6 +390,11 @@ def u_radial(u_theta):
 
 def _u_parts(h_jet, w):
     return kernels.u_assembly(h_jet[0], w.g_t, w.g_p, w.sin)
+
+
+def _traces(w, h, hp):
+    # the theta and phi traces of curl(u x w) on the unit sphere
+    return kernels.boundary_curl_assembly(w.sin, h, hp, w.g_t, w.g_p, w.big_g)
 
 
 def _u_partials(h_jet, w):
@@ -401,16 +434,18 @@ def check_admissibility(field: CounterexampleField, witnesses) -> AdmissibilityR
     r_in = np.linspace(0.0, si, 5)
     support_ok = all(np.all(a == 0.0) for a in field.profile.fn(r_in, 2))
 
+    # the pole probes, then the period probes at phi and phi + 2 pi, in one
+    # call of the pointwise fn
     d = field.angular.pole_margin
     theta_in = np.concatenate([np.linspace(0.0, d, 4), np.linspace(math.pi - d, math.pi, 4)])
     phi_s = np.array([0.0, 0.7, math.pi, 5.1])
-    th, ph = [np.ascontiguousarray(a.ravel()) for a in np.meshgrid(theta_in, phi_s, indexing="ij")]
-    pole_ok = all(np.all(a == 0.0) for a in field.angular.fn(th, ph, 2))
-
+    th, ph = [a.ravel() for a in np.meshgrid(theta_in, phi_s, indexing="ij")]
     th_p = np.repeat(np.linspace(0.0, math.pi, 7), 5)
     ph_p = np.tile(np.linspace(0.0, 2.0 * math.pi, 5), 7)
-    g0 = field.angular.fn(th_p, ph_p, 2)[0]
-    g1 = field.angular.fn(th_p, ph_p + 2.0 * math.pi, 2)[0]
+    jet = field.angular.fn(np.concatenate([th, th_p, th_p]),
+                           np.concatenate([ph, ph_p, ph_p + 2.0 * math.pi]), 2)
+    pole_ok = all(np.all(a[:th.size] == 0.0) for a in jet)
+    g0, g1 = jet[0][th.size:].reshape(2, -1)
     periodicity_ok = bool(np.max(np.abs(g1 - g0), initial=0.0) <= 1e-12)
 
     w1, w2 = witnesses

@@ -98,9 +98,14 @@ class Lattice(NamedTuple):
         the sphere) is a view with stride 0, so it takes no memory."""
         return [np.broadcast_to(a, self.shape).reshape(-1) for a in self.axes]
 
+    def nodes_at(self, flat):
+        """The (r, theta, phi) nodes at the flat indices, read off the axes:
+        the one flat-index rule."""
+        return [a.ravel()[k] for a, k in zip(self.axes, np.unravel_index(flat, self.shape))]
+
     def point(self, i):
-        """The node at flat index i: the one flat-index rule."""
-        return SphPoint(*(a.flat[k] for a, k in zip(self.axes, np.unravel_index(i, self.shape))))
+        """The node at flat index i."""
+        return SphPoint(*self.nodes_at(i))
 
 
 def require_cells(name, count):

@@ -24,17 +24,22 @@ agreement, and the Cartesian gate of the divergence check), and
 RADIUS_BISECTIONS 40 bisection steps on RADIUS_RINGS 4 rings of
 RADIUS_DIRECTIONS 16 points (neighborhood_radius, the ungated half-floor
 ball of the theta trace), RADIUS_BATCH_LEVELS 4 levels per trace call: one
-call takes the 15 midpoints the next four steps may visit, so the 40 steps
-cost 10 calls after the one for the witness and the radius pi/2, and the
-radius keeps its bits; 4 levels timed fastest of 1 to 6 in process (3.2-3.4
-ms on the default witness, one level per call 6.4-10 ms).
+call takes the 15 midpoints the next four steps may visit, the first call
+the witness and the radius pi/2 as well, so the 40 steps cost 10 calls, and
+the radius keeps its bits; 4 levels timed fastest of 1 to 6 in process
+(3.2-3.4 ms on the default witness, one level per call 6.4-10 ms).  Each
+call assembles the theta trace alone (boundary_curl_theta), and the radius
+of the coarse check went from 2.85 to 2.4 ms with the first batch folded
+into the first call (in-process minima, 2-core VM).
 
 Every grid is a sphcalc.midpoint_lattice (GridSpec.lattice): the interior
 lattice of the ball, or the sphere as its r = 1 layer; a grid of the other
 kind raises ConfigError.  One boundary_pass evaluates the sphere per run:
 the slip, persistency and traction checks and the admissibility witnesses
 read it, and one rule (_spread) picks every boundary oracle node, all on the
-support, which the shipped families keep more than pi/4 from the poles.
+support, which the shipped families keep more than pi/4 from the poles; the
+pass holds no flat nodes, and a picked flat index is read off the lattice's
+axes (Lattice.nodes_at).
 The oracle alone checks the stencil domain, at every node before it
 evaluates the field: an interior grid with a theta row within 2 * step of
 a pole, or a custom family whose support reaches a pole, raises
@@ -147,9 +152,9 @@ class GridSpec:
 _DEFAULT_BOUNDARY_GRID = GridSpec(n_theta=128, n_phi=256, boundary_only=True)
 
 
-# The one evaluation of the sphere: the boundary grid's lattice, its flat
-# theta and phi nodes, and the fam.SphereState of field.boundary_state there.
-BoundaryPass = namedtuple("BoundaryPass", ("lattice", "theta", "phi") + fam.SphereState._fields)
+# The one evaluation of the sphere: the boundary grid's lattice and the
+# fam.SphereState of field.boundary_state on its nodes, flat.
+BoundaryPass = namedtuple("BoundaryPass", ("lattice",) + fam.SphereState._fields)
 
 
 def boundary_pass(field: fam.CounterexampleField, grid: GridSpec) -> BoundaryPass:
@@ -157,7 +162,7 @@ def boundary_pass(field: fam.CounterexampleField, grid: GridSpec) -> BoundaryPas
     grid raises ConfigError."""
     lattice = grid.lattice(boundary_only=True)
     state = field.boundary_state(*lattice.axes[1:])  # once per theta row and phi value
-    return BoundaryPass(lattice, *lattice.nodes()[1:], *(a.ravel() for a in state))
+    return BoundaryPass(lattice, *(a.ravel() for a in state))
 
 
 def _spread(indices, k):
@@ -284,9 +289,9 @@ def check_slip_conditions(field: fam.CounterexampleField, sphere: BoundaryPass,
     res_w = _grid_result("slip_omega_cross_n", "below",
                          np.hypot(sphere.omega_theta, sphere.omega_phi), lattice, TOL_EXACT_TRACE)
 
-    spots = _spread(np.flatnonzero(field.support_mask(1.0, sphere.theta)), ORACLE_SPOTS)
-    _, ct, cp = oracle.fd_curl_spherical(
-        field.u_components, np.ones(spots.size), sphere.theta[spots], sphere.phi[spots], cfg)
+    support = field.support_mask(1.0, lattice.axes[1])  # on the theta axis
+    spots = _spread(np.flatnonzero(np.broadcast_to(support, lattice.shape)), ORACLE_SPOTS)
+    _, ct, cp = oracle.fd_curl_spherical(field.u_components, *lattice.nodes_at(spots), cfg)
     err = float(np.max(np.abs([ct - sphere.omega_theta[spots], cp - sphere.omega_phi[spots]]),
                        initial=0.0))
     res_w.passed = res_w.passed and err <= TOL_ORACLE_AGREEMENT
@@ -323,8 +328,8 @@ def check_persistency_failure(field: fam.CounterexampleField, sphere: BoundaryPa
     nodes = np.concatenate([*gates, witnesses])
     # (1/r) d_r(r v_theta) and (1/r) d_r(r v_phi) at the gate nodes and the witnesses
     d_vt, d_vp = oracle.fd_boundary_radial_derivative(
-        lambda r, t, p: field.v_components(r, t, p)[1:], sphere.theta[nodes],
-        sphere.phi[nodes], cfg)
+        lambda r, t, p: field.v_components(r, t, p)[1:], *sphere.lattice.nodes_at(nodes)[1:],
+        cfg)
     start = 0
     # at r = 1 the theta trace is -(1/r) d_r(r v_phi), the phi trace (1/r) d_r(r v_theta)
     for res, trace, ref, gate, i, at_witness in zip(results, traces, (-d_vp, d_vt), gates,
@@ -359,12 +364,13 @@ def neighborhood_radius(field: fam.CounterexampleField, witness: SphPoint) -> fl
 
     RADIUS_BISECTIONS bisection steps on [0, pi/2], each sampling
     RADIUS_RINGS rings of RADIUS_DIRECTIONS points in the geodesic ball; the
-    answer is resolution-limited by the sampling and the step count.  One
-    trace call serves the witness and the radius pi/2; each later call
-    evaluates all 2^RADIUS_BATCH_LEVELS - 1 midpoints of the next
+    answer is resolution-limited by the sampling and the step count.  Each
+    trace call evaluates all 2^RADIUS_BATCH_LEVELS - 1 midpoints of the next
     RADIUS_BATCH_LEVELS levels of the bisection tree, and the bisection then
     walks its path through them, so the radius has the bits of one step at
-    a time.  A witness where the trace vanishes has radius 0.
+    a time; the first call also takes the witness and the radius pi/2, so
+    the early exits below spend it whole.  A witness where the trace
+    vanishes has radius 0.
     """
     # the Cartesian unit vectors (e_r, e_theta, e_phi) at the witness, and a
     # frame of its tangent plane: t1 = e_phi, t2 = -e_theta
@@ -386,26 +392,31 @@ def neighborhood_radius(field: fam.CounterexampleField, witness: SphPoint) -> fl
         mins = np.min(values[len(theta):].reshape(len(rhos), -1), axis=1)
         return values[:len(theta)].tolist(), mins.tolist()
 
+    def bisection_tree(lo, hi, levels):
+        # the midpoints of the bisection tree of the next levels in heap
+        # order: the interval at node i splits at its midpoint into nodes
+        # 2i + 1 and 2i + 2
+        intervals = [(lo, hi)]
+        for node in range(2 ** (levels - 1) - 1):
+            a, b = intervals[node]
+            mid = 0.5 * (a + b)
+            intervals += [(a, mid), (mid, b)]
+        return [0.5 * (a + b) for a, b in intervals]
+
     lo, hi = 0.0, math.pi / 2
-    (ref,), (hi_min,) = ball_mins([hi], [witness.theta], [witness.phi])
+    mids = bisection_tree(lo, hi, min(RADIUS_BATCH_LEVELS, RADIUS_BISECTIONS))
+    (ref,), (hi_min, *mins) = ball_mins([hi, *mids], [witness.theta], [witness.phi])
     if ref == 0.0:
         return 0.0
     floor = 0.5 * ref
     if hi_min >= floor:
         return hi
     for done in range(0, RADIUS_BISECTIONS, RADIUS_BATCH_LEVELS):
-        levels = min(RADIUS_BATCH_LEVELS, RADIUS_BISECTIONS - done)
-        # the bisection tree of the next levels in heap order: the interval
-        # at node i splits at its midpoint into nodes 2i + 1 and 2i + 2
-        intervals = [(lo, hi)]
-        for node in range(2 ** (levels - 1) - 1):
-            a, b = intervals[node]
-            mid = 0.5 * (a + b)
-            intervals += [(a, mid), (mid, b)]
-        mids = [0.5 * (a + b) for a, b in intervals]
-        _, mins = ball_mins(mids)
+        if done:  # the first batch came with the witness
+            mids = bisection_tree(lo, hi, min(RADIUS_BATCH_LEVELS, RADIUS_BISECTIONS - done))
+            _, mins = ball_mins(mids)
         i = 0
-        for _ in range(levels):
+        while i < len(mids):  # one level of the tree per step
             if mins[i] >= floor:
                 lo, i = mids[i], 2 * i + 2
             else:

@@ -67,8 +67,10 @@ def test_sphere_pass_on_axes_equals_the_flat_nodes(family, grid):
     _, theta, phi = lattice.nodes()
     want = field.boundary_state(theta, phi)
     sphere = verify.boundary_pass(field, SPHERES[grid])
-    assert_same_bits(sphere.theta, theta)
-    assert_same_bits(sphere.phi, phi)
+    assert sphere.lattice.shape == lattice.shape  # the nodes are the lattice's
+    every = np.arange(theta.size)
+    assert_same_bits(sphere.lattice.nodes_at(every)[1], theta)
+    assert_same_bits(sphere.lattice.nodes_at(every)[2], phi)
     for name in fam.SphereState._fields:  # all nine
         assert_same_bits(getattr(sphere, name), getattr(want, name))
     on_axes = field.boundary_state(*lattice.axes[1:])

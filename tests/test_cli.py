@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,33 @@ class TestSampleCommand:
         assert code == 1
         assert err == ("error: unknown field selector 'vorticity' "
                        "(choose from u, omega, v, curl_v_boundary)\n")
+
+    OVERFLOWS = {
+        "v": (["--field", "v", "--family", "perturbed:1e300"],
+              "error: family perturbed:1e300 gives a non-finite v column c_r (inf) "
+              "on this grid\n"),
+        "curl_v_boundary": (["--field", "curl_v_boundary", "--family", "perturbed:1e200"],
+                            "error: family perturbed:1e200 gives a non-finite curl_v_boundary "
+                            "column curl_v_theta (nan) on this grid\n"),
+    }
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("field", OVERFLOWS)
+    def test_non_finite_values_exit_one_and_write_nothing(self, capsys, tmp_path, field,
+                                                          existing):
+        # these used to exit 0 with rows of inf or nan, the second after a
+        # numpy RuntimeWarning (a traceback under -W error::RuntimeWarning)
+        argv, message = self.OVERFLOWS[field]
+        out_path = tmp_path / "s.csv"
+        if existing:
+            out_path.write_text("old\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["sample", *argv, "--out", str(out_path)])
+        assert code == 1 and out == "" and err == message
+        assert [p.name for p in tmp_path.iterdir()] == (["s.csv"] if existing else [])
+        if existing:
+            assert out_path.read_text() == "old\n"
 
     def test_values_round_trip_17_digits(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"

@@ -103,7 +103,7 @@ def test_witness_window_mutant_fails_the_theta_trace(grid, monkeypatch, tmp_path
     flags, boundary = GRIDS[grid]
     sphere = verify.boundary_pass(fam.default_field(), boundary)
     i = int(np.argmax(np.abs(sphere.curl_v_theta)))
-    t0, p0 = sphere.theta[i], sphere.phi[i]
+    _, t0, p0 = sphere.lattice.nodes_at(i)
     original = fam.CounterexampleField.boundary_state
 
     def mutant(self, theta, phi):

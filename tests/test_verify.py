@@ -110,7 +110,7 @@ class TestGridSpec:
         for n in (8, 16, 64, 79, 128, 200):
             grid = GridSpec(n_theta=n, n_phi=16, boundary_only=True)
             sphere = verify.boundary_pass(default_field, grid)
-            support = default_field.support_mask(1.0, sphere.theta)
+            support = default_field.support_mask(1.0, sphere.lattice.nodes()[1])
             for step in (1e-8, 1e-4, 1e-3, 3e-3, 5e-3, 1e-2):
                 _, res_w = verify.check_slip_conditions(default_field, sphere,
                                                         FDConfig(step=step))
@@ -122,7 +122,8 @@ class TestGridSpec:
 
     def test_slip_spots_are_spread_over_the_support(self, default_field, monkeypatch):
         sphere = verify.boundary_pass(default_field, SMALL_BOUNDARY)
-        support = np.flatnonzero(default_field.support_mask(1.0, sphere.theta))
+        _, theta, phi = sphere.lattice.nodes()  # the flat nodes, which the pass no longer holds
+        support = np.flatnonzero(default_field.support_mask(1.0, theta))
         seen = []
         original = oracle.fd_curl_spherical
 
@@ -132,8 +133,7 @@ class TestGridSpec:
         monkeypatch.setattr(oracle, "fd_curl_spherical", spy)
         verify.check_slip_conditions(default_field, sphere)
         spots = support[::support.size // verify.ORACLE_SPOTS][:verify.ORACLE_SPOTS]
-        assert [t.tolist() for t in seen[0]] == [sphere.theta[spots].tolist(),
-                                                 sphere.phi[spots].tolist()]
+        assert [t.tolist() for t in seen[0]] == [theta[spots].tolist(), phi[spots].tolist()]
 
     @pytest.mark.parametrize("step", [3e-3, 1e-2])
     def test_cartesian_stencil_checked_up_front(self, default_field, monkeypatch, step):
@@ -455,8 +455,10 @@ class TestNeighborhoodRadius:
         monkeypatch.setattr(fam.CounterexampleField, "boundary_curl_theta", spy)
         from slipball.sphcalc import SphPoint
         assert verify.neighborhood_radius(default_field, SphPoint(1.0, PI / 2, 0.0)) == 0.0
-        # the witness and the rings of the radius pi/2 share the one call
-        assert calls == [1 + verify.RADIUS_RINGS * verify.RADIUS_DIRECTIONS]
+        # the witness, the rings of the radius pi/2 and those of the first
+        # batch's 2^RADIUS_BATCH_LEVELS - 1 midpoints share the one call
+        assert calls == [1 + verify.RADIUS_RINGS * verify.RADIUS_DIRECTIONS
+                         * 2 ** verify.RADIUS_BATCH_LEVELS]
 
     def test_radius_bits_at_the_coarse_check_witness(self, default_field):
         # the same at the theta witness of the 32x64 persistency check
@@ -700,11 +702,13 @@ class TestPerAxisWork:
                    for s in on_axes)
         assert all(len(s[0]) == 1 for s in u_shapes if s not in on_axes)
         batches = math.ceil(verify.RADIUS_BISECTIONS / verify.RADIUS_BATCH_LEVELS)
-        assert 0 < len(trace_calls) <= 1 + batches
-        # a full batch holds the rings of 2^levels - 1 midpoints
+        assert batches == 10
+        # a full batch holds the rings of 2^levels - 1 midpoints; the first
+        # call also the witness and the rings of the radius pi/2
         ring = verify.RADIUS_RINGS * verify.RADIUS_DIRECTIONS
-        assert max(np.size(theta) for theta, _ in trace_calls) == (
-            ring * (2 ** verify.RADIUS_BATCH_LEVELS - 1))
+        mids = 2 ** verify.RADIUS_BATCH_LEVELS - 1
+        assert [np.size(theta) for theta, _ in trace_calls] == (
+            [1 + ring * (mids + 1)] + [ring * mids] * (batches - 1))
 
 
 class TestOneLatticeRule:
@@ -948,11 +952,11 @@ class TestFullVerification:
                 "skipped": True, "reason": "family 'default+zero' exhibits no witness point"}
 
     def test_boundary_pass_fields_are_the_sphere_state(self, default_field):
-        # the pass declares no field of its own beyond the lattice and nodes
-        assert verify.BoundaryPass._fields[:3] == ("lattice", "theta", "phi")
-        assert verify.BoundaryPass._fields[3:] == fam.SphereState._fields
+        # the pass declares no field of its own beyond the lattice: its flat
+        # nodes come from the lattice's axes, never from the pass
+        assert verify.BoundaryPass._fields == ("lattice",) + fam.SphereState._fields
         sphere = verify.boundary_pass(default_field, SMALL_BOUNDARY)
-        state = default_field.boundary_state(sphere.theta, sphere.phi)
+        state = default_field.boundary_state(*sphere.lattice.nodes()[1:])
         for name in fam.SphereState._fields:
             assert np.array_equal(getattr(sphere, name), getattr(state, name), equal_nan=True)
 
