@@ -29,8 +29,8 @@ the witness and the radius pi/2 as well, so the 40 steps cost 10 calls, and
 the radius keeps its bits; 4 levels timed fastest of 1 to 6 in process
 (3.2-3.4 ms on the default witness, one level per call 6.4-10 ms).  Each
 call assembles the theta trace alone (boundary_curl_theta), and the radius
-of the coarse check went from 2.85 to 2.4 ms with the first batch folded
-into the first call (in-process minima, 2-core VM).
+of the coarse check went from 2.9-3.1 to 2.4-2.6 ms with the first batch
+folded into the first call (in-process minima, 2-core VM).
 
 Every grid is a sphcalc.midpoint_lattice (GridSpec.lattice): the interior
 lattice of the ball, or the sphere as its r = 1 layer; a grid of the other

@@ -212,7 +212,8 @@ def test_field_supports(nodes):
     r[[2, 5], 0, 0] = [0.0, np.nan]
     theta[0, [0, 11, 22], 0] = [0.0, np.nan, math.pi]
     if nodes == "flat":
-        r, theta, phi = (np.ascontiguousarray(a).ravel() for a in np.broadcast_arrays(r, theta, phi))
+        r, theta, phi = (np.ascontiguousarray(a).ravel()
+                         for a in np.broadcast_arrays(r, theta, phi))
     with np.errstate(invalid="ignore"):
         assert_same_cut(FIELD.support_mask(r, theta), r, theta, phi)
         assert_same_cut(FIELD.support_mask(1.0, theta), theta, phi)
