@@ -286,18 +286,11 @@ class CounterexampleField:
         self.label = label if label is not None else f"{profile.label}+{angular.label}"
         self.h_boundary, self.hp_boundary = profile.jet(1.0)[:2]
 
-    def support_mask(self, r, theta, pad=0.0):
-        """Nodes within Euclidean distance pad of the support (pad = 0: in it).
-
-        A shift of length pad moves r by at most pad and theta by at most
-        arcsin(pad / r), so both margins widen by those; for r <= pad every
-        theta is kept.
-        """
+    def support_mask(self, r, theta):
+        """The nodes in the support: off the polar margins and past the
+        profile's inner radius."""
         d = self.angular.pole_margin
-        if pad:
-            with np.errstate(divide="ignore"):
-                d = d - np.arcsin(np.minimum(1.0, np.divide(pad, r)))
-        return (theta > d) & (theta < math.pi - d) & (r > self.profile.support_inner - pad)
+        return (theta > d) & (theta < math.pi - d) & (r > self.profile.support_inner)
 
     def _assemble(self, n_out, assemble, orders, r, theta, phi):
         """assemble(profile jet, OmegaFactors) on the support nodes of the

@@ -231,16 +231,15 @@ def cart_to_sph(x, y, z, rho=None):
     return r, theta, phi
 
 
-def vec_sph_to_cart_at(axis, x, y, z, r, rho, vr, vt, vp):
-    # Cartesian component `axis` (0, 1, 2: x, y, z) of (vr, vt, vp) at the
-    # point (x, y, z), rotated by x/r, y/r, z/r, x/rho, y/rho and rho/r: the
-    # point's own coordinates, with no trig; r and rho = sqrt(x^2 + y^2) > 0
-    # are the point's radii as cart_to_sph computes them
-    if axis == 2:
-        return (vr * z - vt * rho) / r
+def vec_sph_to_cart_at(x, y, z, r, rho, vr, vt, vp):
+    # Cartesian components of (vr, vt, vp) at the point (x, y, z), rotated
+    # by x/r, y/r, z/r, x/rho, y/rho and rho/r: the point's own coordinates,
+    # with no trig; r and rho = sqrt(x^2 + y^2) > 0 are the point's radii as
+    # cart_to_sph computes them
     vz = vt * (z / r)
-    return (vr * x / r + (vz * x - vp * y) / rho if axis == 0
-            else vr * y / r + (vz * y + vp * x) / rho)
+    return (vr * x / r + (vz * x - vp * y) / rho,
+            vr * y / r + (vz * y + vp * x) / rho,
+            (vr * z - vt * rho) / r)
 
 
 def vec_sph_to_cart(theta, phi, vr, vt, vp):

@@ -10,7 +10,7 @@ Two derivative paths:
   stencil point is rotated with its own x, y, z and the r and
   rho = sqrt(x^2 + y^2) that kernels.cart_to_sph used for it
   (kernels.vec_sph_to_cart_at, no trig); rho is computed once per shifted
-  point, and every shifted point has rho >= step, since _kept_points
+  point, and every shifted point has rho >= step, since _checked_points
   requires rho >= 2 * step at its base node.
 
 Both paths consume evaluators only, never analytic jets, and do their
@@ -18,46 +18,33 @@ stencil arithmetic on node arrays in as few evaluator calls as the
 stencil allows.  A spherical stencil is one call that takes every shifted
 node set (+-h, the one-sided -2h at r = 1, both Richardson levels), and
 fd_curl_spherical makes one call for the stencils of all three
-coordinates (7 node sets, 14 with Richardson); the Cartesian path makes
-one call per block of kept nodes, which takes every stencil point of the
-block (6 per node, 12 with Richardson, at most _BLOCK in all), and checks
-the domain in slabs of about _BLOCK nodes.  None of it changes a bit, as
-the work is elementwise and every evaluator is pointwise.  In-process
-minima (2-core VM, numpy 2.4.6): the Cartesian divergence at 50 seeded
-nodes went from 0.97 to 0.31 ms when a block's six calls became one, and
-the slip check from 1.5 to 0.9 ms and the persistency check from 1.0 to
-0.6 ms when the curl's 7 calls and the trace gates' 3 became one each.
-Node arrays need only broadcast together: flat nodes share one shape, and
-a lattice may pass its axes as (n_r, 1, 1), (1, n_theta, 1) and
-(1, 1, n_phi).  _nodes validates and normalises each array in its own
+coordinates (7 node sets, 14 with Richardson); the Cartesian Jacobian is
+one call that takes every stencil point of every node (6 per node, 12
+with Richardson), after every node is checked against the domain.  None
+of it changes a bit, as the work is elementwise and every evaluator is
+pointwise.  Node arrays need only broadcast together: flat nodes share one
+shape, and a lattice may pass its axes as (n_r, 1, 1), (1, n_theta, 1)
+and (1, 1, n_phi).  _nodes validates and normalises each array in its own
 shape with sphcalc._normalise, the one normaliser that SphPoint also uses
 (phi reduced to [0, 2pi), theta clamped to [0, pi], r clamped at 0,
-out-of-range nodes rejected with ConfigError).  The Cartesian oracles
-transform the arrays as given and broadcast only the products that need
-every node, so lattice axes cost one sine and cosine per axis value.  A
-spherical stencil concatenates the shifted coordinate's copies along the
-axis where it varies most and tiles the other coordinates only where they
-vary along it, so flat nodes are concatenated along their axis and a
-lattice's other axes keep their shapes: the divergence check's two calls
-of g take (1, 2 n_theta, 1) and (1, 1, 2 n_phi) axes, not a plane per
-offset.  fd_curl_spherical broadcasts its nodes first, so that its three
-stencils share one axis.
+out-of-range nodes rejected with ConfigError).  A spherical stencil
+concatenates the shifted coordinate's copies along the axis where it
+varies most and tiles the other coordinates only where they vary along
+it, so flat nodes are concatenated along their axis and a lattice's other
+axes keep their shapes: the divergence check's two calls of g take
+(1, 2 n_theta, 1) and (1, 1, 2 n_phi) axes, not a plane per offset.
+fd_curl_spherical broadcasts its nodes first, so that its three stencils
+share one axis.
 
 _stencil holds the spherical stencil once (its domain rule, shifted node
 sets and difference weights), and fd_partial, fd_curl_spherical and
-fd_boundary_radial_derivative read it; the Cartesian oracles share one
-stencil loop, and the divergence builds no Jacobian.  Every oracle takes
-an array evaluator fn(r, theta, phi) and node arrays and returns arrays.
-In verify, fd_partial differences g along the interior lattice's theta and
-phi axes for the divergence check, which compares u with x x grad(h g);
-the Cartesian divergence gates that check at 50 seeded nodes, and the
-Cartesian curl is the oracle-agreement check.
-
-The Cartesian Jacobian and divergence take an optional boolean node mask,
-the stencil-reach mask: the caller's promise that the field vanishes on
-every stencil point of the nodes outside it.  Every node is still checked
-against the domain (cartesian_stencil_fits), but only masked nodes are
-evaluated; the others get an exact 0.  No check in verify passes one.
+fd_boundary_radial_derivative read it; cartesian_jacobian_grid is the one
+Cartesian stencil, and the divergence and the curl read its Jacobian.
+Every oracle takes an array evaluator fn(r, theta, phi) and node arrays
+and returns arrays.  In verify, fd_partial differences g along the
+interior lattice's theta and phi axes for the divergence check, which
+compares u with x x grad(h g); the Cartesian divergence gates that check
+at 50 seeded nodes, and the Cartesian curl is the oracle-agreement check.
 
 Central differences are second order; the default is one difference at
 step 1e-6, where truncation and rounding balance (tests/test_fd_error.py
@@ -81,10 +68,6 @@ from .sphcalc import _normalise, store_field
 R_CEILING = 1.05  # interior radial stencils may probe slightly past the sphere
 _BOUNDARY_EPS = 1e-12
 _AXES = {"r": 0, "theta": 1, "phi": 2}
-# kept nodes per Cartesian stencil call: the allocator reuses the temporaries
-# instead of faulting in fresh pages; on the shipped grid's 57,600 kept nodes
-# blocks of 4,096 and 8,192 were slower, and 32,768 saved no memory
-_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -251,97 +234,49 @@ def cartesian_stencil_fits(r, theta, phi, step):
     return inside & off_axis
 
 
-def _kept_points(r, theta, phi, step, mask):
-    """(kept-node mask, (3, n_kept) array of x, y, z at the kept nodes) after
-    every node is checked, in slabs of about _BLOCK nodes along the leading
-    axis of the nodes, which keep their own shapes (a lattice's axes, say);
-    a failing slab reruns the all-node check, whose message names the node."""
+def _checked_points(r, theta, phi, step):
+    """(shape of the nodes, (3, n) array of x, y, z at every node, raveled)
+    after every node is checked against the stencil domain; the message
+    names the first node that breaks the first rule."""
     x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
+    for what, value, holds in _cartesian_domain(x, y, z, step):
+        _out_of_domain(holds, f"Cartesian stencil {what}", value, step)
     shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
-    keep = np.broadcast_to(True if mask is None else mask, shape)
-    if keep.dtype != bool:
-        raise ConfigError(f"node mask must be boolean, not {keep.dtype}")
-    kept, n = np.empty((3, np.count_nonzero(keep))), 0
-    rows = max(1, _BLOCK // max(1, math.prod(shape[1:])))
-    for lo in range(0, shape[0], rows):
-        slab = [np.broadcast_to(c, shape)[lo:lo + rows] for c in (x, y, z)]
-        if not all(holds.all() for *_, holds in _cartesian_domain(*slab, step)):
-            for what, value, holds in _cartesian_domain(x, y, z, step):
-                _out_of_domain(holds, f"Cartesian stencil {what}", value, step)
-        k = keep[lo:lo + rows]
-        kept[:, n:n + np.count_nonzero(k)] = [c[k] for c in slab]
-        n += np.count_nonzero(k)
-    return keep, kept
+    return shape, np.array([np.broadcast_to(c, shape).ravel() for c in (x, y, z)])
 
 
-def _cartesian_columns(components_fn, convert, base, cfg):
-    """Yields (block, j, d/dx_j of convert(j, x, y, z, r, rho, *components))
-    per slice `block` of columns of base and j = 0, 1, 2.  One components_fn
-    call per block takes every stencil point of it: each offset (+-h along
-    x, y and z, at step and, with Richardson, at step / 2) shifts the whole
-    block, and a block is sized so that the call takes at most _BLOCK
-    points.  (x, y, z) is the shifted stencil point, rho = sqrt(x^2 + y^2)
-    >= step there, and (r, rho) are those kernels.cart_to_sph used for it."""
-    levels = (cfg.step, cfg.step / 2.0) if cfg.richardson else (cfg.step,)
-    offsets = [(j, sign * h) for h in levels for j in range(3) for sign in (1.0, -1.0)]
-    width = max(1, _BLOCK // len(offsets))
-    for lo in range(0, base.shape[1], width):
-        block = slice(lo, lo + width)
-        points = base[:, block]
-        n = points.shape[1]
-        shifted = np.tile(points, len(offsets))  # offset k: columns k n to (k + 1) n
-        cols = {}
-        for k, (j, offset) in enumerate(offsets):
-            cols[j, offset] = slice(k * n, (k + 1) * n)
-            shifted[j, cols[j, offset]] += offset
-        x, y, _ = shifted
-        rho = np.sqrt(x * x + y * y)
-        r, theta, phi = kernels.cart_to_sph(*shifted, rho)
-        fields = [np.broadcast_to(c, r.shape) for c in components_fn(r, theta, phi)]
-
-        def field_at(j, offset):
-            at = cols[j, offset]
-            return np.asarray(convert(j, *shifted[:, at], r[at], rho[at],
-                                      *(c[at] for c in fields)))
-        for j in range(3):
-            yield block, j, _richardson(lambda h: (field_at(j, h) - field_at(j, -h)) / (2.0 * h),
-                                        cfg.step, cfg.richardson)
-
-
-def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig(),
-                            mask=None):
+def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
     """Jacobian dW_i/dx_j of the Cartesian field at each grid node, as one
     (3, 3, *shape) array, so jac[i][j] is the array of dW_i/dx_j.
 
     components_fn maps float64 arrays (r, theta, phi) to spherical component
     arrays; everything here is vectorized over the nodes, which are checked
-    and normalised as the spherical oracles check them.  With a boolean
-    mask (broadcast to the nodes; None keeps all), every node is checked but
-    only masked nodes are evaluated; the Jacobian is exactly 0 at the others.
+    and normalised as the spherical oracles check them.  One components_fn
+    call takes every stencil point: each offset (+-h along x, y and z, at
+    step and, with Richardson, at step / 2) shifts every node.
     """
-    def convert(j, *point_and_components):
-        return [kernels.vec_sph_to_cart_at(i, *point_and_components) for i in range(3)]
+    shape, base = _checked_points(r, theta, phi, cfg.step)
+    n = base.shape[1]
+    levels = (cfg.step, cfg.step / 2.0) if cfg.richardson else (cfg.step,)
+    offsets = [(j, sign * h) for h in levels for j in range(3) for sign in (1.0, -1.0)]
+    shifted = np.tile(base, len(offsets))  # offset k: columns k n to (k + 1) n
+    for k, (j, offset) in enumerate(offsets):
+        shifted[j, k * n:(k + 1) * n] += offset
+    x, y, _ = shifted
+    rho = np.sqrt(x * x + y * y)  # >= step, as _checked_points asks rho >= 2 * step
+    r, theta, phi = kernels.cart_to_sph(*shifted, rho)
+    fields = [np.broadcast_to(c, r.shape) for c in components_fn(r, theta, phi)]
+    w = np.array(kernels.vec_sph_to_cart_at(*shifted, r, rho, *fields))
+    at = dict(zip(offsets, np.split(w, len(offsets), axis=1)))
+    jac = np.stack([_richardson(lambda h: (at[j, h] - at[j, -h]) / (2.0 * h),
+                                cfg.step, cfg.richardson) for j in range(3)], axis=1)
+    return jac.reshape((3, 3) + shape)
 
-    keep, base = _kept_points(r, theta, phi, cfg.step, mask)
-    kept = np.empty((3, 3, base.shape[1]))
-    for block, j, column in _cartesian_columns(components_fn, convert, base, cfg):
-        kept[:, j, block] = column
-    jac = np.zeros((3, 3) + keep.shape)
-    jac[:, :, keep] = kept
-    return jac
 
-
-def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig(),
-                              mask=None):
-    """The trace of cartesian_jacobian_grid, bit for bit (dxx + dyy + dzz in
-    one array); the shifts along x_j convert only W_j to Cartesian."""
-    keep, base = _kept_points(r, theta, phi, cfg.step, mask)
-    kept = np.empty(base.shape[1])
-    for block, j, col in _cartesian_columns(components_fn, kernels.vec_sph_to_cart_at, base, cfg):
-        kept[block] = kept[block] + col if j else col
-    div = np.zeros(keep.shape)
-    div[keep] = kept
-    return div
+def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
+    """The trace dxx + dyy + dzz of cartesian_jacobian_grid, in one array."""
+    jac = cartesian_jacobian_grid(components_fn, r, theta, phi, cfg)
+    return jac[0, 0] + jac[1, 1] + jac[2, 2]
 
 
 def cartesian_curl_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):

@@ -21,8 +21,8 @@ bottoms out a little lower, at 5e-7, but the default is still about 470x
 under TOL_ORACLE_AGREEMENT.  The pins allow 25%, because the small-step
 values are rounding noise and move with the platform's libm.
 
-The Cartesian divergence is that of the oracle on the shipped lattice's
-axes with the stencil-reach mask, the reference this curve is measured
+The Cartesian divergence is that of the oracle at every node of the
+shipped lattice, passed as its axes, the reference this curve is measured
 on; the divergence check runs the same oracle as its gate, at
 AGREEMENT_POINTS seeded nodes.
 
@@ -67,12 +67,9 @@ def worst_agreement(cfg):
 
 
 def lattice_divergence_sup(field, cfg, grid=SHIPPED):
-    """sup |div u| of the Cartesian oracle on the grid's lattice axes, with
-    the stencil-reach mask of the field's support."""
-    axes = grid.lattice().axes
-    reach = field.support_mask(*axes[:2], pad=2.0 * cfg.step)
+    """sup |div u| of the Cartesian oracle on the grid's lattice axes."""
     return float(np.max(np.abs(
-        oracle.cartesian_divergence_grid(field.u_components, *axes, cfg, reach))))
+        oracle.cartesian_divergence_grid(field.u_components, *grid.lattice().axes, cfg))))
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +110,7 @@ def bump(r):
 
 
 class WithRadialSource(fam.CounterexampleField):
-    """The default family plus delta * b(r) e_r in u_components; support_mask
-    keeps every node, so the oracle evaluates the source everywhere."""
+    """The default family plus delta * b(r) e_r in u_components."""
 
     def __init__(self, delta):
         super().__init__(DEFAULT.profile, DEFAULT.angular, label="radial-source")
@@ -123,9 +119,6 @@ class WithRadialSource(fam.CounterexampleField):
     def u_components(self, r, theta, phi):
         u_r, u_theta, u_phi = super().u_components(r, theta, phi)
         return u_r + self.delta * bump(r)[0], u_theta, u_phi
-
-    def support_mask(self, r, theta, pad=0.0):
-        return np.ones(np.broadcast_shapes(np.shape(r), np.shape(theta)), dtype=bool)
 
 
 @pytest.mark.parametrize("ratio, passes", [(2.0, False), (0.5, True)])

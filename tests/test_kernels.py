@@ -424,6 +424,6 @@ class TestTransforms:
         want = kernels.vec_sph_to_cart(theta, phi, *v)
         # both are orthogonal rotations: they agree within 8 ulp of |v|
         bound = 8.0 * np.finfo(float).eps * np.linalg.norm(v, axis=0)
+        got = kernels.vec_sph_to_cart_at(x, y, z, r, np.sqrt(x * x + y * y), *v)
         for axis in range(3):
-            got = kernels.vec_sph_to_cart_at(axis, x, y, z, r, np.sqrt(x * x + y * y), *v)
-            assert np.all(np.abs(got - want[axis]) <= bound)
+            assert np.all(np.abs(got[axis] - want[axis]) <= bound)

@@ -4,8 +4,8 @@ sphcalc.midpoint_lattice builds every grid: the interior lattice of the
 ball, and the sphere as its r = 1 layer.  Its axes are shaped (n_r, 1, 1),
 (1, n_theta, 1) and (1, 1, n_phi), so every per-axis input (the transform
 to Cartesian in oracle.cartesian_divergence_grid, sin(theta) in the
-weights, the reach mask, and in check_divergence_free h on the r axis and
-g on the theta x phi plane) is computed once per axis value.  The
+weights, and in check_divergence_free h on the r axis and g on the
+theta x phi plane) is computed once per axis value.  The
 references below are the flat meshes written out node by node, as they
 were built before the one lattice rule; each result must equal them bit
 for bit, sign bits included.
@@ -67,21 +67,13 @@ def flat(lattice):
     return (*lattice.nodes(), np.broadcast_to(lattice.weights, lattice.shape).ravel())
 
 
-@pytest.mark.parametrize("masked", [False, True], ids=["full", "reach"])
 @pytest.mark.parametrize("grid_name", GRIDS)
 @pytest.mark.parametrize("family_name", FAMILIES)
-def test_divergence_on_axes_equals_the_flat_mesh(family_name, grid_name, masked):
+def test_divergence_on_axes_equals_the_flat_mesh(family_name, grid_name):
     field, grid = FAMILIES[family_name], GRIDS[grid_name]
     r, th, ph, _ = flat_mesh(grid)
-    axes = grid.lattice().axes
-    flat_mask = axes_mask = None
-    if masked:
-        flat_mask = field.support_mask(r, th, pad=2.0 * CFG.step)
-        axes_mask = field.support_mask(*axes[:2], pad=2.0 * CFG.step)
-        assert same_bits(np.broadcast_to(axes_mask, (grid.n_r, grid.n_theta, grid.n_phi))
-                         .ravel(), flat_mask)
-    want = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, CFG, flat_mask)
-    got = oracle.cartesian_divergence_grid(field.u_components, *axes, CFG, axes_mask)
+    want = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, CFG)
+    got = oracle.cartesian_divergence_grid(field.u_components, *grid.lattice().axes, CFG)
     assert got.shape == (grid.n_r, grid.n_theta, grid.n_phi)
     assert same_bits(got.ravel(), want)
     assert np.any(want != 0.0)

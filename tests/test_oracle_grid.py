@@ -155,72 +155,116 @@ def test_one_call_takes_every_stencil_offset(default_field):
     assert calls[2:] == [(6 * R.size,)]
 
 
-def ref_cartesian_jacobian(components_fn, r, theta, phi, cfg, mask=None):
+def ref_cartesian_jacobian(components_fn, r, theta, phi, cfg):
     """The Jacobian as the oracle built it before it filled one array: a
-    3x3 list of lists, one unmasked path and one scatter path."""
+    3x3 list of lists, one field call per shifted point set."""
     x, y, z = kernels.sph_to_cart(*np.broadcast_arrays(r, theta, phi))
 
-    def rows(base):
-        def field_at(xx, yy, zz):
-            rho = np.sqrt(xx * xx + yy * yy)
-            rr, tt, pp = kernels.cart_to_sph(xx, yy, zz)
-            return [kernels.vec_sph_to_cart_at(i, xx, yy, zz, rr, rho,
-                                               *components_fn(rr, tt, pp))
-                    for i in range(3)]
+    def field_at(xx, yy, zz):
+        rho = np.sqrt(xx * xx + yy * yy)
+        rr, tt, pp = kernels.cart_to_sph(xx, yy, zz)
+        return kernels.vec_sph_to_cart_at(xx, yy, zz, rr, rho, *components_fn(rr, tt, pp))
 
-        def column(j, h):
-            plus, minus = list(base), list(base)
-            plus[j] = base[j] + h
-            minus[j] = base[j] - h
-            wp, wm = field_at(*plus), field_at(*minus)
-            return [(wp[i] - wm[i]) / (2.0 * h) for i in range(3)]
+    def column(j, h):
+        plus, minus = [x, y, z], [x, y, z]
+        plus[j] = plus[j] + h
+        minus[j] = minus[j] - h
+        wp, wm = field_at(*plus), field_at(*minus)
+        return [(wp[i] - wm[i]) / (2.0 * h) for i in range(3)]
 
-        jac = [[None] * 3 for _ in range(3)]
-        for j in range(3):
-            if cfg.richardson:
-                c1, c2 = column(j, cfg.step), column(j, cfg.step / 2.0)
-                col = [(4.0 * c2[i] - c1[i]) / 3.0 for i in range(3)]
-            else:
-                col = column(j, cfg.step)
-            for i in range(3):
-                jac[i][j] = col[i]
-        return jac
-
-    if mask is None:
-        return rows([x, y, z])
-    keep = np.broadcast_to(mask, x.shape)
-    jac = [[np.zeros(x.shape) for _ in range(3)] for _ in range(3)]
-    for row, kept in zip(jac, rows([x[keep], y[keep], z[keep]])):
-        for out, values in zip(row, kept):
-            out[keep] = values
+    jac = [[None] * 3 for _ in range(3)]
+    for j in range(3):
+        if cfg.richardson:
+            c1, c2 = column(j, cfg.step), column(j, cfg.step / 2.0)
+            col = [(4.0 * c2[i] - c1[i]) / 3.0 for i in range(3)]
+        else:
+            col = column(j, cfg.step)
+        for i in range(3):
+            jac[i][j] = col[i]
     return jac
 
 
-@pytest.mark.parametrize("cfg", CONFIGS[:2])
-@pytest.mark.parametrize("mask", ["none", "all", "partial"])
-def test_cartesian_jacobian_matches_the_list_of_lists_code(default_field, cfg, mask):
+def jacobian_nodes(kind, step):
+    """The agreement nodes of the default seed, or a (6, 5) broadcast of
+    radii against angles, half of it off the support."""
+    if kind == "seeded":
+        return verify._agreement_nodes(verify.DEFAULT_SEED, step)
     rng = np.random.default_rng(7)
-    # a (6, 5) broadcast of radii against angles, half of it off the support
-    r = rng.uniform(0.1, 0.9, (6, 1))
-    theta, phi = rng.uniform(0.3, PI - 0.3, 5), rng.uniform(0.0, 2 * PI, 5)
-    node_mask = {"none": None, "all": np.ones((6, 5), dtype=bool),
-                 "partial": default_field.support_mask(r, theta, pad=2.0 * cfg.step)}[mask]
-    if mask == "partial":
-        assert 0 < np.count_nonzero(node_mask) < node_mask.size
-    got = oracle.cartesian_jacobian_grid(default_field.u_components, r, theta, phi, cfg,
-                                         node_mask)
-    want = ref_cartesian_jacobian(default_field.u_components, r, theta, phi, cfg, node_mask)
+    return (rng.uniform(0.1, 0.9, (6, 1)), rng.uniform(0.3, PI - 0.3, 5),
+            rng.uniform(0.0, 2 * PI, 5))
+
+
+@pytest.mark.parametrize("cfg", [FDConfig(), *CONFIGS[:2]],
+                         ids=["default", "1e-4-richardson", "1e-3-plain"])
+@pytest.mark.parametrize("nodes", ["broadcast", "seeded"])
+def test_cartesian_jacobian_matches_the_list_of_lists_code(default_field, cfg, nodes):
+    r, theta, phi = jacobian_nodes(nodes, cfg.step)
+    got = oracle.cartesian_jacobian_grid(default_field.u_components, r, theta, phi, cfg)
+    want = ref_cartesian_jacobian(default_field.u_components, r, theta, phi, cfg)
     for i in range(3):
         for j in range(3):
             assert np.array_equal(got[i][j], want[i][j])
             assert np.array_equal(np.signbit(got[i][j]), np.signbit(want[i][j]))
-    # the divergence converts one component per axis and builds no Jacobian
-    div = oracle.cartesian_divergence_grid(default_field.u_components, r, theta, phi, cfg,
-                                           node_mask)
+    # the divergence is the trace and the curl the antisymmetric part
+    div = oracle.cartesian_divergence_grid(default_field.u_components, r, theta, phi, cfg)
     trace = want[0][0] + want[1][1] + want[2][2]
     assert div.shape == trace.shape
     assert np.array_equal(div, trace)
     assert np.array_equal(np.signbit(div), np.signbit(trace))
+    curl = oracle.cartesian_curl_grid(default_field.u_components, r, theta, phi, cfg)
+    _, th, ph = np.broadcast_arrays(r, theta, phi)
+    ref_curl = kernels.vec_cart_to_sph(th, ph, want[2][1] - want[1][2],
+                                       want[0][2] - want[2][0], want[1][0] - want[0][1])
+    for a, b in zip(curl, ref_curl):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("cfg, n_offsets", [(FDConfig(), 6), (FDConfig(1e-4, True), 12)],
+                         ids=["plain", "richardson"])
+def test_one_cartesian_call_takes_every_stencil_point(default_field, cfg, n_offsets):
+    # at the agreement nodes, one u_components call per oracle: each segment
+    # shifts every node along one axis, +x, -x, +y, -y, +z, -z at step, then
+    # at step / 2
+    nodes = verify._agreement_nodes(verify.DEFAULT_SEED, cfg.step)
+    x, y, z = kernels.sph_to_cart(*nodes)
+    n = x.size
+    for fd in (oracle.cartesian_divergence_grid, oracle.cartesian_curl_grid):
+        calls = []
+
+        def counted(r, theta, phi):
+            calls.append(kernels.sph_to_cart(r, theta, phi))
+            return default_field.u_components(r, theta, phi)
+
+        fd(counted, *nodes, cfg)
+        (points,) = calls
+        assert points[0].shape == (n_offsets * n,)
+        for k in range(n_offsets):
+            cx, cy, cz = (c[k * n:(k + 1) * n] for c in points)
+            shift = np.array([np.max(np.abs(cx - x)), np.max(np.abs(cy - y)),
+                              np.max(np.abs(cz - z))])
+            assert np.flatnonzero(shift > 1e-12).tolist() == [k % 6 // 2]
+            assert shift.max() == pytest.approx(cfg.step / 2 ** (k // 6), rel=1e-6)
+
+
+def test_every_node_is_checked_before_the_message_is_chosen():
+    # the first radial layer breaks only the axis rule and the last only the
+    # ball rule; over all nodes at once, the ball rule is reported first
+    calls = []
+    r = np.array([0.1, 0.5, 0.9995]).reshape(3, 1, 1)
+    th = np.array([0.01, PI / 2]).reshape(1, 2, 1)
+    ph = np.array([0.2, 1.0]).reshape(1, 1, 2)
+    cfg = FDConfig(1e-3, False)
+    for fd in (oracle.cartesian_divergence_grid, oracle.cartesian_jacobian_grid):
+        with pytest.raises(StencilOutOfDomain) as exc:
+            fd(lambda *a: calls.append(a), r, th, ph, cfg)
+        assert str(exc.value) == ("Cartesian stencil leaves the unit ball at r=0.9995 "
+                                  "with step 0.001")
+        with pytest.raises(StencilOutOfDomain) as exc:
+            fd(lambda *a: calls.append(a), r[:2], th, ph, cfg)
+        assert str(exc.value) == ("Cartesian stencil too close to the polar axis "
+                                  "(needs rho >= 2 * step) at rho=0.0009999833334166665 "
+                                  "with step 0.001")
+    assert calls == []
 
 
 def test_phi_is_reduced_before_evaluation():
