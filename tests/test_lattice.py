@@ -80,6 +80,24 @@ def test_divergence_on_axes_equals_the_flat_mesh(family_name, grid_name):
 
 
 @pytest.mark.parametrize("grid_name", GRIDS)
+@pytest.mark.parametrize("family_name", FAMILIES)
+def test_jacobian_and_curl_on_axes_equal_the_flat_mesh(family_name, grid_name):
+    field, grid = FAMILIES[family_name], GRIDS[grid_name]
+    r, th, ph, _ = flat_mesh(grid)
+    axes, shape = grid.lattice().axes, (grid.n_r, grid.n_theta, grid.n_phi)
+    want = oracle.cartesian_jacobian_grid(field.u_components, r, th, ph, CFG)
+    got = oracle.cartesian_jacobian_grid(field.u_components, *axes, CFG)
+    assert got.shape == (3, 3) + shape
+    assert same_bits(got.reshape(3, 3, -1), want)
+    want = oracle.cartesian_curl_grid(field.u_components, r, th, ph, CFG)
+    got = oracle.cartesian_curl_grid(field.u_components, *axes, CFG)
+    for a, b in zip(got, want):
+        assert a.shape == shape
+        assert same_bits(a.ravel(), b)
+    assert np.any(want[0] != 0.0)
+
+
+@pytest.mark.parametrize("grid_name", GRIDS)
 @pytest.mark.parametrize("family_name", ["default", "cosine_angular"])
 def test_divergence_check_equals_the_flat_mesh_result(family_name, grid_name):
     # the comparison of u with (0, -h D_phi g / sin, h D_theta g), written
