@@ -21,16 +21,11 @@ divergence tolerances and needs Richardson (tests/test_fd_error.py).
 Sample sizes: ORACLE_SPOTS 5 FD-curl spots (slip), GATE_POINTS 50 gate nodes
 per trace (persistency), AGREEMENT_POINTS 50 random nodes (oracle
 agreement, and the Cartesian gate of the divergence check), and
-RADIUS_BISECTIONS 40 bisection steps on RADIUS_RINGS 4 rings of
-RADIUS_DIRECTIONS 16 points (neighborhood_radius, the ungated half-floor
-ball of the theta trace), RADIUS_BATCH_LEVELS 4 levels per trace call: one
-call takes the 15 midpoints the next four steps may visit, the first call
-the witness and the radius pi/2 as well, so the 40 steps cost 10 calls, and
-the radius keeps its bits; 4 levels timed fastest of 1 to 6 in process
-(3.2-3.4 ms on the default witness, one level per call 6.4-10 ms).  Each
-call assembles the theta trace alone (boundary_curl_theta), and the radius
-of the coarse check went from 2.9-3.1 to 2.4-2.6 ms with the first batch
-folded into the first call (in-process minima, 2-core VM).
+RADIUS_LEVELS 7 levels of RADIUS_SPLIT 64 rings of RADIUS_DIRECTIONS 16
+points (neighborhood_radius, the ungated half-floor ball of the theta
+trace): one call of the theta trace alone per level, the first with the
+witness, so the radius is resolved to (pi/2) 64^-7 = (pi/2) 2^-42 in 7
+calls.
 
 Every grid is a sphcalc.midpoint_lattice (GridSpec.lattice): the interior
 lattice of the ball, or the sphere as its r = 1 layer; a grid of the other
@@ -88,9 +83,8 @@ ORACLE_SPOTS = 5
 GATE_POINTS = 50
 AGREEMENT_POINTS = 50
 RADIUS_DIRECTIONS = 16
-RADIUS_RINGS = 4
-RADIUS_BISECTIONS = 40
-RADIUS_BATCH_LEVELS = 4
+RADIUS_SPLIT = 64
+RADIUS_LEVELS = 7
 # nodes per r-slab of check_divergence_free (3 rows of the shipped grid): u
 # and its comparison are slab-sized, so the allocator reuses the slab's
 # temporaries instead of faulting in fresh pages; blocks of 4,096 and 8,192
@@ -367,15 +361,19 @@ def neighborhood_radius(field: fam.CounterexampleField, witness: SphPoint) -> fl
     theta trace of curl(u x w) keeps at least half its witness value: the
     half-floor ball that run_full_verification reports.
 
-    RADIUS_BISECTIONS bisection steps on [0, pi/2], each sampling
-    RADIUS_RINGS rings of RADIUS_DIRECTIONS points in the geodesic ball; the
-    answer is resolution-limited by the sampling and the step count.  Each
-    trace call evaluates all 2^RADIUS_BATCH_LEVELS - 1 midpoints of the next
-    RADIUS_BATCH_LEVELS levels of the bisection tree, and the bisection then
-    walks its path through them, so the radius has the bits of one step at
-    a time; the first call also takes the witness and the radius pi/2, so
-    the early exits below spend it whole.  A witness where the trace
-    vanishes has radius 0.
+    A ring scan of [0, pi/2] in RADIUS_LEVELS levels, one trace call each.
+    A level starts from lo (0 at first) and a width (pi/2 at first) and
+    samples the RADIUS_SPLIT rings of RADIUS_DIRECTIONS points at radii
+    lo + width k / RADIUS_SPLIT, k = 1 .. RADIUS_SPLIT; a ring fails if a
+    point is not >= half the witness value (a NaN fails).  lo becomes the
+    last radius before the first failing ring (it stays if the first ring
+    fails), and width shrinks by RADIUS_SPLIT, so the answer is resolved
+    to (pi/2) / RADIUS_SPLIT ** RADIUS_LEVELS = (pi/2) 2^-42.  The first
+    call also takes the witness: a witness where the trace vanishes has
+    radius 0, and a first level with no failing ring radius pi/2.  A later
+    level's last ring is the ring that failed one level up, and it counts
+    as failing whatever rounding gives it, so the answer never reaches a
+    ring that was seen to fail.
     """
     # the Cartesian unit vectors (e_r, e_theta, e_phi) at the witness, and a
     # frame of its tangent plane: t1 = e_phi, t2 = -e_theta
@@ -384,48 +382,23 @@ def neighborhood_radius(field: fam.CounterexampleField, witness: SphPoint) -> fl
     alpha = np.arange(RADIUS_DIRECTIONS) * (2.0 * math.pi / RADIUS_DIRECTIONS)
     dirs = np.outer(np.cos(alpha), t1) - np.outer(np.sin(alpha), e_t)
 
-    fracs = (np.arange(RADIUS_RINGS) + 1.0) / RADIUS_RINGS
-
-    def ball_mins(rhos, theta=(), phi=()):
-        # |trace| at the extra nodes (theta, phi), then its minimum over the
-        # RADIUS_RINGS x RADIUS_DIRECTIONS ring points of each radius in
-        # rhos, all from one trace call
-        a = fracs[:, None, None] * np.array(rhos)[:, None, None, None]
-        pts = np.cos(a) * wvec + np.sin(a) * dirs
+    lo, width = 0.0, math.pi / 2
+    theta, phi = [witness.theta], [witness.phi]  # the first call also takes the witness
+    for level in range(RADIUS_LEVELS):
+        rhos = lo + width * np.arange(RADIUS_SPLIT + 1) / RADIUS_SPLIT  # rhos[0] is lo
+        pts = np.cos(rhos[1:, None, None]) * wvec + np.sin(rhos[1:, None, None]) * dirs
         _, th, ph = kernels.cart_to_sph(*(pts[..., k].ravel() for k in range(3)))
         values = np.abs(field.boundary_curl_theta(np.append(theta, th), np.append(phi, ph)))
-        mins = np.min(values[len(theta):].reshape(len(rhos), -1), axis=1)
-        return values[:len(theta)].tolist(), mins.tolist()
-
-    def bisection_tree(lo, hi, levels):
-        # the midpoints of the bisection tree of the next levels in heap
-        # order: the interval at node i splits at its midpoint into nodes
-        # 2i + 1 and 2i + 2
-        intervals = [(lo, hi)]
-        for node in range(2 ** (levels - 1) - 1):
-            a, b = intervals[node]
-            mid = 0.5 * (a + b)
-            intervals += [(a, mid), (mid, b)]
-        return [0.5 * (a + b) for a, b in intervals]
-
-    lo, hi = 0.0, math.pi / 2
-    mids = bisection_tree(lo, hi, min(RADIUS_BATCH_LEVELS, RADIUS_BISECTIONS))
-    (ref,), (hi_min, *mins) = ball_mins([hi, *mids], [witness.theta], [witness.phi])
-    if ref == 0.0:
-        return 0.0
-    floor = 0.5 * ref
-    if hi_min >= floor:
-        return hi
-    for done in range(0, RADIUS_BISECTIONS, RADIUS_BATCH_LEVELS):
-        if done:  # the first batch came with the witness
-            mids = bisection_tree(lo, hi, min(RADIUS_BATCH_LEVELS, RADIUS_BISECTIONS - done))
-            _, mins = ball_mins(mids)
-        i = 0
-        while i < len(mids):  # one level of the tree per step
-            if mins[i] >= floor:
-                lo, i = mids[i], 2 * i + 2
-            else:
-                hi, i = mids[i], 2 * i + 1
+        if level == 0:
+            if values[0] == 0.0:
+                return 0.0
+            floor, theta, phi = 0.5 * values[0], [], []
+        holds = values[-th.size:].reshape(RADIUS_SPLIT, -1).min(axis=1) >= floor
+        if level == 0 and holds.all():
+            return math.pi / 2
+        holds[-1] = False  # past level 0 it failed one level up (at level 0 some ring fails)
+        lo = float(rhos[np.argmin(holds)])  # the last radius before the first failing ring
+        width /= RADIUS_SPLIT
     return lo
 
 
@@ -607,6 +580,8 @@ def run_full_verification(field: fam.CounterexampleField,
     boundary_pass of the boundary grid: a family that fails the slip
     identity (the closed forms of the persistency checks assume it) or has
     no witness point skips both persistency checks without aborting the rest.
+    overall_pass needs every check but navier_traction and the three
+    admissibility probes (pole margin, support, periodicity).
 
     Raises ConfigError naming the first check, in that order, whose result
     holds a non-finite number (a family large enough to overflow), since
@@ -643,11 +618,10 @@ def run_full_verification(field: fam.CounterexampleField,
         if found:
             raise ConfigError(f"check {c.name} gives a non-finite {found[0]} ({found[1]})")
 
-    by_name = {c.name: c for c in checks}
-    overall = all(by_name[n].passed for n in (
-        "divergence_free", "slip_u_dot_n", "slip_omega_cross_n",
-        "persistency_failure_theta", "persistency_failure_phi",
-        "oracle_agreement_curl"))
+    # every check but the ungated traction, and the admissibility probes: a
+    # field cut to zero across a jump is not the smooth field the paper needs
+    overall = (adm.pole_margin_ok and adm.support_ok and adm.periodicity_ok
+               and all(c.passed for c in checks if c.name != "navier_traction"))
     return VerificationReport(
         family_label=field.label,
         admissibility=adm,

@@ -14,6 +14,11 @@ Whatever the argv:
 Grids stay small: verify and a volume sample start from 8x8x8 (and a
 32x64 sphere for verify), which a drawn count may only shrink to a
 refusal or move to another small count.
+
+A second property draws a JSON config file of the same leaves in place of
+the flags, each good or bad: the bad ones also hold integers above 2**1024,
+integers of more than 4300 digits (past Python's int-parsing limit), NaN
+and Infinity, and values of the wrong JSON type.  The same contract holds.
 """
 import contextlib
 import io
@@ -122,3 +127,88 @@ def test_every_argv_keeps_the_cli_contract(data):
         if os.path.isfile(report):
             assert code != 1, argv
             strict_json(open(report).read())
+
+
+# The config leaves, as JSON text: the good values (small grids) and the bad
+# ones every leaf may also take.  A config starts from the small grids and
+# good output paths, then redraws some leaves.
+HUGE = str(2 ** 1100)
+DIGITS = "1" + "0" * 4400  # json.loads refuses an int of this many digits
+CONFIG_BAD = ["0", "-3", "-1e-3", str(10 ** 30), HUGE, DIGITS, "-" + DIGITS, "NaN",
+              "Infinity", "-Infinity", "1e308", '""', '"abc"', "true", "null", "[]", "{}"]
+CONFIG_GOOD = {
+    "family": ['"default"', '"h1zero"', '"perturbed:1e-3"'],
+    "grid.n_r": ["8", "12"], "grid.n_theta": ["8", "12"], "grid.n_phi": ["8", "16"],
+    "grid.margin_r": ["0.05", "0.2"], "grid.margin_theta": ["0.05", "0.3"],
+    "boundary_grid.n_theta": ["16", "32"], "boundary_grid.n_phi": ["32", "64"],
+    "sample_grid.n_theta": ["16", "32"], "sample_grid.n_phi": ["32", "64"],
+    "oracle.step": ["1e-6", "1e-4", "1e-2"], "oracle.richardson": ["true", "false"],
+    "epsilons": ["[1e-1, 1e-2, 1e-3, 1e-4]", "[0.5, 0.25, 0.125, 0.0625, 1e-5]"],
+    "seed": ["0", "7", HUGE], "timestamp": ["true", "false"],
+}
+CONFIG_BAD_TEXT = {
+    "family": ['"bogus"', '"perturbed:nan"', '"perturbed:1e300"'],
+    "epsilons": ["[0, 0, 0, 0]", "[NaN, 1e-2, 1e-3, 1e-4]", "[Infinity, 1e-2, 1e-3, 1e-4]",
+                 f"[{HUGE}, 1e-2, 1e-3, 1e-4]", f"[{DIGITS}, 1e-2, 1e-3, 1e-4]",
+                 "[1e-1, 1e-2]", '[1e-1, "1e-2", 1e-3, 1e-4]'],
+}
+SMALL_CONFIG = {"grid.n_r": "8", "grid.n_theta": "8", "grid.n_phi": "8",
+                "boundary_grid.n_theta": "32", "boundary_grid.n_phi": "64",
+                "sample_grid.n_theta": "16", "sample_grid.n_phi": "32"}
+
+
+def config_text(leaves):
+    """The JSON text of a config whose leaves, by dotted path, hold JSON
+    text (json.dumps cannot write an int of more than 4300 digits)."""
+    sections = {}
+    for path, value in leaves.items():
+        section, _, key = path.rpartition(".")
+        sections.setdefault(section, {})[key] = value
+    top = sections.pop("", {})
+    items = [f'"{k}": {v}' for k, v in top.items()]
+    items += [f'"{s}": {{' + ", ".join(f'"{k}": {v}' for k, v in keys.items()) + "}"
+              for s, keys in sections.items()]
+    return "{" + ", ".join(items) + "}"
+
+
+@st.composite
+def configs(draw, where):
+    """argv and config text: the command's own arguments on argv, every
+    config flag's leaf in the file."""
+    command = draw(st.sampled_from(["verify", "sweep", "sample"]))
+    argv = [command]
+    if command == "sample":
+        argv += ["--field", draw(st.sampled_from(["u", "curl_v_boundary"])),
+                 "--on", draw(st.sampled_from(["surface", "volume"]))]
+    leaves = dict(SMALL_CONFIG)
+    leaves["report"] = leaves["out"] = json.dumps(os.path.join(where, "report.out"))
+    paths = ["report", "out"] + sorted(CONFIG_GOOD)
+    for path in draw(st.lists(st.sampled_from(paths), max_size=3, unique=True)):
+        if path in ("report", "out"):
+            good = [leaves[path]]
+            bad = ['""', json.dumps(where), json.dumps(os.path.join(where, "missing", "x"))]
+        else:
+            good, bad = CONFIG_GOOD[path], CONFIG_BAD_TEXT.get(path, []) + CONFIG_BAD
+        leaves[path] = draw(st.one_of(st.sampled_from(good), st.sampled_from(bad)))
+    return argv, config_text(leaves)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_config_file_keeps_the_cli_contract(data):
+    with tempfile.TemporaryDirectory() as where:
+        argv, text = data.draw(configs(where), label="argv, config")
+        config = os.path.join(where, "config.json")
+        with open(config, "w") as fh:
+            fh.write(text)
+        code, out, err = run(argv + ["--config", config])
+        assert code in (0, 1, 2), (argv, text, code)
+        assert "Traceback" not in out and "Traceback" not in err, (argv, text)
+        if code == 1:
+            assert out == "", (argv, text)
+            assert err.splitlines() == [err.strip()] and err.startswith("error: "), (argv, err)
+        report = os.path.join(where, "report.out")
+        if os.path.isfile(report):
+            assert code != 1, (argv, text)
+            if argv[0] != "sample":  # sample writes its CSV there
+                strict_json(open(report).read())

@@ -355,12 +355,13 @@ class TestGuards:
 
 # -- verify call sites against the loops they replaced ----------------------
 
-def ref_neighborhood_radius(field, witness, n_directions=16, n_rings=4, iterations=40):
+def ref_rings(field, witness, n_directions=16):
+    """|trace| at the witness, and the function that takes a radius rho to
+    the smallest |trace| over the ring of n_directions points at geodesic
+    distance rho from it, one ring per trace call.  The tangent frame is
+    built from cross products; verify builds it from the kernel rotation
+    (t1 = e_phi, t2 = -e_theta)."""
     fc = field.boundary_curl_theta
-    ref = abs(fc(witness.theta, witness.phi))
-    if ref == 0.0:
-        return 0.0
-    floor = 0.5 * ref
     st, ct = math.sin(witness.theta), math.cos(witness.theta)
     sp, cp = math.sin(witness.phi), math.cos(witness.phi)
     wvec = np.array([st * cp, st * sp, ct])
@@ -370,18 +371,26 @@ def ref_neighborhood_radius(field, witness, n_directions=16, n_rings=4, iteratio
     alpha = np.arange(n_directions) * (2.0 * math.pi / n_directions)
     dirs = np.outer(np.cos(alpha), t1) + np.outer(np.sin(alpha), t2)
 
-    def ball_min(rho):
-        fracs = (np.arange(n_rings) + 1.0) / n_rings
-        vals = []
-        for f in fracs:
-            pts = math.cos(f * rho) * wvec[None, :] + math.sin(f * rho) * dirs
-            x, y, z = pts[:, 0].copy(), pts[:, 1].copy(), pts[:, 2].copy()
-            _, th, ph = kernels.cart_to_sph(x, y, z)
-            vals.append(np.abs(fc(th, ph)))
-        return float(np.min(np.concatenate(vals)))
+    def ring_min(rho):
+        pts = math.cos(rho) * wvec[None, :] + math.sin(rho) * dirs
+        x, y, z = pts[:, 0].copy(), pts[:, 1].copy(), pts[:, 2].copy()
+        _, th, ph = kernels.cart_to_sph(x, y, z)
+        return float(np.min(np.abs(fc(th, ph))))
+
+    return abs(fc(witness.theta, witness.phi)), ring_min
+
+
+def ref_neighborhood_radius(field, witness, n_directions=16, n_rings=4, iterations=40):
+    # the bisection that neighborhood_radius used to run, one step at a
+    # time: a radius holds if n_rings fractional rings inside it keep the
+    # floor; resolution (pi/2) 2^-iterations
+    ref, ring_min = ref_rings(field, witness, n_directions)
+    if ref == 0.0:
+        return 0.0
+    floor = 0.5 * ref
 
     def holds(rho):
-        return ball_min(rho) >= floor
+        return min(ring_min(f * rho) for f in (np.arange(n_rings) + 1.0) / n_rings) >= floor
 
     lo, hi = 0.0, math.pi / 2
     if holds(hi):
@@ -392,6 +401,29 @@ def ref_neighborhood_radius(field, witness, n_directions=16, n_rings=4, iteratio
             lo = mid
         else:
             hi = mid
+    return lo
+
+
+def ref_ring_scan(field, witness, n_directions=16, split=64, levels=7):
+    # the ring scan written out, one ring at a time: each level walks out
+    # from lo in steps of width / split to the first failing ring (a later
+    # level's last ring failed one level up), and keeps the last passing
+    # radius
+    ref, ring_min = ref_rings(field, witness, n_directions)
+    if ref == 0.0:
+        return 0.0
+    floor = 0.5 * ref
+    lo, width = 0.0, math.pi / 2
+    for level in range(levels):
+        last = lo
+        for k in range(1, split + 1):
+            rho = lo + width * k / split
+            if (level and k == split) or not ring_min(rho) >= floor:
+                break
+            last = rho
+        else:
+            return math.pi / 2  # no ring of the first level fails
+        lo, width = last, width / split
     return lo
 
 
@@ -409,15 +441,40 @@ RADIUS_WITNESSES = {
 @pytest.mark.parametrize("where", RADIUS_WITNESSES)
 @pytest.mark.parametrize("angular", [fam.default_angular, fam.cosine_angular])
 def test_neighborhood_radius_matches_ring_loop(angular, where, directions, monkeypatch):
-    # the batched bisection against one ring loop per step, bit for bit; the
-    # tangent frame comes from the kernel rotation (t1 = e_phi,
-    # t2 = -e_theta), the reference builds it from cross products
+    # the ring scan against its one-ring-at-a-time loop, bit for bit, and
+    # against the old bisection within the bisection's resolution
     field = fam.CounterexampleField(fam.default_profile(), angular())
     witness = RADIUS_WITNESSES[where](field)
     monkeypatch.setattr(verify, "RADIUS_DIRECTIONS", directions)
     got = verify.neighborhood_radius(field, witness)
-    want = ref_neighborhood_radius(field, witness, n_directions=directions)
-    assert got.hex() == want.hex()
+    assert got.hex() == ref_ring_scan(field, witness, n_directions=directions).hex()
+    bisection = ref_neighborhood_radius(field, witness, n_directions=directions)
+    assert abs(got - bisection) <= (PI / 2) * 2.0**-40
+
+
+def _report_witness(field, n_theta, n_phi):
+    # the theta witness of a report's persistency check on that sphere grid
+    sphere = verify.boundary_pass(field, GridSpec(n_theta=n_theta, n_phi=n_phi,
+                                                  boundary_only=True))
+    return verify.check_persistency_failure(field, sphere)[0].witness
+
+
+@pytest.mark.parametrize("where", [
+    lambda field: _report_witness(field, 128, 256), lambda field: _report_witness(field, 32, 64),
+    RADIUS_WITNESSES["plateau"], RADIUS_WITNESSES["ramp"]],
+    ids=["shipped-report", "coarse-report", "plateau", "ramp"])
+def test_radius_is_the_last_ring_that_keeps_half(where):
+    # the defining property: every point of the ring at the radius keeps
+    # half the witness value, and the ring one finest step further out
+    # does not
+    field = fam.default_field()
+    at = where(field)
+    rho = verify.neighborhood_radius(field, at)
+    ref, ring_min = ref_rings(field, at)
+    finest = (PI / 2) / verify.RADIUS_SPLIT ** verify.RADIUS_LEVELS
+    assert 0.0 < rho < PI / 2
+    assert ring_min(rho) >= 0.5 * ref
+    assert ring_min(rho + finest) < 0.5 * ref
 
 
 def test_failed_gate_keeps_the_closed_form_result(default_field, monkeypatch):

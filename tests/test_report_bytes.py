@@ -18,10 +18,13 @@ COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
 # The admissibility witnesses are those of the run's boundary grid (32x64 in
 # the coarse reports).  Only the divergence_free entry moved when that check
 # came to compare u with x x grad(h g): its norms, tolerance, witness and
-# details.
+# details.  In the two default reports only
+# persistency_failure_theta.details.neighborhood_radius_half_floor moved when
+# the radius came from a ring scan, 64 rings per level, in place of a
+# bisection (2^-42 of pi/2 resolution in place of 2^-40).
 REPORTS = [
-    ("default", [], "9b44dd1807d7d0094c487ae78beb6d27039e270961bb70d75faaad602de0e9e6", 0),
-    ("default", COARSE, "7fe7781f68b61c31beb0856cc459bec7b22c4cc4f0d162f663333710090d1b5e", 0),
+    ("default", [], "9e6094cb72e441ece3e0015752081d2f46dbbd22c6a6af0359c81b02e8de7307", 0),
+    ("default", COARSE, "f5623454a963b75379ee96c81383f4b60f3fd878fa3ba9705176b3ea43f155e1", 0),
     ("h1zero", COARSE, "db518ce32f8726e1d2bf02b4b816e85f9ed058c1488ceace8deb0a16f0fbb16f", 2),
     ("perturbed:1e-3", COARSE,
      "ba8be864f6b2bf36375320a5c98b6c8ef876a89e104478289180f6ddea3d6398", 2),

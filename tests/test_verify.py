@@ -428,11 +428,12 @@ class TestNeighborhoodRadius:
         assert rho >= 0.02
 
     # float.hex of the radius at the theta admissibility witness (witness_a1),
-    # measured with one bisection step per trace call; the level-batched
-    # bisection must keep every bit
+    # measured with the ring scan written out one ring at a time
+    # (tests/test_oracle_grid.py::ref_ring_scan); the one-call-per-level scan
+    # must keep every bit
     PINS = [
-        ("default", "0x1.07e6053e97930p-5"),
-        ("perturbed:1e-3", "0x1.07e6053e97930p-5"),
+        ("default", "0x1.07e6053ebd45fp-5"),
+        ("perturbed:1e-3", "0x1.07e6053ebd45fp-5"),
         ("h1zero", "0x0.0p+0"),  # h(1) = 0: the trace vanishes at the witness
     ]
 
@@ -445,8 +446,8 @@ class TestNeighborhoodRadius:
     # the same at fixed points of the default field: the plateau peak, a
     # point on the bump's rising ramp, and the meridian phi = 0
     POINT_PINS = [
-        ((PI / 2, PI / 4), "0x1.0c152382d62a2p-1"),
-        ((5 * PI / 16, PI / 4), "0x1.48063378c456ep-8"),
+        ((PI / 2, PI / 4), "0x1.0c152382d6f35p-1"),
+        ((5 * PI / 16, PI / 4), "0x1.48063379f1eebp-8"),
         ((PI / 2, 0.0), "0x0.0p+0"),
     ]
 
@@ -459,7 +460,7 @@ class TestNeighborhoodRadius:
     def test_vanishing_trace_gives_radius_zero_with_one_trace_call(self, default_field,
                                                                    monkeypatch):
         # the closed form -sin(2 phi)/sin^3(theta) is 0 on the meridian phi = 0,
-        # so no ball keeps half of it and the bisection never runs
+        # so no ring keeps half of it and the scan stops after its first call
         calls = []
 
         def spy(*args, _original=fam.CounterexampleField.boundary_curl_theta):
@@ -469,10 +470,30 @@ class TestNeighborhoodRadius:
         monkeypatch.setattr(fam.CounterexampleField, "boundary_curl_theta", spy)
         from slipball.sphcalc import SphPoint
         assert verify.neighborhood_radius(default_field, SphPoint(1.0, PI / 2, 0.0)) == 0.0
-        # the witness, the rings of the radius pi/2 and those of the first
-        # batch's 2^RADIUS_BATCH_LEVELS - 1 midpoints share the one call
-        assert calls == [1 + verify.RADIUS_RINGS * verify.RADIUS_DIRECTIONS
-                         * 2 ** verify.RADIUS_BATCH_LEVELS]
+        # the witness and the RADIUS_SPLIT rings of the first level share the
+        # one call
+        assert calls == [1 + verify.RADIUS_SPLIT * verify.RADIUS_DIRECTIONS]
+
+    @pytest.mark.parametrize("off_witness, want, n_calls", [
+        (1.0, PI / 2, 1),  # no ring fails: the whole hemisphere, after one call
+        (math.nan, 0.0, 7),  # a NaN fails its ring, so every first ring fails
+    ], ids=["constant", "nan"])
+    def test_radius_of_a_trace_that_holds_or_fails_everywhere(self, default_field, monkeypatch,
+                                                              off_witness, want, n_calls):
+        calls = []
+
+        def trace(self, theta, phi):
+            calls.append(np.size(theta))
+            values = np.full(np.shape(theta), off_witness)
+            if len(calls) == 1:
+                values[0] = 1.0  # the witness, first in the first call
+            return values
+
+        monkeypatch.setattr(fam.CounterexampleField, "boundary_curl_theta", trace)
+        from slipball.sphcalc import SphPoint
+        rho = verify.neighborhood_radius(default_field, SphPoint(1.0, PI / 2, PI / 4))
+        assert type(rho) is float and rho == want
+        assert len(calls) == n_calls
 
     def test_radius_bits_at_the_coarse_check_witness(self, default_field):
         # the same at the theta witness of the 32x64 persistency check
@@ -480,7 +501,7 @@ class TestNeighborhoodRadius:
         res_t, _ = verify.check_persistency_failure(
             default_field, verify.boundary_pass(default_field, grid))
         assert verify.neighborhood_radius(default_field, res_t.witness).hex() == \
-            "0x1.e0b369a34416ap-8"
+            "0x1.e0b369a471ae5p-8"
 
 
 class TestNavierTraction:
@@ -654,15 +675,15 @@ class TestSeed:
 class TestPerAxisWork:
     """verify evaluates u on the interior lattice's axes, never on a node
     mesh, transforms to Cartesian only the nodes of the divergence check's
-    gate, and evaluates the bisection steps of neighborhood_radius in
-    batches of RADIUS_BATCH_LEVELS levels."""
+    gate, and scans the rings of neighborhood_radius in one trace call per
+    level."""
 
     @pytest.mark.parametrize("grid", [
         ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
          "--boundary-ntheta", "32", "--boundary-nphi", "64"],
         []], ids=["coarse", "shipped"])
-    def test_verify_does_per_axis_work_and_batched_bisection(self, grid, monkeypatch,
-                                                             tmp_path, capsys):
+    def test_verify_does_per_axis_work_and_one_radius_call_per_level(self, grid, monkeypatch,
+                                                                     tmp_path, capsys):
         from slipball import cli
         inside = []  # the name of the verify function running, if watched
         sizes, u_shapes, trace_calls = [], [], []
@@ -715,14 +736,12 @@ class TestPerAxisWork:
         assert all(s[0][1:] == (1, 1) and s[1:] == [(1, n_theta, 1), (1, 1, n_phi)]
                    for s in on_axes)
         assert all(len(s[0]) == 1 for s in u_shapes if s not in on_axes)
-        batches = math.ceil(verify.RADIUS_BISECTIONS / verify.RADIUS_BATCH_LEVELS)
-        assert batches == 10
-        # a full batch holds the rings of 2^levels - 1 midpoints; the first
-        # call also the witness and the rings of the radius pi/2
-        ring = verify.RADIUS_RINGS * verify.RADIUS_DIRECTIONS
-        mids = 2 ** verify.RADIUS_BATCH_LEVELS - 1
+        # one call per level holds its RADIUS_SPLIT rings; the first call
+        # also the witness
+        assert verify.RADIUS_LEVELS == 7
+        rings = verify.RADIUS_SPLIT * verify.RADIUS_DIRECTIONS
         assert [np.size(theta) for theta, _ in trace_calls] == (
-            [1 + ring * (mids + 1)] + [ring * mids] * (batches - 1))
+            [1 + rings] + [rings] * (verify.RADIUS_LEVELS - 1))
 
 
 class TestOneLatticeRule:
@@ -964,6 +983,21 @@ class TestFullVerification:
             assert not by_name[name].passed
             assert by_name[name].details == {
                 "skipped": True, "reason": "family 'default+zero' exhibits no witness point"}
+
+    @pytest.mark.parametrize("field, probe", [
+        (lambda: fam.CounterexampleField(fam.default_profile(), fam.AngularFunction(
+            kernels.default_angular_jet, 0.9, "wide")), "pole_margin_ok"),
+        (lambda: fam.CounterexampleField(fam.RadialProfile(
+            kernels.default_profile_jet, 0.4, "inner"), fam.default_angular()), "support_ok"),
+    ], ids=["pole-margin", "support"])
+    def test_a_failed_admissibility_probe_fails_the_run(self, field, probe):
+        # the support cut makes such a field jump to zero, so it is not the
+        # smooth field the paper needs, though every check passes on it
+        report = verify.run_full_verification(field(), GridSpec(n_r=8, n_theta=8, n_phi=8),
+                                              GridSpec(n_theta=32, n_phi=64, boundary_only=True))
+        assert getattr(report.admissibility, probe) is False
+        assert all(c.passed for c in report.checks if c.name != "navier_traction")
+        assert report.overall_pass is False
 
     def test_boundary_pass_fields_are_the_sphere_state(self, default_field):
         # the pass declares no field of its own beyond the lattice: its flat
