@@ -14,23 +14,24 @@ tangential components of curl(v) on the unit sphere:
 with G = d_theta(sin g_theta) + g_phiphi / sin.  Profiles vanish identically
 near r = 0 and angular functions near both poles, so every evaluator
 short-circuits to exact zeros inside those margins and never touches 1/r or
-1/sin there.  support_mask is the one support rule and _on_support applies
-it: it gathers the in-support nodes once (a lattice axis cut to its
-in-support values, the support's projection on that axis), the profile and
-angular jets and the assembly kernels (which take no mask) run on those
-alone, and only the final outputs are scattered back; a NaN pass runs only
-for a coordinate that holds a NaN.  The angular factors (sin, G, g_theta,
-g_phi) come from OmegaFactors alone.  The unit sphere is r = 1 of the same
-rule, support_mask(1.0, theta), and a profile enters it only as the two
-numbers h(1), h'(1).  Its closed forms have one path, _on_sphere:
-boundary_state evaluates the sphere in one pass, the witness products
-g_phi G and g_theta G included, and boundary_curl_theta (the radius's
-samples) and boundary_curl_phi assemble their trace alone, with the same
-kernel.  The scaling sweep reads g_theta, g_phi there once, for all its
-profiles.  Jet functions are
-ufunc-like: they accept float64 arrays that broadcast and an order k (0, 1
-or 2), and return arrays of the broadcast shape: the jet through at least
-order k, from analytic derivatives.  Each evaluator asks for the orders it
+1/sin there.  support_mask is the one support rule and _on_support is the
+one rule for what every evaluator returns: it gathers the in-support nodes
+once (a NaN node counts as off the support; a lattice axis is cut to the
+support's projection on it), the profile and angular jets and the assembly
+kernels (which take no mask) run on those alone, and the outputs are
+scattered back to the input's shape, exact zeros off the support and NaN
+at NaN nodes, as Python floats for a scalar point.  The angular factors
+(sin, G, g_theta, g_phi) come from OmegaFactors alone.  The unit sphere is
+r = 1 of the same rule, support_mask(1.0, theta), and a profile enters it
+only as the two numbers h(1), h'(1).  Its closed forms have one path,
+_on_sphere: boundary_state evaluates the sphere in one pass, the witness
+products g_phi G and g_theta G included, and boundary_curl_theta (the
+radius's samples) and boundary_curl_phi assemble their trace alone, with
+the same kernel.  The scaling sweep reads g_theta, g_phi there once, for
+all its profiles.  Jet functions are ufunc-like: they accept float64
+arrays that broadcast and an order k (0, 1 or 2), and return arrays of the
+broadcast shape: the jet through at least order k, from analytic
+derivatives.  Each evaluator asks for the orders it
 reads: u the profile value and the first angular partials, omega and the u
 partials the profile's first derivative and the angular jet through order 2.
 Callers read jet entries by position, so a jet may return more than asked.
@@ -56,53 +57,39 @@ SphereState = namedtuple("SphereState", "u_theta u_phi omega_r omega_theta omega
                                         "curl_v_theta curl_v_phi g_phi_G g_theta_G")
 
 
-def _maybe_scalar(values, scalar):
-    if not scalar:
-        return values
-    if isinstance(values, tuple):
-        return tuple(float(v[0]) for v in values)
-    return float(values[0])
-
-
 def _on_support(support, n_out, compute, *coords):
-    """compute(*coords) on the nodes of the boolean `support` only.
+    """compute(*coords) on the nodes of the boolean `support` only: the one
+    rule for what every field evaluator returns.
 
     coords are _node_arrays, support their support_mask: flat nodes (coords
     of the support's shape), taken as one axis, or a lattice's axes, each
     varying along an axis of its own, whose support is a product of per-axis
-    terms (a theta term and an r term).  So the keep of each axis is the
-    support's projection on it: one `any` per axis along which the support
-    varies.  Each coordinate takes one isnan and one any; one that holds a
-    NaN narrows only its own axis (every axis if it has one value), and with
-    no NaN no NaN pass runs.  compute runs at most once, never on empty
-    arrays: on the coords cut to the kept values of each axis (a run of
-    them as a slice), so 1-D arrays of the in-support flat nodes, or a
-    lattice's axes whose product is the support.  Its n_out outputs are
-    scattered back with exact zeros off the support and NaN where any
-    coordinate is NaN (all flat nodes in: reshaped).
+    terms (a theta term and an r term).  A coordinate that holds a NaN takes
+    its NaN nodes off the support, so the support stays such a product, and
+    each axis is cut to the support's projection on it (a run of kept values
+    as a slice): 1-D arrays of the in-support flat nodes, or a lattice's
+    axes whose product is the support.  compute runs at most once, never on
+    empty arrays, and its n_out outputs are scattered back to the input's
+    shape with exact zeros off the support and NaN where any coordinate is
+    NaN; all flat nodes in with no NaN are only reshaped.  For a scalar
+    point (0-d coords) the outputs are Python floats.
     """
     flat = all(c.shape == support.shape for c in coords)
     shape = support.shape if flat else np.broadcast_shapes(*(c.shape for c in coords))
     if flat:
         support, coords = support.ravel(), [c.ravel() for c in coords]
     nan = [bad for bad in map(np.isnan, coords) if bad.any()]
-    if flat and not nan and 0 < np.count_nonzero(support) == support.size:
+    if flat and not nan and shape and 0 < np.count_nonzero(support) == support.size:
         return tuple(v.reshape(shape) for v in compute(*coords))
-    cells = support.shape if flat else shape
-    # the kept values of each axis as a mask, None for every value
-    keeps = [None if n == 1 else support if flat
-             else support.any(axis=tuple(j for j in range(len(cells)) if j != k))
-             for k, n in enumerate(support.shape)]
-    live = 0 not in cells and (support.size != 1 or bool(support.flat[0]))
     for bad in nan:
-        k = next((k for k, n in enumerate(bad.shape) if n > 1), None)
-        if k is None:
-            live = False
-        else:
-            keeps[k] = ~bad.ravel() if keeps[k] is None else keeps[k] & ~bad.ravel()
-    idx = [None if keep is None else np.flatnonzero(keep) for keep in keeps]
+        support = support & ~bad
+    cells = support.shape if flat else shape
     out = np.zeros((n_out,) + cells)
-    if live and all(i is None or i.size for i in idx):
+    if 0 not in cells and support.any():
+        # the kept values of each axis, None for every value
+        idx = [None if n == 1 else np.flatnonzero(support if flat else support.any(
+                   axis=tuple(j for j in range(len(cells)) if j != k)))
+               for k, n in enumerate(support.shape)]
         runs = [i is None or i[-1] - i[0] == i.size - 1 for i in idx]
         cuts = [slice(None) if i is None else slice(i[0], i[-1] + 1) if run else i
                 for i, run in zip(idx, runs)]
@@ -114,6 +101,8 @@ def _on_support(support, n_out, compute, *coords):
             o[at] = v
     for bad in nan:
         out[:, np.broadcast_to(bad, cells)] = np.nan
+    if not shape:
+        return tuple(out.ravel().tolist())
     return tuple(out.reshape((n_out,) + shape))
 
 
@@ -162,10 +151,6 @@ class RadialProfile:
         if not 0.0 < self.support_inner < 1.0:
             raise ConfigError("support_inner must lie in (0, 1)")
 
-    def jet(self, r):
-        (r,), scalar = _node_arrays(r)
-        return _maybe_scalar(self.fn(r, 2), scalar)
-
 
 @dataclass(frozen=True)
 class AngularFunction:
@@ -189,10 +174,6 @@ class AngularFunction:
     def __post_init__(self):
         if not 0.0 < self.pole_margin < math.pi / 2:
             raise ConfigError("pole_margin must lie in (0, pi/2)")
-
-    def jet(self, theta, phi):
-        (theta, phi), scalar = _node_arrays(theta, phi)
-        return _maybe_scalar(self.fn(theta, phi, 2), scalar)
 
 
 def default_profile() -> RadialProfile:
@@ -284,7 +265,7 @@ class CounterexampleField:
         self.profile = profile
         self.angular = angular
         self.label = label if label is not None else f"{profile.label}+{angular.label}"
-        self.h_boundary, self.hp_boundary = profile.jet(1.0)[:2]
+        self.h_boundary, self.hp_boundary = (float(v[0]) for v in profile.fn(np.ones(1), 2)[:2])
 
     def support_mask(self, r, theta):
         """The nodes in the support: off the polar margins and past the
@@ -297,6 +278,7 @@ class CounterexampleField:
         node arrays, scattered back by _on_support; orders are those of the
         profile and the angular jet."""
         h_order, g_order = orders
+        r, theta, phi = _node_arrays(r, theta, phi)
 
         def compute(r, theta, phi):
             return assemble(self.profile.fn(r, h_order),
@@ -305,26 +287,19 @@ class CounterexampleField:
 
     def u_components(self, r, theta, phi):
         """(u_r, u_theta, u_phi); u_r is identically zero (NaN at NaN input)."""
-        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        ut, up = self._assemble(2, _u_parts, (0, 1), r, theta, phi)
-        return _maybe_scalar((u_radial(ut), ut, up), scalar)
+        def parts(h, w):
+            ut, up = _u_parts(h, w)
+            return u_radial(ut), ut, up
+        return self._assemble(3, parts, (0, 1), r, theta, phi)
 
     def omega_components(self, r, theta, phi):
-        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        return _maybe_scalar(
-            self._assemble(3, lambda h, w: w.assemble(h[0], h[1]), (1, 2), r, theta, phi), scalar)
-
-    def _u_and_omega(self, r, theta, phi):
-        """(u_theta, u_phi, omega_r, omega_theta, omega_phi) on the node
-        arrays in one pass: the u and omega that v_components crosses."""
-        return self._assemble(5, lambda h, w: (*_u_parts(h, w), *w.assemble(h[0], h[1])),
-                              (1, 2), r, theta, phi)
+        return self._assemble(3, lambda h, w: w.assemble(h[0], h[1]), (1, 2), r, theta, phi)
 
     def v_components(self, r, theta, phi):
         """u x curl(u), from the closed forms of both factors (one pass)."""
-        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        # on the scattered arrays, so that v_phi = -(0 * 0) is -0 off the support
-        return _maybe_scalar(kernels.cross_tangential(*self._u_and_omega(r, theta, phi)), scalar)
+        # crossed on the scattered u and omega, so that v_phi = -(0 * 0) is -0 off the support
+        return kernels.cross_tangential(*self._assemble(
+            5, lambda h, w: (*_u_parts(h, w), *w.assemble(h[0], h[1])), (1, 2), r, theta, phi))
 
     def u_raw_partials(self, r, theta, phi):
         """Components of u and their raw-coordinate first partials.
@@ -336,23 +311,20 @@ class CounterexampleField:
         closed forms and the Cartesian oracles); the tests build the jets
         divergence and curl from it, and perfbench/tracer.py wraps it.
         """
-        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
         keys = ("ut", "dut_dr", "dut_dtheta", "dut_dphi", "up", "dup_dr", "dup_dtheta", "dup_dphi")
-        parts = self._assemble(len(keys), _u_partials, (1, 2), r, theta, phi)
-        return {k: _maybe_scalar(v, scalar) for k, v in zip(keys, parts)}
+        return dict(zip(keys, self._assemble(len(keys), _u_partials, (1, 2), r, theta, phi)))
 
     def _on_sphere(self, n_out, parts, theta, phi):
         """parts(OmegaFactors, h(1), h'(1)), its n_out outputs, on the
         support nodes of the unit sphere, scattered back by _on_support: the
         one path of the sphere's closed forms."""
-        (theta, phi), scalar = _node_arrays(theta, phi)
+        theta, phi = _node_arrays(theta, phi)
         h, hp = self.h_boundary, self.hp_boundary
 
         def compute(theta, phi):
             w = OmegaFactors(np.ones_like(theta), theta, self.angular.fn(theta, phi, 2))
             return parts(w, h, hp)
-        return _maybe_scalar(
-            _on_support(self.support_mask(1.0, theta), n_out, compute, theta, phi), scalar)
+        return _on_support(self.support_mask(1.0, theta), n_out, compute, theta, phi)
 
     def boundary_state(self, theta, phi):
         """The SphereState on the unit sphere in one pass from h(1) and
@@ -402,8 +374,9 @@ def _u_partials(h_jet, w):
 
 def witness_points(lattice, state):
     """For g_phi_G and g_theta_G of the state (a SphereState or a BoundaryPass)
-    on the lattice's nodes, the node of each one's largest |value| (lowest
-    flat index on ties), or None if that is <= WITNESS_THRESHOLD."""
+    on the lattice's nodes, the node of each one's largest |value| (the
+    lowest flat index among equal bits), or None if that is <=
+    WITNESS_THRESHOLD."""
     flats = [np.abs(p).ravel() for p in (state.g_phi_G, state.g_theta_G)]
     peaks = [int(np.argmax(flat)) for flat in flats]
     return tuple(None if flat[i] <= WITNESS_THRESHOLD else lattice.point(i)

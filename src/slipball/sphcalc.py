@@ -39,15 +39,15 @@ class SphPoint:
     phi: float
 
     def __post_init__(self):
-        coords = _normalise(*_node_arrays(self.r, self.theta, self.phi)[0])
+        coords = _normalise(*np.atleast_1d(*_node_arrays(self.r, self.theta, self.phi)))
         for name, c in zip(("r", "theta", "phi"), coords):
             object.__setattr__(self, name, c.item())
 
 
 def _node_arrays(*coords):
-    """Coordinates as contiguous float64 arrays of one ndim, at least 1-D,
-    and whether all were scalars: each keeps its shape if each varies along
-    one axis of its own (a lattice's axes), else all broadcast (flat nodes)."""
+    """Coordinates as C-contiguous float64 arrays of one ndim (0-d for a
+    scalar point): each keeps its shape if each varies along one axis of its
+    own (a lattice's axes), else all broadcast (flat nodes)."""
     arrays = [np.asarray(c, dtype=np.float64) for c in coords]
     if any(a.shape != arrays[0].shape for a in arrays):
         ndim = max(a.ndim for a in arrays)
@@ -55,7 +55,7 @@ def _node_arrays(*coords):
         varying = [k for a in arrays for k, n in enumerate(a.shape) if n > 1]
         if not len(set(varying)) == len(varying) == sum(a.size > 1 for a in arrays):
             arrays = np.broadcast_arrays(*arrays)
-    return [np.ascontiguousarray(np.atleast_1d(a)) for a in arrays], arrays[0].ndim == 0
+    return [np.asarray(a, order="C") for a in arrays]
 
 
 def _normalise(r, theta, phi):

@@ -47,14 +47,13 @@ per phi value; sin(theta) once per row; and u in r-slabs of the axes,
 compared in place: the largest component of |u - u_FD| goes straight into
 the one lattice-sized difference through one slab-sized scratch array,
 and _grid_result squares into the buffer of |values|.  It transforms to
-Cartesian only the 50 nodes of its gate.  On the shipped grid the check
-went from 8.0 to 5.0 ms and its traced peak from 4.9 to 2.9 MB, and
-run_full_verification from 17.9 to 13.0 ms, with the one-call stencils
-and bumps of oracle and kernels (in-process minima, 2-core VM).
+Cartesian only the 50 nodes of its gate.
 
 Everything is deterministic: grids are midpoint lattices, random sample
 points come from a seeded generator echoed into the report, and sup/argmax
-reductions resolve ties by lowest flat index.
+reductions take the lowest flat index among equal bits.  Values equal only
+up to rounding (mirror images of one node) may order differently on
+another numpy build or SIMD path, which moves their last bits.
 """
 import json
 import math

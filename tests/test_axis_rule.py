@@ -83,7 +83,7 @@ def test_sphere_pass_on_axes_equals_the_flat_nodes(family, grid):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sweep_rows_equal_the_flat_gather(family, grid):
     # the flat gather the sweep used to make: the support nodes of the flat
-    # sphere, and each profile's h(1), h'(1) from its whole jet
+    # sphere, and each profile's h(1), h'(1) as a field built on it reads them
     field = FAMILIES[family]
     epsilons = [1e-1, 1e-2, 1e-3, 0.0, -0.05]
     _, theta, phi = SPHERES[grid].lattice().nodes()
@@ -93,7 +93,9 @@ def test_sweep_rows_equal_the_flat_gather(family, grid):
     peak = float(np.max(np.hypot(g[1], g[2] / np.sin(theta))))
     want = []
     for eps in epsilons:
-        h, hp = fam.perturbed_profile(eps, field.profile).jet(1.0)[:2]
+        perturbed = fam.CounterexampleField(fam.perturbed_profile(eps, field.profile),
+                                            field.angular)
+        h, hp = perturbed.h_boundary, perturbed.hp_boundary
         want.append((eps, abs(h + hp) * peak))
     if family in ("h1zero", "zero"):  # every row is 0
         assert all(res == 0.0 for _, res in want)
@@ -297,15 +299,15 @@ def test_one_axis_beside_scalars_equals_the_flat_nodes(family):
     ([(), (4, 3)], False),                  # one coordinate along two axes
     ([(3, 1), (1,)], True)])
 def test_node_arrays_keep_only_own_axes(shapes, kept):
-    arrays, scalar = _node_arrays(*(np.ones(s) for s in shapes))
+    arrays = _node_arrays(*(np.ones(s) for s in shapes))
     shape = np.broadcast_shapes(*shapes)
-    assert not scalar
     assert all(a.ndim == len(shape) and a.flags.c_contiguous for a in arrays)
     if kept:
         assert [a.shape for a in arrays] == [(1,) * (len(shape) - len(s)) + s for s in shapes]
     else:
         assert all(a.shape == shape for a in arrays)
-    assert _node_arrays(1.0, 2.0)[1] and [a.shape for a in _node_arrays(1.0, 2.0)[0]] == [(1,)] * 2
+    # a scalar point stays 0-d: _on_support returns its outputs as floats
+    assert [a.shape for a in _node_arrays(1.0, 2.0)] == [(), ()]
 
 
 def test_zero_angular_gives_the_broadcast_shape():

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from slipball import family as fam
 from slipball import kernels, verify
 from slipball.errors import DegenerateFit
-from slipball.sphcalc import _node_arrays
 
 PI = math.pi
-# u_and_omega: the one pass v_components crosses; big_G: G through the two
-# witness products of boundary_state, g_phi G and g_theta G
+# u_and_omega: the u and omega that v_components crosses, from its one pass;
+# big_G: G through the two witness products of boundary_state, g_phi G and
+# g_theta G
 RADIAL = ("u_components", "omega_components", "v_components", "u_and_omega",
           "u_raw_partials")
 POLAR = ("boundary_curl_theta", "boundary_curl_phi", "boundary_state", "big_G")
@@ -129,12 +129,28 @@ def _reference(field, name, r, theta, phi):
                -h * g_pp / s, h * g_t, hp * g_t, h * g_tt, h * g_tp)
 
 
+def crossed(field, r, theta, phi):
+    """The five arguments of the one cross_tangential call of
+    field.v_components: u_theta, u_phi and omega as it scattered them."""
+    seen, cross = [], kernels.cross_tangential
+
+    def spy(*args):
+        seen.append(args)
+        return cross(*args)
+    kernels.cross_tangential = spy
+    try:
+        field.v_components(r, theta, phi)
+    finally:
+        kernels.cross_tangential = cross
+    [args] = seen
+    return args
+
+
 def evaluate(field, name, r, theta, phi):
     if name == "big_G":
         out = field.boundary_state(theta, phi)[7:]
     elif name == "u_and_omega":
-        (r, theta, phi), scalar = _node_arrays(r, theta, phi)
-        out = fam._maybe_scalar(field._u_and_omega(r, theta, phi), scalar)
+        out = crossed(field, r, theta, phi)
     elif name in POLAR:
         out = getattr(field, name)(theta, phi)
     else:
@@ -392,6 +408,57 @@ class TestNaNCoordinates:
             assert_bit_identical(got, want(th, ph), ())
 
 
+SCALAR_EVALUATORS = ("u_components", "omega_components", "v_components", "u_raw_partials",
+                     "boundary_state", "boundary_curl_theta", "boundary_curl_phi")
+
+
+@st.composite
+def single_nodes(draw, field):
+    """(r, theta, phi) floats: in the support, off it, at a pole, at r = 1,
+    or with a NaN in one coordinate."""
+    kind = draw(st.sampled_from(["inside", "outside", "pole", "sphere", "nan"]))
+    (r,), (theta,) = (_outside if kind == "outside" else _inside)(draw, 1, field)
+    if kind == "pole":
+        theta = draw(st.sampled_from([0.0, PI]))
+    if kind == "sphere":
+        r = 1.0
+    coords = [r, theta, draw(st.floats(-10.0, 10.0))]
+    if kind == "nan":
+        coords[draw(st.integers(0, 2))] = math.nan
+    return coords
+
+
+def _outputs(out):
+    if isinstance(out, dict):
+        return tuple(out.values())
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("name", SCALAR_EVALUATORS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_scalar_point_is_a_one_element_array(name, data):
+    # Python floats with the bits of float(a[0]) from a call on [x] (every
+    # coordinate or some of them), signed zeros included, and NaN where it is
+    # NaN: IEEE 754 gives a NaN's sign no meaning, and v_components crosses a
+    # point's floats, whose product may keep either operand's NaN
+    field = FAMILIES[data.draw(st.sampled_from(sorted(FAMILIES)))]
+    coords = data.draw(single_nodes(field))
+    if name in POLAR:
+        coords = coords[1:]
+    wrap = data.draw(st.lists(st.booleans(), min_size=len(coords), max_size=len(coords))
+                     .filter(any))
+    evaluator = getattr(field, name)
+    got = _outputs(evaluator(*coords))
+    want = _outputs(evaluator(*([c] if w else c for c, w in zip(coords, wrap))))
+    assert len(got) == len(want) == {"boundary_state": 9, "u_raw_partials": 8}.get(
+        name, 1 if name in POLAR else 3)
+    for g, w in zip(got, want):
+        assert type(g) is float
+        assert w.shape == (1,)
+        assert (math.isnan(g) and np.isnan(w[0])) or np.float64(g).tobytes() == w.tobytes()
+
+
 def _edge_nodes(field, n=300, seed=11):
     """Random nodes plus the support edges and a NaN in each coordinate."""
     si, d = field.profile.support_inner, field.angular.pole_margin
@@ -485,9 +552,9 @@ class TestJetOrders:
         evaluate(spy, name, r, theta, phi)
         assert log == self.ASKED[name]
 
-    def test_admissibility_witnesses_sweep_and_public_jets(self):
+    def test_admissibility_witnesses_sweep_and_construction(self):
         spy, log = self.order_spy(FAMILIES["default"])
-        assert log and all(order == 2 for _, order in log)  # construction
+        assert log == [("radial", 2)]  # construction: h(1), h'(1) from one profile jet
         log.clear()
         fam.find_witnesses(spy, 16, 32)
         assert log == [("angular", 2)]
@@ -497,6 +564,3 @@ class TestJetOrders:
         # one angular jet at order 1 (no G), then h(1), h'(1) at order 1 for
         # the whole eps vector
         assert log == [("angular", 1), ("radial", 1)]
-        log.clear()
-        spy.profile.jet(0.7), spy.angular.jet(1.2, 0.3)
-        assert log == [("radial", 2), ("angular", 2)]

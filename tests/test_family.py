@@ -24,6 +24,11 @@ def scaled_profile(lam):
         f"scaled:{lam:g}")
 
 
+def jet_at(fn, *coords):
+    """The whole jet of a profile or angular fn at one node, as floats."""
+    return tuple(float(v[0]) for v in fn(*(np.array([c], dtype=float) for c in coords), 2))
+
+
 def chi_only_profile():
     """h = chi(r) alone: h(1) = 1 but h'(1) = 0, violating the slip identity."""
     def fn(r, order):  # the full jet at every order
@@ -35,22 +40,22 @@ def chi_only_profile():
 class TestDefaultProfile:
     def test_boundary_constants(self):
         p = fam.default_profile()
-        h, hp, _ = p.jet(1.0)
+        h, hp, _ = jet_at(p.fn, 1.0)
         assert h == 1.0 and hp == -1.0
         assert abs(h + hp) < 1e-14
 
     def test_cutoff_support(self):
         p = fam.default_profile()
-        assert p.jet(0.1) == (0.0, 0.0, 0.0)
+        assert jet_at(p.fn, 0.1) == (0.0, 0.0, 0.0)
 
     def test_first_derivative_consistency(self):
         # central differences of h converge to h' at second order
         p = fam.default_profile()
         r = np.linspace(0.3, 1.0, 29)
-        hp = p.jet(r)[1]
+        hp = p.fn(r, 1)[1]
 
         def err(step):
-            fd = (p.jet(r + step)[0] - p.jet(r - step)[0]) / (2 * step)
+            fd = (p.fn(r + step, 0)[0] - p.fn(r - step, 0)[0]) / (2 * step)
             return np.abs(fd - hp).max()
 
         e1, e2 = err(1e-3), err(5e-4)
@@ -61,23 +66,23 @@ class TestDefaultProfile:
 class TestDefaultAngular:
     def test_plateau(self):
         a = fam.default_angular()
-        g, *_ = a.jet(PI / 2, PI / 2)
+        g, *_ = jet_at(a.fn, PI / 2, PI / 2)
         assert g == 1.0
 
     def test_outside_support(self):
         a = fam.default_angular()
         for phi in (0.0, 1.0, 4.4):
-            assert a.jet(PI / 8, phi) == (0.0,) * 6
+            assert jet_at(a.fn, PI / 8, phi) == (0.0,) * 6
 
     def test_azimuthal_derivative(self):
         a = fam.default_angular()
-        assert a.jet(PI / 2, 0.0)[2] == 1.0
+        assert jet_at(a.fn, PI / 2, 0.0)[2] == 1.0
 
     @given(st.floats(min_value=0, max_value=PI), st.floats(min_value=0, max_value=2 * PI))
     @settings(max_examples=80, deadline=None)
     def test_periodicity(self, theta, phi):
         a = fam.default_angular()
-        assert abs(a.jet(theta, phi)[0] - a.jet(theta, phi + 2 * PI)[0]) < 1e-12
+        assert abs(jet_at(a.fn, theta, phi)[0] - jet_at(a.fn, theta, phi + 2 * PI)[0]) < 1e-12
 
 
 def big_g(angular, theta, phi):
@@ -105,7 +110,7 @@ class TestBigG:
         a = default_field.angular
         h = 1e-5
         for theta, phi in [(PI / 2, PI / 4), (1.0, 2.0), (2.0, 5.5), (1.3, 0.7)]:
-            g = lambda t, p: a.jet(t, p)[0]
+            g = lambda t, p: jet_at(a.fn, t, p)[0]
             g_t = (g(theta + h, phi) - g(theta - h, phi)) / (2 * h)
             g_tt = (g(theta + h, phi) - 2 * g(theta, phi) + g(theta - h, phi)) / h**2
             g_pp = (g(theta, phi + h) - 2 * g(theta, phi) + g(theta, phi - h)) / h**2
@@ -369,10 +374,10 @@ class TestWitnesses:
         # strict non-vanishing of both factors at each witness
         a = default_field.angular
         for w, factor_idx in ((w1, 2), (w2, 1)):
-            jet = a.jet(w.theta, w.phi)
+            jet = jet_at(a.fn, w.theta, w.phi)
             assert abs(jet[factor_idx]) > 0.0
             assert abs(big_g(a, w.theta, w.phi)) > 0.0
-        g_p = a.jet(w1.theta, w1.phi)[2]
+        g_p = jet_at(a.fn, w1.theta, w1.phi)[2]
         big = big_g(a, w1.theta, w1.phi)
         assert abs(g_p * big) >= 0.4
 

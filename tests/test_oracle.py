@@ -31,7 +31,7 @@ class TestFdPartial:
         assert d == pytest.approx(1.0, abs=1e-8)
 
     def test_one_sided_at_boundary(self, default_field):
-        h = lambda r, t, p: default_field.profile.jet(r)[0]
+        h = lambda r, t, p: default_field.profile.fn(r, 0)[0]
         d = oracle.fd_partial(h, 1.0, 1.0, 0.0, "r")[0]
         assert d == pytest.approx(-1.0, abs=1e-6)
 

@@ -3,11 +3,12 @@
 parent_on_support below is the earlier rule, written out: one keep mask per
 axis from `any` reductions of the support and of every coordinate's
 not-NaN mask over the other axes, with the NaN passes run whether or not a
-coordinate holds a NaN, and fancy-indexed cuts.  The lean rule projects the
-support once per axis along which it varies and narrows an axis only for a
-coordinate that holds a NaN.  Both must give the same outputs, bit for bit
-(signed zeros and NaN included), call compute as often (at most once, never
-on empty arrays) and hand it the same values in the same shapes.  The
+coordinate holds a NaN, and fancy-indexed cuts.  The lean rule takes the
+NaN nodes of a coordinate that holds a NaN off the support, then projects
+the support once per axis along which it varies.  Both must give the same
+outputs, bit for bit (signed zeros and NaN included), call compute as often
+(at most once, never on empty arrays) and hand it the same values in the
+same shapes.  The
 trace-only boundary_curl_theta and boundary_curl_phi are compared with the
 SphereState they used to read.
 """
@@ -137,7 +138,7 @@ def test_sphere_axes_with_a_theta_term(kind, sizes):
 def test_a_one_dimensional_lattice(kind):
     # r varies, theta and phi are one value each: _node_arrays keeps the shapes
     rng = np.random.default_rng(3)
-    (r, theta, phi), _ = _node_arrays(rng.uniform(0.1, 1.0, 12), 1.0, 2.0)
+    r, theta, phi = _node_arrays(rng.uniform(0.1, 1.0, 12), 1.0, 2.0)
     assert r.shape == (12,) and theta.shape == phi.shape == (1,)
     assert_same_cut(product_support(rng, kind, 12), r, theta, phi)
 
@@ -156,7 +157,8 @@ def test_nan_in_each_flat_coordinate(which, count):
 @pytest.mark.parametrize("count", ["one", "some", "every"])
 @pytest.mark.parametrize("sizes", [(5, 7, 9), (1, 7, 9), (5, 1, 9), (5, 7, 1)])
 def test_nan_in_each_lattice_axis(which, count, sizes):
-    # a NaN narrows its own axis; on a one-value axis it empties every axis
+    # a NaN takes its own axis value off the support; on a one-value axis,
+    # every node
     rng = np.random.default_rng(which * 7 + sizes[1])
     coords = list(axes(rng, *sizes))
     c = coords[which].reshape(-1)

@@ -16,7 +16,14 @@ g, not only for the shipped ones:
   [curl v]_theta = -(2 / sin^2) h(1) h'(1) g_phi G and
   [curl v]_phi = (2 / sin) h(1) h'(1) g_theta G;
 * the perturbed profile h (1 + eps (r - 3/4)^2) moves h(1) + h'(1) to
-  (eps / 2) h(1).
+  (eps / 2) h(1);
+* the Euler step, for generic Cartesian u(x, y, z, t) and p: Euler's
+  u_t = -(u . grad) u - grad p gives omega_t = curl(u x omega), which is
+  (omega . grad) u - (u . grad) omega once div u = 0, so the closed-form
+  trace of curl(u x omega) is the initial rate of change of omega x n;
+* the flat control: on the plane z = 0, u_z = 0 and omega_x = omega_y = 0
+  make both tangential components of curl(u x omega) vanish, with no
+  div u = 0, so the nonzero trace on the sphere is a curvature effect.
 
 The numpy assembly kernels are then checked against the lambdified
 symbolic expressions at random nodes.  sympy is a test dependency only;
@@ -130,6 +137,50 @@ def test_perturbed_slip_residual_is_half_eps_h1():
     h_eps = h * (1 + eps * (r - sp.Rational(3, 4)) ** 2)
     residual = on_slip_sphere(h_eps + sp.diff(h_eps, r))
     assert sp.simplify(residual - eps / 2 * H0) == 0
+
+
+# -- the Euler step and the flat control, in Cartesian coordinates -------------
+
+XYZ = sp.symbols("x y z", real=True)
+T = sp.Symbol("t", real=True)
+
+
+def cartesian_curl(v):
+    x, y, z = XYZ
+    return (sp.diff(v[2], y) - sp.diff(v[1], z), sp.diff(v[0], z) - sp.diff(v[2], x),
+            sp.diff(v[1], x) - sp.diff(v[0], y))
+
+
+def advect(a, v):
+    """(a . grad) v."""
+    return tuple(sum(a_j * sp.diff(v_i, x_j) for a_j, x_j in zip(a, XYZ)) for v_i in v)
+
+
+def test_euler_step_is_the_curl_of_u_cross_omega():
+    u = tuple(sp.Function(f"u_{c}")(*XYZ, T) for c in "xyz")
+    p = sp.Function("p")(*XYZ, T)
+    omega = cartesian_curl(u)
+    u_t = tuple(-a - sp.diff(p, x) for a, x in zip(advect(u, u), XYZ))
+    rate = cartesian_curl(u_t)  # omega_t
+    curl_v = cartesian_curl(cross(u, omega))
+    assert [sp.expand(a - b) for a, b in zip(rate, curl_v)] == [0, 0, 0]
+    # the vorticity equation of a divergence-free u: d_z u_z = -(d_x u_x + d_y u_y)
+    x, y, z = XYZ
+    div_free = {sp.Derivative(u[2], z): -sp.diff(u[0], x) - sp.diff(u[1], y)}
+    stretch = tuple(a - b for a, b in zip(advect(omega, u), advect(u, omega)))
+    assert [sp.expand((a - b).subs(div_free).doit()) for a, b in zip(curl_v, stretch)] == [0, 0, 0]
+
+
+def test_flat_control_has_no_tangential_curl_of_u_cross_omega():
+    # the general smooth u with u_z = 0 and omega_x = omega_y = 0 on z = 0:
+    # u_z = z a, and d_z u_x = d_z u_y = 0 there (omega_y = d_z u_x - d_x u_z)
+    x, y, z = XYZ
+    a, b, c = (sp.Function(n)(*XYZ) for n in "abc")
+    u = (sp.Function("b0")(x, y) + z**2 * b, sp.Function("c0")(x, y) + z**2 * c, z * a)
+    omega = cartesian_curl(u)
+    assert [sp.simplify(w.subs(z, 0)) for w in omega[:2]] == [0, 0]
+    curl_v = cartesian_curl(cross(u, omega))
+    assert [sp.simplify(t.subs(z, 0).doit()) for t in curl_v[:2]] == [0, 0]
 
 
 # -- the numpy kernels against the symbolic expressions ------------------------
