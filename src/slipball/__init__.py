@@ -8,7 +8,8 @@ from .family import (AdmissibilityReport, AngularFunction, CounterexampleField,
                      default_field, default_profile, family_by_label,
                      find_witnesses, h1zero_profile, perturbed_profile)
 from .oracle import (FDConfig, cartesian_curl_grid, cartesian_divergence_grid,
-                     fd_boundary_radial_derivative, fd_curl_spherical, fd_partial)
+                     cartesian_jacobian_grid, fd_boundary_radial_derivative,
+                     fd_curl_spherical, fd_partial)
 from .sphcalc import SphPoint
 from .verify import (CheckResult, GridSpec, VerificationReport,
                      check_divergence_free, check_navier_traction,

@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the full certification")
     add_common(pv)
     _add_flags(pv, "--report", help="write the JSON report here")
-    _add_flags(pv, "--no-timestamp", help="omit the timestamp for byte-reproducible reports")
+    _add_flags(pv, "--no-timestamp", help="omit the timestamp for byte-reproducible reports "
+               "on one numpy build and SIMD path (see README)")
     _add_flags(pv, *_FLAGS["grid"], *_FLAGS["boundary_grid"], "--oracle-step")
     _add_flags(pv, "--richardson", help="Richardson-extrapolate every FD oracle: twice the field "
                "evaluations, worth it only with --oracle-step of about 1e-5 or above")

@@ -39,12 +39,16 @@ share one axis.
 _stencil holds the spherical stencil once (its domain rule, shifted node
 sets and difference weights), and fd_partial, fd_curl_spherical and
 fd_boundary_radial_derivative read it; cartesian_jacobian_grid is the one
-Cartesian stencil, and the divergence and the curl read its Jacobian.
-Every oracle takes an array evaluator fn(r, theta, phi) and node arrays
-and returns arrays.  In verify, fd_partial differences g along the
-interior lattice's theta and phi axes for the divergence check, which
-compares u with x x grad(h g); the Cartesian divergence gates that check
-at 50 seeded nodes, and the Cartesian curl is the oracle-agreement check.
+Cartesian stencil and the one oracle that enforces its domain rule
+(cartesian_stencil_fits only tells which nodes pass it), and
+cartesian_divergence_grid and cartesian_curl_grid read a Jacobian it
+returned, evaluating nothing.  Every oracle that differentiates takes an
+array evaluator fn(r, theta, phi) and node arrays and returns arrays.  In
+verify, fd_partial differences g along the interior lattice's theta and
+phi axes for the divergence check, which compares u with x x grad(h g);
+the oracle-agreement check takes one Jacobian of u at its 50 seeded nodes
+and gates both its curl, against the closed-form omega, and its trace, the
+independent Cartesian divergence.
 
 Central differences are second order; the default is one difference at
 step 1e-6, where truncation and rounding balance (tests/test_fd_error.py
@@ -273,17 +277,14 @@ def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConf
     return jac.reshape((3, 3) + shape)
 
 
-def cartesian_divergence_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
-    """The trace dxx + dyy + dzz of cartesian_jacobian_grid, in one array."""
-    jac = cartesian_jacobian_grid(components_fn, r, theta, phi, cfg)
+def cartesian_divergence_grid(jac):
+    """The trace dxx + dyy + dzz of a cartesian_jacobian_grid Jacobian."""
     return jac[0, 0] + jac[1, 1] + jac[2, 2]
 
 
-def cartesian_curl_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
-    """Curl in the local spherical basis via the fully Cartesian path."""
-    r, theta, phi = _nodes(r, theta, phi)
-    jac = cartesian_jacobian_grid(components_fn, r, theta, phi, cfg)
-    cx = jac[2][1] - jac[1][2]
-    cy = jac[0][2] - jac[2][0]
-    cz = jac[1][0] - jac[0][1]
-    return kernels.vec_cart_to_sph(theta, phi, cx, cy, cz)
+def cartesian_curl_grid(jac, theta, phi):
+    """The curl of a cartesian_jacobian_grid Jacobian, its antisymmetric
+    part, in the local spherical basis at the Jacobian's nodes (theta and
+    phi as _nodes normalises them)."""
+    return kernels.vec_cart_to_sph(theta, phi, jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0],
+                                   jac[1, 0] - jac[0, 1])

@@ -6,12 +6,13 @@ direction, and the witness node of the sup.  Each quantity a check reads
 has one evaluation path: the closed forms of the field, or an oracle.
 Tolerances: TOL_EXACT_TRACE 1e-12 (exact boundary traces),
 TOL_POTENTIAL_REL 1e-7 (u against x x grad(h g), relative to the largest
-|u|), TOL_FD 1e-6 (the Cartesian FD divergence that gates it),
-TOL_ORACLE_AGREEMENT 1e-4 (the closed-form omega against an FD curl of u,
-inside the ball and at the slip spots), TRACE_GATE_REL_TOL 1e-5 (each
-closed-form trace of curl(u x w) against the radial-derivative oracle, at
-its gate nodes and its witness), and NONVANISH_THRESHOLD 1e-1, which
-non-vanishing sups must exceed.  The default oracle (one central
+|u|), TOL_ORACLE_AGREEMENT 1e-4 (the closed-form omega against an FD
+curl of u, inside the ball and at the slip spots), TOL_FD 1e-6 (the trace
+of the Cartesian FD Jacobian whose curl the agreement check reads, the
+independent gate of div u = 0), TRACE_GATE_REL_TOL 1e-5 (each closed-form
+trace of curl(u x w) against the radial-derivative oracle, at its gate
+nodes and its witness), and NONVANISH_THRESHOLD 1e-1, which non-vanishing
+sups must exceed.  The default oracle (one central
 difference at step 1e-6) reads 1.5e-10 for the divergence check of the
 default, h1zero and perturbed:1e-3 families (680x under
 TOL_POTENTIAL_REL), 6.3e-9 for the default family's Cartesian divergence
@@ -20,7 +21,7 @@ at the seed's 50 nodes (160x under TOL_FD), 2e-7 for its agreement and
 divergence tolerances and needs Richardson (tests/test_fd_error.py).
 Sample sizes: ORACLE_SPOTS 5 FD-curl spots (slip), GATE_POINTS 50 gate nodes
 per trace (persistency), AGREEMENT_POINTS 50 random nodes (oracle
-agreement, and the Cartesian gate of the divergence check), and
+agreement: one Cartesian Jacobian per run, its curl and its trace), and
 RADIUS_LEVELS 7 levels of RADIUS_SPLIT 64 rings of RADIUS_DIRECTIONS 16
 points (neighborhood_radius, the ungated half-floor ball of the theta
 trace): one call of the theta trace alone per level, the first with the
@@ -46,8 +47,8 @@ the other axis, so the bump runs once per theta value and sin(phi) once
 per phi value; sin(theta) once per row; and u in r-slabs of the axes,
 compared in place: the largest component of |u - u_FD| goes straight into
 the one lattice-sized difference through one slab-sized scratch array,
-and _grid_result squares into the buffer of |values|.  It transforms to
-Cartesian only the 50 nodes of its gate.
+and _grid_result squares into the buffer of |values|.  It transforms
+nothing to Cartesian: only the agreement check's 50 nodes are.
 
 Everything is deterministic: grids are midpoint lattices, random sample
 points come from a seeded generator echoed into the report, and sup/argmax
@@ -209,8 +210,7 @@ def _grid_result(name, direction, values, lattice, tolerance):
 
 
 def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
-                          cfg: oracle.FDConfig = oracle.FDConfig(),
-                          seed: int = DEFAULT_SEED) -> CheckResult:
+                          cfg: oracle.FDConfig = oracle.FDConfig()) -> CheckResult:
     """div u = 0 through the toroidal potential psi = h(r) g(theta, phi).
 
     u = x x grad(psi) has divergence grad(psi) . curl(x) - x . curl(grad psi)
@@ -223,12 +223,9 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
     axis.  norm_sup is the largest component of |u - u_FD| over the
     largest component of |u| (absolute when u vanishes on the lattice),
     below TOL_POTENTIAL_REL; u is evaluated and compared in r-slabs of
-    about SLAB_NODES nodes.  One independent gate rides along: the
-    Cartesian FD divergence at the AGREEMENT_POINTS nodes of the seed (as
-    _seed reads it), which reuses no spherical formula, must stay within
-    TOL_FD.  No Cartesian stencil touches the lattice, so the shipped grid
-    runs at every step FDConfig accepts."""
-    seed = _seed(seed)
+    about SLAB_NODES nodes.  The independent Cartesian FD divergence is
+    gated by check_oracle_agreement; no Cartesian stencil touches the
+    lattice, so the shipped grid runs at every step FDConfig accepts."""
     lattice = grid.lattice(boundary_only=False)
     r, theta, phi = lattice.axes
 
@@ -260,16 +257,8 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
     if scale > 0.0:
         diff /= scale  # in place: no second lattice-sized array
     res = _grid_result("divergence_free", "below", diff, lattice, TOL_POTENTIAL_REL)
-    div = oracle.cartesian_divergence_grid(field.u_components, *_agreement_nodes(seed, cfg.step),
-                                           cfg)
-    cartesian = float(np.max(np.abs(div)))
-    res.passed = res.passed and cartesian <= TOL_FD
     res.details = {"compared": "u against x cross grad(h g), on the lattice axes",
-                   "u_sup": scale,
-                   "cartesian_divergence_sup": cartesian,
-                   "cartesian_points": AGREEMENT_POINTS,
-                   "cartesian_tolerance": TOL_FD,
-                   "seed": seed}
+                   "u_sup": scale}
     return res
 
 
@@ -447,20 +436,27 @@ def check_oracle_agreement(field: fam.CounterexampleField,
                            cfg: oracle.FDConfig = oracle.FDConfig(),
                            seed: int = DEFAULT_SEED) -> CheckResult:
     """The closed-form omega against the Cartesian FD curl of u at
-    AGREEMENT_POINTS random interior points: the gate of the omega that the
-    slip check and the boundary traces read; seed as _seed reads it."""
+    AGREEMENT_POINTS random interior points, seed as _seed reads it: the
+    gate of the omega that the slip check and the boundary traces read.
+    The trace of the same Jacobian, the Cartesian FD divergence of u, which
+    reuses no spherical formula, must stay within TOL_FD as well
+    (details.cartesian_divergence_sup): the independent gate of the
+    potential identity that check_divergence_free compares."""
     seed = _seed(seed)
     r, th, ph = _agreement_nodes(seed, cfg.step)
     wr, wt, wp = field.omega_components(r, th, ph)
-    fr, ft, fp = oracle.cartesian_curl_grid(field.u_components, r, th, ph, cfg)
+    jac = oracle.cartesian_jacobian_grid(field.u_components, r, th, ph, cfg)
+    fr, ft, fp = oracle.cartesian_curl_grid(jac, th, ph)
     diff = np.max(np.vstack([np.abs(wr - fr), np.abs(wt - ft), np.abs(wp - fp)]), axis=0)
     i = int(np.argmax(diff))
     sup = float(diff[i])
     rms = float(np.sqrt(np.mean(diff**2)))
+    div = float(np.max(np.abs(oracle.cartesian_divergence_grid(jac))))
     return CheckResult(
         "oracle_agreement_curl", sup, rms, TOL_ORACLE_AGREEMENT, "below",
-        sup <= TOL_ORACLE_AGREEMENT, SphPoint(r[i], th[i], ph[i]),
-        {"n_points": AGREEMENT_POINTS, "seed": seed, "l2_is_rms_over_samples": True})
+        sup <= TOL_ORACLE_AGREEMENT and div <= TOL_FD, SphPoint(r[i], th[i], ph[i]),
+        {"n_points": AGREEMENT_POINTS, "seed": seed, "l2_is_rms_over_samples": True,
+         "cartesian_divergence_sup": div, "cartesian_tolerance": TOL_FD})
 
 
 @dataclass
@@ -588,7 +584,7 @@ def run_full_verification(field: fam.CounterexampleField,
     """
     seed = _seed(seed)  # a bad seed stops the run before any check evaluates the field
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        checks = [check_divergence_free(field, interior_grid, cfg, seed)]
+        checks = [check_divergence_free(field, interior_grid, cfg)]
         sphere = boundary_pass(field, boundary_grid)
         adm = fam.check_admissibility(field, fam.witness_points(sphere.lattice, sphere))
         checks.extend(check_slip_conditions(field, sphere, cfg))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from slipball import cli, oracle, verify
-from tests_support import jets_divergence
+from tests_support import cartesian_curl, jets_divergence
 
 PI = math.pi
 
@@ -97,7 +97,7 @@ def test_criterion_6_oracle_equivalence(default_field, rng):
                 -wx * sp + wy * cp)
 
     def worst_curl(field, nodes):
-        curl = oracle.cartesian_curl_grid(field, *nodes)
+        curl = cartesian_curl(field, *nodes)
         return float(np.max(np.sqrt(sum(c**2 for c in curl))))
 
     draws = [(rng.uniform(0.2, 0.9), rng.uniform(0.3, PI - 0.3), rng.uniform(0, 2 * PI))

@@ -212,7 +212,8 @@ class TestVerifyCommand:
         # the divergence check used to run the Cartesian oracle on the
         # lattice, which rejected the shipped grid's innermost nodes (5.2e-3
         # from the polar axis); its differences now run along the theta and
-        # phi axes, and its Cartesian gate on seeded nodes that fit
+        # phi axes, and the one Cartesian Jacobian, the agreement check's,
+        # on seeded nodes that fit
         report = tmp_path / "out.json"
         code, out, err = run_cli(capsys, ["verify", "--oracle-step", step,
                                           "--report", str(report)])

@@ -27,7 +27,7 @@ BAD_INPUT = {
                      "got boundary_only=False"),
     "non-finite result": (lambda: verify.run_full_verification(
         family.family_by_label("perturbed:8.98e307"), *COARSE),
-        "check divergence_free gives a non-finite details.cartesian_divergence_sup (nan)"),
+        "check slip_omega_cross_n gives a non-finite norm_sup (inf)"),
 }
 
 

@@ -23,28 +23,30 @@ values are rounding noise and move with the platform's libm.
 
 The Cartesian divergence is that of the oracle at every node of the
 shipped lattice, passed as its axes, the reference this curve is measured
-on; the divergence check runs the same oracle as its gate, at
-AGREEMENT_POINTS seeded nodes.
+on; the agreement check gates the trace of the same oracle's Jacobian at
+its AGREEMENT_POINTS seeded nodes.
 
 (b) The detection floor.  The test adds a known divergence
 delta * b(r) e_r to u, with b a smooth bump supported in (0.3, 0.9).
 div(b e_r) = b' + 2 b / r in closed form, so delta sets the true sup of
-|div| on the grid.  The default oracle must read more than TOL_FD at twice
-TOL_FD and less at half TOL_FD, so halving the oracle's work still leaves
-it able to tell the two apart at TOL_FD.
+|div| at the agreement check's nodes.  The default oracle must read more
+than TOL_FD at twice TOL_FD and less at half TOL_FD, so halving the
+oracle's work still leaves it able to tell the two apart at TOL_FD.
 
 (c) The divergence check itself.  Its sup, |u - u_FD| over the largest
 |u|, reads 1.48e-10 for default, h1zero and perturbed:1e-3 on the shipped
-grid, about 680x under TOL_POTENTIAL_REL, and its Cartesian gate 6.3e-9 at
-the seed's 50 nodes, 160x under TOL_FD.  The same radial field, scaled to
-twice and to half TOL_POTENTIAL_REL relative to the largest |u|, must
-read above and below it, since the check compares u_r with 0.
+grid, about 680x under TOL_POTENTIAL_REL, and the Cartesian gate of the
+agreement check 6.3e-9 at the seed's 50 nodes, 160x under TOL_FD.  The
+same radial field, scaled to twice and to half TOL_POTENTIAL_REL relative
+to the largest |u|, must read above and below it, since the check compares
+u_r with 0; at half, the Cartesian gate still fails the run.
 """
 import numpy as np
 import pytest
 
 from slipball import family as fam
 from slipball import oracle, verify
+from tests_support import cartesian_curl, cartesian_divergence
 
 DEFAULT = fam.family_by_label("default")
 SHIPPED = verify.GridSpec()
@@ -62,14 +64,14 @@ def worst_agreement(cfg):
     nodes = [np.concatenate(c)
              for c in zip(*(verify._agreement_nodes(seed, cfg.step) for seed in SEEDS))]
     closed = DEFAULT.omega_components(*nodes)
-    fd = oracle.cartesian_curl_grid(DEFAULT.u_components, *nodes, cfg)
+    fd = cartesian_curl(DEFAULT.u_components, *nodes, cfg)
     return max(float(np.max(np.abs(a - b))) for a, b in zip(closed, fd))
 
 
 def lattice_divergence_sup(field, cfg, grid=SHIPPED):
     """sup |div u| of the Cartesian oracle on the grid's lattice axes."""
     return float(np.max(np.abs(
-        oracle.cartesian_divergence_grid(field.u_components, *grid.lattice().axes, cfg))))
+        cartesian_divergence(field.u_components, *grid.lattice().axes, cfg))))
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +125,14 @@ class WithRadialSource(fam.CounterexampleField):
 
 @pytest.mark.parametrize("ratio, passes", [(2.0, False), (0.5, True)])
 def test_divergence_of_size_tol_fd_is_detected(ratio, passes):
-    r = SHIPPED.lattice().axes[0].ravel()
+    r = verify._agreement_nodes(verify.DEFAULT_SEED, oracle.FDConfig().step)[0]
     b, db = bump(r)
-    # sup |div| of delta * b e_r on the grid, in closed form
+    # sup |div| of delta * b e_r at the agreement nodes, in closed form
     delta = ratio * verify.TOL_FD / np.max(np.abs(db + 2.0 * b / r))
-    sup = lattice_divergence_sup(WithRadialSource(delta), oracle.FDConfig())
+    res = verify.check_oracle_agreement(WithRadialSource(delta))
+    sup = res.details["cartesian_divergence_sup"]
     assert (sup <= verify.TOL_FD) is passes
+    assert res.passed is passes
     assert sup == pytest.approx(ratio * verify.TOL_FD, abs=0.05 * verify.TOL_FD)
 
 
@@ -136,11 +140,13 @@ def test_divergence_of_size_tol_fd_is_detected(ratio, passes):
 @pytest.mark.parametrize("grid", [SHIPPED, verify.GridSpec(n_r=8, n_theta=8, n_phi=8)],
                          ids=["shipped", "coarse"])
 def test_divergence_check_reads_its_floor(label, grid):
-    res = verify.check_divergence_free(fam.family_by_label(label), grid)
+    field = fam.family_by_label(label)
+    res = verify.check_divergence_free(field, grid)
     assert res.passed
     assert res.norm_sup == pytest.approx(1.45e-10, rel=0.25)
     assert res.norm_sup <= verify.TOL_POTENTIAL_REL / 500.0
-    assert res.details["cartesian_divergence_sup"] <= verify.TOL_FD / 100.0
+    cartesian = verify.check_oracle_agreement(field).details["cartesian_divergence_sup"]
+    assert cartesian <= verify.TOL_FD / 100.0
 
 
 @pytest.mark.parametrize("ratio, passes", [(2.0, False), (0.5, True)])
@@ -153,6 +159,11 @@ def test_radial_field_of_size_tol_potential_is_detected(ratio, passes):
     res = verify.check_divergence_free(WithRadialSource(delta), SHIPPED)
     assert res.details["u_sup"] == u_sup
     assert res.norm_sup == pytest.approx(ratio * verify.TOL_POTENTIAL_REL, rel=1e-6)
-    assert (res.norm_sup <= res.tolerance) is passes
-    # the Cartesian gate reads this steep source on its own, above TOL_FD
-    assert not res.passed
+    assert res.passed is passes
+    # the Cartesian gate of the agreement check reads this steep source on
+    # its own, above TOL_FD, while the curl of f(r) e_r adds nothing
+    agreement = verify.check_oracle_agreement(WithRadialSource(delta))
+    assert agreement.details["cartesian_divergence_sup"] > verify.TOL_FD
+    assert agreement.norm_sup <= verify.TOL_ORACLE_AGREEMENT
+    assert not agreement.passed
+    assert not verify.run_full_verification(WithRadialSource(delta), SHIPPED).overall_pass

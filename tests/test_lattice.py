@@ -3,7 +3,7 @@
 sphcalc.midpoint_lattice builds every grid: the interior lattice of the
 ball, and the sphere as its r = 1 layer.  Its axes are shaped (n_r, 1, 1),
 (1, n_theta, 1) and (1, 1, n_phi), so every per-axis input (the transform
-to Cartesian in oracle.cartesian_divergence_grid, sin(theta) in the
+to Cartesian in oracle.cartesian_jacobian_grid, sin(theta) in the
 weights, and in check_divergence_free h on the r axis and g on the
 theta x phi plane) is computed once per axis value.  The
 references below are the flat meshes written out node by node, as they
@@ -19,6 +19,7 @@ from slipball import family as fam
 from slipball import kernels, oracle, sphcalc, verify
 from slipball.errors import ConfigError
 from slipball.sphcalc import SphPoint
+from tests_support import cartesian_curl, cartesian_divergence
 
 FAMILIES = {name: (fam.CounterexampleField(fam.default_profile(), fam.cosine_angular())
                    if name == "cosine_angular" else fam.family_by_label(name))
@@ -72,8 +73,8 @@ def flat(lattice):
 def test_divergence_on_axes_equals_the_flat_mesh(family_name, grid_name):
     field, grid = FAMILIES[family_name], GRIDS[grid_name]
     r, th, ph, _ = flat_mesh(grid)
-    want = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, CFG)
-    got = oracle.cartesian_divergence_grid(field.u_components, *grid.lattice().axes, CFG)
+    want = cartesian_divergence(field.u_components, r, th, ph, CFG)
+    got = cartesian_divergence(field.u_components, *grid.lattice().axes, CFG)
     assert got.shape == (grid.n_r, grid.n_theta, grid.n_phi)
     assert same_bits(got.ravel(), want)
     assert np.any(want != 0.0)
@@ -89,8 +90,8 @@ def test_jacobian_and_curl_on_axes_equal_the_flat_mesh(family_name, grid_name):
     got = oracle.cartesian_jacobian_grid(field.u_components, *axes, CFG)
     assert got.shape == (3, 3) + shape
     assert same_bits(got.reshape(3, 3, -1), want)
-    want = oracle.cartesian_curl_grid(field.u_components, r, th, ph, CFG)
-    got = oracle.cartesian_curl_grid(field.u_components, *axes, CFG)
+    want = cartesian_curl(field.u_components, r, th, ph, CFG)
+    got = cartesian_curl(field.u_components, *axes, CFG)
     for a, b in zip(got, want):
         assert a.shape == shape
         assert same_bits(a.ravel(), b)

@@ -340,17 +340,19 @@ def test_grid_result_has_the_bits_of_three_temporaries(lattice, special):
     assert values.tobytes() == before.tobytes()  # the input is not written
 
 
-SHIPPED_COUNTS = {"u_components": 14, "v_components": 1, "default_angular_jet": 25}
+SHIPPED_COUNTS = {"u_components": 13, "v_components": 1, "default_angular_jet": 24,
+                  "cartesian_jacobian_grid": 1}
 
 
 @pytest.mark.parametrize("args", [[], ["--richardson", "--oracle-step", "1e-4"]])
 def test_shipped_verify_call_counts(monkeypatch, args):
-    # per op, u: the divergence check's 11 r-slabs and its Cartesian gate,
-    # the slip spots' curl and the agreement check's curl, one call each;
-    # v: one call for both trace gates; angular jets: those 14 u calls but
-    # the 2 slabs off the support, v, the two g axes of the divergence
-    # check, the boundary pass, the one admissibility probe, the agreement
-    # check's omega and the 7 radius calls, one per level of its ring scan
+    # per op, u: the divergence check's 11 r-slabs, the slip spots' curl
+    # and the agreement check's one Jacobian, whose curl and trace it
+    # reads, one call each; v: one call for both trace gates; angular jets:
+    # those 13 u calls but the 2 slabs off the support, v, the two g axes
+    # of the divergence check, the boundary pass, the one admissibility
+    # probe, the agreement check's omega and the 7 radius calls, one per
+    # level of its ring scan
     counts = dict.fromkeys(SHIPPED_COUNTS, 0)
 
     def spy(owner, name):
@@ -364,6 +366,7 @@ def test_shipped_verify_call_counts(monkeypatch, args):
     spy(fam.CounterexampleField, "u_components")
     spy(fam.CounterexampleField, "v_components")
     spy(kernels, "default_angular_jet")
+    spy(oracle, "cartesian_jacobian_grid")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--no-timestamp"] + args) == 0
     assert counts == SHIPPED_COUNTS

@@ -7,7 +7,7 @@ import pytest
 from slipball import oracle
 from slipball.errors import StencilOutOfDomain
 from slipball.oracle import FDConfig
-from tests_support import random_admissible_nodes
+from tests_support import cartesian_curl, cartesian_divergence, random_admissible_nodes
 
 PI = math.pi
 
@@ -151,36 +151,36 @@ def constant_cartesian_field(w):
 class TestCartesianCurl:
     def test_rigid_rotation(self):
         r, theta, phi = 0.5, 1.0, 0.5
-        cr, ct, cp = oracle.cartesian_curl_grid(rigid_rotation, r, theta, phi)
+        cr, ct, cp = cartesian_curl(rigid_rotation, r, theta, phi)
         assert cr[0] == pytest.approx(2 * math.cos(theta), abs=1e-5)
         assert ct[0] == pytest.approx(-2 * math.sin(theta), abs=1e-5)
         assert cp[0] == pytest.approx(0.0, abs=1e-5)
 
     def test_default_family_matches_closed_form(self, default_field, rng):
         nodes = random_admissible_nodes(rng, 50, r_hi=0.9, th_margin=0.15)
-        c = oracle.cartesian_curl_grid(default_field.u_components, *nodes)
+        c = cartesian_curl(default_field.u_components, *nodes)
         w = default_field.omega_components(*nodes)
         for k in range(3):
             assert np.all(np.abs(c[k] - w[k]) < 1e-4)
 
     def test_constant_field(self):
         field = constant_cartesian_field(np.array([0.3, -1.2, 0.7]))
-        c = oracle.cartesian_curl_grid(field, 0.5, 1.2, 4.0)
+        c = cartesian_curl(field, 0.5, 1.2, 4.0)
         assert norm(c)[0] < 1e-8
 
     def test_two_curl_paths_agree(self, default_field, rng):
         nodes = random_admissible_nodes(rng, 50, r_hi=0.9, th_margin=0.15)
         a = oracle.fd_curl_spherical(default_field.u_components, *nodes)
-        b = oracle.cartesian_curl_grid(default_field.u_components, *nodes)
+        b = cartesian_curl(default_field.u_components, *nodes)
         for k in range(3):
             assert np.all(np.abs(a[k] - b[k]) < 1e-4)
 
     def test_stencil_guards(self):
         cfg = FDConfig(1e-4, True)  # the step these nodes are too close for
         with pytest.raises(StencilOutOfDomain):
-            oracle.cartesian_curl_grid(rigid_rotation, 0.99999, 1.0, 0.0, cfg)
+            cartesian_curl(rigid_rotation, 0.99999, 1.0, 0.0, cfg)
         with pytest.raises(StencilOutOfDomain):
-            oracle.cartesian_curl_grid(rigid_rotation, 0.5, 1e-4, 0.0, cfg)
+            cartesian_curl(rigid_rotation, 0.5, 1e-4, 0.0, cfg)
 
 
 class TestCartesianDivergence:
@@ -189,12 +189,12 @@ class TestCartesianDivergence:
             z = np.zeros_like(r)
             return r, z, z
 
-        d = oracle.cartesian_divergence_grid(field, 0.4, 1.0, 2.0)
+        d = cartesian_divergence(field, 0.4, 1.0, 2.0)
         assert d[0] == pytest.approx(3.0, abs=1e-7)
 
     def test_default_family(self, default_field, rng):
         nodes = random_admissible_nodes(rng, 20, r_hi=0.9, th_margin=0.15)
-        d = oracle.cartesian_divergence_grid(default_field.u_components, *nodes)
+        d = cartesian_divergence(default_field.u_components, *nodes)
         assert np.all(np.abs(d) < 1e-6)
 
 
@@ -207,12 +207,12 @@ class TestRelativeAgreement:
         ph = np.linspace(0.0, 2 * PI, 7, endpoint=False)
         nodes = [a.ravel() for a in np.meshgrid(r, th, ph, indexing="ij")]
         w = default_field.omega_components(*nodes)
-        c = oracle.cartesian_curl_grid(default_field.u_components, *nodes)
+        c = cartesian_curl(default_field.u_components, *nodes)
         for a, b in zip(w, c):
             big = np.abs(a) >= 1e-3
             assert np.all(np.abs(a - b)[big] / np.abs(a)[big] <= 1e-5)
             assert np.all(np.abs(a - b)[~big] <= 1e-6)
-        d = oracle.cartesian_divergence_grid(default_field.u_components, *nodes)
+        d = cartesian_divergence(default_field.u_components, *nodes)
         assert np.all(np.abs(d) <= 1e-6)
 
 

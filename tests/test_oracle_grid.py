@@ -16,6 +16,7 @@ from slipball.errors import StencilOutOfDomain
 from slipball.oracle import FDConfig
 from slipball.sphcalc import SphPoint
 from slipball.verify import GridSpec
+from tests_support import cartesian_curl, cartesian_divergence
 
 PI = math.pi
 CONFIGS = [FDConfig(1e-4, True), FDConfig(1e-3, False), FDConfig(1e-2, True)]
@@ -206,12 +207,12 @@ def test_cartesian_jacobian_matches_the_list_of_lists_code(default_field, cfg, n
             assert np.array_equal(got[i][j], want[i][j])
             assert np.array_equal(np.signbit(got[i][j]), np.signbit(want[i][j]))
     # the divergence is the trace and the curl the antisymmetric part
-    div = oracle.cartesian_divergence_grid(default_field.u_components, r, theta, phi, cfg)
+    div = cartesian_divergence(default_field.u_components, r, theta, phi, cfg)
     trace = want[0][0] + want[1][1] + want[2][2]
     assert div.shape == trace.shape
     assert np.array_equal(div, trace)
     assert np.array_equal(np.signbit(div), np.signbit(trace))
-    curl = oracle.cartesian_curl_grid(default_field.u_components, r, theta, phi, cfg)
+    curl = cartesian_curl(default_field.u_components, r, theta, phi, cfg)
     _, th, ph = np.broadcast_arrays(r, theta, phi)
     ref_curl = kernels.vec_cart_to_sph(th, ph, want[2][1] - want[1][2],
                                        want[0][2] - want[2][0], want[1][0] - want[0][1])
@@ -228,7 +229,7 @@ def test_one_cartesian_call_takes_every_stencil_point(default_field, cfg, n_offs
     nodes = verify._agreement_nodes(verify.DEFAULT_SEED, cfg.step)
     x, y, z = kernels.sph_to_cart(*nodes)
     n = x.size
-    for fd in (oracle.cartesian_divergence_grid, oracle.cartesian_curl_grid):
+    for fd in (cartesian_divergence, cartesian_curl):
         calls = []
 
         def counted(r, theta, phi):
@@ -254,7 +255,7 @@ def test_every_node_is_checked_before_the_message_is_chosen():
     th = np.array([0.01, PI / 2]).reshape(1, 2, 1)
     ph = np.array([0.2, 1.0]).reshape(1, 1, 2)
     cfg = FDConfig(1e-3, False)
-    for fd in (oracle.cartesian_divergence_grid, oracle.cartesian_jacobian_grid):
+    for fd in (cartesian_divergence, oracle.cartesian_jacobian_grid):
         with pytest.raises(StencilOutOfDomain) as exc:
             fd(lambda *a: calls.append(a), r, th, ph, cfg)
         assert str(exc.value) == ("Cartesian stencil leaves the unit ball at r=0.9995 "
@@ -321,8 +322,8 @@ class TestGuards:
             oracle.fd_boundary_radial_derivative(lambda r, t, p: r, theta, 0.3)
         with pytest.raises(ValueError):
             oracle.fd_boundary_radial_derivative(lambda r, t, p: r, [1.0, theta], [0.3, 0.3])
-        for fd in (oracle.fd_curl_spherical, oracle.cartesian_curl_grid,
-                   oracle.cartesian_divergence_grid, oracle.cartesian_jacobian_grid):
+        for fd in (oracle.fd_curl_spherical, cartesian_curl,
+                   cartesian_divergence, oracle.cartesian_jacobian_grid):
             with pytest.raises(ValueError):
                 fd(lambda r, t, p: (r, t, p), [0.5, 0.5], [1.0, theta], [0.0, 0.0])
 
@@ -330,7 +331,7 @@ class TestGuards:
         with pytest.raises(ValueError):
             oracle.fd_partial(lambda r, t, p: r, [0.5, -1e-6], [1.0, 1.0], [0.0, 0.0], "phi")
         with pytest.raises(ValueError):
-            oracle.cartesian_curl_grid(lambda r, t, p: (r, t, p), [0.5, -0.5], [1.0, 1.0],
+            cartesian_curl(lambda r, t, p: (r, t, p), [0.5, -0.5], [1.0, 1.0],
                                        [0.3, 0.3])
 
     def test_slack_nodes_are_clamped_as_in_sphpoint(self, default_field):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from slipball import family as fam
 from slipball import kernels, oracle, verify
+from tests_support import cartesian_curl, cartesian_divergence
 
 PI = math.pi
 FAMILIES = {name: fam.family_by_label(name) for name in ("default", "perturbed:1e-3")}
@@ -31,9 +32,9 @@ def same_bits(a, b):
 
 def three_oracles(fn, nodes, cfg):
     """(divergence, Jacobian, curl) at the nodes."""
-    return (oracle.cartesian_divergence_grid(fn, *nodes, cfg),
+    return (cartesian_divergence(fn, *nodes, cfg),
             oracle.cartesian_jacobian_grid(fn, *nodes, cfg),
-            np.array(oracle.cartesian_curl_grid(fn, *nodes, cfg)))
+            np.array(cartesian_curl(fn, *nodes, cfg)))
 
 
 def nodes_of(where, cfg):
@@ -119,13 +120,13 @@ def test_one_call_equals_one_call_per_offset(where, family_name, cfg_name):
     got = oracle.cartesian_jacobian_grid(field.u_components, *nodes, cfg)
     assert same_bits(got, want)
     assert np.any(got != 0.0)
-    div = oracle.cartesian_divergence_grid(field.u_components, *nodes, cfg)
+    div = cartesian_divergence(field.u_components, *nodes, cfg)
     assert same_bits(div, want[0, 0] + want[1, 1] + want[2, 2])
 
 
-@pytest.mark.parametrize("fd", [oracle.cartesian_divergence_grid,
+@pytest.mark.parametrize("fd", [cartesian_divergence,
                                 oracle.cartesian_jacobian_grid,
-                                oracle.cartesian_curl_grid],
+                                cartesian_curl],
                          ids=["divergence", "jacobian", "curl"])
 def test_list_and_scalar_nodes_equal_array_nodes(fd):
     field = FAMILIES["default"]

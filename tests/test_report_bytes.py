@@ -7,10 +7,15 @@ hashes and names the fields that moved.  The values were measured with
 numpy 2.4.6.
 """
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from slipball import cli
+from slipball import cli, verify
 
 COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
           "--boundary-ntheta", "32", "--boundary-nphi", "64"]
@@ -21,26 +26,87 @@ COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
 # details.  In the two default reports only
 # persistency_failure_theta.details.neighborhood_radius_half_floor moved when
 # the radius came from a ring scan, 64 rings per level, in place of a
-# bisection (2^-42 of pi/2 resolution in place of 2^-40).
+# bisection (2^-42 of pi/2 resolution in place of 2^-40).  In all four,
+# only six detail keys moved when the Cartesian divergence gate moved from
+# divergence_free to oracle_agreement_curl, which reads it off the Jacobian
+# of its curl: divergence_free lost cartesian_divergence_sup,
+# cartesian_points, cartesian_tolerance and seed, and oracle_agreement_curl
+# gained cartesian_divergence_sup and cartesian_tolerance, with the same
+# bits.  MOVED_FROM holds the hashes from before that move.
 REPORTS = [
-    ("default", [], "9e6094cb72e441ece3e0015752081d2f46dbbd22c6a6af0359c81b02e8de7307", 0),
-    ("default", COARSE, "f5623454a963b75379ee96c81383f4b60f3fd878fa3ba9705176b3ea43f155e1", 0),
-    ("h1zero", COARSE, "db518ce32f8726e1d2bf02b4b816e85f9ed058c1488ceace8deb0a16f0fbb16f", 2),
+    ("default", [], "8fea1ae8126b31d5e17a616161bf22b84d9851d2cfd7d5c70b778414244951c6", 0),
+    ("default", COARSE, "40aecdfea9a9f4ada1ad63b89a2e1a656309e63b5a71078b29c2da63bd141563", 0),
+    ("h1zero", COARSE, "2e181d84ffbcc9a20df411e8a22090ccb259ccc1abe1219121b41fdadd729646", 2),
     ("perturbed:1e-3", COARSE,
-     "ba8be864f6b2bf36375320a5c98b6c8ef876a89e104478289180f6ddea3d6398", 2),
+     "01dcfd23eabd772200e1c6314ce83ef4829e9a6ad667b200b6aabea0ed0c73e3", 2),
 ]
+REPORT_IDS = ["default-shipped", "default-coarse", "h1zero-coarse", "perturbed-coarse"]
+MOVED_FROM = ["9e6094cb72e441ece3e0015752081d2f46dbbd22c6a6af0359c81b02e8de7307",
+              "f5623454a963b75379ee96c81383f4b60f3fd878fa3ba9705176b3ea43f155e1",
+              "db518ce32f8726e1d2bf02b4b816e85f9ed058c1488ceace8deb0a16f0fbb16f",
+              "ba8be864f6b2bf36375320a5c98b6c8ef876a89e104478289180f6ddea3d6398"]
 
 
-@pytest.mark.parametrize("label, grid, sha256, code", REPORTS,
-                         ids=["default-shipped", "default-coarse", "h1zero-coarse",
-                              "perturbed-coarse"])
-def test_report_bytes(label, grid, sha256, code, tmp_path, capsys):
+def verify_report(label, grid, tmp_path, capsys):
+    """(exit code, bytes) of the --no-timestamp report at seed 1234."""
     report = tmp_path / "report.json"
-    got = cli.main(["verify", "--no-timestamp", "--family", label, "--seed", "1234",
-                    "--report", str(report), *grid])
+    code = cli.main(["verify", "--no-timestamp", "--family", label, "--seed", "1234",
+                     "--report", str(report), *grid])
     capsys.readouterr()
+    return code, report.read_bytes()
+
+
+@pytest.mark.parametrize("label, grid, sha256, code", REPORTS, ids=REPORT_IDS)
+def test_report_bytes(label, grid, sha256, code, tmp_path, capsys):
+    got, data = verify_report(label, grid, tmp_path, capsys)
     assert got == code
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == sha256
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("label, grid, before",
+                         [(*r[:2], b) for r, b in zip(REPORTS, MOVED_FROM)], ids=REPORT_IDS)
+def test_moving_the_cartesian_gate_back_gives_the_old_bytes(label, grid, before, tmp_path,
+                                                            capsys):
+    report = json.loads(verify_report(label, grid, tmp_path, capsys)[1])
+    checks = {c["name"]: c["details"] for c in report["checks"]}
+    agreement = checks["oracle_agreement_curl"]
+    checks["divergence_free"].update(
+        cartesian_divergence_sup=agreement.pop("cartesian_divergence_sup"),
+        cartesian_points=agreement["n_points"],
+        cartesian_tolerance=agreement.pop("cartesian_tolerance"),
+        seed=agreement["seed"])
+    assert hashlib.sha256(verify.json_text(report).encode()).hexdigest() == before
+
+
+# numpy's AVX2 path on a host with AVX-512.  The bytes above hold on one
+# SIMD path only (README), since sin, cos and exp differ in the last bits
+# between paths and FD round-off and mirror-node witnesses follow them; the
+# verdicts must not.  On a host without these features numpy runs as usual.
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def verdicts(label, grid, report, **env):
+    """(exit code, overall_pass, (name, pass) of every check, the three
+    admissibility probes) of the pinned command, run as a subprocess."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **env)
+    code = subprocess.run([sys.executable, "-m", "slipball.cli", "verify", "--no-timestamp",
+                           "--family", label, "--seed", "1234", "--report", str(report), *grid],
+                          env=env, capture_output=True).returncode
+    doc = json.loads(report.read_text())
+    return (code, doc["overall_pass"], [(c["name"], c["pass"]) for c in doc["checks"]],
+            [doc["admissibility"][k] for k in ("pole_margin_ok", "support_ok", "periodicity_ok")])
+
+
+@pytest.mark.parametrize("label, grid, sha256, code", REPORTS, ids=REPORT_IDS)
+def test_verdicts_do_not_depend_on_the_simd_path(label, grid, sha256, code, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    want = verdicts(label, grid, tmp_path / "simd.json")
+    assert want[0] == code
+    assert verdicts(label, grid, tmp_path / "avx2.json",
+                    NPY_DISABLE_CPU_FEATURES=NO_AVX512) == want
 
 
 VOLUME = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8"]

@@ -17,6 +17,7 @@ import pytest
 from slipball import family as fam
 from slipball import kernels, oracle, verify
 from slipball.errors import StencilOutOfDomain
+from tests_support import cartesian_curl, cartesian_divergence
 
 PI = math.pi
 FAMILIES = {name: (fam.CounterexampleField(fam.default_profile(), fam.cosine_angular())
@@ -27,9 +28,9 @@ GRIDS = {"shipped": verify.GridSpec(),
 CONFIGS = {"1e-4-richardson": oracle.FDConfig(1e-4, True),
            "1e-3-plain": oracle.FDConfig(1e-3, False)}
 MESHES = {name: g.lattice().nodes() for name, g in GRIDS.items()}
-ORACLES = {"divergence": oracle.cartesian_divergence_grid,
+ORACLES = {"divergence": cartesian_divergence,
            "jacobian": oracle.cartesian_jacobian_grid,
-           "curl": oracle.cartesian_curl_grid}
+           "curl": cartesian_curl}
 
 
 def recorded(field, calls):
@@ -47,7 +48,7 @@ def test_divergence_is_zero_where_no_stencil_point_meets_the_support(
         family_name, grid_name, cfg_name):
     field, cfg, mesh = FAMILIES[family_name], CONFIGS[cfg_name], MESHES[grid_name]
     calls = []
-    div = oracle.cartesian_divergence_grid(recorded(field, calls), *mesh, cfg)
+    div = cartesian_divergence(recorded(field, calls), *mesh, cfg)
     (points,) = calls
     n_offsets = 12 if cfg.richardson else 6
     assert points[0].shape == (n_offsets * div.size,)
@@ -67,8 +68,8 @@ NEAR_SUPPORT = verify.GridSpec(n_r=8, n_theta=8, n_phi=8, margin_r=0.092)
     (NEAR_SUPPORT, oracle.FDConfig(1e-2, True))])
 def test_divergence_on_the_lattice_axes_equals_the_flat_nodes(grid, cfg):
     field, lattice = FAMILIES["default"], grid.lattice()
-    on_axes = oracle.cartesian_divergence_grid(field.u_components, *lattice.axes, cfg)
-    flat = oracle.cartesian_divergence_grid(field.u_components, *lattice.nodes(), cfg)
+    on_axes = cartesian_divergence(field.u_components, *lattice.axes, cfg)
+    flat = cartesian_divergence(field.u_components, *lattice.nodes(), cfg)
     assert np.array_equal(on_axes.ravel(), flat)
     assert np.array_equal(np.signbit(on_axes.ravel()), np.signbit(flat))
     assert float(np.max(np.abs(on_axes))) > 0.0
@@ -79,7 +80,7 @@ def test_divergence_on_the_lattice_axes_equals_the_flat_nodes(grid, cfg):
 def test_a_node_off_the_support_that_the_stencil_reaches_reads_the_field(cfg):
     field = FAMILIES["default"]
     r, th, ph = NEAR_SUPPORT.lattice().axes
-    div = oracle.cartesian_divergence_grid(field.u_components, r, th, ph, cfg)
+    div = cartesian_divergence(field.u_components, r, th, ph, cfg)
     assert not np.any(field.support_mask(r[1], th))
     assert np.any(div[1] != 0.0)
     assert np.all(div[0] == 0.0)  # r = 0.12: 0.13 short of the support
@@ -138,7 +139,7 @@ def test_divergence_makes_one_call_holding_every_offset_of_every_node(mesh, cfg_
     nodes = lattice.axes if mesh == "axes" else lattice.nodes()
     x, y, z = kernels.sph_to_cart(*lattice.nodes())
     calls = []
-    oracle.cartesian_divergence_grid(recorded(field, calls), *nodes, cfg)
+    cartesian_divergence(recorded(field, calls), *nodes, cfg)
     (points,), n = calls, x.size
     points = kernels.sph_to_cart(*points)
     n_offsets = 12 if cfg.richardson else 6
@@ -158,6 +159,6 @@ def test_shipped_grid_divergence_is_the_jacobian_trace(family_name):
     field, cfg, mesh = FAMILIES[family_name], CONFIGS["1e-4-richardson"], MESHES["shipped"]
     jac = oracle.cartesian_jacobian_grid(field.u_components, *mesh, cfg)
     trace = jac[0][0] + jac[1][1] + jac[2][2]
-    div = oracle.cartesian_divergence_grid(field.u_components, *mesh, cfg)
+    div = cartesian_divergence(field.u_components, *mesh, cfg)
     assert np.array_equal(div, trace)
     assert np.array_equal(np.signbit(div), np.signbit(trace))

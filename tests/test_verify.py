@@ -15,7 +15,7 @@ from slipball import kernels, oracle, verify
 from slipball.errors import ConfigError, DegenerateFit, StencilOutOfDomain
 from slipball.oracle import FDConfig
 from slipball.verify import GridSpec
-from tests_support import jets_curl, jets_divergence
+from tests_support import cartesian_curl, cartesian_divergence, jets_curl, jets_divergence
 
 PI = math.pi
 
@@ -33,7 +33,7 @@ def assert_rows_within_ulps(got, want, ulps):
 
 def lattice_divergence(field, grid, cfg):
     """The Cartesian FD divergence on the grid's lattice axes."""
-    return oracle.cartesian_divergence_grid(field.u_components, *grid.lattice().axes, cfg)
+    return cartesian_divergence(field.u_components, *grid.lattice().axes, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -537,13 +537,13 @@ class TestOracleAgreement:
     @staticmethod
     def nodes_used(monkeypatch, field, cfg, seed):
         seen = []
-        original = oracle.cartesian_curl_grid
+        original = oracle.cartesian_jacobian_grid
 
         def spy(fn, r, th, ph, cfg):
             seen.append((r.copy(), th.copy(), ph.copy()))
             return original(fn, r, th, ph, cfg)
 
-        monkeypatch.setattr(oracle, "cartesian_curl_grid", spy)
+        monkeypatch.setattr(oracle, "cartesian_jacobian_grid", spy)
         res = verify.check_oracle_agreement(field, cfg, seed=seed)
         monkeypatch.undo()
         return res, seen[0]
@@ -589,7 +589,8 @@ class TestOracleAgreement:
 class TestOnePathPerQuantity:
     """verify evaluates omega and div u by one path each: the closed-form
     omega, gated by the Cartesian FD curl, and u against x x grad(h g),
-    gated by the Cartesian FD divergence.  The jets path (u_raw_partials
+    gated by the Cartesian FD divergence, the trace of the Jacobian whose
+    curl the agreement check reads.  The jets path (u_raw_partials
     with the divergence and curl kernels) is left to the tests."""
 
     JETS = [(fam.CounterexampleField, "u_raw_partials"), (kernels, "divergence_parts"),
@@ -613,19 +614,20 @@ class TestOnePathPerQuantity:
         monkeypatch.undo()
         assert code == exit_code and calls == []
         by_name = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
-        assert set(by_name["divergence_free"]["details"]) == {
-            "compared", "u_sup", "cartesian_divergence_sup", "cartesian_points",
-            "cartesian_tolerance", "seed"}
+        assert set(by_name["divergence_free"]["details"]) == {"compared", "u_sup"}
 
         # the agreement sup is that of the closed form against the FD curl
         field = fam.family_by_label(label)
         nodes = verify._agreement_nodes(verify.DEFAULT_SEED, FDConfig().step)
         closed = field.omega_components(*nodes)
-        fd = oracle.cartesian_curl_grid(field.u_components, *nodes, FDConfig())
+        fd = cartesian_curl(field.u_components, *nodes, FDConfig())
         want = max(float(np.max(np.abs(a - b))) for a, b in zip(closed, fd))
         agreement = by_name["oracle_agreement_curl"]
         assert agreement["norm_sup"] == want
-        assert set(agreement["details"]) == {"n_points", "seed", "l2_is_rms_over_samples"}
+        assert set(agreement["details"]) == {"n_points", "seed", "l2_is_rms_over_samples",
+                                             "cartesian_divergence_sup", "cartesian_tolerance"}
+        div = cartesian_divergence(field.u_components, *nodes, FDConfig())
+        assert agreement["details"]["cartesian_divergence_sup"] == float(np.max(np.abs(div)))
 
 
 class TestSeed:
@@ -674,9 +676,9 @@ class TestSeed:
 
 class TestPerAxisWork:
     """verify evaluates u on the interior lattice's axes, never on a node
-    mesh, transforms to Cartesian only the nodes of the divergence check's
-    gate, and scans the rings of neighborhood_radius in one trace call per
-    level."""
+    mesh, transforms to Cartesian only the nodes of the agreement check,
+    whose one Jacobian is the run's only Cartesian stencil, and scans the
+    rings of neighborhood_radius in one trace call per level."""
 
     @pytest.mark.parametrize("grid", [
         ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
@@ -686,7 +688,7 @@ class TestPerAxisWork:
                                                                      tmp_path, capsys):
         from slipball import cli
         inside = []  # the name of the verify function running, if watched
-        sizes, u_shapes, trace_calls = [], [], []
+        sizes, u_shapes, trace_calls, jacobians = [], [], [], []
 
         def watch(name):
             original = vars(verify)[name]
@@ -700,14 +702,18 @@ class TestPerAxisWork:
             monkeypatch.setattr(verify, name, spy)
 
         watch("check_divergence_free")
+        watch("check_oracle_agreement")
         watch("neighborhood_radius")
         sph_to_cart = kernels.sph_to_cart
 
         def spy_transform(*args):
-            if inside == ["check_divergence_free"]:
-                sizes.append(max(np.size(a) for a in args))
+            if inside:
+                sizes.append((inside[-1], max(np.size(a) for a in args)))
             return sph_to_cart(*args)
         monkeypatch.setattr(kernels, "sph_to_cart", spy_transform)
+        jacobian = oracle.cartesian_jacobian_grid
+        monkeypatch.setattr(oracle, "cartesian_jacobian_grid",
+                            lambda *a: jacobians.append(list(inside)) or jacobian(*a))
         u_components = fam.CounterexampleField.u_components
 
         def spy_u(self, *args):
@@ -728,14 +734,13 @@ class TestPerAxisWork:
         monkeypatch.undo()
         assert code == 0
         spec = json.loads((tmp_path / "r.json").read_text())["grid"]["interior"]
-        assert sizes and set(sizes) == {verify.AGREEMENT_POINTS}
-        # u on r-slabs of the lattice axes, and on the gate's stencil points
+        assert sizes and set(sizes) == {("check_oracle_agreement", verify.AGREEMENT_POINTS)}
+        assert jacobians == [["check_oracle_agreement"]]
+        # u on r-slabs of the lattice axes only
         n_theta, n_phi = spec["n_theta"], spec["n_phi"]
-        on_axes = [s for s in u_shapes if len(s[0]) == 3]
-        assert sum(s[0][0] for s in on_axes) == spec["n_r"]
+        assert sum(s[0][0] for s in u_shapes) == spec["n_r"]
         assert all(s[0][1:] == (1, 1) and s[1:] == [(1, n_theta, 1), (1, 1, n_phi)]
-                   for s in on_axes)
-        assert all(len(s[0]) == 1 for s in u_shapes if s not in on_axes)
+                   for s in u_shapes)
         # one call per level holds its RADIUS_SPLIT rings; the first call
         # also the witness
         assert verify.RADIUS_LEVELS == 7

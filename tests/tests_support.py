@@ -1,7 +1,7 @@
 """Shared helpers for the test suite."""
 import numpy as np
 
-from slipball import kernels
+from slipball import kernels, oracle
 from slipball.sphcalc import SphPoint
 
 
@@ -41,3 +41,19 @@ def jets_curl(field, r, theta, phi):
     return kernels.curl_parts(r, np.sin(theta), np.cos(theta), zeros, zeros,
                               parts["ut"], parts["dut_dr"], parts["dut_dphi"],
                               parts["up"], parts["dup_dr"], parts["dup_dtheta"])
+
+
+def cartesian_divergence(fn, r, theta, phi, cfg=oracle.FDConfig()):
+    """The Cartesian FD divergence of fn at the nodes: the trace of one
+    oracle.cartesian_jacobian_grid call."""
+    return oracle.cartesian_divergence_grid(
+        oracle.cartesian_jacobian_grid(fn, r, theta, phi, cfg))
+
+
+def cartesian_curl(fn, r, theta, phi, cfg=oracle.FDConfig()):
+    """The Cartesian FD curl of fn at the nodes, in their local spherical
+    basis: the antisymmetric part of one oracle.cartesian_jacobian_grid
+    call, rotated at the normalised nodes."""
+    _, theta, phi = oracle._nodes(r, theta, phi)
+    return oracle.cartesian_curl_grid(oracle.cartesian_jacobian_grid(fn, r, theta, phi, cfg),
+                                      theta, phi)
