@@ -18,7 +18,10 @@ gives exactly 0 or 1 with zero derivatives, so smooth_step_jet returns
 those constants without calling sigma_jet.  The zeros keep the signs the
 formula gives: +0 on the lower plateau; s' = +0 and s'' = -0 on the upper
 one, where sigma''(t) < 0.  Only the ramp between, NaN, and t > 1e100
-(where t**3 overflows and s'' is +0) run the formula.
+(where t**3 overflows and s'' is +0) run the formula.  The rule is a
+speed rule, not a correctness one: _ramp_jet on every node gives the
+same bits, but it pays the formula on every plateau node and warns on
+overflow for |t| above about 1e77.
 
 Phi wrap: cart_to_sph maps atan2's phi in [-pi, pi] to [0, 2pi] by adding
 2pi to the negative values, then adding +0.0, which turns -0 into +0; that

@@ -45,10 +45,13 @@ The divergence check works on the lattice axes: h once per r value; g in
 one fd_partial call per axis, whose shifted copies of that axis sit beside
 the other axis, so the bump runs once per theta value and sin(phi) once
 per phi value; sin(theta) once per row; and u in r-slabs of the axes,
-compared in place: the largest component of |u - u_FD| goes straight into
-the one lattice-sized difference through one slab-sized scratch array,
-and _grid_result squares into the buffer of |values|.  It transforms
+each slab's largest component of |u - u_FD| written into the one
+lattice-sized difference, which _grid_result reads.  It transforms
 nothing to Cartesian: only the agreement check's 50 nodes are.
+A row that ANDs a hidden gate into its pass (the agreement check's
+Cartesian divergence, the slip check's FD-curl spots, each trace's gate)
+names the gate that failed in details.failed_gate (_gate), so a failed
+row whose norm_sup meets its tolerance says why.
 
 Everything is deterministic: grids are midpoint lattices, random sample
 points come from a seeded generator echoed into the report, and sup/argmax
@@ -209,6 +212,18 @@ def _grid_result(name, direction, values, lattice, tolerance):
     return CheckResult(name, sup, l2, tolerance, direction, passed, lattice.point(i))
 
 
+def _gate(res, name, value, tolerance):
+    """AND the hidden gate value <= tolerance (a NaN fails) into res.passed
+    and return it.  A failed gate is named in details.failed_gate with its
+    value and tolerance, so that a row whose norm_sup meets its own
+    tolerance still says why it fails; a row whose gates hold gains no key."""
+    if value <= tolerance:
+        return True
+    res.passed = False
+    res.details["failed_gate"] = {"name": name, "value": value, "tolerance": tolerance}
+    return False
+
+
 def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
                           cfg: oracle.FDConfig = oracle.FDConfig()) -> CheckResult:
     """div u = 0 through the toroidal potential psi = h(r) g(theta, phi).
@@ -237,28 +252,21 @@ def check_divergence_free(field: fam.CounterexampleField, grid: GridSpec,
     (h,) = fam._on_support(field.support_mask(r, math.pi / 2), 1,
                            lambda r: field.profile.fn(r, 0), r)
     sin = np.sin(theta)
-    diff, peaks = np.empty(lattice.shape), []
+    diff, scale = np.empty(lattice.shape), 0.0
     rows = max(1, SLAB_NODES // (theta.size * phi.size))
-    scratch = np.empty((rows,) + lattice.shape[1:])
     for lo in range(0, r.size, rows):
-        # per r-slab: the largest component of |u - u_FD| written into diff,
-        # and the largest |u| of each component, through one scratch array
-        slab = slice(lo, lo + rows)
-        out = diff[slab]
-        tmp = scratch[:out.shape[0]]
-        u_r, u_t, u_p = field.u_components(r[slab], theta, phi)
-        peaks.extend(np.abs(u, out=tmp).max() for u in (u_r, u_t, u_p))
-        np.abs(u_r, out=out)  # u_FD has no radial component
-        np.divide(np.multiply(-h[slab], g_p, out=tmp), sin, out=tmp)
-        np.maximum(out, np.abs(np.subtract(u_t, tmp, out=tmp), out=tmp), out=out)
-        np.multiply(h[slab], g_t, out=tmp)
-        np.maximum(out, np.abs(np.subtract(u_p, tmp, out=tmp), out=tmp), out=out)
-    scale = float(np.max(peaks))
+        # per r-slab: the largest component of |u - u_FD| into diff, with
+        # u_FD = (0, -h g_p / sin theta, h g_t), and the largest |u| so far
+        s = slice(lo, lo + rows)
+        u_r, u_t, u_p = field.u_components(r[s], theta, phi)
+        scale = np.max([scale, *(np.abs(u).max() for u in (u_r, u_t, u_p))])
+        np.maximum(np.maximum(np.abs(u_r), np.abs(u_t - -h[s] * g_p / sin)),
+                   np.abs(u_p - h[s] * g_t), out=diff[s])
     if scale > 0.0:
         diff /= scale  # in place: no second lattice-sized array
     res = _grid_result("divergence_free", "below", diff, lattice, TOL_POTENTIAL_REL)
     res.details = {"compared": "u against x cross grad(h g), on the lattice axes",
-                   "u_sup": scale}
+                   "u_sup": float(scale)}
     return res
 
 
@@ -268,7 +276,8 @@ def check_slip_conditions(field: fam.CounterexampleField, sphere: BoundaryPass,
 
     The omega check is gated by the FD curl of u at ORACLE_SPOTS of the
     sphere's support nodes: their omega_theta and omega_phi must agree
-    within TOL_ORACLE_AGREEMENT (oracle_spot_max_abs_err).
+    within TOL_ORACLE_AGREEMENT (oracle_spot_max_abs_err, which
+    details.failed_gate names when it fails).
     """
     lattice = sphere.lattice
     res_u = _grid_result("slip_u_dot_n", "below", fam.u_radial(sphere.u_theta), lattice,
@@ -281,12 +290,12 @@ def check_slip_conditions(field: fam.CounterexampleField, sphere: BoundaryPass,
     _, ct, cp = oracle.fd_curl_spherical(field.u_components, *lattice.nodes_at(spots), cfg)
     err = float(np.max(np.abs([ct - sphere.omega_theta[spots], cp - sphere.omega_phi[spots]]),
                        initial=0.0))
-    res_w.passed = res_w.passed and err <= TOL_ORACLE_AGREEMENT
     # math.hypot, not np.hypot: the two may differ in the last bit
     res_w.details["oracle_spot_sup"] = max(
         [0.0] + [math.hypot(a, b) for a, b in zip(ct.tolist(), cp.tolist())])
     res_w.details["oracle_spot_points"] = int(spots.size)
     res_w.details["oracle_spot_max_abs_err"] = err
+    _gate(res_w, "oracle_spot_max_abs_err", err, TOL_ORACLE_AGREEMENT)
     return res_u, res_w
 
 
@@ -300,34 +309,34 @@ def check_persistency_failure(field: fam.CounterexampleField, sphere: BoundaryPa
     radial-derivative oracle at up to GATE_POINTS nodes where it is at least
     TRACE_GATE_MAGNITUDE in size, and at its witness if that large: a failed
     gate fails it (a NaN oracle value too, for run_full_verification to
-    report).  Its details hold the gate numbers and the closed-form and
-    oracle values at its witness; a trace with no gate node (h1zero's) is
-    not validated, and gate_note says so.  One oracle call serves both gates
-    and both witnesses.  Admissibility is the caller's to decide.
+    report) and is named in details.failed_gate (gate_max_rel_err, else
+    rel_discrepancy).  Its details hold the gate numbers and the closed-form
+    and oracle values at its witness; a trace with no gate node (h1zero's)
+    is not validated, and gate_note says so.  One oracle call, on each
+    trace's gate nodes and then its witness, serves both traces.
+    Admissibility is the caller's to decide.
     """
     traces = (sphere.curl_v_theta, sphere.curl_v_phi)
     results = [_grid_result(f"persistency_failure_{name}", "above", trace, sphere.lattice,
                             NONVANISH_THRESHOLD)
                for name, trace in zip(("theta", "phi"), traces)]
-    gates = [_spread(np.flatnonzero(np.abs(trace) >= TRACE_GATE_MAGNITUDE), GATE_POINTS)
-             for trace in traces]
-    witnesses = [int(np.argmax(np.abs(trace))) for trace in traces]
-    nodes = np.concatenate([*gates, witnesses])
-    # (1/r) d_r(r v_theta) and (1/r) d_r(r v_phi) at the gate nodes and the witnesses
+    # per trace: its gate nodes, then its witness
+    nodes = [np.append(_spread(np.flatnonzero(np.abs(trace) >= TRACE_GATE_MAGNITUDE),
+                               GATE_POINTS), np.argmax(np.abs(trace))) for trace in traces]
+    # (1/r) d_r(r v_theta) and (1/r) d_r(r v_phi) at the nodes of both traces
     d_vt, d_vp = oracle.fd_boundary_radial_derivative(
-        lambda r, t, p: field.v_components(r, t, p)[1:], *sphere.lattice.nodes_at(nodes)[1:],
-        cfg)
-    start = 0
+        lambda r, t, p: field.v_components(r, t, p)[1:],
+        *sphere.lattice.nodes_at(np.concatenate(nodes))[1:], cfg)
+    n = nodes[0].size
     # at r = 1 the theta trace is -(1/r) d_r(r v_phi), the phi trace (1/r) d_r(r v_theta)
-    for res, trace, ref, gate, i, at_witness in zip(results, traces, (-d_vp, d_vt), gates,
-                                                    witnesses, (-2, -1)):
-        at_gate, start = ref[start:start + gate.size], start + gate.size
-        worst = float(np.max(np.abs(at_gate - trace[gate]) / np.abs(trace[gate]), initial=0.0))
-        analytic, oracle_val = float(trace[i]), float(ref[at_witness])
+    for res, trace, ref, at in zip(results, traces, (-d_vp[:n], d_vt[n:]), nodes):
+        gate, i = at[:-1], at[-1]
+        worst = float(np.max(np.abs(ref[:-1] - trace[gate]) / np.abs(trace[gate]), initial=0.0))
+        analytic, oracle_val = float(trace[i]), float(ref[-1])
         rel = abs(analytic - oracle_val) / max(abs(analytic), 1e-300)
-        ok = worst <= TRACE_GATE_REL_TOL and (abs(analytic) < TRACE_GATE_MAGNITUDE
-                                              or rel <= TRACE_GATE_REL_TOL)
-        res.passed = res.passed and ok
+        ok = _gate(res, "gate_max_rel_err", worst, TRACE_GATE_REL_TOL) and (
+            abs(analytic) < TRACE_GATE_MAGNITUDE
+            or _gate(res, "rel_discrepancy", rel, TRACE_GATE_REL_TOL))
         res.details = {
             "closed_form_validated": ok and gate.size > 0,
             "gate_points": int(gate.size),
@@ -337,6 +346,7 @@ def check_persistency_failure(field: fam.CounterexampleField, sphere: BoundaryPa
             "oracle_at_witness": oracle_val,
             "rel_discrepancy": rel,
             "verdict": "persistency violated" if res.passed else "no contradiction exhibited",
+            **res.details,  # the failed gate, if any
         }
         if gate.size == 0:
             res.details["gate_note"] = (f"no node reaches |trace| >= {TRACE_GATE_MAGNITUDE:g}, "
@@ -440,8 +450,9 @@ def check_oracle_agreement(field: fam.CounterexampleField,
     gate of the omega that the slip check and the boundary traces read.
     The trace of the same Jacobian, the Cartesian FD divergence of u, which
     reuses no spherical formula, must stay within TOL_FD as well
-    (details.cartesian_divergence_sup): the independent gate of the
-    potential identity that check_divergence_free compares."""
+    (details.cartesian_divergence_sup, and details.failed_gate when it
+    does not): the independent gate of the potential identity that
+    check_divergence_free compares."""
     seed = _seed(seed)
     r, th, ph = _agreement_nodes(seed, cfg.step)
     wr, wt, wp = field.omega_components(r, th, ph)
@@ -452,11 +463,13 @@ def check_oracle_agreement(field: fam.CounterexampleField,
     sup = float(diff[i])
     rms = float(np.sqrt(np.mean(diff**2)))
     div = float(np.max(np.abs(oracle.cartesian_divergence_grid(jac))))
-    return CheckResult(
+    res = CheckResult(
         "oracle_agreement_curl", sup, rms, TOL_ORACLE_AGREEMENT, "below",
-        sup <= TOL_ORACLE_AGREEMENT and div <= TOL_FD, SphPoint(r[i], th[i], ph[i]),
+        sup <= TOL_ORACLE_AGREEMENT, SphPoint(r[i], th[i], ph[i]),
         {"n_points": AGREEMENT_POINTS, "seed": seed, "l2_is_rms_over_samples": True,
          "cartesian_divergence_sup": div, "cartesian_tolerance": TOL_FD})
+    _gate(res, "cartesian_divergence_sup", div, TOL_FD)
+    return res
 
 
 @dataclass

@@ -853,6 +853,41 @@ class TestUnwritableOutput:
 class TestShellEntry:
     """`python -m slipball.cli` runs `entry()`, which exits with `main`'s code."""
 
+    # the test-only packages; pyproject's runtime dependencies are numpy alone
+    TEST_ONLY = ("sympy", "scipy", "mpmath", "hypothesis", "pytest")
+
+    def test_the_runtime_needs_only_numpy_and_the_standard_library(self, tmp_path):
+        # a finder first on sys.meta_path refuses every test-only package
+        # (pytest, which is installed, proves that it does); a coarse verify
+        # and a sweep must still exit 0 and import none of them
+        child = f"""
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in {self.TEST_ONLY!r}:
+            raise ModuleNotFoundError(f"refused {{name}}", name=name)
+
+sys.meta_path.insert(0, Refuse())
+try:
+    import pytest
+    sys.exit("the finder let pytest through")
+except ModuleNotFoundError:
+    pass
+from slipball import cli
+codes = [cli.main(["verify", "--no-timestamp", *{FAST_GRID!r}]), cli.main(["sweep"])]
+loaded = sorted(set({self.TEST_ONLY!r}) & set(sys.modules))
+sys.exit(f"imported {{loaded}}" if loaded else max(codes))
+"""
+        src = str(Path(slipball.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "overall: PASS" in proc.stdout and "slope" in proc.stdout
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv,code", [
         (["--family", "default"], 0),
         (["--family", "h1zero"], 2),

@@ -39,7 +39,9 @@ grid, about 680x under TOL_POTENTIAL_REL, and the Cartesian gate of the
 agreement check 6.3e-9 at the seed's 50 nodes, 160x under TOL_FD.  The
 same radial field, scaled to twice and to half TOL_POTENTIAL_REL relative
 to the largest |u|, must read above and below it, since the check compares
-u_r with 0; at half, the Cartesian gate still fails the run.
+u_r with 0; at half, the Cartesian gate still fails the run, and the
+agreement row, whose curl sup meets its tolerance, names that gate in
+details.failed_gate.
 """
 import numpy as np
 import pytest
@@ -167,3 +169,18 @@ def test_radial_field_of_size_tol_potential_is_detected(ratio, passes):
     assert agreement.norm_sup <= verify.TOL_ORACLE_AGREEMENT
     assert not agreement.passed
     assert not verify.run_full_verification(WithRadialSource(delta), SHIPPED).overall_pass
+
+
+def test_a_failed_cartesian_gate_is_named():
+    # the radial source at half TOL_POTENTIAL_REL: the agreement row's curl
+    # sup meets its tolerance, and only failed_gate says why the row fails
+    u_sup = verify.check_divergence_free(DEFAULT, SHIPPED).details["u_sup"]
+    delta = 0.5 * verify.TOL_POTENTIAL_REL * u_sup / np.max(bump(SHIPPED.lattice().axes[0])[0])
+    res = verify.check_oracle_agreement(WithRadialSource(delta))
+    div = res.details["cartesian_divergence_sup"]
+    assert res.norm_sup <= verify.TOL_ORACLE_AGREEMENT and not res.passed
+    assert div == pytest.approx(3.7e-6, rel=0.05)
+    assert res.details["failed_gate"] == {"name": "cartesian_divergence_sup", "value": div,
+                                          "tolerance": verify.TOL_FD}
+    # a row whose gate holds gains no key
+    assert "failed_gate" not in verify.check_oracle_agreement(DEFAULT).details

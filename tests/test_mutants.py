@@ -24,7 +24,9 @@ boundary_state: the strided gate nodes miss that window, and the witness
 gate of persistency_failure_theta catches it.  The other zeroes
 omega_assembly's omega_theta and omega_phi at r = 1: the slip check then
 reads 0 for the perturbed families, whose slip residual is not 0, and its
-FD-curl spots catch it.
+FD-curl spots catch it.  In both, the failed row's norm_sup meets its own
+tolerance, so the row must name the hidden gate that failed it
+(details.failed_gate).
 """
 import json
 
@@ -68,10 +70,15 @@ def scaled(kernel, index):
     return mutant
 
 
-def failed_checks(tmp_path, *flags):
+def verify_report(tmp_path, *flags):
+    """The exit code and the report of one verify run."""
     path = tmp_path / "report.json"
     code = cli.main(["verify", "--no-timestamp", "--report", str(path), *flags])
-    doc = json.loads(path.read_text())
+    return code, json.loads(path.read_text())
+
+
+def failed_checks(tmp_path, *flags):
+    code, doc = verify_report(tmp_path, *flags)
     return code, doc["overall_pass"], {c["name"] for c in doc["checks"] if not c["pass"]}
 
 
@@ -98,9 +105,9 @@ GRIDS = {"coarse": (COARSE, verify.GridSpec(n_theta=32, n_phi=64, boundary_only=
          "shipped": ([], verify.GridSpec(n_theta=128, n_phi=256, boundary_only=True))}
 
 
-@pytest.mark.parametrize("grid", GRIDS)
-def test_witness_window_mutant_fails_the_theta_trace(grid, monkeypatch, tmp_path, capsys):
-    flags, boundary = GRIDS[grid]
+def install_witness_window_mutant(monkeypatch, boundary):
+    """Triple the default family's theta trace within WINDOW of its witness
+    on the boundary grid."""
     sphere = verify.boundary_pass(fam.default_field(), boundary)
     i = int(np.argmax(np.abs(sphere.curl_v_theta)))
     _, t0, p0 = sphere.lattice.nodes_at(i)
@@ -113,6 +120,23 @@ def test_witness_window_mutant_fails_the_theta_trace(grid, monkeypatch, tmp_path
         near = np.arccos(np.clip(cos_d, -1.0, 1.0)) < WINDOW
         return state._replace(curl_v_theta=np.where(near, 3.0 * trace, trace))
     monkeypatch.setattr(fam.CounterexampleField, "boundary_state", mutant)
+
+
+def install_sphere_omega_mutant(monkeypatch):
+    """Zero omega_assembly's omega_theta and omega_phi at r = 1."""
+    original = kernels.omega_assembly
+
+    def mutant(r, *args):
+        w_r, w_t, w_p = original(r, *args)
+        on_sphere = r == 1.0
+        return w_r, np.where(on_sphere, 0.0, w_t), np.where(on_sphere, 0.0, w_p)
+    monkeypatch.setattr(kernels, "omega_assembly", mutant)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_witness_window_mutant_fails_the_theta_trace(grid, monkeypatch, tmp_path, capsys):
+    flags, boundary = GRIDS[grid]
+    install_witness_window_mutant(monkeypatch, boundary)
     code, overall, failed = failed_checks(tmp_path, *flags)
     capsys.readouterr()
     assert (code, overall) == (2, False)
@@ -122,14 +146,39 @@ def test_witness_window_mutant_fails_the_theta_trace(grid, monkeypatch, tmp_path
 @pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("family", ["perturbed:1e-3", "perturbed:1e-1"])
 def test_sphere_omega_mutant_fails_the_slip_check(family, grid, monkeypatch, tmp_path, capsys):
-    original = kernels.omega_assembly
-
-    def mutant(r, *args):
-        w_r, w_t, w_p = original(r, *args)
-        on_sphere = r == 1.0
-        return w_r, np.where(on_sphere, 0.0, w_t), np.where(on_sphere, 0.0, w_p)
-    monkeypatch.setattr(kernels, "omega_assembly", mutant)
+    install_sphere_omega_mutant(monkeypatch)
     code, overall, failed = failed_checks(tmp_path, "--family", family, *GRIDS[grid][0])
     capsys.readouterr()
     assert (code, overall) == (2, False)
     assert "slip_omega_cross_n" in failed
+
+
+# mutant: (its installer, family, the row it fails, the gate that row must name)
+GATED_ROWS = {
+    "witness-window": (lambda mp: install_witness_window_mutant(mp, GRIDS["coarse"][1]),
+                       "default", "persistency_failure_theta", "rel_discrepancy",
+                       verify.TRACE_GATE_REL_TOL),
+    "sphere-omega": (install_sphere_omega_mutant, "perturbed:1e-3", "slip_omega_cross_n",
+                     "oracle_spot_max_abs_err", verify.TOL_ORACLE_AGREEMENT),
+}
+
+
+@pytest.mark.parametrize("mutant", GATED_ROWS)
+def test_a_row_failed_by_its_hidden_gate_names_it(mutant, monkeypatch, tmp_path, capsys):
+    # each row's norm_sup meets its own tolerance, so only failed_gate says
+    # why the row fails; no other row of the run names a gate
+    install, family, name, gate, tolerance = GATED_ROWS[mutant]
+    install(monkeypatch)
+    code, doc = verify_report(tmp_path, "--family", family, *COARSE)
+    capsys.readouterr()
+    rows = {c["name"]: c for c in doc["checks"]}
+    row = rows[name]
+    assert code == 2 and not row["pass"]
+    if row["direction"] == "above":
+        assert row["norm_sup"] >= row["tolerance"]
+    else:
+        assert row["norm_sup"] <= row["tolerance"]
+    assert row["details"]["failed_gate"] == {
+        "name": gate, "value": row["details"][gate], "tolerance": tolerance}
+    assert row["details"][gate] > tolerance
+    assert [n for n, c in rows.items() if "failed_gate" in c["details"]] == [name]

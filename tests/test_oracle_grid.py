@@ -528,13 +528,13 @@ def test_nan_gate_value_fails_phi_and_is_named(default_field, monkeypatch, capsy
     original = oracle.fd_boundary_radial_derivative
     calls = []
 
-    def nan_at_last_phi_gate_node(fn, theta, phi, cfg=FDConfig()):
+    def nan_at_a_phi_gate_node(fn, theta, phi, cfg=FDConfig()):
         calls.append(np.size(theta))
         vals = original(fn, theta, phi, cfg)
-        vals[0, -3] = math.nan  # v_theta there; the two witnesses come last
+        vals[0, -3] = math.nan  # v_theta there; the phi witness comes last
         return vals
 
-    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", nan_at_last_phi_gate_node)
+    monkeypatch.setattr(oracle, "fd_boundary_radial_derivative", nan_at_a_phi_gate_node)
     # the theta gate bound was measured with Richardson at step 1e-4
     res_t, res_p = verify.check_persistency_failure(
         default_field, verify.boundary_pass(default_field, SMALL_BOUNDARY), FDConfig(1e-4, True))

@@ -230,9 +230,8 @@ class TestDivergenceCheck:
 
 def test_divergence_check_memory_peak():
     # the full-size arrays of the check are its difference and the one
-    # buffer of _grid_result (1.2 MB each); u and its comparison are
-    # slab-sized: 2.9 MB traced in all, against 4.9 MB when each step of
-    # the comparison allocated its own arrays
+    # buffer of _grid_result (1.2 MB each); u and the temporaries of its
+    # comparison are slab-sized: 2.75 MB traced in all
     field, grid = fam.default_field(), verify.GridSpec()
     verify.check_divergence_free(field, grid)
     tracemalloc.start()
