@@ -400,19 +400,18 @@ def check_admissibility(field: CounterexampleField, witnesses) -> AdmissibilityR
     r_in = np.linspace(0.0, si, 5)
     support_ok = all(np.all(a == 0.0) for a in field.profile.fn(r_in, 2))
 
-    # the pole probes, then the period probes at phi and phi + 2 pi, in one
-    # call of the pointwise fn
+    # one call of the pointwise fn on a product grid: theta rows 0-7 probe
+    # the pole margins at phi columns 0-3, and rows 8-14 the period, phi at
+    # columns 4-8 against phi + 2 pi at columns 9-13
     d = field.angular.pole_margin
-    theta_in = np.concatenate([np.linspace(0.0, d, 4), np.linspace(math.pi - d, math.pi, 4)])
-    phi_s = np.array([0.0, 0.7, math.pi, 5.1])
-    th, ph = [a.ravel() for a in np.meshgrid(theta_in, phi_s, indexing="ij")]
-    th_p = np.repeat(np.linspace(0.0, math.pi, 7), 5)
-    ph_p = np.tile(np.linspace(0.0, 2.0 * math.pi, 5), 7)
-    jet = field.angular.fn(np.concatenate([th, th_p, th_p]),
-                           np.concatenate([ph, ph_p, ph_p + 2.0 * math.pi]), 2)
-    pole_ok = all(np.all(a[:th.size] == 0.0) for a in jet)
-    g0, g1 = jet[0][th.size:].reshape(2, -1)
-    periodicity_ok = bool(np.max(np.abs(g1 - g0), initial=0.0) <= 1e-12)
+    theta = np.concatenate([np.linspace(0.0, d, 4), np.linspace(math.pi - d, math.pi, 4),
+                            np.linspace(0.0, math.pi, 7)])[:, None]
+    period = np.linspace(0.0, 2.0 * math.pi, 5)
+    jet = field.angular.fn(theta, np.concatenate([[0.0, 0.7, math.pi, 5.1], period,
+                                                  period + 2.0 * math.pi]), 2)
+    pole_ok = all(np.all(a[:8, :4] == 0.0) for a in jet)
+    g = np.broadcast_to(jet[0], (15, 14))
+    periodicity_ok = bool(np.max(np.abs(g[8:, 9:] - g[8:, 4:9]), initial=0.0) <= 1e-12)
 
     w1, w2 = witnesses
     return AdmissibilityReport(

@@ -24,17 +24,20 @@ with Richardson), after every node is checked against the domain.  None
 of it changes a bit, as the work is elementwise and every evaluator is
 pointwise.  Node arrays need only broadcast together: flat nodes share one
 shape, and a lattice may pass its axes as (n_r, 1, 1), (1, n_theta, 1)
-and (1, 1, n_phi).  _nodes validates and normalises each array in its own
-shape with sphcalc._normalise, the one normaliser that SphPoint also uses
-(phi reduced to [0, 2pi), theta clamped to [0, pi], r clamped at 0,
-out-of-range nodes rejected with ConfigError).  A spherical stencil
-concatenates the shifted coordinate's copies along the axis where it
-varies most and tiles the other coordinates only where they vary along
-it, so flat nodes are concatenated along their axis and a lattice's other
-axes keep their shapes: the divergence check's two calls of g take
-(1, 2 n_theta, 1) and (1, 1, 2 n_phi) axes, not a plane per offset.
-fd_curl_spherical broadcasts its nodes first, so that its three stencils
-share one axis.
+and (1, 1, n_phi).  Every entry takes its raw coordinates through
+sphcalc._normalise, the one node entry that SphPoint also takes: it shapes
+them by sphcalc._node_arrays (at least 1-D, one ndim; lattice axes keep
+their shapes, anything else is broadcast) and validates them (phi reduced
+to [0, 2pi), theta clamped to [0, pi], r clamped at 0, out-of-range nodes
+rejected with ConfigError); nothing here shapes nodes of its own.  A
+spherical stencil concatenates the shifted coordinate's copies along the
+axis where it varies most and tiles the other coordinates only where they
+vary along it, so flat nodes are concatenated along their axis and a
+lattice's other axes keep their shapes: the divergence check's two calls
+of g take (1, 2 n_theta, 1) and (1, 1, 2 n_phi) axes, not a plane per
+offset.  fd_curl_spherical broadcasts its normalised nodes once, so that
+its three stencils share one axis, and _checked_points broadcasts
+sph_to_cart's output once.
 
 _stencil holds the spherical stencil once (its domain rule, shifted node
 sets and difference weights), and fd_partial, fd_curl_spherical and
@@ -92,35 +95,23 @@ def _richardson(d_at, step, enabled):
     return (4.0 * d_at(step / 2.0) - d_at(step)) / 3.0
 
 
-def _nodes(r, theta, phi):
-    """Normalised float64 node arrays, at least 1-D, each in its own shape;
-    the shapes broadcast together.  Flat nodes share one shape; a lattice
-    passes its axes as (n_r, 1, 1), (1, n_theta, 1) and (1, 1, n_phi), so
-    each is normalised once per axis value, not once per node."""
-    arrays = [np.atleast_1d(np.asarray(c, dtype=np.float64)) for c in (r, theta, phi)]
-    np.broadcast_shapes(*(a.shape for a in arrays))
-    return _normalise(*arrays)
-
-
 def _out_of_domain(ok, where, values, step):
     if not np.all(ok):
         raise StencilOutOfDomain(f"{where}={values[~ok].flat[0]} with step {step}")
 
 
 def _stencil(nodes, coordinate, cfg):
-    """The spherical stencil along `coordinate` at the node arrays (as _nodes
-    returns them): (points, combine).  points are the normalised node arrays
-    of every shifted node set at once: the shifted coordinate's copies are
-    concatenated along the axis where it varies most (the axis of flat
-    nodes; a lattice's other axes keep their own shapes), and the other
+    """The spherical stencil along `coordinate` at the node arrays (as
+    _normalise returns them): (points, combine).  points are the normalised
+    node arrays of every shifted node set at once: the shifted coordinate's
+    copies are concatenated along the axis where it varies most (the axis of
+    flat nodes; a lattice's other axes keep their own shapes), and the other
     coordinates are tiled only where they vary along that axis.
     combine(values) takes the field at the points, one array of their
     broadcast shape (a stack of fields on a leading axis), and returns the
     derivative at the nodes.  Raises StencilOutOfDomain, before anything is
     evaluated, when a node's stencil would leave the domain."""
     k = _AXES[coordinate]
-    ndim = max(c.ndim for c in nodes)
-    nodes = [c.reshape((1,) * (ndim - c.ndim) + c.shape) for c in nodes]
     c, s = nodes[k], cfg.step
     edge = np.zeros(c.shape, dtype=bool)
     if coordinate == "r":
@@ -139,13 +130,13 @@ def _stencil(nodes, coordinate, cfg):
                for o in (np.where(edge, 0.0, h), -h) + ((-2.0 * h,) if one_sided else ())]
     axis = int(np.argmax(c.shape))
     along = list(c.shape)
-    along[axis] = np.broadcast_shapes(*(a.shape for a in nodes))[axis]
+    along[axis] = max(a.shape[axis] for a in nodes)  # the nodes share one ndim
     points = [np.concatenate([np.broadcast_to(c + o, along) for o in offsets], axis) if j == k
               else np.concatenate([a] * len(offsets), axis) if a.shape[axis] > 1 else a
               for j, a in enumerate(nodes)]
 
     def combine(values):
-        pieces = np.split(values, len(offsets), axis - ndim)
+        pieces = np.split(values, len(offsets), axis - c.ndim)
         per_level = len(offsets) // len(levels)
         at_step = {h: pieces[i * per_level:(i + 1) * per_level] for i, h in enumerate(levels)}
 
@@ -185,7 +176,7 @@ def fd_partial(fn, r, theta, phi, coordinate: str, cfg: FDConfig = FDConfig()):
     """
     if coordinate not in _AXES:
         raise ConfigError(f"unknown coordinate {coordinate!r}")
-    points, combine = _stencil(_nodes(r, theta, phi), coordinate, cfg)
+    points, combine = _stencil(_normalise(r, theta, phi), coordinate, cfg)
     return combine(_evaluate(fn, points))
 
 
@@ -198,12 +189,11 @@ def fd_curl_spherical(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
     Richardson), after the theta and then the r stencil are checked against
     the domain.  Returns the curl's components.
     """
-    nodes = _nodes(r, theta, phi)
     # on nodes of one shape every stencil concatenates along the same axis
-    shape = np.broadcast_shapes(*(c.shape for c in nodes))
-    axis = int(np.argmax(shape)) - len(shape)
+    nodes = np.broadcast_arrays(*_normalise(r, theta, phi))
+    axis = int(np.argmax(nodes[0].shape)) - nodes[0].ndim
     (at_t, by_t), (at_p, by_p), (at_r, by_r) = (
-        _stencil(np.broadcast_arrays(*nodes), c, cfg) for c in ("theta", "phi", "r"))
+        _stencil(nodes, c, cfg) for c in ("theta", "phi", "r"))
     points = [np.broadcast_arrays(*at) for at in (at_t, at_p, at_r)]
     fields = _evaluate(components_fn, [np.concatenate(c, axis) for c in zip(*points)])
     v_t, v_p, v_r = np.split(fields, np.cumsum([at[0].shape[axis] for at in points[:2]]), axis)
@@ -234,7 +224,7 @@ def _cartesian_domain(x, y, z, step):
 def cartesian_stencil_fits(r, theta, phi, step):
     """Nodes whose Cartesian stencil of the given step the oracle accepts."""
     (*_, inside), (*_, off_axis) = _cartesian_domain(
-        *kernels.sph_to_cart(*_nodes(r, theta, phi)), step)
+        *kernels.sph_to_cart(*_normalise(r, theta, phi)), step)
     return inside & off_axis
 
 
@@ -242,11 +232,10 @@ def _checked_points(r, theta, phi, step):
     """(shape of the nodes, (3, n) array of x, y, z at every node, raveled)
     after every node is checked against the stencil domain; the message
     names the first node that breaks the first rule."""
-    x, y, z = kernels.sph_to_cart(*_nodes(r, theta, phi))
+    x, y, z = np.broadcast_arrays(*kernels.sph_to_cart(*_normalise(r, theta, phi)))
     for what, value, holds in _cartesian_domain(x, y, z, step):
         _out_of_domain(holds, f"Cartesian stencil {what}", value, step)
-    shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
-    return shape, np.array([np.broadcast_to(c, shape).ravel() for c in (x, y, z)])
+    return x.shape, np.array([c.ravel() for c in (x, y, z)])
 
 
 def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConfig()):
@@ -269,8 +258,8 @@ def cartesian_jacobian_grid(components_fn, r, theta, phi, cfg: FDConfig = FDConf
     x, y, _ = shifted
     rho = np.sqrt(x * x + y * y)  # >= step, as _checked_points asks rho >= 2 * step
     r, theta, phi = kernels.cart_to_sph(*shifted, rho)
-    fields = [np.broadcast_to(c, r.shape) for c in components_fn(r, theta, phi)]
-    w = np.array(kernels.vec_sph_to_cart_at(*shifted, r, rho, *fields))
+    w = np.array(kernels.vec_sph_to_cart_at(*shifted, r, rho,
+                                            *_evaluate(components_fn, (r, theta, phi))))
     at = dict(zip(offsets, np.split(w, len(offsets), axis=1)))
     jac = np.stack([_richardson(lambda h: (at[j, h] - at[j, -h]) / (2.0 * h),
                                 cfg.step, cfg.richardson) for j in range(3)], axis=1)
@@ -285,6 +274,6 @@ def cartesian_divergence_grid(jac):
 def cartesian_curl_grid(jac, theta, phi):
     """The curl of a cartesian_jacobian_grid Jacobian, its antisymmetric
     part, in the local spherical basis at the Jacobian's nodes (theta and
-    phi as _nodes normalises them)."""
+    phi as _normalise returns them)."""
     return kernels.vec_cart_to_sph(theta, phi, jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0],
                                    jac[1, 0] - jac[0, 1])

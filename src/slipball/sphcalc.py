@@ -1,14 +1,15 @@
 """Spherical points and the midpoint lattice.
 
 Points are (r, theta, phi) with theta the colatitude and phi the longitude,
-reduced to [0, 2pi) at construction by _normalise, the one node normaliser,
-which the oracles share.  midpoint_lattice is the one grid rule: the ball's
-interior lattice, and the unit sphere as its r = 1 layer; require_cells is
-the one rule for its cell counts, require_nodes caps their product at
-MAX_NODES before anything is allocated, and store_field is the one type
-rule of GridSpec's and FDConfig's fields.  The differential operators and
-the point and vector transforms (the local basis (e_r, e_theta, e_phi)
-among them) are the array kernels in kernels.
+reduced to [0, 2pi) at construction by _normalise, the one node entry,
+which the oracles share: it shapes raw coordinates by _node_arrays, the one
+shape rule, and validates them.  midpoint_lattice is the one grid rule: the
+ball's interior lattice, and the unit sphere as its r = 1 layer;
+require_nodes is the one rule for its counts (integers, at least 8 cells per
+axis, at most MAX_NODES nodes, checked before anything is allocated), and
+store_field is the one type rule of GridSpec's and FDConfig's fields.  The
+differential operators and the point and vector transforms (the local basis
+(e_r, e_theta, e_phi) among them) are the array kernels in kernels.
 """
 import math
 import numbers
@@ -28,8 +29,9 @@ _COORD_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class SphPoint:
-    """Point in spherical coordinates, normalised once, here, by the
-    oracles' node normaliser (_normalise); the coordinates are floats.
+    """Point in spherical coordinates, normalised once, here, by the one
+    node entry that the oracles also take (_normalise); the coordinates are
+    floats.
 
     Non-finite or out-of-range coordinates raise ConfigError.
     """
@@ -39,8 +41,7 @@ class SphPoint:
     phi: float
 
     def __post_init__(self):
-        coords = _normalise(*np.atleast_1d(*_node_arrays(self.r, self.theta, self.phi)))
-        for name, c in zip(("r", "theta", "phi"), coords):
+        for name, c in zip(("r", "theta", "phi"), _normalise(self.r, self.theta, self.phi)):
             object.__setattr__(self, name, c.item())
 
 
@@ -59,12 +60,14 @@ def _node_arrays(*coords):
 
 
 def _normalise(r, theta, phi):
-    """Node arrays as SphPoint stores a point: r >= 0, theta in [0, pi],
-    phi in [0, 2pi).  The one normaliser, for SphPoint and the oracles.
+    """Raw coordinates as node arrays, shaped by _node_arrays (at least 1-D)
+    and stored as SphPoint stores a point: r >= 0, theta in [0, pi], phi in
+    [0, 2pi).  The one node entry, for SphPoint and every oracle.
 
     Raises ConfigError for a non-finite node, r below 0 or theta outside
     [0, pi] by more than the coordinate slack.
     """
+    r, theta, phi = np.atleast_1d(*_node_arrays(r, theta, phi))
     # array methods, not np.all/np.any/np.clip: less dispatch per SphPoint
     for name, c in (("r", r), ("theta", theta), ("phi", phi)):
         if not np.isfinite(c).all():
@@ -108,19 +111,14 @@ class Lattice(NamedTuple):
         return SphPoint(*self.nodes_at(i))
 
 
-def require_cells(name, count):
-    """The one size rule of a grid axis: a count that is not an integer
-    raises store_field's TypeError, and fewer than 8 cells ConfigError."""
-    if _of_kind(name, count, int) < 8:
-        raise ConfigError(f"{name} must be at least 8")
-
-
 def require_nodes(counts):
-    """The one size rule of a lattice, given its counts by name: each
-    follows require_cells, and more than MAX_NODES nodes in all raises
-    ConfigError naming the counts, before anything is allocated."""
+    """The one size rule of a lattice, given its counts by name: a count
+    that is not an integer raises store_field's TypeError, fewer than 8
+    cells ConfigError, and more than MAX_NODES nodes in all ConfigError
+    naming the counts, before anything is allocated."""
     for name, count in counts.items():
-        require_cells(name, count)
+        if _of_kind(name, count, int) < 8:
+            raise ConfigError(f"{name} must be at least 8")
     if math.prod(counts.values()) > MAX_NODES:
         shape = " x ".join(f"{name}={count}" for name, count in counts.items())
         raise ConfigError(f"a lattice of {shape} has more than {MAX_NODES} nodes")

@@ -104,8 +104,10 @@ class GridSpec:
     check's theta stencils off the poles).  Boundary grids are the r = 1
     layer and ignore n_r and the margins: theta midpoints cover all of
     [0, pi] so that surface quadrature sees the whole sphere, and phi is
-    uniform on [0, 2pi).  The counts follow sphcalc.require_nodes, so a grid
-    of more than sphcalc.MAX_NODES nodes is refused when it is built.
+    uniform on [0, 2pi).  Every field's type is checked first; then the
+    counts of the lattice the grid builds (not a sphere's n_r) follow
+    sphcalc.require_nodes, so a grid of more than sphcalc.MAX_NODES nodes is
+    refused when it is built; then the margins' ranges.
     """
 
     n_r: int = 32
@@ -119,17 +121,17 @@ class GridSpec:
         # counts are stored as int and margins as float, so the report echo
         # is plain JSON and the lattice shape is exact
         for name in ("n_r", "n_theta", "n_phi"):
-            sphcalc.require_cells(name, sphcalc.store_field(self, name, int))
+            sphcalc.store_field(self, name, int)
         for name in ("margin_r", "margin_theta"):
             sphcalc.store_field(self, name, float)
         sphcalc.store_field(self, "boundary_only", bool)
+        # the counts of the lattice this grid builds: a sphere reads no n_r
+        sphcalc.require_nodes({k: getattr(self, k) for k in (
+            ("n_theta", "n_phi") if self.boundary_only else ("n_r", "n_theta", "n_phi"))})
         if not 0.0 < self.margin_r < 0.5:
             raise ConfigError("margin_r must lie in (0, 0.5)")
         if not 0.0 < self.margin_theta < math.pi / 2:
             raise ConfigError("margin_theta must lie in (0, pi/2)")
-        # the counts of the lattice this grid builds
-        sphcalc.require_nodes({k: getattr(self, k) for k in (
-            ("n_theta", "n_phi") if self.boundary_only else ("n_r", "n_theta", "n_phi"))})
 
     def lattice(self, boundary_only: Optional[bool] = None) -> sphcalc.Lattice:
         """The grid's midpoint lattice: the sphere (r = 1) for a boundary

@@ -315,7 +315,24 @@ class TestOneOwnerPerPrecondition:
         assert code == 0, err
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 class TestConfigFile:
+    def test_the_readme_config_runs(self, capsys, tmp_path):
+        # the example config of README's "Command line" section, on the
+        # coarse grids given as flags
+        section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        text = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg, report = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(text)
+        code, out, _ = run_cli(capsys, ["verify", "--config", str(cfg), "--no-timestamp",
+                                        "--report", str(report)] + FAST_GRID)
+        assert code == 0 and "overall: PASS" in out
+        given = json.loads(text)
+        assert json.loads(report.read_text())["oracle"] == {**given["oracle"],
+                                                           "seed": given["seed"]}
+
     def test_config_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

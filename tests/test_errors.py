@@ -20,6 +20,17 @@ BAD_INPUT = {
                         "support_inner must lie in (0, 1)"),
     "partial coordinate": (lambda: oracle.fd_partial(lambda r, t, p: r, 0.5, 1.0, 1.0, "q"),
                            "unknown coordinate 'q'"),
+    # one bad node per public oracle entry (see test_oracle_entries_refuse_nodes_as_sphpoint)
+    "fd_partial node": (lambda: oracle.fd_partial(lambda r, t, p: r, -1.0, 1.0, 1.0, "r"),
+                        "negative radius r=-1.0"),
+    "fd_curl_spherical node": (lambda: oracle.fd_curl_spherical(
+        lambda r, t, p: (r, t, p), 0.5, 1.0, float("inf")), "non-finite coordinate phi=inf"),
+    "fd_boundary_radial_derivative node": (lambda: oracle.fd_boundary_radial_derivative(
+        lambda r, t, p: r, 4.0, 1.0), "colatitude out of range theta=4.0"),
+    "cartesian_jacobian_grid node": (lambda: oracle.cartesian_jacobian_grid(
+        lambda r, t, p: (r, t, p), 0.5, -0.5, 1.0), "colatitude out of range theta=-0.5"),
+    "cartesian_stencil_fits node": (lambda: oracle.cartesian_stencil_fits(
+        float("nan"), 1.0, 1.0, 1e-6), "non-finite coordinate r=nan"),
     "witness grid": (lambda: family.find_witnesses(family.default_field(), 7, 7),
                      "n_theta must be at least 8"),
     "lattice kind": (lambda: GridSpec().lattice(boundary_only=True),
@@ -37,6 +48,21 @@ def test_bad_input_raises_one_typed_error(call, message):
         call()
     assert str(exc.value) == message
     assert isinstance(exc.value, SlipballError) and isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("entry, node", [
+    ("fd_partial node", (-1.0, 1.0, 1.0)),
+    ("fd_curl_spherical node", (0.5, 1.0, float("inf"))),
+    ("fd_boundary_radial_derivative node", (1.0, 4.0, 1.0)),
+    ("cartesian_jacobian_grid node", (0.5, -0.5, 1.0)),
+    ("cartesian_stencil_fits node", (float("nan"), 1.0, 1.0)),
+])
+def test_oracle_entries_refuse_nodes_as_sphpoint(entry, node):
+    # every oracle takes its nodes through the one node entry that SphPoint
+    # takes, so both refuse a node with one message
+    with pytest.raises(ConfigError) as exc:
+        sphcalc.SphPoint(*node)
+    assert str(exc.value) == BAD_INPUT[entry][1]
 
 
 def test_the_package_exports_the_error():

@@ -47,7 +47,7 @@ def per_offset_fd_partial(fn, r, theta, phi, coordinate, cfg=FDConfig()):
     """fd_partial with one fn call per stencil offset, on the nodes
     broadcast to one shape."""
     axis = oracle._AXES[coordinate]
-    base = np.broadcast_arrays(*oracle._nodes(r, theta, phi))
+    base = np.broadcast_arrays(*oracle._normalise(r, theta, phi))
     r, theta = base[0], base[1]
     s = cfg.step
     edge = np.zeros(r.shape, dtype=bool)
@@ -79,7 +79,7 @@ def per_offset_fd_partial(fn, r, theta, phi, coordinate, cfg=FDConfig()):
 def per_offset_fd_curl_spherical(components_fn, r, theta, phi, cfg=FDConfig()):
     """fd_curl_spherical as three per-offset partials (7 calls, 14 with
     Richardson)."""
-    nodes = oracle._nodes(r, theta, phi)
+    nodes = oracle._normalise(r, theta, phi)
 
     def theta_parts(r, t, p):
         vr, _, vp = components_fn(r, t, p)

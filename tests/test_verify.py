@@ -79,6 +79,32 @@ class TestGridSpec:
         with pytest.raises(TypeError, match="boundary_only must be a boolean"):
             GridSpec(boundary_only=flag)
 
+    @pytest.mark.parametrize("n_r", [4, 10 ** 30])
+    def test_a_sphere_reads_no_n_r_count(self, n_r):
+        # the sphere is the r = 1 layer: n_r = 4 used to be refused ("n_r
+        # must be at least 8") while n_r = 10**30 passed
+        grid = GridSpec(n_theta=32, n_phi=64, boundary_only=True, n_r=n_r)
+        assert grid.n_r == n_r and grid.lattice().shape == (1, 32, 64)
+
+    def test_a_sphere_type_checks_n_r(self):
+        with pytest.raises(TypeError, match=r"^n_r must be an integer, got 8\.5$"):
+            GridSpec(n_theta=32, n_phi=64, boundary_only=True, n_r=8.5)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        # every type before any count
+        ({"n_r": 4, "margin_r": "0.05"}, TypeError, "margin_r must be a number, got '0.05'"),
+        ({"n_theta": 4, "boundary_only": "no"}, TypeError,
+         "boundary_only must be a boolean, got 'no'"),
+        # the lattice cap before the margins' ranges
+        ({"n_r": 2 ** 10, "n_theta": 2 ** 10, "n_phi": 2 ** 10, "margin_r": 0.0}, ConfigError,
+         "a lattice of n_r=1024 x n_theta=1024 x n_phi=1024 has more than 134217728 nodes"),
+        ({"n_phi": 4, "margin_theta": 2.0}, ConfigError, "n_phi must be at least 8"),
+    ])
+    def test_a_grid_bad_in_two_ways_names_the_first_rule(self, kwargs, error, message):
+        with pytest.raises(error) as exc:
+            GridSpec(**kwargs)
+        assert str(exc.value) == message
+
     def test_non_number_margin_is_rejected(self):
         with pytest.raises(TypeError, match="margin_r must be a number"):
             GridSpec(margin_r="0.05")

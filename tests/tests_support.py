@@ -54,6 +54,6 @@ def cartesian_curl(fn, r, theta, phi, cfg=oracle.FDConfig()):
     """The Cartesian FD curl of fn at the nodes, in their local spherical
     basis: the antisymmetric part of one oracle.cartesian_jacobian_grid
     call, rotated at the normalised nodes."""
-    _, theta, phi = oracle._nodes(r, theta, phi)
+    _, theta, phi = oracle._normalise(r, theta, phi)
     return oracle.cartesian_curl_grid(oracle.cartesian_jacobian_grid(fn, r, theta, phi, cfg),
                                       theta, phi)
