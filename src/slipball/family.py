@@ -46,7 +46,7 @@ import numpy as np
 
 from . import kernels, sphcalc
 from .errors import ConfigError
-from .sphcalc import SphPoint, _node_arrays
+from .sphcalc import SphPoint, _convert, _node_arrays
 
 WITNESS_THRESHOLD = 1e-6
 _H1_ZERO_EPS = 1e-12
@@ -194,7 +194,8 @@ def perturbed_profile(eps, base: Optional[RadialProfile] = None) -> RadialProfil
     h_eps(1) + h_eps'(1) = (eps/2) h(1), linear in eps.  A 1-D eps array
     broadcasts against r: fn(np.ones(1), 1) is h, h' at r = 1 for every eps.
     """
-    refused = [e for e in np.ravel(eps).tolist() if not math.isfinite(2.0 * e)]
+    refused = [e for e in np.ravel(eps).tolist()
+               if not math.isfinite(_convert("perturbation size", e, lambda v: 2.0 * v))]
     if refused:  # 2 eps, the factor's second derivative, must be finite
         raise ConfigError(f"perturbation size must be finite and at most half the largest "
                           f"float, got {refused[0]!r}")

@@ -40,6 +40,13 @@ width**k), and _ramp_jet stacks t and 1 - t into one sigma_jet call.  Each
 element takes the same expressions as in a call of its own, so every bit
 stays, NaN, signed zeros, the junctions and t > 1e100 included, and the
 numpy dispatch of each step is paid once per call instead of once per side.
+
+Profiles: each profile jet is the cutoff's chain rule (_scaled_step_jet)
+times one factor's jet, by product_jet.  The default profile takes the jet
+(1, -1, 1) of e^(1-r) with e^(1-r) factored out and multiplies by e^(1-r)
+last, so each entry has the bits of (c0, c1 - c0, c2 - 2 c1 + c0) e;
+h1zero takes (r - 1, 1, 0) twice, whose h'(1) is +0, where (1 - r, -1, 0)
+would give -0 and flip the signs of the sphere traces.
 """
 import numpy as np
 
@@ -135,28 +142,17 @@ def bump_jet(x, a, b, c, d, order=2):
 
 
 def default_profile_jet(r, order=2):
-    c = _scaled_step_jet(r, _CHI_LO, _CHI_WIDTH, order)
+    # chi(r) e^(1-r), by the profile rule of the module docstring
     e = np.exp(1.0 - r)
-    h = c[0] * e
-    if order < 1:
-        return (h,)
-    hp = (c[1] - c[0]) * e
-    if order < 2:
-        return h, hp
-    return h, hp, (c[2] - 2.0 * c[1] + c[0]) * e
+    return tuple(p * e for p in product_jet(
+        _scaled_step_jet(r, _CHI_LO, _CHI_WIDTH, order), (1.0, -1.0, 1.0), order))
 
 
 def h1zero_profile_jet(r, order=2):
-    # chi(r) * (1 - r)^2: vanishes to second order at r = 1
-    c = _scaled_step_jet(r, _CHI_LO, _CHI_WIDTH, order)
-    q = 1.0 - r
-    h = c[0] * q * q
-    if order < 1:
-        return (h,)
-    hp = c[1] * q * q - 2.0 * c[0] * q
-    if order < 2:
-        return h, hp
-    return h, hp, c[2] * q * q - 4.0 * c[1] * q + 2.0 * c[0]
+    # chi(r) (r - 1)^2: vanishes to second order at r = 1 (the profile rule)
+    q = (r - 1.0, 1.0, 0.0)
+    return product_jet(product_jet(_scaled_step_jet(r, _CHI_LO, _CHI_WIDTH, order), q, order),
+                       q, order)
 
 
 def perturbed_factor_jet(r, eps, order=2):

@@ -7,7 +7,9 @@ shape rule, and validates them.  midpoint_lattice is the one grid rule: the
 ball's interior lattice, and the unit sphere as its r = 1 layer;
 require_nodes is the one rule for its counts (integers, at least 8 cells per
 axis, at most MAX_NODES nodes, checked before anything is allocated), and
-store_field is the one type rule of GridSpec's and FDConfig's fields.  The
+store_field is the one type rule of GridSpec's and FDConfig's fields.
+_convert is the one conversion that refuses an integer too large for a
+float, for the fields, the nodes and the perturbation sizes.  The
 differential operators and the point and vector transforms (the local basis
 (e_r, e_theta, e_phi) among them) are the array kernels in kernels.
 """
@@ -48,8 +50,11 @@ class SphPoint:
 def _node_arrays(*coords):
     """Coordinates as C-contiguous float64 arrays of one ndim (0-d for a
     scalar point): each keeps its shape if each varies along one axis of its
-    own (a lattice's axes), else all broadcast (flat nodes)."""
-    arrays = [np.asarray(c, dtype=np.float64) for c in coords]
+    own (a lattice's axes), else all broadcast (flat nodes).  _convert's
+    message names them from the last, phi: (r, theta, phi), or the sphere's
+    (theta, phi)."""
+    arrays = [_convert(name, c, lambda v: np.asarray(v, dtype=np.float64)) for name, c in
+              zip(("coordinate r", "coordinate theta", "coordinate phi")[-len(coords):], coords)]
     if any(a.shape != arrays[0].shape for a in arrays):
         ndim = max(a.ndim for a in arrays)
         arrays = [a.reshape((1,) * (ndim - a.ndim) + a.shape) for a in arrays]
@@ -125,12 +130,23 @@ def require_nodes(counts):
 
 
 def _of_kind(name, value, kind):
-    """value as kind (int, float or bool), else TypeError: numpy numbers count, bools only as bool."""
+    """value as kind (int, float or bool) by _convert, else TypeError: numpy
+    numbers count, bools only as bool."""
     accepted, noun = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
                       bool: (bool, "a boolean")}[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise TypeError(f"{name} must be {noun}, got {value!r}")
-    return kind(value)
+    return _convert(name, value, kind)
+
+
+def _convert(name, value, kind):
+    """kind(value), the one conversion of a number that the package reads as
+    a float; an integer too large for a float raises ConfigError naming it
+    by name, not by its repr, which can itself raise for a long int."""
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{name} holds an integer too large for a float") from None
 
 
 def store_field(obj, name, kind):

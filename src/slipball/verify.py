@@ -502,11 +502,12 @@ def scaling_sweep(base_field: fam.CounterexampleField, epsilons,
     row, rounded once (a row may be an ulp off the sup).
 
     Raises ConfigError before any evaluation for an eps perturbed_profile
-    refuses, or unless two positive eps differ; ConfigError naming the eps
+    refuses (an integer too large for a float by its conversion, with its
+    message), or unless two positive eps differ; ConfigError naming the eps
     of a non-finite residual; DegenerateFit when fewer than two rows of
     distinct eps keep a nonzero residual (h(1) = 0, say).
     """
-    epsilons = [float(eps) for eps in epsilons]
+    epsilons = [sphcalc._convert("perturbation size", eps, float) for eps in epsilons]
     profile = fam.perturbed_profile(np.array(epsilons), base_field.profile)
     log_pos = np.log([e for e in epsilons if e > 0.0])
     if log_pos.size < 2:

@@ -39,6 +39,23 @@ BAD_INPUT = {
     "non-finite result": (lambda: verify.run_full_verification(
         family.family_by_label("perturbed:8.98e307"), *COARSE),
         "check slip_omega_cross_n gives a non-finite norm_sup (inf)"),
+    # a Python int too large for a float, named by its field and never printed
+    # (the repr of an int of 5000 digits raises on Python 3.11+)
+    "grid margin too large": (lambda: GridSpec(margin_r=10**400),
+                              "margin_r holds an integer too large for a float"),
+    "oracle step too large": (lambda: oracle.FDConfig(step=10**400),
+                              "step holds an integer too large for a float"),
+    "point too large": (lambda: sphcalc.SphPoint(10**5000, 1, 1),
+                        "coordinate r holds an integer too large for a float"),
+    "evaluator node too large": (lambda: family.default_field().u_components(0.5, 10**400, 1.0),
+                                 "coordinate theta holds an integer too large for a float"),
+    "sphere node too large": (lambda: family.default_field().boundary_curl_theta(1.0, 10**400),
+                              "coordinate phi holds an integer too large for a float"),
+    "perturbation size too large": (lambda: family.perturbed_profile(10**400),
+                                    "perturbation size holds an integer too large for a float"),
+    "sweep eps too large": (lambda: verify.scaling_sweep(family.default_field(),
+                                                         [10**400, 1e-2, 1e-3, 1e-4]),
+                            "perturbation size holds an integer too large for a float"),
 }
 
 

@@ -247,6 +247,68 @@ class TestProfiles:
         assert np.abs(hpp - fd2(kernels.h1zero_profile_jet, r)).max() < 1e-2
 
 
+def hand_expanded_default_profile_jet(r):
+    """chi(r) e^(1-r) with the Leibniz rule expanded by hand through order 2
+    (the reference for the product_jet form)."""
+    c = kernels._scaled_step_jet(r, 0.25, 0.25)
+    e = np.exp(1.0 - r)
+    return c[0] * e, (c[1] - c[0]) * e, (c[2] - 2.0 * c[1] + c[0]) * e
+
+
+def hand_expanded_h1zero_profile_jet(r):
+    """chi(r) (1-r)^2 with the Leibniz rule expanded by hand through order 2."""
+    c = kernels._scaled_step_jet(r, 0.25, 0.25)
+    q = 1.0 - r
+    return (c[0] * q * q, c[1] * q * q - 2.0 * c[0] * q,
+            c[2] * q * q - 4.0 * c[1] * q + 2.0 * c[0])
+
+
+class TestProfilesFromProductJet:
+    """Both profile jets are the cutoff's chain rule times a factor's jet by
+    product_jet.  The default profile keeps the bits of the hand-expanded
+    rule everywhere; h1zero keeps h, and every entry off the cutoff ramp."""
+
+    R = np.concatenate([np.linspace(0.0, 1.2, 20001), [np.nextafter(1.0, 0.0),
+                                                        np.nextafter(1.0, 2.0)]])
+
+    @staticmethod
+    def nodes():
+        return np.concatenate([TestJetOrders.R, TestProfilesFromProductJet.R])
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_default_keeps_the_hand_expanded_bits(self, order):
+        with np.errstate(invalid="ignore"):  # the NaN node
+            got = kernels.default_profile_jet(TestJetOrders.R, order)
+            want = hand_expanded_default_profile_jet(TestJetOrders.R)
+        assert len(got) == order + 1
+        assert_same_bits(got, want[:order + 1])
+
+    def test_h1zero_value_is_chi_times_one_minus_r_squared(self):
+        r = self.nodes()
+        with np.errstate(invalid="ignore"):
+            c0 = kernels._scaled_step_jet(r, 0.25, 0.25, 0)[0]
+            q = 1.0 - r
+            assert_same_bits(kernels.h1zero_profile_jet(r, 0), (c0 * q * q,))
+
+    def test_h1zero_keeps_every_bit_past_the_ramp(self):
+        r = self.nodes()
+        past = r >= 0.5
+        got = kernels.h1zero_profile_jet(r[past])
+        assert_same_bits(got, hand_expanded_h1zero_profile_jet(r[past]))
+
+    def test_h1zero_derivatives_on_the_ramp_within_rounding(self):
+        r = self.nodes()
+        r = r[np.isfinite(r)]
+        got, want = kernels.h1zero_profile_jet(r), hand_expanded_h1zero_profile_jet(r)
+        ramp = (r > 0.25) & (r < 0.5)
+        for g, w in zip(got[1:], want[1:]):
+            assert np.abs(g[ramp] - w[ramp]).max() <= 5e-16 * np.abs(w).max()
+
+    def test_h1zero_slope_at_the_sphere_is_positive_zero(self):
+        hp = kernels.h1zero_profile_jet(np.array([1.0]), 1)[1]
+        assert hp[0] == 0.0 and not np.signbit(hp[0])
+
+
 class TestAngular:
     def test_plateau_value(self):
         g, *_ = kernels.default_angular_jet(np.array([math.pi / 2]), np.array([math.pi / 2]))

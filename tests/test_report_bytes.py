@@ -32,18 +32,22 @@ COARSE = ["--grid-nr", "8", "--grid-ntheta", "8", "--grid-nphi", "8",
 # of its curl: divergence_free lost cartesian_divergence_sup,
 # cartesian_points, cartesian_tolerance and seed, and oracle_agreement_curl
 # gained cartesian_divergence_sup and cartesian_tolerance, with the same
-# bits.  MOVED_FROM holds the hashes from before that move.
+# bits.  MOVED_FROM holds the hashes from before that move.  In the h1zero
+# report only oracle_agreement_curl.norm_l2 moved (in its last digits) when
+# the h1zero profile jet came to be built by product_jet, whose terms round
+# differently from the hand-expanded rule on the cutoff ramp; its REPORTS
+# and MOVED_FROM hashes were re-pinned then.
 REPORTS = [
     ("default", [], "8fea1ae8126b31d5e17a616161bf22b84d9851d2cfd7d5c70b778414244951c6", 0),
     ("default", COARSE, "40aecdfea9a9f4ada1ad63b89a2e1a656309e63b5a71078b29c2da63bd141563", 0),
-    ("h1zero", COARSE, "2e181d84ffbcc9a20df411e8a22090ccb259ccc1abe1219121b41fdadd729646", 2),
+    ("h1zero", COARSE, "c0537d1f11cdd631ff27c52ed3a91969cf01b7ccbbbba28058ae67e63c57548d", 2),
     ("perturbed:1e-3", COARSE,
      "01dcfd23eabd772200e1c6314ce83ef4829e9a6ad667b200b6aabea0ed0c73e3", 2),
 ]
 REPORT_IDS = ["default-shipped", "default-coarse", "h1zero-coarse", "perturbed-coarse"]
 MOVED_FROM = ["9e6094cb72e441ece3e0015752081d2f46dbbd22c6a6af0359c81b02e8de7307",
               "f5623454a963b75379ee96c81383f4b60f3fd878fa3ba9705176b3ea43f155e1",
-              "db518ce32f8726e1d2bf02b4b816e85f9ed058c1488ceace8deb0a16f0fbb16f",
+              "da641d30f5323ec8266e768522622a29a6ef44203ab23353174d832aed7cf869",
               "ba8be864f6b2bf36375320a5c98b6c8ef876a89e104478289180f6ddea3d6398"]
 
 
@@ -133,13 +137,19 @@ OUTPUTS = [
      "44296625a79e0f6ce59b37468826b77652db6a7797535fac2d6698fc0f70b605", 0),
     (["eval", "--r", "0.7", "--theta", "1", "--phi", "1"], None,
      "2e876ea69e6d01deb38da75ff689877db455d74e854f177a8a02c511a81c9f1c", 0),
+    # h1zero on the sphere, where h(1) = h'(1) = +0: the signs of its traces
+    (["sample", "--family", "h1zero", "--field", "curl_v_boundary"], "--out",
+     "bc25416fb4792ee519e437562d9b2c0231d7bfe5063ad5f8c9c1d087b3d98a76", 0),
+    (["eval", "--family", "h1zero", "--r", "1", "--theta", "1", "--phi", "1"], None,
+     "223fb9f9650d69812b9afa72a7d164eb27628cc8bccfe3b8d6498c4c3d7047c7", 0),
 ]
 
 
 @pytest.mark.parametrize("argv, out_flag, sha256, code", OUTPUTS,
                          ids=["sweep-default", "sweep-32x64", "sweep-perturbed",
                               "sample-curl-v-boundary", "sample-v-surface", "sample-u-volume",
-                              "sample-omega-volume", "eval-boundary", "eval-interior"])
+                              "sample-omega-volume", "eval-boundary", "eval-interior",
+                              "sample-h1zero-curl-v-boundary", "eval-h1zero-boundary"])
 def test_output_bytes(argv, out_flag, sha256, code, tmp_path, capsys):
     out = tmp_path / "out"
     got = cli.main(argv + ([out_flag, str(out)] if out_flag else []))
